@@ -327,7 +327,6 @@ def criterion_10() -> CriterionResult:
                     "--m", "0",
                     "--p", "2",
                     "--eps-levels", "5",
-                    "--seed", "7",
                     "--csv", csv_path,
                     "--out", json_path,
                 ]

@@ -11,7 +11,7 @@ Subcommands
 Exit codes: 0 success, 2 bad input, 3 degenerate geometry, 4 numerical
 failure.  Reports are JSON with floats at 17 significant digits; sweep tables
 are CSV with a fixed, versioned column order.  The environment variable
-ANISOTETRA_SEED supplies the default seed; flags override it.
+ANISOTETRA_SEED supplies the default seed of `mac`; --seed overrides it.
 """
 
 from __future__ import annotations
@@ -391,7 +391,6 @@ def cmd_error(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
     csv_rows = []
@@ -438,7 +437,6 @@ def cmd_sweep(args) -> int:
         "kind": args.kind,
         "alphas": args.alphas,
         "eps_levels": args.eps_levels,
-        "seed": seed,
     }
     if args.csv:
         _write_text(args.csv, render_csv(csv_rows))
@@ -589,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="three entries, floats or 'eps' (default 1,eps,eps)")
     sweep.add_argument("--eps-levels", type=int, default=11,
                        help="levels l = 0..n-1 with eps = 2^-l")
-    sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--csv", help="write the per-level table here")
     sweep.add_argument("--out", default="-")
     sweep.set_defaults(func=cmd_sweep)

@@ -55,7 +55,11 @@ class NumericalError(AnisotetraError):
 
 
 class IllConditionedBasis(NumericalError):
-    """Nodal Vandermonde solve did not reach the required residual."""
+    """A nodal basis solve did not reach the required residual.
+
+    Kept for API compatibility; interpolate works on the reference element
+    and no longer raises it.
+    """
 
     def __init__(self, message, condition_estimate):
         super().__init__(message)

@@ -1,14 +1,14 @@
 """Lagrange interpolation of degree k on a tetrahedron.
 
-Interpolants live in P_k and are represented two ways at once: a global
-monomial Polynomial3 (the exact-calculus view: partial derivatives and
-integrals are closed-form), and an internal monomial basis centered at the
-tetra centroid and scaled by h_T, which is what the Vandermonde system is
-solved in and what evaluation uses.  The centered basis keeps the solve
-well conditioned on moderately anisotropic elements; one step of iterative
-refinement pushes the nodal residual to machine level whenever the system
-is solvable at all, and a residual above 1e-8 raises IllConditionedBasis
-with a condition estimate instead of returning garbage.
+Interpolation happens on the unit right-corner reference element, pulled
+back through the affine map x = x_0 + J xi with J = [x_1 - x_0, x_2 - x_0,
+x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  One fixed
+basis of P_k per degree k, built from the barycentric product formula (no
+linear solve), turns nodal values into the interpolant's coefficients in xi
+by a single matrix-vector product.  Evaluation maps points with
+xi = J^{-1} (x - x_0) and physical partials follow by the chain rule, so a
+rotated flat element interpolates as well as an axis-aligned one.  A
+degenerate element raises DegenerateTetrahedron.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DerivativeUnavailable, IllConditionedBasis, InvalidDegree
-from .geom import Tetrahedron, sorted_edge_lengths
-from .lattice import Barycentric, nodes_on, sigma_k
+from .errors import DerivativeUnavailable, InvalidDegree
+from .geom import Tetrahedron, volume
+from .lattice import nodes_on, sigma_k
 
 MAX_DEGREE = 8
-NODAL_RESIDUAL_LIMIT = 1e-8
 
 MultiIndex = tuple[int, int, int]
+_UNIT: tuple[MultiIndex, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def monomial_indices(k: int) -> list[MultiIndex]:
@@ -264,68 +263,63 @@ class ScalarField:
 
 
 class Interpolant:
-    """The Lagrange interpolant I_T^k v as a polynomial plus node data.
+    """The Lagrange interpolant I_T^k v, held on the reference element.
 
-    `poly` is the global monomial form (exact calculus); `evaluate` and
-    `partial` go through the centered-and-scaled internal form, which is the
-    numerically preferred route on anisotropic elements.
+    `ref` is the interpolant as a polynomial in the reference coordinates
+    xi of the affine map x = origin + J xi onto the tetra.  Points are
+    pulled back with xi = J^{-1} (x - origin); physical partials follow by
+    the chain rule.  `condition_estimate` is cond_2(J).
     """
 
     def __init__(
         self,
-        poly: Polynomial3,
+        ref: Polynomial3,
         tetra: Tetrahedron,
         k: int,
-        node_values: list[tuple[Barycentric, float]],
-        scaled: Polynomial3,
-        center: np.ndarray,
-        scale: float,
+        origin: np.ndarray,
+        inverse: np.ndarray,
         condition_estimate: float,
     ):
-        self.poly = poly
+        self.ref = ref
         self.tetra = tetra
         self.k = k
-        self.node_values = node_values
-        self._scaled = scaled
-        self._center = center
-        self._scale = scale
+        self._origin = origin
+        self._inverse_t = np.ascontiguousarray(inverse.T)
         self.condition_estimate = condition_estimate
+        self._partials: dict[MultiIndex, Polynomial3] = {}
+
+    def _at(self, poly: Polynomial3, pts) -> np.ndarray:
+        """A polynomial in xi evaluated at physical points."""
+        p = np.atleast_2d(np.asarray(pts, dtype=float))
+        if poly.degree == 0:  # a constant needs no mapped points
+            return np.full(p.shape[0], poly.coeffs.get((0, 0, 0), 0.0))
+        return poly.evaluate((p - self._origin) @ self._inverse_t)
 
     def evaluate(self, pts) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        y = (p - self._center) / self._scale
-        return np.atleast_1d(np.asarray(self._scaled.evaluate(y)))
+        return self._at(self.ref, pts)
 
     __call__ = evaluate
 
     def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        y = (p - self._center) / self._scale
-        dp = self._scaled.partial(gamma)
-        return np.atleast_1d(np.asarray(dp.evaluate(y))) / self._scale ** sum(gamma)
+        gamma = tuple(gamma)
+        if gamma not in self._partials:
+            # d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so d^gamma is the product
+            # of linear forms in the xi-derivatives; expanding it gives one
+            # polynomial sum_beta c_beta d^beta ref, evaluated once.
+            op = Polynomial3.constant(1.0)
+            for j, power in enumerate(gamma):
+                form = Polynomial3(dict(zip(_UNIT, self._inverse_t[j])))
+                for _ in range(power):
+                    op = op * form
+            dp: dict[MultiIndex, float] = {}
+            for beta, c in op.coeffs.items():
+                for key, val in self.ref.partial(beta).coeffs.items():
+                    dp[key] = dp.get(key, 0.0) + c * val
+            self._partials[gamma] = Polynomial3(dp)
+        return self._at(self._partials[gamma], pts)
 
     def as_field(self) -> ScalarField:
         return ScalarField(self.evaluate, partial_fn=self.partial, order=None)
-
-
-@lru_cache(maxsize=128)
-def _nodal_system(coords_key: tuple, k: int):
-    """Nodes, scaled Vandermonde, LU factors and a condition estimate."""
-    verts = np.array(coords_key).reshape(4, 3)
-    t = Tetrahedron.from_points(verts)
-    gammas, nodes = nodes_on(verts, k)
-    center = verts.mean(axis=0)
-    scale = sorted_edge_lengths(t)[5]
-    y = (nodes - center) / scale
-    monos = monomial_indices(k)
-    v = np.empty((len(gammas), len(monos)))
-    for col, (a, b, c) in enumerate(monos):
-        v[:, col] = y[:, 0] ** a * y[:, 1] ** b * y[:, 2] ** c
-    lu = scipy.linalg.lu_factor(v)
-    anorm = float(np.linalg.norm(v, 1))
-    rcond, _ = scipy.linalg.lapack.dgecon(lu[0], anorm, norm="1")
-    cond = 1.0 / rcond if rcond > 0 else math.inf
-    return gammas, nodes, center, scale, monos, v, lu, cond
 
 
 def _check_degree(k: int):
@@ -337,26 +331,38 @@ def _check_degree(k: int):
         )
 
 
-def _solve_coefficients(coords_key, k, values: np.ndarray):
-    gammas, nodes, center, scale, monos, v, lu, cond = _nodal_system(coords_key, k)
-    coef = scipy.linalg.lu_solve(lu, values)
-    # One step of iterative refinement pushes solvable systems to
-    # machine-level nodal residuals.
-    resid = values - v @ coef
-    coef = coef + scipy.linalg.lu_solve(lu, resid)
-    resid = values - v @ coef
-    limit = NODAL_RESIDUAL_LIMIT * (1.0 + float(np.abs(values).max(initial=0.0)))
-    worst = float(np.abs(resid).max(initial=0.0))
-    if not np.isfinite(worst) or worst > limit:
-        raise IllConditionedBasis(
-            "nodal residual %.3e exceeds %.3e" % (worst, limit),
-            condition_estimate=cond,
-        )
-    return gammas, nodes, center, scale, monos, coef, cond
+@lru_cache(maxsize=MAX_DEGREE)
+def _reference_basis(k: int) -> np.ndarray:
+    """Lagrange basis of P_k on the unit right-corner element, in xi.
+
+    Column n holds the monomial_indices(k) coefficients of the basis
+    function of the n-th node of sigma_k(k), built from the product formula
+    phi_gamma = prod_i prod_{j < gamma_i} (k lambda_i - j) / (j + 1), which
+    is 1 at its own node and 0 at every other (no linear solve).
+    """
+    xi = [Polynomial3.variable(axis) for axis in range(3)]
+    lam = [1.0 - xi[0] - xi[1] - xi[2]] + xi
+    # factors[i][g] = prod_{j < g} (k lambda_i - j) / (j + 1)
+    factors = []
+    for i in range(4):
+        row = [Polynomial3.constant(1.0)]
+        for j in range(k):
+            row.append(row[-1] * ((k * lam[i] - j) * (1.0 / (j + 1))))
+        factors.append(row)
+    monos = monomial_indices(k)
+    basis = np.zeros((len(monos), len(sigma_k(k))))
+    for col, gamma in enumerate(sigma_k(k)):
+        phi = math.prod(factors[i][g] for i, g in enumerate(gamma))
+        basis[:, col] = [phi.coeffs.get(mono, 0.0) for mono in monos]
+    basis.flags.writeable = False
+    return basis
 
 
-def _scaled_to_global(scaled: Polynomial3, center: np.ndarray, scale: float) -> Polynomial3:
-    return scaled.compose_affine(np.eye(3) / scale, -center / scale)
+def _affine_map(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
+    """origin and J of x = origin + J xi; DegenerateTetrahedron if flat."""
+    volume(t)
+    verts = t.as_array()
+    return verts[0], (verts[1:] - verts[0]).T
 
 
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
@@ -366,46 +372,35 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     arrays.  Reproduces any q in P_k up to roundoff.
     """
     _check_degree(k)
-    coords_key = tuple(np.asarray(t.as_array(), dtype=float).reshape(-1))
-    gammas, nodes, _, _, _, _, _, _ = _nodal_system(coords_key, k)
+    origin, jac = _affine_map(t)
+    gammas, nodes = nodes_on(t.as_array(), k)
     if isinstance(v, Polynomial3):
         values = np.atleast_1d(np.asarray(v.evaluate(nodes), dtype=float))
     elif isinstance(v, ScalarField):
         values = v(nodes)
     else:
         values = np.asarray(v(nodes), dtype=float).reshape(len(gammas))
-    gammas, nodes, center, scale, monos, coef, cond = _solve_coefficients(
-        coords_key, k, values
-    )
-    scaled = Polynomial3({mono: c for mono, c in zip(monos, coef)})
-    poly = _scaled_to_global(scaled, center, scale)
-    node_values = list(zip(gammas, (float(x) for x in values)))
+    coef = _reference_basis(k) @ values
     return Interpolant(
-        poly=poly,
+        ref=Polynomial3(dict(zip(monomial_indices(k), coef))),
         tetra=t,
         k=k,
-        node_values=node_values,
-        scaled=scaled,
-        center=center,
-        scale=scale,
-        condition_estimate=cond,
+        origin=origin,
+        inverse=np.linalg.inv(jac),
+        condition_estimate=float(np.linalg.cond(jac)),
     )
 
 
 def lagrange_basis(t: Tetrahedron, k: int) -> list[Polynomial3]:
     """The nodal basis on Sigma^k(t): phi_i(x_j) = delta_ij, in node order."""
     _check_degree(k)
-    coords_key = tuple(np.asarray(t.as_array(), dtype=float).reshape(-1))
-    gammas, _, center, scale, monos, _, _, _ = _nodal_system(coords_key, k)
-    n = len(gammas)
-    basis = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        _, _, _, _, _, coef, _ = _solve_coefficients(coords_key, k, e)
-        scaled = Polynomial3({mono: c for mono, c in zip(monos, coef)})
-        basis.append(_scaled_to_global(scaled, center, scale))
-    return basis
+    origin, jac = _affine_map(t)
+    inverse = np.linalg.inv(jac)
+    monos = monomial_indices(k)
+    return [
+        Polynomial3(dict(zip(monos, column))).compose_affine(inverse, -inverse @ origin)
+        for column in _reference_basis(k).T
+    ]
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:

@@ -183,22 +183,30 @@ def _inside(t: Tetrahedron, x: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(lam.min() >= -tol and lam.sum() <= 1.0 + tol)
 
 
-def _newton_polish(poly: Polynomial3, t: Tetrahedron, x0: np.ndarray) -> float:
-    """One constrained Newton step toward a local extremum of |poly|."""
-    val0 = float(np.asarray(poly.evaluate(x0[None, :])).reshape(-1)[0])
+def _newton_polish(
+    field_u: ScalarField, gamma: MultiIndex, t: Tetrahedron, x0: np.ndarray
+) -> float:
+    """One constrained Newton step toward a local extremum of |d^gamma u|.
+
+    Value, gradient and Hessian are the field's exact partials of orders
+    gamma, gamma + e_i and gamma + e_i + e_j.
+    """
+
+    def d(extra: MultiIndex, x: np.ndarray) -> float:
+        order = tuple(g + e for g, e in zip(gamma, extra))
+        return float(field_u.partial(order, x[None, :])[0])
+
+    val0 = d((0, 0, 0), x0)
     sign = 1.0 if val0 >= 0 else -1.0
     axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    grad = np.array(
-        [float(np.asarray(poly.partial(a).evaluate(x0[None, :]))[0]) for a in axes]
-    )
+    grad = np.array([d(a, x0) for a in axes])
     hess = np.empty((3, 3))
     for i, ai in enumerate(axes):
         for j, aj in enumerate(axes):
             if j < i:
                 hess[i, j] = hess[j, i]
                 continue
-            gij = tuple(ai[l] + aj[l] for l in range(3))
-            hess[i, j] = float(np.asarray(poly.partial(gij).evaluate(x0[None, :]))[0])
+            hess[i, j] = d(tuple(ai[l] + aj[l] for l in range(3)), x0)
     try:
         step = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
@@ -206,7 +214,7 @@ def _newton_polish(poly: Polynomial3, t: Tetrahedron, x0: np.ndarray) -> float:
     x1 = x0 + step
     if not _inside(t, x1):
         return abs(val0)
-    val1 = sign * float(np.asarray(poly.evaluate(x1[None, :])).reshape(-1)[0])
+    val1 = sign * d((0, 0, 0), x1)
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
 
 
@@ -225,8 +233,7 @@ def _sup_seminorm(u, t: Tetrahedron, spec: SeminormSpec) -> SeminormInfo:
             best_idx = idx
     warnings = ("p=inf maximum from dense sampling; value is approximate",)
     if best_gamma is not None and isinstance(u, (Polynomial3, Interpolant)):
-        poly = u if isinstance(u, Polynomial3) else u.poly
-        best = max(best, _newton_polish(poly.partial(best_gamma), t, pts[best_idx]))
+        best = max(best, _newton_polish(field_u, best_gamma, t, pts[best_idx]))
     return SeminormInfo(
         value=best,
         quadrature_degree=None,

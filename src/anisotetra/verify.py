@@ -576,7 +576,7 @@ def mac_experiment(n: int, gamma_max: float, gen: TetraGenSpec | None = None,
             forward_violations.append((t, h_over, r_over))
     excluded_max = None
     if excluded:
-        excluded_max = max(angles(t).R_T / angles(t).h[-1] for t in excluded)
+        excluded_max = max(geo.R_T / geo.h[-1] for geo in map(angles, excluded))
 
     # Reverse: samples with R_T/h_T <= D must satisfy the per-type converse
     # angle bound.  Near-regular proposals keep the acceptance rate usable

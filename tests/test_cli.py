@@ -9,6 +9,7 @@ import json
 import pytest
 
 from anisotetra import cli
+from anisotetra.verify import TetraGenSpec, generate
 
 
 def run(argv, capsys):
@@ -108,6 +109,17 @@ def test_error_corpus_field_sup_norm(capsys):
     assert report["results"]["error"] > 0
 
 
+def test_error_on_rotated_sliver_k4(capsys):
+    t = generate(TetraGenSpec(family="sliver", seed=5), 5)[4]
+    vertices = " ".join(",".join(repr(c) for c in point) for point in t.coords())
+    report = run_json(
+        ["error", "--vertices", vertices, "--expr", "sin(x+2*y+3*z)",
+         "--k", "4", "--m", "1", "--p", "2"],
+        capsys,
+    )
+    assert report["results"]["error"] > 0
+
+
 def test_error_unknown_field_exits_2(capsys):
     code, _, err = run(
         ["error", "--tetra", "ref", "--field", "nope",
@@ -153,7 +165,7 @@ def test_sweep_csv_layout(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     report = run_json(
         ["sweep", "--k", "1", "--m", "0", "--p", "2",
-         "--eps-levels", "4", "--seed", "5", "--csv", str(csv_path)],
+         "--eps-levels", "4", "--csv", str(csv_path)],
         capsys,
     )
     lines = csv_path.read_text().splitlines()
@@ -163,12 +175,11 @@ def test_sweep_csv_layout(tmp_path, capsys):
     assert first[0] == "1"  # schema_version
     assert first[1] == "0"  # level
     assert report["results"]["trend_ok"] is True
-    assert report["config"]["seed"] == 5
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     argv = ["sweep", "--k", "1", "--m", "1", "--p", "3",
-            "--eps-levels", "4", "--seed", "11"]
+            "--eps-levels", "4"]
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
     a_out, b_out = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(argv + ["--csv", str(a_csv), "--out", str(a_out)]) == 0
@@ -176,25 +187,6 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a_csv.read_bytes() == b_csv.read_bytes()
     assert a_out.read_bytes() == b_out.read_bytes()
-
-
-def test_sweep_env_seed_is_echoed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ANISOTETRA_SEED", "42")
-    report = run_json(
-        ["sweep", "--k", "1", "--m", "0", "--p", "2", "--eps-levels", "2"],
-        capsys,
-    )
-    assert report["config"]["seed"] == 42
-
-
-def test_sweep_bad_env_seed_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("ANISOTETRA_SEED", "not-a-number")
-    code, _, err = run(
-        ["sweep", "--k", "1", "--m", "0", "--p", "2", "--eps-levels", "2"],
-        capsys,
-    )
-    assert code == 2
-    assert "ANISOTETRA_SEED" in err
 
 
 def test_sweep_custom_alpha_pattern(capsys):
@@ -230,6 +222,13 @@ def test_mac_right_angle_run_is_clean(capsys):
     assert results["forward_checked"] == 200
     assert results["reverse_checked"] == 200
     assert results["d_bound"] == pytest.approx(15.678755578516522)
+
+
+def test_mac_bad_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ANISOTETRA_SEED", "not-a-number")
+    code, _, err = run(["mac", "--gamma-max", "1.5707963267948966", "--n", "10"], capsys)
+    assert code == 2
+    assert "ANISOTETRA_SEED" in err
 
 
 def test_mac_invalid_gamma_exits_2(capsys):

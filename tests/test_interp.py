@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from anisotetra.errors import DerivativeUnavailable, InvalidDegree
+from anisotetra.errors import DegenerateTetrahedron, DerivativeUnavailable, InvalidDegree
 from anisotetra.geom import TYPE1, TYPE2, Tetrahedron, reference_tetrahedron
 from anisotetra.interp import (
     Interpolant,
@@ -19,6 +19,7 @@ from anisotetra.interp import (
     residual,
 )
 from anisotetra.lattice import nodes_on
+from anisotetra.verify import TetraGenSpec, generate
 
 REPRO_TOL = 1e-9
 T_HAT = reference_tetrahedron(TYPE1)
@@ -26,6 +27,12 @@ T_TILDE = reference_tetrahedron(TYPE2)
 
 ANISO = Tetrahedron.from_points(
     [(0.2, 0.1, -0.3), (1.4, 0.2, -0.1), (0.3, 0.9, 0.05), (0.25, 0.3, 0.8)]
+)
+# ANISO moved by a fixed orthogonal map and shifted off the axes.
+ROTATED_ANISO = Tetrahedron.from_points(
+    np.asarray(ANISO.as_array())
+    @ np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))[0].T
+    + np.array([0.7, -0.4, 0.3])
 )
 
 
@@ -186,12 +193,16 @@ class TestInterpolation:
         assert np.allclose(total.evaluate(pts), 1.0, atol=1e-10)
 
     def test_interpolant_partial_matches_polynomial(self):
-        f = ScalarField(lambda pts: np.cos(pts @ np.array([0.5, 1.0, -0.7])))
-        ip = interpolate(f, ANISO, 3)
-        pts = np.random.default_rng(7).uniform(0.2, 0.6, (8, 3))
-        for gamma in [(1, 0, 0), (0, 1, 1), (2, 0, 0)]:
-            want = ip.poly.partial(gamma).evaluate(pts)
-            assert np.allclose(ip.partial(gamma, pts), want, rtol=1e-9, atol=1e-12)
+        # For q in P_3 the interpolant is q, so its chain-rule partials on a
+        # rotated element must equal q's exact ones at every order.
+        rng = np.random.default_rng(7)
+        q = random_poly(rng, 3)
+        ip = interpolate(q, ROTATED_ANISO, 3)
+        pts = rng.uniform(0.0, 1.0, (8, 4))
+        pts = (pts / pts.sum(axis=1, keepdims=True)) @ ROTATED_ANISO.as_array()
+        for gamma in monomial_indices(3)[1:]:  # every order 1 to 3
+            want = q.partial(gamma).evaluate(pts)
+            assert np.allclose(ip.partial(gamma, pts), want, rtol=1e-9, atol=1e-9)
 
     def test_degree_bounds(self):
         with pytest.raises(InvalidDegree):
@@ -202,6 +213,20 @@ class TestInterpolation:
     def test_condition_estimate_reported(self):
         ip = interpolate(Polynomial3.constant(1.0), ANISO, 4)
         assert ip.condition_estimate >= 1.0
+
+    def test_coplanar_vertices_are_degenerate(self):
+        flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        with pytest.raises(DegenerateTetrahedron):
+            interpolate(Polynomial3.constant(1.0), flat, 2)
+
+    @pytest.mark.parametrize("family", ["sliver", "needle"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rotated_flat_elements_interpolate(self, family, k):
+        f = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
+        for t in generate(TetraGenSpec(family=family, seed=5), 6):
+            ip = interpolate(f, t, k)
+            _, nodes = nodes_on(t.coords(), k)
+            assert np.allclose(ip.evaluate(nodes), f(nodes), rtol=0, atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @seed(1)

@@ -19,7 +19,7 @@ from anisotetra.geom import (
     sorted_edge_lengths,
     standard_position,
 )
-from anisotetra.interp import Polynomial3, monomial_indices
+from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
 from anisotetra.lattice import nodes_on
 from anisotetra.verify import (
     TetraGenSpec,
@@ -153,6 +153,32 @@ class TestErrorRatio:
             v_moved = v.compose_affine(q.T, -q.T @ b)
             r = error_ratio(v_moved, moved, 1, 0, 2.0)
             assert abs(r.ratio - base) < 1e-8 * base
+
+    @pytest.mark.parametrize("family", ["sliver", "needle"])
+    def test_rotated_flat_elements_are_rigid_motion_invariant(self, family):
+        # The moved field evaluates v at the pulled-back point instead of
+        # expanding v about a new origin, so its values carry only v's own
+        # roundoff and the comparison measures the interpolation.  Only
+        # p = 2 and m <= 1: the weighted seminorm is rotation invariant there.
+        def moved(v, t, q, b):
+            v_moved = v.compose_affine(q.T, -q.T @ b)
+            field = ScalarField(
+                lambda pts: v.evaluate((pts - b) @ q),
+                partial_fn=lambda gamma, pts: v_moved.partial(gamma).evaluate(pts),
+            )
+            return field, Tetrahedron.from_points(np.asarray(t.as_array()) @ q.T + b)
+
+        rng = np.random.default_rng(0)
+        for t in generate(TetraGenSpec(family=family, seed=5), 6):
+            for k in (2, 3, 4):
+                gammas = monomial_indices(k + 1)
+                v = Polynomial3(dict(zip(gammas, rng.uniform(-1, 1, len(gammas)))))
+                motions = [(rotation(s), rng.uniform(-1, 1, 3)) for s in (1, 2, 3)]
+                for m in (0, 1):
+                    base = error_ratio(*moved(v, t, np.eye(3), np.zeros(3)), k, m, 2.0)
+                    for q, b in motions:
+                        r = error_ratio(*moved(v, t, q, b), k, m, 2.0)
+                        assert abs(r.ratio - base.ratio) <= 1e-6 * base.ratio
 
     def test_polynomial_in_p_k_is_indeterminate(self):
         v = Polynomial3({(1, 0, 0): 1.0, (0, 0, 0): 3.0})
