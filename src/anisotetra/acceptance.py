@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ from .lattice import (
 from .quad import rule_for_degree
 from .verify import (
     TetraGenSpec,
-    _draw_sample,
     convergence_study,
     corpus,
     equivalence_sample,
+    generate,
     mac_experiment,
     squeeze_sweep,
 )
@@ -70,11 +71,9 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Sine/cosine angle identities on 1e4 random tetrahedra."""
-    gen = TetraGenSpec(family="uniform", seed=102)
     worst = 0.0
-    for i in range(10_000):
-        rep = verify_trig_identities(_draw_sample(gen, i))
-        worst = max(worst, rep.max_residual)
+    for t in generate(TetraGenSpec(family="uniform", seed=102), 10_000):
+        worst = max(worst, verify_trig_identities(t).max_residual)
     return CriterionResult(
         2,
         "trig identities on 10000 random tetrahedra",
@@ -85,11 +84,9 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Standard position parameters, factor map and norms on 1e4 samples."""
-    gen = TetraGenSpec(family="uniform", seed=103)
     tol = 1e-10
     worst_param = worst_map = worst_norm = 0.0
-    for i in range(10_000):
-        t = _draw_sample(gen, i)
+    for t in generate(TetraGenSpec(family="uniform", seed=103), 10_000):
         cls = classify(t)
         sp = standard_position(t, cls)
         s1, t1, s21, s22, t2 = sp.params
@@ -135,13 +132,11 @@ def criterion_4() -> CriterionResult:
 
     bary = np.array(sigma_k(8), dtype=float) / 8.0
     rng = np.random.default_rng(104)
-    gen = TetraGenSpec(family="mixed", seed=104)
+    samples = iter(generate(TetraGenSpec(family="mixed", seed=104), 400))
     worst = 0.0
-    index = 0
     for k in (1, 2, 3, 4):
         for _ in range(100):
-            t = _draw_sample(gen, index)
-            index += 1
+            t = next(samples)
             q = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(k)})
             ip = interpolate(q, t, k)
             pts = bary @ np.asarray(t.as_array())
@@ -365,18 +360,22 @@ CRITERIA = (
 
 
 def run_all(report=print) -> bool:
-    """Run every criterion, emit one line each, return overall pass."""
+    """Run every criterion, emit one line each with its wall time, return
+    overall pass."""
     all_ok = True
     for fn in CRITERIA:
+        start = time.perf_counter()
         result = fn()
+        seconds = time.perf_counter() - start
         all_ok = all_ok and result.passed
         report(
-            "criterion %2d: %s - %s (%s)"
+            "criterion %2d: %s - %s (%s) [%.2f s]"
             % (
                 result.number,
                 "PASS" if result.passed else "FAIL",
                 result.title,
                 result.detail,
+                seconds,
             )
         )
     return all_ok

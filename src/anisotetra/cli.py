@@ -391,6 +391,8 @@ def cmd_error(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.eps_levels < 1:
+        raise InputError("--eps-levels must be >= 1, got %d" % args.eps_levels)
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
     csv_rows = []
@@ -445,6 +447,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mac(args) -> int:
+    if args.n < 1:
+        raise InputError("--n must be >= 1, got %d" % args.n)
     seed = _resolve_seed(args)
     rep = mac_experiment(args.n, args.gamma_max, seed=seed)
     results = {

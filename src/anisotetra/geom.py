@@ -17,9 +17,17 @@ the quality quantities R_T and H_T, the full angle inventory (face angles,
 dihedral angles, edge-face angles), maximum-angle-condition checks, and the
 constants tying the maximum angle condition to R_T/h_T.
 
-Scalar geometry is written with plain floats on purpose: these routines run
-per sample inside 1e5-sample experiments where numpy's per-call overhead
-dominates.  numpy appears only for the 3x3 matrix work.
+Two paths share one arithmetic.  The scalar routines (classify,
+quality_ratio, angles, mac_check, ...) take one Tetrahedron and work on
+plain floats; they are the single-element API and the reference the tests
+hold the array kernels to.  The array kernels (batch_*) take N tetrahedra as
+an (N, 4, 3) array and evaluate the same expressions, through the same
+_sub/_dot/_cross/_scale helpers, on coordinate arrays; the sampling
+experiments in verify run on them.  A scalar call is not routed through the
+kernels: at N = 1 numpy's per-call overhead dominates.  On a 2-vCPU x86-64
+host (AVX-512, numpy 2.4) the kernels' max angle with its degeneracy test
+took 163 us per call against 43 us for max_face_and_dihedral_angle, and
+their quality_ratio 114 us against 25 us.
 """
 
 from __future__ import annotations
@@ -406,14 +414,13 @@ def quality(t: Tetrahedron) -> tuple[float, float]:
     parameters.  The two routes are independent; H_T equals
     alpha1*alpha2*alpha3*h_T/|T| identically.
     """
-    hs = sorted_edge_lengths(t)
-    vol = volume(t)
+    return _quality(t, sorted_edge_lengths(t), volume(t))
+
+
+def _quality(t: Tetrahedron, hs, vol: float) -> tuple[float, float]:
     r_t = hs[0] * hs[1] * hs[5] ** 2 / vol
-    cls = classify(t)
-    sp = _standard_position_from(t, cls)
-    _, t1, _, _, t2 = sp.params
-    h_t = hs[5]
-    return r_t, 6.0 * h_t / (t1 * t2)
+    _, t1, _, _, t2 = _standard_position_from(t, classify(t)).params
+    return r_t, 6.0 * hs[5] / (t1 * t2)
 
 
 def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
@@ -478,18 +485,23 @@ def _face_angles(v):
     return theta, normals, dists
 
 
-def angles(t: Tetrahedron) -> GeometryReport:
-    """Compute the full geometry report of a nondegenerate tetrahedron."""
-    v = t.coords()
-    vol = volume(t)
-    theta, normals, dists = _face_angles(v)
-
+def _dihedral_angles(normals):
+    """psi[(i, j)], i < j, from the inward unit normals of the faces."""
     psi = {}
     for i in range(4):
         for j in range(i + 1, 4):
             ni, nj = normals[i], normals[j]
-            gap = math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
-            psi[(i, j)] = math.pi - gap
+            psi[(i, j)] = math.pi - math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
+    return psi
+
+
+def angles(t: Tetrahedron) -> GeometryReport:
+    """Compute the full geometry report of a nondegenerate tetrahedron."""
+    v = t.coords()
+    vol = volume(t)
+    hs = sorted_edge_lengths(t)
+    theta, normals, dists = _face_angles(v)
+    psi = _dihedral_angles(normals)
 
     phi = {}
     for i in range(4):
@@ -499,9 +511,9 @@ def angles(t: Tetrahedron) -> GeometryReport:
             ratio = dists[i] / _dist(v[i], v[j])
             phi[(i, j)] = math.asin(min(1.0, ratio))
 
-    r_t, h_t_quality = quality(t)
+    r_t, h_t_quality = _quality(t, hs, vol)
     return GeometryReport(
-        h=sorted_edge_lengths(t),
+        h=hs,
         volume=vol,
         R_T=r_t,
         H_T=h_t_quality,
@@ -513,20 +525,14 @@ def angles(t: Tetrahedron) -> GeometryReport:
 
 
 def max_face_and_dihedral_angle(t: Tetrahedron) -> float:
-    """max(theta union psi) without the rest of the report (hot path)."""
+    """max(theta union psi) without the rest of the report."""
     v = t.coords()
     if abs(_signed_volume6(v)) / 6.0 < EPS_VOL_REL * max(
         _dist(v[i], v[j]) for i, j in EDGES
     ) ** 3:
         raise DegenerateTetrahedron("degenerate tetrahedron has no angle report")
     theta, normals, _ = _face_angles(v)
-    worst = max(theta.values())
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ni, nj = normals[i], normals[j]
-            gap = math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
-            worst = max(worst, math.pi - gap)
-    return worst
+    return max(max(theta.values()), max(_dihedral_angles(normals).values()))
 
 
 def _check_gamma_max(gamma_max: float):
@@ -540,6 +546,172 @@ def mac_check(t: Tetrahedron, gamma_max: float, eps_angle: float = EPS_ANGLE) ->
     """True iff every face internal angle and dihedral angle is <= gamma_max."""
     _check_gamma_max(gamma_max)
     return max_face_and_dihedral_angle(t) <= gamma_max + eps_angle
+
+
+# ---------------------------------------------------------------------------
+# Array kernels
+#
+# The sampling experiments measure tetrahedra by the thousand.  These kernels
+# take the vertices of N tetrahedra as an (N, 4, 3) array and return one
+# value per row.  They evaluate the scalar routines' own expressions on
+# coordinate arrays: a point is its x, y and z arrays, so _sub, _dot, _cross
+# and _scale serve both paths and every +, -, *, / and sqrt runs in the same
+# order.  Edge lengths, volumes, the classification, quality_ratio, R_T, t1
+# and t2 are therefore bitwise equal to the scalar results.  Degenerate rows
+# are not rejected: batch_volume flags them, and the other kernels' values
+# on them mean nothing.
+
+# Angles come from numpy's arctan2, which can differ from math.atan2 in the
+# last bit; max_angle_at_most hands comparisons this close to the scalar code.
+_ATAN2_SLACK = 1e-12
+
+
+def _edge_tables():
+    index = np.zeros((4, 4), dtype=int)
+    adjacent = np.zeros((6, 6), dtype=bool)
+    roles = np.zeros((6, 6, 4), dtype=int)
+    for e, (i, j) in enumerate(EDGES):
+        index[i, j] = index[j, i] = e
+    for a, e2 in enumerate(EDGES):
+        for b, e1 in enumerate(EDGES):
+            shared = set(e1) & set(e2)
+            if len(shared) == 1:
+                c = shared.pop()
+                w, d = (set(e1) - {c}).pop(), (set(e2) - {c}).pop()
+                adjacent[a, b] = True
+                roles[a, b] = (c, w, d, (set(range(4)) - {c, w, d}).pop())
+    return index, adjacent, roles
+
+
+# _EDGE_INDEX[i, j]: the EDGES index of edge {i, j}.  _ADJACENT[a, b]: edges
+# a and b share one vertex.  _ROLES[e2, e1]: classify's (c, w, d, f).
+_EDGE_INDEX, _ADJACENT, _ROLES = _edge_tables()
+_EDGE_I = [i for i, _ in EDGES]
+_EDGE_J = [j for _, j in EDGES]
+# Face i is spanned by the other three vertices; theta[(i, j)] is the angle
+# at corner j between the two remaining vertices of face i.
+_FACES = [[j for j in range(4) if j != i] for i in range(4)]
+_CORNERS = [(j, *[k for k in face if k != j]) for face in _FACES for j in face]
+_FACE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _coords(verts: np.ndarray, idx) -> np.ndarray:
+    """Vertices idx of every row as component-first arrays, (3, len(idx), N)."""
+    return verts[:, idx].transpose(2, 1, 0)
+
+
+def _row_points(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Vertex idx[r] of each row r, as a (3, N) array."""
+    return verts[np.arange(len(verts)), idx].T
+
+
+def _bnorm(a):
+    return np.sqrt(_dot(a, a))
+
+
+def _float_pow(x: np.ndarray, e: int) -> np.ndarray:
+    # Python's float power is the C library's pow.  numpy's vectorised power
+    # differs from it in the last bit (for cubes, on 5% of inputs on an
+    # AVX-512 build), so the scalar routines' powers are taken one by one.
+    return np.array([h ** e for h in x.tolist()])
+
+
+def batch_edge_lengths(verts: np.ndarray) -> np.ndarray:
+    """(N, 6) edge lengths in the EDGES order, as edge_lengths per row."""
+    return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
+
+
+def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|T|, degenerate) per row; degenerate marks the rows volume() rejects."""
+    vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
+    return vol, vol < EPS_VOL_REL * _float_pow(lengths.max(axis=1), 3)
+
+
+def _first(candidates: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    # Per row, the candidate edge with the smallest tie key.
+    return np.argmin(np.where(candidates, tie, 16), axis=1)
+
+
+def batch_classify(verts: np.ndarray, lengths: np.ndarray):
+    """(kind, perm, alpha) per row, as classify: shapes (N,), (N, 4), (N, 3).
+
+    Ties between edge lengths are broken as in classify, by the
+    lexicographically smallest pair of vertex ranks, the vertices ranked
+    lexicographically by coordinates.
+    """
+    rows = np.arange(len(verts))
+    order = np.lexsort((verts[..., 2], verts[..., 1], verts[..., 0]), axis=-1)
+    rank = np.empty_like(order)
+    rank[rows[:, None], order] = np.arange(4)
+    ri, rj = rank[:, _EDGE_I], rank[:, _EDGE_J]
+    tie = 4 * np.minimum(ri, rj) + np.maximum(ri, rj)
+    e2 = _first(lengths == lengths.min(axis=1, keepdims=True), tie)
+    adjacent = np.where(_ADJACENT[e2], lengths, -np.inf)
+    e1 = _first(adjacent == adjacent.max(axis=1, keepdims=True), tie)
+    c, w, d, f = _ROLES[e2, e1].T
+
+    alpha1 = lengths[rows, e1]
+    vc, vw = _row_points(verts, c), _row_points(verts, w)
+    mid = _scale(vc + vw, 0.5)
+    axis = _scale(_sub(vw, vc), 1.0 / alpha1)
+    sigma_f = _dot(_sub(_row_points(verts, f), mid), axis)
+    type1 = sigma_f <= EPS_PLANE_REL * lengths.max(axis=1)
+
+    perm = np.where(type1[:, None], np.stack([c, w, d, f], 1), np.stack([w, c, d, f], 1))
+    alpha3 = lengths[rows, _EDGE_INDEX[perm[:, 0], f]]
+    alpha = np.stack([alpha1, lengths[rows, e2], alpha3], axis=1)
+    return np.where(type1, TYPE1, TYPE2), perm, alpha
+
+
+def batch_quality_ratio(lengths: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """quality_ratio per row, from batch_edge_lengths and batch_classify."""
+    hs = np.sort(lengths, axis=1)
+    return hs[:, 0] * hs[:, 1] * hs[:, 5] / (alpha[:, 0] * alpha[:, 1] * alpha[:, 2])
+
+
+def batch_r_over_h(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """R_T/h_T per row, as quality()[0] / h_T."""
+    hs = np.sort(lengths, axis=1)
+    return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol / hs[:, 5]
+
+
+def batch_t1_t2(verts: np.ndarray, perm: np.ndarray, alpha: np.ndarray):
+    """The standard-position parameters (t1, t2) per row, as standard_position."""
+    x1, x2, x3, x4 = (_row_points(verts, perm[:, i]) for i in range(4))
+    b1 = _scale(_sub(x2, x1), 1.0 / alpha[:, 0])
+    v3 = _sub(x3, x1)
+    proj = _dot(v3, b1)
+    w3 = _sub(v3, _scale(b1, proj))
+    n3 = _bnorm(w3)
+    b3 = _cross(b1, _scale(w3, 1.0 / n3))
+    return n3 / alpha[:, 1], np.abs(_dot(_sub(x4, x1), b3)) / alpha[:, 2]
+
+
+def batch_max_angle(verts: np.ndarray) -> np.ndarray:
+    """max_face_and_dihedral_angle per row, to within a few ulps."""
+    j, r0, r1 = (_coords(verts, list(idx)) for idx in zip(*_CORNERS))
+    u, w = _sub(r0, j), _sub(r1, j)
+    theta = np.arctan2(_bnorm(_cross(u, w)), _dot(u, w))
+
+    a, b, c = (_coords(verts, list(idx)) for idx in zip(*_FACES))
+    n = np.array(_cross(_sub(b, a), _sub(c, a)))
+    n = np.array(_scale(n, 1.0 / _bnorm(n)))
+    # Orient inward: toward the opposite vertex.
+    n = np.where(_dot(_sub(_coords(verts, [0, 1, 2, 3]), a), n) < 0.0, -n, n)
+    ni, nj = (n[:, list(idx)] for idx in zip(*_FACE_PAIRS))
+    psi = math.pi - np.arctan2(_bnorm(_cross(ni, nj)), _dot(ni, nj))
+    return np.maximum(theta.max(axis=0), psi.max(axis=0))
+
+
+def max_angle_at_most(verts: np.ndarray, bound) -> np.ndarray:
+    """max_face_and_dihedral_angle(t) <= bound per row, decided as the scalar
+    routine decides it; bound is a number or one per row."""
+    worst = batch_max_angle(verts)
+    bound = np.broadcast_to(bound, worst.shape)
+    ok = worst <= bound
+    for i in np.flatnonzero(np.abs(worst - bound) <= _ATAN2_SLACK):
+        ok[i] = max_face_and_dihedral_angle(Tetrahedron.from_points(verts[i])) <= bound[i]
+    return ok
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ The experiments here are the executable form of the package's claims:
 
 Tetrahedron generation is counter-based: each sample draws from its own
 Philox stream keyed by (seed, sample index), so the generated list is
-bit-for-bit identical no matter how samples are scheduled.
+bit-for-bit identical no matter how samples are scheduled.  Samples are
+drawn and measured in blocks of BLOCK: each sample's variates come from its
+own stream in a fixed order, then the rotations (one stacked QR), moves and
+geometry (the geom array kernels) run on the whole block.  Rejection runs in
+lockstep rounds over the block's pending samples.  Tetrahedron objects are
+built only where a result returns them.
 """
 
 from __future__ import annotations
@@ -27,34 +32,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, GenerationFailure, InadmissiblePC
+from .errors import GenerationFailure, InadmissiblePC
 from .expr import field_from_expression
 from .geom import (
+    EPS_ANGLE,
     TYPE1,
     TYPE2,
     GeometryReport,
     Tetrahedron,
+    _check_gamma_max,
     angles,
-    classify,
+    batch_classify,
+    batch_edge_lengths,
+    batch_quality_ratio,
+    batch_r_over_h,
+    batch_t1_t2,
+    batch_volume,
     mac_bound_constants,
-    mac_check,
     mac_reverse_gamma,
+    max_angle_at_most,
     max_face_and_dihedral_angle,
-    quality_ratio,
     reference_tetrahedron,
-    volume,
 )
 from .interp import Polynomial3, ScalarField, monomial_indices, residual
 from .quad import SeminormSpec, seminorm_with_info, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
+BLOCK = 1024                   # samples drawn and measured as one array
 _CORPUS_KEY = 727              # fixed key: the corpus is a library, not a sample
-_REGULAR = (
+_REGULAR = np.array([
     (0.5, 0.5, 0.5),
     (0.5, -0.5, -0.5),
     (-0.5, 0.5, -0.5),
     (-0.5, -0.5, 0.5),
-)
+])
 # R_T/h_T of the regular tetrahedron, the minimum over all shapes we target
 # with the quality-constrained rejection sampler below.
 _REGULAR_QUALITY = 6.0 * math.sqrt(2.0)
@@ -90,40 +101,49 @@ class TetraGenSpec:
             )
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # One Philox stream per sample: counters 2^192 apart never collide, so
-    # serial and fanned-out runs draw identical numbers.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+def _stream_state(key: np.ndarray, index: int) -> dict:
+    # Sample `index` draws from the Philox stream with counter
+    # [0, 0, 0, index]; counters 2^192 apart never collide, so serial and
+    # blocked runs draw identical numbers.  One Philox is reset to this state
+    # per sample: that costs a fifth of building a new one.
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, 0, index], dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
+def _philox(seed: int):
+    bitgen = np.random.Philox(key=seed)
+    return bitgen, np.random.Generator(bitgen), bitgen.state["state"]["key"]
 
 
-def _moved(verts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return verts @ _random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
+# A draw returns its sample's variates and leaves the arithmetic to _finish:
+# (direction, radius) for a point set in the unit ball, or (verts, z, shift)
+# for fixed vertices moved by the rotation QR(z) and the translation shift.
 
 
-def _draw_uniform(rng: np.random.Generator) -> np.ndarray:
+def _draw_uniform(rng: np.random.Generator):
     # Radius u^(1/3) times a uniform direction: uniform density in the ball,
     # with a fixed draw count (no rejection) to keep streams aligned.
-    direction = rng.normal(size=(4, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    return direction * rng.uniform(0.0, 1.0, (4, 1)) ** (1.0 / 3.0)
+    return rng.normal(size=(4, 3)), rng.uniform(0.0, 1.0, (4, 1))
 
 
-def _draw_needle(rng: np.random.Generator, eps: float | None) -> np.ndarray:
+def _moved(verts: np.ndarray, rng: np.random.Generator):
+    return verts, rng.normal(size=(3, 3)), rng.uniform(-1.0, 1.0, 3)
+
+
+def _draw_needle(rng: np.random.Generator, eps: float | None):
     if eps is None:
         eps = 10.0 ** rng.uniform(-6.0, 0.0)
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, eps, 0], [0, 0, eps]], dtype=float)
     return _moved(verts, rng)
 
 
-def _draw_sliver(rng: np.random.Generator, eps: float | None) -> np.ndarray:
+def _draw_sliver(rng: np.random.Generator, eps: float | None):
     if eps is None:
         eps = 10.0 ** rng.uniform(-6.0, -1.0)
     # Two triangles folded across the x-axis; the dihedral along that common
@@ -135,66 +155,108 @@ def _draw_sliver(rng: np.random.Generator, eps: float | None) -> np.ndarray:
     return _moved(verts, rng)
 
 
-def _draw_squeezed(rng: np.random.Generator, params: dict) -> np.ndarray:
+def _draw_squeezed(rng: np.random.Generator, params: dict):
     alpha = np.asarray(params.get("alpha", (1.0, 1.0, 1.0)), dtype=float)
     kind = params.get("kind", TYPE1)
     verts = reference_tetrahedron(kind).as_array() * alpha
     return _moved(verts, rng)
 
 
-def _draw_near_regular(rng: np.random.Generator, amplitude: float) -> np.ndarray:
-    verts = np.asarray(_REGULAR) + amplitude * rng.uniform(-1.0, 1.0, (4, 3))
+def _draw_near_regular(rng: np.random.Generator, amplitude: float):
+    verts = _REGULAR + amplitude * rng.uniform(-1.0, 1.0, (4, 3))
     scale = 10.0 ** rng.uniform(-1.0, 1.0)
     return _moved(verts * scale, rng)
 
 
-def _nondegenerate(verts: np.ndarray) -> Tetrahedron | None:
-    t = Tetrahedron.from_points(verts)
-    try:
-        volume(t)
-    except DegenerateTetrahedron:
-        return None
-    return t
+def _draw(rng: np.random.Generator, family: str, params: dict, attempt: int):
+    if family == "uniform":
+        return _draw_uniform(rng)
+    if family == "needle":
+        return _draw_needle(rng, params.get("eps"))
+    if family == "sliver":
+        return _draw_sliver(rng, params.get("eps"))
+    if family == "squeezed":
+        return _draw_squeezed(rng, params)
+    # mac: near-regular proposals widened by the angle headroom
+    headroom = min(1.0, (params["gamma"] - _MIN_MAX_ANGLE) / _MIN_MAX_ANGLE)
+    if attempt % 2 == 0 and headroom > 0.0:
+        return _draw_near_regular(rng, 0.6 * headroom)
+    return _draw_uniform(rng)
 
 
-def _draw_sample(gen: TetraGenSpec, index: int) -> Tetrahedron:
-    rng = _stream(gen.seed, index)
-    family = gen.family
-    if family == "mixed":
-        family = ("uniform", "needle", "sliver")[index % 3]
-    gamma = gen.params.get("gamma")
-    accepted = 0
+def _finish(draws: list) -> np.ndarray:
+    """The (N, 4, 3) vertices of a list of draws.
+
+    Stacked QR, det and matmul give bitwise the results of the same calls
+    made one sample at a time.
+    """
+    out = np.empty((len(draws), 4, 3))
+    ball = [i for i, d in enumerate(draws) if len(d) == 2]
+    moved = [i for i, d in enumerate(draws) if len(d) == 3]
+    if ball:
+        direction, radius = (np.array(a) for a in zip(*(draws[i] for i in ball)))
+        direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+        out[ball] = direction * radius ** (1.0 / 3.0)
+    if moved:
+        verts, z, shift = (np.array(a) for a in zip(*(draws[i] for i in moved)))
+        q, r = np.linalg.qr(z)
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        flip = np.linalg.det(q) < 0.0
+        q[flip, :, 0] = -q[flip, :, 0]
+        out[moved] = verts @ q.transpose(0, 2, 1) + shift[:, None, :]
+    return out
+
+
+def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
+    """Vertices of samples start..stop-1, as an (N, 4, 3) array.
+
+    Rejection runs in lockstep rounds: every pending sample draws its next
+    attempt from its own stream, and accepted samples retire.
+    """
+    bitgen, rng, key = _philox(gen.seed)
+    size = stop - start
+    families = [gen.family] * size
+    if gen.family == "mixed":
+        families = [("uniform", "needle", "sliver")[i % 3] for i in range(start, stop)]
+    states = [_stream_state(key, i) for i in range(start, stop)]
+    out = np.empty((size, 4, 3))
+    nondegenerate = np.zeros(size, dtype=int)
+    pending = np.arange(size)
     for attempt in range(MAX_ATTEMPTS):
-        if family == "uniform":
-            verts = _draw_uniform(rng)
-        elif family == "needle":
-            verts = _draw_needle(rng, gen.params.get("eps"))
-        elif family == "sliver":
-            verts = _draw_sliver(rng, gen.params.get("eps"))
-        elif family == "squeezed":
-            verts = _draw_squeezed(rng, gen.params)
-        else:  # mac: near-regular proposals widened by the angle headroom
-            headroom = min(1.0, (gamma - _MIN_MAX_ANGLE) / _MIN_MAX_ANGLE)
-            if attempt % 2 == 0 and headroom > 0.0:
-                verts = _draw_near_regular(rng, 0.6 * headroom)
-            else:
-                verts = _draw_uniform(rng)
-        t = _nondegenerate(verts)
-        if t is None:
-            continue
-        accepted += 1
-        if family != "mac":
-            return t
-        if max_face_and_dihedral_angle(t) <= gamma:
-            return t
+        draws = []
+        for i in pending:
+            bitgen.state = states[i]
+            draws.append(_draw(rng, families[i], gen.params, attempt))
+            states[i] = bitgen.state
+        verts = _finish(draws)
+        ok = ~batch_volume(verts, batch_edge_lengths(verts))[1]
+        nondegenerate[pending] += ok
+        if gen.family == "mac":
+            ok[ok] = max_angle_at_most(verts[ok], gen.params["gamma"])
+        out[pending[ok]] = verts[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            return out
     raise GenerationFailure(
         "family %r sample %d: no acceptable tetrahedron in %d attempts "
-        "(%d nondegenerate)" % (gen.family, index, MAX_ATTEMPTS, accepted)
+        "(%d nondegenerate)"
+        % (gen.family, start + pending[0], MAX_ATTEMPTS, nondegenerate[pending[0]])
     )
 
 
-def generate(gen: TetraGenSpec, n: int) -> list[Tetrahedron]:
-    """n tetrahedra from the family; deterministic in (seed, index)."""
+def _reverse_block(seed: int, start: int, stop: int, amplitude: float) -> np.ndarray:
+    """Reverse-direction proposals start..stop-1 of mac_experiment: proposal
+    j draws from stream j, near-regular for even j, uniform for odd j."""
+    bitgen, rng, key = _philox(seed)
+    draws = []
+    for j in range(start, stop):
+        bitgen.state = _stream_state(key, j)
+        draws.append(_draw_near_regular(rng, amplitude) if j % 2 == 0 else _draw_uniform(rng))
+    return _finish(draws)
+
+
+def _blocks(gen: TetraGenSpec, n: int):
+    """The vertices of samples 0..n-1, one block of at most BLOCK at a time."""
     if n < 1:
         raise ValueError("n must be >= 1, got %r" % (n,))
     if gen.family == "mac":
@@ -206,7 +268,12 @@ def generate(gen: TetraGenSpec, n: int) -> list[Tetrahedron]:
                 "no tetrahedron has maximum angle below acos(1/3) ~= %.6f; "
                 "gamma = %.6f is unsatisfiable" % (_MIN_MAX_ANGLE, gamma)
             )
-    return [_draw_sample(gen, i) for i in range(n)]
+    return (_draw_block(gen, s, min(n, s + BLOCK)) for s in range(0, n, BLOCK))
+
+
+def generate(gen: TetraGenSpec, n: int) -> list[Tetrahedron]:
+    """n tetrahedra from the family; deterministic in (seed, index)."""
+    return [Tetrahedron.from_points(v) for block in _blocks(gen, n) for v in block.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +542,20 @@ class EquivalenceReport:
 
 
 def equivalence_sample(n: int, gen: TetraGenSpec) -> EquivalenceReport:
-    if n < 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
     slack = 1e-9
     worst_margin, worst_tetra = math.inf, None
     lo, hi = math.inf, -math.inf
     violations = 0
-    for i in range(n):
-        t = _draw_sample(gen, i)
-        r = quality_ratio(t)
-        lo = min(lo, r)
-        hi = max(hi, r)
-        margin = min(r - 0.5 + slack, 2.0 + slack - r)
-        if margin < 0.0:
-            violations += 1
-        if margin < worst_margin:
-            worst_margin, worst_tetra = margin, t
+    for verts in _blocks(gen, n):
+        lengths = batch_edge_lengths(verts)
+        r = batch_quality_ratio(lengths, batch_classify(verts, lengths)[2])
+        lo = min(lo, float(r.min()))
+        hi = max(hi, float(r.max()))
+        margin = np.minimum(r - 0.5 + slack, 2.0 + slack - r)
+        violations += int(np.count_nonzero(margin < 0.0))
+        i = int(np.argmin(margin))
+        if margin[i] < worst_margin:
+            worst_margin, worst_tetra = float(margin[i]), Tetrahedron.from_points(verts[i])
     return EquivalenceReport(
         n=n,
         violations=violations,
@@ -546,68 +611,73 @@ def mac_experiment(n: int, gamma_max: float, gen: TetraGenSpec | None = None,
     # Forward: need samples satisfying the angle condition.  Below acos(1/3)
     # none exist; fall back to filtering a mixed stream so the vacuity is
     # observed rather than assumed.
-    forward_violations = []
-    excluded = []
     if gen is not None and gen.family != "mac":
-        samples = generate(gen, n)
-        satisfying = []
-        for t in samples:
-            if mac_check(t, gamma_max):
-                satisfying.append(t)
-            else:
-                excluded.append(t)
+        source, filtered = gen, True
     elif gamma_max >= _MIN_MAX_ANGLE:
-        mac_gen = TetraGenSpec(family="mac", seed=seed, params={"gamma": gamma_max})
-        satisfying = generate(mac_gen, n)
+        source = TetraGenSpec(family="mac", seed=seed, params={"gamma": gamma_max})
+        filtered = False
     else:
-        mixed = TetraGenSpec(family="mixed", seed=seed)
-        samples = generate(mixed, n)
-        satisfying = []
-        for t in samples:
-            if mac_check(t, gamma_max):
-                satisfying.append(t)
-            else:
-                excluded.append(t)
-    for t in satisfying:
-        geo = angles(t)
-        h_t = geo.h[-1]
-        r_over, h_over = geo.R_T / h_t, geo.H_T / h_t
-        if h_over > d * (1.0 + 1e-12) or r_over > 2.0 * d * (1.0 + 1e-12):
-            forward_violations.append((t, h_over, r_over))
+        source, filtered = TetraGenSpec(family="mixed", seed=seed), True
+    forward_violations = []
+    forward_checked = excluded_count = 0
     excluded_max = None
-    if excluded:
-        excluded_max = max(geo.R_T / geo.h[-1] for geo in map(angles, excluded))
+    for verts in _blocks(source, n):
+        lengths = batch_edge_lengths(verts)
+        r_over = batch_r_over_h(lengths, batch_volume(verts, lengths)[0])
+        if filtered:
+            keep = max_angle_at_most(verts, gamma_max + EPS_ANGLE)
+            if not keep.all():
+                worst = float(r_over[~keep].max())
+                excluded_max = worst if excluded_max is None else max(excluded_max, worst)
+                excluded_count += int(np.count_nonzero(~keep))
+                verts, lengths, r_over = verts[keep], lengths[keep], r_over[keep]
+        forward_checked += len(verts)
+        if not len(verts):
+            continue
+        _, perm, alpha = batch_classify(verts, lengths)
+        t1, t2 = batch_t1_t2(verts, perm, alpha)
+        h_t = lengths.max(axis=1)
+        h_over = 6.0 * h_t / (t1 * t2) / h_t
+        bad = (h_over > d * (1.0 + 1e-12)) | (r_over > 2.0 * d * (1.0 + 1e-12))
+        for i in np.flatnonzero(bad):
+            forward_violations.append(
+                (Tetrahedron.from_points(verts[i]), float(h_over[i]), float(r_over[i]))
+            )
 
     # Reverse: samples with R_T/h_T <= D must satisfy the per-type converse
     # angle bound.  Near-regular proposals keep the acceptance rate usable
-    # even when D is close to its minimum 6*sqrt(2).
+    # even when D is close to its minimum 6*sqrt(2).  Attempts are drawn in
+    # chunks sized by the acceptance rate so far; reverse_attempts counts up
+    # to the n-th acceptance only.
     reverse_violations = []
-    reverse_seed = seed + 1
-    headroom = max(0.0, min(1.0, d / _REGULAR_QUALITY - 1.0))
+    amplitude = 0.6 * max(0.0, min(1.0, d / _REGULAR_QUALITY - 1.0))
+    gamma_prime = {kind: mac_reverse_gamma(d, kind) for kind in (TYPE1, TYPE2)}
     checked = 0
     attempts = 0
     cap = 200 * n
-    index = 0
     while checked < n and attempts < cap:
-        rng = _stream(reverse_seed, index)
-        index += 1
-        attempts += 1
-        if index % 2 == 0:
-            verts = _draw_uniform(rng)
-        else:
-            verts = _draw_near_regular(rng, 0.6 * headroom)
-        t = _nondegenerate(verts)
-        if t is None:
+        rate = max(checked, 1) / attempts if attempts else 1.0
+        stop = min(cap, attempts + BLOCK, attempts + math.ceil((n - checked) / rate) + 8)
+        verts = _reverse_block(seed + 1, attempts, stop, amplitude)
+        lengths = batch_edge_lengths(verts)
+        vol, degenerate = batch_volume(verts, lengths)
+        good = np.flatnonzero(~degenerate)
+        r_over = batch_r_over_h(lengths[good], vol[good])
+        take = r_over <= d
+        accepted, r_over = good[take][: n - checked], r_over[take][: n - checked]
+        checked += len(accepted)
+        attempts = attempts + int(accepted[-1]) + 1 if checked == n else stop
+        if not len(accepted):
             continue
-        geo = angles(t)
-        h_t = geo.h[-1]
-        if geo.R_T / h_t > d:
-            continue
-        checked += 1
-        kind = classify(t).kind
-        gamma_prime = mac_reverse_gamma(d, kind)
-        if not mac_check(t, gamma_prime):
-            reverse_violations.append((t, geo.max_angle, geo.R_T / h_t))
+        verts, lengths = verts[accepted], lengths[accepted]
+        kind = batch_classify(verts, lengths)[0]
+        # As mac_check does: the converse angle reaches pi as gamma_max does.
+        for k in set(kind.tolist()):
+            _check_gamma_max(gamma_prime[k])
+        bound = np.where(kind == TYPE1, gamma_prime[TYPE1], gamma_prime[TYPE2]) + EPS_ANGLE
+        for i in np.flatnonzero(~max_angle_at_most(verts, bound)):
+            t = Tetrahedron.from_points(verts[i])
+            reverse_violations.append((t, max_face_and_dihedral_angle(t), float(r_over[i])))
     if checked < n:
         raise GenerationFailure(
             "reverse direction: only %d of %d samples with R_T/h_T <= %.6g "
@@ -619,10 +689,10 @@ def mac_experiment(n: int, gamma_max: float, gen: TetraGenSpec | None = None,
         d_bound=d,
         reverse_gamma=mac_reverse_gamma(d, None),
         n=n,
-        forward_checked=len(satisfying),
-        forward_vacuous=not satisfying,
+        forward_checked=forward_checked,
+        forward_vacuous=not forward_checked,
         forward_violations=tuple(forward_violations),
-        excluded_count=len(excluded),
+        excluded_count=excluded_count,
         excluded_max_quality=excluded_max,
         reverse_checked=checked,
         reverse_attempts=attempts,

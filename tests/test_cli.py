@@ -5,10 +5,11 @@ can be asserted without spawning subprocesses.
 """
 
 import json
+import re
 
 import pytest
 
-from anisotetra import cli
+from anisotetra import acceptance, cli
 from anisotetra.verify import TetraGenSpec, generate
 
 
@@ -207,6 +208,16 @@ def test_sweep_bad_alpha_pattern_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_sweep_nonpositive_eps_levels_exits_2(capsys, levels):
+    code, _, err = run(
+        ["sweep", "--k", "1", "--m", "0", "--p", "2", "--eps-levels", levels],
+        capsys,
+    )
+    assert code == 2
+    assert "--eps-levels" in err
+
+
 # ---------------------------------------------------------------------------
 # mac
 
@@ -231,9 +242,27 @@ def test_mac_bad_env_seed_exits_2(capsys, monkeypatch):
     assert "ANISOTETRA_SEED" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_mac_nonpositive_n_exits_2(capsys, n):
+    code, _, err = run(["mac", "--gamma-max", "1.5707963267948966", "--n", n], capsys)
+    assert code == 2
+    assert "--n" in err
+
+
 def test_mac_invalid_gamma_exits_2(capsys):
     code, _, _ = run(["mac", "--gamma-max", "0.3", "--n", "10"], capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# selftest
+
+
+def test_selftest_prints_wall_time_per_criterion(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (acceptance.criterion_9,))
+    code, out, _ = run(["selftest"], capsys)
+    assert code == 0
+    assert re.fullmatch(r"criterion  9: PASS - .* \[\d+\.\d\d s\]\n", out)
 
 
 # ---------------------------------------------------------------------------
