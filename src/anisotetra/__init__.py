@@ -27,7 +27,6 @@ from .geom import (
     Classification,
     GeometryReport,
     MacConstants,
-    Point3,
     StandardPosition,
     Tetrahedron,
     TransformMatrices,
@@ -59,6 +58,7 @@ from .lattice import (
     in_lattice,
     lattice_points,
     lattice_to_gamma,
+    node_values,
     nodes_on,
     quotient_coefficients,
     quotient_from_function,

@@ -29,22 +29,16 @@ from .geom import (
     standard_position_vertices,
     verify_trig_identities,
 )
-from .interp import Polynomial3, interpolate, monomial_indices, residual
-from .lattice import (
-    difference_quotient,
-    enumerate_boxes,
-    lattice_points,
-    nodes_on,
-    quotient_coefficients,
-)
+from .interp import Polynomial3, interpolate, monomial_indices
+from .lattice import enumerate_boxes, quotient_coefficients
 from .quad import rule_for_degree
 from .verify import (
     TetraGenSpec,
     convergence_study,
-    corpus,
     equivalence_sample,
     generate,
     mac_experiment,
+    max_residual_quotient,
     squeeze_sweep,
 )
 
@@ -183,20 +177,7 @@ def criterion_5() -> CriterionResult:
                 if len(enumerate_boxes(k, delta, kind)) != want:
                     counts_ok = False
 
-    worst = 0.0
-    for kind in (TYPE1, TYPE2):
-        ref = reference_tetrahedron(kind)
-        for k in (1, 2, 3, 4):
-            fields = corpus(k, ref)
-            points = lattice_points(k, kind)
-            _, nodes = nodes_on(ref.coords(), k)
-            for _, v in fields:
-                u = residual(v, ref, k)
-                values = dict(zip(points, (float(x) for x in u(nodes))))
-                for delta in _all_deltas(k):
-                    for box in enumerate_boxes(k, delta, kind):
-                        q = difference_quotient(values, box.base, delta, k)
-                        worst = max(worst, abs(q))
+    worst = max(max_residual_quotient(k, _all_deltas(k)) for k in (1, 2, 3, 4))
     passed = coeff_ok and counts_ok and worst < 1e-9
     return CriterionResult(
         5,

@@ -45,8 +45,8 @@ from .geom import (
     reference_tetrahedron,
     standard_position,
 )
-from .lattice import enumerate_boxes, quotient_coefficients, quotient_from_function
-from .verify import TetraGenSpec, corpus, error_ratio, mac_experiment, squeeze_sweep
+from .lattice import quotient_coefficients, quotient_from_function
+from .verify import corpus, error_ratio, mac_experiment, max_residual_quotient, squeeze_sweep
 
 SCHEMA_VERSION = 1
 
@@ -313,7 +313,7 @@ def cmd_analyze(args) -> int:
                 "t2": sp.params[4],
             },
             "rotation": [list(row) for row in sp.rotation],
-            "translation": list(sp.translation.as_tuple()),
+            "translation": sp.translation.tolist(),
             "mirror": sp.mirror,
         },
         "matrix_norms": {
@@ -508,22 +508,6 @@ def cmd_dq(args) -> int:
                 annihilation = max(annihilation, abs(q))
     expansion_ok = abs(match - 1.0) < 1e-9 and annihilation < 1e-9
 
-    # Residual quotients of the interpolation error over the fixed corpus.
-    from .interp import residual
-    from .lattice import difference_quotient, gamma_to_lattice, nodes_on
-
-    residual_max = 0.0
-    for kind in (TYPE1, TYPE2):
-        ref = reference_tetrahedron(kind)
-        gammas, nodes = nodes_on(ref.coords(), args.k)
-        points = [gamma_to_lattice(g, kind) for g in gammas]
-        for _, v in corpus(args.k, ref):
-            u = residual(v, ref, args.k)
-            values = dict(zip(points, (float(x) for x in u(nodes))))
-            for box in enumerate_boxes(args.k, delta, kind):
-                q = difference_quotient(values, box.base, delta, args.k)
-                residual_max = max(residual_max, abs(q))
-
     results = {
         "k": args.k,
         "delta": list(delta),
@@ -539,7 +523,7 @@ def cmd_dq(args) -> int:
         "monomial_match": match,
         "annihilation_max": annihilation,
         "expansion_ok": expansion_ok,
-        "residual_quotient_max": residual_max,
+        "residual_quotient_max": max_residual_quotient(args.k, [delta]),
     }
     config = {"k": args.k, "delta": args.delta}
     _write_text(args.out, render_json(_report("dq", config, results)))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -386,7 +385,7 @@ def partial_node(node: Node, gamma: tuple[int, int, int]) -> Node:
     return out
 
 
-def field_from_expression(text_or_node, scale: float = 1.0) -> ScalarField:
+def field_from_expression(text_or_node) -> ScalarField:
     """A ScalarField with exact symbolic partials from an expression.
 
     Derivative ASTs are memoized per multi-index, so repeated seminorm
@@ -408,4 +407,4 @@ def field_from_expression(text_or_node, scale: float = 1.0) -> ScalarField:
             cache[gamma] = partial_node(node, gamma)
         return cache[gamma].eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
-    return ScalarField(eval_fn, partial_fn=partial_fn, order=None, scale=scale)
+    return ScalarField(eval_fn, partial_fn=partial_fn, order=None)

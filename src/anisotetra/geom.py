@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, InvalidGammaMax
+from .errors import DegenerateTetrahedron, InputError, InvalidGammaMax
 
 # Relative tolerances (all scale-invariant).
 EPS_VOL_REL = 1e-14      # degeneracy: |T| < EPS_VOL_REL * h_T^3
@@ -52,50 +51,39 @@ TYPE1 = 1
 TYPE2 = 2
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in R^3 with finite coordinates."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            if not math.isfinite(c):
-                raise ValueError("Point3 coordinates must be finite, got %r" % (c,))
-
-    @classmethod
-    def of(cls, seq) -> "Point3":
-        x, y, z = seq
-        return cls(float(x), float(y), float(z))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+Vertex = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class Tetrahedron:
-    """Four vertices; nondegeneracy is enforced by the operations, not here."""
+    """Four vertices, stored once as triples of Python floats.
 
-    v: tuple[Point3, Point3, Point3, Point3]
+    The count and finiteness of the coordinates are checked here (InputError);
+    nondegeneracy is enforced by the operations, not here.
+    """
+
+    v: tuple[Vertex, Vertex, Vertex, Vertex]
 
     def __post_init__(self):
-        if len(self.v) != 4:
-            raise ValueError("a tetrahedron needs exactly 4 vertices")
+        try:
+            v = tuple(tuple(float(c) for c in p) for p in self.v)
+        except (TypeError, ValueError) as exc:
+            raise InputError("tetrahedron vertices must be numeric: %s" % exc)
+        if len(v) != 4 or any(len(p) != 3 for p in v):
+            raise InputError("a tetrahedron needs exactly 4 vertices of 3 coordinates")
+        if not all(math.isfinite(c) for p in v for c in p):
+            raise InputError("tetrahedron vertices must be finite, got %r" % (v,))
+        object.__setattr__(self, "v", v)
 
     @classmethod
     def from_points(cls, pts) -> "Tetrahedron":
-        return cls(tuple(p if isinstance(p, Point3) else Point3.of(p) for p in pts))
+        return cls(pts)
 
-    def coords(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(p.as_tuple() for p in self.v)
+    def coords(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
+        return self.v
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.coords())
+        return np.array(self.v)
 
 
 def _sub(a, b):
@@ -145,22 +133,24 @@ def _signed_volume6(v) -> float:
     return _dot(a, _cross(b, c))
 
 
-def volume(t: Tetrahedron, eps_vol: float | None = None) -> float:
-    """Unsigned volume |T|; raises DegenerateTetrahedron below the threshold.
+def _nondegenerate_volume(v, h_t: float) -> float:
+    """|T| of the vertices v, whose longest edge is h_t.
 
-    The default threshold is EPS_VOL_REL * h_T^3, which is scale invariant.
-    Pass eps_vol to override with an absolute threshold.
+    The one scalar degeneracy test, |T| < EPS_VOL_REL * h_T^3 (scale
+    invariant), raising DegenerateTetrahedron; batch_volume is its array twin.
     """
-    v = t.coords()
     vol = abs(_signed_volume6(v)) / 6.0
-    if eps_vol is None:
-        h_t = max(_dist(v[i], v[j]) for i, j in EDGES)
-        eps_vol = EPS_VOL_REL * h_t ** 3
-    if vol < eps_vol:
+    threshold = EPS_VOL_REL * h_t ** 3
+    if vol < threshold:
         raise DegenerateTetrahedron(
-            "volume %.3e below degeneracy threshold %.3e" % (vol, eps_vol)
+            "volume %.3e below degeneracy threshold %.3e" % (vol, threshold)
         )
     return vol
+
+
+def volume(t: Tetrahedron) -> float:
+    """Unsigned volume |T|; raises DegenerateTetrahedron below the threshold."""
+    return _nondegenerate_volume(t.coords(), max(edge_lengths(t)))
 
 
 @dataclass(frozen=True)
@@ -195,11 +185,7 @@ def classify(t: Tetrahedron) -> Classification:
     v = t.coords()
     lengths = {e: _dist(v[e[0]], v[e[1]]) for e in EDGES}
     h_t = max(lengths.values())
-    vol6 = abs(_signed_volume6(v))
-    if vol6 / 6.0 < EPS_VOL_REL * h_t ** 3:
-        raise DegenerateTetrahedron(
-            "cannot classify: volume %.3e below threshold" % (vol6 / 6.0,)
-        )
+    _nondegenerate_volume(v, h_t)
 
     order = sorted(range(4), key=lambda i: v[i])
     rank = [0] * 4
@@ -257,12 +243,12 @@ class StandardPosition:
     alpha: tuple[float, float, float]
     params: tuple[float, float, float, float, float]  # (s1, t1, s21, s22, t2)
     rotation: np.ndarray
-    translation: Point3
+    translation: np.ndarray
     mirror: bool
 
     def apply_motion(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = pts @ self.rotation.T + self.translation.as_array()
+        out = pts @ self.rotation.T + self.translation
         return out if np.ndim(points) > 1 else out[0]
 
 
@@ -299,12 +285,11 @@ def _standard_position_from(t: Tetrahedron, cls: Classification) -> StandardPosi
         raise DegenerateTetrahedron("x4 lies in the plane of x1 x2 x3")
 
     rotation = np.array([b1, b2, b3])
-    translation = Point3.of(-(rotation @ np.array(labeled[0])))
     return StandardPosition(
         alpha=cls.alpha,
         params=(s1, t1, s21, s22, t2),
         rotation=rotation,
-        translation=translation,
+        translation=-(rotation @ np.array(labeled[0])),
         mirror=mirror,
     )
 
@@ -414,7 +399,8 @@ def quality(t: Tetrahedron) -> tuple[float, float]:
     parameters.  The two routes are independent; H_T equals
     alpha1*alpha2*alpha3*h_T/|T| identically.
     """
-    return _quality(t, sorted_edge_lengths(t), volume(t))
+    hs = sorted_edge_lengths(t)
+    return _quality(t, hs, _nondegenerate_volume(t.coords(), hs[5]))
 
 
 def _quality(t: Tetrahedron, hs, vol: float) -> tuple[float, float]:
@@ -498,8 +484,8 @@ def _dihedral_angles(normals):
 def angles(t: Tetrahedron) -> GeometryReport:
     """Compute the full geometry report of a nondegenerate tetrahedron."""
     v = t.coords()
-    vol = volume(t)
     hs = sorted_edge_lengths(t)
+    vol = _nondegenerate_volume(v, hs[5])
     theta, normals, dists = _face_angles(v)
     psi = _dihedral_angles(normals)
 
@@ -527,10 +513,7 @@ def angles(t: Tetrahedron) -> GeometryReport:
 def max_face_and_dihedral_angle(t: Tetrahedron) -> float:
     """max(theta union psi) without the rest of the report."""
     v = t.coords()
-    if abs(_signed_volume6(v)) / 6.0 < EPS_VOL_REL * max(
-        _dist(v[i], v[j]) for i, j in EDGES
-    ) ** 3:
-        raise DegenerateTetrahedron("degenerate tetrahedron has no angle report")
+    _nondegenerate_volume(v, max(edge_lengths(t)))
     theta, normals, _ = _face_angles(v)
     return max(max(theta.values()), max(_dihedral_angles(normals).values()))
 
@@ -542,10 +525,11 @@ def _check_gamma_max(gamma_max: float):
         )
 
 
-def mac_check(t: Tetrahedron, gamma_max: float, eps_angle: float = EPS_ANGLE) -> bool:
-    """True iff every face internal angle and dihedral angle is <= gamma_max."""
+def mac_check(t: Tetrahedron, gamma_max: float) -> bool:
+    """True iff every face internal angle and dihedral angle is <= gamma_max
+    (with EPS_ANGLE slack)."""
     _check_gamma_max(gamma_max)
-    return max_face_and_dihedral_angle(t) <= gamma_max + eps_angle
+    return max_face_and_dihedral_angle(t) <= gamma_max + EPS_ANGLE
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +711,6 @@ class MacConstants:
     C0: float
     C1: float
     D: float
-
-    def gamma_of_M(self, M: float) -> float:
-        if not 0.0 < M < 1.0:
-            raise ValueError("gamma(M) needs 0 < M < 1, got %r" % (M,))
-        return math.pi - math.asin(M)
 
 
 def mac_bound_constants(gamma_max: float) -> MacConstants:

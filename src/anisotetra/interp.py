@@ -9,6 +9,10 @@ by a single matrix-vector product.  Evaluation maps points with
 xi = J^{-1} (x - x_0) and physical partials follow by the chain rule, so a
 rotated flat element interpolates as well as an axis-aligned one.  A
 degenerate element raises DegenerateTetrahedron.
+
+Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
+callable; as_field is the one place that turns any of them into a
+ScalarField and knows its polynomial degree.
 """
 
 from __future__ import annotations
@@ -210,16 +214,6 @@ class ScalarField:
         self.scale = scale
         self._exact = (partial_fn is not None) if exact is None else exact
 
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial3) -> "ScalarField":
-        return cls(
-            poly.evaluate,
-            partial_fn=lambda gamma, pts: np.atleast_1d(
-                np.asarray(poly.partial(gamma).evaluate(pts))
-            ),
-            order=None,
-        )
-
     @property
     def exact_partials(self) -> bool:
         return self._exact
@@ -318,8 +312,21 @@ class Interpolant:
             self._partials[gamma] = Polynomial3(dp)
         return self._at(self._partials[gamma], pts)
 
-    def as_field(self) -> ScalarField:
-        return ScalarField(self.evaluate, partial_fn=self.partial, order=None)
+
+def as_field(v) -> tuple[ScalarField, int | None]:
+    """v as a ScalarField, plus its polynomial degree or None when it has none.
+
+    v may be a Polynomial3, an Interpolant, a ScalarField or a plain callable
+    on (N, 3) arrays; polynomial partials are exact, a plain callable's are
+    finite differences.
+    """
+    if isinstance(v, ScalarField):
+        return v, None
+    if isinstance(v, Polynomial3):
+        return ScalarField(v.evaluate, lambda g, pts: v.partial(g).evaluate(pts)), v.degree
+    if isinstance(v, Interpolant):
+        return ScalarField(v.evaluate, v.partial), v.k
+    return ScalarField(v), None
 
 
 def _check_degree(k: int):
@@ -368,19 +375,12 @@ def _affine_map(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     """The degree-k Lagrange interpolant of v on t.
 
-    v may be a ScalarField, a Polynomial3, or a plain callable on (N, 3)
-    arrays.  Reproduces any q in P_k up to roundoff.
+    v is anything as_field accepts.  Reproduces any q in P_k up to roundoff.
     """
     _check_degree(k)
     origin, jac = _affine_map(t)
-    gammas, nodes = nodes_on(t.as_array(), k)
-    if isinstance(v, Polynomial3):
-        values = np.atleast_1d(np.asarray(v.evaluate(nodes), dtype=float))
-    elif isinstance(v, ScalarField):
-        values = v(nodes)
-    else:
-        values = np.asarray(v(nodes), dtype=float).reshape(len(gammas))
-    coef = _reference_basis(k) @ values
+    _, nodes = nodes_on(t.as_array(), k)
+    coef = _reference_basis(k) @ as_field(v)[0](nodes)
     return Interpolant(
         ref=Polynomial3(dict(zip(monomial_indices(k), coef))),
         tetra=t,
@@ -409,10 +409,7 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     Partials combine v's partials (exact or finite-difference) with the
     interpolant's exact polynomial partials; u vanishes at every node.
     """
-    if isinstance(v, Polynomial3):
-        v = ScalarField.from_polynomial(v)
-    elif not isinstance(v, ScalarField):
-        v = ScalarField(v)
+    v, _ = as_field(v)
     ip = interpolate(v, t, k)
 
     def eval_fn(pts):

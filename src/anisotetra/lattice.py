@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import MissingNodeValue
-from .geom import TYPE1, TYPE2
+from .geom import TYPE1, TYPE2, reference_tetrahedron
 
 LatticePoint = tuple[int, int, int]
 MultiIndex = tuple[int, int, int]
@@ -114,6 +114,16 @@ def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
     return gammas, weights @ verts
 
 
+def node_values(
+    f: Callable[[np.ndarray], np.ndarray], k: int, kind: int
+) -> dict[LatticePoint, float]:
+    """f at the nodes of X^k on the reference element of the given kind,
+    keyed by lattice point (gamma_to_lattice of each node's multi-index)."""
+    gammas, nodes = nodes_on(reference_tetrahedron(kind).coords(), k)
+    values = np.asarray(f(nodes), dtype=float).reshape(-1).tolist()
+    return {gamma_to_lattice(g, kind): x for g, x in zip(gammas, values)}
+
+
 @dataclass(frozen=True)
 class Box:
     """The lattice box with corners base + eta, 0 <= eta <= delta."""
@@ -191,12 +201,9 @@ def quotient_from_function(
     k: int,
 ) -> float:
     """Difference quotient of f sampled at the lattice nodes g/k."""
-    pts = np.array(Box(base, delta).corners(), dtype=float) / k
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    total = 0.0
-    for (eta, coeff), v in zip(quotient_coefficients(delta), vals):
-        total += float(coeff) * v
-    return float(k) ** sum(delta) * total
+    corners = Box(base, delta).corners()
+    vals = np.asarray(f(np.array(corners, dtype=float) / k), dtype=float).reshape(-1)
+    return difference_quotient(dict(zip(corners, vals.tolist())), base, delta, k)
 
 
 def _ordered_simplex_rule(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:

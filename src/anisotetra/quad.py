@@ -10,12 +10,12 @@ rule transfers to any tetrahedron by an affine map and a volume factor.
 
 The seminorm follows the weighted convention
 
-    |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p,
+    |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
-with an unweighted variant selectable for cross-checks.  For p = infinity
-the maximum of |d^gamma u| is sampled on a dense lattice and, for
-polynomials, polished with one constrained Newton step; this route is
-documented as approximate.
+For p = infinity the maximum of |d^gamma u| is sampled on a dense lattice
+and, for polynomials, polished with one constrained Newton step; this route
+is documented as approximate.  A sampled value that is not finite raises
+NumericalError.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import InadmissiblePC, UnsupportedDegree
+from .errors import NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
-from .interp import Interpolant, Polynomial3, ScalarField
+from .interp import ScalarField, as_field
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
@@ -91,11 +91,10 @@ def integrate(f, t: Tetrahedron, degree: int = DEFAULT_NUMERIC_DEGREE) -> float:
 
 @dataclass(frozen=True)
 class SeminormSpec:
-    """Order m, exponent p (math.inf allowed) and weight convention."""
+    """Order m and exponent p (math.inf allowed)."""
 
     m: int
     p: float
-    weighted: bool = True
 
     def __post_init__(self):
         if self.m < 0:
@@ -151,15 +150,13 @@ class SeminormInfo:
     approximate_partials: bool = False
 
 
-def _as_field(u) -> tuple[ScalarField, int | None]:
-    """Normalize the input and return (field, polynomial degree or None)."""
-    if isinstance(u, Polynomial3):
-        return ScalarField.from_polynomial(u), u.degree
-    if isinstance(u, Interpolant):
-        return u.as_field(), u.k
-    if isinstance(u, ScalarField):
-        return u, None
-    return ScalarField(u), None
+def _finite(value: float, gamma: MultiIndex) -> float:
+    """Return value, a maximum or a positive-weight sum of |d^gamma u|
+    samples, which is finite exactly when every sample is; else raise
+    NumericalError."""
+    if not math.isfinite(value):
+        raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
+    return value
 
 
 @lru_cache(maxsize=4)
@@ -219,20 +216,20 @@ def _newton_polish(
 
 
 def _sup_seminorm(u, t: Tetrahedron, spec: SeminormSpec) -> SeminormInfo:
-    field_u, _ = _as_field(u)
+    field_u, poly_degree = as_field(u)
     pts = _dense_points(t, DENSE_LATTICE_ORDER)
     best = 0.0
     best_gamma = None
     best_idx = 0
     for gamma in derivative_indices(spec.m):
         vals = np.abs(field_u.partial(gamma, pts))
-        idx = int(np.argmax(vals))
-        if vals[idx] > best:
+        idx = int(np.argmax(vals))  # the first NaN, if there is one
+        if _finite(vals[idx], gamma) > best:
             best = float(vals[idx])
             best_gamma = gamma
             best_idx = idx
     warnings = ("p=inf maximum from dense sampling; value is approximate",)
-    if best_gamma is not None and isinstance(u, (Polynomial3, Interpolant)):
+    if best_gamma is not None and poly_degree is not None:
         best = max(best, _newton_polish(field_u, best_gamma, t, pts[best_idx]))
     return SeminormInfo(
         value=best,
@@ -245,13 +242,13 @@ def _sup_seminorm(u, t: Tetrahedron, spec: SeminormSpec) -> SeminormInfo:
 def _finite_seminorm(
     u, t: Tetrahedron, spec: SeminormSpec, degree: int | None
 ) -> SeminormInfo:
-    field_u, poly_degree = _as_field(u)
+    field_u, poly_degree = as_field(u)
     p = float(spec.p)
     warnings: list[str] = []
 
     p_is_even_int = p == int(p) and int(p) % 2 == 0
     if degree is not None:
-        degrees = [min(degree, MAX_RULE_DEGREE)]
+        degrees = [degree]
     elif poly_degree is not None and p_is_even_int:
         exact_deg = max(1, (poly_degree - spec.m) * int(p))
         if exact_deg <= MAX_RULE_DEGREE:
@@ -268,9 +265,9 @@ def _finite_seminorm(
         vol = volume(t)
         total = 0.0
         for gamma in derivative_indices(spec.m):
-            w = multinomial_weight(gamma) if spec.weighted else 1.0
             vals = np.abs(field_u.partial(gamma, pts)) ** p
-            total += w * vol * float(np.dot(rule.weights, vals))
+            integral = _finite(float(np.dot(rule.weights, vals)), gamma)
+            total += multinomial_weight(gamma) * vol * integral
         totals.append(total)
 
     if len(totals) == 2:
@@ -291,32 +288,19 @@ def _finite_seminorm(
 
 
 def seminorm_with_info(
-    u,
-    t: Tetrahedron,
-    spec: SeminormSpec,
-    degree: int | None = None,
-    validate_for_k: int | None = None,
+    u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None
 ) -> SeminormInfo:
     """|u|_{m,p,T} plus quadrature metadata and warnings.
 
-    With validate_for_k set, the (k, m, p) admissibility condition is
-    enforced first and InadmissiblePC raised on violation.
+    u is anything interp.as_field accepts.  degree fixes the quadrature
+    exactness (UnsupportedDegree outside [1, MAX_RULE_DEGREE]); p = inf
+    ignores it.
     """
-    if validate_for_k is not None:
-        ok, reason = validate_p(validate_for_k, spec.m, spec.p)
-        if not ok:
-            raise InadmissiblePC(reason)
     if spec.p == math.inf:
         return _sup_seminorm(u, t, spec)
     return _finite_seminorm(u, t, spec, degree)
 
 
-def seminorm(
-    u,
-    t: Tetrahedron,
-    spec: SeminormSpec,
-    degree: int | None = None,
-    validate_for_k: int | None = None,
-) -> float:
+def seminorm(u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None) -> float:
     """The seminorm value alone; see seminorm_with_info for metadata."""
-    return seminorm_with_info(u, t, spec, degree, validate_for_k).value
+    return seminorm_with_info(u, t, spec, degree).value

@@ -7,6 +7,8 @@ The experiments here are the executable form of the package's claims:
   the empirical stand-in for the constant C_{k,m,p}.
 * ``squeeze_sweep`` tracks that quotient while a reference element is
   squeezed anisotropically; the constant must not blow up as alpha -> 0.
+* ``max_residual_quotient`` takes difference quotients of the interpolation
+  residual on the reference lattices, which vanish for every field.
 * ``equivalence_sample`` samples the two quality quantities R_T and H_T and
   checks H_T/2 <= R_T <= 2 H_T.
 * ``mac_experiment`` tests both directions of the maximum angle condition
@@ -54,7 +56,8 @@ from .geom import (
     max_face_and_dihedral_angle,
     reference_tetrahedron,
 )
-from .interp import Polynomial3, ScalarField, monomial_indices, residual
+from .interp import Polynomial3, monomial_indices, residual
+from .lattice import difference_quotient, enumerate_boxes, node_values
 from .quad import SeminormSpec, seminorm_with_info, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
@@ -455,9 +458,7 @@ def _fit_slope(ys: list[float]) -> float:
     return float(np.polyfit(xs, np.log2(ys), 1)[0])
 
 
-def squeeze_sweep(k: int, m: int, p: float,
-                  alphas=None, fields=None, kind: int = TYPE1,
-                  degree: int | None = None) -> SweepResult:
+def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> SweepResult:
     """Track the normalized error ratio while the reference is squeezed.
 
     For each alpha on the grid the corpus is interpolated on D_alpha applied
@@ -471,8 +472,7 @@ def squeeze_sweep(k: int, m: int, p: float,
     if alphas is None:
         alphas = default_alpha_grid()
     ref = reference_tetrahedron(kind).as_array()
-    if fields is None:
-        fields = corpus(k, Tetrahedron.from_points(ref))
+    fields = corpus(k, Tetrahedron.from_points(ref))
     rows = []
     for level, alpha in enumerate(alphas):
         a = np.asarray(alpha, dtype=float)
@@ -482,7 +482,7 @@ def squeeze_sweep(k: int, m: int, p: float,
         scale_pow = float(np.max(a)) ** (k + 1 - m)
         best = None
         for name, v in fields:
-            r = error_ratio(v, t, k, m, p, degree=degree)
+            r = error_ratio(v, t, k, m, p)
             if r.indeterminate:
                 continue
             scaled = r.error / (r.seminorm_hi * scale_pow)
@@ -518,6 +518,28 @@ def squeeze_sweep(k: int, m: int, p: float,
         slope_scaled=slope_scaled,
         trend_ok=slope_scaled <= 0.1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Residual difference quotients
+
+
+def max_residual_quotient(k: int, deltas) -> float:
+    """The largest |DQ^delta (v - I^k v)| over both reference kinds, the
+    corpus fields v, the given deltas and every box of X^k.
+
+    The interpolation residual vanishes at every node, so each quotient is
+    zero up to roundoff.
+    """
+    worst = 0.0
+    for kind in (TYPE1, TYPE2):
+        ref = reference_tetrahedron(kind)
+        for _, v in corpus(k, ref):
+            values = node_values(residual(v, ref, k), k, kind)
+            for delta in deltas:
+                for box in enumerate_boxes(k, delta, kind):
+                    worst = max(worst, abs(difference_quotient(values, box.base, delta, k)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_analyze_two_sources_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_analyze_nonfinite_vertex_exits_2(capsys, bad):
+    code, _, err = run(
+        ["analyze", "--vertices", "0,0,0 1,0,0 0,1,0 0,0,%s" % bad], capsys
+    )
+    assert code == 2
+    assert "finite" in err
+
+
 def test_analyze_coplanar_exits_3(capsys):
     code, _, err = run(
         ["analyze", "--vertices", "0,0,0 1,0,0 0,1,0 1,1,0"], capsys
@@ -138,6 +147,30 @@ def test_error_inadmissible_pc_exits_2(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_error_nonfinite_field_values_exit_4(capsys, p):
+    # 1/x is infinite at the nodes on the face x = 0.
+    code, out, err = run(
+        ["error", "--tetra", "ref", "--expr", "1/x", "--k", "1", "--m", "0", "--p", p],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "21"])
+def test_error_degree_out_of_range_exits_2(capsys, degree):
+    code, out, err = run(
+        ["error", "--tetra", "ref", "--expr", "x^2", "--k", "1", "--m", "0", "--p", "2",
+         "--degree", degree],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "quadrature degree" in err
 
 
 def test_error_malformed_expression_caret(capsys):

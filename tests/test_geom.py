@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from anisotetra import (
     Classification,
     DegenerateTetrahedron,
+    InputError,
     InvalidGammaMax,
-    Point3,
     Tetrahedron,
     TYPE1,
     TYPE2,
@@ -97,9 +97,44 @@ def test_volume_degenerate_raises():
         volume(flat)
 
 
-def test_point3_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Point3(0.0, math.nan, 0.0)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tetrahedron_rejects_nonfinite_vertices(bad):
+    with pytest.raises(InputError):
+        Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, bad, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, "z"), (0, 0, 1)],
+    ],
+)
+def test_tetrahedron_rejects_malformed_vertices(pts):
+    with pytest.raises(InputError):
+        Tetrahedron.from_points(pts)
+
+
+def test_tetrahedron_stores_float_triples():
+    t = Tetrahedron.from_points(np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert t.coords() is t.v
+    assert all(type(c) is float for p in t.v for c in p)
+    assert t == Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_degeneracy_rule_shared_by_volume_classify_and_max_angle():
+    # A flat wedge of height h: |T| = 2h/3 and h_T = 2, so the rule
+    # |T| < 1e-14 * h_T^3 rejects it exactly when h < 1.2e-13.
+    for h, degenerate in ((1e-13, True), (2e-13, False)):
+        t = Tetrahedron.from_points([(1, 0, 0), (-1, 0, 0), (0, 1, h), (0, -1, h)])
+        for op in (volume, classify, max_face_and_dihedral_angle, angles, quality):
+            if degenerate:
+                with pytest.raises(DegenerateTetrahedron):
+                    op(t)
+            else:
+                op(t)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +300,7 @@ def test_standard_position_fixed_point():
     sp2 = standard_position(t_std)
     assert not sp2.mirror
     assert np.allclose(sp2.rotation, np.eye(3), atol=1e-9)
-    assert np.allclose(sp2.translation.as_array(), 0.0, atol=1e-9)
+    assert np.allclose(sp2.translation, 0.0, atol=1e-9)
     assert np.allclose(sp2.params, sp.params, atol=1e-9)
     assert np.allclose(sp2.alpha, sp.alpha, atol=1e-9)
 
@@ -331,7 +366,7 @@ def test_matrices_identity_case():
         alpha=(1.0, 1.0, 1.0),
         params=(0.0, 1.0, 0.0, 0.0, 1.0),
         rotation=np.eye(3),
-        translation=Point3(0.0, 0.0, 0.0),
+        translation=np.zeros(3),
         mirror=False,
     )
     m = matrices(sp0, TYPE1)

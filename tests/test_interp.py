@@ -13,6 +13,7 @@ from anisotetra.interp import (
     Interpolant,
     Polynomial3,
     ScalarField,
+    as_field,
     interpolate,
     lagrange_basis,
     monomial_indices,
@@ -97,12 +98,25 @@ class TestScalarField:
         got = fd.partial((1, 1, 0), pts)
         assert np.allclose(got, want, rtol=1e-5)
 
-    def test_from_polynomial_partials_are_exact(self):
+    def test_polynomial_field_partials_are_exact(self):
         p = Polynomial3({(2, 1, 0): 1.5})
-        f = ScalarField.from_polynomial(p)
+        f, degree = as_field(p)
+        assert degree == 3
         assert f.exact_partials
         pts = np.array([[1.0, 2.0, 0.0]])
         assert np.allclose(f.partial((1, 1, 0), pts), 2.0 * 1.5 * pts[:, 0])
+
+    def test_as_field_reports_polynomial_degree(self):
+        t = reference_tetrahedron(TYPE1)
+        ip = interpolate(Polynomial3({(1, 1, 1): 1.0}), t, 2)
+        field, degree = as_field(ip)
+        assert degree == 2 and field.exact_partials
+        pts = np.array([[0.1, 0.2, 0.3]])
+        assert np.array_equal(field.partial((1, 0, 0), pts), ip.partial((1, 0, 0), pts))
+        sf = ScalarField(lambda pts: pts[:, 0])
+        assert as_field(sf) == (sf, None)
+        field, degree = as_field(lambda pts: pts[:, 0])
+        assert degree is None and not field.exact_partials
 
     def test_order_limit_enforced(self):
         f = ScalarField(lambda pts: pts[:, 0], order=1)

@@ -16,6 +16,7 @@ from anisotetra.lattice import (
     in_lattice,
     lattice_points,
     lattice_to_gamma,
+    node_values,
     nodes_on,
     quotient_coefficients,
     quotient_from_function,
@@ -142,6 +143,18 @@ class TestDifferenceQuotient:
         for box in enumerate_boxes(k, delta, TYPE2):
             q = quotient_from_function(f, box.base, delta, k)
             assert abs(q) < 1e-12
+
+    @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+    def test_node_values_keyed_by_lattice_point(self, kind):
+        # q = xyz, delta = (1,1,1): the quotient is d^delta q/delta! = 1 on
+        # every box, which holds only if each value sits at its own point.
+        def q(pts):
+            return pts[:, 0] * pts[:, 1] * pts[:, 2]
+        k, delta = 4, (1, 1, 1)
+        values = node_values(q, k, kind)
+        assert sorted(values) == lattice_points(k, kind)
+        for box in enumerate_boxes(k, delta, kind):
+            assert abs(difference_quotient(values, box.base, delta, k) - 1.0) < 1e-12
 
     def test_missing_node_raises(self):
         values = {p: 0.0 for p in lattice_points(2, TYPE1)}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotetra.errors import InadmissiblePC, UnsupportedDegree
+from anisotetra.errors import NumericalError, UnsupportedDegree
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
 from anisotetra.quad import (
@@ -83,12 +83,6 @@ class TestAdmissibility:
         assert ok == want
         assert isinstance(reason, str) and reason
 
-    def test_seminorm_gate(self):
-        u = Polynomial3.variable(0)
-        with pytest.raises(InadmissiblePC):
-            seminorm(u, T_HAT, SeminormSpec(1, 2.0), validate_for_k=1)
-        seminorm(u, T_HAT, SeminormSpec(1, 2.5), validate_for_k=1)
-
 
 class TestSeminorm:
     def test_constant_l2(self):
@@ -101,12 +95,17 @@ class TestSeminorm:
 
     def test_weighted_versus_unweighted(self):
         # u = xy: only the mixed second derivative survives, with
-        # multinomial weight 2!/1!1! = 2; the unweighted variant drops it.
+        # multinomial weight 2!/1!1! = 2.
         u = Polynomial3({(1, 1, 0): 1.0})
         w = seminorm(u, T_HAT, SeminormSpec(2, 2.0))
-        unw = seminorm(u, T_HAT, SeminormSpec(2, 2.0, weighted=False))
         assert abs(w - math.sqrt(2.0 / 6.0)) < 1e-13
-        assert abs(w / unw - math.sqrt(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_nonfinite_values_raise(self, p):
+        # NaN wherever x < 0.5, at quadrature and lattice points alike.
+        u = ScalarField(lambda pts: np.sqrt(pts[:, 0] - 0.5))
+        with pytest.raises(NumericalError):
+            seminorm(u, T_HAT, SeminormSpec(0, p))
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
