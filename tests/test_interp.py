@@ -98,7 +98,7 @@ class TestScalarField:
         got = fd.partial((1, 1, 0), pts)
         assert np.allclose(got, want, rtol=1e-5)
 
-    def test_polynomial_field_partials_are_exact(self):
+    def test_from_polynomial_partials_are_exact(self):
         p = Polynomial3({(2, 1, 0): 1.5})
         f, degree = as_field(p)
         assert degree == 3
