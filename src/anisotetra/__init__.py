@@ -70,7 +70,6 @@ from .interp import (
     Polynomial3,
     ScalarField,
     interpolate,
-    lagrange_basis,
     monomial_indices,
     residual,
 )
@@ -78,7 +77,6 @@ from .quad import (
     QuadratureRule,
     SeminormInfo,
     SeminormSpec,
-    integrate,
     rule_for_degree,
     seminorm,
     seminorm_with_info,

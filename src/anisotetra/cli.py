@@ -252,6 +252,8 @@ def _parse_alpha_pattern(pattern: str, levels: int) -> list[tuple[float, float, 
                     alpha.append(float(part))
                 except ValueError:
                     raise ParseError("--alphas entry %r is neither a float nor 'eps'" % part)
+                if not 0.0 < alpha[-1] <= 1.0:
+                    raise ParseError("--alphas entry %r must lie in (0, 1]" % part)
         grid.append(tuple(alpha))
     return grid
 
@@ -562,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     error.add_argument("--k", type=int, required=True)
     error.add_argument("--m", type=int, required=True)
     error.add_argument("--p", type=float, required=True, help="exponent; 'inf' allowed")
-    error.add_argument("--degree", type=int, default=None)
+    error.add_argument("--degree", type=int, default=None,
+                       help="quadrature exactness 1..20; finite p only")
     error.add_argument("--out", default="-")
     error.set_defaults(func=cmd_error)
 
@@ -572,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", type=float, required=True)
     sweep.add_argument("--kind", type=int, choices=(TYPE1, TYPE2), default=TYPE1)
     sweep.add_argument("--alphas", default="1,eps,eps",
-                       help="three entries, floats or 'eps' (default 1,eps,eps)")
+                       help="three entries, floats in (0, 1] or 'eps' (default 1,eps,eps)")
     sweep.add_argument("--eps-levels", type=int, default=11,
                        help="levels l = 0..n-1 with eps = 2^-l")
     sweep.add_argument("--csv", help="write the per-level table here")

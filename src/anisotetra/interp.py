@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, InvalidDegree
+from .errors import DerivativeUnavailable, InvalidDegree, NumericalError
 from .geom import Tetrahedron, volume
 from .lattice import nodes_on, sigma_k
 
@@ -376,11 +376,20 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     """The degree-k Lagrange interpolant of v on t.
 
     v is anything as_field accepts.  Reproduces any q in P_k up to roundoff.
+    A nodal value of v that is not finite raises NumericalError.
     """
     _check_degree(k)
     origin, jac = _affine_map(t)
-    _, nodes = nodes_on(t.as_array(), k)
-    coef = _reference_basis(k) @ as_field(v)[0](nodes)
+    gammas, nodes = nodes_on(t.as_array(), k)
+    values = as_field(v)[0](nodes)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            "v is not finite (%r) at interpolation node %s, x = %s"
+            % (float(values[i]), gammas[i], nodes[i].tolist())
+        )
+    coef = _reference_basis(k) @ values
     return Interpolant(
         ref=Polynomial3(dict(zip(monomial_indices(k), coef))),
         tetra=t,
@@ -389,18 +398,6 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
         inverse=np.linalg.inv(jac),
         condition_estimate=float(np.linalg.cond(jac)),
     )
-
-
-def lagrange_basis(t: Tetrahedron, k: int) -> list[Polynomial3]:
-    """The nodal basis on Sigma^k(t): phi_i(x_j) = delta_ij, in node order."""
-    _check_degree(k)
-    origin, jac = _affine_map(t)
-    inverse = np.linalg.inv(jac)
-    monos = monomial_indices(k)
-    return [
-        Polynomial3(dict(zip(monos, column))).compose_affine(inverse, -inverse @ origin)
-        for column in _reference_basis(k).T
-    ]
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:

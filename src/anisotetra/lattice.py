@@ -4,8 +4,10 @@ For the order-k refinement of a reference tetrahedron (unit right-corner
 Type 1 or its sheared Type 2 companion) the interpolation nodes form an
 integer lattice X^k: a 3D integer point g = (i, j, l) corresponds to a
 barycentric multi-index gamma with |gamma| = k, and the physical node is
-g/k.  A direction multi-index delta selects a box of lattice points
-(g + eta for eta <= delta), and the difference quotient
+g/k.  Type 1 takes g = (gamma_2, gamma_3, gamma_4); the Type 2 lattice is
+its image under the integer shear (i, j, l) -> (i + j, j, l).  A direction
+multi-index delta selects a box of lattice points (g + eta for
+eta <= delta), and the difference quotient
 
     DQ^delta f(x_g) = k^|delta| * sum_{eta <= delta}
         (-1)^{|delta| - |eta|} / (eta! (delta - eta)!) * f(x_{g + eta})
@@ -48,43 +50,30 @@ def sigma_k(k: int) -> list[Barycentric]:
     return out
 
 
+def _shear(point: LatticePoint, kind: int, sign: int = 1) -> LatticePoint:
+    """The integer shear (i, j, l) -> (i + j, j, l) that carries X^k of
+    Type 1 onto X^k of Type 2 (sign=-1 inverts it); Type 1 is fixed."""
+    if kind not in (TYPE1, TYPE2):
+        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+    i, j, l = point
+    return (i + sign * j, j, l) if kind == TYPE2 else (i, j, l)
+
+
 def in_lattice(point: LatticePoint, k: int, kind: int) -> bool:
     """Membership of an integer point in X^k of the given reference kind."""
-    i, j, l = point
-    if kind == TYPE1:
-        return i >= 0 and j >= 0 and l >= 0 and i + j + l <= k
-    if kind == TYPE2:
-        return l >= 0 and 0 <= j <= i and i + l <= k
-    raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+    i, j, l = _shear(point, kind, -1)
+    return i >= 0 and j >= 0 and l >= 0 and i + j + l <= k
 
 
 def lattice_points(k: int, kind: int) -> list[LatticePoint]:
     """X^k in lexicographic order; exactly C(k+3, 3) points for both kinds."""
-    pts = []
-    if kind == TYPE1:
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                for l in range(k + 1 - i - j):
-                    pts.append((i, j, l))
-    elif kind == TYPE2:
-        for i in range(k + 1):
-            for j in range(i + 1):
-                for l in range(k + 1 - i):
-                    pts.append((i, j, l))
-    else:
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
-    return pts
+    return sorted(gamma_to_lattice(gamma, kind) for gamma in sigma_k(k))
 
 
 def lattice_to_gamma(point: LatticePoint, k: int, kind: int) -> Barycentric:
     """Barycentric multi-index of a lattice point."""
-    i, j, l = point
-    if kind == TYPE1:
-        gamma = (k - i - j - l, i, j, l)
-    elif kind == TYPE2:
-        gamma = (k - i - l, i - j, j, l)
-    else:
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+    i, j, l = _shear(point, kind, -1)
+    gamma = (k - i - j - l, i, j, l)
     if min(gamma) < 0:
         raise ValueError("point %r not in X^%d of kind %d" % (point, k, kind))
     return gamma
@@ -92,12 +81,7 @@ def lattice_to_gamma(point: LatticePoint, k: int, kind: int) -> Barycentric:
 
 def gamma_to_lattice(gamma: Barycentric, kind: int) -> LatticePoint:
     """Inverse of lattice_to_gamma; k is implicit in |gamma|."""
-    _, g2, g3, g4 = gamma
-    if kind == TYPE1:
-        return (g2, g3, g4)
-    if kind == TYPE2:
-        return (g2 + g3, g3, g4)
-    raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+    return _shear(gamma[1:], kind)
 
 
 def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:

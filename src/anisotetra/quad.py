@@ -12,10 +12,14 @@ The seminorm follows the weighted convention
 
     |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
-For p = infinity the maximum of |d^gamma u| is sampled on a dense lattice
-and, for polynomials, polished with one constrained Newton step; this route
-is documented as approximate.  A sampled value that is not finite raises
-NumericalError.
+One loop measures it for every p: a barycentric sample set is mapped to T
+once and |d^gamma u| is sampled there for every |gamma| = m.  For finite p
+the sample sets are quadrature rules and the samples are reduced by the
+weighted p-sum; _rule_degrees is the one place that picks their degrees.
+For p = infinity the sample set is a dense lattice, the reduction is the
+maximum and, for polynomials, one constrained Newton step polishes it; this
+route is documented as approximate and takes no quadrature degree.  A
+sampled value that is not finite raises NumericalError.
 """
 
 from __future__ import annotations
@@ -79,14 +83,6 @@ def rule_for_degree(d: int) -> QuadratureRule:
     bary = np.stack([1.0 - x - y - z, x, y, z], axis=1)
     weights = cc * 6.0  # raw weights sum to |T_ref| = 1/6
     return QuadratureRule(nodes=bary, weights=weights, exactness=2 * n - 1)
-
-
-def integrate(f, t: Tetrahedron, degree: int = DEFAULT_NUMERIC_DEGREE) -> float:
-    """Integral of f over t with a rule exact to the given degree."""
-    rule = rule_for_degree(degree)
-    pts = rule.points_on(t.as_array())
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    return volume(t) * float(np.dot(rule.weights, vals))
 
 
 @dataclass(frozen=True)
@@ -166,10 +162,6 @@ def _dense_unit_weights(order: int) -> np.ndarray:
     return np.array(sigma_k(order), dtype=float) / order
 
 
-def _dense_points(t: Tetrahedron, order: int) -> np.ndarray:
-    return _dense_unit_weights(order) @ t.as_array()
-
-
 def _inside(t: Tetrahedron, x: np.ndarray, tol: float = 1e-9) -> bool:
     verts = t.as_array()
     m = (verts[1:] - verts[0]).T
@@ -181,7 +173,7 @@ def _inside(t: Tetrahedron, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def _newton_polish(
-    field_u: ScalarField, gamma: MultiIndex, t: Tetrahedron, x0: np.ndarray
+    field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, t: Tetrahedron
 ) -> float:
     """One constrained Newton step toward a local extremum of |d^gamma u|.
 
@@ -215,76 +207,31 @@ def _newton_polish(
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
 
 
-def _sup_seminorm(u, t: Tetrahedron, spec: SeminormSpec) -> SeminormInfo:
-    field_u, poly_degree = as_field(u)
-    pts = _dense_points(t, DENSE_LATTICE_ORDER)
-    best = 0.0
-    best_gamma = None
-    best_idx = 0
-    for gamma in derivative_indices(spec.m):
-        vals = np.abs(field_u.partial(gamma, pts))
-        idx = int(np.argmax(vals))  # the first NaN, if there is one
-        if _finite(vals[idx], gamma) > best:
-            best = float(vals[idx])
-            best_gamma = gamma
-            best_idx = idx
-    warnings = ("p=inf maximum from dense sampling; value is approximate",)
-    if best_gamma is not None and poly_degree is not None:
-        best = max(best, _newton_polish(field_u, best_gamma, t, pts[best_idx]))
-    return SeminormInfo(
-        value=best,
-        quadrature_degree=None,
-        warnings=warnings,
-        approximate_partials=not field_u.exact_partials,
-    )
+def _rule_degrees(
+    spec: SeminormSpec, poly_degree: int | None, degree: int | None
+) -> tuple[int, ...]:
+    """Exactness degrees of the rules that measure |u|_{m,p,T}.
 
-
-def _finite_seminorm(
-    u, t: Tetrahedron, spec: SeminormSpec, degree: int | None
-) -> SeminormInfo:
-    field_u, poly_degree = as_field(u)
-    p = float(spec.p)
-    warnings: list[str] = []
-
-    p_is_even_int = p == int(p) and int(p) % 2 == 0
+    An explicit degree wins; an even integer p on a polynomial gets the one
+    rule that is exact for |d^gamma u|^p when there is one; anything else
+    gets the 12/18 pair whose agreement is checked.  p = inf samples a
+    lattice instead (no rules), so an explicit degree there is rejected.
+    """
+    if spec.p == math.inf:
+        if degree is not None:
+            raise UnsupportedDegree(
+                "a quadrature degree applies to finite p only; p = inf samples "
+                "a lattice, got degree %r" % (degree,)
+            )
+        return ()
     if degree is not None:
-        degrees = [degree]
-    elif poly_degree is not None and p_is_even_int:
+        return (degree,)
+    p = float(spec.p)
+    if poly_degree is not None and p == int(p) and int(p) % 2 == 0:
         exact_deg = max(1, (poly_degree - spec.m) * int(p))
         if exact_deg <= MAX_RULE_DEGREE:
-            degrees = [exact_deg]
-        else:
-            degrees = [DEFAULT_NUMERIC_DEGREE, RICHARDSON_DEGREE]
-    else:
-        degrees = [DEFAULT_NUMERIC_DEGREE, RICHARDSON_DEGREE]
-
-    totals = []
-    for deg in degrees:
-        rule = rule_for_degree(deg)
-        pts = rule.points_on(t.as_array())
-        vol = volume(t)
-        total = 0.0
-        for gamma in derivative_indices(spec.m):
-            vals = np.abs(field_u.partial(gamma, pts)) ** p
-            integral = _finite(float(np.dot(rule.weights, vals)), gamma)
-            total += multinomial_weight(gamma) * vol * integral
-        totals.append(total)
-
-    if len(totals) == 2:
-        ref = max(abs(totals[-1]), 1e-300)
-        if abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
-            warnings.append(
-                "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
-                "be under-resolved"
-                % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref)
-            )
-    value = totals[-1] ** (1.0 / p)
-    return SeminormInfo(
-        value=float(value),
-        quadrature_degree=degrees[-1],
-        warnings=tuple(warnings),
-        approximate_partials=not field_u.exact_partials,
-    )
+            return (exact_deg,)
+    return (DEFAULT_NUMERIC_DEGREE, RICHARDSON_DEGREE)
 
 
 def seminorm_with_info(
@@ -293,12 +240,53 @@ def seminorm_with_info(
     """|u|_{m,p,T} plus quadrature metadata and warnings.
 
     u is anything interp.as_field accepts.  degree fixes the quadrature
-    exactness (UnsupportedDegree outside [1, MAX_RULE_DEGREE]); p = inf
-    ignores it.
+    exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
+    and at p = inf, which samples a lattice).
     """
-    if spec.p == math.inf:
-        return _sup_seminorm(u, t, spec)
-    return _finite_seminorm(u, t, spec, degree)
+    field_u, poly_degree = as_field(u)
+    degrees = _rule_degrees(spec, poly_degree, degree)
+    if degrees:
+        sample_sets = [(r.nodes, r.weights) for r in map(rule_for_degree, degrees)]
+        vol = volume(t)
+    else:
+        sample_sets = [(_dense_unit_weights(DENSE_LATTICE_ORDER), None)]
+    p = float(spec.p)
+    verts = t.as_array()
+    totals = []
+    for bary, weights in sample_sets:
+        pts = bary @ verts
+        total, at = 0.0, None
+        for gamma in derivative_indices(spec.m):
+            vals = np.abs(field_u.partial(gamma, pts))
+            if weights is None:
+                idx = int(np.argmax(vals))  # the first NaN, if there is one
+                if _finite(vals[idx], gamma) > total:
+                    total, at = float(vals[idx]), (gamma, pts[idx])
+            else:
+                integral = _finite(float(np.dot(weights, vals ** p)), gamma)
+                total += multinomial_weight(gamma) * vol * integral
+        totals.append(total)
+    if degrees:
+        value = float(totals[-1] ** (1.0 / p))
+        warnings: tuple[str, ...] = ()
+        ref = max(abs(totals[-1]), 1e-300)
+        if len(totals) == 2 and abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
+            warnings = (
+                "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
+                "be under-resolved"
+                % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
+            )
+    else:
+        value = total
+        if at is not None and poly_degree is not None:
+            value = max(value, _newton_polish(field_u, *at, t))
+        warnings = ("p=inf maximum from dense sampling; value is approximate",)
+    return SeminormInfo(
+        value=value,
+        quadrature_degree=degrees[-1] if degrees else None,
+        warnings=warnings,
+        approximate_partials=not field_u.exact_partials,
+    )
 
 
 def seminorm(u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None) -> float:

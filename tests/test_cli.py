@@ -173,6 +173,19 @@ def test_error_degree_out_of_range_exits_2(capsys, degree):
     assert "quadrature degree" in err
 
 
+@pytest.mark.parametrize("degree", ["12", "30"])
+def test_error_degree_at_p_inf_exits_2(capsys, degree):
+    # p = inf samples a lattice, so a quadrature degree would go unused.
+    code, out, err = run(
+        ["error", "--tetra", "ref", "--expr", "x*x", "--k", "1", "--m", "0", "--p", "inf",
+         "--degree", degree],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite p only" in err
+
+
 def test_error_malformed_expression_caret(capsys):
     code, _, err = run(
         ["error", "--tetra", "ref", "--expr", "x^2 + )",
@@ -239,6 +252,18 @@ def test_sweep_bad_alpha_pattern_exits_2(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("entry", ["0", "-1", "1.5"])
+def test_sweep_alpha_out_of_range_exits_2(capsys, entry):
+    code, out, err = run(
+        ["sweep", "--k", "1", "--m", "0", "--p", "2",
+         "--alphas", "1,%s,eps" % entry, "--eps-levels", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "(0, 1]" in err
 
 
 @pytest.mark.parametrize("levels", ["0", "-2"])

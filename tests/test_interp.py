@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from anisotetra.errors import DegenerateTetrahedron, DerivativeUnavailable, InvalidDegree
+from anisotetra.errors import (
+    DegenerateTetrahedron,
+    DerivativeUnavailable,
+    InvalidDegree,
+    NumericalError,
+)
 from anisotetra.geom import TYPE1, TYPE2, Tetrahedron, reference_tetrahedron
 from anisotetra.interp import (
     Interpolant,
@@ -15,7 +20,6 @@ from anisotetra.interp import (
     ScalarField,
     as_field,
     interpolate,
-    lagrange_basis,
     monomial_indices,
     residual,
 )
@@ -126,20 +130,6 @@ class TestScalarField:
 
 
 class TestInterpolation:
-    def test_degree_one_basis_is_barycentric(self):
-        basis = lagrange_basis(T_HAT, 1)
-        # On the unit reference element: 1-x-y-z, x, y, z in node order
-        # starting from the vertex lattice points.
-        pts = np.random.default_rng(1).uniform(0, 0.5, (10, 3))
-        lam = [1 - pts.sum(axis=1), pts[:, 0], pts[:, 1], pts[:, 2]]
-        gammas, nodes = nodes_on(T_HAT.coords(), 1)
-        for phi, node in zip(basis, nodes):
-            matches = [
-                i for i, l in enumerate(lam)
-                if np.allclose(phi.evaluate(pts), l, atol=1e-12)
-            ]
-            assert len(matches) == 1
-
     def test_x_squared_with_k1_on_reference_gives_x(self):
         ip = interpolate(Polynomial3({(2, 0, 0): 1.0}), T_HAT, 1)
         want = Polynomial3.variable(0)
@@ -198,14 +188,6 @@ class TestInterpolation:
             ip_mapped.evaluate(mapped_pts), ip.evaluate(pts), atol=1e-9
         )
 
-    def test_partition_of_unity(self):
-        basis = lagrange_basis(ANISO, 3)
-        total = Polynomial3.constant(0.0)
-        for phi in basis:
-            total = total + phi
-        pts = np.random.default_rng(6).uniform(-1, 1, (20, 3))
-        assert np.allclose(total.evaluate(pts), 1.0, atol=1e-10)
-
     def test_interpolant_partial_matches_polynomial(self):
         # For q in P_3 the interpolant is q, so its chain-rule partials on a
         # rotated element must equal q's exact ones at every order.
@@ -223,6 +205,15 @@ class TestInterpolation:
             interpolate(Polynomial3.constant(1.0), T_HAT, 0)
         with pytest.raises(InvalidDegree):
             interpolate(Polynomial3.constant(1.0), T_HAT, 9)
+
+    def test_nonfinite_nodal_values_raise(self):
+        # 1/x is infinite at the nodes on the face x = 0 of the reference
+        # element; the first of them in node order is the vertex (0, 0, 0).
+        f = ScalarField(lambda pts: 1.0 / pts[:, 0])
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError) as exc:
+            interpolate(f, T_HAT, 2)
+        assert "not finite" in str(exc.value)
+        assert "(2, 0, 0, 0)" in str(exc.value)
 
     def test_condition_estimate_reported(self):
         ip = interpolate(Polynomial3.constant(1.0), ANISO, 4)

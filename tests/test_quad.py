@@ -11,7 +11,6 @@ from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
 from anisotetra.quad import (
     SeminormSpec,
     derivative_indices,
-    integrate,
     multinomial_weight,
     rule_for_degree,
     seminorm,
@@ -56,10 +55,13 @@ class TestQuadrature:
             rule_for_degree(21)
 
     def test_integrate_matches_polynomial_integrate(self):
+        # A rule transfers to a non-reference element: |q|_{0,2,T}^2 is the
+        # exact integral of q^2 there.
         rng = np.random.default_rng(0)
-        p = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(5)})
-        got = integrate(lambda pts: p.evaluate(pts), ANISO, degree=5)
-        assert abs(got - p.integrate(ANISO)) < 1e-13
+        q = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(5)})
+        got = seminorm(q, ANISO, SeminormSpec(0, 2.0)) ** 2
+        want = (q * q).integrate(ANISO)
+        assert abs(got - want) < 1e-13 * max(1.0, want)
 
 
 class TestAdmissibility:
@@ -176,6 +178,13 @@ class TestSupSeminorm:
             assert abs(info.value - oracle) <= 1e-6 * oracle
             assert info.value >= oracle - 1e-12  # polish never undershoots
             assert info.warnings  # documented as approximate
+
+    def test_explicit_degree_rejected(self):
+        # p = inf samples a lattice; a quadrature degree would go unused.
+        with pytest.raises(UnsupportedDegree):
+            seminorm_with_info(
+                Polynomial3.variable(0), T_HAT, SeminormSpec(0, math.inf), degree=12
+            )
 
     def test_linear_sup_is_vertex_max(self):
         u = Polynomial3({(1, 0, 0): 2.0, (0, 0, 0): -0.5})
