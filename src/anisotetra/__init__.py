@@ -82,7 +82,7 @@ from .quad import (
     seminorm_with_info,
     validate_p,
 )
-from .expr import field_from_expression, parse_expression, partial_node
+from .expr import field_from_expression, parse_expression
 from .verify import (
     ConvergenceResult,
     EquivalenceReport,

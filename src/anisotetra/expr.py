@@ -8,21 +8,24 @@ Grammar (recursive descent):
     power  := atom ('^' signed-integer)?
     atom   := number | 'x' | 'y' | 'z' | name '(' expr ')' | '(' expr ')'
 
-with names sin, cos, exp.  Expressions evaluate vectorized over (N, 3)
-point arrays and differentiate symbolically to any order, so fields built
-from them carry exact partials into the seminorm and error machinery.
+with names sin, cos, exp.  Fields built from expressions carry exact
+partials by Taylor-mode evaluation: one pass over the tree propagates
+truncated Taylor jets (forward-mode automatic differentiation; Griewank &
+Walther, Evaluating Derivatives, 2008) over (N, 3) point arrays and yields
+every partial of order m.
 Parse errors carry the offending position and render a caret diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import ScalarField
+from .interp import ScalarField, _OnePass, _times, derivative_indices
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -30,122 +33,112 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_FUNCTIONS = ("sin", "cos", "exp")
 _VARS = {"x": 0, "y": 1, "z": 2}
+_AXES = np.eye(3)[:, :, None]  # the linear part of each coordinate
+
+# A jet of order n is the list of the homogeneous parts 0..n of the Taylor
+# expansion f(x + h) = sum_gamma c_gamma(x) h^gamma, c_gamma = d^gamma f / gamma!.
+# Part d is an (M_d, N) array over derivative_indices(d); (M_d, 1), or a
+# scalar for part 0, when it does not depend on the point (constants, the
+# linear part of an affine argument); None when it vanishes.
+
+
+def _plus(a, b):
+    return a if b is None else b if a is None else a + b
+
+
+def _mul(u: list, v: list) -> list:
+    out = [None] * len(u)
+    for i, a in enumerate(u):
+        if a is not None:
+            for j, b in enumerate(v[: len(u) - i]):
+                if b is not None:
+                    out[i + j] = _plus(out[i + j], _times(a, i, b, j))
+    return out
+
+
+def _compose(coeffs: list, v: list) -> list:
+    """f(v) from coeffs[d] = f^(d)(v_0)/d!: the sum of coeffs[d] (v - v_0)^d.
+
+    When v is affine, (v - v_0)^d is a single constant part, so each term
+    is one outer product.
+    """
+    delta = [None] + v[1:]
+    out = [coeffs[0]] + [None] * (len(v) - 1)
+    power = [np.ones((1, 1))] + [None] * (len(v) - 1)
+    for c in coeffs[1:]:
+        power = _mul(power, delta)
+        out = [_plus(o, None if q is None else c * q) for o, q in zip(out, power)]
+    return out
+
+
+def _power_coeffs(a, k: int, n: int) -> list:
+    """binom(k, d) a^(k-d), d = 0..n: the Taylor coefficients of t^k at a."""
+    out, binom = [], 1.0
+    for d in range(min(n, k) + 1 if k >= 0 else n + 1):
+        out.append(binom * a ** (k - d))
+        binom = binom * (k - d) / (d + 1)
+    return out
+
+
+def _function_coeffs(name: str, a, n: int) -> list:
+    """f^(d)(a)/d!, d = 0..n, for f = sin, cos or exp."""
+    if name == "exp":
+        e = np.exp(a)
+        return [e / math.factorial(d) for d in range(n + 1)]
+    s, c = np.sin(a), np.cos(a)
+    cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
+    return [cycle[d % 4] / math.factorial(d) for d in range(n + 1)]
 
 
 class Node:
-    def eval(self, pts: np.ndarray) -> np.ndarray:
+    def jet(self, pts: np.ndarray, n: int) -> list:
+        """The parts 0..n of the Taylor jet at pts (N, 3)."""
         raise NotImplementedError
 
-    def diff(self, axis: int) -> "Node":
-        raise NotImplementedError
+    def partials(self, m: int, pts) -> np.ndarray:
+        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m)
+        order.  Numpy warnings are silenced: callers check finiteness."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        gammas = derivative_indices(m)
+        out = np.zeros((len(gammas), pts.shape[0]))
+        with np.errstate(all="ignore"):
+            part = self.jet(pts, m)[m]
+            if part is not None:
+                fact = [math.prod(map(math.factorial, g)) for g in gammas]
+                np.multiply(part, np.array(fact, dtype=float)[:, None], out=out)
+        return out
+
+    def eval(self, pts) -> np.ndarray:
+        return self.partials(0, pts)[0]
 
 
 @dataclass(frozen=True)
 class Num(Node):
     value: float
 
-    def eval(self, pts):
-        return np.full(pts.shape[0], self.value)
-
-    def diff(self, axis):
-        return Num(0.0)
-
-    def __str__(self):
-        return repr(self.value)
+    def jet(self, pts, n):
+        return [np.float64(self.value)] + [None] * n
 
 
 @dataclass(frozen=True)
 class Var(Node):
     axis: int
 
-    def eval(self, pts):
-        return pts[:, self.axis]
-
-    def diff(self, axis):
-        return Num(1.0 if axis == self.axis else 0.0)
-
-    def __str__(self):
-        return "xyz"[self.axis]
-
-
-def _is_const(node: Node, value: float | None = None) -> bool:
-    return isinstance(node, Num) and (value is None or node.value == value)
-
-
-def _add(u: Node, v: Node) -> Node:
-    if _is_const(u) and _is_const(v):
-        return Num(u.value + v.value)
-    if _is_const(u, 0.0):
-        return v
-    if _is_const(v, 0.0):
-        return u
-    return Add(u, v)
-
-
-def _sub(u: Node, v: Node) -> Node:
-    if _is_const(u) and _is_const(v):
-        return Num(u.value - v.value)
-    if _is_const(v, 0.0):
-        return u
-    if _is_const(u, 0.0):
-        return Neg(v)
-    return Sub(u, v)
-
-
-def _mul(u: Node, v: Node) -> Node:
-    if _is_const(u) and _is_const(v):
-        return Num(u.value * v.value)
-    if _is_const(u, 0.0) or _is_const(v, 0.0):
-        return Num(0.0)
-    if _is_const(u, 1.0):
-        return v
-    if _is_const(v, 1.0):
-        return u
-    return Mul(u, v)
-
-
-def _div(u: Node, v: Node) -> Node:
-    if _is_const(u, 0.0):
-        return Num(0.0)
-    if _is_const(v, 1.0):
-        return u
-    if _is_const(u) and _is_const(v) and v.value != 0.0:
-        return Num(u.value / v.value)
-    return Div(u, v)
-
-
-def _neg(u: Node) -> Node:
-    if _is_const(u):
-        return Num(-u.value)
-    if isinstance(u, Neg):
-        return u.arg
-    return Neg(u)
-
-
-def _pow(base: Node, n: int) -> Node:
-    if n == 0:
-        return Num(1.0)
-    if n == 1:
-        return base
-    if _is_const(base):
-        return Num(base.value ** n)
-    return Pow(base, n)
+    def jet(self, pts, n):
+        out = [pts[None, :, self.axis]] + [None] * n
+        if n:
+            out[1] = _AXES[self.axis]
+        return out
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     arg: Node
 
-    def eval(self, pts):
-        return -self.arg.eval(pts)
-
-    def diff(self, axis):
-        return _neg(self.arg.diff(axis))
-
-    def __str__(self):
-        return "(-%s)" % (self.arg,)
+    def jet(self, pts, n):
+        return [None if a is None else -a for a in self.arg.jet(pts, n)]
 
 
 @dataclass(frozen=True)
@@ -153,29 +146,8 @@ class Add(Node):
     left: Node
     right: Node
 
-    def eval(self, pts):
-        return self.left.eval(pts) + self.right.eval(pts)
-
-    def diff(self, axis):
-        return _add(self.left.diff(axis), self.right.diff(axis))
-
-    def __str__(self):
-        return "(%s + %s)" % (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-    def eval(self, pts):
-        return self.left.eval(pts) - self.right.eval(pts)
-
-    def diff(self, axis):
-        return _sub(self.left.diff(axis), self.right.diff(axis))
-
-    def __str__(self):
-        return "(%s - %s)" % (self.left, self.right)
+    def jet(self, pts, n):
+        return list(map(_plus, self.left.jet(pts, n), self.right.jet(pts, n)))
 
 
 @dataclass(frozen=True)
@@ -183,17 +155,8 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def eval(self, pts):
-        return self.left.eval(pts) * self.right.eval(pts)
-
-    def diff(self, axis):
-        return _add(
-            _mul(self.left.diff(axis), self.right),
-            _mul(self.left, self.right.diff(axis)),
-        )
-
-    def __str__(self):
-        return "(%s * %s)" % (self.left, self.right)
+    def jet(self, pts, n):
+        return _mul(self.left.jet(pts, n), self.right.jet(pts, n))
 
 
 @dataclass(frozen=True)
@@ -201,18 +164,12 @@ class Div(Node):
     left: Node
     right: Node
 
-    def eval(self, pts):
-        return self.left.eval(pts) / self.right.eval(pts)
-
-    def diff(self, axis):
-        num = _sub(
-            _mul(self.left.diff(axis), self.right),
-            _mul(self.left, self.right.diff(axis)),
-        )
-        return _div(num, _pow(self.right, 2))
-
-    def __str__(self):
-        return "(%s / %s)" % (self.left, self.right)
+    def jet(self, pts, n):
+        u, v = self.left.jet(pts, n), self.right.jet(pts, n)
+        coeffs = _power_coeffs(v[0], -1, n)
+        if all(a is None for a in u[1:]):  # a constant numerator scales 1/v
+            return _compose([u[0] * c for c in coeffs], v)
+        return _mul(u, _compose(coeffs, v))
 
 
 @dataclass(frozen=True)
@@ -220,15 +177,9 @@ class Pow(Node):
     base: Node
     n: int
 
-    def eval(self, pts):
-        return self.base.eval(pts) ** self.n
-
-    def diff(self, axis):
-        inner = self.base.diff(axis)
-        return _mul(_mul(Num(float(self.n)), _pow(self.base, self.n - 1)), inner)
-
-    def __str__(self):
-        return "(%s^%d)" % (self.base, self.n)
+    def jet(self, pts, n):
+        v = self.base.jet(pts, n)
+        return _compose(_power_coeffs(v[0], self.n, n), v)
 
 
 @dataclass(frozen=True)
@@ -236,21 +187,9 @@ class Call(Node):
     name: str
     arg: Node
 
-    def eval(self, pts):
-        return _FUNCTIONS[self.name](self.arg.eval(pts))
-
-    def diff(self, axis):
-        inner = self.arg.diff(axis)
-        if self.name == "sin":
-            outer: Node = Call("cos", self.arg)
-        elif self.name == "cos":
-            outer = _neg(Call("sin", self.arg))
-        else:  # exp
-            outer = Call("exp", self.arg)
-        return _mul(outer, inner)
-
-    def __str__(self):
-        return "%s(%s)" % (self.name, self.arg)
+    def jet(self, pts, n):
+        v = self.arg.jet(pts, n)
+        return _compose(_function_coeffs(self.name, v[0], n), v)
 
 
 class _Parser:
@@ -301,7 +240,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                node = _add(node, rhs) if val == "+" else _sub(node, rhs)
+                node = Add(node, rhs if val == "+" else Neg(rhs))
             else:
                 return node
 
@@ -312,7 +251,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
-                node = _mul(node, rhs) if val == "*" else _div(node, rhs)
+                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
             else:
                 return node
 
@@ -321,7 +260,7 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             inner = self.factor()
-            return inner if val == "+" else _neg(inner)
+            return inner if val == "+" else Neg(inner)
         return self.power()
 
     def power(self) -> Node:
@@ -330,7 +269,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.next()
             n = self.integer()
-            return _pow(base, n)
+            return Pow(base, n)
         return base
 
     def integer(self) -> int:
@@ -376,35 +315,11 @@ def parse_expression(text: str) -> Node:
     return _Parser(text).parse()
 
 
-def partial_node(node: Node, gamma: tuple[int, int, int]) -> Node:
-    """d^gamma applied symbolically, one axis at a time."""
-    out = node
-    for axis in range(3):
-        for _ in range(gamma[axis]):
-            out = out.diff(axis)
-    return out
-
-
 def field_from_expression(text_or_node) -> ScalarField:
-    """A ScalarField with exact symbolic partials from an expression.
-
-    Derivative ASTs are memoized per multi-index, so repeated seminorm
-    evaluations do not re-differentiate.
-    """
+    """A ScalarField with exact partials by Taylor-mode evaluation."""
     node = (
         parse_expression(text_or_node)
         if isinstance(text_or_node, str)
         else text_or_node
     )
-    cache: dict[tuple[int, int, int], Node] = {(0, 0, 0): node}
-
-    def eval_fn(pts):
-        return node.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def partial_fn(gamma, pts):
-        gamma = tuple(int(g) for g in gamma)
-        if gamma not in cache:
-            cache[gamma] = partial_node(node, gamma)
-        return cache[gamma].eval(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    return ScalarField(eval_fn, partial_fn=partial_fn, order=None)
+    return _OnePass(node.eval, node.partials, None, 1.0, True)

@@ -10,6 +10,10 @@ xi = J^{-1} (x - x_0) and physical partials follow by the chain rule, so a
 rotated flat element interpolates as well as an axis-aligned one.  A
 degenerate element raises DegenerateTetrahedron.
 
+Every field returns its exact partials of one order in one pass, partials(m,
+pts), by Taylor-mode evaluation for expressions; an interpolant maps its
+points once and applies one chain-rule matrix per order.
+
 Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
 callable; as_field is the one place that turns any of them into a
 ScalarField and knows its polynomial degree.
@@ -30,17 +34,76 @@ from .lattice import nodes_on, sigma_k
 MAX_DEGREE = 8
 
 MultiIndex = tuple[int, int, int]
-_UNIT: tuple[MultiIndex, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def derivative_indices(m: int) -> list[MultiIndex]:
+    """Multi-indices of total order m in a fixed lexicographic order."""
+    return [
+        (a, b, m - a - b)
+        for a in range(m, -1, -1)
+        for b in range(m - a, -1, -1)
+    ]
 
 
 def monomial_indices(k: int) -> list[MultiIndex]:
     """Exponent triples of total degree <= k, graded lexicographic."""
-    out = []
-    for total in range(k + 1):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                out.append((a, b, total - a - b))
-    return out
+    return [g for total in range(k + 1) for g in derivative_indices(total)]
+
+
+@lru_cache(maxsize=64)
+def _derivative_terms(exponents: tuple, m: int) -> tuple[list, int]:
+    """For each |gamma| = m, the terms of d^gamma of a polynomial with these
+    monomials, in their order, as (term index, factor, exponents left); and
+    the highest exponent left (-1 when every d^gamma vanishes)."""
+    rows = [
+        [
+            (t, math.perm(a, g0) * math.perm(b, g1) * math.perm(c, g2), a - g0, b - g1, c - g2)
+            for t, (a, b, c) in enumerate(exponents)
+            if a >= g0 and b >= g1 and c >= g2
+        ]
+        for g0, g1, g2 in derivative_indices(m)
+    ]
+    return rows, max((max(term[2:]) for row in rows for term in row), default=-1)
+
+
+@lru_cache(maxsize=None)
+def _product_plan(i: int, j: int):
+    """Gather indices into homogeneous parts of degree i and j, and reduceat offsets,
+    that multiply them into a part of degree i + j."""
+    target = {g: r for r, g in enumerate(derivative_indices(i + j))}
+    pairs = sorted(
+        (target[(a[0] + b[0], a[1] + b[1], a[2] + b[2])], s, t)
+        for s, a in enumerate(derivative_indices(i))
+        for t, b in enumerate(derivative_indices(j))
+    )
+    rows, left, right = (np.array(c) for c in zip(*pairs))
+    return left, right, np.flatnonzero(np.diff(rows, prepend=-1))
+
+
+def _times(a, i: int, b, j: int):
+    """The product of parts a (degree i) and b (degree j)."""
+    if i == 0 or j == 0:
+        return a * b
+    left, right, starts = _product_plan(i, j)
+    return np.add.reduceat(a[left] * b[right], starts, axis=0)
+
+
+@lru_cache(maxsize=16)
+def _first_axes(m: int):
+    """For each |gamma| = m, its first nonzero axis j and the row of
+    gamma - e_j in derivative_indices(m - 1)."""
+    gammas, lower = derivative_indices(m), derivative_indices(m - 1)
+    axes = [next(i for i in range(3) if g[i]) for g in gammas]
+    rows = [lower.index(tuple(x - (i == j) for i, x in enumerate(g))) for g, j in zip(gammas, axes)]
+    return np.array(axes), np.array(rows)
+
+
+def _power_table(p: np.ndarray, degree: int) -> np.ndarray:
+    """powers[axis, d] = p[:, axis]**d by repeated multiplication."""
+    powers = np.ones((3, degree + 1, p.shape[0]))
+    for d in range(1, degree + 1):
+        powers[:, d] = powers[:, d - 1] * p.T
+    return powers
 
 
 class Polynomial3:
@@ -79,23 +142,32 @@ class Polynomial3:
         return max(sum(k) for k in self.coeffs)
 
     def evaluate(self, pts) -> np.ndarray | float:
-        p = np.asarray(pts, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
-        if not self.coeffs:
-            out = np.zeros(p.shape[0])
-            return float(out[0]) if single else out
-        deg = self.degree
-        powers = [np.ones((p.shape[0], deg + 1)) for _ in range(3)]
-        for ax in range(3):
-            for d in range(1, deg + 1):
-                powers[ax][:, d] = powers[ax][:, d - 1] * p[:, ax]
-        out = np.zeros(p.shape[0])
-        for (a, b, c), coef in self.coeffs.items():
-            out += coef * powers[0][:, a] * powers[1][:, b] * powers[2][:, c]
+        single = np.ndim(pts) == 1
+        out = self.partials(0, pts)[0]
         return float(out[0]) if single else out
 
     __call__ = evaluate
+
+    def partials(self, m: int, pts) -> np.ndarray:
+        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
+
+        One power table serves every gamma.  Each row adds the terms of
+        partial(gamma) one at a time in their order, so it equals
+        partial(gamma).evaluate(pts) bitwise.
+        """
+        p = np.atleast_2d(np.asarray(pts, dtype=float))
+        terms, deg = _derivative_terms(tuple(self.coeffs), m)
+        out = np.zeros((len(terms), p.shape[0]))
+        if deg < 0:
+            return out
+        powers = _power_table(p, deg)
+        coeffs = list(self.coeffs.values())
+        for row, row_terms in zip(out, terms):
+            for t, factor, a, b, c in row_terms:
+                coef = coeffs[t] * factor
+                if coef != 0.0:
+                    row += coef * powers[0, a] * powers[1, b] * powers[2, c]
+        return out
 
     def partial(self, gamma: MultiIndex) -> "Polynomial3":
         """Exact partial derivative d^gamma."""
@@ -222,20 +294,29 @@ class ScalarField:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self._eval(p), dtype=float).reshape(p.shape[0])
 
-    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        total = sum(gamma)
-        if self.order is not None and total > self.order:
+    def _points(self, m: int, pts) -> np.ndarray:
+        """pts as an (N, 3) array once order m is known to be available."""
+        if self.order is not None and m > self.order:
             raise DerivativeUnavailable(
-                "field declares order %d, requested |gamma| = %d" % (self.order, total)
+                "field declares order %d, requested |gamma| = %d" % (self.order, m)
             )
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        if total == 0:
+        return np.atleast_2d(np.asarray(pts, dtype=float))
+
+    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
+        p = self._points(sum(gamma), pts)
+        if sum(gamma) == 0:
             return self(p)
         if self._partial is not None:
             return np.asarray(self._partial(tuple(gamma), p), dtype=float).reshape(
                 p.shape[0]
             )
         return self._fd_partial(tuple(gamma), p)
+
+    def partials(self, m: int, pts) -> np.ndarray:
+        """Every d^gamma with |gamma| = m at pts: an (n_gamma, N) array with
+        rows in derivative_indices(m) order, here one partial at a time."""
+        p = self._points(m, pts)
+        return np.stack([self.partial(g, p) for g in derivative_indices(m)])
 
     def _fd_partial(self, gamma: MultiIndex, pts: np.ndarray) -> np.ndarray:
         total = sum(gamma)
@@ -254,6 +335,22 @@ class ScalarField:
             return self(p)
 
         return rec(gamma, pts)
+
+
+class _OnePass(ScalarField):
+    """A field whose partials of one order come from one call,
+    partials_fn(m, pts) -> (n_gamma, N); a single partial is one row."""
+
+    def __init__(self, eval_fn, partials_fn, order, scale, exact):
+        super().__init__(eval_fn, order=order, scale=scale, exact=exact)
+        self._partials = partials_fn
+
+    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
+        m = sum(gamma)
+        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
+
+    def partials(self, m: int, pts) -> np.ndarray:
+        return self._partials(m, self._points(m, pts))
 
 
 class Interpolant:
@@ -280,37 +377,53 @@ class Interpolant:
         self._origin = origin
         self._inverse_t = np.ascontiguousarray(inverse.T)
         self.condition_estimate = condition_estimate
-        self._partials: dict[MultiIndex, Polynomial3] = {}
-
-    def _at(self, poly: Polynomial3, pts) -> np.ndarray:
-        """A polynomial in xi evaluated at physical points."""
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        if poly.degree == 0:  # a constant needs no mapped points
-            return np.full(p.shape[0], poly.coeffs.get((0, 0, 0), 0.0))
-        return poly.evaluate((p - self._origin) @ self._inverse_t)
+        # Per order, the partials' xi-monomial coefficients and exponents,
+        # built on first use; p = inf asks for one order once per block.
+        self._by_order: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def evaluate(self, pts) -> np.ndarray:
-        return self._at(self.ref, pts)
+        return self.partials(0, pts)[0]
 
     __call__ = evaluate
 
     def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        gamma = tuple(gamma)
-        if gamma not in self._partials:
-            # d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so d^gamma is the product
-            # of linear forms in the xi-derivatives; expanding it gives one
-            # polynomial sum_beta c_beta d^beta ref, evaluated once.
-            op = Polynomial3.constant(1.0)
-            for j, power in enumerate(gamma):
-                form = Polynomial3(dict(zip(_UNIT, self._inverse_t[j])))
-                for _ in range(power):
-                    op = op * form
-            dp: dict[MultiIndex, float] = {}
-            for beta, c in op.coeffs.items():
-                for key, val in self.ref.partial(beta).coeffs.items():
-                    dp[key] = dp.get(key, 0.0) + c * val
-            self._partials[gamma] = Polynomial3(dp)
-        return self._at(self._partials[gamma], pts)
+        m = sum(gamma)
+        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
+
+    def partials(self, m: int, pts) -> np.ndarray:
+        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
+
+        The points are mapped once, xi = (x - origin) J^{-T}, and one table
+        of the xi-monomials of degree <= k - m is contracted with the
+        coefficient matrix of order m.
+        """
+        p = np.atleast_2d(np.asarray(pts, dtype=float))
+        if m > self.k:
+            return np.zeros((len(derivative_indices(m)), p.shape[0]))
+        if m not in self._by_order:
+            monos = monomial_indices(self.k - m)
+            xi_partials = [
+                [d.get(alpha, 0.0) for alpha in monos]
+                for d in (self.ref.partial(beta).coeffs for beta in derivative_indices(m))
+            ]
+            exps = np.array(monos).T
+            self._by_order[m] = self._chain_rule(m) @ np.array(xi_partials), exps
+        coeffs, (a, b, c) = self._by_order[m]
+        powers = _power_table((p - self._origin) @ self._inverse_t, self.k - m)
+        return coeffs @ (powers[0, a] * powers[1, b] * powers[2, c])
+
+    def _chain_rule(self, m: int) -> np.ndarray:
+        """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
+
+        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so row gamma holds the
+        coefficients of the product of linear forms prod_j (J^{-T}[j] . d_xi)^gamma_j,
+        one form times a row of order m - 1.
+        """
+        c = np.ones((1, 1))
+        for d in range(1, m + 1):
+            axes, rows = _first_axes(d)
+            c = _times(self._inverse_t[axes].T, 1, c[rows].T, d - 1).T
+        return c
 
 
 def as_field(v) -> tuple[ScalarField, int | None]:
@@ -323,9 +436,9 @@ def as_field(v) -> tuple[ScalarField, int | None]:
     if isinstance(v, ScalarField):
         return v, None
     if isinstance(v, Polynomial3):
-        return ScalarField(v.evaluate, lambda g, pts: v.partial(g).evaluate(pts)), v.degree
+        return _OnePass(v.evaluate, v.partials, None, 1.0, True), v.degree
     if isinstance(v, Interpolant):
-        return ScalarField(v.evaluate, v.partial), v.k
+        return _OnePass(v.evaluate, v.partials, None, 1.0, True), v.k
     return ScalarField(v), None
 
 
@@ -408,18 +521,11 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     """
     v, _ = as_field(v)
     ip = interpolate(v, t, k)
-
-    def eval_fn(pts):
-        return v(pts) - ip.evaluate(pts)
-
-    def partial_fn(gamma, pts):
-        return v.partial(gamma, pts) - ip.partial(gamma, pts)
-
     # The difference is exact only when v's own partials are.
-    return ScalarField(
-        eval_fn,
-        partial_fn=partial_fn,
-        order=v.order,
-        scale=v.scale,
-        exact=v.exact_partials,
+    return _OnePass(
+        lambda pts: v(pts) - ip.evaluate(pts),
+        lambda m, pts: v.partials(m, pts) - ip.partials(m, pts),
+        v.order,
+        v.scale,
+        v.exact_partials,
     )

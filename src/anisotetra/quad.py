@@ -13,13 +13,15 @@ The seminorm follows the weighted convention
     |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
 One loop measures it for every p: a barycentric sample set is mapped to T
-once and |d^gamma u| is sampled there for every |gamma| = m.  For finite p
-the sample sets are quadrature rules and the samples are reduced by the
-weighted p-sum; _rule_degrees is the one place that picks their degrees.
-For p = infinity the sample set is a dense lattice, the reduction is the
-maximum and, for polynomials, one constrained Newton step polishes it; this
-route is documented as approximate and takes no quadrature degree.  A
-sampled value that is not finite raises NumericalError.
+once and one call, partials(m, pts), samples |d^gamma u| there for every
+|gamma| = m.  For finite p the sample sets are quadrature rules and the
+samples are reduced by the weighted p-sum; _rule_degrees is the one place
+that picks their degrees.  For p = infinity the sample set is a dense
+lattice, evaluated in blocks of at most BLOCK points: each gamma keeps a
+running maximum, which equals the maximum of one unblocked pass, and for
+polynomials one constrained Newton step polishes it; this route is
+documented as approximate and takes no quadrature degree.  A sampled value
+that is not finite raises NumericalError, for the first such gamma in order.
 """
 
 from __future__ import annotations
@@ -33,13 +35,16 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
-from .interp import ScalarField, as_field
+from .interp import ScalarField, as_field, derivative_indices
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
 RICHARDSON_DEGREE = 18
 RICHARDSON_RTOL = 1e-6
 DENSE_LATTICE_ORDER = 40
+# Points per partials call at p = inf, which bounds the (n_gamma, N) arrays
+# and expression jets; every quadrature rule (at most 1331 points) is one block.
+BLOCK = 4096
 
 MultiIndex = tuple[int, int, int]
 
@@ -120,15 +125,6 @@ def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
     return False, "p must satisfy 1 <= p <= inf, got p=%s" % (p,)
 
 
-def derivative_indices(m: int) -> list[MultiIndex]:
-    """Multi-indices of total order m in a fixed lexicographic order."""
-    return [
-        (a, b, m - a - b)
-        for a in range(m, -1, -1)
-        for b in range(m - a, -1, -1)
-    ]
-
-
 def multinomial_weight(gamma: MultiIndex) -> float:
     m = sum(gamma)
     return math.factorial(m) / (
@@ -207,6 +203,26 @@ def _newton_polish(
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
 
 
+def _running_max(field_u: ScalarField, m: int, pts: np.ndarray, gammas: list):
+    """max |d^gamma u| over pts and every |gamma| = m, and the first gamma and
+    point that attain it (None when it is 0), as one unblocked pass in gamma
+    order would find them: each gamma keeps the earliest point of its maximum."""
+    best = np.zeros(len(gammas))
+    where = np.zeros((len(gammas), 3))
+    finite = np.ones(len(gammas), dtype=bool)
+    for block in np.array_split(pts, -(-len(pts) // BLOCK)):
+        vals = np.abs(field_u.partials(m, block))
+        idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
+        top = vals[np.arange(len(gammas)), idx]
+        finite &= np.isfinite(top)
+        up = top > best
+        best[up], where[up] = top[up], block[idx[up]]
+    if not finite.all():  # raises for the first such gamma
+        _finite(math.nan, gammas[int(np.argmin(finite))])
+    g = int(np.argmax(best))
+    return float(best[g]), ((gammas[g], where[g]) if best[g] > 0 else None)
+
+
 def _rule_degrees(
     spec: SeminormSpec, poly_degree: int | None, degree: int | None
 ) -> tuple[int, ...]:
@@ -252,18 +268,19 @@ def seminorm_with_info(
         sample_sets = [(_dense_unit_weights(DENSE_LATTICE_ORDER), None)]
     p = float(spec.p)
     verts = t.as_array()
+    gammas = derivative_indices(spec.m)
     totals = []
     for bary, weights in sample_sets:
         pts = bary @ verts
-        total, at = 0.0, None
-        for gamma in derivative_indices(spec.m):
-            vals = np.abs(field_u.partial(gamma, pts))
-            if weights is None:
-                idx = int(np.argmax(vals))  # the first NaN, if there is one
-                if _finite(vals[idx], gamma) > total:
-                    total, at = float(vals[idx]), (gamma, pts[idx])
-            else:
-                integral = _finite(float(np.dot(weights, vals ** p)), gamma)
+        if poly_degree is not None and spec.m > poly_degree:
+            total, at = 0.0, None  # every d^gamma u vanishes
+        elif weights is None:
+            total, at = _running_max(field_u, spec.m, pts, gammas)
+        else:
+            vals = np.abs(field_u.partials(spec.m, pts))
+            total = 0.0
+            for gamma, row in zip(gammas, vals):
+                integral = _finite(float(np.dot(weights, row ** p)), gamma)
                 total += multinomial_weight(gamma) * vol * integral
         totals.append(total)
     if degrees:

@@ -1,12 +1,23 @@
-"""Expression parsing and symbolic differentiation tests."""
+"""Expression parsing and Taylor-mode differentiation tests."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from anisotetra.errors import ExpressionParseError
-from anisotetra.expr import field_from_expression, parse_expression, partial_node
+from anisotetra.expr import field_from_expression, parse_expression
+from anisotetra.geom import TYPE1, reference_tetrahedron
+from anisotetra.interp import (
+    Polynomial3,
+    ScalarField,
+    as_field,
+    derivative_indices,
+    interpolate,
+    residual,
+)
 
 PTS = np.array(
     [[0.3, 0.1, 0.7], [1.2, -0.4, 0.05], [0.0, 0.0, 0.0], [-0.7, 2.0, 1.3]]
@@ -70,37 +81,32 @@ class TestParsing:
 
 class TestDifferentiation:
     def test_polynomial_partials(self):
-        node = parse_expression("x^3*y - 2*z^2")
-        d = partial_node(node, (1, 1, 0))
+        f = field_from_expression("x^3*y - 2*z^2")
         want = 3.0 * PTS[:, 0] ** 2
-        assert np.allclose(d.eval(PTS), want)
+        assert np.allclose(f.partial((1, 1, 0), PTS), want)
 
     def test_trig_chain_rule(self):
-        node = parse_expression("sin(2*x + y)")
-        d = partial_node(node, (1, 0, 0))
+        f = field_from_expression("sin(2*x + y)")
         want = 2.0 * np.cos(2 * PTS[:, 0] + PTS[:, 1])
-        assert np.allclose(d.eval(PTS), want)
+        assert np.allclose(f.partial((1, 0, 0), PTS), want)
 
     def test_quotient_rule_high_order(self):
         # Fifth x-derivative of 1/(1 + x): 5! * (-1)^5 / (1 + x)^6.
-        node = parse_expression("1/(1 + x)")
+        f = field_from_expression("1/(1 + x)")
         pts = np.array([[0.2, 0.0, 0.0], [1.5, 0.0, 0.0]])
-        d = partial_node(node, (5, 0, 0))
         want = -math.factorial(5) / (1 + pts[:, 0]) ** 6
-        assert np.allclose(d.eval(pts), want, rtol=1e-12)
+        assert np.allclose(f.partial((5, 0, 0), pts), want, rtol=1e-12)
 
     def test_mixed_exponential(self):
-        node = parse_expression("exp(x*y)")
-        d = partial_node(node, (1, 1, 0))
+        f = field_from_expression("exp(x*y)")
         x, y = PTS[:, 0], PTS[:, 1]
         want = (1.0 + x * y) * np.exp(x * y)
-        assert np.allclose(d.eval(PTS), want, rtol=1e-13)
+        assert np.allclose(f.partial((1, 1, 0), PTS), want, rtol=1e-13)
 
     def test_negative_power_rule(self):
-        node = parse_expression("x^-3")
-        d = partial_node(node, (1, 0, 0))
+        f = field_from_expression("x^-3")
         pts = np.array([[2.0, 0.0, 0.0]])
-        assert np.allclose(d.eval(pts), -3.0 * 2.0**-4.0)
+        assert np.allclose(f.partial((1, 0, 0), pts), -3.0 * 2.0**-4.0)
 
 
 class TestField:
@@ -114,7 +120,6 @@ class TestField:
         arg = PTS @ np.array([1.0, 2.0, 3.0])
         got = f.partial((0, 2, 0), PTS)
         assert np.allclose(got, -4.0 * np.sin(arg), rtol=1e-14)
-        # Repeated queries hit the memoized derivative tree.
         again = f.partial((0, 2, 0), PTS)
         assert np.array_equal(got, again)
 
@@ -122,3 +127,119 @@ class TestField:
         node = parse_expression("x*y")
         f = field_from_expression(node)
         assert np.allclose(f(PTS), PTS[:, 0] * PTS[:, 1])
+
+
+# Taylor-mode partials against closed forms, every |gamma| <= 5.
+
+ORDERS = range(6)
+COEFF = st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda v: round(v, 6))
+BOX = np.random.default_rng(4).uniform(-1.0, 1.0, (7, 3))
+
+
+def affine_text(a, b):
+    return "(%r)*x + (%r)*y + (%r)*z + (%r)" % (a[0], a[1], a[2], b)
+
+
+def affine_value(a, b, pts):
+    # The parse tree's order of operations, so values match bitwise.
+    return ((a[0] * pts[:, 0] + a[1] * pts[:, 1]) + a[2] * pts[:, 2]) + b
+
+
+def a_power(a, gamma):
+    return a[0] ** gamma[0] * a[1] ** gamma[1] * a[2] ** gamma[2]
+
+
+class TestJets:
+    @settings(max_examples=30, deadline=None)
+    @seed(2)
+    @given(a=st.tuples(COEFF, COEFF, COEFF), b=COEFF, name=st.sampled_from(["sin", "cos", "exp"]))
+    def test_function_of_affine_argument(self, a, b, name):
+        f = field_from_expression("%s(%s)" % (name, affine_text(a, b)))
+        arg = affine_value(a, b, BOX)
+        cycle = {
+            "sin": (np.sin(arg), np.cos(arg), -np.sin(arg), -np.cos(arg)),
+            "cos": (np.cos(arg), -np.sin(arg), -np.cos(arg), np.sin(arg)),
+            "exp": (np.exp(arg),) * 4,
+        }[name]
+        for n in ORDERS:
+            for gamma, got in zip(derivative_indices(n), f.partials(n, BOX)):
+                want = a_power(a, gamma) * cycle[n % 4]
+                assert np.allclose(got, want, rtol=1e-12, atol=0), (gamma, got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @seed(3)
+    @given(a=st.tuples(COEFF, COEFF, COEFF), extra=st.floats(0.0, 3.0))
+    def test_reciprocal_of_affine_argument(self, a, extra):
+        # The denominator is >= 1 on the box.
+        c = round(1.0 + sum(map(abs, a)) + extra, 6)
+        f = field_from_expression("1/(%s)" % affine_text(a, c))
+        denom = affine_value(a, c, BOX)
+        assert np.all(denom >= 1.0)
+        for n in ORDERS:
+            for gamma, got in zip(derivative_indices(n), f.partials(n, BOX)):
+                want = (-1) ** n * math.factorial(n) * a_power(a, gamma) / denom ** (n + 1)
+                assert np.allclose(got, want, rtol=1e-12, atol=0), (gamma, got, want)
+
+    def test_polynomial_expressions_match_polynomial3(self):
+        x, y, z = (Polynomial3.variable(axis) for axis in range(3))
+        cases = {
+            "(x+y)^4": (x + y) * (x + y) * (x + y) * (x + y),
+            "x^2*y - 3*z^3 + (x - 2*y)^3": x * x * y - 3 * z * z * z + (x - 2 * y) * (x - 2 * y) * (x - 2 * y),
+            "(1 - x*z)^2 / 4": (1 - x * z) * (1 - x * z) * 0.25,
+        }
+        for text, q in cases.items():
+            f = field_from_expression(text)
+            for n in ORDERS:
+                want = [q.partial(g).evaluate(BOX) for g in derivative_indices(n)]
+                assert np.allclose(f.partials(n, BOX), want, rtol=1e-12, atol=1e-12), (text, n)
+
+    def test_negative_power_all_orders(self):
+        pts = np.array([[0.5, 0.3, -0.2], [2.0, -1.0, 0.0], [-1.5, 0.0, 4.0]])
+        f = field_from_expression("x^-3")
+        for n in ORDERS:
+            falling = math.prod(range(-3, -3 - n, -1))
+            for gamma, got in zip(derivative_indices(n), f.partials(n, pts)):
+                want = falling * pts[:, 0] ** (-3 - n) if gamma == (n, 0, 0) else 0.0
+                assert np.allclose(got, want, rtol=1e-13, atol=0), (gamma, got, want)
+
+    def test_mixed_partials_of_products_and_quotients(self):
+        x, y, z = PTS[:, 0], PTS[:, 1], PTS[:, 2]
+        e = np.exp(x * y)
+        s, c, w = np.sin(x), np.cos(y), 2.0 + z
+        cases = [
+            ("exp(x*y)", (1, 1, 0), (1 + x * y) * e),
+            ("exp(x*y)", (2, 1, 0), y * (2 + x * y) * e),
+            ("exp(x*y)", (2, 2, 0), (2 + 4 * x * y + (x * y) ** 2) * e),
+            ("sin(x)*cos(y)/(2+z)", (1, 1, 1), np.cos(x) * np.sin(y) / w**2),
+            ("sin(x)*cos(y)/(2+z)", (2, 0, 2), -2 * s * c / w**3),
+            ("sin(x)*cos(y)/(2+z)", (0, 1, 3), 6 * s * np.sin(y) / w**4),
+        ]
+        for text, gamma, want in cases:
+            got = field_from_expression(text).partial(gamma, PTS)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14), (text, gamma)
+
+
+def test_partials_rows_equal_single_partials():
+    # Every kind of field: row i of partials(m) is partial(gamma_i), bitwise.
+    t = reference_tetrahedron(TYPE1)
+    q = Polynomial3({(3, 1, 0): 0.7, (0, 2, 2): -1.3, (1, 1, 1): 2.0, (0, 0, 1): 0.4})
+    trig = field_from_expression("sin(x + 2*y - z) / (3 + x)")
+    fields = {
+        "expr": trig,
+        "polynomial": as_field(q)[0],
+        "interpolant": as_field(interpolate(trig, t, 3))[0],
+        "residual": residual(q, t, 2),
+        "finite difference": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
+        "per-gamma": ScalarField(trig, partial_fn=lambda g, pts: trig.partial(g, pts)),
+    }
+    pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.05], [0.0, 0.5, 0.25]])
+    for name, f in fields.items():
+        for m in range(4):
+            rows = f.partials(m, pts)
+            assert rows.shape == (len(derivative_indices(m)), len(pts)), name
+            for gamma, row in zip(derivative_indices(m), rows):
+                assert np.array_equal(row, f.partial(gamma, pts)), (name, gamma)
+    # A polynomial's rows are its exact partial polynomials evaluated, bitwise.
+    for m in range(5):
+        for gamma, row in zip(derivative_indices(m), q.partials(m, pts)):
+            assert np.array_equal(row, q.partial(gamma).evaluate(pts)), gamma

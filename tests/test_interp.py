@@ -215,6 +215,15 @@ class TestInterpolation:
         assert "not finite" in str(exc.value)
         assert "(2, 0, 0, 0)" in str(exc.value)
 
+    @pytest.mark.parametrize("k,tol", [(4, 1e-13), (8, 1e-10)])
+    def test_nodal_values_reproduced_at_high_degree(self, k, tol):
+        # Guards the conditioning of the monomial reference basis: on a
+        # rotated element the interpolant returns its own nodal values.
+        f = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
+        ip = interpolate(f, ROTATED_ANISO, k)
+        _, nodes = nodes_on(ROTATED_ANISO.coords(), k)
+        assert np.max(np.abs(ip.partials(0, nodes)[0] - f(nodes))) <= tol
+
     def test_condition_estimate_reported(self):
         ip = interpolate(Polynomial3.constant(1.0), ANISO, 4)
         assert ip.condition_estimate >= 1.0

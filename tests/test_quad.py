@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from anisotetra import quad
 from anisotetra.errors import NumericalError, UnsupportedDegree
+from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
-from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
+from anisotetra.interp import Polynomial3, ScalarField, monomial_indices, residual
 from anisotetra.quad import (
     SeminormSpec,
     derivative_indices,
@@ -185,6 +187,36 @@ class TestSupSeminorm:
             seminorm_with_info(
                 Polynomial3.variable(0), T_HAT, SeminormSpec(0, math.inf), degree=12
             )
+
+    def lattice(self, t):
+        pts = quad._dense_unit_weights(quad.DENSE_LATTICE_ORDER) @ t.as_array()
+        assert len(pts) > quad.BLOCK  # the lattice is evaluated in several blocks
+        return pts
+
+    @pytest.mark.parametrize("m", [0, 2, 5])
+    def test_blocked_max_equals_unblocked(self, m):
+        v = field_from_expression("1/((0.3)*x + (-0.7)*y + (0.2)*z + (1.6))")
+        for u in (v, residual(v, ANISO, 2)):
+            want = float(np.max(np.abs(u.partials(m, self.lattice(ANISO)))))
+            assert seminorm(u, ANISO, SeminormSpec(m, math.inf)) == want
+
+    def test_first_nonfinite_gamma_named_across_blocks(self):
+        # NaN at the first lattice point (first block) for the later
+        # gamma (0, 0, 1), and at the last point (last block) for the
+        # earlier gamma (1, 0, 0): the error names (1, 0, 0), as one
+        # unblocked pass in gamma order would.
+        pts = self.lattice(ANISO)
+        nan_at = {(0, 0, 1): pts[0], (1, 0, 0): pts[-1]}
+
+        def partial_fn(gamma, x):
+            out = np.zeros(len(x))
+            if gamma in nan_at:
+                out[np.all(x == nan_at[gamma], axis=1)] = np.nan
+            return out
+
+        u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
+        with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
+            seminorm(u, ANISO, SeminormSpec(1, math.inf))
 
     def test_linear_sup_is_vertex_max(self):
         u = Polynomial3({(1, 0, 0): 2.0, (0, 0, 0): -0.5})

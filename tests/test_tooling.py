@@ -8,7 +8,13 @@ are not executed) and each one is resolved here.
 
 import ast
 import importlib
+import math
 from pathlib import Path
+
+import pytest
+
+from anisotetra import ScalarField, corpus, error_ratio, generate
+from anisotetra.verify import TetraGenSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +56,20 @@ def test_perfbench_imports_resolve():
     assert len({script for script, _, _ in imports}) >= 3, imports
     missing = [imp for imp in imports if not resolves(imp[1], imp[2])]
     assert not missing, "perfbench imports names the package no longer has: %r" % missing
+
+
+@pytest.mark.parametrize("spec", [(1, 0, 2.0), (2, 1, 3.0), (3, 2, 2.0), (4, 2, math.inf)])
+def test_per_gamma_wrapped_field_matches(spec):
+    # perfbench's traced replay wraps each field so that every partial is
+    # one call, ScalarField(v, partial_fn=...); error_ratio must give the
+    # same numbers through that per-gamma protocol.
+    t = generate(TetraGenSpec("sliver", 5), 6)[4]
+    for name, v in corpus(spec[0], t):
+        if not isinstance(v, ScalarField):
+            continue
+        wrapped = ScalarField(v, partial_fn=lambda g, p, v=v: v.partial(g, p),
+                              order=v.order, scale=v.scale, exact=v.exact_partials)
+        want, got = error_ratio(v, t, *spec), error_ratio(wrapped, t, *spec)
+        for key in ("error", "seminorm_hi", "ratio"):
+            a, b = getattr(want, key), getattr(got, key)
+            assert abs(a - b) <= 1e-12 * abs(a), (name, key, a, b)
