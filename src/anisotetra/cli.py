@@ -124,9 +124,12 @@ def _csv_cell(value) -> str:
 
 
 def render_csv(rows: list[dict]) -> str:
+    """Sweep rows as CSV, each row's alpha split into alpha1..alpha3."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
+        a1, a2, a3 = row["alpha"]
+        cells = dict(row, schema_version=SCHEMA_VERSION, alpha1=a1, alpha2=a2, alpha3=a3)
+        lines.append(",".join(_csv_cell(cells[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -397,22 +400,8 @@ def cmd_sweep(args) -> int:
         raise InputError("--eps-levels must be >= 1, got %d" % args.eps_levels)
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
-    csv_rows = []
-    rows_out = []
-    for row in result.rows:
-        csv_rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "level": row.level,
-            "alpha1": row.alpha[0],
-            "alpha2": row.alpha[1],
-            "alpha3": row.alpha[2],
-            "r_t": row.r_t,
-            "h_t": row.h_t,
-            "max_ratio": row.max_ratio,
-            "max_scaled": row.max_scaled,
-            "worst_field": row.worst_field,
-        })
-        rows_out.append({
+    rows_out = [
+        {
             "level": row.level,
             "alpha": list(row.alpha),
             "r_t": row.r_t,
@@ -420,7 +409,9 @@ def cmd_sweep(args) -> int:
             "max_ratio": row.max_ratio,
             "max_scaled": row.max_scaled,
             "worst_field": row.worst_field,
-        })
+        }
+        for row in result.rows
+    ]
     results = {
         "k": result.k,
         "m": result.m,
@@ -443,7 +434,7 @@ def cmd_sweep(args) -> int:
         "eps_levels": args.eps_levels,
     }
     if args.csv:
-        _write_text(args.csv, render_csv(csv_rows))
+        _write_text(args.csv, render_csv(rows_out))
     _write_text(args.out, render_json(_report("sweep", config, results)))
     return 0
 

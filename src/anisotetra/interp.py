@@ -11,8 +11,12 @@ rotated flat element interpolates as well as an axis-aligned one.  A
 degenerate element raises DegenerateTetrahedron.
 
 Every field returns its exact partials of one order in one pass, partials(m,
-pts), by Taylor-mode evaluation for expressions; an interpolant maps its
-points once and applies one chain-rule matrix per order.
+pts), by Taylor-mode evaluation for expressions.  A Polynomial3 and an
+interpolant share one kernel, _contract: a matrix of derivative coefficients
+(the interpolant's is its reference polynomial's times one chain-rule matrix,
+at points mapped once to xi) against one monomial table, summed one monomial
+at a time rather than by a BLAS product, whose rows are not bitwise equal to
+one-row products; so row gamma equals the single partial d^gamma.
 
 Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
 callable; as_field is the one place that turns any of them into a
@@ -50,20 +54,20 @@ def monomial_indices(k: int) -> list[MultiIndex]:
     return [g for total in range(k + 1) for g in derivative_indices(total)]
 
 
-@lru_cache(maxsize=64)
-def _derivative_terms(exponents: tuple, m: int) -> tuple[list, int]:
-    """For each |gamma| = m, the terms of d^gamma of a polynomial with these
-    monomials, in their order, as (term index, factor, exponents left); and
-    the highest exponent left (-1 when every d^gamma vanishes)."""
-    rows = [
-        [
-            (t, math.perm(a, g0) * math.perm(b, g1) * math.perm(c, g2), a - g0, b - g1, c - g2)
-            for t, (a, b, c) in enumerate(exponents)
-            if a >= g0 and b >= g1 and c >= g2
-        ]
-        for g0, g1, g2 in derivative_indices(m)
+@lru_cache(maxsize=None)
+def _derivative_plan(degree: int, m: int):
+    """Where every d^gamma, |gamma| = m, sends the monomials of degree <= degree
+    (m <= degree): its row, the column in monomial_indices(degree - m), the
+    source column in monomial_indices(degree) and the integer factor."""
+    col = {g: j for j, g in enumerate(monomial_indices(degree - m))}
+    entries = [
+        (r, col[(a - g0, b - g1, c - g2)], s,
+         math.perm(a, g0) * math.perm(b, g1) * math.perm(c, g2))
+        for r, (g0, g1, g2) in enumerate(derivative_indices(m))
+        for s, (a, b, c) in enumerate(monomial_indices(degree))
+        if a >= g0 and b >= g1 and c >= g2
     ]
-    return rows, max((max(term[2:]) for row in rows for term in row), default=-1)
+    return tuple(np.array(e) for e in zip(*entries))
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +110,39 @@ def _power_table(p: np.ndarray, degree: int) -> np.ndarray:
     return powers
 
 
+@lru_cache(maxsize=None)
+def _exponents(degree: int) -> np.ndarray:
+    """monomial_indices(degree) as a (3, M) array, one row per axis."""
+    return np.array(monomial_indices(degree), dtype=int).reshape(-1, 3).T
+
+
+def _contract(degree: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Row i of sum_j coeffs[i, j] x^alpha_j at pts, alpha_j in monomial_indices(degree).
+
+    One power table serves every row; monomials are added one at a time in
+    their order and never through a matrix product, whose rows are not
+    bitwise equal to one-row products, so each row is the value its
+    polynomial alone would give.  A zero column adds nothing.
+    """
+    powers = _power_table(pts, max(degree, 0))
+    used = np.flatnonzero(coeffs.any(axis=0))
+    a, b, c = _exponents(degree)[:, used]
+    out = np.zeros((coeffs.shape[0], pts.shape[0]))
+    for col, mono in zip(coeffs.T[used], powers[0, a] * powers[1, b] * powers[2, c]):
+        out += col[:, None] * mono
+    return out
+
+
 class Polynomial3:
     """A polynomial in three variables as a sparse monomial-coefficient map.
 
     Supports exact partial differentiation, exact integration over a
     tetrahedron, affine substitution, arithmetic, and vectorized evaluation.
+    Values and partials come from _contract of the coefficient matrix of
+    each order, cached on first use, so coeffs must not change after it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_by_order")
 
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
@@ -124,6 +153,7 @@ class Polynomial3:
                 if v != 0.0:
                     clean[(int(a), int(b), int(c))] = v
         self.coeffs = clean
+        self._by_order: dict[int, np.ndarray] = {}
 
     @classmethod
     def constant(cls, c: float) -> "Polynomial3":
@@ -151,36 +181,30 @@ class Polynomial3:
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
 
-        One power table serves every gamma.  Each row adds the terms of
-        partial(gamma) one at a time in their order, so it equals
+        One _contract of the order-m coefficient matrix, so row gamma equals
         partial(gamma).evaluate(pts) bitwise.
         """
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        terms, deg = _derivative_terms(tuple(self.coeffs), m)
-        out = np.zeros((len(terms), p.shape[0]))
-        if deg < 0:
-            return out
-        powers = _power_table(p, deg)
-        coeffs = list(self.coeffs.values())
-        for row, row_terms in zip(out, terms):
-            for t, factor, a, b, c in row_terms:
-                coef = coeffs[t] * factor
-                if coef != 0.0:
-                    row += coef * powers[0, a] * powers[1, b] * powers[2, c]
-        return out
+        return _contract(self.degree - m, self._derivatives(m), p)
+
+    def _derivatives(self, m: int) -> np.ndarray:
+        """The coefficients of every d^gamma, |gamma| = m, over
+        monomial_indices(degree - m), one row per gamma; built on first use."""
+        if m not in self._by_order:
+            deg = self.degree
+            out = np.zeros((len(derivative_indices(m)), len(monomial_indices(deg - m))))
+            if m <= deg:
+                rows, cols, src, factor = _derivative_plan(deg, m)
+                dense = np.array([self.coeffs.get(g, 0.0) for g in monomial_indices(deg)])
+                out[rows, cols] = dense[src] * factor
+            self._by_order[m] = out
+        return self._by_order[m]
 
     def partial(self, gamma: MultiIndex) -> "Polynomial3":
-        """Exact partial derivative d^gamma."""
-        out = {}
-        g0, g1, g2 = gamma
-        for (a, b, c), coef in self.coeffs.items():
-            if a < g0 or b < g1 or c < g2:
-                continue
-            factor = (
-                math.perm(a, g0) * math.perm(b, g1) * math.perm(c, g2)
-            )
-            out[(a - g0, b - g1, c - g2)] = out.get((a - g0, b - g1, c - g2), 0.0) + coef * factor
-        return Polynomial3(out)
+        """Exact partial derivative d^gamma: one row of _derivatives."""
+        m = sum(gamma)
+        row = self._derivatives(m)[derivative_indices(m).index(tuple(gamma))]
+        return Polynomial3(dict(zip(monomial_indices(self.degree - m), row)))
 
     def compose_affine(self, B, b) -> "Polynomial3":
         """The polynomial x -> p(B @ x + b), expanded exactly."""
@@ -358,28 +382,28 @@ class Interpolant:
 
     `ref` is the interpolant as a polynomial in the reference coordinates
     xi of the affine map x = origin + J xi onto the tetra.  Points are
-    pulled back with xi = J^{-1} (x - origin); physical partials follow by
-    the chain rule.  `condition_estimate` is cond_2(J).
+    pulled back with xi = J^{-1} (x - origin); physical partials of order m
+    are ref's own order-m coefficient matrix, multiplied by one chain-rule
+    matrix, evaluated at xi by the same _contract as a Polynomial3's.
+    `condition_estimate` is cond_2(J).
     """
 
     def __init__(
         self,
         ref: Polynomial3,
-        tetra: Tetrahedron,
         k: int,
         origin: np.ndarray,
         inverse: np.ndarray,
         condition_estimate: float,
     ):
         self.ref = ref
-        self.tetra = tetra
         self.k = k
         self._origin = origin
         self._inverse_t = np.ascontiguousarray(inverse.T)
         self.condition_estimate = condition_estimate
-        # Per order, the partials' xi-monomial coefficients and exponents,
-        # built on first use; p = inf asks for one order once per block.
-        self._by_order: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Per order, the partials' xi-monomial coefficients, built on first
+        # use; p = inf asks for one order once per block.
+        self._by_order: dict[int, np.ndarray] = {}
 
     def evaluate(self, pts) -> np.ndarray:
         return self.partials(0, pts)[0]
@@ -393,24 +417,14 @@ class Interpolant:
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
 
-        The points are mapped once, xi = (x - origin) J^{-T}, and one table
-        of the xi-monomials of degree <= k - m is contracted with the
-        coefficient matrix of order m.
+        The points are mapped once, xi = (x - origin) J^{-T}; ref's degree,
+        not k, bounds the xi-monomials, since ref drops zero coefficients.
         """
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        if m > self.k:
-            return np.zeros((len(derivative_indices(m)), p.shape[0]))
         if m not in self._by_order:
-            monos = monomial_indices(self.k - m)
-            xi_partials = [
-                [d.get(alpha, 0.0) for alpha in monos]
-                for d in (self.ref.partial(beta).coeffs for beta in derivative_indices(m))
-            ]
-            exps = np.array(monos).T
-            self._by_order[m] = self._chain_rule(m) @ np.array(xi_partials), exps
-        coeffs, (a, b, c) = self._by_order[m]
-        powers = _power_table((p - self._origin) @ self._inverse_t, self.k - m)
-        return coeffs @ (powers[0, a] * powers[1, b] * powers[2, c])
+            self._by_order[m] = self._chain_rule(m) @ self.ref._derivatives(m)
+        xi = (p - self._origin) @ self._inverse_t
+        return _contract(self.ref.degree - m, self._by_order[m], xi)
 
     def _chain_rule(self, m: int) -> np.ndarray:
         """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
@@ -505,7 +519,6 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     coef = _reference_basis(k) @ values
     return Interpolant(
         ref=Polynomial3(dict(zip(monomial_indices(k), coef))),
-        tetra=t,
         k=k,
         origin=origin,
         inverse=np.linalg.inv(jac),

@@ -12,16 +12,20 @@ The seminorm follows the weighted convention
 
     |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
-One loop measures it for every p: a barycentric sample set is mapped to T
-once and one call, partials(m, pts), samples |d^gamma u| there for every
-|gamma| = m.  For finite p the sample sets are quadrature rules and the
-samples are reduced by the weighted p-sum; _rule_degrees is the one place
-that picks their degrees.  For p = infinity the sample set is a dense
-lattice, evaluated in blocks of at most BLOCK points: each gamma keeps a
-running maximum, which equals the maximum of one unblocked pass, and for
-polynomials one constrained Newton step polishes it; this route is
-documented as approximate and takes no quadrature degree.  A sampled value
-that is not finite raises NumericalError, for the first such gamma in order.
+A barycentric sample set is mapped to T once and one call, partials(m, pts),
+samples |d^gamma u| there for every |gamma| = m.  For finite p the sample
+sets are quadrature rules and the samples are reduced by the weighted p-sum;
+_rule_degrees is the one place that picks their degrees.  Every sample is
+first divided by one power of two 2^e above the largest sample of all the
+rules, so no p-th power overflows at large p (10^400 would), and the value
+is 2^e times the p-th root; the 12/18 agreement check compares the scaled
+sums, and at p = 2 the scaling changes no digit.  For p = infinity the
+sample set is a dense lattice, evaluated in blocks of at most BLOCK points:
+each gamma keeps a running maximum, which equals the maximum of one
+unblocked pass, and for polynomials one constrained Newton step polishes
+it; this route is documented as approximate and takes no quadrature
+degree.  A sampled value that is not finite raises NumericalError, for the
+first such gamma in order.
 """
 
 from __future__ import annotations
@@ -142,13 +146,12 @@ class SeminormInfo:
     approximate_partials: bool = False
 
 
-def _finite(value: float, gamma: MultiIndex) -> float:
-    """Return value, a maximum or a positive-weight sum of |d^gamma u|
-    samples, which is finite exactly when every sample is; else raise
-    NumericalError."""
-    if not math.isfinite(value):
+def _check_finite(finite: np.ndarray, gammas: list):
+    """NumericalError naming the first gamma, in order, whose entry of
+    `finite` (are all its samples finite?) is False."""
+    if not finite.all():
+        gamma = gammas[int(np.argmin(finite))]
         raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
-    return value
 
 
 @lru_cache(maxsize=4)
@@ -173,25 +176,20 @@ def _newton_polish(
 ) -> float:
     """One constrained Newton step toward a local extremum of |d^gamma u|.
 
-    Value, gradient and Hessian are the field's exact partials of orders
-    gamma, gamma + e_i and gamma + e_i + e_j.
+    Value, gradient and Hessian are the rows gamma, gamma + e_i and
+    gamma + e_i + e_j of the field's partials of orders |gamma|, |gamma| + 1
+    and |gamma| + 2 at x0.
     """
-
-    def d(extra: MultiIndex, x: np.ndarray) -> float:
-        order = tuple(g + e for g, e in zip(gamma, extra))
-        return float(field_u.partial(order, x[None, :])[0])
-
-    val0 = d((0, 0, 0), x0)
+    m, e = sum(gamma), np.eye(3, dtype=int)
+    row = derivative_indices(m).index(gamma)
+    val0 = float(field_u.partials(m, x0[None, :])[row, 0])
     sign = 1.0 if val0 >= 0 else -1.0
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    grad = np.array([d(a, x0) for a in axes])
-    hess = np.empty((3, 3))
-    for i, ai in enumerate(axes):
-        for j, aj in enumerate(axes):
-            if j < i:
-                hess[i, j] = hess[j, i]
-                continue
-            hess[i, j] = d(tuple(ai[l] + aj[l] for l in range(3)), x0)
+    first, second = (field_u.partials(m + n, x0[None, :])[:, 0] for n in (1, 2))
+    up1, up2 = derivative_indices(m + 1), derivative_indices(m + 2)
+    grad = np.array([first[up1.index(tuple(gamma + e[i]))] for i in range(3)])
+    hess = np.array(
+        [[second[up2.index(tuple(gamma + e[i] + e[j]))] for j in range(3)] for i in range(3)]
+    )
     try:
         step = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
@@ -199,7 +197,7 @@ def _newton_polish(
     x1 = x0 + step
     if not _inside(t, x1):
         return abs(val0)
-    val1 = sign * d((0, 0, 0), x1)
+    val1 = sign * float(field_u.partials(m, x1[None, :])[row, 0])
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
 
 
@@ -217,8 +215,7 @@ def _running_max(field_u: ScalarField, m: int, pts: np.ndarray, gammas: list):
         finite &= np.isfinite(top)
         up = top > best
         best[up], where[up] = top[up], block[idx[up]]
-    if not finite.all():  # raises for the first such gamma
-        _finite(math.nan, gammas[int(np.argmin(finite))])
+    _check_finite(finite, gammas)
     g = int(np.argmax(best))
     return float(best[g]), ((gammas[g], where[g]) if best[g] > 0 else None)
 
@@ -261,49 +258,46 @@ def seminorm_with_info(
     """
     field_u, poly_degree = as_field(u)
     degrees = _rule_degrees(spec, poly_degree, degree)
-    if degrees:
-        sample_sets = [(r.nodes, r.weights) for r in map(rule_for_degree, degrees)]
-        vol = volume(t)
-    else:
-        sample_sets = [(_dense_unit_weights(DENSE_LATTICE_ORDER), None)]
-    p = float(spec.p)
     verts = t.as_array()
     gammas = derivative_indices(spec.m)
-    totals = []
-    for bary, weights in sample_sets:
-        pts = bary @ verts
-        if poly_degree is not None and spec.m > poly_degree:
-            total, at = 0.0, None  # every d^gamma u vanishes
-        elif weights is None:
-            total, at = _running_max(field_u, spec.m, pts, gammas)
-        else:
-            vals = np.abs(field_u.partials(spec.m, pts))
-            total = 0.0
-            for gamma, row in zip(gammas, vals):
-                integral = _finite(float(np.dot(weights, row ** p)), gamma)
-                total += multinomial_weight(gamma) * vol * integral
-        totals.append(total)
-    if degrees:
-        value = float(totals[-1] ** (1.0 / p))
-        warnings: tuple[str, ...] = ()
-        ref = max(abs(totals[-1]), 1e-300)
-        if len(totals) == 2 and abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
-            warnings = (
-                "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
-                "be under-resolved"
-                % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
-            )
-    else:
-        value = total
+    vanishes = poly_degree is not None and spec.m > poly_degree  # every d^gamma u is 0
+    if not degrees:
+        value, at = (0.0, None) if vanishes else _running_max(
+            field_u, spec.m, _dense_unit_weights(DENSE_LATTICE_ORDER) @ verts, gammas
+        )
         if at is not None and poly_degree is not None:
             value = max(value, _newton_polish(field_u, *at, t))
         warnings = ("p=inf maximum from dense sampling; value is approximate",)
-    return SeminormInfo(
-        value=value,
-        quadrature_degree=degrees[-1] if degrees else None,
-        warnings=warnings,
-        approximate_partials=not field_u.exact_partials,
-    )
+        return SeminormInfo(value, None, warnings, not field_u.exact_partials)
+    rules = [rule_for_degree(d) for d in degrees]
+    p, vol = float(spec.p), volume(t)
+    if vanishes:
+        return SeminormInfo(0.0, degrees[-1], (), not field_u.exact_partials)
+    samples = [np.abs(field_u.partials(spec.m, r.nodes @ verts)) for r in rules]
+    for vals in samples:
+        _check_finite(np.isfinite(vals).all(axis=1), gammas)
+    # Every sample over 2^e lies below 1, so no p-th power overflows.
+    e = int(np.frexp(max(vals.max() for vals in samples))[1])
+    totals = [
+        sum(
+            multinomial_weight(gamma) * vol * float(np.dot(r.weights, row))
+            for gamma, row in zip(gammas, np.ldexp(vals, -e) ** p)
+        )
+        for r, vals in zip(rules, samples)
+    ]
+    try:
+        value = math.ldexp(totals[-1] ** (1.0 / p), e)
+    except OverflowError:
+        raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p)) from None
+    warnings: tuple[str, ...] = ()
+    ref = max(abs(totals[-1]), 1e-300)
+    if len(totals) == 2 and abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
+        warnings = (
+            "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
+            "be under-resolved"
+            % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
+        )
+    return SeminormInfo(value, degrees[-1], warnings, not field_u.exact_partials)
 
 
 def seminorm(u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None) -> float:

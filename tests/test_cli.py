@@ -5,6 +5,7 @@ can be asserted without spawning subprocesses.
 """
 
 import json
+import math
 import re
 import warnings
 
@@ -129,6 +130,19 @@ def test_error_on_rotated_sliver_k4(capsys):
         capsys,
     )
     assert report["results"]["error"] > 0
+
+
+def test_error_at_large_p_does_not_overflow(capsys):
+    # |d^gamma v|^400 overflows a float; the seminorms scale their samples
+    # first, so the ratio is finite and no numpy warning escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(
+            ["error", "--tetra", "ref", "--expr", "sin(3*x)",
+             "--k", "2", "--m", "1", "--p", "400"],
+            capsys,
+        )
+    assert math.isfinite(report["results"]["ratio"])
 
 
 def test_error_unknown_field_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Polynomial algebra, scalar fields and Lagrange interpolation tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from anisotetra.interp import (
     Polynomial3,
     ScalarField,
     as_field,
+    derivative_indices,
     interpolate,
     monomial_indices,
     residual,
 )
 from anisotetra.lattice import nodes_on
-from anisotetra.verify import TetraGenSpec, generate
+from anisotetra.verify import TetraGenSpec, corpus, generate
 
 REPRO_TOL = 1e-9
 T_HAT = reference_tetrahedron(TYPE1)
@@ -90,6 +92,43 @@ class TestPolynomial3:
         q = x * x - y * y
         pts = np.random.default_rng(0).uniform(-1, 1, (20, 3))
         assert np.allclose(p.evaluate(pts), q.evaluate(pts), atol=1e-15)
+
+
+    @pytest.mark.parametrize(
+        "q,first_m",
+        [(Polynomial3(), 0), (Polynomial3.constant(2.0), 1), (Polynomial3({(2, 1, 0): 1.5}), 4)],
+        ids=["zero", "constant", "cubic"],
+    )
+    def test_partials_above_degree_vanish(self, q, first_m):
+        pts = np.random.default_rng(5).uniform(-1, 1, (7, 3))
+        for m in range(first_m, first_m + 3):
+            want = np.zeros((len(derivative_indices(m)), len(pts)))
+            assert np.array_equal(q.partials(m, pts), want), m
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["poly0", "bubble"])
+    def test_partials_within_roundoff_of_exact_rationals(self, name, m):
+        # Each value lies within 16 eps of the sum of its terms' magnitudes,
+        # against the exact rational value of the same float coefficients
+        # at the same float points, on a flat element.
+        t = generate(TetraGenSpec("sliver", 5), 6)[4]
+        q = dict(corpus(4, t))[name]
+        pts = nodes_on(t.as_array(), 2)[1]
+        got = q.partials(m, pts)
+        bound = 16 * Fraction(np.finfo(float).eps)
+        for row, gamma in zip(got, derivative_indices(m)):
+            for value, x in zip(row, pts):
+                terms = [
+                    Fraction(coef)
+                    * math.prod(
+                        math.perm(a, g) * Fraction(xi) ** (a - g)
+                        for a, g, xi in zip(alpha, gamma, x)
+                    )
+                    for alpha, coef in q.coeffs.items()
+                    if all(a >= g for a, g in zip(alpha, gamma))
+                ]
+                error = abs(Fraction(value) - sum(terms))
+                assert error <= bound * sum(map(abs, terms)), (gamma, x)
 
 
 class TestScalarField:
@@ -199,6 +238,38 @@ class TestInterpolation:
         for gamma in monomial_indices(3)[1:]:  # every order 1 to 3
             want = q.partial(gamma).evaluate(pts)
             assert np.allclose(ip.partial(gamma, pts), want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "q,k",
+        [
+            (Polynomial3(), 4),
+            (Polynomial3.constant(1.0), 3),
+            (Polynomial3.variable(0), 2),
+            (Polynomial3.variable(2), 4),
+            (Polynomial3.variable(0), 4),
+        ],
+        ids=["zero-k4", "constant-k3", "x-k2", "z-k4", "x-k4"],
+    )
+    def test_low_degree_reference_polynomial(self, q, k):
+        # ref drops zero coefficients, so its degree may lie below k (all
+        # but x-k4, whose roundoff coefficients reach degree 4); every
+        # order up to k + 1 must still be q's own partials.
+        ip = interpolate(q, T_HAT, k)
+        pts = np.random.default_rng(6).uniform(0, 0.3, (5, 3))
+        for m in range(k + 2):
+            got, want = ip.partials(m, pts), q.partials(m, pts)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12), m
+
+    def test_single_point_is_a_batch_of_one(self):
+        q = Polynomial3({(2, 0, 1): 0.5, (0, 1, 0): -1.0})
+        x = np.array([0.3, 0.2, 0.1])
+        for f in (q, interpolate(q, ANISO, 3), residual(q, ANISO, 2)):
+            for m in range(4):
+                got = f.partials(m, x)
+                assert got.shape == (len(derivative_indices(m)), 1)
+                assert np.array_equal(got, f.partials(m, x[None, :]))
+        assert q.evaluate(x) == q.evaluate(x[None, :])[0]
 
     def test_degree_bounds(self):
         with pytest.raises(InvalidDegree):

@@ -93,6 +93,18 @@ class TestSeminorm:
         got = seminorm(Polynomial3.constant(1.0), T_HAT, SeminormSpec(0, 2.0))
         assert abs(got - math.sqrt(1.0 / 6.0)) < 1e-13
 
+    def test_constant_at_large_p(self):
+        # 10^400 overflows a float, the seminorm 10 (1/6)^(1/400) does not.
+        got = seminorm(Polynomial3.constant(10.0), T_HAT, SeminormSpec(0, 400.0))
+        want = 10.0 * (1.0 / 6.0) ** (1.0 / 400.0)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_value_beyond_float_range_raises(self):
+        # Every sample is finite, but 1.7e308 (8/6)^(1/3) is not a float.
+        big = Tetrahedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        with pytest.raises(NumericalError):
+            seminorm(Polynomial3.constant(1.7e308), big, SeminormSpec(0, 3.0))
+
     def test_first_order_of_x(self):
         got = seminorm(Polynomial3.variable(0), T_HAT, SeminormSpec(1, 2.0))
         assert abs(got - math.sqrt(1.0 / 6.0)) < 1e-13

@@ -73,3 +73,61 @@ def test_per_gamma_wrapped_field_matches(spec):
         for key in ("error", "seminorm_hi", "ratio"):
             a, b = getattr(want, key), getattr(got, key)
             assert abs(a - b) <= 1e-12 * abs(a), (name, key, a, b)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "anisotetra"
+
+
+def private_definitions(tree):
+    """(name, node) for each private top-level def, class or assignment and
+    each private method of a top-level class; dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for node in tree.body:
+        targets = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                targets += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+        found += [(name, node) for name in targets if private(name)]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.name, item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and private(item.name)
+            ]
+    return found
+
+
+def names_used(tree, skip):
+    """Every identifier read, attribute or imported name in tree, outside
+    the subtree of the node skip."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_private_helpers_are_referenced():
+    # A private helper that nothing in the package names is dead code.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    unused = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if not any(name in names_used(other, node) for other in trees.values())
+    ]
+    assert len(trees) >= 10
+    assert not unused, "private names defined but never used: %r" % unused
