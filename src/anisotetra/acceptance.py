@@ -30,7 +30,7 @@ from .geom import (
     verify_trig_identities,
 )
 from .interp import Polynomial3, interpolate, monomial_indices
-from .lattice import enumerate_boxes, quotient_coefficients
+from .lattice import enumerate_boxes, quotient_coefficients, unit_weights
 from .quad import rule_for_degree
 from .verify import (
     TetraGenSpec,
@@ -122,9 +122,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Interpolation reproduces P_k on random anisotropic elements."""
-    from .lattice import sigma_k
-
-    bary = np.array(sigma_k(8), dtype=float) / 8.0
+    bary = unit_weights(8)
     rng = np.random.default_rng(104)
     samples = iter(generate(TetraGenSpec(family="mixed", seed=104), 400))
     worst = 0.0
@@ -146,16 +144,6 @@ def criterion_4() -> CriterionResult:
     )
 
 
-def _all_deltas(k):
-    out = []
-    for d0 in range(k + 1):
-        for d1 in range(k + 1 - d0):
-            for d2 in range(k + 1 - d0 - d1):
-                if d0 + d1 + d2 >= 1:
-                    out.append((d0, d1, d2))
-    return out
-
-
 def criterion_5() -> CriterionResult:
     """Exact quotient coefficients, vanishing residual quotients, box counts."""
     # The twelve-term fourth-order expansion, in integer arithmetic.
@@ -172,12 +160,12 @@ def criterion_5() -> CriterionResult:
     counts_ok = True
     for kind in (TYPE1, TYPE2):
         for k in range(1, 6):
-            for delta in _all_deltas(k):
+            for delta in monomial_indices(k)[1:]:
                 want = math.comb(k - sum(delta) + 3, 3)
                 if len(enumerate_boxes(k, delta, kind)) != want:
                     counts_ok = False
 
-    worst = max(max_residual_quotient(k, _all_deltas(k)) for k in (1, 2, 3, 4))
+    worst = max(max_residual_quotient(k, monomial_indices(k)[1:]) for k in (1, 2, 3, 4))
     passed = coeff_ok and counts_ok and worst < 1e-9
     return CriterionResult(
         5,
@@ -266,19 +254,15 @@ def criterion_9() -> CriterionResult:
     pts = rule.points_on(t.as_array())
     vol = 1.0 / 6.0
     worst = 0.0
-    for d in range(13):
-        for gamma in monomial_indices(d):
-            if sum(gamma) != d:
-                continue
-            a, b, c = gamma
-            want = (
-                math.factorial(a) * math.factorial(b) * math.factorial(c)
-                / math.factorial(a + b + c + 3)
-            )
-            got = vol * float(
-                np.dot(rule.weights, pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
-            )
-            worst = max(worst, abs(got - want) / want)
+    for a, b, c in monomial_indices(12):
+        want = (
+            math.factorial(a) * math.factorial(b) * math.factorial(c)
+            / math.factorial(a + b + c + 3)
+        )
+        got = vol * float(
+            np.dot(rule.weights, pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
+        )
+        worst = max(worst, abs(got - want) / want)
     return CriterionResult(
         9,
         "monomial quadrature exactness through degree 12",

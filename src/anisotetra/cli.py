@@ -45,7 +45,7 @@ from .geom import (
     reference_tetrahedron,
     standard_position,
 )
-from .lattice import quotient_coefficients, quotient_from_function
+from .lattice import Box, quotient_coefficients, quotient_from_function
 from .verify import corpus, error_ratio, mac_experiment, max_residual_quotient, squeeze_sweep
 
 SCHEMA_VERSION = 1
@@ -492,13 +492,10 @@ def cmd_dq(args) -> int:
     base = (0, 0, 0)
     match = quotient_from_function(monomial(delta), base, delta, args.k)
     annihilation = 0.0
-    for d0 in range(delta[0] + 1):
-        for d1 in range(delta[1] + 1):
-            for d2 in range(delta[2] + 1):
-                if (d0, d1, d2) == delta:
-                    continue
-                q = quotient_from_function(monomial((d0, d1, d2)), base, delta, args.k)
-                annihilation = max(annihilation, abs(q))
+    for eta in Box(base, delta).corners():
+        if eta != delta:
+            q = quotient_from_function(monomial(eta), base, delta, args.k)
+            annihilation = max(annihilation, abs(q))
     expansion_ok = abs(match - 1.0) < 1e-9 and annihilation < 1e-9
 
     results = {

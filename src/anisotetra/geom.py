@@ -17,17 +17,20 @@ the quality quantities R_T and H_T, the full angle inventory (face angles,
 dihedral angles, edge-face angles), maximum-angle-condition checks, and the
 constants tying the maximum angle condition to R_T/h_T.
 
-Two paths share one arithmetic.  The scalar routines (classify,
-quality_ratio, angles, mac_check, ...) take one Tetrahedron and work on
-plain floats; they are the single-element API and the reference the tests
-hold the array kernels to.  The array kernels (batch_*) take N tetrahedra as
-an (N, 4, 3) array and evaluate the same expressions, through the same
-_sub/_dot/_cross/_scale helpers, on coordinate arrays; the sampling
-experiments in verify run on them.  A scalar call is not routed through the
-kernels: at N = 1 numpy's per-call overhead dominates.  On a 2-vCPU x86-64
-host (AVX-512, numpy 2.4) the kernels' max angle with its degeneracy test
-took 163 us per call against 43 us for max_face_and_dihedral_angle, and
-their quality_ratio 114 us against 25 us.
+Two paths share one arithmetic and one set of combinatorial tables.  The
+scalar routines (classify, quality_ratio, angles, mac_check, ...) take one
+Tetrahedron and work on plain floats; they are the single-element API and
+the reference the tests hold the array kernels to.  The array kernels
+(batch_*) take N tetrahedra as an (N, 4, 3) array and evaluate the same
+expressions, through the same _sub/_dot/_cross/_scale helpers and the same
+bisector-plane test, on coordinate arrays; the sampling experiments in
+verify run on them.  Which edges are adjacent, the roles (c, w, d, f) that
+classify assigns, the faces, their corners and the face pairs are tabulated
+once, and both paths read those tables.  A scalar call is not routed
+through the kernels: at N = 1 numpy's per-call overhead dominates.  On a
+2-vCPU x86-64 host (AVX-512, numpy 2.4) the kernels' max angle with its
+degeneracy test took 163 us per call against 43 us for
+max_face_and_dihedral_angle, and their quality_ratio 114 us against 25 us.
 """
 
 from __future__ import annotations
@@ -171,6 +174,48 @@ class Classification:
     e2: tuple[int, int]
 
 
+def _edge_tables():
+    index = np.zeros((4, 4), dtype=int)
+    adjacent = np.zeros((6, 6), dtype=bool)
+    roles = np.zeros((6, 6, 4), dtype=int)
+    for e, (i, j) in enumerate(EDGES):
+        index[i, j] = index[j, i] = e
+    for a, e2 in enumerate(EDGES):
+        for b, e1 in enumerate(EDGES):
+            shared = set(e1) & set(e2)
+            if len(shared) == 1:
+                c = shared.pop()
+                w, d = (set(e1) - {c}).pop(), (set(e2) - {c}).pop()
+                adjacent[a, b] = True
+                roles[a, b] = (c, w, d, (set(range(4)) - {c, w, d}).pop())
+    return index, adjacent, roles
+
+
+# _EDGE_INDEX[i, j]: the EDGES index of edge {i, j}.  _ADJACENT[a, b]: edges
+# a and b share one vertex.  _ROLES[e2, e1]: classify's (c, w, d, f).  The
+# scalar routines read plain-list views of the same tables, because indexing
+# a numpy array one element at a time costs more than their arithmetic.
+_EDGE_INDEX, _ADJACENT, _ROLES = _edge_tables()
+_EDGE_OF = _EDGE_INDEX.tolist()
+_NEIGHBOURS = [np.flatnonzero(row).tolist() for row in _ADJACENT]
+_ROLE_OF = _ROLES.tolist()
+_EDGE_I = [i for i, _ in EDGES]
+_EDGE_J = [j for _, j in EDGES]
+# Face i is spanned by the other three vertices; (i, j, r0, r1) in _CORNERS
+# says theta[(i, j)] is the angle at corner j between vertices r0 and r1.
+_FACES = [[j for j in range(4) if j != i] for i in range(4)]
+_CORNERS = [(i, j, *[k for k in face if k != j]) for i, face in enumerate(_FACES) for j in face]
+_FACE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _bisector_distance(vc, vw, vf, alpha1):
+    """Signed distance of vf from the perpendicular bisector plane of the
+    edge vc vw of length alpha1, positive toward vw."""
+    mid = _scale((vc[0] + vw[0], vc[1] + vw[1], vc[2] + vw[2]), 0.5)
+    axis = _scale(_sub(vw, vc), 1.0 / alpha1)
+    return _dot(_sub(vf, mid), axis)
+
+
 def classify(t: Tetrahedron) -> Classification:
     """Classify a tetrahedron as Type 1 or Type 2 and relabel its vertices.
 
@@ -183,52 +228,25 @@ def classify(t: Tetrahedron) -> Classification:
     the result stable under permutations of the input vertices.
     """
     v = t.coords()
-    lengths = {e: _dist(v[e[0]], v[e[1]]) for e in EDGES}
-    h_t = max(lengths.values())
+    lengths = edge_lengths(t)
+    h_t = max(lengths)
     _nondegenerate_volume(v, h_t)
 
-    order = sorted(range(4), key=lambda i: v[i])
     rank = [0] * 4
-    for r, i in enumerate(order):
+    for r, i in enumerate(sorted(range(4), key=lambda i: v[i])):
         rank[i] = r
+    tie = [4 * min(rank[i], rank[j]) + max(rank[i], rank[j]) for i, j in EDGES]
+    e2 = min(range(6), key=lambda e: (lengths[e], tie[e]))
+    e1 = min(_NEIGHBOURS[e2], key=lambda e: (-lengths[e], tie[e]))
+    c, w, d, f = _ROLE_OF[e2][e1]
 
-    def tie_key(e):
-        a, b = rank[e[0]], rank[e[1]]
-        return (a, b) if a < b else (b, a)
-
-    e2 = min(EDGES, key=lambda e: (lengths[e], tie_key(e)))
-    adjacent = [e for e in EDGES if len(set(e) & set(e2)) == 1]
-    e1 = min(adjacent, key=lambda e: (-lengths[e], tie_key(e)))
-
-    c = (set(e1) & set(e2)).pop()
-    w = e1[0] if e1[1] == c else e1[1]
-    d = e2[0] if e2[1] == c else e2[1]
-    f = (set(range(4)) - {c, w, d}).pop()
-
-    alpha1 = lengths[e1]
-    # Signed distance of the remaining vertex from the perpendicular bisector
-    # plane of e1, positive toward w.
-    mid = _scale((v[c][0] + v[w][0], v[c][1] + v[w][1], v[c][2] + v[w][2]), 0.5)
-    axis = _scale(_sub(v[w], v[c]), 1.0 / alpha1)
-    sigma_f = _dot(_sub(v[f], mid), axis)
-
-    if sigma_f <= EPS_PLANE_REL * h_t:
+    if _bisector_distance(v[c], v[w], v[f], lengths[e1]) <= EPS_PLANE_REL * h_t:
         # x3 and x4 share the half-space of the shared vertex: Type 1.
-        kind = TYPE1
-        perm = (c, w, d, f)
+        kind, perm = TYPE1, (c, w, d, f)
     else:
-        kind = TYPE2
-        perm = (w, c, d, f)
-
-    alpha2 = lengths[e2]
-    alpha3 = _dist(v[perm[0]], v[perm[3]])
-    return Classification(
-        kind=kind,
-        perm=perm,
-        alpha=(alpha1, alpha2, alpha3),
-        e1=tuple(sorted(e1)),
-        e2=tuple(sorted(e2)),
-    )
+        kind, perm = TYPE2, (w, c, d, f)
+    alpha = (lengths[e1], lengths[e2], lengths[_EDGE_OF[perm[0]][f]])
+    return Classification(kind=kind, perm=perm, alpha=alpha, e1=EDGES[e1], e2=EDGES[e2])
 
 
 @dataclass(frozen=True)
@@ -445,12 +463,10 @@ class GeometryReport:
 
 def _face_angles(v):
     """theta, inward unit normals, and point-plane distances for all faces."""
-    theta = {}
-    normals = {}
-    dists = {}
-    for i in range(4):
-        others = [j for j in range(4) if j != i]
-        a, b, c = (v[others[0]], v[others[1]], v[others[2]])
+    normals = []
+    dists = []
+    for i, face in enumerate(_FACES):
+        a, b, c = (v[j] for j in face)
         n = _cross(_sub(b, a), _sub(c, a))
         nn = _norm(n)
         if nn == 0.0:
@@ -461,41 +477,38 @@ def _face_angles(v):
         if dist < 0.0:
             n = _scale(n, -1.0)
             dist = -dist
-        normals[i] = n
-        dists[i] = dist
-        for j in others:
-            rest = [k for k in others if k != j]
-            u = _sub(v[rest[0]], v[j])
-            w = _sub(v[rest[1]], v[j])
-            theta[(i, j)] = math.atan2(_norm(_cross(u, w)), _dot(u, w))
+        normals.append(n)
+        dists.append(dist)
+    theta = {}
+    for i, j, r0, r1 in _CORNERS:
+        u, w = _sub(v[r0], v[j]), _sub(v[r1], v[j])
+        theta[(i, j)] = math.atan2(_norm(_cross(u, w)), _dot(u, w))
     return theta, normals, dists
 
 
 def _dihedral_angles(normals):
     """psi[(i, j)], i < j, from the inward unit normals of the faces."""
     psi = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ni, nj = normals[i], normals[j]
-            psi[(i, j)] = math.pi - math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
+    for i, j in _FACE_PAIRS:
+        ni, nj = normals[i], normals[j]
+        psi[(i, j)] = math.pi - math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
     return psi
 
 
 def angles(t: Tetrahedron) -> GeometryReport:
     """Compute the full geometry report of a nondegenerate tetrahedron."""
     v = t.coords()
-    hs = sorted_edge_lengths(t)
+    lengths = edge_lengths(t)
+    hs = tuple(sorted(lengths))
     vol = _nondegenerate_volume(v, hs[5])
     theta, normals, dists = _face_angles(v)
     psi = _dihedral_angles(normals)
-
-    phi = {}
-    for i in range(4):
-        for j in range(4):
-            if j == i:
-                continue
-            ratio = dists[i] / _dist(v[i], v[j])
-            phi[(i, j)] = math.asin(min(1.0, ratio))
+    phi = {
+        (i, j): math.asin(min(1.0, dists[i] / lengths[_EDGE_OF[i][j]]))
+        for i in range(4)
+        for j in range(4)
+        if j != i
+    }
 
     r_t, h_t_quality = _quality(t, hs, vol)
     return GeometryReport(
@@ -548,35 +561,6 @@ def mac_check(t: Tetrahedron, gamma_max: float) -> bool:
 # Angles come from numpy's arctan2, which can differ from math.atan2 in the
 # last bit; max_angle_at_most hands comparisons this close to the scalar code.
 _ATAN2_SLACK = 1e-12
-
-
-def _edge_tables():
-    index = np.zeros((4, 4), dtype=int)
-    adjacent = np.zeros((6, 6), dtype=bool)
-    roles = np.zeros((6, 6, 4), dtype=int)
-    for e, (i, j) in enumerate(EDGES):
-        index[i, j] = index[j, i] = e
-    for a, e2 in enumerate(EDGES):
-        for b, e1 in enumerate(EDGES):
-            shared = set(e1) & set(e2)
-            if len(shared) == 1:
-                c = shared.pop()
-                w, d = (set(e1) - {c}).pop(), (set(e2) - {c}).pop()
-                adjacent[a, b] = True
-                roles[a, b] = (c, w, d, (set(range(4)) - {c, w, d}).pop())
-    return index, adjacent, roles
-
-
-# _EDGE_INDEX[i, j]: the EDGES index of edge {i, j}.  _ADJACENT[a, b]: edges
-# a and b share one vertex.  _ROLES[e2, e1]: classify's (c, w, d, f).
-_EDGE_INDEX, _ADJACENT, _ROLES = _edge_tables()
-_EDGE_I = [i for i, _ in EDGES]
-_EDGE_J = [j for _, j in EDGES]
-# Face i is spanned by the other three vertices; theta[(i, j)] is the angle
-# at corner j between the two remaining vertices of face i.
-_FACES = [[j for j in range(4) if j != i] for i in range(4)]
-_CORNERS = [(j, *[k for k in face if k != j]) for face in _FACES for j in face]
-_FACE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
 def _coords(verts: np.ndarray, idx) -> np.ndarray:
@@ -635,10 +619,7 @@ def batch_classify(verts: np.ndarray, lengths: np.ndarray):
     c, w, d, f = _ROLES[e2, e1].T
 
     alpha1 = lengths[rows, e1]
-    vc, vw = _row_points(verts, c), _row_points(verts, w)
-    mid = _scale(vc + vw, 0.5)
-    axis = _scale(_sub(vw, vc), 1.0 / alpha1)
-    sigma_f = _dot(_sub(_row_points(verts, f), mid), axis)
+    sigma_f = _bisector_distance(*(_row_points(verts, i) for i in (c, w, f)), alpha1)
     type1 = sigma_f <= EPS_PLANE_REL * lengths.max(axis=1)
 
     perm = np.where(type1[:, None], np.stack([c, w, d, f], 1), np.stack([w, c, d, f], 1))
@@ -673,7 +654,7 @@ def batch_t1_t2(verts: np.ndarray, perm: np.ndarray, alpha: np.ndarray):
 
 def batch_max_angle(verts: np.ndarray) -> np.ndarray:
     """max_face_and_dihedral_angle per row, to within a few ulps."""
-    j, r0, r1 = (_coords(verts, list(idx)) for idx in zip(*_CORNERS))
+    j, r0, r1 = (_coords(verts, list(idx)) for idx in list(zip(*_CORNERS))[1:])
     u, w = _sub(r0, j), _sub(r1, j)
     theta = np.arctan2(_bnorm(_cross(u, w)), _dot(u, w))
 

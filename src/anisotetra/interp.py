@@ -139,10 +139,11 @@ class Polynomial3:
     Supports exact partial differentiation, exact integration over a
     tetrahedron, affine substitution, arithmetic, and vectorized evaluation.
     Values and partials come from _contract of the coefficient matrix of
-    each order, cached on first use, so coeffs must not change after it.
+    each order, cached on first use; the degree is stored at construction,
+    so coeffs must not change after it.
     """
 
-    __slots__ = ("coeffs", "_by_order")
+    __slots__ = ("coeffs", "degree", "_by_order")
 
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
@@ -153,6 +154,7 @@ class Polynomial3:
                 if v != 0.0:
                     clean[(int(a), int(b), int(c))] = v
         self.coeffs = clean
+        self.degree = max(map(sum, clean), default=0)
         self._by_order: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -164,12 +166,6 @@ class Polynomial3:
         key = [0, 0, 0]
         key[axis] = 1
         return cls({tuple(key): 1.0})
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(k) for k in self.coeffs)
 
     def evaluate(self, pts) -> np.ndarray | float:
         single = np.ndim(pts) == 1

@@ -17,7 +17,10 @@ of d^delta f over one ordered simplex per axis, which is what makes the
 calculus exact for polynomials and summable over boxes.
 
 Coefficients are kept as exact fractions; floats enter only when values of
-f do.
+f do.  The corners eta <= delta are enumerated in one place, Box.corners,
+and the barycentric weights of the nodes of X^k are built once per k,
+unit_weights, a cached read-only table that nodes_on, the p = inf seminorm
+lattice and the acceptance suite share.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -84,18 +88,26 @@ def gamma_to_lattice(gamma: Barycentric, kind: int) -> LatticePoint:
     return _shear(gamma[1:], kind)
 
 
+@lru_cache(maxsize=16)
+def unit_weights(k: int) -> np.ndarray:
+    """sigma_k(k) / k, the barycentric coordinates of the nodes of X^k, as a
+    read-only (C(k+3, 3), 4) array built once per order k >= 1."""
+    weights = np.array(sigma_k(k), dtype=float) / k
+    weights.flags.writeable = False
+    return weights
+
+
 def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
     """Barycentric multi-indices and node coordinates on a tetrahedron.
 
     vertices is a (4, 3) array-like; the node of gamma is
-    sum_i gamma_i * v_i / k.  For k = 0 the single node is the centroid.
+    sum_i gamma_i * v_i / k, one product with unit_weights(k).  For k = 0
+    the single node is the centroid.  Both results are new objects.
     """
     verts = np.asarray(vertices, dtype=float)
-    gammas = sigma_k(k)
     if k == 0:
-        return gammas, verts.mean(axis=0)[None, :]
-    weights = np.array(gammas, dtype=float) / k
-    return gammas, weights @ verts
+        return sigma_k(0), verts.mean(axis=0)[None, :]
+    return sigma_k(k), unit_weights(k) @ verts
 
 
 def node_values(
@@ -140,23 +152,17 @@ def enumerate_boxes(k: int, delta: MultiIndex, kind: int) -> list[Box]:
 
 
 def quotient_coefficients(delta: MultiIndex) -> list[tuple[MultiIndex, Fraction]]:
-    """Exact coefficients (-1)^{|delta - eta|} / (eta! (delta - eta)!)."""
-    coeffs = []
-    d0, d1, d2 = delta
-    for e0 in range(d0 + 1):
-        for e1 in range(d1 + 1):
-            for e2 in range(d2 + 1):
-                sign = -1 if (d0 - e0 + d1 - e1 + d2 - e2) % 2 else 1
-                denom = (
-                    math.factorial(e0)
-                    * math.factorial(e1)
-                    * math.factorial(e2)
-                    * math.factorial(d0 - e0)
-                    * math.factorial(d1 - e1)
-                    * math.factorial(d2 - e2)
-                )
-                coeffs.append(((e0, e1, e2), Fraction(sign, denom)))
-    return coeffs
+    """Exact coefficients (-1)^{|delta - eta|} / (eta! (delta - eta)!), one per
+    corner eta of Box((0, 0, 0), delta), in the order of its corners."""
+    def factorials(eta):
+        return math.prod(
+            math.factorial(e) * math.factorial(d - e) for e, d in zip(eta, delta)
+        )
+
+    return [
+        (eta, Fraction((-1) ** (sum(delta) - sum(eta)), factorials(eta)))
+        for eta in Box((0, 0, 0), delta).corners()
+    ]
 
 
 def difference_quotient(

@@ -20,7 +20,8 @@ first divided by one power of two 2^e above the largest sample of all the
 rules, so no p-th power overflows at large p (10^400 would), and the value
 is 2^e times the p-th root; the 12/18 agreement check compares the scaled
 sums, and at p = 2 the scaling changes no digit.  For p = infinity the
-sample set is a dense lattice, evaluated in blocks of at most BLOCK points:
+sample set is the dense lattice X^DENSE_LATTICE_ORDER placed by the cached
+lattice.unit_weights table, evaluated in blocks of at most BLOCK points:
 each gamma keeps a running maximum, which equals the maximum of one
 unblocked pass, and for polynomials one constrained Newton step polishes
 it; this route is documented as approximate and takes no quadrature
@@ -31,6 +32,7 @@ first such gamma in order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +42,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from .errors import NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
 from .interp import ScalarField, as_field, derivative_indices
+from .lattice import unit_weights
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
@@ -102,9 +105,9 @@ class SeminormSpec:
     p: float
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("seminorm order m must be >= 0, got %r" % (self.m,))
-        if self.p != math.inf and self.p < 1:
+        if not isinstance(self.m, numbers.Integral) or self.m < 0:
+            raise ValueError("seminorm order m must be an integer >= 0, got %r" % (self.m,))
+        if not self.p >= 1:  # also rejects NaN
             raise ValueError("exponent p must be >= 1 or inf, got %r" % (self.p,))
 
 
@@ -152,13 +155,6 @@ def _check_finite(finite: np.ndarray, gammas: list):
     if not finite.all():
         gamma = gammas[int(np.argmin(finite))]
         raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
-
-
-@lru_cache(maxsize=4)
-def _dense_unit_weights(order: int) -> np.ndarray:
-    from .lattice import sigma_k
-
-    return np.array(sigma_k(order), dtype=float) / order
 
 
 def _inside(t: Tetrahedron, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -263,7 +259,7 @@ def seminorm_with_info(
     vanishes = poly_degree is not None and spec.m > poly_degree  # every d^gamma u is 0
     if not degrees:
         value, at = (0.0, None) if vanishes else _running_max(
-            field_u, spec.m, _dense_unit_weights(DENSE_LATTICE_ORDER) @ verts, gammas
+            field_u, spec.m, unit_weights(DENSE_LATTICE_ORDER) @ verts, gammas
         )
         if at is not None and poly_degree is not None:
             value = max(value, _newton_polish(field_u, *at, t))

@@ -22,6 +22,7 @@ from anisotetra.lattice import (
     quotient_from_function,
     quotient_integral,
     sigma_k,
+    unit_weights,
 )
 
 QUAD_TOL = 1e-12
@@ -72,6 +73,19 @@ class TestLattice:
         _, nodes = nodes_on(ref.coords(), 0)
         assert np.allclose(nodes[0], np.full(3, 0.25))
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_nodes_on_results_do_not_alias_the_cache(self, k):
+        ref = reference_tetrahedron(TYPE2).coords()
+        want_gammas, want_nodes = nodes_on(ref, k)
+        gammas, nodes = nodes_on(ref, k)
+        gammas.clear()
+        nodes += 1.0
+        got_gammas, got_nodes = nodes_on(ref, k)
+        assert got_gammas == want_gammas == sigma_k(k)
+        assert np.array_equal(got_nodes, want_nodes)
+        with pytest.raises(ValueError):  # the shared table itself is read-only
+            unit_weights(2)[0, 0] = 0.0
+
 
 class TestBoxes:
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
@@ -88,6 +102,11 @@ class TestBoxes:
             for box in enumerate_boxes(3, (1, 1, 0), kind):
                 for corner in box.corners():
                     assert in_lattice(corner, 3, kind)
+
+    @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 2, 1), (2, 1, 1), (1, 3, 0), (2, 2, 2)])
+    def test_quotient_terms_follow_box_corners(self, delta):
+        etas = [eta for eta, _ in quotient_coefficients(delta)]
+        assert etas == Box((0, 0, 0), delta).corners()
 
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from anisotetra.errors import NumericalError, UnsupportedDegree
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices, residual
+from anisotetra.lattice import unit_weights
 from anisotetra.quad import (
     SeminormSpec,
     derivative_indices,
@@ -176,6 +177,10 @@ class TestSeminorm:
             SeminormSpec(-1, 2.0)
         with pytest.raises(ValueError):
             SeminormSpec(0, 0.5)
+        with pytest.raises(ValueError):
+            SeminormSpec(0, math.nan)
+        with pytest.raises(ValueError):
+            SeminormSpec(1.5, 2.0)
 
 
 class TestSupSeminorm:
@@ -201,7 +206,7 @@ class TestSupSeminorm:
             )
 
     def lattice(self, t):
-        pts = quad._dense_unit_weights(quad.DENSE_LATTICE_ORDER) @ t.as_array()
+        pts = unit_weights(quad.DENSE_LATTICE_ORDER) @ t.as_array()
         assert len(pts) > quad.BLOCK  # the lattice is evaluated in several blocks
         return pts
 

@@ -9,6 +9,7 @@ are not executed) and each one is resolved here.
 import ast
 import importlib
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,32 +103,31 @@ def private_definitions(tree):
     return found
 
 
-def names_used(tree, skip):
-    """Every identifier read, attribute or imported name in tree, outside
-    the subtree of the node skip."""
-    used, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
-    return used
+def name_uses(node):
+    """How often each identifier is read, named as an attribute or imported
+    in the subtree of node."""
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            uses[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            uses[n.name] += 1
+    return uses
 
 
 def test_private_helpers_are_referenced():
-    # A private helper that nothing in the package names is dead code.
+    # A private helper that nothing in the package names is dead code.  Uses
+    # are counted once per module; a definition's own subtree is subtracted,
+    # so a helper that names only itself counts as unused.
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    total = sum((name_uses(tree) for tree in trees.values()), Counter())
     unused = [
         (module, name)
         for module, tree in trees.items()
         for name, node in private_definitions(tree)
-        if not any(name in names_used(other, node) for other in trees.values())
+        if total[name] == name_uses(node)[name]
     ]
     assert len(trees) >= 10
     assert not unused, "private names defined but never used: %r" % unused
