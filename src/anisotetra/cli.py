@@ -133,11 +133,18 @@ def render_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(command: str, config: dict, results: dict) -> dict:
+def _report(args, results: dict) -> dict:
+    """The report of a subcommand; its config is every parsed option in
+    declaration order, output paths excepted."""
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out", "csv")
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "results": results,
     }
@@ -153,10 +160,6 @@ def _env_seed() -> int:
         return int(raw)
     except ValueError:
         raise ParseError("ANISOTETRA_SEED must be an integer, got %r" % raw)
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
 
 
 def _parse_vertices(text: str) -> Tetrahedron:
@@ -339,13 +342,7 @@ def cmd_analyze(args) -> int:
             "D": const.D,
         },
     }
-    config = {
-        "vertices": args.vertices,
-        "tetra_file": args.tetra_file,
-        "tetra": args.tetra,
-        "gamma_max": args.gamma_max,
-    }
-    _write_text(args.out, render_json(_report("analyze", config, results)))
+    _write_text(args.out, render_json(_report(args, results)))
     return 0
 
 
@@ -380,18 +377,7 @@ def cmd_error(args) -> int:
         "warnings": list(result.warnings),
         "geometry": _geometry_dict(result.geometry),
     }
-    config = {
-        "vertices": args.vertices,
-        "tetra_file": args.tetra_file,
-        "tetra": args.tetra,
-        "expr": args.expr,
-        "field": args.field,
-        "k": args.k,
-        "m": args.m,
-        "p": args.p,
-        "degree": args.degree,
-    }
-    _write_text(args.out, render_json(_report("error", config, results)))
+    _write_text(args.out, render_json(_report(args, results)))
     return 0
 
 
@@ -425,25 +411,18 @@ def cmd_sweep(args) -> int:
         "slope_scaled": result.slope_scaled,
         "trend_ok": result.trend_ok,
     }
-    config = {
-        "k": args.k,
-        "m": args.m,
-        "p": args.p,
-        "kind": args.kind,
-        "alphas": args.alphas,
-        "eps_levels": args.eps_levels,
-    }
     if args.csv:
         _write_text(args.csv, render_csv(rows_out))
-    _write_text(args.out, render_json(_report("sweep", config, results)))
+    _write_text(args.out, render_json(_report(args, results)))
     return 0
 
 
 def cmd_mac(args) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1, got %d" % args.n)
-    seed = _resolve_seed(args)
-    rep = mac_experiment(args.n, args.gamma_max, seed=seed)
+    if args.seed is None:  # so that the config reports the seed used
+        args.seed = _env_seed()
+    rep = mac_experiment(args.n, args.gamma_max, seed=args.seed)
     results = {
         "gamma_max": rep.gamma_max,
         "d_bound": rep.d_bound,
@@ -465,8 +444,7 @@ def cmd_mac(args) -> int:
         ],
         "counterexamples": rep.counterexamples,
     }
-    config = {"gamma_max": args.gamma_max, "n": args.n, "seed": seed}
-    _write_text(args.out, render_json(_report("mac", config, results)))
+    _write_text(args.out, render_json(_report(args, results)))
     return 0
 
 
@@ -515,8 +493,7 @@ def cmd_dq(args) -> int:
         "expansion_ok": expansion_ok,
         "residual_quotient_max": max_residual_quotient(args.k, [delta]),
     }
-    config = {"k": args.k, "delta": args.delta}
-    _write_text(args.out, render_json(_report("dq", config, results)))
+    _write_text(args.out, render_json(_report(args, results)))
     return 0
 
 

@@ -774,35 +774,29 @@ def verify_trig_identities(t: Tetrahedron) -> TrigIdentityReport:
     def psi_at(i, j):
         return rep.psi[(i, j) if i < j else (j, i)]
 
+    # Both loops read _CORNERS: face j (opposite vertex j), a corner of it
+    # and that corner's other two vertices; twosin's corner is n.
     twosin = {}
-    for j in range(4):
-        for n in range(4):
-            if n == j:
-                continue
-            for k in range(4):
-                if k in (j, n):
-                    continue
-                lhs = math.sin(rep.phi[(j, n)])
-                rhs = math.sin(rep.theta[(k, n)]) * math.sin(psi_at(k, j))
-                twosin[(j, n, k)] = lhs - rhs
+    for j, n, *others in _CORNERS:
+        for k in others:
+            lhs = math.sin(rep.phi[(j, n)])
+            rhs = math.sin(rep.theta[(k, n)]) * math.sin(psi_at(k, j))
+            twosin[(j, n, k)] = lhs - rhs
 
     cos_theta = {}
     cos_psi = {}
-    for j in range(4):
-        rest = [i for i in range(4) if i != j]
-        for k in rest:
-            m, n = [i for i in rest if i != k]
-            lhs = math.cos(rep.theta[(k, j)])
-            rhs = math.cos(rep.theta[(m, j)]) * math.cos(rep.theta[(n, j)]) + math.sin(
-                rep.theta[(m, j)]
-            ) * math.sin(rep.theta[(n, j)]) * math.cos(psi_at(m, n))
-            cos_theta[(j, k)] = lhs - rhs
+    for j, k, m, n in _CORNERS:
+        lhs = math.cos(rep.theta[(k, j)])
+        rhs = math.cos(rep.theta[(m, j)]) * math.cos(rep.theta[(n, j)]) + math.sin(
+            rep.theta[(m, j)]
+        ) * math.sin(rep.theta[(n, j)]) * math.cos(psi_at(m, n))
+        cos_theta[(j, k)] = lhs - rhs
 
-            lhs2 = math.cos(psi_at(m, n))
-            rhs2 = math.sin(psi_at(m, k)) * math.sin(psi_at(n, k)) * math.cos(
-                rep.theta[(k, j)]
-            ) - math.cos(psi_at(m, k)) * math.cos(psi_at(n, k))
-            cos_psi[(j, k)] = lhs2 - rhs2
+        lhs2 = math.cos(psi_at(m, n))
+        rhs2 = math.sin(psi_at(m, k)) * math.sin(psi_at(n, k)) * math.cos(
+            rep.theta[(k, j)]
+        ) - math.cos(psi_at(m, k)) * math.cos(psi_at(n, k))
+        cos_psi[(j, k)] = lhs2 - rhs2
 
     worst = max(
         max(abs(r) for r in twosin.values()),

@@ -5,18 +5,19 @@ back through the affine map x = x_0 + J xi with J = [x_1 - x_0, x_2 - x_0,
 x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  One fixed
 basis of P_k per degree k, built from the barycentric product formula (no
 linear solve), turns nodal values into the interpolant's coefficients in xi
-by a single matrix-vector product.  Evaluation maps points with
-xi = J^{-1} (x - x_0) and physical partials follow by the chain rule, so a
-rotated flat element interpolates as well as an axis-aligned one.  A
-degenerate element raises DegenerateTetrahedron.
+by a single matrix-vector product; that dense vector is the interpolant.
+pull_back builds x_0, J and J^{-T} once and rejects a degenerate element.
+Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
+chain rule, so a rotated flat element interpolates as well as an
+axis-aligned one.
 
 Every field returns its exact partials of one order in one pass, partials(m,
 pts), by Taylor-mode evaluation for expressions.  A Polynomial3 and an
-interpolant share one kernel, _contract: a matrix of derivative coefficients
-(the interpolant's is its reference polynomial's times one chain-rule matrix,
-at points mapped once to xi) against one monomial table, summed one monomial
-at a time rather than by a BLAS product, whose rows are not bitwise equal to
-one-row products; so row gamma equals the single partial d^gamma.
+interpolant share derivatives (dense coefficients to the order-m derivative
+matrix) and one kernel, _contract: that matrix (the interpolant's times one
+chain-rule matrix, at points mapped once to xi) against one monomial table,
+summed one monomial at a time rather than by a BLAS product, whose rows are
+not bitwise equal to one-row products; so row gamma equals d^gamma alone.
 
 Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
 callable; as_field is the one place that turns any of them into a
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DerivativeUnavailable, InvalidDegree, NumericalError
 from .geom import Tetrahedron, volume
-from .lattice import nodes_on, sigma_k
+from .lattice import sigma_k, unit_weights
 
 MAX_DEGREE = 8
 
@@ -68,6 +69,17 @@ def _derivative_plan(degree: int, m: int):
         if a >= g0 and b >= g1 and c >= g2
     ]
     return tuple(np.array(e) for e in zip(*entries))
+
+
+def derivatives(coef: np.ndarray, degree: int, m: int) -> np.ndarray:
+    """The coefficients of every d^gamma, |gamma| = m, of the polynomial whose
+    coefficients over monomial_indices(degree) are coef: one row per gamma in
+    derivative_indices(m) order, columns over monomial_indices(degree - m)."""
+    out = np.zeros((len(derivative_indices(m)), len(monomial_indices(degree - m))))
+    if m <= degree:
+        rows, cols, src, factor = _derivative_plan(degree, m)
+        out[rows, cols] = coef[src] * factor
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -184,16 +196,10 @@ class Polynomial3:
         return _contract(self.degree - m, self._derivatives(m), p)
 
     def _derivatives(self, m: int) -> np.ndarray:
-        """The coefficients of every d^gamma, |gamma| = m, over
-        monomial_indices(degree - m), one row per gamma; built on first use."""
+        """derivatives of the dense coefficient vector; built on first use."""
         if m not in self._by_order:
-            deg = self.degree
-            out = np.zeros((len(derivative_indices(m)), len(monomial_indices(deg - m))))
-            if m <= deg:
-                rows, cols, src, factor = _derivative_plan(deg, m)
-                dense = np.array([self.coeffs.get(g, 0.0) for g in monomial_indices(deg)])
-                out[rows, cols] = dense[src] * factor
-            self._by_order[m] = out
+            dense = np.array([self.coeffs.get(g, 0.0) for g in monomial_indices(self.degree)])
+            self._by_order[m] = derivatives(dense, self.degree, m)
         return self._by_order[m]
 
     def partial(self, gamma: MultiIndex) -> "Polynomial3":
@@ -376,30 +382,26 @@ class _OnePass(ScalarField):
 class Interpolant:
     """The Lagrange interpolant I_T^k v, held on the reference element.
 
-    `ref` is the interpolant as a polynomial in the reference coordinates
-    xi of the affine map x = origin + J xi onto the tetra.  Points are
-    pulled back with xi = J^{-1} (x - origin); physical partials of order m
-    are ref's own order-m coefficient matrix, multiplied by one chain-rule
+    coef is the interpolant in the reference coordinates xi of the affine
+    map x = origin + J xi onto the tetra: its dense coefficient vector over
+    monomial_indices(k), which must not change after construction.  Points
+    are pulled back with xi = (x - origin) J^{-T}; physical partials of
+    order m are derivatives(coef, k, m), multiplied by one chain-rule
     matrix, evaluated at xi by the same _contract as a Polynomial3's.
-    `condition_estimate` is cond_2(J).
+    origin, jac and inverse_t are what pull_back returns.
     """
 
-    def __init__(
-        self,
-        ref: Polynomial3,
-        k: int,
-        origin: np.ndarray,
-        inverse: np.ndarray,
-        condition_estimate: float,
-    ):
-        self.ref = ref
-        self.k = k
-        self._origin = origin
-        self._inverse_t = np.ascontiguousarray(inverse.T)
-        self.condition_estimate = condition_estimate
+    def __init__(self, coef: np.ndarray, k: int, origin, jac, inverse_t):
+        self.coef, self.k = coef, k
+        self._origin, self._jac, self._inverse_t = origin, jac, inverse_t
         # Per order, the partials' xi-monomial coefficients, built on first
         # use; p = inf asks for one order once per block.
         self._by_order: dict[int, np.ndarray] = {}
+
+    @property
+    def condition_estimate(self) -> float:
+        """cond_2(J), computed when read."""
+        return float(np.linalg.cond(self._jac))
 
     def evaluate(self, pts) -> np.ndarray:
         return self.partials(0, pts)[0]
@@ -413,14 +415,14 @@ class Interpolant:
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
 
-        The points are mapped once, xi = (x - origin) J^{-T}; ref's degree,
-        not k, bounds the xi-monomials, since ref drops zero coefficients.
+        The points are mapped once, xi = (x - origin) J^{-T}; the matrix is
+        contracted at degree k - m, and a zero coefficient adds nothing.
         """
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         if m not in self._by_order:
-            self._by_order[m] = self._chain_rule(m) @ self.ref._derivatives(m)
+            self._by_order[m] = self._chain_rule(m) @ derivatives(self.coef, self.k, m)
         xi = (p - self._origin) @ self._inverse_t
-        return _contract(self.ref.degree - m, self._by_order[m], xi)
+        return _contract(self.k - m, self._by_order[m], xi)
 
     def _chain_rule(self, m: int) -> np.ndarray:
         """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
@@ -488,11 +490,12 @@ def _reference_basis(k: int) -> np.ndarray:
     return basis
 
 
-def _affine_map(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
-    """origin and J of x = origin + J xi; DegenerateTetrahedron if flat."""
+def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """origin, J and J^{-T} of x = origin + J xi; DegenerateTetrahedron if flat."""
     volume(t)
     verts = t.as_array()
-    return verts[0], (verts[1:] - verts[0]).T
+    jac = (verts[1:] - verts[0]).T
+    return verts[0], jac, np.ascontiguousarray(np.linalg.inv(jac).T)
 
 
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
@@ -502,24 +505,17 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     A nodal value of v that is not finite raises NumericalError.
     """
     _check_degree(k)
-    origin, jac = _affine_map(t)
-    gammas, nodes = nodes_on(t.as_array(), k)
+    frame = pull_back(t)
+    nodes = unit_weights(k) @ t.as_array()
     values = as_field(v)[0](nodes)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
         raise NumericalError(
             "v is not finite (%r) at interpolation node %s, x = %s"
-            % (float(values[i]), gammas[i], nodes[i].tolist())
+            % (float(values[i]), sigma_k(k)[i], nodes[i].tolist())
         )
-    coef = _reference_basis(k) @ values
-    return Interpolant(
-        ref=Polynomial3(dict(zip(monomial_indices(k), coef))),
-        k=k,
-        origin=origin,
-        inverse=np.linalg.inv(jac),
-        condition_estimate=float(np.linalg.cond(jac)),
-    )
+    return Interpolant(_reference_basis(k) @ values, k, *frame)
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:

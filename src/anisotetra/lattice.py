@@ -233,21 +233,15 @@ def quotient_integral(
     derivative c the integral is c/delta!, matching the quotient on any
     polynomial with d^delta f = c.
     """
-    rules = []
-    for s in delta:
-        if s == 0:
-            rules.append((np.zeros((1, 0)), np.ones(1)))
-        else:
-            rules.append(_ordered_simplex_rule(s, points_per_dim))
-    pts = []
-    wts = []
-    x0 = np.array(base, dtype=float) / k
-    (p1, w1), (p2, w2), (p3, w3) = rules
-    for a in range(p1.shape[0]):
-        for b in range(p2.shape[0]):
-            for c in range(p3.shape[0]):
-                shift = np.array([p1[a].sum(), p2[b].sum(), p3[c].sum()]) / k
-                pts.append(x0 + shift)
-                wts.append(w1[a] * w2[b] * w3[c])
-    vals = np.asarray(derivative(np.array(pts)), dtype=float).reshape(-1)
-    return float(np.dot(vals, np.array(wts)))
+    rules = [
+        _ordered_simplex_rule(s, points_per_dim) if s else (np.zeros((1, 0)), np.ones(1))
+        for s in delta
+    ]
+    # One point and weight per triple of the three axis rules' points, in
+    # lexicographic order: g/k shifted by each axis's coordinate sum over k.
+    shifts = np.meshgrid(*(p.sum(axis=1) for p, _ in rules), indexing="ij")
+    pts = np.array(base, dtype=float) / k + np.stack(shifts, axis=-1).reshape(-1, 3) / k
+    (_, w1), (_, w2), (_, w3) = rules
+    wts = (w1[:, None, None] * w2[None, :, None] * w3[None, None, :]).reshape(-1)
+    vals = np.asarray(derivative(pts), dtype=float).reshape(-1)
+    return float(np.dot(vals, wts))

@@ -39,9 +39,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import NumericalError, UnsupportedDegree
+from .errors import DegenerateTetrahedron, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
-from .interp import ScalarField, as_field, derivative_indices
+from .interp import ScalarField, as_field, derivative_indices, pull_back
 from .lattice import unit_weights
 
 MAX_RULE_DEGREE = 20
@@ -52,6 +52,9 @@ DENSE_LATTICE_ORDER = 40
 # Points per partials call at p = inf, which bounds the (n_gamma, N) arrays
 # and expression jets; every quadrature rule (at most 1331 points) is one block.
 BLOCK = 4096
+# How far outside the element (in barycentric coordinates) a Newton step of
+# the p = inf polish may land and still be taken.
+INSIDE_TOL = 1e-9
 
 MultiIndex = tuple[int, int, int]
 
@@ -157,14 +160,15 @@ def _check_finite(finite: np.ndarray, gammas: list):
         raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
 
 
-def _inside(t: Tetrahedron, x: np.ndarray, tol: float = 1e-9) -> bool:
-    verts = t.as_array()
-    m = (verts[1:] - verts[0]).T
+def _inside(t: Tetrahedron, x: np.ndarray) -> bool:
+    """Is x in t, up to INSIDE_TOL in barycentric terms?  False on a
+    degenerate t."""
     try:
-        lam = np.linalg.solve(m, x - verts[0])
-    except np.linalg.LinAlgError:
+        origin, _, inverse_t = pull_back(t)
+    except DegenerateTetrahedron:
         return False
-    return bool(lam.min() >= -tol and lam.sum() <= 1.0 + tol)
+    lam = (x - origin) @ inverse_t
+    return bool(lam.min() >= -INSIDE_TOL and lam.sum() <= 1.0 + INSIDE_TOL)
 
 
 def _newton_polish(

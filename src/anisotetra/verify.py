@@ -622,20 +622,15 @@ class MacReport:
         return len(self.forward_violations) + len(self.reverse_violations)
 
 
-def mac_experiment(n: int, gamma_max: float, gen: TetraGenSpec | None = None,
-                   seed: int = 0) -> MacReport:
+def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
     """Sample both directions of the angle/quality equivalence."""
     const = mac_bound_constants(gamma_max)
     d = const.D
-    if gen is not None:
-        seed = gen.seed
 
     # Forward: need samples satisfying the angle condition.  Below acos(1/3)
     # none exist; fall back to filtering a mixed stream so the vacuity is
     # observed rather than assumed.
-    if gen is not None and gen.family != "mac":
-        source, filtered = gen, True
-    elif gamma_max >= _MIN_MAX_ANGLE:
+    if gamma_max >= _MIN_MAX_ANGLE:
         source = TetraGenSpec(family="mac", seed=seed, params={"gamma": gamma_max})
         filtered = False
     else:

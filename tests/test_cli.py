@@ -410,3 +410,25 @@ def test_infinity_spelled_out(capsys):
         capsys,
     )
     assert report["results"]["p"] == "inf"
+
+
+def test_config_lists_every_option_once_in_declaration_order(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ANISOTETRA_SEED", "5")
+    tetra = ["vertices", "tetra_file", "tetra"]
+    cases = [
+        (["analyze", "--tetra", "ref"], tetra + ["gamma_max"]),
+        (["error", "--tetra", "ref", "--expr", "x*y", "--k", "1", "--m", "0", "--p", "2"],
+         tetra + ["expr", "field", "k", "m", "p", "degree"]),
+        (["sweep", "--k", "1", "--m", "0", "--p", "2", "--eps-levels", "2",
+          "--csv", str(tmp_path / "sweep.csv")],
+         ["k", "m", "p", "kind", "alphas", "eps_levels"]),
+        (["mac", "--gamma-max", "1.5707963267948966", "--n", "5"], ["gamma_max", "n", "seed"]),
+        (["dq", "--k", "2", "--delta", "1,0,0"], ["k", "delta"]),
+    ]
+    for argv, keys in cases:
+        report = run_json(argv + ["--out", "-"], capsys)
+        assert report["command"] == argv[0]
+        assert list(report["config"]) == keys, argv[0]
+    assert report["config"]["delta"] == "1,0,0"
+    mac = run_json(cases[3][0], capsys)
+    assert mac["config"]["seed"] == 5  # the resolved seed, not the absent --seed

@@ -23,6 +23,7 @@ from anisotetra.interp import (
     derivative_indices,
     interpolate,
     monomial_indices,
+    pull_back,
     residual,
 )
 from anisotetra.lattice import nodes_on
@@ -298,6 +299,21 @@ class TestInterpolation:
     def test_condition_estimate_reported(self):
         ip = interpolate(Polynomial3.constant(1.0), ANISO, 4)
         assert ip.condition_estimate >= 1.0
+        _, jac, _ = pull_back(ANISO)
+        assert ip.condition_estimate == np.linalg.cond(jac)
+
+    @pytest.mark.parametrize("alpha", [(0, 0, 0), (1, 0, 0), (0, 2, 1), (1, 1, 1)])
+    def test_coefficient_vector_is_the_interpolant(self, alpha):
+        # A unit vector over monomial_indices(k) is the reference monomial
+        # xi^alpha, with xi = J^{-1} (x - x_0), pulled back to the element.
+        k = 3
+        coef = np.array([float(g == alpha) for g in monomial_indices(k)])
+        origin, jac, inverse_t = pull_back(ROTATED_ANISO)
+        ip = Interpolant(coef, k, origin, jac, inverse_t)
+        pts = nodes_on(ROTATED_ANISO.coords(), 5)[1]
+        xi = np.linalg.solve(jac, (pts - origin).T)
+        want = np.prod([xi[i] ** alpha[i] for i in range(3)], axis=0)
+        assert np.allclose(ip.evaluate(pts), want, rtol=0, atol=1e-12)
 
     def test_coplanar_vertices_are_degenerate(self):
         flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])

@@ -10,6 +10,7 @@ from anisotetra.errors import MissingNodeValue
 from anisotetra.geom import TYPE1, TYPE2, reference_tetrahedron
 from anisotetra.lattice import (
     Box,
+    _ordered_simplex_rule,
     difference_quotient,
     enumerate_boxes,
     gamma_to_lattice,
@@ -26,6 +27,26 @@ from anisotetra.lattice import (
 )
 
 QUAD_TOL = 1e-12
+
+
+def ref_quotient_integral(derivative, base, delta, k, points_per_dim=6):
+    """quotient_integral one point at a time: a triple loop over the three
+    axis rules, each point's shift and weight built in the library's order."""
+    rules = [
+        _ordered_simplex_rule(s, points_per_dim) if s else (np.zeros((1, 0)), np.ones(1))
+        for s in delta
+    ]
+    (p1, w1), (p2, w2), (p3, w3) = rules
+    x0 = np.array(base, dtype=float) / k
+    pts, wts = [], []
+    for a in range(p1.shape[0]):
+        for b in range(p2.shape[0]):
+            for c in range(p3.shape[0]):
+                shift = np.array([p1[a].sum(), p2[b].sum(), p3[c].sum()]) / k
+                pts.append(x0 + shift)
+                wts.append(w1[a] * w2[b] * w3[c])
+    vals = np.asarray(derivative(np.array(pts)), dtype=float).reshape(-1)
+    return float(np.dot(vals, np.array(wts)))
 
 
 def simplex_dim(d):
@@ -212,3 +233,16 @@ class TestQuotientIntegral:
             q = quotient_from_function(f, box.base, delta, k)
             qi = quotient_integral(derivative, box.base, delta, k, points_per_dim=8)
             assert abs(q - qi) < 1e-11 * max(1.0, abs(q))
+
+    @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+    @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 2, 0), (1, 1, 0), (2, 1, 1), (0, 0, 4)])
+    def test_equals_point_by_point_reference(self, delta, kind):
+        a = np.array([0.7, -0.4, 0.3])
+
+        def derivative(pts):
+            return np.exp(np.asarray(pts) @ a)
+
+        for n in (3, 6):
+            for box in enumerate_boxes(5, delta, kind)[:6]:
+                want = ref_quotient_integral(derivative, box.base, delta, 5, n)
+                assert quotient_integral(derivative, box.base, delta, 5, n) == want

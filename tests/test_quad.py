@@ -117,10 +117,22 @@ class TestSeminorm:
         w = seminorm(u, T_HAT, SeminormSpec(2, 2.0))
         assert abs(w - math.sqrt(2.0 / 6.0)) < 1e-13
 
+    def test_inside_allows_the_tolerance_only(self):
+        assert quad._inside(T_HAT, np.array([0.5, 0.5, -0.5 * quad.INSIDE_TOL]))
+        assert not quad._inside(T_HAT, np.array([0.5, 0.5, -2.0 * quad.INSIDE_TOL]))
+        assert not quad._inside(T_HAT, np.array([0.5, 0.5, 2.0 * quad.INSIDE_TOL]))
+        flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert not quad._inside(flat, np.array([0.25, 0.25, 0.0]))
+
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_nonfinite_values_raise(self, p):
-        # NaN wherever x < 0.5, at quadrature and lattice points alike.
-        u = ScalarField(lambda pts: np.sqrt(pts[:, 0] - 0.5))
+        # NaN wherever x < 0.5, at quadrature and lattice points alike; the
+        # NaN is deliberate, so only its own RuntimeWarning is silenced.
+        def nan_below_half(pts):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(pts[:, 0] - 0.5)
+
+        u = ScalarField(nan_below_half)
         with pytest.raises(NumericalError):
             seminorm(u, T_HAT, SeminormSpec(0, p))
 

@@ -259,14 +259,13 @@ class TestMacExperiment:
     def test_regular_passes_just_above_its_dihedral(self):
         gamma = math.acos(1.0 / 3.0) + 1e-6
         assert mac_check(REGULAR, gamma)
-        rep = mac_experiment(
-            30, gamma, TetraGenSpec(family="mac", seed=11, params={"gamma": gamma})
-        )
+        rep = mac_experiment(30, gamma, seed=11)
         assert rep.counterexamples == 0
 
     def test_sliver_excluded_and_recorded(self):
-        gen = TetraGenSpec(family="sliver", seed=12, params={"eps": 1e-4})
-        rep = mac_experiment(20, 0.9 * math.pi, gen)
+        # Below acos(1/3) every sample of the mixed stream, slivers included,
+        # is excluded, and the flattest one's R_T/h_T is recorded.
+        rep = mac_experiment(20, math.pi / 3 + 0.01, seed=12)
         assert rep.forward_vacuous
         assert rep.excluded_count == 20
         assert rep.excluded_max_quality > 1e3
