@@ -500,7 +500,7 @@ def cmd_dq(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    ok = run_all(report=print)
+    ok = run_all()
     return 0 if ok else 1
 
 

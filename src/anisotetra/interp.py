@@ -6,7 +6,7 @@ x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  One fixed
 basis of P_k per degree k, built from the barycentric product formula (no
 linear solve), turns nodal values into the interpolant's coefficients in xi
 by a single matrix-vector product; that dense vector is the interpolant.
-pull_back builds x_0, J and J^{-T} once and rejects a degenerate element.
+pull_back returns x_0 and J^{-T} and rejects a degenerate element.
 Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
 chain rule, so a rotated flat element interpolates as well as an
 axis-aligned one.
@@ -27,18 +27,24 @@ ScalarField and knows its polynomial degree.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, InvalidDegree, NumericalError
+from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError
 from .geom import Tetrahedron, volume
 from .lattice import sigma_k, unit_weights
 
 MAX_DEGREE = 8
 
 MultiIndex = tuple[int, int, int]
+
+
+def _is_count(n) -> bool:
+    """Is n an integer >= 0?  Any numbers.Integral counts except bool."""
+    return (type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)) and n >= 0
 
 
 def derivative_indices(m: int) -> list[MultiIndex]:
@@ -152,7 +158,8 @@ class Polynomial3:
     tetrahedron, affine substitution, arithmetic, and vectorized evaluation.
     Values and partials come from _contract of the coefficient matrix of
     each order, cached on first use; the degree is stored at construction,
-    so coeffs must not change after it.
+    so coeffs must not change after it.  A key that is not three integers
+    >= 0 raises InputError.
     """
 
     __slots__ = ("coeffs", "degree", "_by_order")
@@ -161,6 +168,10 @@ class Polynomial3:
         clean: dict[MultiIndex, float] = {}
         if coeffs:
             for key, val in coeffs.items():
+                if not (isinstance(key, tuple) and len(key) == 3 and all(map(_is_count, key))):
+                    raise InputError(
+                        "monomial exponents must be three integers >= 0, got %r" % (key,)
+                    )
                 a, b, c = key
                 v = float(val)
                 if v != 0.0:
@@ -388,20 +399,15 @@ class Interpolant:
     are pulled back with xi = (x - origin) J^{-T}; physical partials of
     order m are derivatives(coef, k, m), multiplied by one chain-rule
     matrix, evaluated at xi by the same _contract as a Polynomial3's.
-    origin, jac and inverse_t are what pull_back returns.
+    origin and inverse_t are what pull_back returns.
     """
 
-    def __init__(self, coef: np.ndarray, k: int, origin, jac, inverse_t):
+    def __init__(self, coef: np.ndarray, k: int, origin, inverse_t):
         self.coef, self.k = coef, k
-        self._origin, self._jac, self._inverse_t = origin, jac, inverse_t
+        self._origin, self._inverse_t = origin, inverse_t
         # Per order, the partials' xi-monomial coefficients, built on first
         # use; p = inf asks for one order once per block.
         self._by_order: dict[int, np.ndarray] = {}
-
-    @property
-    def condition_estimate(self) -> float:
-        """cond_2(J), computed when read."""
-        return float(np.linalg.cond(self._jac))
 
     def evaluate(self, pts) -> np.ndarray:
         return self.partials(0, pts)[0]
@@ -454,13 +460,15 @@ def as_field(v) -> tuple[ScalarField, int | None]:
     return ScalarField(v), None
 
 
-def _check_degree(k: int):
-    if not isinstance(k, int) or k < 1:
+def _check_degree(k) -> int:
+    """k as a Python int, or InvalidDegree unless 1 <= k <= MAX_DEGREE."""
+    if not _is_count(k) or k < 1:
         raise InvalidDegree("interpolation degree must be an integer >= 1, got %r" % (k,))
     if k > MAX_DEGREE:
         raise InvalidDegree(
             "interpolation degree %d exceeds the supported maximum %d" % (k, MAX_DEGREE)
         )
+    return int(k)
 
 
 @lru_cache(maxsize=MAX_DEGREE)
@@ -490,12 +498,12 @@ def _reference_basis(k: int) -> np.ndarray:
     return basis
 
 
-def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """origin, J and J^{-T} of x = origin + J xi; DegenerateTetrahedron if flat."""
+def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
+    """origin and J^{-T} of x = origin + J xi; DegenerateTetrahedron if flat."""
     volume(t)
     verts = t.as_array()
     jac = (verts[1:] - verts[0]).T
-    return verts[0], jac, np.ascontiguousarray(np.linalg.inv(jac).T)
+    return verts[0], np.ascontiguousarray(np.linalg.inv(jac).T)
 
 
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
@@ -504,7 +512,7 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     v is anything as_field accepts.  Reproduces any q in P_k up to roundoff.
     A nodal value of v that is not finite raises NumericalError.
     """
-    _check_degree(k)
+    k = _check_degree(k)
     frame = pull_back(t)
     nodes = unit_weights(k) @ t.as_array()
     values = as_field(v)[0](nodes)

@@ -32,7 +32,6 @@ first such gamma in order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +40,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DegenerateTetrahedron, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
-from .interp import ScalarField, as_field, derivative_indices, pull_back
+from .interp import ScalarField, _is_count, as_field, derivative_indices, pull_back
 from .lattice import unit_weights
 
 MAX_RULE_DEGREE = 20
@@ -65,7 +64,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int
 
     def points_on(self, vertices) -> np.ndarray:
         return self.nodes @ np.asarray(vertices, dtype=float)
@@ -97,19 +95,20 @@ def rule_for_degree(d: int) -> QuadratureRule:
     z = www * (1.0 - uu) * (1.0 - vv)
     bary = np.stack([1.0 - x - y - z, x, y, z], axis=1)
     weights = cc * 6.0  # raw weights sum to |T_ref| = 1/6
-    return QuadratureRule(nodes=bary, weights=weights, exactness=2 * n - 1)
+    return QuadratureRule(nodes=bary, weights=weights)
 
 
 @dataclass(frozen=True)
 class SeminormSpec:
-    """Order m and exponent p (math.inf allowed)."""
+    """Order m (stored as a Python int) and exponent p (math.inf allowed)."""
 
     m: int
     p: float
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 0:
+        if not _is_count(self.m):
             raise ValueError("seminorm order m must be an integer >= 0, got %r" % (self.m,))
+        object.__setattr__(self, "m", int(self.m))
         if not self.p >= 1:  # also rejects NaN
             raise ValueError("exponent p must be >= 1 or inf, got %r" % (self.p,))
 
@@ -164,7 +163,7 @@ def _inside(t: Tetrahedron, x: np.ndarray) -> bool:
     """Is x in t, up to INSIDE_TOL in barycentric terms?  False on a
     degenerate t."""
     try:
-        origin, _, inverse_t = pull_back(t)
+        origin, inverse_t = pull_back(t)
     except DegenerateTetrahedron:
         return False
     lam = (x - origin) @ inverse_t

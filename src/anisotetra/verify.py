@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationFailure, InadmissiblePC
+from .errors import GenerationFailure, InadmissiblePC, NumericalError
 from .expr import field_from_expression
 from .geom import (
     EPS_ANGLE,
@@ -370,10 +370,6 @@ class ErrorRatioResult:
     geometry: GeometryReport
     warnings: tuple[str, ...] = ()
 
-    @property
-    def spec(self) -> tuple[int, int, float]:
-        return (self.k, self.m, self.p)
-
 
 def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
                 degree: int | None = None) -> ErrorRatioResult:
@@ -415,9 +411,10 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
 class SweepRow:
     """Worst corpus field at one grid point of a squeeze sweep.
 
-    max_ratio is the bound-factor-normalized ratio; max_scaled is the raw
-    seminorm quotient divided by (max alpha)^(k+1-m), the squeezing-theorem
-    normalization.
+    r_t and h_t describe the squeezed element; worst_field names the field
+    with the largest ratio.  max_ratio is its bound-factor-normalized ratio;
+    max_scaled is its raw seminorm quotient divided by (max alpha)^(k+1-m),
+    the squeezing-theorem normalization.
     """
 
     level: int
@@ -427,7 +424,6 @@ class SweepRow:
     max_ratio: float
     max_scaled: float
     worst_field: str
-    worst: ErrorRatioResult
 
 
 @dataclass(frozen=True)
@@ -499,7 +495,6 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
             max_ratio=max_ratio,
             max_scaled=max_scaled,
             worst_field=name,
-            worst=worst,
         ))
     ratios = [row.max_ratio for row in rows]
     scaled = [row.max_scaled for row in rows]
@@ -720,13 +715,8 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
 # ---------------------------------------------------------------------------
 # Convergence study
 
-
-@dataclass(frozen=True)
-class ConvergenceLevel:
-    h_t: float
-    error: float
-    seminorm_hi: float
-    ratio: float
+# Elements per study: t0 shrunk about its centroid by 2^0 .. 2^-(LEVELS-1).
+CONVERGENCE_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -735,58 +725,42 @@ class ConvergenceResult:
 
     ratio_l = error_l / seminorm_hi_l removes the measure factor carried by
     the high seminorm on a shrinking domain, leaving decay h^(k+1-m);
-    orders[i] = log2(ratio_i / ratio_{i+1}).  exact means the error vanished
-    at every level (v reproduced by the interpolant).
+    orders[i] = log2(ratio_i / ratio_{i+1}) over CONVERGENCE_LEVELS levels.
+    exact means there is no order to observe, and orders is empty: the error
+    vanished at every level (v reproduced by the interpolant), or every
+    level's ratio is 0 (v in P_k up to roundoff, so each is indeterminate).
     """
 
     k: int
     m: int
     p: float
-    expected_order: float
-    levels: tuple[ConvergenceLevel, ...]
     orders: tuple[float, ...]
     exact: bool
-    warnings: tuple[str, ...] = ()
 
 
-def convergence_study(v, t0: Tetrahedron, k: int, m: int, p: float,
-                      levels: int = 5) -> ConvergenceResult:
-    if levels < 3:
-        raise ValueError("levels must be >= 3, got %r" % (levels,))
+def convergence_study(v, t0: Tetrahedron, k: int, m: int, p: float) -> ConvergenceResult:
+    """The orders between the error ratios of v on t0 and its halvings.  A level
+    with ratio 0 (indeterminate, or an error of exactly 0) among levels that
+    are not all so raises NumericalError."""
     ok, reason = validate_p(k, m, p)
     if not ok:
         raise InadmissiblePC(reason)
     verts0 = np.asarray(t0.as_array())
     center = verts0.mean(axis=0)
-    records = []
-    warnings: tuple[str, ...] = ()
-    for level in range(levels):
+    records = []  # (error, seminorm_hi, ratio) per level
+    for level in range(CONVERGENCE_LEVELS):
         verts = center + (verts0 - center) * 2.0 ** -level
-        t = Tetrahedron.from_points(verts)
-        r = error_ratio(v, t, k, m, p)
-        warnings = warnings + r.warnings
+        r = error_ratio(v, Tetrahedron.from_points(verts), k, m, p)
         ratio = 0.0 if r.indeterminate else r.error / r.seminorm_hi
-        records.append(ConvergenceLevel(
-            h_t=r.geometry.h[-1],
-            error=r.error,
-            seminorm_hi=r.seminorm_hi,
-            ratio=ratio,
-        ))
-    scale = max(1.0, max(rec.seminorm_hi for rec in records))
-    exact = all(rec.error <= 1e-10 * scale for rec in records)
-    orders = ()
-    if not exact:
-        orders = tuple(
-            math.log2(records[i].ratio / records[i + 1].ratio)
-            for i in range(len(records) - 1)
+        records.append((r.error, r.seminorm_hi, ratio))
+    errors, his, ratios = zip(*records)
+    scale = max(1.0, max(his))
+    exact = all(e <= 1e-10 * scale for e in errors) or not any(ratios)
+    if not exact and 0.0 in ratios:
+        level = ratios.index(0.0)
+        raise NumericalError(
+            "convergence level %d has ratio 0 (error %.3e, seminorm_hi %.3e) among "
+            "levels that do not; no order spans it" % (level, errors[level], his[level])
         )
-    return ConvergenceResult(
-        k=k,
-        m=m,
-        p=p,
-        expected_order=float(k + 1 - m),
-        levels=tuple(records),
-        orders=orders,
-        exact=exact,
-        warnings=warnings,
-    )
+    orders = () if exact else tuple(math.log2(a / b) for a, b in zip(ratios, ratios[1:]))
+    return ConvergenceResult(k=k, m=m, p=p, orders=orders, exact=exact)

@@ -194,6 +194,11 @@ class TestSeminorm:
         with pytest.raises(ValueError):
             SeminormSpec(1.5, 2.0)
 
+    def test_spec_order_is_a_python_int(self):
+        with pytest.raises(ValueError):
+            SeminormSpec(True, 2.0)
+        assert type(SeminormSpec(np.int64(1), 2.0).m) is int
+
 
 class TestSupSeminorm:
     def test_polynomial_sup_matches_fine_grid(self):

@@ -131,3 +131,48 @@ def test_private_helpers_are_referenced():
     ]
     assert len(trees) >= 10
     assert not unused, "private names defined but never used: %r" % unused
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def result_fields(tree):
+    """(class, name) for each field of a top-level @dataclass and each
+    @property of a top-level class."""
+    def named(decorator, name):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == name
+
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        dataclass = any(named(d, "dataclass") for d in node.decorator_list)
+        for item in node.body:
+            if dataclass and isinstance(item, ast.AnnAssign):
+                found.append((node.name, item.target.id))
+            elif isinstance(item, ast.FunctionDef) and any(
+                named(d, "property") for d in item.decorator_list
+            ):
+                found.append((node.name, item.name))
+    return found
+
+
+def test_result_fields_are_read():
+    # A field or property that no code names as an attribute, in the package,
+    # the benchmark scripts or the tests, has no reader and is dead weight.
+    paths = [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), *TESTS.glob("*.py")]
+    read = {
+        n.attr
+        for path in paths
+        for n in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(n, ast.Attribute)
+    }
+    fields = [
+        (path.name, cls, name)
+        for path in sorted(SRC.glob("*.py"))
+        for cls, name in result_fields(ast.parse(path.read_text(), str(path)))
+    ]
+    unread = [f for f in fields if f[2] not in read]
+    assert len(fields) >= 100, fields
+    assert not unread, "fields and properties that nothing reads: %r" % unread

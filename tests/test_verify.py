@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotetra.errors import GenerationFailure, InadmissiblePC, InvalidGammaMax
+from anisotetra.errors import GenerationFailure, InadmissiblePC, InvalidGammaMax, NumericalError
 from anisotetra.geom import (
     TYPE1,
     TYPE2,
@@ -191,6 +191,12 @@ class TestErrorRatio:
         with pytest.raises(InadmissiblePC):
             error_ratio(Polynomial3.variable(0), T_HAT, 1, 1, 2.0)
 
+    def test_numpy_integer_degree(self):
+        v = Polynomial3({(3, 0, 0): 1.0, (0, 1, 2): -0.5})
+        got = error_ratio(v, REGULAR, np.int64(2), 1, 2.0)
+        want = error_ratio(v, REGULAR, 2, 1, 2.0)
+        assert (got.error, got.seminorm_hi, got.ratio) == (want.error, want.seminorm_hi, want.ratio)
+
     def test_transform_norm_chain(self):
         # The factorization route must stay inside the stated constants:
         # |A| <= 2 and |A^{-1}| <= 2 R_T/(3 h_T).
@@ -282,17 +288,31 @@ class TestConvergence:
         )
         from anisotetra.expr import field_from_expression
         v = field_from_expression("sin(x + 2*y + 3*z)")
-        res = convergence_study(v, shifted, 1, 0, 2.0, levels=5)
+        res = convergence_study(v, shifted, 1, 0, 2.0)
         assert not res.exact
         assert abs(res.orders[-1] - 2.0) < 0.1
         assert abs(res.orders[-2] - 2.0) < 0.1
 
     def test_exact_for_reproduced_polynomial(self):
         v = Polynomial3({g: 0.3 for g in monomial_indices(2)})
-        res = convergence_study(v, REGULAR, 2, 0, 2.0, levels=3)
+        res = convergence_study(v, REGULAR, 2, 0, 2.0)
         assert res.exact
         assert res.orders == ()
 
-    def test_level_floor(self):
-        with pytest.raises(ValueError):
-            convergence_study(Polynomial3.variable(0), T_HAT, 1, 0, 2.0, levels=2)
+    def test_indeterminate_at_every_level_is_exact(self):
+        # v lies in P_2, so seminorm_hi is 0 at every level, while the
+        # roundoff error of level 1 (1.7e-10) exceeds the 1e-10 threshold.
+        v = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7})
+        res = convergence_study(v, T_HAT, 2, 0, 2.0)
+        assert res.exact
+        assert res.orders == ()
+
+    @pytest.mark.parametrize("shift,level", [(0.0, 0), (0.1, 4)])
+    def test_level_without_a_ratio_raises(self, shift, level):
+        # A cubic term of 1e-13 makes seminorm_hi 2.4e-13 at level 0 and
+        # 3.8e-15 (indeterminate) at level 4.  On T_HAT the error at level 0
+        # is exactly 0; on the shifted element level 4 is indeterminate.
+        v = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7, (3, 0, 0): 1e-13})
+        t = Tetrahedron.from_points(np.asarray(T_HAT.as_array()) + shift)
+        with pytest.raises(NumericalError, match="level %d " % level):
+            convergence_study(v, t, 2, 0, 2.0)
