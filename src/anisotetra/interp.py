@@ -2,10 +2,10 @@
 
 Interpolation happens on the unit right-corner reference element, pulled
 back through the affine map x = x_0 + J xi with J = [x_1 - x_0, x_2 - x_0,
-x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  One fixed
-basis of P_k per degree k, built from the barycentric product formula (no
-linear solve), turns nodal values into the interpolant's coefficients in xi
-by a single matrix-vector product; that dense vector is the interpolant.
+x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  There it
+is sum_alpha Delta^alpha f(0) prod_i C(k xi_i, alpha_i) (Gregory-Newton): the
+lattice's quotient coefficients give the forward differences, one fixed matrix
+per k expands the binomials, and that dense vector in xi is the interpolant.
 pull_back returns x_0 and J^{-T} and rejects a degenerate element.
 Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
 chain rule, so a rotated flat element interpolates as well as an
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError
 from .geom import Tetrahedron, volume
-from .lattice import sigma_k, unit_weights
+from .lattice import quotient_coefficients, sigma_k, unit_weights
 
 MAX_DEGREE = 8
 
@@ -472,30 +472,28 @@ def _check_degree(k) -> int:
 
 
 @lru_cache(maxsize=MAX_DEGREE)
-def _reference_basis(k: int) -> np.ndarray:
-    """Lagrange basis of P_k on the unit right-corner element, in xi.
+def _newton(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(newton, diff) with coef = newton @ (diff @ values), the Gregory-Newton
+    form of the interpolant of the values at the nodes of sigma_k(k).
 
-    Column n holds the monomial_indices(k) coefficients of the basis
-    function of the n-th node of sigma_k(k), built from the product formula
-    phi_gamma = prod_i prod_{j < gamma_i} (k lambda_i - j) / (j + 1), which
-    is 1 at its own node and 0 at every other (no linear solve).
+    Row alpha of diff (monomial_indices(k) order) is alpha! times
+    lattice.quotient_coefficients(alpha) at the nodes eta, so diff @ values
+    are the forward differences Delta^alpha f(0).  Column alpha of newton is
+    prod_i C(k xi_i, alpha_i) in monomials, gathered from binom[d, a], the x^d
+    coefficient of C(kx, a): a signed Stirling number times k^d / a!.
     """
-    xi = [Polynomial3.variable(axis) for axis in range(3)]
-    lam = [1.0 - xi[0] - xi[1] - xi[2]] + xi
-    # factors[i][g] = prod_{j < g} (k lambda_i - j) / (j + 1)
-    factors = []
-    for i in range(4):
-        row = [Polynomial3.constant(1.0)]
-        for j in range(k):
-            row.append(row[-1] * ((k * lam[i] - j) * (1.0 / (j + 1))))
-        factors.append(row)
-    monos = monomial_indices(k)
-    basis = np.zeros((len(monos), len(sigma_k(k))))
-    for col, gamma in enumerate(sigma_k(k)):
-        phi = math.prod(factors[i][g] for i, g in enumerate(gamma))
-        basis[:, col] = [phi.coeffs.get(mono, 0.0) for mono in monos]
-    basis.flags.writeable = False
-    return basis
+    node = {gamma[1:]: n for n, gamma in enumerate(sigma_k(k))}
+    diff = np.zeros((len(node), len(node)))
+    for row, alpha in enumerate(monomial_indices(k)):
+        for eta, c in quotient_coefficients(alpha):
+            diff[row, node[eta]] = math.prod(map(math.factorial, alpha)) * c
+    binom = np.zeros((k + 1, k + 1))
+    for a in range(k + 1):
+        falling = np.polynomial.polynomial.polyfromroots(range(a))
+        binom[: a + 1, a] = falling * float(k) ** np.arange(a + 1) / math.factorial(a)
+    newton = math.prod(binom[e[:, None], e] for e in _exponents(k))
+    newton.flags.writeable = diff.flags.writeable = False
+    return newton, diff
 
 
 def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
@@ -509,8 +507,9 @@ def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     """The degree-k Lagrange interpolant of v on t.
 
-    v is anything as_field accepts.  Reproduces any q in P_k up to roundoff.
-    A nodal value of v that is not finite raises NumericalError.
+    v is anything as_field accepts; its nodal values give forward differences
+    and those the coefficients (_newton).  Reproduces any q in P_k up to
+    roundoff.  A nodal value of v that is not finite raises NumericalError.
     """
     k = _check_degree(k)
     frame = pull_back(t)
@@ -523,7 +522,8 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
             "v is not finite (%r) at interpolation node %s, x = %s"
             % (float(values[i]), sigma_k(k)[i], nodes[i].tolist())
         )
-    return Interpolant(_reference_basis(k) @ values, k, *frame)
+    newton, diff = _newton(k)
+    return Interpolant(newton @ (diff @ values), k, *frame)
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:

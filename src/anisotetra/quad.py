@@ -69,10 +69,10 @@ class QuadratureRule:
         return self.nodes @ np.asarray(vertices, dtype=float)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed, or True would find a cached 1
 def rule_for_degree(d: int) -> QuadratureRule:
     """A rule exact for all polynomials of total degree <= d."""
-    if not isinstance(d, int) or d < 1 or d > MAX_RULE_DEGREE:
+    if not _is_count(d) or d < 1 or d > MAX_RULE_DEGREE:
         raise UnsupportedDegree(
             "quadrature degree must lie in [1, %d], got %r" % (MAX_RULE_DEGREE, d)
         )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.special import binom
 
 from anisotetra.errors import (
     DegenerateTetrahedron,
@@ -27,7 +28,7 @@ from anisotetra.interp import (
     pull_back,
     residual,
 )
-from anisotetra.lattice import nodes_on
+from anisotetra.lattice import nodes_on, quotient_from_function
 from anisotetra.verify import TetraGenSpec, corpus, generate
 
 REPRO_TOL = 1e-9
@@ -305,14 +306,39 @@ class TestInterpolation:
         assert "not finite" in str(exc.value)
         assert "(2, 0, 0, 0)" in str(exc.value)
 
-    @pytest.mark.parametrize("k,tol", [(4, 1e-13), (8, 1e-10)])
+    @pytest.mark.parametrize("k,tol", [(4, 1e-14), (8, 1e-12)])
     def test_nodal_values_reproduced_at_high_degree(self, k, tol):
-        # Guards the conditioning of the monomial reference basis: on a
-        # rotated element the interpolant returns its own nodal values.
+        # Guards the conditioning of the Gregory-Newton form (forward
+        # differences, then the binomial basis expanded into monomials): on
+        # a rotated element the interpolant returns its own nodal values.
         f = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
         ip = interpolate(f, ROTATED_ANISO, k)
         _, nodes = nodes_on(ROTATED_ANISO.coords(), k)
         assert np.max(np.abs(ip.partials(0, nodes)[0] - f(nodes))) <= tol
+
+    @pytest.mark.parametrize("t", [T_HAT, ROTATED_ANISO], ids=["reference", "rotated"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_newton_form_of_the_lattice_quotients(self, t, k):
+        # I f(xi) = sum_alpha alpha! k^-|alpha| DQ^alpha (f o F)(0)
+        #           * prod_i C(k xi_i, alpha_i), with DQ^alpha the lattice's
+        # difference quotient at base 0 and F(xi) = x_0 + J xi.
+        def f(pts):
+            return np.sin(pts @ np.array([1.0, 2.0, 3.0]))
+
+        verts = t.as_array()
+        jac = (verts[1:] - verts[0]).T
+        rng = np.random.default_rng(k)
+        bary = rng.dirichlet(np.ones(4), size=20)
+        xi, pts = bary[:, 1:], bary @ verts
+        want = np.zeros(len(xi))
+        for alpha in monomial_indices(k):
+            quotient = quotient_from_function(
+                lambda p: f(verts[0] + p @ jac.T), (0, 0, 0), alpha, k
+            )
+            scale = math.prod(map(math.factorial, alpha)) * float(k) ** -sum(alpha)
+            want += scale * quotient * np.prod(binom(k * xi, np.array(alpha)), axis=1)
+        got = interpolate(f, t, k).evaluate(pts)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("alpha", [(0, 0, 0), (1, 0, 0), (0, 2, 1), (1, 1, 1)])
     def test_coefficient_vector_is_the_interpolant(self, alpha):

@@ -20,6 +20,7 @@ from anisotetra.quad import (
     seminorm_with_info,
     validate_p,
 )
+from anisotetra.verify import error_ratio
 
 T_HAT = reference_tetrahedron(TYPE1)
 ANISO = Tetrahedron.from_points(
@@ -56,6 +57,20 @@ class TestQuadrature:
             rule_for_degree(0)
         with pytest.raises(UnsupportedDegree):
             rule_for_degree(21)
+        rule_for_degree(1)  # a cached 1 must not answer for True
+        with pytest.raises(UnsupportedDegree):
+            rule_for_degree(True)
+
+    def test_numpy_integer_degree(self):
+        rule = rule_for_degree(np.int64(12))
+        assert np.array_equal(rule.nodes, rule_for_degree(12).nodes)
+        assert np.array_equal(rule.weights, rule_for_degree(12).weights)
+        v = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
+        want = error_ratio(v, ANISO, 2, 1, 3.0, degree=12)
+        got = error_ratio(v, ANISO, 2, 1, 3.0, degree=np.int64(12))
+        assert (got.error, got.seminorm_hi, got.ratio) == (
+            want.error, want.seminorm_hi, want.ratio
+        )
 
     def test_integrate_matches_polynomial_integrate(self):
         # A rule transfers to a non-reference element: |q|_{0,2,T}^2 is the
