@@ -41,35 +41,46 @@ _AXES = np.eye(3)[:, :, None]  # the linear part of each coordinate
 # expansion f(x + h) = sum_gamma c_gamma(x) h^gamma, c_gamma = d^gamma f / gamma!.
 # Part d is an (M_d, N) array over derivative_indices(d); (M_d, 1), or a
 # scalar for part 0, when it does not depend on the point (constants, the
-# linear part of an affine argument); None when it vanishes.
+# linear part of an affine argument); None when it vanishes.  Asked for the
+# top part only, a node computes part n alone and may leave the lower parts
+# None: a field's partials of order m read part m and nothing else.
 
 
 def _plus(a, b):
     return a if b is None else b if a is None else a + b
 
 
-def _mul(u: list, v: list) -> list:
+def _parts(n: int, top: bool) -> range:
+    """The parts a jet of order n computes: all of them, or part n alone."""
+    return range(n, n + 1) if top else range(n + 1)
+
+
+def _mul(u: list, v: list, top: bool = False) -> list:
+    """The product of jets u and v; each part sums u_i v_(d-i) by ascending i."""
     out = [None] * len(u)
-    for i, a in enumerate(u):
-        if a is not None:
-            for j, b in enumerate(v[: len(u) - i]):
-                if b is not None:
-                    out[i + j] = _plus(out[i + j], _times(a, i, b, j))
+    for d in _parts(len(u) - 1, top):
+        for i in range(d + 1):
+            if u[i] is not None and v[d - i] is not None:
+                out[d] = _plus(out[d], _times(u[i], i, v[d - i], d - i))
     return out
 
 
-def _compose(coeffs: list, v: list) -> list:
+def _compose(coeffs: list, v: list, top: bool = False) -> list:
     """f(v) from coeffs[d] = f^(d)(v_0)/d!: the sum of coeffs[d] (v - v_0)^d.
 
-    When v is affine, (v - v_0)^d is a single constant part, so each term
-    is one outer product.
+    Every part of (v - v_0)^d is needed for the next power, but only the
+    kept parts of the sum are formed.  When v is affine, (v - v_0)^d is a
+    single constant part, so each term is one outer product.
     """
+    keep = _parts(len(v) - 1, top)
     delta = [None] + v[1:]
-    out = [coeffs[0]] + [None] * (len(v) - 1)
+    out = [coeffs[0] if 0 in keep else None] + [None] * (len(v) - 1)
     power = [np.ones((1, 1))] + [None] * (len(v) - 1)
     for c in coeffs[1:]:
         power = _mul(power, delta)
-        out = [_plus(o, None if q is None else c * q) for o, q in zip(out, power)]
+        for d in keep:
+            if power[d] is not None:
+                out[d] = _plus(out[d], c * power[d])
     return out
 
 
@@ -93,8 +104,9 @@ def _function_coeffs(name: str, a, n: int) -> list:
 
 
 class Node:
-    def jet(self, pts: np.ndarray, n: int) -> list:
-        """The parts 0..n of the Taylor jet at pts (N, 3)."""
+    def jet(self, pts: np.ndarray, n: int, top: bool = False) -> list:
+        """The parts 0..n of the Taylor jet at pts (N, 3); with top, part n
+        is computed and the lower parts may be None."""
         raise NotImplementedError
 
     def partials(self, m: int, pts) -> np.ndarray:
@@ -104,7 +116,7 @@ class Node:
         gammas = derivative_indices(m)
         out = np.zeros((len(gammas), pts.shape[0]))
         with np.errstate(all="ignore"):
-            part = self.jet(pts, m)[m]
+            part = self.jet(pts, m, top=True)[m]
             if part is not None:
                 fact = [math.prod(map(math.factorial, g)) for g in gammas]
                 np.multiply(part, np.array(fact, dtype=float)[:, None], out=out)
@@ -118,7 +130,7 @@ class Node:
 class Num(Node):
     value: float
 
-    def jet(self, pts, n):
+    def jet(self, pts, n, top=False):
         return [np.float64(self.value)] + [None] * n
 
 
@@ -126,7 +138,7 @@ class Num(Node):
 class Var(Node):
     axis: int
 
-    def jet(self, pts, n):
+    def jet(self, pts, n, top=False):
         out = [pts[None, :, self.axis]] + [None] * n
         if n:
             out[1] = _AXES[self.axis]
@@ -137,8 +149,8 @@ class Var(Node):
 class Neg(Node):
     arg: Node
 
-    def jet(self, pts, n):
-        return [None if a is None else -a for a in self.arg.jet(pts, n)]
+    def jet(self, pts, n, top=False):
+        return [None if a is None else -a for a in self.arg.jet(pts, n, top)]
 
 
 @dataclass(frozen=True)
@@ -146,8 +158,8 @@ class Add(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n):
-        return list(map(_plus, self.left.jet(pts, n), self.right.jet(pts, n)))
+    def jet(self, pts, n, top=False):
+        return list(map(_plus, self.left.jet(pts, n, top), self.right.jet(pts, n, top)))
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,8 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n):
-        return _mul(self.left.jet(pts, n), self.right.jet(pts, n))
+    def jet(self, pts, n, top=False):
+        return _mul(self.left.jet(pts, n), self.right.jet(pts, n), top)
 
 
 @dataclass(frozen=True)
@@ -164,12 +176,12 @@ class Div(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n):
+    def jet(self, pts, n, top=False):
         u, v = self.left.jet(pts, n), self.right.jet(pts, n)
         coeffs = _power_coeffs(v[0], -1, n)
         if all(a is None for a in u[1:]):  # a constant numerator scales 1/v
-            return _compose([u[0] * c for c in coeffs], v)
-        return _mul(u, _compose(coeffs, v))
+            return _compose([u[0] * c for c in coeffs], v, top)
+        return _mul(u, _compose(coeffs, v), top)
 
 
 @dataclass(frozen=True)
@@ -177,9 +189,9 @@ class Pow(Node):
     base: Node
     n: int
 
-    def jet(self, pts, n):
+    def jet(self, pts, n, top=False):
         v = self.base.jet(pts, n)
-        return _compose(_power_coeffs(v[0], self.n, n), v)
+        return _compose(_power_coeffs(v[0], self.n, n), v, top)
 
 
 @dataclass(frozen=True)
@@ -187,9 +199,9 @@ class Call(Node):
     name: str
     arg: Node
 
-    def jet(self, pts, n):
+    def jet(self, pts, n, top=False):
         v = self.arg.jet(pts, n)
-        return _compose(_function_coeffs(self.name, v[0], n), v)
+        return _compose(_function_coeffs(self.name, v[0], n), v, top)
 
 
 class _Parser:

@@ -14,10 +14,14 @@ axis-aligned one.
 Every field returns its exact partials of one order in one pass, partials(m,
 pts), by Taylor-mode evaluation for expressions.  A Polynomial3 and an
 interpolant share derivatives (dense coefficients to the order-m derivative
-matrix) and one kernel, _contract: that matrix (the interpolant's times one
-chain-rule matrix, at points mapped once to xi) against one monomial table,
-summed one monomial at a time rather than by a BLAS product, whose rows are
-not bitwise equal to one-row products; so row gamma equals d^gamma alone.
+matrix) and one monomial table, _monomials, built by one multiply per
+monomial.  They differ in how they sum it.  A Polynomial3's row gamma must
+equal its partial polynomial d^gamma evaluated alone, bitwise, and the rows
+of a BLAS product need not equal one-row products; so _contract adds its
+monomials one at a time, in order.  An interpolant's single partial is by
+definition a row of its partials, so those are one matrix product: the
+order-m matrix (times one chain-rule matrix) against the table at points
+mapped once to xi.
 
 Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
 callable; as_field is the one place that turns any of them into a
@@ -120,34 +124,46 @@ def _first_axes(m: int):
     return np.array(axes), np.array(rows)
 
 
-def _power_table(p: np.ndarray, degree: int) -> np.ndarray:
-    """powers[axis, d] = p[:, axis]**d by repeated multiplication."""
-    powers = np.ones((3, degree + 1, p.shape[0]))
-    for d in range(1, degree + 1):
-        powers[:, d] = powers[:, d - 1] * p.T
-    return powers
-
-
 @lru_cache(maxsize=None)
 def _exponents(degree: int) -> np.ndarray:
     """monomial_indices(degree) as a (3, M) array, one row per axis."""
     return np.array(monomial_indices(degree), dtype=int).reshape(-1, 3).T
 
 
+def _monomials(pts: np.ndarray, degree: int) -> np.ndarray:
+    """Row j is x^alpha_j at pts, alpha_j in monomial_indices(degree); no rows
+    when degree < 0.
+
+    Each monomial of degree d is one of degree d - 1 times its first axis:
+    x times every monomial of degree d - 1, then y times those without x,
+    then z times z^(d-1).  So a row costs one multiply and its value does not
+    depend on degree.
+    """
+    table = np.empty((_exponents(degree).shape[1], pts.shape[0]))
+    x, y, z = np.ascontiguousarray(pts.T)
+    table[:1] = 1.0
+    prev, start = 0, 1  # the first rows of degree d - 1 and of degree d
+    for d in range(1, degree + 1):
+        np.multiply(x, table[prev:start], out=table[start : 2 * start - prev])
+        end = start + (d + 1) * (d + 2) // 2
+        np.multiply(y, table[start - d : start], out=table[2 * start - prev : end - 1])
+        np.multiply(z, table[start - 1], out=table[end - 1])
+        prev, start = start, end
+    return table
+
+
 def _contract(degree: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Row i of sum_j coeffs[i, j] x^alpha_j at pts, alpha_j in monomial_indices(degree).
 
-    One power table serves every row; monomials are added one at a time in
-    their order and never through a matrix product, whose rows are not
-    bitwise equal to one-row products, so each row is the value its
-    polynomial alone would give.  A zero column adds nothing.
+    The monomials are added one at a time in their order and never through a
+    matrix product, whose rows are not bitwise equal to one-row products, so
+    each row is the value its polynomial alone would give.  A zero column
+    adds nothing.
     """
-    powers = _power_table(pts, max(degree, 0))
-    used = np.flatnonzero(coeffs.any(axis=0))
-    a, b, c = _exponents(degree)[:, used]
+    table = _monomials(pts, degree)
     out = np.zeros((coeffs.shape[0], pts.shape[0]))
-    for col, mono in zip(coeffs.T[used], powers[0, a] * powers[1, b] * powers[2, c]):
-        out += col[:, None] * mono
+    for j in np.flatnonzero(coeffs.any(axis=0)):
+        out += coeffs[:, j, None] * table[j]
     return out
 
 
@@ -176,6 +192,18 @@ class Polynomial3:
                 v = float(val)
                 if v != 0.0:
                     clean[(int(a), int(b), int(c))] = v
+        self._set(clean)
+
+    @classmethod
+    def _built(cls, coeffs: dict[MultiIndex, float]) -> "Polynomial3":
+        """A polynomial from keys that are already triples of Python ints >= 0
+        and Python float values, as this class's arithmetic makes them: the
+        keys are not checked again, zero values are dropped."""
+        out = cls.__new__(cls)
+        out._set({key: v for key, v in coeffs.items() if v != 0.0})
+        return out
+
+    def _set(self, clean: dict[MultiIndex, float]):
         self.coeffs = clean
         self.degree = max(map(sum, clean), default=0)
         self._by_order: dict[int, np.ndarray] = {}
@@ -217,18 +245,18 @@ class Polynomial3:
         """Exact partial derivative d^gamma: one row of _derivatives."""
         m = sum(gamma)
         row = self._derivatives(m)[derivative_indices(m).index(tuple(gamma))]
-        return Polynomial3(dict(zip(monomial_indices(self.degree - m), row)))
+        return Polynomial3._built(dict(zip(monomial_indices(self.degree - m), row.tolist())))
 
     def compose_affine(self, B, b) -> "Polynomial3":
         """The polynomial x -> p(B @ x + b), expanded exactly."""
-        B = np.asarray(B, dtype=float)
-        b = np.asarray(b, dtype=float)
+        B = np.asarray(B, dtype=float).tolist()
+        b = np.asarray(b, dtype=float).tolist()
         lin = [
-            Polynomial3(
+            Polynomial3._built(
                 {
-                    (1, 0, 0): B[i, 0],
-                    (0, 1, 0): B[i, 1],
-                    (0, 0, 1): B[i, 2],
+                    (1, 0, 0): B[i][0],
+                    (0, 1, 0): B[i][1],
+                    (0, 0, 1): B[i][2],
                     (0, 0, 0): b[i],
                 }
             )
@@ -269,12 +297,12 @@ class Polynomial3:
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, 0.0) + val
-        return Polynomial3(out)
+        return Polynomial3._built(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial3({k: -v for k, v in self.coeffs.items()})
+        return Polynomial3._built({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -286,13 +314,13 @@ class Polynomial3:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial3({k: v * float(other) for k, v in self.coeffs.items()})
+            return Polynomial3._built({k: v * float(other) for k, v in self.coeffs.items()})
         out: dict[MultiIndex, float] = {}
         for (a1, b1, c1), v1 in self.coeffs.items():
             for (a2, b2, c2), v2 in other.coeffs.items():
                 key = (a1 + a2, b1 + b2, c1 + c2)
                 out[key] = out.get(key, 0.0) + v1 * v2
-        return Polynomial3(out)
+        return Polynomial3._built(out)
 
     __rmul__ = __mul__
 
@@ -398,7 +426,7 @@ class Interpolant:
     monomial_indices(k), which must not change after construction.  Points
     are pulled back with xi = (x - origin) J^{-T}; physical partials of
     order m are derivatives(coef, k, m), multiplied by one chain-rule
-    matrix, evaluated at xi by the same _contract as a Polynomial3's.
+    matrix, times the monomial table at xi.
     origin and inverse_t are what pull_back returns.
     """
 
@@ -421,14 +449,15 @@ class Interpolant:
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
 
-        The points are mapped once, xi = (x - origin) J^{-T}; the matrix is
-        contracted at degree k - m, and a zero coefficient adds nothing.
+        The points are mapped once, xi = (x - origin) J^{-T}, and the result
+        is one matrix product: the cached order-m matrix times the monomials
+        of degree <= k - m at xi.  partial(gamma) is a row of it by definition.
         """
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         if m not in self._by_order:
             self._by_order[m] = self._chain_rule(m) @ derivatives(self.coef, self.k, m)
         xi = (p - self._origin) @ self._inverse_t
-        return _contract(self.k - m, self._by_order[m], xi)
+        return self._by_order[m] @ _monomials(xi, self.k - m)
 
     def _chain_rule(self, m: int) -> np.ndarray:
         """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.

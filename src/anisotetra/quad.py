@@ -237,7 +237,8 @@ def _rule_degrees(
             )
         return ()
     if degree is not None:
-        return (degree,)
+        # A valid degree is stored as a Python int; rule_for_degree rejects the rest.
+        return (int(degree) if _is_count(degree) else degree,)
     p = float(spec.p)
     if poly_degree is not None and p == int(p) and int(p) % 2 == 0:
         exact_deg = max(1, (poly_degree - spec.m) * int(p))

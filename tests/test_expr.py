@@ -16,8 +16,11 @@ from anisotetra.interp import (
     as_field,
     derivative_indices,
     interpolate,
+    monomial_indices,
     residual,
 )
+from anisotetra.verify import TetraGenSpec, corpus, generate
+from test_interp import ROTATED_ANISO
 
 PTS = np.array(
     [[0.3, 0.1, 0.7], [1.2, -0.4, 0.05], [0.0, 0.0, 0.0], [-0.7, 2.0, 1.3]]
@@ -243,3 +246,48 @@ def test_partials_rows_equal_single_partials():
     for m in range(5):
         for gamma, row in zip(derivative_indices(m), q.partials(m, pts)):
             assert np.array_equal(row, q.partial(gamma).evaluate(pts)), gamma
+    # Large shapes too, where the rows of a matrix product need not equal
+    # one-row products: 1500 points, dense and sparse polynomials of degree
+    # 7, and an interpolant of degree 4 on a rotated anisotropic element.
+    rng = np.random.default_rng(7)
+    big = rng.uniform(-0.5, 1.5, (1500, 3))
+    dense = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(7)})
+    sparse = Polynomial3(
+        {(7, 0, 0): 0.3, (2, 3, 1): -1.1, (0, 4, 2): 2.5, (1, 1, 1): 0.7, (0, 0, 3): -0.2}
+    )
+    for poly in (dense, sparse):
+        for m in range(5):
+            for gamma, row in zip(derivative_indices(m), poly.partials(m, big)):
+                assert np.array_equal(row, poly.partial(gamma).evaluate(big)), (poly, gamma)
+    ip = interpolate(trig, ROTATED_ANISO, 4)
+    inside = rng.dirichlet(np.ones(4), 1500) @ ROTATED_ANISO.as_array()
+    for m in range(5):
+        for gamma, row in zip(derivative_indices(m), ip.partials(m, inside)):
+            assert np.array_equal(row, ip.partial(gamma, inside)), gamma
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_partials_compose_the_top_part_alone(m):
+    # partials(m) forms part m of the Taylor jet and leaves the lower parts
+    # of the root unformed; it must equal part m of the full jet times
+    # gamma!, bitwise, for every expression field of the corpus and for
+    # nested roots of each kind.
+    t = generate(TetraGenSpec("sliver", 4), 1)[0]
+    nodes = [
+        f._partials.__self__  # the expression tree behind the field
+        for _, f in corpus(4, t)
+        if isinstance(f, ScalarField)
+    ]
+    nodes += [
+        parse_expression(text)
+        for text in ("sin(x*y)/(2+exp(z))", "x*sin(y) - cos(x*z)^3", "(1 + x*x)^-2", "-exp(y)/3")
+    ]
+    assert len(nodes) == 17
+    pts = np.random.default_rng(m).dirichlet(np.ones(4), 500) @ t.as_array()
+    gammas = derivative_indices(m)
+    fact = np.array([math.prod(map(math.factorial, g)) for g in gammas], dtype=float)[:, None]
+    for node in nodes:
+        with np.errstate(all="ignore"):
+            full = node.jet(pts, m)[m]
+            want = np.broadcast_to(0.0 if full is None else full * fact, (len(gammas), len(pts)))
+        assert np.array_equal(node.partials(m, pts), want), node

@@ -71,6 +71,8 @@ class TestQuadrature:
         assert (got.error, got.seminorm_hi, got.ratio) == (
             want.error, want.seminorm_hi, want.ratio
         )
+        info = seminorm_with_info(v, ANISO, SeminormSpec(1, 3.0), degree=np.int64(12))
+        assert type(info.quadrature_degree) is int and info.quadrature_degree == 12
 
     def test_integrate_matches_polynomial_integrate(self):
         # A rule transfers to a non-reference element: |q|_{0,2,T}^2 is the

@@ -176,3 +176,23 @@ def test_result_fields_are_read():
     unread = [f for f in fields if f[2] not in read]
     assert len(fields) >= 100, fields
     assert not unread, "fields and properties that nothing reads: %r" % unread
+
+
+def test_contract_sums_without_a_matrix_product():
+    # A Polynomial3's rows of partials must equal its partial polynomials
+    # evaluated alone, bitwise.  The rows of a matrix product need not equal
+    # one-row products (that depends on the shape and the BLAS), so
+    # interp._contract adds its monomials one at a time and may use none.
+    tree = ast.parse((SRC / "interp.py").read_text())
+    contract = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_contract"
+    )
+
+    def is_product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in ("dot", "matmul", "einsum", "tensordot")
+
+    products = [ast.unparse(n) for n in ast.walk(contract) if is_product(n)]
+    assert not products, "_contract uses a matrix product: %r" % products
