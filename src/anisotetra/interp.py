@@ -25,7 +25,7 @@ mapped once to xi.
 
 Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
 callable; as_field is the one place that turns any of them into a
-ScalarField and knows its polynomial degree.
+ScalarField that carries its polynomial degree or None, as a residual does.
 """
 
 from __future__ import annotations
@@ -334,8 +334,11 @@ class ScalarField:
 
     When analytic partials are not supplied, central finite differences with
     adaptive step eps^(1/(|gamma|+2)) * scale are used; exact_partials then
-    reports False so downstream reports can flag the approximation.
+    reports False so downstream reports can flag the approximation.  degree
+    is the polynomial degree that as_field or residual knows, else None.
     """
+
+    degree: int | None = None
 
     def __init__(
         self,
@@ -357,7 +360,10 @@ class ScalarField:
 
     def __call__(self, pts) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self._eval(p), dtype=float).reshape(p.shape[0])
+        values = np.asarray(self._eval(p), dtype=float)
+        if values.size != p.shape[0]:
+            raise InputError("field returned %d values for %d points" % (values.size, p.shape[0]))
+        return values.reshape(p.shape[0])
 
     def _points(self, m: int, pts) -> np.ndarray:
         """pts as an (N, 3) array once order m is known to be available."""
@@ -406,9 +412,9 @@ class _OnePass(ScalarField):
     """A field whose partials of one order come from one call,
     partials_fn(m, pts) -> (n_gamma, N); a single partial is one row."""
 
-    def __init__(self, eval_fn, partials_fn, order, scale, exact):
+    def __init__(self, eval_fn, partials_fn, order, scale, exact, degree=None):
         super().__init__(eval_fn, order=order, scale=scale, exact=exact)
-        self._partials = partials_fn
+        self._partials, self.degree = partials_fn, degree
 
     def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
         m = sum(gamma)
@@ -473,20 +479,20 @@ class Interpolant:
         return c
 
 
-def as_field(v) -> tuple[ScalarField, int | None]:
-    """v as a ScalarField, plus its polynomial degree or None when it has none.
+def as_field(v) -> ScalarField:
+    """v as a ScalarField, whose degree is v's polynomial degree or None.
 
-    v may be a Polynomial3, an Interpolant, a ScalarField or a plain callable
-    on (N, 3) arrays; polynomial partials are exact, a plain callable's are
-    finite differences.
+    v may be a Polynomial3 (degree its degree), an Interpolant (degree k), a
+    ScalarField (returned as it is) or a plain callable on (N, 3) arrays;
+    polynomial partials are exact, a plain callable's are finite differences.
     """
     if isinstance(v, ScalarField):
-        return v, None
+        return v
     if isinstance(v, Polynomial3):
-        return _OnePass(v.evaluate, v.partials, None, 1.0, True), v.degree
+        return _OnePass(v.evaluate, v.partials, None, 1.0, True, v.degree)
     if isinstance(v, Interpolant):
-        return _OnePass(v.evaluate, v.partials, None, 1.0, True), v.k
-    return ScalarField(v), None
+        return _OnePass(v.evaluate, v.partials, None, 1.0, True, v.k)
+    return ScalarField(v)
 
 
 def _check_degree(k) -> int:
@@ -543,7 +549,7 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     k = _check_degree(k)
     frame = pull_back(t)
     nodes = unit_weights(k) @ t.as_array()
-    values = as_field(v)[0](nodes)
+    values = as_field(v)(nodes)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
@@ -559,15 +565,15 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     """The interpolation residual u = v - I_T^k v as a ScalarField.
 
     Partials combine v's partials (exact or finite-difference) with the
-    interpolant's exact polynomial partials; u vanishes at every node.
+    interpolant's exact polynomial partials; u vanishes at every node.  When
+    v is a polynomial, so is u, of degree max(deg v, k).
     """
-    v, _ = as_field(v)
+    v = as_field(v)
     ip = interpolate(v, t, k)
     # The difference is exact only when v's own partials are.
     return _OnePass(
         lambda pts: v(pts) - ip.evaluate(pts),
         lambda m, pts: v.partials(m, pts) - ip.partials(m, pts),
-        v.order,
-        v.scale,
-        v.exact_partials,
+        v.order, v.scale, v.exact_partials,
+        None if v.degree is None else max(v.degree, ip.k),
     )

@@ -119,8 +119,8 @@ def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
     Three branches: k - m = 0 needs 2 < p <= inf; k = 1 (with m = 0) needs
     3/2 < p <= inf; k >= 2 with k - m >= 1 allows 1 <= p <= inf.
     """
-    if k < 1 or not 0 <= m <= k:
-        return False, "requires k >= 1 and 0 <= m <= k, got k=%d m=%d" % (k, m)
+    if not (_is_count(k) and _is_count(m)) or k < 1 or m > k:
+        return False, "requires integers k >= 1 and 0 <= m <= k, got k=%r m=%r" % (k, m)
     if k - m == 0:
         if p > 2:
             return True, "k - m = 0 and p > 2"
@@ -252,20 +252,21 @@ def seminorm_with_info(
 ) -> SeminormInfo:
     """|u|_{m,p,T} plus quadrature metadata and warnings.
 
-    u is anything interp.as_field accepts.  degree fixes the quadrature
+    u is anything interp.as_field accepts, whose polynomial degree picks the
+    exact rule at even p and the p = inf polish.  degree fixes the quadrature
     exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
     and at p = inf, which samples a lattice).
     """
-    field_u, poly_degree = as_field(u)
-    degrees = _rule_degrees(spec, poly_degree, degree)
+    field_u = as_field(u)
+    degrees = _rule_degrees(spec, field_u.degree, degree)
     verts = t.as_array()
     gammas = derivative_indices(spec.m)
-    vanishes = poly_degree is not None and spec.m > poly_degree  # every d^gamma u is 0
+    vanishes = field_u.degree is not None and spec.m > field_u.degree  # every d^gamma u is 0
     if not degrees:
         value, at = (0.0, None) if vanishes else _running_max(
             field_u, spec.m, unit_weights(DENSE_LATTICE_ORDER) @ verts, gammas
         )
-        if at is not None and poly_degree is not None:
+        if at is not None and field_u.degree is not None:
             value = max(value, _newton_polish(field_u, *at, t))
         warnings = ("p=inf maximum from dense sampling; value is approximate",)
         return SeminormInfo(value, None, warnings, not field_u.exact_partials)

@@ -56,8 +56,8 @@ from .geom import (
     max_face_and_dihedral_angle,
     reference_tetrahedron,
 )
-from .interp import Polynomial3, monomial_indices, residual
-from .lattice import difference_quotient, enumerate_boxes, node_values
+from .interp import Interpolant, Polynomial3, _newton, monomial_indices, pull_back, residual
+from .lattice import difference_quotient, enumerate_boxes, node_values, unit_weights
 from .quad import SeminormSpec, seminorm_with_info, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
@@ -283,27 +283,16 @@ def generate(gen: TetraGenSpec, n: int) -> list[Tetrahedron]:
 # Field corpus
 
 
-def _barycentric_forms(t: Tetrahedron) -> list[Polynomial3]:
-    b = np.ones((4, 4))
-    b[1:, :] = np.asarray(t.as_array()).T
-    c = np.linalg.inv(b)  # row i: coefficients (c0, cx, cy, cz) of lambda_i
-    forms = []
-    for i in range(4):
-        coeffs = {(0, 0, 0): c[i, 0]}
-        for axis, key in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            coeffs[key] = c[i, axis + 1]
-        forms.append(Polynomial3(coeffs))
-    return forms
-
-
-def bubble_polynomial(t: Tetrahedron) -> Polynomial3:
+def bubble_polynomial(t: Tetrahedron) -> Interpolant:
     """The quartic lambda_0*lambda_1*lambda_2*lambda_3 of the element.
 
-    It vanishes on all four faces, hence at every lattice node of degree
-    k <= 3; useful as a stress field whose interpolant is zero.
+    Built on the reference element as interpolate builds an interpolant, from
+    the exact nodal values prod_i gamma_i/4 at the nodes of degree 4, so a flat
+    element cancels no physical monomials.  It is 0 at every lattice node of
+    degree k <= 3: a stress field whose interpolant is zero.
     """
-    l0, l1, l2, l3 = _barycentric_forms(t)
-    return l0 * l1 * l2 * l3
+    newton, diff = _newton(4)
+    return Interpolant(newton @ (diff @ unit_weights(4).prod(axis=1)), 4, *pull_back(t))
 
 
 def _linear_arg(a: np.ndarray, b: float) -> str:
@@ -318,9 +307,9 @@ def corpus(k: int, t: Tetrahedron) -> list[tuple[str, object]]:
 
     Five trig fields, four exponentials, four rationals whose pole plane
     stays at distance >= 1 from the element, six random polynomials of
-    degree k+2, and the element's bubble.  Coefficients come from a fixed
-    key so sweeps are comparable across runs; only the rational shifts and
-    the bubble depend on the element.
+    degree k+2 (Polynomial3), and the element's bubble (an Interpolant of
+    degree 4).  Coefficients come from a fixed key so sweeps are comparable
+    across runs; only the rational shifts and the bubble depend on the element.
     """
     rng = np.random.Generator(np.random.Philox(key=_CORPUS_KEY))
     verts = np.asarray(t.as_array())
@@ -377,6 +366,7 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     ok, reason = validate_p(k, m, p)
     if not ok:
         raise InadmissiblePC(reason)
+    k, m = int(k), int(m)
     geometry = angles(t)
     h_t = geometry.h[-1]
     u = residual(v, t, k)
@@ -467,6 +457,8 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
         raise InadmissiblePC(reason)
     if alphas is None:
         alphas = default_alpha_grid()
+    if not len(alphas):
+        raise ValueError("the alpha grid is empty")
     ref = reference_tetrahedron(kind).as_array()
     fields = corpus(k, Tetrahedron.from_points(ref))
     rows = []

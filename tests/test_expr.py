@@ -229,8 +229,8 @@ def test_partials_rows_equal_single_partials():
     trig = field_from_expression("sin(x + 2*y - z) / (3 + x)")
     fields = {
         "expr": trig,
-        "polynomial": as_field(q)[0],
-        "interpolant": as_field(interpolate(trig, t, 3))[0],
+        "polynomial": as_field(q),
+        "interpolant": as_field(interpolate(trig, t, 3)),
         "residual": residual(q, t, 2),
         "finite difference": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
         "per-gamma": ScalarField(trig, partial_fn=lambda g, pts: trig.partial(g, pts)),

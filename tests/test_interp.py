@@ -16,6 +16,7 @@ from anisotetra.errors import (
     InvalidDegree,
     NumericalError,
 )
+from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, TYPE2, Tetrahedron, reference_tetrahedron
 from anisotetra.interp import (
     Interpolant,
@@ -29,7 +30,7 @@ from anisotetra.interp import (
     residual,
 )
 from anisotetra.lattice import nodes_on, quotient_from_function
-from anisotetra.verify import TetraGenSpec, corpus, generate
+from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, generate
 
 REPRO_TOL = 1e-9
 T_HAT = reference_tetrahedron(TYPE1)
@@ -48,6 +49,18 @@ ROTATED_ANISO = Tetrahedron.from_points(
 
 def random_poly(rng, degree):
     return Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(degree)})
+
+
+def physical_bubble(t):
+    """lambda_0 lambda_1 lambda_2 lambda_3 of t multiplied out in Polynomial3
+    arithmetic, each lambda_i a row of the inverse barycentric matrix."""
+    b = np.ones((4, 4))
+    b[1:, :] = np.asarray(t.as_array()).T
+    forms = [
+        Polynomial3({(0, 0, 0): c[0], (1, 0, 0): c[1], (0, 1, 0): c[2], (0, 0, 1): c[3]})
+        for c in np.linalg.inv(b)
+    ]
+    return math.prod(forms[1:], start=forms[0])
 
 
 def simplex_monomial_integral(a, b, c):
@@ -121,8 +134,10 @@ class TestPolynomial3:
         # Each value lies within 16 eps of the sum of its terms' magnitudes,
         # against the exact rational value of the same float coefficients
         # at the same float points, on a flat element.
+        # The bubble case is t's product of barycentric forms multiplied out
+        # in physical monomials, whose terms cancel on this flat element.
         t = generate(TetraGenSpec("sliver", 5), 6)[4]
-        q = dict(corpus(4, t))[name]
+        q = dict(corpus(4, t))[name] if name == "poly0" else physical_bubble(t)
         pts = nodes_on(t.as_array(), 2)[1]
         got = q.partials(m, pts)
         bound = 16 * Fraction(np.finfo(float).eps)
@@ -153,8 +168,8 @@ class TestScalarField:
 
     def test_from_polynomial_partials_are_exact(self):
         p = Polynomial3({(2, 1, 0): 1.5})
-        f, degree = as_field(p)
-        assert degree == 3
+        f = as_field(p)
+        assert f.degree == 3
         assert f.exact_partials
         pts = np.array([[1.0, 2.0, 0.0]])
         assert np.allclose(f.partial((1, 1, 0), pts), 2.0 * 1.5 * pts[:, 0])
@@ -162,14 +177,14 @@ class TestScalarField:
     def test_as_field_reports_polynomial_degree(self):
         t = reference_tetrahedron(TYPE1)
         ip = interpolate(Polynomial3({(1, 1, 1): 1.0}), t, 2)
-        field, degree = as_field(ip)
-        assert degree == 2 and field.exact_partials
+        field = as_field(ip)
+        assert field.degree == 2 and field.exact_partials
         pts = np.array([[0.1, 0.2, 0.3]])
         assert np.array_equal(field.partial((1, 0, 0), pts), ip.partial((1, 0, 0), pts))
         sf = ScalarField(lambda pts: pts[:, 0])
-        assert as_field(sf) == (sf, None)
-        field, degree = as_field(lambda pts: pts[:, 0])
-        assert degree is None and not field.exact_partials
+        assert as_field(sf) is sf and sf.degree is None
+        field = as_field(lambda pts: pts[:, 0])
+        assert field.degree is None and not field.exact_partials
 
     def test_order_limit_enforced(self):
         f = ScalarField(lambda pts: pts[:, 0], order=1)
@@ -306,6 +321,12 @@ class TestInterpolation:
         assert "not finite" in str(exc.value)
         assert "(2, 0, 0, 0)" in str(exc.value)
 
+    def test_wrong_shaped_values_raise(self):
+        # Three values for the ten nodes of degree 2.
+        with pytest.raises(InputError) as exc:
+            interpolate(lambda pts: np.zeros(3), T_HAT, 2)
+        assert "3 values for 10 points" in str(exc.value)
+
     @pytest.mark.parametrize("k,tol", [(4, 1e-14), (8, 1e-12)])
     def test_nodal_values_reproduced_at_high_degree(self, k, tol):
         # Guards the conditioning of the Gregory-Newton form (forward
@@ -405,3 +426,17 @@ class TestResidual:
         # d/dx (x^2 - x) = 2x - 1
         assert np.allclose(u.partial((1, 0, 0), pts), 2 * 0.25 - 1.0, atol=1e-12)
         assert u.exact_partials
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_polynomial_residual_keeps_its_degree(self, k):
+        # v - I v of a polynomial v is a polynomial of degree max(deg v, k).
+        q = random_poly(np.random.default_rng(k), 3)
+        for v, degree in [
+            (q, 3),
+            (interpolate(q, ANISO, 2), 2),
+            (bubble_polynomial(ROTATED_ANISO), 4),
+        ]:
+            assert residual(v, ROTATED_ANISO, k).degree == max(degree, k)
+        trig = field_from_expression("sin(x + 2*y - z)")
+        for v in (trig, lambda pts: np.sin(pts[:, 0]), ScalarField(lambda pts: pts[:, 1] ** 2)):
+            assert residual(v, ROTATED_ANISO, k).degree is None

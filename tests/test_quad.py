@@ -98,6 +98,11 @@ class TestAdmissibility:
             (2, 1, 1.0, True),    # k >= 2, k - m >= 1: any p >= 1
             (3, 0, 1.0, True),
             (2, 0, math.inf, True),
+            (2, 1.5, 2.0, False),  # orders are integers >= 0
+            (2.0, 1, 2.0, False),
+            (2, True, 2.0, False),
+            (2, -1, 2.0, False),
+            (np.int64(2), np.int64(1), 2.0, True),
         ],
     )
     def test_branches(self, k, m, p, want):
@@ -126,6 +131,17 @@ class TestSeminorm:
     def test_first_order_of_x(self):
         got = seminorm(Polynomial3.variable(0), T_HAT, SeminormSpec(1, 2.0))
         assert abs(got - math.sqrt(1.0 / 6.0)) < 1e-13
+
+    def test_polynomial_residual_uses_one_exact_rule(self):
+        # v - I v of a quartic is a quartic: at p = 2 its first partials
+        # squared have degree 6, which one rule integrates exactly.
+        rng = np.random.default_rng(4)
+        q = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(4)})
+        u = residual(q, ANISO, 2)
+        info = seminorm_with_info(u, ANISO, SeminormSpec(1, 2.0))
+        assert info.quadrature_degree == 2 * (4 - 1) and info.warnings == ()
+        want = seminorm_with_info(u, ANISO, SeminormSpec(1, 2.0), degree=18).value
+        assert abs(info.value - want) <= 1e-12 * want
 
     def test_weighted_versus_unweighted(self):
         # u = xy: only the mixed second derivative survives, with

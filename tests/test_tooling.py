@@ -3,11 +3,13 @@
 The benchmark scripts in perfbench/ import the package by name and are not
 part of this suite, so a public name deleted or renamed in src/ would only
 show when the benchmark runs.  Their imports are read with ast (the scripts
-are not executed) and each one is resolved here.
+are not executed) and each one is resolved here, as is each keyword they
+pass to an imported name.
 """
 
 import ast
 import importlib
+import inspect
 import math
 from collections import Counter
 from pathlib import Path
@@ -57,6 +59,43 @@ def test_perfbench_imports_resolve():
     assert len({script for script, _, _ in imports}) >= 3, imports
     missing = [imp for imp in imports if not resolves(imp[1], imp[2])]
     assert not missing, "perfbench imports names the package no longer has: %r" % missing
+
+
+def perfbench_keyword_calls():
+    """(script, module, name, keywords) for each call in a perfbench script
+    to a name imported from anisotetra, called by its local name."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            a.asname or a.name: (node.module, a.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "anisotetra"
+            for a in node.names
+        }
+        found += [
+            (path.name, *imported[node.func.id], [kw.arg for kw in node.keywords if kw.arg])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in imported
+        ]
+    return found
+
+
+def test_perfbench_keywords_are_accepted():
+    # A keyword that the callee no longer accepts only shows when the
+    # benchmark runs, e.g. ScalarField(v, partial_fn=..., exact=...).
+    calls = [c for c in perfbench_keyword_calls() if c[3]]
+    assert len(calls) >= 3, calls
+    rejected = []
+    for script, module, name, keywords in calls:
+        params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        named = {n for n, p in params.items() if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        rejected += [(script, name, kw) for kw in keywords if kw not in named]
+    assert not rejected, "perfbench passes keywords the callee does not accept: %r" % rejected
 
 
 @pytest.mark.parametrize("spec", [(1, 0, 2.0), (2, 1, 3.0), (3, 2, 2.0), (4, 2, math.inf)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anisotetra.errors import GenerationFailure, InadmissiblePC, InvalidGammaMax, NumericalError
+from anisotetra.expr import field_from_expression
 from anisotetra.geom import (
     TYPE1,
     TYPE2,
@@ -158,8 +159,10 @@ class TestErrorRatio:
     def test_rotated_flat_elements_are_rigid_motion_invariant(self, family):
         # The moved field evaluates v at the pulled-back point instead of
         # expanding v about a new origin, so its values carry only v's own
-        # roundoff and the comparison measures the interpolation.  Only
-        # p = 2 and m <= 1: the weighted seminorm is rotation invariant there.
+        # roundoff and the comparison measures the interpolation.  At p = 2
+        # the weighted seminorm is the Frobenius norm of D^m u, invariant for
+        # every m; m <= 1 only, as rotated needles cancel at higher m
+        # (ROADMAP item 1).
         def moved(v, t, q, b):
             v_moved = v.compose_affine(q.T, -q.T @ b)
             field = ScalarField(
@@ -180,6 +183,22 @@ class TestErrorRatio:
                         r = error_ratio(*moved(v, t, q, b), k, m, 2.0)
                         assert abs(r.ratio - base.ratio) <= 1e-6 * base.ratio
 
+    @pytest.mark.parametrize("family", ["sliver", "needle"])
+    def test_bubble_is_rigid_motion_invariant(self, family):
+        # The bubble is built on the reference element, so the moved element's
+        # bubble is the moved bubble up to roundoff; expanded in physical
+        # monomials, its terms cancel on flat elements.
+        rng = np.random.default_rng(1)
+        for t in generate(TetraGenSpec(family=family, seed=5), 6):
+            verts = np.asarray(t.as_array())
+            motions = [(rotation(s), rng.uniform(-1, 1, 3)) for s in (1, 2, 3)]
+            for k, m in ((2, 1), (3, 1), (3, 2)):  # (2, 2) is inadmissible at p = 2
+                base = error_ratio(bubble_polynomial(t), t, k, m, 2.0).error
+                for q, b in motions:
+                    moved = Tetrahedron.from_points(verts @ q.T + b)
+                    got = error_ratio(bubble_polynomial(moved), moved, k, m, 2.0).error
+                    assert abs(got - base) <= 1e-8 * base, (k, m)
+
     def test_polynomial_in_p_k_is_indeterminate(self):
         v = Polynomial3({(1, 0, 0): 1.0, (0, 0, 0): 3.0})
         r = error_ratio(v, T_HAT, 1, 0, 2.0)
@@ -193,9 +212,15 @@ class TestErrorRatio:
 
     def test_numpy_integer_degree(self):
         v = Polynomial3({(3, 0, 0): 1.0, (0, 1, 2): -0.5})
-        got = error_ratio(v, REGULAR, np.int64(2), 1, 2.0)
+        got = error_ratio(v, REGULAR, np.int64(2), np.int64(1), 2.0)
         want = error_ratio(v, REGULAR, 2, 1, 2.0)
         assert (got.error, got.seminorm_hi, got.ratio) == (want.error, want.seminorm_hi, want.ratio)
+        assert type(got.k) is int and type(got.m) is int
+
+    def test_non_integer_order_is_inadmissible(self):
+        v = field_from_expression("sin(x + 2*y + 3*z)")
+        with pytest.raises(InadmissiblePC):
+            error_ratio(v, T_HAT, 2, 1.5, 2.0)
 
     def test_transform_norm_chain(self):
         # The factorization route must stay inside the stated constants:
@@ -230,6 +255,8 @@ class TestSqueezeSweep:
             squeeze_sweep(1, 0, 2.0, alphas=[(1.0, 0.0, 1.0)])
         with pytest.raises(ValueError):
             squeeze_sweep(1, 0, 2.0, alphas=[(2.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="empty"):
+            squeeze_sweep(1, 0, 2.0, alphas=[])
         with pytest.raises(InadmissiblePC):
             squeeze_sweep(1, 1, 2.0)
 
