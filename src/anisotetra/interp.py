@@ -329,6 +329,14 @@ class Polynomial3:
         return "Polynomial3(%r)" % (dict(terms),)
 
 
+def _one_per_point(values, n: int) -> np.ndarray:
+    """values as a float (n,) array; InputError when there are not n."""
+    values = np.asarray(values, dtype=float)
+    if values.size != n:
+        raise InputError("field returned %d values for %d points" % (values.size, n))
+    return values.reshape(n)
+
+
 class ScalarField:
     """A scalar function with partial derivatives up to a declared order.
 
@@ -360,10 +368,7 @@ class ScalarField:
 
     def __call__(self, pts) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        values = np.asarray(self._eval(p), dtype=float)
-        if values.size != p.shape[0]:
-            raise InputError("field returned %d values for %d points" % (values.size, p.shape[0]))
-        return values.reshape(p.shape[0])
+        return _one_per_point(self._eval(p), p.shape[0])
 
     def _points(self, m: int, pts) -> np.ndarray:
         """pts as an (N, 3) array once order m is known to be available."""
@@ -378,9 +383,7 @@ class ScalarField:
         if sum(gamma) == 0:
             return self(p)
         if self._partial is not None:
-            return np.asarray(self._partial(tuple(gamma), p), dtype=float).reshape(
-                p.shape[0]
-            )
+            return _one_per_point(self._partial(tuple(gamma), p), p.shape[0])
         return self._fd_partial(tuple(gamma), p)
 
     def partials(self, m: int, pts) -> np.ndarray:

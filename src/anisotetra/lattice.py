@@ -21,6 +21,11 @@ f do.  The corners eta <= delta are enumerated in one place, Box.corners,
 and the barycentric weights of the nodes of X^k are built once per k,
 unit_weights, a cached read-only table that nodes_on, the p = inf seminorm
 lattice and the acceptance suite share.
+
+The package's one Gauss quadrature routine lives here too: gauss_jacobi(n, a)
+builds the n-point rule for the weight (1 - x)^a from numpy alone (Golub and
+Welsch).  It gives quotient_integral its Gauss-Legendre points (a = 0) and
+quad.rule_for_degree its collapsed-coordinate factors (a = 2, 1, 0).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import MissingNodeValue
 from .geom import TYPE1, TYPE2, reference_tetrahedron
@@ -196,14 +200,55 @@ def quotient_from_function(
     return difference_quotient(dict(zip(corners, vals.tolist())), base, delta, k)
 
 
+@lru_cache(maxsize=64)
+def gauss_jacobi(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule for the weight (1 - x)^a on [-1, 1], exact for
+    every polynomial of degree <= 2n - 1: read-only (nodes ascending, weights).
+
+    Golub and Welsch's method: the orthonormal polynomials p_j of the weight
+    satisfy x p_j = b_{j+1} p_{j+1} + c_j p_j + b_j p_{j-1}, and the nodes are
+    the eigenvalues of the symmetric tridiagonal (Jacobi) matrix of the c_j and
+    b_j.  One Newton step on p_n, with p_n and p_n' from the same recurrence,
+    refines them to roundoff; the weights are Christoffel's 1 / sum_{j<n} p_j^2.
+    """
+    j = np.arange(1, n + 1, dtype=float)
+    s = 2.0 * j + a
+    b = 2.0 * j * (j + a) / (s * np.sqrt(s * s - 1.0))  # b_1 .. b_n
+    c = np.concatenate([[-a / (a + 2.0)], -a * a / (s[:-1] * (s[:-1] + 2.0))])
+    x = np.linalg.eigvalsh(np.diag(c) + np.diag(b[:-1], -1))
+
+    def recurrence(x):
+        """p_n, p_n' and sum_{j<n} p_j^2 at x."""
+        p_prev, p = np.zeros_like(x), np.full_like(x, math.sqrt((a + 1) / 2.0 ** (a + 1)))
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        total = np.zeros_like(x)
+        for i in range(n):
+            total += p * p
+            b_i = b[i - 1] if i else 0.0
+            p_prev, p, d_prev, d = (
+                p,
+                ((x - c[i]) * p - b_i * p_prev) / b[i],
+                d,
+                ((x - c[i]) * d + p - b_i * d_prev) / b[i],
+            )
+        return p, d, total
+
+    p, d, _ = recurrence(x)
+    x = x - p / d
+    weights = 1.0 / recurrence(x)[2]
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
 def _ordered_simplex_rule(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for the ordered simplex 0 <= w_s <= ... <= w_1 <= 1.
 
     Maps the unit cube by w_i = v_1 * ... * v_i, whose Jacobian is
-    prod_i v_i^(s - i); the rule is a tensor Gauss-Legendre grid with the
-    Jacobian folded into the weights.  Returns (points (m, s), weights (m,)).
+    prod_i v_i^(s - i); the rule is a tensor grid of gauss_jacobi(n, 0)
+    (Gauss-Legendre) points with the Jacobian folded into the weights.
+    Returns (points (m, s), weights (m,)).
     """
-    x, w = roots_legendre(n)
+    x, w = gauss_jacobi(n, 0)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     grids = np.meshgrid(*([x] * s), indexing="ij")

@@ -2,11 +2,12 @@
 
 Rules come from the collapsed-coordinate map of the unit cube onto the unit
 right-corner tetrahedron, x = u, y = v(1-u), z = w(1-u)(1-v), whose Jacobian
-(1-u)^2 (1-v) is absorbed exactly by Gauss-Jacobi weights: nodes from
-roots_jacobi(n, 2, 0) in u, roots_jacobi(n, 1, 0) in v and Gauss-Legendre in
-w integrate every polynomial of total degree <= 2n-1 exactly.  Nodes are
-stored in barycentric coordinates with weights normalized to sum one, so a
-rule transfers to any tetrahedron by an affine map and a volume factor.
+(1-u)^2 (1-v) is absorbed exactly by Gauss-Jacobi weights: the n-point
+rules lattice.gauss_jacobi(n, a) for the weights (1-x)^2 in u, (1-x)^1 in v
+and (1-x)^0 (Gauss-Legendre) in w integrate every polynomial of total degree
+<= 2n-1 exactly.  Nodes are stored in barycentric coordinates with weights
+normalized to sum one, so a rule transfers to any tetrahedron by an affine
+map and a volume factor; a cached rule is read-only.
 
 The seminorm follows the weighted convention
 
@@ -36,12 +37,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DegenerateTetrahedron, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
 from .interp import ScalarField, _is_count, as_field, derivative_indices, pull_back
-from .lattice import unit_weights
+from .lattice import gauss_jacobi, unit_weights
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
@@ -77,9 +77,7 @@ def rule_for_degree(d: int) -> QuadratureRule:
             "quadrature degree must lie in [1, %d], got %r" % (MAX_RULE_DEGREE, d)
         )
     n = (d + 2) // 2  # smallest n with 2n-1 >= d
-    xu, wu = roots_jacobi(n, 2, 0)
-    xv, wv = roots_jacobi(n, 1, 0)
-    xw, ww = roots_legendre(n)
+    (xu, wu), (xv, wv), (xw, ww) = (gauss_jacobi(n, a) for a in (2, 1, 0))
     # Map [-1, 1] to [0, 1]; the Jacobi weights (1-x)^a pick up 2^a.
     u, cu = 0.5 * (xu + 1.0), wu / 8.0
     v, cv = 0.5 * (xv + 1.0), wv / 4.0
@@ -95,6 +93,7 @@ def rule_for_degree(d: int) -> QuadratureRule:
     z = www * (1.0 - uu) * (1.0 - vv)
     bary = np.stack([1.0 - x - y - z, x, y, z], axis=1)
     weights = cc * 6.0  # raw weights sum to |T_ref| = 1/6
+    bary.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=bary, weights=weights)
 
 

@@ -327,6 +327,16 @@ class TestInterpolation:
             interpolate(lambda pts: np.zeros(3), T_HAT, 2)
         assert "3 values for 10 points" in str(exc.value)
 
+    def test_wrong_shaped_partials_raise(self):
+        # A partial_fn that returns three values for five points, asked one
+        # partial at a time and one order at a time.
+        f = ScalarField(lambda pts: pts[:, 0], partial_fn=lambda g, pts: np.zeros(3))
+        pts = np.zeros((5, 3))
+        for call in (lambda: f.partial((1, 0, 0), pts), lambda: f.partials(1, pts)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert "3 values for 5 points" in str(exc.value)
+
     @pytest.mark.parametrize("k,tol", [(4, 1e-14), (8, 1e-12)])
     def test_nodal_values_reproduced_at_high_degree(self, k, tol):
         # Guards the conditioning of the Gregory-Newton form (forward

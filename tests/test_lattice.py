@@ -14,6 +14,7 @@ from anisotetra.lattice import (
     difference_quotient,
     enumerate_boxes,
     gamma_to_lattice,
+    gauss_jacobi,
     in_lattice,
     lattice_points,
     lattice_to_gamma,
@@ -246,3 +247,45 @@ class TestQuotientIntegral:
             for box in enumerate_boxes(5, delta, kind)[:6]:
                 want = ref_quotient_integral(derivative, box.base, delta, 5, n)
                 assert quotient_integral(derivative, box.base, delta, 5, n) == want
+
+
+def jacobi_moment(d, a, absolute=False):
+    """The exact integral of x^d (1 - x)^a over [-1, 1], or of |x|^d (1 - x)^a,
+    from the binomial expansion of (1 - x)^a."""
+    total = Fraction(0)
+    for i in range(a + 1):
+        if absolute:
+            part = Fraction(1 + (-1) ** i, d + i + 1)
+        else:
+            part = Fraction(2, d + i + 1) if (d + i) % 2 == 0 else Fraction(0)
+        total += math.comb(a, i) * (-1) ** i * part
+    return total
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_exact_to_degree_2n_minus_1(self, a):
+        # Relative to the integral of |x|^d (1 - x)^a, since the moment
+        # itself vanishes for odd d when a = 0.
+        for n in range(1, 12):
+            x, w = gauss_jacobi(n, a)
+            for d in range(2 * n):
+                err = abs(float(w @ x**d) - float(jacobi_moment(d, a)))
+                assert err <= 1e-14 * float(jacobi_moment(d, a, absolute=True)), (n, d)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_matches_scipy(self, a):
+        # scipy is a test-only oracle here; the package does not import it.
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        for n in range(1, 12):
+            x, w = gauss_jacobi(n, a)
+            want_x, want_w = roots_jacobi(n, a, 0)
+            assert np.max(np.abs(x - want_x)) <= 1e-15, n
+            assert np.max(np.abs(w / want_w - 1.0)) <= 1e-13, n
+
+    def test_cached_and_read_only(self):
+        x, w = gauss_jacobi(5, 2)
+        assert gauss_jacobi(5, 2)[0] is x
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[:] = 0.0

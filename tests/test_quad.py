@@ -12,6 +12,7 @@ from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices, residual
 from anisotetra.lattice import unit_weights
 from anisotetra.quad import (
+    MAX_RULE_DEGREE,
     SeminormSpec,
     derivative_indices,
     multinomial_weight,
@@ -47,6 +48,27 @@ class TestQuadrature:
             )
             want = simplex_monomial_integral(a, b, c)
             assert abs(approx - want) <= 1e-12 * max(want, 1e-30)
+
+    def test_monomial_exactness_up_to_max_degree(self):
+        # Every rule that rule_for_degree hands out, on every monomial of
+        # degree <= d.
+        for d in range(1, MAX_RULE_DEGREE + 1):
+            rule = rule_for_degree(d)
+            pts = rule.points_on(T_HAT.as_array())
+            for a, b, c in monomial_indices(d):
+                approx = volume(T_HAT) * float(
+                    np.dot(rule.weights, pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
+                )
+                want = simplex_monomial_integral(a, b, c)
+                assert abs(approx - want) <= 1e-13 * want, (d, (a, b, c))
+
+    def test_cached_rule_is_read_only(self):
+        # A write through one caller's rule would change every later seminorm
+        # taken with that degree in the process.
+        rule = rule_for_degree(6)
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[:] *= 4
 
     def test_weights_sum_to_one(self):
         for d in (1, 4, 12, 20):

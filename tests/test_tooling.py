@@ -11,6 +11,9 @@ import ast
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -235,3 +238,18 @@ def test_contract_sums_without_a_matrix_product():
 
     products = [ast.unparse(n) for n in ast.walk(contract) if is_product(n)]
     assert not products, "_contract uses a matrix product: %r" % products
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only dependency: importing scipy.special alone costs
+    # more set-up time and memory than numpy.  A fresh interpreter, since
+    # this suite's own oracles import scipy.
+    code = (
+        "import sys, anisotetra, anisotetra.cli, anisotetra.acceptance; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout
