@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +104,15 @@ def _function_coeffs(name: str, a, n: int) -> list:
     return [cycle[d % 4] / math.factorial(d) for d in range(n + 1)]
 
 
+@lru_cache(maxsize=16)
+def _factorials(m: int) -> np.ndarray:
+    """gamma! for every |gamma| = m in derivative_indices(m) order, as a
+    read-only column."""
+    out = np.array([math.prod(map(math.factorial, g)) for g in derivative_indices(m)], dtype=float)
+    out.flags.writeable = False
+    return out[:, None]
+
+
 class Node:
     def jet(self, pts: np.ndarray, n: int, top: bool = False) -> list:
         """The parts 0..n of the Taylor jet at pts (N, 3); with top, part n
@@ -113,14 +123,12 @@ class Node:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m)
         order.  Numpy warnings are silenced: callers check finiteness."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gammas = derivative_indices(m)
-        out = np.zeros((len(gammas), pts.shape[0]))
+        shape = (len(derivative_indices(m)), pts.shape[0])
         with np.errstate(all="ignore"):
             part = self.jet(pts, m, top=True)[m]
-            if part is not None:
-                fact = [math.prod(map(math.factorial, g)) for g in gammas]
-                np.multiply(part, np.array(fact, dtype=float)[:, None], out=out)
-        return out
+            if part is None:
+                return np.zeros(shape)
+            return np.multiply(part, _factorials(m), out=np.empty(shape))
 
     def eval(self, pts) -> np.ndarray:
         return self.partials(0, pts)[0]

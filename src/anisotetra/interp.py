@@ -12,19 +12,16 @@ chain rule, so a rotated flat element interpolates as well as an
 axis-aligned one.
 
 Every field returns its exact partials of one order in one pass, partials(m,
-pts), by Taylor-mode evaluation for expressions.  A Polynomial3 and an
-interpolant share derivatives (dense coefficients to the order-m derivative
-matrix) and one monomial table, _monomials, built by one multiply per
-monomial.  They differ in how they sum it.  A Polynomial3's row gamma must
-equal its partial polynomial d^gamma evaluated alone, bitwise, and the rows
-of a BLAS product need not equal one-row products; so _contract adds its
-monomials one at a time, in order.  An interpolant's single partial is by
-definition a row of its partials, so those are one matrix product: the
-order-m matrix (times one chain-rule matrix) against the table at points
-mapped once to xi.
+pts), by Taylor-mode evaluation for expressions.  Every polynomial is one
+class, Polynomial3: a dense coefficient vector over monomial_indices(degree)
+in a frame.  A physical polynomial's frame is the identity, so its points are
+not mapped; an Interpolant's is (x_0, J^{-T}).  Its partials of order m are
+one matrix product, the order-m derivative matrix (times one chain-rule matrix
+in a frame) against the monomial table _monomials at points mapped once, and
+a single partial is a row of that product.
 
-Functions come as a Polynomial3, an Interpolant, a ScalarField or a plain
-callable; as_field is the one place that turns any of them into a
+Functions come as a Polynomial3 (an Interpolant is one), a ScalarField or a
+plain callable; as_field is the one place that turns any of them into a
 ScalarField that carries its polynomial degree or None, as a residual does.
 """
 
@@ -85,7 +82,8 @@ def derivatives(coef: np.ndarray, degree: int, m: int) -> np.ndarray:
     """The coefficients of every d^gamma, |gamma| = m, of the polynomial whose
     coefficients over monomial_indices(degree) are coef: one row per gamma in
     derivative_indices(m) order, columns over monomial_indices(degree - m)."""
-    out = np.zeros((len(derivative_indices(m)), len(monomial_indices(degree - m))))
+    # len(derivative_indices(m)) rows, len(monomial_indices(degree - m)) columns
+    out = np.zeros((math.comb(m + 2, 2), math.comb(degree - m + 3, 3) if m <= degree else 0))
     if m <= degree:
         rows, cols, src, factor = _derivative_plan(degree, m)
         out[rows, cols] = coef[src] * factor
@@ -152,181 +150,86 @@ def _monomials(pts: np.ndarray, degree: int) -> np.ndarray:
     return table
 
 
-def _contract(degree: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row i of sum_j coeffs[i, j] x^alpha_j at pts, alpha_j in monomial_indices(degree).
-
-    The monomials are added one at a time in their order and never through a
-    matrix product, whose rows are not bitwise equal to one-row products, so
-    each row is the value its polynomial alone would give.  A zero column
-    adds nothing.
-    """
-    table = _monomials(pts, degree)
-    out = np.zeros((coeffs.shape[0], pts.shape[0]))
-    for j in np.flatnonzero(coeffs.any(axis=0)):
-        out += coeffs[:, j, None] * table[j]
-    return out
-
-
 class Polynomial3:
-    """A polynomial in three variables as a sparse monomial-coefficient map.
+    """A polynomial in three variables: a dense coefficient vector in a frame.
 
-    Supports exact partial differentiation, exact integration over a
-    tetrahedron, affine substitution, arithmetic, and vectorized evaluation.
-    Values and partials come from _contract of the coefficient matrix of
-    each order, cached on first use; the degree is stored at construction,
-    so coeffs must not change after it.  A key that is not three integers
-    >= 0 raises InputError.
+    coef holds the coefficients over monomial_indices(degree) in coordinates
+    xi of the frame: xi = x for a physical polynomial, xi = (x - origin)
+    J^{-T} for an Interpolant.  Neither may change after construction.
+    Polynomial3({(a, b, c): coefficient, ...}) builds a physical polynomial
+    whose degree is the highest with a nonzero coefficient (0 when there is
+    none); an exponent key that is not three integers >= 0, or a coefficient
+    that is not a real number, raises InputError.
+
+    Partials of order m are one matrix product: derivatives(coef, degree, m),
+    times one chain-rule matrix in a frame, against the monomials of degree
+    <= degree - m at xi.  A single partial is a row of it by definition.
     """
 
-    __slots__ = ("coeffs", "degree", "_by_order")
+    __slots__ = ("coef", "degree", "_frame", "_by_order")
 
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                if not (isinstance(key, tuple) and len(key) == 3 and all(map(_is_count, key))):
-                    raise InputError(
-                        "monomial exponents must be three integers >= 0, got %r" % (key,)
-                    )
-                a, b, c = key
-                v = float(val)
-                if v != 0.0:
-                    clean[(int(a), int(b), int(c))] = v
-        self._set(clean)
+        for key, val in (coeffs or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 3 and all(map(_is_count, key))):
+                raise InputError("monomial exponents must be three integers >= 0, got %r" % (key,))
+            if not isinstance(val, numbers.Real):
+                raise InputError("the coefficient of %r must be a real number, got %r" % (key, val))
+            if val != 0.0:
+                clean[tuple(map(int, key))] = float(val)
+        degree = max(map(sum, clean), default=0)
+        self._hold(np.array([clean.get(g, 0.0) for g in monomial_indices(degree)]), degree, None)
 
     @classmethod
-    def _built(cls, coeffs: dict[MultiIndex, float]) -> "Polynomial3":
-        """A polynomial from keys that are already triples of Python ints >= 0
-        and Python float values, as this class's arithmetic makes them: the
-        keys are not checked again, zero values are dropped."""
+    def dense(cls, coef: np.ndarray, degree: int) -> "Polynomial3":
+        """The physical polynomial with coefficients coef over monomial_indices(degree)."""
         out = cls.__new__(cls)
-        out._set({key: v for key, v in coeffs.items() if v != 0.0})
+        out._hold(coef, degree, None)
         return out
 
-    def _set(self, clean: dict[MultiIndex, float]):
-        self.coeffs = clean
-        self.degree = max(map(sum, clean), default=0)
+    def _hold(self, coef: np.ndarray, degree: int, frame):
+        self.coef, self.degree, self._frame = coef, degree, frame
+        # Per order, the partials' xi-monomial coefficients, built on first
+        # use; p = inf asks for one order once per block.
         self._by_order: dict[int, np.ndarray] = {}
 
-    @classmethod
-    def constant(cls, c: float) -> "Polynomial3":
-        return cls({(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, axis: int) -> "Polynomial3":
-        key = [0, 0, 0]
-        key[axis] = 1
-        return cls({tuple(key): 1.0})
-
     def evaluate(self, pts) -> np.ndarray | float:
-        single = np.ndim(pts) == 1
         out = self.partials(0, pts)[0]
-        return float(out[0]) if single else out
+        return float(out[0]) if np.ndim(pts) == 1 else out
 
     __call__ = evaluate
+
+    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
+        m = sum(gamma)
+        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
 
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
 
-        One _contract of the order-m coefficient matrix, so row gamma equals
-        partial(gamma).evaluate(pts) bitwise.
+        Numpy warnings are silenced, as an overflow shows as a value that is
+        not finite and callers check finiteness.
         """
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _contract(self.degree - m, self._derivatives(m), p)
+        with np.errstate(all="ignore"):
+            if m not in self._by_order:
+                d = derivatives(self.coef, self.degree, m)
+                self._by_order[m] = d if self._frame is None else self._chain_rule(m) @ d
+            xi = p if self._frame is None else (p - self._frame[0]) @ self._frame[1]
+            return self._by_order[m] @ _monomials(xi, self.degree - m)
 
-    def _derivatives(self, m: int) -> np.ndarray:
-        """derivatives of the dense coefficient vector; built on first use."""
-        if m not in self._by_order:
-            dense = np.array([self.coeffs.get(g, 0.0) for g in monomial_indices(self.degree)])
-            self._by_order[m] = derivatives(dense, self.degree, m)
-        return self._by_order[m]
+    def _chain_rule(self, m: int) -> np.ndarray:
+        """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
 
-    def partial(self, gamma: MultiIndex) -> "Polynomial3":
-        """Exact partial derivative d^gamma: one row of _derivatives."""
-        m = sum(gamma)
-        row = self._derivatives(m)[derivative_indices(m).index(tuple(gamma))]
-        return Polynomial3._built(dict(zip(monomial_indices(self.degree - m), row.tolist())))
-
-    def compose_affine(self, B, b) -> "Polynomial3":
-        """The polynomial x -> p(B @ x + b), expanded exactly."""
-        B = np.asarray(B, dtype=float).tolist()
-        b = np.asarray(b, dtype=float).tolist()
-        lin = [
-            Polynomial3._built(
-                {
-                    (1, 0, 0): B[i][0],
-                    (0, 1, 0): B[i][1],
-                    (0, 0, 1): B[i][2],
-                    (0, 0, 0): b[i],
-                }
-            )
-            for i in range(3)
-        ]
-        powers: list[list[Polynomial3]] = []
-        deg = self.degree
-        for i in range(3):
-            row = [Polynomial3.constant(1.0)]
-            for _ in range(deg):
-                row.append(row[-1] * lin[i])
-            powers.append(row)
-        total = Polynomial3()
-        for (a, bb, c), coef in self.coeffs.items():
-            total = total + coef * (powers[0][a] * powers[1][bb] * powers[2][c])
-        return total
-
-    def integrate(self, t: Tetrahedron) -> float:
-        """Exact integral over a tetrahedron via the affine map to the
-        unit right-corner reference (monomial integrals are factorials)."""
-        verts = t.as_array()
-        m = (verts[1:] - verts[0]).T
-        det = abs(float(np.linalg.det(m)))
-        mapped = self.compose_affine(m, verts[0])
-        total = 0.0
-        for (a, b, c), coef in mapped.coeffs.items():
-            total += coef * (
-                math.factorial(a)
-                * math.factorial(b)
-                * math.factorial(c)
-                / math.factorial(a + b + c + 3)
-            )
-        return det * total
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Polynomial3.constant(float(other))
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + val
-        return Polynomial3._built(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial3._built({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Polynomial3.constant(float(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial3._built({k: v * float(other) for k, v in self.coeffs.items()})
-        out: dict[MultiIndex, float] = {}
-        for (a1, b1, c1), v1 in self.coeffs.items():
-            for (a2, b2, c2), v2 in other.coeffs.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = out.get(key, 0.0) + v1 * v2
-        return Polynomial3._built(out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return "Polynomial3(%r)" % (dict(terms),)
+        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so row gamma holds the
+        coefficients of the product of linear forms prod_j (J^{-T}[j] . d_xi)^gamma_j,
+        one form times a row of order m - 1.
+        """
+        inverse_t = self._frame[1]
+        c = np.ones((1, 1))
+        for d in range(1, m + 1):
+            axes, rows = _first_axes(d)
+            c = _times(inverse_t[axes].T, 1, c[rows].T, d - 1).T
+        return c
 
 
 def _one_per_point(values, n: int) -> np.ndarray:
@@ -427,74 +330,32 @@ class _OnePass(ScalarField):
         return self._partials(m, self._points(m, pts))
 
 
-class Interpolant:
-    """The Lagrange interpolant I_T^k v, held on the reference element.
+class Interpolant(Polynomial3):
+    """The Lagrange interpolant I_T^k v: a Polynomial3 of degree k held on the
+    reference element, in the frame (origin, J^{-T}) that pull_back returns
+    for x = origin + J xi.  coef is its dense vector in xi."""
 
-    coef is the interpolant in the reference coordinates xi of the affine
-    map x = origin + J xi onto the tetra: its dense coefficient vector over
-    monomial_indices(k), which must not change after construction.  Points
-    are pulled back with xi = (x - origin) J^{-T}; physical partials of
-    order m are derivatives(coef, k, m), multiplied by one chain-rule
-    matrix, times the monomial table at xi.
-    origin and inverse_t are what pull_back returns.
-    """
+    __slots__ = ()
 
     def __init__(self, coef: np.ndarray, k: int, origin, inverse_t):
-        self.coef, self.k = coef, k
-        self._origin, self._inverse_t = origin, inverse_t
-        # Per order, the partials' xi-monomial coefficients, built on first
-        # use; p = inf asks for one order once per block.
-        self._by_order: dict[int, np.ndarray] = {}
+        self._hold(coef, k, (origin, inverse_t))
 
-    def evaluate(self, pts) -> np.ndarray:
-        return self.partials(0, pts)[0]
-
-    __call__ = evaluate
-
-    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        m = sum(gamma)
-        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
-
-    def partials(self, m: int, pts) -> np.ndarray:
-        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
-
-        The points are mapped once, xi = (x - origin) J^{-T}, and the result
-        is one matrix product: the cached order-m matrix times the monomials
-        of degree <= k - m at xi.  partial(gamma) is a row of it by definition.
-        """
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        if m not in self._by_order:
-            self._by_order[m] = self._chain_rule(m) @ derivatives(self.coef, self.k, m)
-        xi = (p - self._origin) @ self._inverse_t
-        return self._by_order[m] @ _monomials(xi, self.k - m)
-
-    def _chain_rule(self, m: int) -> np.ndarray:
-        """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
-
-        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so row gamma holds the
-        coefficients of the product of linear forms prod_j (J^{-T}[j] . d_xi)^gamma_j,
-        one form times a row of order m - 1.
-        """
-        c = np.ones((1, 1))
-        for d in range(1, m + 1):
-            axes, rows = _first_axes(d)
-            c = _times(self._inverse_t[axes].T, 1, c[rows].T, d - 1).T
-        return c
+    @property
+    def k(self) -> int:
+        return self.degree
 
 
 def as_field(v) -> ScalarField:
     """v as a ScalarField, whose degree is v's polynomial degree or None.
 
-    v may be a Polynomial3 (degree its degree), an Interpolant (degree k), a
-    ScalarField (returned as it is) or a plain callable on (N, 3) arrays;
-    polynomial partials are exact, a plain callable's are finite differences.
+    v may be a Polynomial3 or Interpolant (its degree), a ScalarField
+    (returned as it is) or a plain callable on (N, 3) arrays; polynomial
+    partials are exact, a plain callable's are finite differences.
     """
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, Polynomial3):
         return _OnePass(v.evaluate, v.partials, None, 1.0, True, v.degree)
-    if isinstance(v, Interpolant):
-        return _OnePass(v.evaluate, v.partials, None, 1.0, True, v.k)
     return ScalarField(v)
 
 
@@ -575,8 +436,14 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     ip = interpolate(v, t, k)
     # The difference is exact only when v's own partials are.
     return _OnePass(
-        lambda pts: v(pts) - ip.evaluate(pts),
-        lambda m, pts: v.partials(m, pts) - ip.partials(m, pts),
+        lambda pts: _minus(v(pts), ip.evaluate(pts)),
+        lambda m, pts: _minus(v.partials(m, pts), ip.partials(m, pts)),
         v.order, v.scale, v.exact_partials,
-        None if v.degree is None else max(v.degree, ip.k),
+        None if v.degree is None else max(v.degree, ip.degree),
     )
+
+
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, with numpy warnings silenced: callers check finiteness."""
+    with np.errstate(all="ignore"):
+        return a - b

@@ -207,7 +207,8 @@ def _running_max(field_u: ScalarField, m: int, pts: np.ndarray, gammas: list):
     where = np.zeros((len(gammas), 3))
     finite = np.ones(len(gammas), dtype=bool)
     for block in np.array_split(pts, -(-len(pts) // BLOCK)):
-        vals = np.abs(field_u.partials(m, block))
+        vals = field_u.partials(m, block)
+        np.abs(vals, out=vals)  # a fresh array: partials builds it per call
         idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
         top = vals[np.arange(len(gammas)), idx]
         finite &= np.isfinite(top)

@@ -328,8 +328,8 @@ def corpus(k: int, t: Tetrahedron) -> list[tuple[str, object]]:
         c = 1.0 + rng.uniform(0.0, 1.0) - float(np.min(verts @ a))
         fields.append(("rational%d" % i, field_from_expression("1/(%s)" % _linear_arg(a, c))))
     for i in range(6):
-        coeffs = {g: float(rng.uniform(-1.0, 1.0)) for g in monomial_indices(k + 2)}
-        fields.append(("poly%d" % i, Polynomial3(coeffs)))
+        coef = rng.uniform(-1.0, 1.0, len(monomial_indices(k + 2)))
+        fields.append(("poly%d" % i, Polynomial3.dense(coef, k + 2)))
     fields.append(("bubble", bubble_polynomial(t)))
     return fields
 

@@ -179,6 +179,23 @@ def test_error_nonfinite_field_values_exit_4(capsys, p):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_error_overflowing_field_exits_4(capsys, p):
+    # 1e308 x^3 is finite at every node, but the partials of its interpolant
+    # and of the residual overflow.  That is a numerical failure, reported
+    # with no numpy RuntimeWarning before it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            ["error", "--tetra", "ref", "--expr", "1e308*x*x*x", "--k", "2", "--m", "1",
+             "--p", p],
+            capsys,
+        )
+    assert code == 4 and out == ""
+    assert "not finite" in err and "RuntimeWarning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("degree", ["0", "21"])
 def test_error_degree_out_of_range_exits_2(capsys, degree):
     code, out, err = run(

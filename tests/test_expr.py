@@ -20,6 +20,7 @@ from anisotetra.interp import (
     residual,
 )
 from anisotetra.verify import TetraGenSpec, corpus, generate
+from exact_poly import Exact, degree7_cases
 from test_interp import ROTATED_ANISO
 
 PTS = np.array(
@@ -184,16 +185,16 @@ class TestJets:
                 assert np.allclose(got, want, rtol=1e-12, atol=0), (gamma, got, want)
 
     def test_polynomial_expressions_match_polynomial3(self):
-        x, y, z = (Polynomial3.variable(axis) for axis in range(3))
+        x, y, z = (Exact.variable(axis) for axis in range(3))
         cases = {
             "(x+y)^4": (x + y) * (x + y) * (x + y) * (x + y),
             "x^2*y - 3*z^3 + (x - 2*y)^3": x * x * y - 3 * z * z * z + (x - 2 * y) * (x - 2 * y) * (x - 2 * y),
             "(1 - x*z)^2 / 4": (1 - x * z) * (1 - x * z) * 0.25,
         }
         for text, q in cases.items():
-            f = field_from_expression(text)
+            f, q = field_from_expression(text), q.polynomial()
             for n in ORDERS:
-                want = [q.partial(g).evaluate(BOX) for g in derivative_indices(n)]
+                want = q.partials(n, BOX)
                 assert np.allclose(f.partials(n, BOX), want, rtol=1e-12, atol=1e-12), (text, n)
 
     def test_negative_power_all_orders(self):
@@ -242,23 +243,16 @@ def test_partials_rows_equal_single_partials():
             assert rows.shape == (len(derivative_indices(m)), len(pts)), name
             for gamma, row in zip(derivative_indices(m), rows):
                 assert np.array_equal(row, f.partial(gamma, pts)), (name, gamma)
-    # A polynomial's rows are its exact partial polynomials evaluated, bitwise.
-    for m in range(5):
-        for gamma, row in zip(derivative_indices(m), q.partials(m, pts)):
-            assert np.array_equal(row, q.partial(gamma).evaluate(pts)), gamma
     # Large shapes too, where the rows of a matrix product need not equal
     # one-row products: 1500 points, dense and sparse polynomials of degree
     # 7, and an interpolant of degree 4 on a rotated anisotropic element.
-    rng = np.random.default_rng(7)
-    big = rng.uniform(-0.5, 1.5, (1500, 3))
-    dense = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(7)})
-    sparse = Polynomial3(
-        {(7, 0, 0): 0.3, (2, 3, 1): -1.1, (0, 4, 2): 2.5, (1, 1, 1): 0.7, (0, 0, 3): -0.2}
-    )
-    for poly in (dense, sparse):
+    # test_interp's test_partials_within_roundoff_of_exact_rationals checks
+    # the same polynomials' values against exact rationals.
+    big, polys, rng = degree7_cases()
+    for name, poly in [*polys.items(), ("polynomial", q)]:
         for m in range(5):
             for gamma, row in zip(derivative_indices(m), poly.partials(m, big)):
-                assert np.array_equal(row, poly.partial(gamma).evaluate(big)), (poly, gamma)
+                assert np.array_equal(row, poly.partial(gamma, big)), (name, gamma)
     ip = interpolate(trig, ROTATED_ANISO, 4)
     inside = rng.dirichlet(np.ones(4), 1500) @ ROTATED_ANISO.as_array()
     for m in range(5):

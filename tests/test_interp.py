@@ -24,6 +24,7 @@ from anisotetra.interp import (
     ScalarField,
     as_field,
     derivative_indices,
+    derivatives,
     interpolate,
     monomial_indices,
     pull_back,
@@ -31,6 +32,7 @@ from anisotetra.interp import (
 )
 from anisotetra.lattice import nodes_on, quotient_from_function
 from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, generate
+from exact_poly import Exact, degree7_cases, exact_partial_rows
 
 REPRO_TOL = 1e-9
 T_HAT = reference_tetrahedron(TYPE1)
@@ -52,23 +54,16 @@ def random_poly(rng, degree):
 
 
 def physical_bubble(t):
-    """lambda_0 lambda_1 lambda_2 lambda_3 of t multiplied out in Polynomial3
-    arithmetic, each lambda_i a row of the inverse barycentric matrix."""
+    """lambda_0 lambda_1 lambda_2 lambda_3 of t multiplied out in physical
+    monomials, each lambda_i a row of the inverse barycentric matrix; the
+    product is exact and its coefficients are rounded once."""
     b = np.ones((4, 4))
     b[1:, :] = np.asarray(t.as_array()).T
     forms = [
-        Polynomial3({(0, 0, 0): c[0], (1, 0, 0): c[1], (0, 1, 0): c[2], (0, 0, 1): c[3]})
-        for c in np.linalg.inv(b)
+        Exact({(0, 0, 0): c[0], (1, 0, 0): c[1], (0, 1, 0): c[2], (0, 0, 1): c[3]})
+        for c in np.linalg.inv(b).tolist()
     ]
-    return math.prod(forms[1:], start=forms[0])
-
-
-def simplex_monomial_integral(a, b, c):
-    # over the unit reference tetrahedron
-    return (
-        math.factorial(a) * math.factorial(b) * math.factorial(c)
-        / math.factorial(a + b + c + 3)
-    )
+    return math.prod(forms[1:], start=forms[0]).polynomial()
 
 
 class TestPolynomial3:
@@ -85,41 +80,56 @@ class TestPolynomial3:
             Polynomial3({key: 1.0})
         assert repr(key) in str(exc.value)
 
-    def test_partial_drops_degree_with_exact_coefficients(self):
-        p = Polynomial3({(3, 1, 0): 2.0})
-        d = p.partial((2, 1, 0))
-        assert d.coeffs == {(1, 0, 0): 2.0 * 6.0}
+    @pytest.mark.parametrize("value", [1j, "abc", None, "1.5"])
+    def test_coefficients_must_be_real_numbers(self, value):
+        with pytest.raises(InputError) as exc:
+            Polynomial3({(1, 0, 0): value})
+        assert "(1, 0, 0)" in str(exc.value) and repr(value) in str(exc.value)
 
+    def test_partial_drops_degree_with_exact_coefficients(self):
+        # d^(2,1,0) of 2 x^3 y is 12 x: one nonzero coefficient, and its row
+        # of partials is 12 x exactly.
+        p = Polynomial3({(3, 1, 0): 2.0})
+        row = derivatives(p.coef, p.degree, 3)[derivative_indices(3).index((2, 1, 0))]
+        assert dict(zip(monomial_indices(1), row.tolist())) == {
+            (0, 0, 0): 0.0, (1, 0, 0): 12.0, (0, 1, 0): 0.0, (0, 0, 1): 0.0
+        }
+        pts = np.random.default_rng(1).uniform(-1, 1, (6, 3))
+        assert np.array_equal(p.partial((2, 1, 0), pts), 12.0 * pts[:, 0])
+
+    # The exact oracle of the tests below (exact_poly.Exact) reads a
+    # Polynomial3's dense coefficients.
     @pytest.mark.parametrize("abc", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 2, 1)])
     def test_integrate_monomials_on_reference(self, abc):
         a, b, c = abc
-        p = Polynomial3({abc: 1.0})
-        want = simplex_monomial_integral(a, b, c)
-        assert abs(p.integrate(T_HAT) - want) < 1e-15 + 1e-12 * want
+        got = Exact.of(Polynomial3({abc: 1.0})).integrate(T_HAT)
+        assert got == Fraction(math.factorial(a) * math.factorial(b) * math.factorial(c),
+                               math.factorial(a + b + c + 3))
 
     def test_integrate_is_affine_invariant_in_total_mass(self):
-        p = Polynomial3.constant(1.0)
+        p = Exact.of(Polynomial3({(0, 0, 0): 1.0}))
         from anisotetra.geom import volume
-        assert abs(p.integrate(ANISO) - volume(ANISO)) < 1e-14
+        assert abs(float(p.integrate(ANISO)) - volume(ANISO)) < 1e-14
 
     def test_compose_affine_shifts_argument(self):
-        p = Polynomial3({(2, 0, 0): 1.0})
-        q = p.compose_affine(np.eye(3), np.array([1.0, 0.0, 0.0]))  # x -> x + 1
+        p = Exact.of(Polynomial3({(2, 0, 0): 1.0}))
+        q = p.compose_affine(np.eye(3), np.array([1.0, 0.0, 0.0])).polynomial()  # x -> x + 1
         pts = np.array([[0.5, 0.0, 0.0], [2.0, 1.0, -1.0]])
         assert np.allclose(q.evaluate(pts), (pts[:, 0] + 1.0) ** 2)
 
     def test_ring_operations(self):
-        x = Polynomial3.variable(0)
-        y = Polynomial3.variable(1)
-        p = (x + y) * (x - y)
-        q = x * x - y * y
+        x = Exact.variable(0)
+        y = Exact.variable(1)
+        p = ((x + y) * (x - y)).polynomial()
+        q = Polynomial3({(2, 0, 0): 1.0, (0, 2, 0): -1.0})
+        assert np.array_equal(p.coef, q.coef)
         pts = np.random.default_rng(0).uniform(-1, 1, (20, 3))
         assert np.allclose(p.evaluate(pts), q.evaluate(pts), atol=1e-15)
 
 
     @pytest.mark.parametrize(
         "q,first_m",
-        [(Polynomial3(), 0), (Polynomial3.constant(2.0), 1), (Polynomial3({(2, 1, 0): 1.5}), 4)],
+        [(Polynomial3(), 0), (Polynomial3({(0, 0, 0): 2.0}), 1), (Polynomial3({(2, 1, 0): 1.5}), 4)],
         ids=["zero", "constant", "cubic"],
     )
     def test_partials_above_degree_vanish(self, q, first_m):
@@ -128,32 +138,33 @@ class TestPolynomial3:
             want = np.zeros((len(derivative_indices(m)), len(pts)))
             assert np.array_equal(q.partials(m, pts), want), m
 
-    @pytest.mark.parametrize("m", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["poly0", "bubble"])
+    @pytest.mark.parametrize(
+        "name,m",
+        [(name, m) for name in ("poly0", "bubble") for m in range(3)]
+        + [(name, m) for name in ("dense7", "sparse7") for m in range(5)],
+    )
     def test_partials_within_roundoff_of_exact_rationals(self, name, m):
         # Each value lies within 16 eps of the sum of its terms' magnitudes,
         # against the exact rational value of the same float coefficients
-        # at the same float points, on a flat element.
+        # at the same float points: on a flat element, and at the 1500
+        # points of degree7_cases, where the partials' matrix product sums
+        # up to 120 monomials.
         # The bubble case is t's product of barycentric forms multiplied out
         # in physical monomials, whose terms cancel on this flat element.
-        t = generate(TetraGenSpec("sliver", 5), 6)[4]
-        q = dict(corpus(4, t))[name] if name == "poly0" else physical_bubble(t)
-        pts = nodes_on(t.as_array(), 2)[1]
+        if name in ("poly0", "bubble"):
+            t = generate(TetraGenSpec("sliver", 5), 6)[4]
+            q = dict(corpus(4, t))[name] if name == "poly0" else physical_bubble(t)
+            pts = nodes_on(t.as_array(), 2)[1]
+        else:
+            pts, polys, _ = degree7_cases()
+            q = polys[name]
         got = q.partials(m, pts)
+        exact, scale = exact_partial_rows(q, m, pts)
         bound = 16 * Fraction(np.finfo(float).eps)
-        for row, gamma in zip(got, derivative_indices(m)):
-            for value, x in zip(row, pts):
-                terms = [
-                    Fraction(coef)
-                    * math.prod(
-                        math.perm(a, g) * Fraction(xi) ** (a - g)
-                        for a, g, xi in zip(alpha, gamma, x)
-                    )
-                    for alpha, coef in q.coeffs.items()
-                    if all(a >= g for a, g in zip(alpha, gamma))
-                ]
-                error = abs(Fraction(value) - sum(terms))
-                assert error <= bound * sum(map(abs, terms)), (gamma, x)
+        for row, gamma, (values, magnitudes) in zip(got, derivative_indices(m), exact):
+            for value, want, magnitude, x in zip(row, values, magnitudes, pts):
+                error = abs(Fraction(value) * scale - want)
+                assert error <= bound * magnitude, (gamma, x)
 
 
 class TestScalarField:
@@ -196,7 +207,7 @@ class TestScalarField:
 class TestInterpolation:
     def test_x_squared_with_k1_on_reference_gives_x(self):
         ip = interpolate(Polynomial3({(2, 0, 0): 1.0}), T_HAT, 1)
-        want = Polynomial3.variable(0)
+        want = Polynomial3({(1, 0, 0): 1.0})
         pts = np.random.default_rng(2).uniform(0, 1, (20, 3))
         assert np.allclose(ip.evaluate(pts), want.evaluate(pts), atol=1e-12)
 
@@ -224,7 +235,7 @@ class TestInterpolation:
         u = random_poly(rng, 3)
         v = random_poly(rng, 3)
         a, b = 2.5, -1.25
-        ip_sum = interpolate(u * a + v * b, ANISO, 2)
+        ip_sum = interpolate((Exact.of(u) * a + Exact.of(v) * b).polynomial(), ANISO, 2)
         ip_u = interpolate(u, ANISO, 2)
         ip_v = interpolate(v, ANISO, 2)
         pts = rng.uniform(0, 1, (15, 3))
@@ -243,7 +254,7 @@ class TestInterpolation:
         mapped = Tetrahedron.from_points(np.asarray(ANISO.as_array()) @ B.T + b)
         v = random_poly(rng, 4)
         Binv = np.linalg.inv(B)
-        v_pulled = v.compose_affine(Binv, -Binv @ b)  # v(F^{-1}(x)) on mapped
+        v_pulled = Exact.of(v).compose_affine(Binv, -Binv @ b).polynomial()  # v(F^{-1}(x))
         ip = interpolate(v, ANISO, 2)
         ip_mapped = interpolate(v_pulled, mapped, 2)
         pts = rng.uniform(0, 1, (10, 3))
@@ -261,17 +272,17 @@ class TestInterpolation:
         pts = rng.uniform(0.0, 1.0, (8, 4))
         pts = (pts / pts.sum(axis=1, keepdims=True)) @ ROTATED_ANISO.as_array()
         for gamma in monomial_indices(3)[1:]:  # every order 1 to 3
-            want = q.partial(gamma).evaluate(pts)
+            want = q.partial(gamma, pts)
             assert np.allclose(ip.partial(gamma, pts), want, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize(
         "q,k",
         [
             (Polynomial3(), 4),
-            (Polynomial3.constant(1.0), 3),
-            (Polynomial3.variable(0), 2),
-            (Polynomial3.variable(2), 4),
-            (Polynomial3.variable(0), 4),
+            (Polynomial3({(0, 0, 0): 1.0}), 3),
+            (Polynomial3({(1, 0, 0): 1.0}), 2),
+            (Polynomial3({(0, 0, 1): 1.0}), 4),
+            (Polynomial3({(1, 0, 0): 1.0}), 4),
         ],
         ids=["zero-k4", "constant-k3", "x-k2", "z-k4", "x-k4"],
     )
@@ -298,9 +309,9 @@ class TestInterpolation:
 
     def test_degree_bounds(self):
         with pytest.raises(InvalidDegree):
-            interpolate(Polynomial3.constant(1.0), T_HAT, 0)
+            interpolate(Polynomial3({(0, 0, 0): 1.0}), T_HAT, 0)
         with pytest.raises(InvalidDegree):
-            interpolate(Polynomial3.constant(1.0), T_HAT, 9)
+            interpolate(Polynomial3({(0, 0, 0): 1.0}), T_HAT, 9)
 
     def test_numpy_integer_degree(self):
         f = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
@@ -310,7 +321,7 @@ class TestInterpolation:
 
     def test_bool_degree_rejected(self):
         with pytest.raises(InvalidDegree):
-            interpolate(Polynomial3.constant(1.0), T_HAT, True)
+            interpolate(Polynomial3({(0, 0, 0): 1.0}), T_HAT, True)
 
     def test_nonfinite_nodal_values_raise(self):
         # 1/x is infinite at the nodes on the face x = 0 of the reference
@@ -388,7 +399,7 @@ class TestInterpolation:
     def test_coplanar_vertices_are_degenerate(self):
         flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
         with pytest.raises(DegenerateTetrahedron):
-            interpolate(Polynomial3.constant(1.0), flat, 2)
+            interpolate(Polynomial3({(0, 0, 0): 1.0}), flat, 2)
 
     @pytest.mark.parametrize("family", ["sliver", "needle"])
     @pytest.mark.parametrize("k", [2, 3, 4])

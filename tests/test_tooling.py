@@ -220,24 +220,31 @@ def test_result_fields_are_read():
     assert not unread, "fields and properties that nothing reads: %r" % unread
 
 
-def test_contract_sums_without_a_matrix_product():
-    # A Polynomial3's rows of partials must equal its partial polynomials
-    # evaluated alone, bitwise.  The rows of a matrix product need not equal
-    # one-row products (that depends on the shape and the BLAS), so
-    # interp._contract adds its monomials one at a time and may use none.
+def test_polynomial_partials_are_one_matrix_product():
+    # Every polynomial's partials of one order are one BLAS product: the
+    # derivative matrix against the monomial table.  A loop that adds the
+    # table's rows one at a time (the old interp._contract) is several times
+    # slower on the degree-(k+2) corpus polynomials.  So Polynomial3.partials
+    # has a matrix product and no loop, no subclass replaces it, and no
+    # _contract is left.
     tree = ast.parse((SRC / "interp.py").read_text())
-    contract = next(
-        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_contract"
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    partials = next(
+        n for n in classes["Polynomial3"].body
+        if isinstance(n, ast.FunctionDef) and n.name == "partials"
     )
-
-    def is_product(node):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            return isinstance(node.op, ast.MatMult)
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        return name in ("dot", "matmul", "einsum", "tensordot")
-
-    products = [ast.unparse(n) for n in ast.walk(contract) if is_product(n)]
-    assert not products, "_contract uses a matrix product: %r" % products
+    nodes = list(ast.walk(partials))
+    assert any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult) for n in nodes)
+    loops = [n for n in nodes if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, "Polynomial3.partials loops: %r" % [ast.unparse(n) for n in loops]
+    subclasses = [
+        c for c in classes.values() if any(ast.unparse(b) == "Polynomial3" for b in c.bases)
+    ]
+    assert subclasses, "Interpolant is a Polynomial3"
+    for c in subclasses:
+        assert "partials" not in {n.name for n in c.body if isinstance(n, ast.FunctionDef)}, c.name
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert "_contract" not in defined
 
 
 def test_package_imports_without_scipy():

@@ -23,6 +23,7 @@ from anisotetra.geom import (
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
 from anisotetra.lattice import nodes_on
 from anisotetra.verify import (
+    _CORPUS_KEY,
     TetraGenSpec,
     bubble_polynomial,
     convergence_study,
@@ -34,6 +35,7 @@ from anisotetra.verify import (
     mac_experiment,
     squeeze_sweep,
 )
+from exact_poly import Exact
 
 T_HAT = reference_tetrahedron(TYPE1)
 REGULAR = Tetrahedron.from_points(
@@ -118,6 +120,24 @@ class TestCorpus:
         again = corpus(1, T_HAT)
         assert [n for n, _ in again] == names
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_polynomials_are_the_per_coefficient_draws(self, k):
+        # Each polynomial's coefficients are one vector draw, which must give
+        # the values of one scalar draw per coefficient, in turn, from the
+        # stream the fields before it leave.
+        rng = np.random.Generator(np.random.Philox(key=_CORPUS_KEY))
+        for _ in range(5):
+            rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2.0 * math.pi)
+        for _ in range(4):
+            rng.uniform(-1.5, 1.5, 3)
+        for _ in range(4):
+            rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, 1.0)
+        fields = dict(corpus(k, T_HAT))
+        for i in range(6):
+            want = [float(rng.uniform(-1.0, 1.0)) for _ in monomial_indices(k + 2)]
+            poly = fields["poly%d" % i]
+            assert poly.degree == k + 2 and poly.coef.tolist() == want, i
+
     def test_bubble_vanishes_at_low_order_nodes(self):
         b = bubble_polynomial(REGULAR)
         for k in (1, 2, 3):
@@ -151,7 +171,7 @@ class TestErrorRatio:
             q = rotation(s)
             b = np.array([0.3, -0.2, 0.5]) * s
             moved = Tetrahedron.from_points(np.asarray(T_HAT.as_array()) @ q.T + b)
-            v_moved = v.compose_affine(q.T, -q.T @ b)
+            v_moved = Exact.of(v).compose_affine(q.T, -q.T @ b).polynomial()
             r = error_ratio(v_moved, moved, 1, 0, 2.0)
             assert abs(r.ratio - base) < 1e-8 * base
 
@@ -164,10 +184,10 @@ class TestErrorRatio:
         # every m; m <= 1 only, as rotated needles cancel at higher m
         # (ROADMAP item 1).
         def moved(v, t, q, b):
-            v_moved = v.compose_affine(q.T, -q.T @ b)
+            v_moved = Exact.of(v).compose_affine(q.T, -q.T @ b).polynomial()
             field = ScalarField(
                 lambda pts: v.evaluate((pts - b) @ q),
-                partial_fn=lambda gamma, pts: v_moved.partial(gamma).evaluate(pts),
+                partial_fn=lambda gamma, pts: v_moved.partial(gamma, pts),
             )
             return field, Tetrahedron.from_points(np.asarray(t.as_array()) @ q.T + b)
 
@@ -206,9 +226,17 @@ class TestErrorRatio:
         assert r.ratio == 0.0
         assert r.error < 1e-12
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_overflowing_polynomial_is_a_numerical_error(self, p):
+        # The partials of 1e308 x^3 and of its residual overflow; pytest turns
+        # any numpy RuntimeWarning on the way into an error.
+        with pytest.raises(NumericalError) as exc:
+            error_ratio(Polynomial3({(3, 0, 0): 1e308}), T_HAT, 2, 1, p)
+        assert "not finite" in str(exc.value)
+
     def test_inadmissible_pairing_raises(self):
         with pytest.raises(InadmissiblePC):
-            error_ratio(Polynomial3.variable(0), T_HAT, 1, 1, 2.0)
+            error_ratio(Polynomial3({(1, 0, 0): 1.0}), T_HAT, 1, 1, 2.0)
 
     def test_numpy_integer_degree(self):
         v = Polynomial3({(3, 0, 0): 1.0, (0, 1, 2): -0.5})
