@@ -12,7 +12,14 @@ with names sin, cos, exp.  Fields built from expressions carry exact
 partials by Taylor-mode evaluation: one pass over the tree propagates
 truncated Taylor jets (forward-mode automatic differentiation; Griewank &
 Walther, Evaluating Derivatives, 2008) over (N, 3) point arrays and yields
-every partial of order m.
+every partial of the requested orders.  A jet pays only for what it forms:
+the root forms only the parts that are asked for, a product pairs only the
+parts that do not vanish, a Taylor coefficient is computed only for the
+parts that use it, and the parser folds every affine subtree (numbers, x,
+y, z, sums, differences, products with a constant and quotients by a
+constant) into one Affine node, whose value is its terms summed in source
+order and whose only higher part is a constant gradient.  The corpus's
+affine arguments so evaluate as the unfolded tree does, bitwise.
 Parse errors carry the offending position and render a caret diagnostic.
 """
 
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,72 +43,96 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _VARS = {"x": 0, "y": 1, "z": 2}
-_AXES = np.eye(3)[:, :, None]  # the linear part of each coordinate
 
 # A jet of order n is the list of the homogeneous parts 0..n of the Taylor
 # expansion f(x + h) = sum_gamma c_gamma(x) h^gamma, c_gamma = d^gamma f / gamma!.
 # Part d is an (M_d, N) array over derivative_indices(d); (M_d, 1), or a
 # scalar for part 0, when it does not depend on the point (constants, the
-# linear part of an affine argument); None when it vanishes.  Asked for the
-# top part only, a node computes part n alone and may leave the lower parts
-# None: a field's partials of order m read part m and nothing else.
+# gradient of an affine node); None when it vanishes.  Asked to keep a set of
+# parts, a node computes those and may leave the others None; its children
+# are computed in full.  keep=None keeps every part.
+
+
+_ONE = np.ones((1, 1))  # part 0 of (v - v_0)^0
+_ONE.flags.writeable = False
 
 
 def _plus(a, b):
     return a if b is None else b if a is None else a + b
 
 
-def _parts(n: int, top: bool) -> range:
-    """The parts a jet of order n computes: all of them, or part n alone."""
-    return range(n, n + 1) if top else range(n + 1)
+def _kept(n: int, keep) -> range | tuple:
+    """The parts a jet of order n computes: all of them, or those in keep."""
+    return range(n + 1) if keep is None else keep
 
 
-def _mul(u: list, v: list, top: bool = False) -> list:
-    """The product of jets u and v; each part sums u_i v_(d-i) by ascending i."""
+def _mul(u: list, v: list, keep=None) -> list:
+    """The product of jets u and v; each kept part sums u_i v_(d-i) by
+    ascending i over the pairs where neither vanishes."""
     out = [None] * len(u)
-    for d in _parts(len(u) - 1, top):
-        for i in range(d + 1):
-            if u[i] is not None and v[d - i] is not None:
+    nonzero = [i for i, a in enumerate(u) if a is not None]
+    for d in _kept(len(u) - 1, keep):
+        for i in nonzero:
+            if i > d:
+                break
+            if v[d - i] is not None:
                 out[d] = _plus(out[d], _times(u[i], i, v[d - i], d - i))
     return out
 
 
-def _compose(coeffs: list, v: list, top: bool = False) -> list:
-    """f(v) from coeffs[d] = f^(d)(v_0)/d!: the sum of coeffs[d] (v - v_0)^d.
+def _compose(coeff, count: int, v: list, keep=None) -> list:
+    """f(v) from coeff(d) = f^(d)(v_0)/d!, d < count: the sum of coeff(d) (v - v_0)^d.
 
     Every part of (v - v_0)^d is needed for the next power, but only the
-    kept parts of the sum are formed.  When v is affine, (v - v_0)^d is a
-    single constant part, so each term is one outer product.
+    kept parts of the sum are formed, and coeff(d) is computed only when one
+    of them has a term of degree d.  When v is affine, (v - v_0)^d is a
+    single constant part, so each term is one outer product and only the
+    kept parts' coefficients are computed.
     """
-    keep = _parts(len(v) - 1, top)
+    kept = _kept(len(v) - 1, keep)
     delta = [None] + v[1:]
-    out = [coeffs[0] if 0 in keep else None] + [None] * (len(v) - 1)
-    power = [np.ones((1, 1))] + [None] * (len(v) - 1)
-    for c in coeffs[1:]:
+    out = [coeff(0) if 0 in kept else None] + [None] * (len(v) - 1)
+    power = [_ONE] + [None] * (len(v) - 1)
+    for d in range(1, count):
         power = _mul(power, delta)
-        for d in keep:
-            if power[d] is not None:
-                out[d] = _plus(out[d], c * power[d])
+        terms = [j for j in kept if power[j] is not None]
+        if terms:
+            c = coeff(d)
+            for j in terms:
+                out[j] = _plus(out[j], c * power[j])
     return out
 
 
-def _power_coeffs(a, k: int, n: int) -> list:
-    """binom(k, d) a^(k-d), d = 0..n: the Taylor coefficients of t^k at a."""
-    out, binom = [], 1.0
+def _power_coeffs(a, k: int, n: int):
+    """d -> binom(k, d) a^(k-d), the Taylor coefficients of t^k at a, and
+    their number up to order n."""
+    binoms, binom = [], 1.0
     for d in range(min(n, k) + 1 if k >= 0 else n + 1):
-        out.append(binom * a ** (k - d))
+        binoms.append(binom)
         binom = binom * (k - d) / (d + 1)
-    return out
+    return (lambda d: binoms[d] * a ** (k - d)), len(binoms)
 
 
-def _function_coeffs(name: str, a, n: int) -> list:
-    """f^(d)(a)/d!, d = 0..n, for f = sin, cos or exp."""
-    if name == "exp":
-        e = np.exp(a)
-        return [e / math.factorial(d) for d in range(n + 1)]
-    s, c = np.sin(a), np.cos(a)
-    cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
-    return [cycle[d % 4] / math.factorial(d) for d in range(n + 1)]
+# f^(d) for d mod 4 as (function, sign): sin' = cos, cos' = -sin, exp' = exp.
+_CYCLES = {
+    "sin": (("sin", 1), ("cos", 1), ("sin", -1), ("cos", -1)),
+    "cos": (("cos", 1), ("sin", -1), ("cos", -1), ("sin", 1)),
+    "exp": (("exp", 1),) * 4,
+}
+
+
+def _function_coeffs(name: str, a, n: int):
+    """d -> f^(d)(a)/d!, for f = sin, cos or exp, and their number up to
+    order n; sin(a), cos(a) and exp(a) are computed once, when first needed."""
+    values = {}
+
+    def coeff(d):
+        f, sign = _CYCLES[name][d % 4]
+        if f not in values:
+            values[f] = getattr(np, f)(a)
+        return (values[f] if sign > 0 else -values[f]) / math.factorial(d)
+
+    return coeff, n + 1
 
 
 @lru_cache(maxsize=16)
@@ -114,51 +145,77 @@ def _factorials(m: int) -> np.ndarray:
 
 
 class Node:
-    def jet(self, pts: np.ndarray, n: int, top: bool = False) -> list:
-        """The parts 0..n of the Taylor jet at pts (N, 3); with top, part n
-        is computed and the lower parts may be None."""
+    def jet(self, pts: np.ndarray, n: int, keep=None) -> list:
+        """The parts 0..n of the Taylor jet at pts (N, 3); with keep, a
+        sorted tuple of parts, those are computed and the others may be None."""
         raise NotImplementedError
 
-    def partials(self, m: int, pts) -> np.ndarray:
-        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m)
-        order.  Numpy warnings are silenced: callers check finiteness."""
+    def partials_of(self, orders, pts) -> list[np.ndarray]:
+        """For each m in orders, every d^gamma with |gamma| = m at pts, rows
+        in derivative_indices(m) order: one jet of order max(orders) that
+        forms only the parts in orders at the root.  Numpy warnings are
+        silenced: callers check finiteness."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        shape = (len(derivative_indices(m)), pts.shape[0])
+        out = []
         with np.errstate(all="ignore"):
-            part = self.jet(pts, m, top=True)[m]
-            if part is None:
-                return np.zeros(shape)
-            return np.multiply(part, _factorials(m), out=np.empty(shape))
+            jet = self.jet(pts, max(orders), tuple(sorted(set(orders))))
+            for m in orders:
+                shape = (_factorials(m).shape[0], pts.shape[0])
+                part = jet[m]
+                out.append(np.zeros(shape) if part is None
+                           else np.multiply(part, _factorials(m), out=np.empty(shape)))
+        return out
+
+    def partials(self, m: int, pts) -> np.ndarray:
+        return self.partials_of((m,), pts)[0]
 
     def eval(self, pts) -> np.ndarray:
         return self.partials(0, pts)[0]
 
 
 @dataclass(frozen=True)
-class Num(Node):
-    value: float
+class Affine(Node):
+    """sum_i c_i x_(axis_i) (+ c_i where axis_i is None), its terms in source order."""
 
-    def jet(self, pts, n, top=False):
-        return [np.float64(self.value)] + [None] * n
+    terms: tuple[tuple[float, int | None], ...]
 
+    @cached_property
+    def constant(self):
+        """The value when no term has an axis, else None."""
+        if any(axis is not None for _, axis in self.terms):
+            return None
+        return sum((np.float64(c) for c, _ in self.terms[1:]), np.float64(self.terms[0][0]))
 
-@dataclass(frozen=True)
-class Var(Node):
-    axis: int
-
-    def jet(self, pts, n, top=False):
-        out = [pts[None, :, self.axis]] + [None] * n
-        if n:
-            out[1] = _AXES[self.axis]
+    @cached_property
+    def gradient(self) -> np.ndarray | None:
+        """The (3, 1) part 1, None for a constant."""
+        if self.constant is not None:
+            return None
+        out = np.zeros((3, 1))
+        for c, axis in self.terms:
+            if axis is not None:
+                out[axis] += c
         return out
+
+    def scaled(self, s) -> "Affine":
+        return Affine(tuple((s * c, axis) for c, axis in self.terms))
+
+    def jet(self, pts, n, keep=None):
+        if self.constant is not None:
+            return [self.constant] + [None] * n
+        value = None
+        for c, axis in self.terms:
+            term = np.float64(c) if axis is None else c * pts[None, :, axis]
+            value = term if value is None else value + term
+        return [value] + [self.gradient] * min(n, 1) + [None] * (n - 1)
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     arg: Node
 
-    def jet(self, pts, n, top=False):
-        return [None if a is None else -a for a in self.arg.jet(pts, n, top)]
+    def jet(self, pts, n, keep=None):
+        return [None if a is None else -a for a in self.arg.jet(pts, n, keep)]
 
 
 @dataclass(frozen=True)
@@ -166,8 +223,8 @@ class Add(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, top=False):
-        return list(map(_plus, self.left.jet(pts, n, top), self.right.jet(pts, n, top)))
+    def jet(self, pts, n, keep=None):
+        return list(map(_plus, self.left.jet(pts, n, keep), self.right.jet(pts, n, keep)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +232,8 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, top=False):
-        return _mul(self.left.jet(pts, n), self.right.jet(pts, n), top)
+    def jet(self, pts, n, keep=None):
+        return _mul(self.left.jet(pts, n), self.right.jet(pts, n), keep)
 
 
 @dataclass(frozen=True)
@@ -184,12 +241,12 @@ class Div(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, top=False):
+    def jet(self, pts, n, keep=None):
         u, v = self.left.jet(pts, n), self.right.jet(pts, n)
-        coeffs = _power_coeffs(v[0], -1, n)
+        coeff, count = _power_coeffs(v[0], -1, n)
         if all(a is None for a in u[1:]):  # a constant numerator scales 1/v
-            return _compose([u[0] * c for c in coeffs], v, top)
-        return _mul(u, _compose(coeffs, v), top)
+            return _compose(lambda d: u[0] * coeff(d), count, v, keep)
+        return _mul(u, _compose(coeff, count, v), keep)
 
 
 @dataclass(frozen=True)
@@ -197,9 +254,9 @@ class Pow(Node):
     base: Node
     n: int
 
-    def jet(self, pts, n, top=False):
+    def jet(self, pts, n, keep=None):
         v = self.base.jet(pts, n)
-        return _compose(_power_coeffs(v[0], self.n, n), v, top)
+        return _compose(*_power_coeffs(v[0], self.n, n), v, keep)
 
 
 @dataclass(frozen=True)
@@ -207,9 +264,44 @@ class Call(Node):
     name: str
     arg: Node
 
-    def jet(self, pts, n, top=False):
+    def jet(self, pts, n, keep=None):
         v = self.arg.jet(pts, n)
-        return _compose(_function_coeffs(self.name, v[0], n), v, top)
+        return _compose(*_function_coeffs(self.name, v[0], n), v, keep)
+
+
+# The parser builds through these, so every affine subtree is one Affine.
+# Negation is exact, so a folded difference equals the tree's bitwise; a
+# constant factor or divisor is applied to each term (x/c as x * c^-1, the
+# tree's own reciprocal).
+
+
+def _negated(a: Node) -> Node:
+    return Affine(tuple((-c, axis) for c, axis in a.terms)) if isinstance(a, Affine) else Neg(a)
+
+
+def _sum(a: Node, b: Node) -> Node:
+    if isinstance(a, Affine) and isinstance(b, Affine):
+        return Affine(a.terms + b.terms)
+    return Add(a, b)
+
+
+def _product(a: Node, b: Node) -> Node:
+    if isinstance(a, Affine) and isinstance(b, Affine):
+        if a.constant is not None and b.constant is not None:
+            return Affine(((a.constant * b.constant, None),))
+        if b.constant is not None:
+            return a.scaled(b.constant)
+        if a.constant is not None:
+            return b.scaled(a.constant)
+    return Mul(a, b)
+
+
+def _quotient(a: Node, b: Node) -> Node:
+    if isinstance(a, Affine) and isinstance(b, Affine) and b.constant is not None:
+        with np.errstate(all="ignore"):  # x/0 evaluates to x * inf, as unfolded
+            inverse = 1.0 * b.constant ** -1
+        return _product(a, Affine(((inverse, None),)))
+    return Div(a, b)
 
 
 class _Parser:
@@ -260,7 +352,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                node = Add(node, rhs if val == "+" else Neg(rhs))
+                node = _sum(node, rhs if val == "+" else _negated(rhs))
             else:
                 return node
 
@@ -271,7 +363,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+                node = _product(node, rhs) if val == "*" else _quotient(node, rhs)
             else:
                 return node
 
@@ -280,7 +372,7 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             inner = self.factor()
-            return inner if val == "+" else Neg(inner)
+            return inner if val == "+" else _negated(inner)
         return self.power()
 
     def power(self) -> Node:
@@ -307,10 +399,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, pos = self.next()
         if kind == "num":
-            return Num(float(val))
+            return Affine(((float(val), None),))
         if kind == "name":
             if val in _VARS:
-                return Var(_VARS[val])
+                return Affine(((1.0, _VARS[val]),))
             if val in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
@@ -342,4 +434,4 @@ def field_from_expression(text_or_node) -> ScalarField:
         if isinstance(text_or_node, str)
         else text_or_node
     )
-    return _OnePass(node.eval, node.partials, None, 1.0, True)
+    return _OnePass(node.eval, node.partials_of, None, 1.0, True)

@@ -15,7 +15,11 @@ alpha2*s1 <= alpha1/2 and alpha3*s21 <= alpha1/2.  From these parameters the
 module derives the factor matrices A = X*Y with closed-form spectral norms,
 the quality quantities R_T and H_T, the full angle inventory (face angles,
 dihedral angles, edge-face angles), maximum-angle-condition checks, and the
-constants tying the maximum angle condition to R_T/h_T.
+constants tying the maximum angle condition to R_T/h_T.  angles() tests
+degeneracy and computes the edge lengths, volume and R_T when called; the
+GeometryReport it returns computes H_T and the angle inventory when they are
+first read, with the same arithmetic, so a reader of h_T and R_T alone (the
+error ratio) pays for nothing else.
 
 Two paths share one arithmetic and one set of combinatorial tables.  The
 scalar routines (classify, quality_ratio, angles, mac_check, ...) take one
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +90,12 @@ class Tetrahedron:
     def coords(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         return self.v
 
+    @cached_property
+    def _edge_lengths(self) -> tuple[float, ...]:
+        """edge_lengths(self), computed once: interpolation, the seminorms'
+        volume and the geometry report all read them."""
+        return tuple(_dist(self.v[i], self.v[j]) for i, j in EDGES)
+
     def as_array(self) -> np.ndarray:
         return np.array(self.v)
 
@@ -119,8 +130,7 @@ def _scale(a, s):
 
 def edge_lengths(t: Tetrahedron) -> tuple[float, ...]:
     """The six edge lengths in the fixed EDGES order."""
-    v = t.coords()
-    return tuple(_dist(v[i], v[j]) for i, j in EDGES)
+    return t._edge_lengths
 
 
 def sorted_edge_lengths(t: Tetrahedron) -> tuple[float, ...]:
@@ -418,13 +428,18 @@ def quality(t: Tetrahedron) -> tuple[float, float]:
     alpha1*alpha2*alpha3*h_T/|T| identically.
     """
     hs = sorted_edge_lengths(t)
-    return _quality(t, hs, _nondegenerate_volume(t.coords(), hs[5]))
+    return _r_t(hs, _nondegenerate_volume(t.coords(), hs[5])), _h_t(t, hs)
 
 
-def _quality(t: Tetrahedron, hs, vol: float) -> tuple[float, float]:
-    r_t = hs[0] * hs[1] * hs[5] ** 2 / vol
+def _r_t(hs, vol: float) -> float:
+    """R_T from the sorted edge lengths and the volume."""
+    return hs[0] * hs[1] * hs[5] ** 2 / vol
+
+
+def _h_t(t: Tetrahedron, hs) -> float:
+    """H_T from the standard-position parameters and the sorted edge lengths."""
     _, t1, _, _, t2 = _standard_position_from(t, classify(t)).params
-    return r_t, 6.0 * hs[5] / (t1 * t2)
+    return 6.0 * hs[5] / (t1 * t2)
 
 
 def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
@@ -444,6 +459,10 @@ def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
 class GeometryReport:
     """Edge lengths, volume, quality quantities and the full angle inventory.
 
+    h (sorted), volume and R_T are computed when angles() makes the report;
+    H_T and the angles are computed when first read, as most readers (the
+    error ratio among them) need h_T and R_T alone.
+
     theta[(i, j)] is the internal angle of face F_i (opposite vertex i) at
     vertex j; psi[(i, j)] with i < j is the dihedral angle between faces F_i
     and F_j; phi[(i, j)] is the angle between face F_i and the edge x_i x_j.
@@ -454,11 +473,41 @@ class GeometryReport:
     h: tuple[float, ...]
     volume: float
     R_T: float
-    H_T: float
-    theta: dict[tuple[int, int], float]
-    psi: dict[tuple[int, int], float]
-    phi: dict[tuple[int, int], float]
-    max_angle: float
+    _t: Tetrahedron
+
+    @cached_property
+    def H_T(self) -> float:
+        return _h_t(self._t, self.h)
+
+    @cached_property
+    def _angles(self) -> tuple[dict, dict, dict]:
+        """theta, psi and phi."""
+        v = self._t.coords()
+        lengths = edge_lengths(self._t)
+        theta, normals, dists = _face_angles(v)
+        phi = {
+            (i, j): math.asin(min(1.0, dists[i] / lengths[_EDGE_OF[i][j]]))
+            for i in range(4)
+            for j in range(4)
+            if j != i
+        }
+        return theta, _dihedral_angles(normals), phi
+
+    @property
+    def theta(self) -> dict[tuple[int, int], float]:
+        return self._angles[0]
+
+    @property
+    def psi(self) -> dict[tuple[int, int], float]:
+        return self._angles[1]
+
+    @property
+    def phi(self) -> dict[tuple[int, int], float]:
+        return self._angles[2]
+
+    @property
+    def max_angle(self) -> float:
+        return max(max(self.theta.values()), max(self.psi.values()))
 
 
 def _face_angles(v):
@@ -496,31 +545,11 @@ def _dihedral_angles(normals):
 
 
 def angles(t: Tetrahedron) -> GeometryReport:
-    """Compute the full geometry report of a nondegenerate tetrahedron."""
-    v = t.coords()
-    lengths = edge_lengths(t)
-    hs = tuple(sorted(lengths))
-    vol = _nondegenerate_volume(v, hs[5])
-    theta, normals, dists = _face_angles(v)
-    psi = _dihedral_angles(normals)
-    phi = {
-        (i, j): math.asin(min(1.0, dists[i] / lengths[_EDGE_OF[i][j]]))
-        for i in range(4)
-        for j in range(4)
-        if j != i
-    }
-
-    r_t, h_t_quality = _quality(t, hs, vol)
-    return GeometryReport(
-        h=hs,
-        volume=vol,
-        R_T=r_t,
-        H_T=h_t_quality,
-        theta=theta,
-        psi=psi,
-        phi=phi,
-        max_angle=max(max(theta.values()), max(psi.values())),
-    )
+    """The geometry report of a tetrahedron; DegenerateTetrahedron here when
+    it is degenerate, though H_T and the angles are computed when read."""
+    hs = sorted_edge_lengths(t)
+    vol = _nondegenerate_volume(t.coords(), hs[5])
+    return GeometryReport(h=hs, volume=vol, R_T=_r_t(hs, vol), _t=t)
 
 
 def max_face_and_dihedral_angle(t: Tetrahedron) -> float:

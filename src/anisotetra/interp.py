@@ -11,14 +11,19 @@ Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
 chain rule, so a rotated flat element interpolates as well as an
 axis-aligned one.
 
-Every field returns its exact partials of one order in one pass, partials(m,
-pts), by Taylor-mode evaluation for expressions.  Every polynomial is one
-class, Polynomial3: a dense coefficient vector over monomial_indices(degree)
-in a frame.  A physical polynomial's frame is the identity, so its points are
-not mapped; an Interpolant's is (x_0, J^{-T}).  Its partials of order m are
-one matrix product, the order-m derivative matrix (times one chain-rule matrix
-in a frame) against the monomial table _monomials at points mapped once, and
-a single partial is a row of that product.
+Every field returns its partials of several orders at one point set from
+one evaluation, partials_of(orders, pts): one Taylor jet for expressions,
+one loop over the orders for finite differences.  partials(m, pts) is its
+one-order case, and a single partial is a row of that.  Every polynomial is
+one class, Polynomial3: a dense coefficient vector over
+monomial_indices(degree) in a frame.  A physical polynomial's frame is the
+identity, so its points are not mapped; an Interpolant's is (x_0, J^{-T}).
+Its partials of order m are one matrix product, the order-m derivative
+matrix (times one chain-rule matrix in a frame) against the monomial table
+_monomials at points mapped once; several orders share the points and one
+table, whose leading rows are every smaller table.  The residual v - I v
+subtracts the interpolant's partials from v's up to order k, and above it
+returns v's own.
 
 Functions come as a Polynomial3 (an Interpolant is one), a ScalarField or a
 plain callable; as_field is the one place that turns any of them into a
@@ -189,9 +194,7 @@ class Polynomial3:
 
     def _hold(self, coef: np.ndarray, degree: int, frame):
         self.coef, self.degree, self._frame = coef, degree, frame
-        # Per order, the partials' xi-monomial coefficients, built on first
-        # use; p = inf asks for one order once per block.
-        self._by_order: dict[int, np.ndarray] = {}
+        self._by_order: dict[int, np.ndarray] = {}  # filled by _matrix
 
     def evaluate(self, pts) -> np.ndarray | float:
         out = self.partials(0, pts)[0]
@@ -209,13 +212,32 @@ class Polynomial3:
         Numpy warnings are silenced, as an overflow shows as a value that is
         not finite and callers check finiteness.
         """
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
         with np.errstate(all="ignore"):
-            if m not in self._by_order:
-                d = derivatives(self.coef, self.degree, m)
-                self._by_order[m] = d if self._frame is None else self._chain_rule(m) @ d
-            xi = p if self._frame is None else (p - self._frame[0]) @ self._frame[1]
-            return self._by_order[m] @ _monomials(xi, self.degree - m)
+            return self._matrix(m) @ self._table(pts, m)
+
+    def partials_of(self, orders, pts) -> list[np.ndarray]:
+        """partials(m, pts) for each m in orders, from the points mapped once
+        and one monomial table: graded order makes the table of degree
+        degree - m the leading rows of every larger one, so each order is
+        one product with a slice of it and equals partials(m, pts) bitwise."""
+        with np.errstate(all="ignore"):
+            table = self._table(pts, min(orders))
+            return [d @ table[: d.shape[1]] for d in map(self._matrix, orders)]
+
+    def _matrix(self, m: int) -> np.ndarray:
+        """The xi-monomial coefficients of the partials of order m, built on
+        first use; p = inf asks for one order once per block."""
+        if m not in self._by_order:
+            d = derivatives(self.coef, self.degree, m)  # no columns above the degree
+            in_frame = self._frame is not None and m <= self.degree
+            self._by_order[m] = self._chain_rule(m) @ d if in_frame else d
+        return self._by_order[m]
+
+    def _table(self, pts, m: int) -> np.ndarray:
+        """The monomials of degree <= degree - m at pts mapped to the frame."""
+        p = np.atleast_2d(np.asarray(pts, dtype=float))
+        xi = p if self._frame is None else (p - self._frame[0]) @ self._frame[1]
+        return _monomials(xi, self.degree - m)
 
     def _chain_rule(self, m: int) -> np.ndarray:
         """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
@@ -295,6 +317,11 @@ class ScalarField:
         p = self._points(m, pts)
         return np.stack([self.partial(g, p) for g in derivative_indices(m)])
 
+    def partials_of(self, orders, pts) -> list[np.ndarray]:
+        """partials(m, pts) for each m in orders, here one order at a time."""
+        p = self._points(max(orders), pts)
+        return [self.partials(m, p) for m in orders]
+
     def _fd_partial(self, gamma: MultiIndex, pts: np.ndarray) -> np.ndarray:
         total = sum(gamma)
         h = float(np.finfo(float).eps) ** (1.0 / (total + 2)) * self.scale
@@ -315,8 +342,9 @@ class ScalarField:
 
 
 class _OnePass(ScalarField):
-    """A field whose partials of one order come from one call,
-    partials_fn(m, pts) -> (n_gamma, N); a single partial is one row."""
+    """A field whose partials of several orders come from one call,
+    partials_fn(orders, pts) -> [(n_gamma, N) per order]; the partials of
+    one order are its one-order case, and a single partial is one row."""
 
     def __init__(self, eval_fn, partials_fn, order, scale, exact, degree=None):
         super().__init__(eval_fn, order=order, scale=scale, exact=exact)
@@ -327,7 +355,10 @@ class _OnePass(ScalarField):
         return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
 
     def partials(self, m: int, pts) -> np.ndarray:
-        return self._partials(m, self._points(m, pts))
+        return self.partials_of((m,), pts)[0]
+
+    def partials_of(self, orders, pts) -> list[np.ndarray]:
+        return self._partials(orders, self._points(max(orders), pts))
 
 
 class Interpolant(Polynomial3):
@@ -355,7 +386,7 @@ def as_field(v) -> ScalarField:
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, Polynomial3):
-        return _OnePass(v.evaluate, v.partials, None, 1.0, True, v.degree)
+        return _OnePass(v.evaluate, v.partials_of, None, 1.0, True, v.degree)
     return ScalarField(v)
 
 
@@ -410,6 +441,11 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     and those the coefficients (_newton).  Reproduces any q in P_k up to
     roundoff.  A nodal value of v that is not finite raises NumericalError.
     """
+    return _interpolate(v, t, k)[1]
+
+
+def _interpolate(v, t: Tetrahedron, k: int) -> tuple[np.ndarray, Interpolant]:
+    """v's values at the nodes of degree k on t, and its interpolant."""
     k = _check_degree(k)
     frame = pull_back(t)
     nodes = unit_weights(k) @ t.as_array()
@@ -422,7 +458,7 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
             % (float(values[i]), sigma_k(k)[i], nodes[i].tolist())
         )
     newton, diff = _newton(k)
-    return Interpolant(newton @ (diff @ values), k, *frame)
+    return values, Interpolant(newton @ (diff @ values), k, *frame)
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:
@@ -433,11 +469,24 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     v is a polynomial, so is u, of degree max(deg v, k).
     """
     v = as_field(v)
-    ip = interpolate(v, t, k)
+    return _residual(v, interpolate(v, t, k))
+
+
+def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
+    """v - ip, whose partials of several orders take v's in one call.  Above
+    order ip.k the interpolant's partials vanish, so there u's partials are
+    v's: nothing is subtracted."""
+
+    def partials_of(orders, pts):
+        low = [m for m in orders if m <= ip.k]
+        below = iter(ip.partials_of(low, pts) if low else ())
+        return [_minus(a, next(below)) if m <= ip.k else a
+                for m, a in zip(orders, v.partials_of(orders, pts))]
+
     # The difference is exact only when v's own partials are.
     return _OnePass(
         lambda pts: _minus(v(pts), ip.evaluate(pts)),
-        lambda m, pts: _minus(v.partials(m, pts), ip.partials(m, pts)),
+        partials_of,
         v.order, v.scale, v.exact_partials,
         None if v.degree is None else max(v.degree, ip.degree),
     )

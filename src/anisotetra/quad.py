@@ -13,21 +13,27 @@ The seminorm follows the weighted convention
 
     |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
-A barycentric sample set is mapped to T once and one call, partials(m, pts),
-samples |d^gamma u| there for every |gamma| = m.  For finite p the sample
-sets are quadrature rules and the samples are reduced by the weighted p-sum;
-_rule_degrees is the one place that picks their degrees.  Every sample is
-first divided by one power of two 2^e above the largest sample of all the
-rules, so no p-th power overflows at large p (10^400 would), and the value
-is 2^e times the p-th root; the 12/18 agreement check compares the scaled
-sums, and at p = 2 the scaling changes no digit.  For p = infinity the
-sample set is the dense lattice X^DENSE_LATTICE_ORDER placed by the cached
-lattice.unit_weights table, evaluated in blocks of at most BLOCK points:
-each gamma keeps a running maximum, which equals the maximum of one
-unblocked pass, and for polynomials one constrained Newton step polishes
-it; this route is documented as approximate and takes no quadrature
-degree.  A sampled value that is not finite raises NumericalError, for the
-first such gamma in order.
+One sampling loop serves several seminorms of one field on one element
+(seminorms_with_info; seminorm_with_info is its one-spec case).  Each
+barycentric sample set is mapped to T once and one call, partials_of(orders,
+pts), samples |d^gamma u| there for every |gamma| = m of every order that
+uses the set, so error_ratio's two seminorms share the field's evaluation
+wherever their sets coincide.  For finite p the sample sets are quadrature
+rules and the samples are reduced by the weighted p-sum, one product per
+rule with the multinomial weights; _rule_degrees is the one place that picks
+their degrees.  Every sample is first divided by one power of two 2^e above
+the largest sample of all the rules, so no p-th power overflows at large p
+(10^400 would), and the value is 2^e times the p-th root; the 12/18
+agreement check compares the scaled sums, and at p = 2 the scaling changes
+no digit.  For p = infinity the sample set is the dense lattice
+X^DENSE_LATTICE_ORDER placed by the cached lattice.unit_weights table,
+evaluated in blocks of at most BLOCK points: each gamma keeps a running
+maximum, which equals the maximum of one unblocked pass, and for
+polynomials one constrained Newton step polishes it, with value, gradient
+and Hessian from one call; this route is documented as approximate and
+takes no quadrature degree.  A sampled value that is not finite raises
+NumericalError, for the first such gamma in order, the first seminorm
+first.
 """
 
 from __future__ import annotations
@@ -140,6 +146,15 @@ def multinomial_weight(gamma: MultiIndex) -> float:
     )
 
 
+@lru_cache(maxsize=16)
+def _multinomial_weights(m: int) -> np.ndarray:
+    """multinomial_weight(gamma) for every |gamma| = m, in derivative_indices(m)
+    order, as a read-only vector."""
+    out = np.array([multinomial_weight(g) for g in derivative_indices(m)])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SeminormInfo:
     """Value plus evaluation metadata for reports."""
@@ -158,31 +173,39 @@ def _check_finite(finite: np.ndarray, gammas: list):
         raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
 
 
-def _inside(t: Tetrahedron, x: np.ndarray) -> bool:
-    """Is x in t, up to INSIDE_TOL in barycentric terms?  False on a
-    degenerate t."""
+def _frame(t: Tetrahedron):
+    """pull_back(t), or None for a degenerate t."""
     try:
-        origin, inverse_t = pull_back(t)
+        return pull_back(t)
     except DegenerateTetrahedron:
+        return None
+
+
+def _inside(t: Tetrahedron, x: np.ndarray, frame=None) -> bool:
+    """Is x in t, up to INSIDE_TOL in barycentric terms?  False on a
+    degenerate t.  frame is pull_back(t) when the caller has it."""
+    frame = frame or _frame(t)
+    if frame is None:
         return False
+    origin, inverse_t = frame
     lam = (x - origin) @ inverse_t
     return bool(lam.min() >= -INSIDE_TOL and lam.sum() <= 1.0 + INSIDE_TOL)
 
 
 def _newton_polish(
-    field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, t: Tetrahedron
+    field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, t: Tetrahedron, frame
 ) -> float:
     """One constrained Newton step toward a local extremum of |d^gamma u|.
 
     Value, gradient and Hessian are the rows gamma, gamma + e_i and
     gamma + e_i + e_j of the field's partials of orders |gamma|, |gamma| + 1
-    and |gamma| + 2 at x0.
+    and |gamma| + 2 at x0, from one call; frame is pull_back(t) or None.
     """
     m, e = sum(gamma), np.eye(3, dtype=int)
     row = derivative_indices(m).index(gamma)
-    val0 = float(field_u.partials(m, x0[None, :])[row, 0])
+    value, first, second = (a[:, 0] for a in field_u.partials_of((m, m + 1, m + 2), x0[None, :]))
+    val0 = float(value[row])
     sign = 1.0 if val0 >= 0 else -1.0
-    first, second = (field_u.partials(m + n, x0[None, :])[:, 0] for n in (1, 2))
     up1, up2 = derivative_indices(m + 1), derivative_indices(m + 2)
     grad = np.array([first[up1.index(tuple(gamma + e[i]))] for i in range(3)])
     hess = np.array(
@@ -193,30 +216,37 @@ def _newton_polish(
     except np.linalg.LinAlgError:
         return abs(val0)
     x1 = x0 + step
-    if not _inside(t, x1):
+    if not _inside(t, x1, frame):
         return abs(val0)
     val1 = sign * float(field_u.partials(m, x1[None, :])[row, 0])
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
 
 
-def _running_max(field_u: ScalarField, m: int, pts: np.ndarray, gammas: list):
-    """max |d^gamma u| over pts and every |gamma| = m, and the first gamma and
-    point that attain it (None when it is 0), as one unblocked pass in gamma
+class _RunningMax:
+    """max |d^gamma u| over the blocks seen and every |gamma| = m, with the
+    first gamma and point that attain it, as one unblocked pass in gamma
     order would find them: each gamma keeps the earliest point of its maximum."""
-    best = np.zeros(len(gammas))
-    where = np.zeros((len(gammas), 3))
-    finite = np.ones(len(gammas), dtype=bool)
-    for block in np.array_split(pts, -(-len(pts) // BLOCK)):
-        vals = field_u.partials(m, block)
+
+    def __init__(self, m: int):
+        self.gammas = derivative_indices(m)
+        self.best = np.zeros(len(self.gammas))
+        self.where = np.zeros((len(self.gammas), 3))
+        self.finite = np.ones(len(self.gammas), dtype=bool)
+
+    def add(self, vals: np.ndarray, block: np.ndarray):
         np.abs(vals, out=vals)  # a fresh array: partials builds it per call
         idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
-        top = vals[np.arange(len(gammas)), idx]
-        finite &= np.isfinite(top)
-        up = top > best
-        best[up], where[up] = top[up], block[idx[up]]
-    _check_finite(finite, gammas)
-    g = int(np.argmax(best))
-    return float(best[g]), ((gammas[g], where[g]) if best[g] > 0 else None)
+        top = vals[np.arange(len(self.gammas)), idx]
+        self.finite &= np.isfinite(top)
+        up = top > self.best
+        self.best[up], self.where[up] = top[up], block[idx[up]]
+
+    def result(self):
+        """The maximum and (gamma, point), None when it is 0; NumericalError
+        for the first gamma with a sample that is not finite."""
+        _check_finite(self.finite, self.gammas)
+        g = int(np.argmax(self.best))
+        return float(self.best[g]), ((self.gammas[g], self.where[g]) if self.best[g] > 0 else None)
 
 
 def _rule_degrees(
@@ -247,44 +277,71 @@ def _rule_degrees(
     return (DEFAULT_NUMERIC_DEGREE, RICHARDSON_DEGREE)
 
 
-def seminorm_with_info(
-    u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None
-) -> SeminormInfo:
-    """|u|_{m,p,T} plus quadrature metadata and warnings.
+def seminorms_with_info(
+    u, t: Tetrahedron, specs, degree: int | None = None
+) -> list[SeminormInfo]:
+    """|u|_{m,p,T} plus metadata for each spec, from one sampling loop.
 
-    u is anything interp.as_field accepts, whose polynomial degree picks the
-    exact rule at even p and the p = inf polish.  degree fixes the quadrature
-    exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
-    and at p = inf, which samples a lattice).
+    Specs whose sample sets coincide share them: each quadrature rule, and
+    each block of the p = inf lattice, is evaluated once, by one
+    partials_of call for every order that samples it.  Errors come in spec
+    order, and for one spec in the order of its sample sets.
     """
     field_u = as_field(u)
-    degrees = _rule_degrees(spec, field_u.degree, degree)
+    plans = [_rule_degrees(spec, field_u.degree, degree) for spec in specs]
     verts = t.as_array()
+    # Every d^gamma u is 0 above a known polynomial degree.
+    live = [field_u.degree is None or spec.m <= field_u.degree for spec in specs]
+    finite = [i for i, spec in enumerate(specs) if spec.p != math.inf]
+    rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
+    vol = volume(t) if finite else None
+    samples: list[dict] = [{} for _ in specs]  # per spec, |partials| per rule degree
+    for d, rule in rules.items():
+        using = [i for i in finite if live[i] and d in plans[i]]
+        if using:
+            vals = field_u.partials_of([specs[i].m for i in using], rule.nodes @ verts)
+            for i, v in zip(using, vals):
+                samples[i][d] = np.abs(v)
+    peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
+             if spec.p == math.inf and live[i]}
+    if peaks:
+        pts = unit_weights(DENSE_LATTICE_ORDER) @ verts
+        orders = [specs[i].m for i in peaks]
+        for block in np.array_split(pts, -(-len(pts) // BLOCK)):
+            for peak, vals in zip(peaks.values(), field_u.partials_of(orders, block)):
+                peak.add(vals, block)
+    # The element's frame, for a polish that must stay inside it.
+    frame = _frame(t) if peaks and field_u.degree is not None else None
+    approximate = not field_u.exact_partials
+    out = []
+    for i, spec in enumerate(specs):
+        if spec.p == math.inf:
+            value, at = peaks[i].result() if i in peaks else (0.0, None)
+            if at is not None and field_u.degree is not None:
+                value = max(value, _newton_polish(field_u, *at, t, frame))
+            warnings = ("p=inf maximum from dense sampling; value is approximate",)
+            out.append(SeminormInfo(value, None, warnings, approximate))
+        elif not live[i]:
+            out.append(SeminormInfo(0.0, plans[i][-1], (), approximate))
+        else:
+            out.append(_p_sum(spec, [samples[i][d] for d in plans[i]],
+                              [rules[d] for d in plans[i]], plans[i], vol, approximate))
+    return out
+
+
+def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple, vol: float,
+           approximate: bool) -> SeminormInfo:
+    """|u|_{m,p,T} from |d^gamma u| sampled on each rule, with the 12/18
+    agreement warning when there are two."""
     gammas = derivative_indices(spec.m)
-    vanishes = field_u.degree is not None and spec.m > field_u.degree  # every d^gamma u is 0
-    if not degrees:
-        value, at = (0.0, None) if vanishes else _running_max(
-            field_u, spec.m, unit_weights(DENSE_LATTICE_ORDER) @ verts, gammas
-        )
-        if at is not None and field_u.degree is not None:
-            value = max(value, _newton_polish(field_u, *at, t))
-        warnings = ("p=inf maximum from dense sampling; value is approximate",)
-        return SeminormInfo(value, None, warnings, not field_u.exact_partials)
-    rules = [rule_for_degree(d) for d in degrees]
-    p, vol = float(spec.p), volume(t)
-    if vanishes:
-        return SeminormInfo(0.0, degrees[-1], (), not field_u.exact_partials)
-    samples = [np.abs(field_u.partials(spec.m, r.nodes @ verts)) for r in rules]
     for vals in samples:
         _check_finite(np.isfinite(vals).all(axis=1), gammas)
+    p = float(spec.p)
     # Every sample over 2^e lies below 1, so no p-th power overflows.
     e = int(np.frexp(max(vals.max() for vals in samples))[1])
+    weights = _multinomial_weights(spec.m) * vol
     totals = [
-        sum(
-            multinomial_weight(gamma) * vol * float(np.dot(r.weights, row))
-            for gamma, row in zip(gammas, np.ldexp(vals, -e) ** p)
-        )
-        for r, vals in zip(rules, samples)
+        float(weights @ (np.ldexp(vals, -e) ** p @ r.weights)) for r, vals in zip(rules, samples)
     ]
     try:
         value = math.ldexp(totals[-1] ** (1.0 / p), e)
@@ -298,7 +355,21 @@ def seminorm_with_info(
             "be under-resolved"
             % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
         )
-    return SeminormInfo(value, degrees[-1], warnings, not field_u.exact_partials)
+    return SeminormInfo(value, degrees[-1], warnings, approximate)
+
+
+def seminorm_with_info(
+    u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None
+) -> SeminormInfo:
+    """|u|_{m,p,T} plus quadrature metadata and warnings: seminorms_with_info
+    for one spec.
+
+    u is anything interp.as_field accepts, whose polynomial degree picks the
+    exact rule at even p and the p = inf polish.  degree fixes the quadrature
+    exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
+    and at p = inf, which samples a lattice).
+    """
+    return seminorms_with_info(u, t, [spec], degree)[0]
 
 
 def seminorm(u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None) -> float:

@@ -4,7 +4,9 @@ The experiments here are the executable form of the package's claims:
 
 * ``error_ratio`` measures |v - I v|_{m,p,T} against the geometric bound
   factor (R_T/h_T)^m * h_T^(k+1-m) * |v|_{k+1,p,T} and reports the quotient,
-  the empirical stand-in for the constant C_{k,m,p}.
+  the empirical stand-in for the constant C_{k,m,p}.  Both seminorms come
+  from one sampling loop, so v is evaluated once at the nodes and once per
+  sample set, and of the geometry only h_T, |T| and R_T are computed.
 * ``squeeze_sweep`` tracks that quotient while a reference element is
   squeezed anisotropically; the constant must not blow up as alpha -> 0.
 * ``max_residual_quotient`` takes difference quotients of the interpolation
@@ -56,9 +58,19 @@ from .geom import (
     max_face_and_dihedral_angle,
     reference_tetrahedron,
 )
-from .interp import Interpolant, Polynomial3, _newton, monomial_indices, pull_back, residual
+from .interp import (
+    Interpolant,
+    Polynomial3,
+    _interpolate,
+    _newton,
+    _residual,
+    as_field,
+    monomial_indices,
+    pull_back,
+    residual,
+)
 from .lattice import difference_quotient, enumerate_boxes, node_values, unit_weights
-from .quad import SeminormSpec, seminorm_with_info, validate_p
+from .quad import SeminormSpec, seminorms_with_info, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
 BLOCK = 1024                   # samples drawn and measured as one array
@@ -344,8 +356,10 @@ class ErrorRatioResult:
 
     bound_factor = (R_T/h_T)^m * h_T^(k+1-m); ratio = error divided by
     bound_factor * seminorm_hi is the empirical constant.  When seminorm_hi
-    is zero to within 1e-14 of scale (v essentially in P_k), the ratio is
-    reported as 0 with the indeterminate flag set.
+    is 0, or below 1e-14 of v's own size on t,
+    max|v(nodes)| * |T|^(1/p) / h_T^(k+1) (v essentially in P_k), the ratio
+    is reported as 0 with the indeterminate flag set.  Both are unchanged
+    when v is scaled.
     """
 
     k: int
@@ -362,22 +376,29 @@ class ErrorRatioResult:
 
 def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
                 degree: int | None = None) -> ErrorRatioResult:
-    """Measure the interpolation error of v on t against the bound factor."""
+    """Measure the interpolation error of v on t against the bound factor.
+
+    v is evaluated once at the nodes and once per sample set: both seminorms
+    are taken of the residual u = v - I v, since |u|_{k+1,p,T} is
+    |v|_{k+1,p,T} (the interpolant's partials above order k vanish).
+    """
     ok, reason = validate_p(k, m, p)
     if not ok:
         raise InadmissiblePC(reason)
     k, m = int(k), int(m)
     geometry = angles(t)
     h_t = geometry.h[-1]
-    u = residual(v, t, k)
-    err_info = seminorm_with_info(u, t, SeminormSpec(m, p), degree=degree)
-    hi_info = seminorm_with_info(v, t, SeminormSpec(k + 1, p), degree=degree)
+    v = as_field(v)
+    values, ip = _interpolate(v, t, k)
+    err_info, hi_info = seminorms_with_info(
+        _residual(v, ip), t, [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree=degree
+    )
     warnings = err_info.warnings + hi_info.warnings
     if hi_info.approximate_partials:
         warnings = warnings + ("seminorm_hi uses finite-difference partials",)
     bound_factor = (geometry.R_T / h_t) ** m * h_t ** (k + 1 - m)
-    scale = max(1.0, hi_info.value)
-    indeterminate = hi_info.value < 1e-14 * scale
+    size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_t ** (k + 1)
+    indeterminate = not hi_info.value > 1e-14 * size
     ratio = 0.0 if indeterminate else err_info.value / (bound_factor * hi_info.value)
     return ErrorRatioResult(
         k=k,

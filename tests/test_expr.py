@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from anisotetra.errors import ExpressionParseError
-from anisotetra.expr import field_from_expression, parse_expression
+from anisotetra.expr import Add, Affine, Call, Div, Mul, field_from_expression, parse_expression
 from anisotetra.geom import TYPE1, reference_tetrahedron
 from anisotetra.interp import (
     Polynomial3,
@@ -19,7 +19,7 @@ from anisotetra.interp import (
     monomial_indices,
     residual,
 )
-from anisotetra.verify import TetraGenSpec, corpus, generate
+from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, generate
 from exact_poly import Exact, degree7_cases
 from test_interp import ROTATED_ANISO
 
@@ -285,3 +285,91 @@ def test_partials_compose_the_top_part_alone(m):
             full = node.jet(pts, m)[m]
             want = np.broadcast_to(0.0 if full is None else full * fact, (len(gammas), len(pts)))
         assert np.array_equal(node.partials(m, pts), want), node
+
+
+def test_partials_of_rows_equal_one_order_partials():
+    # Every kind of field: partials_of(orders) gives, for each order, the
+    # array partials(m) gives, bitwise, whatever the orders and their order.
+    t = ROTATED_ANISO
+    q = Polynomial3({(3, 1, 0): 0.7, (0, 2, 2): -1.3, (1, 1, 1): 2.0, (0, 0, 1): 0.4})
+    trig = field_from_expression("sin(x + 2*y - z) / (3 + x)")
+    fields = {
+        "expr": trig,
+        "corpus expr": corpus(3, t)[9][1],
+        "polynomial": as_field(q),
+        "interpolant": as_field(interpolate(trig, t, 3)),
+        "bubble": as_field(bubble_polynomial(t)),
+        "residual of expr": residual(trig, t, 2),
+        "residual of polynomial": residual(q, t, 2),
+        "plain callable": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
+    }
+    rng = np.random.default_rng(19)
+    point_sets = [rng.dirichlet(np.ones(4), n) @ t.as_array() for n in (1, 3, 1500)]
+    for name, f in fields.items():
+        for pts in point_sets[:2] if name == "plain callable" else point_sets:
+            for orders in ((0,), (1, 3), (0, 1, 2), (2, 5), (3, 1), (2, 2), (4, 6, 5)):
+                got = f.partials_of(orders, pts)
+                assert len(got) == len(orders), name
+                for m, rows in zip(orders, got):
+                    assert np.array_equal(rows, f.partials(m, pts)), (name, orders, m, len(pts))
+
+
+def unfolded(node: Affine):
+    """The affine node as the tree the parser built before folding: each
+    term a constant times a coordinate, summed from the left."""
+    tree = None
+    for c, axis in node.terms:
+        term = Affine(((c, None),))
+        if axis is not None:
+            term = Mul(term, Affine(((1.0, axis),)))
+        tree = term if tree is None else Add(tree, term)
+    return tree
+
+
+class TestAffineFolding:
+    def test_corpus_arguments_are_one_affine_node(self):
+        # Each expression of the corpus is sin, cos or exp of one affine node,
+        # or 1 over one, and its values and partials equal those of the
+        # unfolded tree bitwise, on 1500 points.
+        t = generate(TetraGenSpec("needle", 6), 1)[0]
+        pts = np.random.default_rng(5).dirichlet(np.ones(4), 1500) @ t.as_array()
+        nodes = [f._partials.__self__ for _, f in corpus(3, t) if isinstance(f, ScalarField)]
+        assert len(nodes) == 13
+        for node in nodes:
+            if isinstance(node, Div):
+                assert node.left == Affine(((1.0, None),)), node
+                rebuilt = Div(node.left, unfolded(node.right))
+            else:
+                assert isinstance(node, Call) and node.name in ("sin", "cos", "exp"), node
+                rebuilt = Call(node.name, unfolded(node.arg))
+            affine = node.right if isinstance(node, Div) else node.arg
+            assert isinstance(affine, Affine) and len(affine.terms) == 4, node
+            for m in range(5):
+                assert np.array_equal(node.partials(m, pts), rebuilt.partials(m, pts)), (node, m)
+
+    def test_folded_arguments_evaluate_in_source_order(self):
+        # The value of a corpus argument is ((a0 x + a1 y) + a2 z) + b, as
+        # the unfolded tree adds it, so the folded field's values are the
+        # ones numpy gives for that sum.
+        a, b = (0.1, -0.7, 1.3), 0.35
+        f = field_from_expression("exp(%s)" % affine_text(a, b))
+        assert np.array_equal(f(BOX), np.exp(affine_value(a, b, BOX)))
+
+    @pytest.mark.parametrize("text,value,gradient", [
+        ("-(2*x - y/4) + 3", lambda x, y, z: -(2 * x - y / 4) + 3, (-2.0, 0.25, 0.0)),
+        ("(x+y)*3", lambda x, y, z: (x + y) * 3, (3.0, 3.0, 0.0)),
+        ("x/2", lambda x, y, z: x / 2, (0.5, 0.0, 0.0)),
+        ("2*(z - 1/8)/(1/2)", lambda x, y, z: 4 * z - 0.5, (0.0, 0.0, 4.0)),
+    ])
+    def test_non_canonical_affine_forms_fold(self, text, value, gradient):
+        node = parse_expression(text)
+        assert isinstance(node, Affine), node
+        want = value(*BOX.T)
+        assert np.allclose(node.eval(BOX), want, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(node.partials(1, BOX), np.repeat([gradient], len(BOX), 0).T)
+        for m in (2, 3):
+            assert not node.partials(m, BOX).any()
+
+    @pytest.mark.parametrize("text", ["x*y", "sin(x)*x"])
+    def test_products_of_non_constants_stay_unfolded(self, text):
+        assert isinstance(parse_expression(text), Mul)

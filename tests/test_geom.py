@@ -527,6 +527,28 @@ def test_angles_counts_and_ranges():
         assert abs(rep.max_angle - max_face_and_dihedral_angle(t)) < 1e-15
 
 
+def test_angles_rejects_a_degenerate_element_when_called():
+    # The report computes H_T and its angles when they are read, but the
+    # degeneracy test runs when it is made.
+    flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(DegenerateTetrahedron):
+        angles(flat)
+
+
+def test_report_read_lazily_equals_the_eager_quantities():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        t = random_tetra(rng)
+        first, second = angles(t), angles(t)
+        assert first.max_angle == max_face_and_dihedral_angle(t)
+        assert (first.R_T, first.H_T) == quality(t)
+        assert first.volume == volume(t) and first.h == sorted_edge_lengths(t)
+        # Read in the other order: the same values, bitwise.
+        assert second.phi == first.phi and second.theta == first.theta
+        assert second.H_T == first.H_T and second.psi == first.psi
+        assert second.max_angle == first.max_angle
+
+
 def test_trig_identities_random():
     rng = np.random.default_rng(43)
     for _ in range(50):

@@ -19,6 +19,7 @@ from anisotetra.quad import (
     rule_for_degree,
     seminorm,
     seminorm_with_info,
+    seminorms_with_info,
     validate_p,
 )
 from anisotetra.verify import error_ratio
@@ -324,3 +325,45 @@ class TestWeights:
         assert multinomial_weight((2, 0, 0)) == 1.0
         assert multinomial_weight((1, 1, 0)) == 2.0
         assert multinomial_weight((1, 1, 1)) == 6.0
+
+
+class TestSharedSampling:
+    FIELDS = {
+        "expression": field_from_expression("cos((0.4)*x + (1.1)*y + (-0.6)*z + (0.2)) / (2 + x)"),
+        "polynomial": Polynomial3.dense(np.cos(np.arange(35.0)), 4),
+        "plain callable": ScalarField(lambda pts: np.sin(pts @ np.array([0.5, -0.3, 0.8]))),
+    }
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("k,m,p,degree", [
+        (2, 1, 2.0, None), (2, 0, 3.0, None), (3, 2, 2.0, None), (2, 1, 2.0, 9),
+        (2, 2, math.inf, None), (1, 0, math.inf, None),
+    ])
+    def test_one_loop_equals_one_seminorm_at_a_time(self, name, k, m, p, degree):
+        # error_ratio's two requests on the residual, and two on the field
+        # itself: the shared loop gives each exactly what it gives alone.
+        v = self.FIELDS[name]
+        specs = [SeminormSpec(m, p), SeminormSpec(k + 1, p)]
+        for u in (v, residual(v, ANISO, k)):
+            want = [seminorm_with_info(u, ANISO, s, degree=degree) for s in specs]
+            assert seminorms_with_info(u, ANISO, specs, degree=degree) == want
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_errors_come_in_request_order(self, p):
+        # NaN in an order-2 partial on the first sample set only and in an
+        # order-1 partial on the last one only: the first request's error is
+        # raised, as when the seminorms are taken one after the other.
+        if p == math.inf:
+            pts = unit_weights(quad.DENSE_LATTICE_ORDER) @ ANISO.as_array()
+            first, last = (lambda x, a=a: np.all(x == a, axis=1).any() for a in (pts[0], pts[-1]))
+        else:
+            first, last = (lambda x, d=d: len(x) == len(rule_for_degree(d).nodes)
+                           for d in (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE))
+        nan_on = {(1, 0, 0): last, (0, 2, 0): first}
+
+        def partial_fn(gamma, x):
+            return np.full(len(x), np.nan if gamma in nan_on and nan_on[gamma](x) else 0.0)
+
+        u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
+        with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
+            seminorms_with_info(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])

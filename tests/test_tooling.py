@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from anisotetra import ScalarField, corpus, error_ratio, generate
+from anisotetra.expr import Node, field_from_expression, parse_expression
+from anisotetra.lattice import unit_weights
+from anisotetra.quad import BLOCK, DENSE_LATTICE_ORDER
 from anisotetra.verify import TetraGenSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -260,3 +263,29 @@ def test_package_imports_without_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+class CountedNode(Node):
+    """An expression tree that counts the jets taken of it."""
+
+    def __init__(self, node: Node):
+        self.node, self.calls = node, 0
+
+    def jet(self, pts, n, keep=None):
+        self.calls += 1
+        return self.node.jet(pts, n, keep)
+
+
+@pytest.mark.parametrize("spec", [(1, 0, 2.0), (2, 1, 3.0), (3, 2, 2.0), (2, 2, math.inf),
+                                  (4, 2, math.inf)])
+def test_error_ratio_evaluates_an_expression_once_per_sample_set(spec):
+    # error_ratio takes both seminorms from one sampling loop: an expression
+    # field is evaluated once at the interpolation nodes and once per sample
+    # set, the 12/18 rule pair at finite p and each lattice block at p = inf,
+    # never once per seminorm.
+    t = generate(TetraGenSpec("sliver", 2), 1)[0]
+    node = CountedNode(parse_expression("exp((0.3)*x + (-1.2)*y + (0.8)*z + (0.1))"))
+    error_ratio(field_from_expression(node), t, *spec)
+    lattice = len(unit_weights(DENSE_LATTICE_ORDER))
+    sets = -(-lattice // BLOCK) if spec[2] == math.inf else 2
+    assert node.calls == 1 + sets, node.calls

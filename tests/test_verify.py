@@ -234,6 +234,27 @@ class TestErrorRatio:
             error_ratio(Polynomial3({(3, 0, 0): 1e308}), T_HAT, 2, 1, p)
         assert "not finite" in str(exc.value)
 
+    @pytest.mark.parametrize("v,indeterminate", [
+        (Polynomial3.dense(np.sin(np.arange(20.0)), 3), False),
+        (Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7, (3, 0, 0): 1e-13}), True),
+        (Polynomial3({(1, 0, 0): 2.0, (0, 0, 0): 0.5}), True),
+    ], ids=["cubic", "quadratic-with-tiny-cubic", "linear"])
+    def test_ratio_and_flag_are_unchanged_when_v_is_scaled(self, v, indeterminate):
+        # seminorm_hi is compared with v's own size, so a scaled field keeps
+        # its ratio and its flag; 1e-15 sin(x+2y+3z) is no longer "in P_k".
+        t = generate(TetraGenSpec("needle", 8), 1)[0]
+        for k, m, p in ((2, 1, 2.0), (2, 0, 3.0), (2, 2, math.inf)):
+            want = error_ratio(v, t, k, m, p)
+            assert want.indeterminate == indeterminate
+            for s in 10.0 ** np.arange(-20, 21, 5):
+                got = error_ratio(Polynomial3.dense(v.coef * s, v.degree), t, k, m, p)
+                assert got.indeterminate == indeterminate, (s, k, m, p)
+                assert abs(got.ratio - want.ratio) <= 1e-12 * want.ratio, (s, k, m, p)
+        for s in (1e-15, 1.0, 1e-10, 1e20):
+            r = error_ratio(field_from_expression("%r*sin(x+2*y+3*z)" % s), T_HAT, 2, 1, 2.0)
+            assert not r.indeterminate
+            assert abs(r.ratio - 4.894250897531214e-4) <= 1e-12, s
+
     def test_inadmissible_pairing_raises(self):
         with pytest.raises(InadmissiblePC):
             error_ratio(Polynomial3({(1, 0, 0): 1.0}), T_HAT, 1, 1, 2.0)
@@ -362,12 +383,16 @@ class TestConvergence:
         assert res.exact
         assert res.orders == ()
 
-    @pytest.mark.parametrize("shift,level", [(0.0, 0), (0.1, 4)])
-    def test_level_without_a_ratio_raises(self, shift, level):
-        # A cubic term of 1e-13 makes seminorm_hi 2.4e-13 at level 0 and
-        # 3.8e-15 (indeterminate) at level 4.  On T_HAT the error at level 0
-        # is exactly 0; on the shifted element level 4 is indeterminate.
-        v = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7, (3, 0, 0): 1e-13})
+    @pytest.mark.parametrize("shift,level,v", [
+        # On T_HAT the quadratic interpolates exactly, so level 0 has an
+        # error of exactly 0; its finite-difference seminorm_hi (roundoff of
+        # order 1) is no ratio of 0.
+        (0.0, 0, ScalarField(Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7}))),
+        # The cubic term of 2e-5 puts seminorm_hi at 2.9 times 1e-14 of v's
+        # size at level 3 and at 0.43 times it (indeterminate) at level 4.
+        (0.1, 4, Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7, (3, 0, 0): 2e-5})),
+    ], ids=["0.0-0", "0.1-4"])
+    def test_level_without_a_ratio_raises(self, shift, level, v):
         t = Tetrahedron.from_points(np.asarray(T_HAT.as_array()) + shift)
         with pytest.raises(NumericalError, match="level %d " % level):
             convergence_study(v, t, 2, 0, 2.0)
