@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import ScalarField, _OnePass, _times, derivative_indices
+from .interp import ScalarField, _times, derivative_indices
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -434,4 +434,4 @@ def field_from_expression(text_or_node) -> ScalarField:
         if isinstance(text_or_node, str)
         else text_or_node
     )
-    return _OnePass(node.eval, node.partials_of, None, 1.0, True)
+    return ScalarField._of(node.eval, node.partials_of)

@@ -11,10 +11,11 @@ Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
 chain rule, so a rotated flat element interpolates as well as an
 axis-aligned one.
 
-Every field returns its partials of several orders at one point set from
-one evaluation, partials_of(orders, pts): one Taylor jet for expressions,
-one loop over the orders for finite differences.  partials(m, pts) is its
-one-order case, and a single partial is a row of that.  Every polynomial is
+Every field is one class, ScalarField, and returns its partials of several
+orders at one point set from one evaluation, partials_of(orders, pts): one
+Taylor jet for expressions, one product per order for polynomials, one call
+per gamma for a per-gamma partial_fn.  partials(m, pts) is its one-order
+case, and a single partial is a row of that.  Every polynomial is
 one class, Polynomial3: a dense coefficient vector over
 monomial_indices(degree) in a frame.  A physical polynomial's frame is the
 identity, so its points are not mapped; an Interpolant's is (x_0, J^{-T}).
@@ -28,6 +29,9 @@ returns v's own.
 Functions come as a Polynomial3 (an Interpolant is one), a ScalarField or a
 plain callable; as_field is the one place that turns any of them into a
 ScalarField that carries its polynomial degree or None, as a residual does.
+A plain callable is values-only: interpolate and |.|_{0,p} take it, and a
+partial of order >= 1 raises DerivativeUnavailable, as there is no exact
+source of its derivatives.
 """
 
 from __future__ import annotations
@@ -263,15 +267,26 @@ def _one_per_point(values, n: int) -> np.ndarray:
 
 
 class ScalarField:
-    """A scalar function with partial derivatives up to a declared order.
+    """A scalar function with its partial derivatives up to a declared order.
 
-    When analytic partials are not supplied, central finite differences with
-    adaptive step eps^(1/(|gamma|+2)) * scale are used; exact_partials then
-    reports False so downstream reports can flag the approximation.  degree
-    is the polynomial degree that as_field or residual knows, else None.
+    partials_of(orders, pts) is the one primitive: for each m in orders, an
+    (n_gamma, N) array with rows in derivative_indices(m) order.  partials(m,
+    pts) is its one-order case and a single partial is one row of that.
+    Asking for an order above order (None: every order) raises
+    DerivativeUnavailable.  degree is the polynomial degree that as_field or
+    residual knows, else None.
+
+    ScalarField(eval_fn, partial_fn, order) adapts a per-gamma partial_fn(gamma,
+    pts): one call per gamma of order >= 1, and order 0 is eval_fn.  Without
+    a partial_fn the field is values-only, of order 0: interpolate and
+    |.|_{0,p} accept it, and an exact source of partials is
+    field_from_expression or Polynomial3.  The partials are taken as exact:
+    scale and exact_partials are constants, and the keywords accept only
+    them.
     """
 
-    degree: int | None = None
+    scale = 1.0
+    exact_partials = True
 
     def __init__(
         self,
@@ -279,86 +294,52 @@ class ScalarField:
         partial_fn: Callable[[MultiIndex, np.ndarray], np.ndarray] | None = None,
         order: int | None = None,
         scale: float = 1.0,
-        exact: bool | None = None,
+        exact: bool = True,
     ):
-        self._eval = eval_fn
-        self._partial = partial_fn
-        self.order = order
-        self.scale = scale
-        self._exact = (partial_fn is not None) if exact is None else exact
+        if scale != 1.0 or exact is not True:
+            raise InputError("a field's partials are exact and unscaled; got scale=%r, exact=%r"
+                             % (scale, exact))
+        if partial_fn is None and order not in (None, 0):
+            raise InputError("a field without partial_fn has values only, got order %r" % (order,))
 
-    @property
-    def exact_partials(self) -> bool:
-        return self._exact
+        def partials_of(orders, pts):
+            return [np.stack([
+                _one_per_point(eval_fn(pts) if m == 0 else partial_fn(g, pts), len(pts))
+                for g in derivative_indices(m)
+            ]) for m in orders]
+
+        self._eval, self._partials = eval_fn, partials_of
+        self.order, self.degree = (0 if partial_fn is None else order), None
+
+    @classmethod
+    def _of(cls, eval_fn, partials_fn, order: int | None = None,
+            degree: int | None = None) -> "ScalarField":
+        """The field whose partials_of is partials_fn(orders, pts): how
+        expressions, polynomials and residuals are built."""
+        out = cls.__new__(cls)
+        out._eval, out._partials, out.order, out.degree = eval_fn, partials_fn, order, degree
+        return out
 
     def __call__(self, pts) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         return _one_per_point(self._eval(p), p.shape[0])
-
-    def _points(self, m: int, pts) -> np.ndarray:
-        """pts as an (N, 3) array once order m is known to be available."""
-        if self.order is not None and m > self.order:
-            raise DerivativeUnavailable(
-                "field declares order %d, requested |gamma| = %d" % (self.order, m)
-            )
-        return np.atleast_2d(np.asarray(pts, dtype=float))
-
-    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        p = self._points(sum(gamma), pts)
-        if sum(gamma) == 0:
-            return self(p)
-        if self._partial is not None:
-            return _one_per_point(self._partial(tuple(gamma), p), p.shape[0])
-        return self._fd_partial(tuple(gamma), p)
-
-    def partials(self, m: int, pts) -> np.ndarray:
-        """Every d^gamma with |gamma| = m at pts: an (n_gamma, N) array with
-        rows in derivative_indices(m) order, here one partial at a time."""
-        p = self._points(m, pts)
-        return np.stack([self.partial(g, p) for g in derivative_indices(m)])
-
-    def partials_of(self, orders, pts) -> list[np.ndarray]:
-        """partials(m, pts) for each m in orders, here one order at a time."""
-        p = self._points(max(orders), pts)
-        return [self.partials(m, p) for m in orders]
-
-    def _fd_partial(self, gamma: MultiIndex, pts: np.ndarray) -> np.ndarray:
-        total = sum(gamma)
-        h = float(np.finfo(float).eps) ** (1.0 / (total + 2)) * self.scale
-
-        def rec(g: MultiIndex, p: np.ndarray) -> np.ndarray:
-            for ax in range(3):
-                if g[ax] > 0:
-                    lower = list(g)
-                    lower[ax] -= 1
-                    shift = np.zeros(3)
-                    shift[ax] = h
-                    return (rec(tuple(lower), p + shift) - rec(tuple(lower), p - shift)) / (
-                        2.0 * h
-                    )
-            return self(p)
-
-        return rec(gamma, pts)
-
-
-class _OnePass(ScalarField):
-    """A field whose partials of several orders come from one call,
-    partials_fn(orders, pts) -> [(n_gamma, N) per order]; the partials of
-    one order are its one-order case, and a single partial is one row."""
-
-    def __init__(self, eval_fn, partials_fn, order, scale, exact, degree=None):
-        super().__init__(eval_fn, order=order, scale=scale, exact=exact)
-        self._partials, self.degree = partials_fn, degree
 
     def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
         m = sum(gamma)
         return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
 
     def partials(self, m: int, pts) -> np.ndarray:
+        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order."""
         return self.partials_of((m,), pts)[0]
 
     def partials_of(self, orders, pts) -> list[np.ndarray]:
-        return self._partials(orders, self._points(max(orders), pts))
+        """partials(m, pts) for each m in orders, from one call."""
+        if self.order is not None and max(orders) > self.order:
+            raise DerivativeUnavailable(
+                "field declares order %d, requested |gamma| = %d; field_from_expression "
+                "and Polynomial3 give exact partials of every order" % (self.order, max(orders))
+            )
+        return self._partials(orders, np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 class Interpolant(Polynomial3):
@@ -379,14 +360,15 @@ class Interpolant(Polynomial3):
 def as_field(v) -> ScalarField:
     """v as a ScalarField, whose degree is v's polynomial degree or None.
 
-    v may be a Polynomial3 or Interpolant (its degree), a ScalarField
-    (returned as it is) or a plain callable on (N, 3) arrays; polynomial
-    partials are exact, a plain callable's are finite differences.
+    v may be a Polynomial3 or Interpolant (its degree, exact partials of
+    every order), a ScalarField (returned as it is) or a plain callable on
+    (N, 3) arrays, which is values-only: its partials of order >= 1 raise
+    DerivativeUnavailable.
     """
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, Polynomial3):
-        return _OnePass(v.evaluate, v.partials_of, None, 1.0, True, v.degree)
+        return ScalarField._of(v.evaluate, v.partials_of, degree=v.degree)
     return ScalarField(v)
 
 
@@ -464,9 +446,10 @@ def _interpolate(v, t: Tetrahedron, k: int) -> tuple[np.ndarray, Interpolant]:
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     """The interpolation residual u = v - I_T^k v as a ScalarField.
 
-    Partials combine v's partials (exact or finite-difference) with the
-    interpolant's exact polynomial partials; u vanishes at every node.  When
-    v is a polynomial, so is u, of degree max(deg v, k).
+    Partials combine v's partials with the interpolant's polynomial partials,
+    up to v's declared order (0 for a plain callable, which so has values
+    only); u vanishes at every node.  When v is a polynomial, so is u, of
+    degree max(deg v, k).
     """
     v = as_field(v)
     return _residual(v, interpolate(v, t, k))
@@ -483,11 +466,10 @@ def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
         return [_minus(a, next(below)) if m <= ip.k else a
                 for m, a in zip(orders, v.partials_of(orders, pts))]
 
-    # The difference is exact only when v's own partials are.
-    return _OnePass(
+    return ScalarField._of(
         lambda pts: _minus(v(pts), ip.evaluate(pts)),
         partials_of,
-        v.order, v.scale, v.exact_partials,
+        v.order,
         None if v.degree is None else max(v.degree, ip.degree),
     )
 

@@ -13,6 +13,10 @@ The seminorm follows the weighted convention
 
     |u|_{m,p,T}^p = sum_{|gamma| = m} (m!/gamma!) int_T |d^gamma u|^p.
 
+The samples |d^gamma u| are the field's own partials, which are exact for
+every field (interp.ScalarField); a plain callable has values only, so it
+gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
+
 One sampling loop serves several seminorms of one field on one element
 (seminorms_with_info; seminorm_with_info is its one-spec case).  Each
 barycentric sample set is mapped to T once and one call, partials_of(orders,
@@ -162,7 +166,6 @@ class SeminormInfo:
     value: float
     quadrature_degree: int | None
     warnings: tuple[str, ...] = ()
-    approximate_partials: bool = False
 
 
 def _check_finite(finite: np.ndarray, gammas: list):
@@ -312,7 +315,6 @@ def seminorms_with_info(
                 peak.add(vals, block)
     # The element's frame, for a polish that must stay inside it.
     frame = _frame(t) if peaks and field_u.degree is not None else None
-    approximate = not field_u.exact_partials
     out = []
     for i, spec in enumerate(specs):
         if spec.p == math.inf:
@@ -320,17 +322,17 @@ def seminorms_with_info(
             if at is not None and field_u.degree is not None:
                 value = max(value, _newton_polish(field_u, *at, t, frame))
             warnings = ("p=inf maximum from dense sampling; value is approximate",)
-            out.append(SeminormInfo(value, None, warnings, approximate))
+            out.append(SeminormInfo(value, None, warnings))
         elif not live[i]:
-            out.append(SeminormInfo(0.0, plans[i][-1], (), approximate))
+            out.append(SeminormInfo(0.0, plans[i][-1]))
         else:
             out.append(_p_sum(spec, [samples[i][d] for d in plans[i]],
-                              [rules[d] for d in plans[i]], plans[i], vol, approximate))
+                              [rules[d] for d in plans[i]], plans[i], vol))
     return out
 
 
-def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple, vol: float,
-           approximate: bool) -> SeminormInfo:
+def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
+           vol: float) -> SeminormInfo:
     """|u|_{m,p,T} from |d^gamma u| sampled on each rule, with the 12/18
     agreement warning when there are two."""
     gammas = derivative_indices(spec.m)
@@ -355,7 +357,7 @@ def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple, vol: 
             "be under-resolved"
             % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
         )
-    return SeminormInfo(value, degrees[-1], warnings, approximate)
+    return SeminormInfo(value, degrees[-1], warnings)
 
 
 def seminorm_with_info(

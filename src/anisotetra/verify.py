@@ -6,7 +6,9 @@ The experiments here are the executable form of the package's claims:
   factor (R_T/h_T)^m * h_T^(k+1-m) * |v|_{k+1,p,T} and reports the quotient,
   the empirical stand-in for the constant C_{k,m,p}.  Both seminorms come
   from one sampling loop, so v is evaluated once at the nodes and once per
-  sample set, and of the geometry only h_T, |T| and R_T are computed.
+  sample set, and of the geometry only h_T, |T| and R_T are computed.  They
+  take v's exact partials (an expression, a polynomial or a per-gamma
+  partial_fn); a plain callable has values only and is refused.
 * ``squeeze_sweep`` tracks that quotient while a reference element is
   squeezed anisotropically; the constant must not blow up as alpha -> 0.
 * ``max_residual_quotient`` takes difference quotients of the interpolation
@@ -17,7 +19,8 @@ The experiments here are the executable form of the package's claims:
   equivalence: angle bound implies quality bound, quality bound implies a
   (weaker) angle bound.
 * ``convergence_study`` shrinks a fixed element uniformly and fits the
-  observed convergence order k+1-m.
+  observed convergence order k+1-m; whether there is an order to observe is
+  decided by error_ratio's scale-free indeterminate flag.
 
 Tetrahedron generation is counter-based: each sample draws from its own
 Philox stream keyed by (seed, sample index), so the generated list is
@@ -380,7 +383,9 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
 
     v is evaluated once at the nodes and once per sample set: both seminorms
     are taken of the residual u = v - I v, since |u|_{k+1,p,T} is
-    |v|_{k+1,p,T} (the interpolant's partials above order k vanish).
+    |v|_{k+1,p,T} (the interpolant's partials above order k vanish).  v
+    needs partials of order k + 1, so a plain callable, which is values-only,
+    raises DerivativeUnavailable.
     """
     ok, reason = validate_p(k, m, p)
     if not ok:
@@ -393,9 +398,6 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     err_info, hi_info = seminorms_with_info(
         _residual(v, ip), t, [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree=degree
     )
-    warnings = err_info.warnings + hi_info.warnings
-    if hi_info.approximate_partials:
-        warnings = warnings + ("seminorm_hi uses finite-difference partials",)
     bound_factor = (geometry.R_T / h_t) ** m * h_t ** (k + 1 - m)
     size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_t ** (k + 1)
     indeterminate = not hi_info.value > 1e-14 * size
@@ -410,7 +412,7 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
         ratio=ratio,
         indeterminate=indeterminate,
         geometry=geometry,
-        warnings=warnings,
+        warnings=err_info.warnings + hi_info.warnings,
     )
 
 
@@ -739,9 +741,11 @@ class ConvergenceResult:
     ratio_l = error_l / seminorm_hi_l removes the measure factor carried by
     the high seminorm on a shrinking domain, leaving decay h^(k+1-m);
     orders[i] = log2(ratio_i / ratio_{i+1}) over CONVERGENCE_LEVELS levels.
-    exact means there is no order to observe, and orders is empty: the error
-    vanished at every level (v reproduced by the interpolant), or every
-    level's ratio is 0 (v in P_k up to roundoff, so each is indeterminate).
+    exact means there is no order to observe, and orders is empty: every
+    level's ratio is 0, because its error vanished (v reproduced by the
+    interpolant) or its seminorm_hi is indeterminate (v in P_k up to
+    roundoff).  That is error_ratio's scale-free flag, so neither orders nor
+    exact change when v is scaled.
     """
 
     k: int
@@ -767,8 +771,7 @@ def convergence_study(v, t0: Tetrahedron, k: int, m: int, p: float) -> Convergen
         ratio = 0.0 if r.indeterminate else r.error / r.seminorm_hi
         records.append((r.error, r.seminorm_hi, ratio))
     errors, his, ratios = zip(*records)
-    scale = max(1.0, max(his))
-    exact = all(e <= 1e-10 * scale for e in errors) or not any(ratios)
+    exact = not any(ratios)
     if not exact and 0.0 in ratios:
         level = ratios.index(0.0)
         raise NumericalError(

@@ -224,7 +224,8 @@ class TestJets:
 
 
 def test_partials_rows_equal_single_partials():
-    # Every kind of field: row i of partials(m) is partial(gamma_i), bitwise.
+    # Every kind of field: row i of partials(m) is partial(gamma_i), bitwise,
+    # for every order the field has; a values-only field has order 0.
     t = reference_tetrahedron(TYPE1)
     q = Polynomial3({(3, 1, 0): 0.7, (0, 2, 2): -1.3, (1, 1, 1): 2.0, (0, 0, 1): 0.4})
     trig = field_from_expression("sin(x + 2*y - z) / (3 + x)")
@@ -233,12 +234,12 @@ def test_partials_rows_equal_single_partials():
         "polynomial": as_field(q),
         "interpolant": as_field(interpolate(trig, t, 3)),
         "residual": residual(q, t, 2),
-        "finite difference": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
+        "values only": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
         "per-gamma": ScalarField(trig, partial_fn=lambda g, pts: trig.partial(g, pts)),
     }
     pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.05], [0.0, 0.5, 0.25]])
     for name, f in fields.items():
-        for m in range(4):
+        for m in range(4 if f.order is None else f.order + 1):
             rows = f.partials(m, pts)
             assert rows.shape == (len(derivative_indices(m)), len(pts)), name
             for gamma, row in zip(derivative_indices(m), rows):
@@ -293,6 +294,7 @@ def test_partials_of_rows_equal_one_order_partials():
     t = ROTATED_ANISO
     q = Polynomial3({(3, 1, 0): 0.7, (0, 2, 2): -1.3, (1, 1, 1): 2.0, (0, 0, 1): 0.4})
     trig = field_from_expression("sin(x + 2*y - z) / (3 + x)")
+    a = np.array([0.3, -0.2, 0.5])
     fields = {
         "expr": trig,
         "corpus expr": corpus(3, t)[9][1],
@@ -301,12 +303,16 @@ def test_partials_of_rows_equal_one_order_partials():
         "bubble": as_field(bubble_polynomial(t)),
         "residual of expr": residual(trig, t, 2),
         "residual of polynomial": residual(q, t, 2),
-        "plain callable": ScalarField(lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))),
+        # d^gamma exp(a.x) = a^gamma exp(a.x), one partial_fn call per gamma
+        "per-gamma": ScalarField(
+            lambda pts: np.exp(pts @ a),
+            partial_fn=lambda g, pts: np.prod(a ** np.array(g)) * np.exp(pts @ a),
+        ),
     }
     rng = np.random.default_rng(19)
     point_sets = [rng.dirichlet(np.ones(4), n) @ t.as_array() for n in (1, 3, 1500)]
     for name, f in fields.items():
-        for pts in point_sets[:2] if name == "plain callable" else point_sets:
+        for pts in point_sets:
             for orders in ((0,), (1, 3), (0, 1, 2), (2, 5), (3, 1), (2, 2), (4, 6, 5)):
                 got = f.partials_of(orders, pts)
                 assert len(got) == len(orders), name

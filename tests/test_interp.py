@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import binom
 
 from anisotetra.errors import (
+    AnisotetraError,
     DegenerateTetrahedron,
     DerivativeUnavailable,
     InputError,
@@ -31,7 +32,8 @@ from anisotetra.interp import (
     residual,
 )
 from anisotetra.lattice import nodes_on, quotient_from_function
-from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, generate
+from anisotetra.quad import SeminormSpec, seminorm
+from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, error_ratio, generate
 from exact_poly import Exact, degree7_cases, exact_partial_rows
 
 REPRO_TOL = 1e-9
@@ -168,15 +170,6 @@ class TestPolynomial3:
 
 
 class TestScalarField:
-    def test_finite_difference_fallback_matches_exact(self):
-        a = np.array([0.9, -0.4, 0.2])
-        fd = ScalarField(lambda pts: np.exp(pts @ a))
-        assert not fd.exact_partials
-        pts = np.array([[0.1, 0.2, 0.3], [0.0, -0.5, 0.4]])
-        want = a[0] * a[1] * np.exp(pts @ a)
-        got = fd.partial((1, 1, 0), pts)
-        assert np.allclose(got, want, rtol=1e-5)
-
     def test_from_polynomial_partials_are_exact(self):
         p = Polynomial3({(2, 1, 0): 1.5})
         f = as_field(p)
@@ -195,11 +188,49 @@ class TestScalarField:
         sf = ScalarField(lambda pts: pts[:, 0])
         assert as_field(sf) is sf and sf.degree is None
         field = as_field(lambda pts: pts[:, 0])
-        assert field.degree is None and not field.exact_partials
+        assert field.degree is None and field.order == 0  # values only
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_plain_callable_is_values_only(self, p):
+        # Values are all a plain callable has: interpolation and |.|_{0,p}
+        # take it, and every partial of order >= 1 is a typed error.
+        def v(pts):
+            return np.sin(pts @ np.array([1.0, 2.0, 3.0]))
+
+        trig = field_from_expression("sin(x + 2*y + 3*z)")
+        pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.05]])
+        assert np.allclose(interpolate(v, ANISO, 2).coef, interpolate(trig, ANISO, 2).coef,
+                           rtol=0, atol=1e-14)
+        got, want = seminorm(v, ANISO, SeminormSpec(0, p)), seminorm(trig, ANISO, SeminormSpec(0, p))
+        assert abs(got - want) <= 1e-14 * want
+        calls = [
+            lambda: as_field(v).partial((1, 0, 0), pts),
+            lambda: as_field(v).partials(1, pts),
+            lambda: residual(v, ANISO, 2).partials(1, pts),
+            lambda: seminorm(v, ANISO, SeminormSpec(1, p)),
+            lambda: error_ratio(v, ANISO, 2, 1, p),
+        ]
+        for call in calls:
+            with pytest.raises(DerivativeUnavailable, match="field_from_expression") as exc:
+                call()
+            assert isinstance(exc.value, AnisotetraError)
+
+    def test_partials_are_exact_and_unscaled(self):
+        # scale and exact are kept as keywords with one accepted value, so an
+        # approximate partial_fn is never reported as exact.
+        f = ScalarField(lambda pts: pts[:, 0], partial_fn=lambda g, pts: np.ones(len(pts)),
+                        scale=1.0, exact=True)
+        assert f.scale == 1.0 and f.exact_partials
+        for bad in ({"exact": False}, {"scale": 2.0}):
+            with pytest.raises(InputError):
+                ScalarField(lambda pts: pts[:, 0], partial_fn=lambda g, pts: pts[:, 0], **bad)
+        with pytest.raises(InputError):
+            ScalarField(lambda pts: pts[:, 0], order=1)  # no partial_fn: order 0
 
     def test_order_limit_enforced(self):
-        f = ScalarField(lambda pts: pts[:, 0], order=1)
-        f.partial((1, 0, 0), np.zeros((1, 3)))
+        f = ScalarField(lambda pts: pts[:, 0], order=1,
+                        partial_fn=lambda g, pts: np.full(len(pts), float(g == (1, 0, 0))))
+        assert f.partial((1, 0, 0), np.zeros((1, 3))) == 1.0
         with pytest.raises(DerivativeUnavailable):
             f.partial((2, 0, 0), np.zeros((1, 3)))
 

@@ -89,7 +89,7 @@ class TestQuadrature:
         rule = rule_for_degree(np.int64(12))
         assert np.array_equal(rule.nodes, rule_for_degree(12).nodes)
         assert np.array_equal(rule.weights, rule_for_degree(12).weights)
-        v = ScalarField(lambda pts: np.sin(pts @ np.array([1.0, 2.0, 3.0])))
+        v = field_from_expression("sin(x + 2*y + 3*z)")
         want = error_ratio(v, ANISO, 2, 1, 3.0, degree=12)
         got = error_ratio(v, ANISO, 2, 1, 3.0, degree=np.int64(12))
         assert (got.error, got.seminorm_hi, got.ratio) == (
@@ -216,9 +216,9 @@ class TestSeminorm:
     def test_dilation_scaling_law(self, m, p):
         # |u(./h)|_{m,p,hT} = h^(3/p - m) |u|_{m,p,T}
         h = 0.37
-        a = np.array([1.1, -0.6, 0.4])
-        u = ScalarField(lambda pts: np.sin(pts @ a))
-        u_scaled = ScalarField(lambda pts: np.sin((pts / h) @ a))
+        arg = "1.1*x - 0.6*y + 0.4*z"
+        u = field_from_expression("sin(%s)" % arg)
+        u_scaled = field_from_expression("sin((%s)/%r)" % (arg, h))
         t_scaled = Tetrahedron.from_points(np.asarray(ANISO.as_array()) * h)
         lhs = seminorm(u_scaled, t_scaled, SeminormSpec(m, p))
         rhs = h ** (3.0 / p - m) * seminorm(u, ANISO, SeminormSpec(m, p))
@@ -235,11 +235,6 @@ class TestSeminorm:
         u = ScalarField(lambda pts: np.sin(40.0 * pts[:, 0]))
         info = seminorm_with_info(u, T_HAT, SeminormSpec(0, 2.0))
         assert info.warnings
-
-    def test_fd_partials_flagged(self):
-        u = ScalarField(lambda pts: np.exp(pts @ np.array([0.4, 0.3, -0.2])))
-        info = seminorm_with_info(u, T_HAT, SeminormSpec(1, 2.0))
-        assert info.approximate_partials
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -327,11 +322,21 @@ class TestWeights:
         assert multinomial_weight((1, 1, 1)) == 6.0
 
 
+WAVE = np.array([0.5, -0.3, 0.8])
+
+
 class TestSharedSampling:
     FIELDS = {
         "expression": field_from_expression("cos((0.4)*x + (1.1)*y + (-0.6)*z + (0.2)) / (2 + x)"),
         "polynomial": Polynomial3.dense(np.cos(np.arange(35.0)), 4),
-        "plain callable": ScalarField(lambda pts: np.sin(pts @ np.array([0.5, -0.3, 0.8]))),
+        # Plain callables for the values and for each partial of sin(WAVE.x):
+        # d^gamma sin(w.x) = w^gamma sin(w.x + |gamma| pi/2).
+        "plain callable": ScalarField(
+            lambda pts: np.sin(pts @ WAVE),
+            partial_fn=lambda g, pts: (
+                np.prod(WAVE ** np.array(g)) * np.sin(pts @ WAVE + sum(g) * math.pi / 2)
+            ),
+        ),
     }
 
     @pytest.mark.parametrize("name", FIELDS)

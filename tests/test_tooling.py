@@ -250,6 +250,26 @@ def test_polynomial_partials_are_one_matrix_product():
     assert "_contract" not in defined
 
 
+def test_one_field_class_with_one_source_of_partials():
+    # Every field is a ScalarField whose partials come from one primitive,
+    # partials_of: no class in the package subclasses ScalarField, it
+    # defines partials_of once, and no finite-difference path (_fd_partial)
+    # or second field protocol (_OnePass) is left.
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    fields = [c for c in classes if c.name == "ScalarField"]
+    assert len(fields) == 1
+    subclasses = [c.name for c in classes if any(ast.unparse(b).split(".")[-1] == "ScalarField"
+                                                 for b in c.bases)]
+    assert not subclasses, "ScalarField subclasses: %r" % subclasses
+    methods = [n.name for n in fields[0].body if isinstance(n, ast.FunctionDef)]
+    assert methods.count("partials_of") == 1
+    names = {n.name for tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    names = names.union(*map(name_uses, trees))
+    assert not {"_fd_partial", "_OnePass"} & names
+
+
 def test_package_imports_without_scipy():
     # scipy is a test-only dependency: importing scipy.special alone costs
     # more set-up time and memory than numpy.  A fresh interpreter, since

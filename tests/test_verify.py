@@ -357,6 +357,9 @@ class TestMacExperiment:
             mac_experiment(10, 0.5)
 
 
+QUADRATIC = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7})
+
+
 class TestConvergence:
     def test_linear_interpolation_order_two(self):
         shifted = Tetrahedron.from_points(
@@ -375,9 +378,20 @@ class TestConvergence:
         assert res.exact
         assert res.orders == ()
 
+    def test_orders_do_not_depend_on_the_scale_of_v(self):
+        # The verdict is error_ratio's scale-free flag; an absolute floor on
+        # the error would call 1e-8 sin(x+2y+3z) exact.
+        want = convergence_study(field_from_expression("sin(x+2*y+3*z)"), T_HAT, 2, 0, 2.0)
+        assert not want.exact and len(want.orders) == 4
+        for s in [10.0 ** e for e in range(-20, 21, 5)] + [1e-8]:
+            v = field_from_expression("%r*sin(x+2*y+3*z)" % s)
+            got = convergence_study(v, T_HAT, 2, 0, 2.0)
+            assert not got.exact, s
+            assert np.allclose(got.orders, want.orders, rtol=0, atol=1e-9), s
+
     def test_indeterminate_at_every_level_is_exact(self):
         # v lies in P_2, so seminorm_hi is 0 at every level, while the
-        # roundoff error of level 1 (1.7e-10) exceeds the 1e-10 threshold.
+        # error of level 1 is roundoff (1.7e-10): no level has a ratio.
         v = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7})
         res = convergence_study(v, T_HAT, 2, 0, 2.0)
         assert res.exact
@@ -385,9 +399,12 @@ class TestConvergence:
 
     @pytest.mark.parametrize("shift,level,v", [
         # On T_HAT the quadratic interpolates exactly, so level 0 has an
-        # error of exactly 0; its finite-difference seminorm_hi (roundoff of
-        # order 1) is no ratio of 0.
-        (0.0, 0, ScalarField(Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7}))),
+        # error of exactly 0, while the field declares every third partial
+        # 1, so seminorm_hi (2.12 at level 0) is determinate: no ratio of 0.
+        (0.0, 0, ScalarField(
+            QUADRATIC, order=3,
+            partial_fn=lambda g, pts: QUADRATIC.partial(g, pts) if sum(g) < 3 else np.ones(len(pts)),
+        )),
         # The cubic term of 2e-5 puts seminorm_hi at 2.9 times 1e-14 of v's
         # size at level 3 and at 0.43 times it (indeterminate) at level 4.
         (0.1, 4, Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7, (3, 0, 0): 2e-5})),
