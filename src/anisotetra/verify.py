@@ -25,11 +25,12 @@ The experiments here are the executable form of the package's claims:
 Tetrahedron generation is counter-based: each sample draws from its own
 Philox stream keyed by (seed, sample index), so the generated list is
 bit-for-bit identical no matter how samples are scheduled.  Samples are
-drawn and measured in blocks of BLOCK: each sample's variates come from its
-own stream in a fixed order, then the rotations (one stacked QR), moves and
-geometry (the geom array kernels) run on the whole block.  Rejection runs in
-lockstep rounds over the block's pending samples.  Tetrahedron objects are
-built only where a result returns them.
+drawn and measured in blocks of BLOCK: one generator restarts at each
+sample's stream and writes its variates in place into the block's arrays,
+then the rotations (one stacked QR), moves and geometry (the geom array
+kernels) run on the whole block.  Rejection runs in lockstep rounds over the
+block's pending samples.  Tetrahedron objects are built only where a result
+returns them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationFailure, InadmissiblePC, NumericalError
+from .errors import GenerationFailure, InadmissiblePC, InputError, NumericalError
 from .expr import field_from_expression
 from .geom import (
     EPS_ANGLE,
@@ -105,7 +106,7 @@ class TetraGenSpec:
     mixed              cycles uniform, needle, sliver per sample index
 
     eps defaults to a log-uniform draw per sample (needle in [1e-6, 1],
-    sliver in [1e-6, 1e-1]).
+    sliver in [1e-6, 1e-1]).  The seed, a Philox key, lies in [0, 2**128).
     """
 
     family: str = "uniform"
@@ -114,114 +115,92 @@ class TetraGenSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(
-                "unknown family %r; expected one of %s" % (self.family, FAMILIES)
-            )
+            raise InputError("unknown family %r; expected one of %s" % (self.family, FAMILIES))
+        _check_seed(self.seed)
 
 
-def _stream_state(key: np.ndarray, index: int) -> dict:
-    # Sample `index` draws from the Philox stream with counter
-    # [0, 0, 0, index]; counters 2^192 apart never collide, so serial and
-    # blocked runs draw identical numbers.  One Philox is reset to this state
-    # per sample: that costs a fifth of building a new one.
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, 0, index], dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _check_seed(seed, reverse: int = 0):
+    # A Philox key has 128 bits; mac_experiment keys its reverse stream with seed + 1.
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128 - reverse):
+        raise InputError("seed must be an integer in [0, 2**128%s), got %r"
+                         % (" - 1" * reverse, seed))
 
 
-def _philox(seed: int):
-    bitgen = np.random.Philox(key=seed)
-    return bitgen, np.random.Generator(bitgen), bitgen.state["state"]["key"]
+# Sample i draws from the Philox stream keyed by the seed with counter
+# [0, 0, 0, i]: a block's one generator starts it by assigning its fresh state
+# with counter word 3 set to i.  A draw writes one attempt's variates into row
+# j of the block's arrays in stream order, normals into z and numpy's
+# next_double into u: UNIFORM z[j] a direction per vertex and u[j, 12:] the
+# radii; NEAR u[j, :12] the vertex perturbation and u[j, 12] the log-scale;
+# NEEDLE and SLIVER u[j, 12] the log-eps unless params fix eps; then every
+# kind but UNIFORM z[j, :3] the rotation QR(z) and u[j, 13:] the shift.
+# _finish does on all rows what numpy does per call: uniform(a, b) is
+# a + (b - a) * u and normal() is 0.0 + z; 10.0 ** and math.tan stay per
+# sample, as geom._float_pow explains.
+UNIFORM, NEEDLE, SLIVER, SQUEEZED, NEAR = range(5)
 
 
-# A draw returns its sample's variates and leaves the arithmetic to _finish:
-# (direction, radius) for a point set in the unit ball, or (verts, z, shift)
-# for fixed vertices moved by the rotation QR(z) and the translation shift.
+def _draw(rng: np.random.Generator, kind: int, eps, j: int, z: np.ndarray, u: np.ndarray):
+    if kind == UNIFORM:
+        rng.standard_normal(out=z[j])
+        rng.random(out=u[j, 12:])
+        return
+    if kind == NEAR:
+        rng.random(out=u[j, :13])
+    elif kind != SQUEEZED and eps is None:
+        u[j, 12] = rng.random()
+    rng.standard_normal(out=z[j, :3])
+    rng.random(out=u[j, 13:])
 
 
-def _draw_uniform(rng: np.random.Generator):
-    # Radius u^(1/3) times a uniform direction: uniform density in the ball,
-    # with a fixed draw count (no rejection) to keep streams aligned.
-    return rng.normal(size=(4, 3)), rng.uniform(0.0, 1.0, (4, 1))
+def _eps(params: dict, x: np.ndarray, high: float) -> list:
+    # params' eps, else per row 10^uniform(-6, high) from the variates x.
+    if params.get("eps") is not None:
+        return [params["eps"]] * len(x)
+    return [10.0 ** e for e in (-6.0 + (high + 6.0) * x).tolist()]
 
 
-def _moved(verts: np.ndarray, rng: np.random.Generator):
-    return verts, rng.normal(size=(3, 3)), rng.uniform(-1.0, 1.0, 3)
-
-
-def _draw_needle(rng: np.random.Generator, eps: float | None):
-    if eps is None:
-        eps = 10.0 ** rng.uniform(-6.0, 0.0)
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, eps, 0], [0, 0, eps]], dtype=float)
-    return _moved(verts, rng)
-
-
-def _draw_sliver(rng: np.random.Generator, eps: float | None):
-    if eps is None:
-        eps = 10.0 ** rng.uniform(-6.0, -1.0)
-    # Two triangles folded across the x-axis; the dihedral along that common
-    # edge is pi - 2*arctan(h), so h = tan(eps/2) puts it at pi - eps.
-    h = math.tan(eps / 2.0)
-    verts = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, h], [0, -1, h]], dtype=float
-    )
-    return _moved(verts, rng)
-
-
-def _draw_squeezed(rng: np.random.Generator, params: dict):
-    alpha = np.asarray(params.get("alpha", (1.0, 1.0, 1.0)), dtype=float)
-    kind = params.get("kind", TYPE1)
-    verts = reference_tetrahedron(kind).as_array() * alpha
-    return _moved(verts, rng)
-
-
-def _draw_near_regular(rng: np.random.Generator, amplitude: float):
-    verts = _REGULAR + amplitude * rng.uniform(-1.0, 1.0, (4, 3))
-    scale = 10.0 ** rng.uniform(-1.0, 1.0)
-    return _moved(verts * scale, rng)
-
-
-def _draw(rng: np.random.Generator, family: str, params: dict, attempt: int):
-    if family == "uniform":
-        return _draw_uniform(rng)
-    if family == "needle":
-        return _draw_needle(rng, params.get("eps"))
-    if family == "sliver":
-        return _draw_sliver(rng, params.get("eps"))
-    if family == "squeezed":
-        return _draw_squeezed(rng, params)
-    # mac: near-regular proposals widened by the angle headroom
-    headroom = min(1.0, (params["gamma"] - _MIN_MAX_ANGLE) / _MIN_MAX_ANGLE)
-    if attempt % 2 == 0 and headroom > 0.0:
-        return _draw_near_regular(rng, 0.6 * headroom)
-    return _draw_uniform(rng)
-
-
-def _finish(draws: list) -> np.ndarray:
-    """The (N, 4, 3) vertices of a list of draws.
-
-    Stacked QR, det and matmul give bitwise the results of the same calls
-    made one sample at a time.
-    """
-    out = np.empty((len(draws), 4, 3))
-    ball = [i for i, d in enumerate(draws) if len(d) == 2]
-    moved = [i for i, d in enumerate(draws) if len(d) == 3]
-    if ball:
-        direction, radius = (np.array(a) for a in zip(*(draws[i] for i in ball)))
+def _finish(rows: np.ndarray, kinds: np.ndarray, z: np.ndarray, u: np.ndarray,
+            params: dict, amplitude: float) -> np.ndarray:
+    """The (N, 4, 3) vertices drawn into rows as kinds.  Stacked QR, det and
+    matmul give bitwise the results of the same calls made per sample."""
+    out = np.empty((len(rows), 4, 3))
+    ball = kinds == UNIFORM
+    if ball.any():
+        # Radius u^(1/3) times a uniform direction: uniform density in the
+        # ball, with a fixed draw count (no rejection) to keep streams aligned.
+        i = rows[ball]
+        direction = 0.0 + z[i]
         direction /= np.linalg.norm(direction, axis=2, keepdims=True)
-        out[ball] = direction * radius ** (1.0 / 3.0)
-    if moved:
-        verts, z, shift = (np.array(a) for a in zip(*(draws[i] for i in moved)))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-        flip = np.linalg.det(q) < 0.0
-        q[flip, :, 0] = -q[flip, :, 0]
-        out[moved] = verts @ q.transpose(0, 2, 1) + shift[:, None, :]
+        out[ball] = direction * u[i, 12:, None] ** (1.0 / 3.0)
+    if ball.all():
+        return out
+    i, kinds = rows[~ball], kinds[~ball]
+    verts = np.zeros((len(i), 4, 3))
+    for kind in set(kinds.tolist()):
+        sel = kinds == kind
+        x = u[i[sel], 12]
+        if kind == NEEDLE:
+            verts[sel, 1, 0] = 1.0
+            verts[sel, 2, 1] = verts[sel, 3, 2] = _eps(params, x, 0.0)
+        elif kind == SLIVER:
+            # Two triangles folded across the x-axis; the dihedral along that
+            # common edge is pi - 2*arctan(h), so h = tan(eps/2) puts it at pi - eps.
+            verts[sel, :2, 0] = verts[sel, 2:, 1] = (1.0, -1.0)
+            h = [math.tan(e / 2.0) for e in _eps(params, x, -1.0)]
+            verts[sel, 2:, 2] = np.array(h)[:, None]
+        elif kind == SQUEEZED:
+            alpha = np.asarray(params.get("alpha", (1.0, 1.0, 1.0)), dtype=float)
+            verts[sel] = reference_tetrahedron(params.get("kind", TYPE1)).as_array() * alpha
+        else:
+            scale = [10.0 ** e for e in (-1.0 + 2.0 * x).tolist()]
+            perturbation = amplitude * (-1.0 + 2.0 * u[i[sel], :12]).reshape(-1, 4, 3)
+            verts[sel] = (_REGULAR + perturbation) * np.array(scale)[:, None, None]
+    q, r = np.linalg.qr(0.0 + z[i, :3])
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0.0
+    q[flip, :, 0] = -q[flip, :, 0]
+    out[~ball] = verts @ q.transpose(0, 2, 1) + (-1.0 + 2.0 * u[i, 13:])[:, None, :]
     return out
 
 
@@ -229,24 +208,40 @@ def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
     """Vertices of samples start..stop-1, as an (N, 4, 3) array.
 
     Rejection runs in lockstep rounds: every pending sample draws its next
-    attempt from its own stream, and accepted samples retire.
+    attempt from its own stream, and accepted samples retire.  Only a
+    rejected sample's state is read back: at attempt 1 its stream restarts
+    and replays attempt 0, so a rejection costs one extra draw in all.
     """
-    bitgen, rng, key = _philox(gen.seed)
-    size = stop - start
-    families = [gen.family] * size
+    bitgen = np.random.Philox(key=gen.seed)
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
+    size, eps, amplitude = stop - start, gen.params.get("eps"), 0.0
+    z, u = np.empty((size, 4, 3)), np.empty((size, 16))
+    # kinds[a % 2, j]: row j's draw at attempt a (FAMILIES begin UNIFORM .. SQUEEZED).
+    kinds = np.full((2, size), FAMILIES.index(gen.family))
     if gen.family == "mixed":
-        families = [("uniform", "needle", "sliver")[i % 3] for i in range(start, stop)]
-    states = [_stream_state(key, i) for i in range(start, stop)]
+        kinds[:] = np.arange(start, stop) % 3
+    elif gen.family == "mac":
+        # Near-regular proposals widened by the angle headroom, then uniform.
+        headroom = min(1.0, (gen.params["gamma"] - _MIN_MAX_ANGLE) / _MIN_MAX_ANGLE)
+        amplitude = 0.6 * headroom
+        kinds[:] = [[NEAR if headroom > 0.0 else UNIFORM], [UNIFORM]]
+    draws, states = kinds.tolist(), {}
     out = np.empty((size, 4, 3))
     nondegenerate = np.zeros(size, dtype=int)
     pending = np.arange(size)
     for attempt in range(MAX_ATTEMPTS):
-        draws = []
-        for i in pending:
-            bitgen.state = states[i]
-            draws.append(_draw(rng, families[i], gen.params, attempt))
-            states[i] = bitgen.state
-        verts = _finish(draws)
+        for j in pending.tolist():
+            if attempt < 2:
+                fresh["state"]["counter"][3] = start + j
+                bitgen.state = fresh
+                if attempt:
+                    _draw(rng, draws[0][j], eps, j, z, u)
+            else:
+                bitgen.state = states[j]
+            _draw(rng, draws[attempt % 2][j], eps, j, z, u)
+            if attempt:
+                states[j] = bitgen.state
+        verts = _finish(pending, kinds[attempt % 2, pending], z, u, gen.params, amplitude)
         ok = ~batch_volume(verts, batch_edge_lengths(verts))[1]
         nondegenerate[pending] += ok
         if gen.family == "mac":
@@ -265,22 +260,25 @@ def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
 def _reverse_block(seed: int, start: int, stop: int, amplitude: float) -> np.ndarray:
     """Reverse-direction proposals start..stop-1 of mac_experiment: proposal
     j draws from stream j, near-regular for even j, uniform for odd j."""
-    bitgen, rng, key = _philox(seed)
-    draws = []
-    for j in range(start, stop):
-        bitgen.state = _stream_state(key, j)
-        draws.append(_draw_near_regular(rng, amplitude) if j % 2 == 0 else _draw_uniform(rng))
-    return _finish(draws)
+    bitgen = np.random.Philox(key=seed)
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
+    z, u = np.empty((stop - start, 4, 3)), np.empty((stop - start, 16))
+    kinds = np.where(np.arange(start, stop) % 2 == 0, NEAR, UNIFORM)
+    for j, kind in enumerate(kinds.tolist()):
+        fresh["state"]["counter"][3] = start + j
+        bitgen.state = fresh
+        _draw(rng, kind, None, j, z, u)
+    return _finish(np.arange(stop - start), kinds, z, u, {}, amplitude)
 
 
 def _blocks(gen: TetraGenSpec, n: int):
     """The vertices of samples 0..n-1, one block of at most BLOCK at a time."""
     if n < 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
+        raise InputError("n must be >= 1, got %r" % (n,))
     if gen.family == "mac":
         gamma = gen.params.get("gamma")
         if gamma is None:
-            raise ValueError("mac family needs params['gamma']")
+            raise InputError("mac family needs params['gamma']")
         if gamma < _MIN_MAX_ANGLE:
             raise GenerationFailure(
                 "no tetrahedron has maximum angle below acos(1/3) ~= %.6f; "
@@ -633,7 +631,9 @@ class MacReport:
 
 
 def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
-    """Sample both directions of the angle/quality equivalence."""
+    """Sample both directions of the angle/quality equivalence.  The reverse
+    direction draws from key seed + 1, so seed lies in [0, 2**128 - 1)."""
+    _check_seed(seed, reverse=1)
     const = mac_bound_constants(gamma_max)
     d = const.D
 

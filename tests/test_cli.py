@@ -335,6 +335,21 @@ def test_mac_bad_env_seed_exits_2(capsys, monkeypatch):
     assert "ANISOTETRA_SEED" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128 - 1), str(2**128)])
+def test_mac_seed_outside_key_range_exits_2(capsys, seed):
+    # seed + 1 keys the reverse direction, so 2**128 - 1 is out of range too.
+    code, _, err = run(["mac", "--gamma-max", "1.5", "--n", "5", "--seed", seed], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "seed must be an integer in [0, 2**128 - 1)" in err
+
+
+def test_mac_negative_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ANISOTETRA_SEED", "-5")
+    code, _, err = run(["mac", "--gamma-max", "1.5707963267948966", "--n", "10"], capsys)
+    assert code == 2
+    assert "got -5" in err
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_mac_nonpositive_n_exits_2(capsys, n):
     code, _, err = run(["mac", "--gamma-max", "1.5707963267948966", "--n", n], capsys)

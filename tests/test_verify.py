@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from anisotetra.errors import GenerationFailure, InadmissiblePC, InvalidGammaMax, NumericalError
+from anisotetra import geom, verify
+from anisotetra.errors import (
+    GenerationFailure,
+    InadmissiblePC,
+    InputError,
+    InvalidGammaMax,
+    NumericalError,
+)
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import (
     TYPE1,
@@ -36,6 +43,7 @@ from anisotetra.verify import (
     squeeze_sweep,
 )
 from exact_poly import Exact
+from test_batch import ref_sample
 
 T_HAT = reference_tetrahedron(TYPE1)
 REGULAR = Tetrahedron.from_points(
@@ -50,6 +58,19 @@ def rotation(seed):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def count_draws(monkeypatch) -> dict:
+    """Wrap the per-sample draw; the dict counts draws by block row."""
+    draws = {}
+    draw = verify._draw
+
+    def counting(rng, kind, eps, j, *bufs):
+        draws[j] = draws.get(j, 0) + 1
+        return draw(rng, kind, eps, j, *bufs)
+
+    monkeypatch.setattr(verify, "_draw", counting)
+    return draws
 
 
 class TestGenerate:
@@ -94,8 +115,56 @@ class TestGenerate:
             generate(gen, 1)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TetraGenSpec(family="cube", seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3", None])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            TetraGenSpec(family="uniform", seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        assert len(generate(TetraGenSpec(family="uniform", seed=2**128 - 1), 2)) == 2
+        assert len(generate(TetraGenSpec(family="uniform", seed=np.int64(5)), 2)) == 2
+
+    def test_sample_count_and_mac_gamma_are_input_errors(self):
+        with pytest.raises(InputError, match="n must be"):
+            generate(TetraGenSpec(family="uniform"), 0)
+        with pytest.raises(InputError, match="gamma"):
+            generate(TetraGenSpec(family="mac"), 1)
+
+    def test_mac_experiment_reverse_key_must_fit(self):
+        # The reverse direction is keyed by seed + 1.
+        with pytest.raises(InputError, match="2\\*\\*128 - 1"):
+            mac_experiment(3, math.pi / 2, seed=2**128 - 1)
+        assert mac_experiment(3, math.pi / 2, seed=2**128 - 2).reverse_checked == 3
+
+    @pytest.mark.parametrize("gen", [
+        TetraGenSpec("uniform", 3),
+        TetraGenSpec("mac", 3, {"gamma": math.pi / 2}),
+    ], ids=lambda gen: gen.family)
+    def test_redrawn_samples_match_per_sample_reference(self, gen, monkeypatch):
+        # A high degeneracy threshold rejects most uniform draws (the mac
+        # family's uniform attempts too), so samples reach attempt 1, which
+        # replays attempt 0, and attempts 2+, which restore a saved state.  The
+        # small block puts rejected samples on both sides of block boundaries.
+        monkeypatch.setattr(geom, "EPS_VOL_REL", 0.03)
+        monkeypatch.setattr(verify, "BLOCK", 128)
+        draws = count_draws(monkeypatch)
+        n = 300
+        tetras = generate(gen, n)
+        assert sum(draws.values()) > (5 * n if gen.family == "uniform" else n)
+        assert [t.coords() for t in tetras] == [ref_sample(gen, i).coords() for i in range(n)]
+
+    def test_rejection_costs_one_extra_draw_per_sample(self, monkeypatch):
+        # eps = 1e-9 makes every needle degenerate: each sample uses its whole
+        # budget, and draws once more only for the replay at attempt 1.
+        monkeypatch.setattr(verify, "MAX_ATTEMPTS", 50)
+        draws = count_draws(monkeypatch)
+        with pytest.raises(GenerationFailure, match=r"\(0 nondegenerate\)"):
+            generate(TetraGenSpec("needle", 0, {"eps": 1e-9}), 20)
+        assert sorted(draws) == list(range(20))
+        assert max(draws.values()) <= 50 + 1
 
     def test_squeezed_family_applies_alpha(self):
         gen = TetraGenSpec(
