@@ -22,18 +22,20 @@ from .geom import (
     TYPE1,
     TYPE2,
     Tetrahedron,
-    classify,
-    matrices,
+    batch_angles,
+    batch_classify,
+    batch_matrices,
+    batch_standard_position,
+    batch_standard_position_vertices,
+    batch_trig_identities,
     reference_tetrahedron,
-    standard_position,
-    standard_position_vertices,
-    verify_trig_identities,
 )
 from .interp import Polynomial3, interpolate, monomial_indices
 from .lattice import enumerate_boxes, quotient_coefficients, unit_weights
 from .quad import rule_for_degree
 from .verify import (
     TetraGenSpec,
+    _blocks,
     convergence_study,
     equivalence_sample,
     generate,
@@ -66,8 +68,9 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Sine/cosine angle identities on 1e4 random tetrahedra."""
     worst = 0.0
-    for t in generate(TetraGenSpec(family="uniform", seed=102), 10_000):
-        worst = max(worst, verify_trig_identities(t).max_residual)
+    for verts, lengths, _ in _blocks(TetraGenSpec(family="uniform", seed=102), 10_000):
+        residuals = batch_trig_identities(*batch_angles(verts, lengths))
+        worst = max(worst, *(float(np.abs(r).max()) for r in residuals))
     return CriterionResult(
         2,
         "trig identities on 10000 random tetrahedra",
@@ -80,37 +83,30 @@ def criterion_3() -> CriterionResult:
     """Standard position parameters, factor map and norms on 1e4 samples."""
     tol = 1e-10
     worst_param = worst_map = worst_norm = 0.0
-    for t in generate(TetraGenSpec(family="uniform", seed=103), 10_000):
-        cls = classify(t)
-        sp = standard_position(t, cls)
-        s1, t1, s21, s22, t2 = sp.params
-        a1, a2, a3 = sp.alpha
-        worst_param = max(
-            worst_param,
-            abs(s1 * s1 + t1 * t1 - 1.0),
-            abs(s21 * s21 + s22 * s22 + t2 * t2 - 1.0),
-            max(0.0, a2 * s1 - a1 / 2.0),
-            max(0.0, a3 * s21 - a1 / 2.0),
-            max(0.0, -t1),
-            max(0.0, -t2),
-        )
-        mats = matrices(sp, cls.kind)
-        ref = np.asarray(reference_tetrahedron(cls.kind).as_array())
-        mapped = ref @ (mats.A @ mats.D).T
-        target = np.asarray(standard_position_vertices(sp, cls.kind))
-        h_t = max(cls.alpha)
-        worst_map = max(
-            worst_map, float(np.max(np.abs(mapped - target))) / h_t
-        )
-        x_sv = np.linalg.svd(mats.X, compute_uv=False)
-        y_sv = np.linalg.svd(mats.Y, compute_uv=False)
-        for closed, sv in (
-            (mats.normX, x_sv[0]),
-            (mats.normXinv, 1.0 / x_sv[-1]),
-            (mats.normY, y_sv[0]),
-            (mats.normYinv, 1.0 / y_sv[-1]),
-        ):
-            worst_norm = max(worst_norm, abs(closed - sv) / max(1.0, sv))
+    refs = np.array([reference_tetrahedron(kind).as_array() for kind in (TYPE1, TYPE2)])
+    for verts, lengths, _ in _blocks(TetraGenSpec(family="uniform", seed=103), 10_000):
+        kind, perm, alpha, _, _ = batch_classify(verts, lengths)
+        params = batch_standard_position(verts, kind, perm, alpha)[0]
+        s1, t1, s21, s22, t2 = params.T
+        a1, a2, a3 = alpha.T
+        worst_param = max(worst_param, float(np.max([
+            np.abs(s1 * s1 + t1 * t1 - 1.0),
+            np.abs(s21 * s21 + s22 * s22 + t2 * t2 - 1.0),
+            a2 * s1 - a1 / 2.0,
+            a3 * s21 - a1 / 2.0,
+            -t1,
+            -t2,
+        ])))
+        A, D, X, Y, norms = batch_matrices(kind, alpha, params)
+        mapped = refs[kind - TYPE1] @ (A @ D).transpose(0, 2, 1)
+        target = batch_standard_position_vertices(kind, alpha, params)
+        worst_map = max(worst_map, float(np.max(
+            np.abs(mapped - target).max(axis=(1, 2)) / alpha.max(axis=1))))
+        x_sv = np.linalg.svd(X, compute_uv=False)
+        y_sv = np.linalg.svd(Y, compute_uv=False)
+        svd_norms = np.stack([x_sv[:, 0], 1.0 / x_sv[:, -1], y_sv[:, 0], 1.0 / y_sv[:, -1]], 1)
+        worst_norm = max(worst_norm, float(np.max(
+            np.abs(norms[:, 2:] - svd_norms) / np.maximum(1.0, svd_norms))))
     passed = worst_param <= tol and worst_map <= tol and worst_norm <= tol
     return CriterionResult(
         3,

@@ -15,26 +15,21 @@ alpha2*s1 <= alpha1/2 and alpha3*s21 <= alpha1/2.  From these parameters the
 module derives the factor matrices A = X*Y with closed-form spectral norms,
 the quality quantities R_T and H_T, the full angle inventory (face angles,
 dihedral angles, edge-face angles), maximum-angle-condition checks, and the
-constants tying the maximum angle condition to R_T/h_T.  angles() tests
-degeneracy and computes the edge lengths, volume and R_T when called; the
-GeometryReport it returns computes H_T and the angle inventory when they are
-first read, with the same arithmetic, so a reader of h_T and R_T alone (the
-error ratio) pays for nothing else.
+constants tying the maximum angle condition to R_T/h_T.
 
-Two paths share one arithmetic and one set of combinatorial tables.  The
-scalar routines (classify, quality_ratio, angles, mac_check, ...) take one
-Tetrahedron and work on plain floats; they are the single-element API and
-the reference the tests hold the array kernels to.  The array kernels
-(batch_*) take N tetrahedra as an (N, 4, 3) array and evaluate the same
-expressions, through the same _sub/_dot/_cross/_scale helpers and the same
-bisector-plane test, on coordinate arrays; the sampling experiments in
-verify run on them.  Which edges are adjacent, the roles (c, w, d, f) that
-classify assigns, the faces, their corners and the face pairs are tabulated
-once, and both paths read those tables.  A scalar call is not routed
-through the kernels: at N = 1 numpy's per-call overhead dominates.  On a
-2-vCPU x86-64 host (AVX-512, numpy 2.4) the kernels' max angle with its
-degeneracy test took 163 us per call against 43 us for
-max_face_and_dihedral_angle, and their quality_ratio 114 us against 25 us.
+Each quantity has one implementation, an array kernel (batch_*) that takes
+N tetrahedra as an (N, 4, 3) array and returns one value per row; the
+sampling experiments in verify run on them.  The scalar routines (classify,
+standard_position, quality_ratio, matrices, mac_check, ...) take one
+Tetrahedron, test its degeneracy and read row 0 of the kernel: a scalar call
+is a batch of one.  The exceptions are the per-element basics that every
+error ratio, pull-back and seminorm reads: the edge lengths, |T| with its
+degeneracy test, and R_T.  They stay on floats, through the same
+_sub/_dot/_cross helpers the kernels apply to coordinate arrays, so the
+kernels' values of them are bitwise equal.  On a 2-vCPU x86-64 host (numpy
+2.4) they cost 11 us per element on floats against 37 us as kernels of one.
+angles() computes them when called; the GeometryReport it returns computes
+H_T and the angle inventory when they are first read.
 """
 
 from __future__ import annotations
@@ -166,6 +161,25 @@ def volume(t: Tetrahedron) -> float:
     return _nondegenerate_volume(t.coords(), max(edge_lengths(t)))
 
 
+def _r_t(hs, vol: float) -> float:
+    """R_T from the sorted edge lengths and the volume."""
+    return hs[0] * hs[1] * hs[5] ** 2 / vol
+
+
+def _check_kind(kind):
+    if kind not in (TYPE1, TYPE2):
+        raise InputError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+
+
+def reference_tetrahedron(kind: int) -> Tetrahedron:
+    """The reference tetrahedron of the given type (unit right-corner or its
+    sheared Type-2 companion)."""
+    _check_kind(kind)
+    if kind == TYPE1:
+        return Tetrahedron.from_points(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return Tetrahedron.from_points(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)))
+
+
 @dataclass(frozen=True)
 class Classification:
     """Vertex relabeling of a tetrahedron.
@@ -182,81 +196,6 @@ class Classification:
     alpha: tuple[float, float, float]
     e1: tuple[int, int]
     e2: tuple[int, int]
-
-
-def _edge_tables():
-    index = np.zeros((4, 4), dtype=int)
-    adjacent = np.zeros((6, 6), dtype=bool)
-    roles = np.zeros((6, 6, 4), dtype=int)
-    for e, (i, j) in enumerate(EDGES):
-        index[i, j] = index[j, i] = e
-    for a, e2 in enumerate(EDGES):
-        for b, e1 in enumerate(EDGES):
-            shared = set(e1) & set(e2)
-            if len(shared) == 1:
-                c = shared.pop()
-                w, d = (set(e1) - {c}).pop(), (set(e2) - {c}).pop()
-                adjacent[a, b] = True
-                roles[a, b] = (c, w, d, (set(range(4)) - {c, w, d}).pop())
-    return index, adjacent, roles
-
-
-# _EDGE_INDEX[i, j]: the EDGES index of edge {i, j}.  _ADJACENT[a, b]: edges
-# a and b share one vertex.  _ROLES[e2, e1]: classify's (c, w, d, f).  The
-# scalar routines read plain-list views of the same tables, because indexing
-# a numpy array one element at a time costs more than their arithmetic.
-_EDGE_INDEX, _ADJACENT, _ROLES = _edge_tables()
-_EDGE_OF = _EDGE_INDEX.tolist()
-_NEIGHBOURS = [np.flatnonzero(row).tolist() for row in _ADJACENT]
-_ROLE_OF = _ROLES.tolist()
-_EDGE_I = [i for i, _ in EDGES]
-_EDGE_J = [j for _, j in EDGES]
-# Face i is spanned by the other three vertices; (i, j, r0, r1) in _CORNERS
-# says theta[(i, j)] is the angle at corner j between vertices r0 and r1.
-_FACES = [[j for j in range(4) if j != i] for i in range(4)]
-_CORNERS = [(i, j, *[k for k in face if k != j]) for i, face in enumerate(_FACES) for j in face]
-_FACE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-
-def _bisector_distance(vc, vw, vf, alpha1):
-    """Signed distance of vf from the perpendicular bisector plane of the
-    edge vc vw of length alpha1, positive toward vw."""
-    mid = _scale((vc[0] + vw[0], vc[1] + vw[1], vc[2] + vw[2]), 0.5)
-    axis = _scale(_sub(vw, vc), 1.0 / alpha1)
-    return _dot(_sub(vf, mid), axis)
-
-
-def classify(t: Tetrahedron) -> Classification:
-    """Classify a tetrahedron as Type 1 or Type 2 and relabel its vertices.
-
-    e2 is a globally shortest edge and e1 a longest edge sharing a vertex
-    with it.  The deciding test is against the perpendicular bisector plane
-    of e1: the far endpoint of e2 always lies weakly on the side of the
-    shared vertex, so the remaining vertex x4 settles the dichotomy.  Ties
-    are broken by the lexicographically smallest pair of canonical vertex
-    ranks (vertices ordered lexicographically by coordinates), which makes
-    the result stable under permutations of the input vertices.
-    """
-    v = t.coords()
-    lengths = edge_lengths(t)
-    h_t = max(lengths)
-    _nondegenerate_volume(v, h_t)
-
-    rank = [0] * 4
-    for r, i in enumerate(sorted(range(4), key=lambda i: v[i])):
-        rank[i] = r
-    tie = [4 * min(rank[i], rank[j]) + max(rank[i], rank[j]) for i, j in EDGES]
-    e2 = min(range(6), key=lambda e: (lengths[e], tie[e]))
-    e1 = min(_NEIGHBOURS[e2], key=lambda e: (-lengths[e], tie[e]))
-    c, w, d, f = _ROLE_OF[e2][e1]
-
-    if _bisector_distance(v[c], v[w], v[f], lengths[e1]) <= EPS_PLANE_REL * h_t:
-        # x3 and x4 share the half-space of the shared vertex: Type 1.
-        kind, perm = TYPE1, (c, w, d, f)
-    else:
-        kind, perm = TYPE2, (w, c, d, f)
-    alpha = (lengths[e1], lengths[e2], lengths[_EDGE_OF[perm[0]][f]])
-    return Classification(kind=kind, perm=perm, alpha=alpha, e1=EDGES[e1], e2=EDGES[e2])
 
 
 @dataclass(frozen=True)
@@ -278,91 +217,6 @@ class StandardPosition:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = pts @ self.rotation.T + self.translation
         return out if np.ndim(points) > 1 else out[0]
-
-
-def _standard_position_from(t: Tetrahedron, cls: Classification) -> StandardPosition:
-    v = t.coords()
-    labeled = [v[i] for i in cls.perm]
-    alpha1, alpha2, alpha3 = cls.alpha
-
-    b1 = _scale(_sub(labeled[1], labeled[0]), 1.0 / alpha1)
-    v3 = _sub(labeled[2], labeled[0])
-    proj = _dot(v3, b1)
-    w3 = (v3[0] - proj * b1[0], v3[1] - proj * b1[1], v3[2] - proj * b1[2])
-    n3 = _norm(w3)
-    if n3 <= 0.0:
-        raise DegenerateTetrahedron("x3 lies on the line through x1 x2")
-    b2 = _scale(w3, 1.0 / n3)
-    t1 = n3 / alpha2
-    if cls.kind == TYPE1:
-        s1 = proj / alpha2
-    else:
-        s1 = (alpha1 - proj) / alpha2
-
-    b3 = _cross(b1, b2)
-    v4 = _sub(labeled[3], labeled[0])
-    zc = _dot(v4, b3)
-    mirror = zc < 0.0
-    if mirror:
-        b3 = _scale(b3, -1.0)
-        zc = -zc
-    s21 = _dot(v4, b1) / alpha3
-    s22 = _dot(v4, b2) / alpha3
-    t2 = zc / alpha3
-    if t2 <= 0.0:
-        raise DegenerateTetrahedron("x4 lies in the plane of x1 x2 x3")
-
-    rotation = np.array([b1, b2, b3])
-    return StandardPosition(
-        alpha=cls.alpha,
-        params=(s1, t1, s21, s22, t2),
-        rotation=rotation,
-        translation=-(rotation @ np.array(labeled[0])),
-        mirror=mirror,
-    )
-
-
-def standard_position(t: Tetrahedron, cls: Classification | None = None) -> StandardPosition:
-    """Rigid motion and parameters of the standard position of t.
-
-    The classification is computed when not supplied.  The returned
-    parameters satisfy s1^2 + t1^2 = 1 and s21^2 + s22^2 + t2^2 = 1 by
-    construction; the half-space rule guarantees alpha2*s1 <= alpha1/2 and
-    alpha3*s21 <= alpha1/2 up to the plane tolerance.
-    """
-    if cls is None:
-        cls = classify(t)
-    return _standard_position_from(t, cls)
-
-
-def standard_position_vertices(sp: StandardPosition, kind: int) -> tuple[tuple[float, float, float], ...]:
-    """The canonical vertex coordinates determined by (alpha, params, kind)."""
-    alpha1, alpha2, alpha3 = sp.alpha
-    s1, t1, s21, s22, t2 = sp.params
-    if kind == TYPE1:
-        x3 = (alpha2 * s1, alpha2 * t1, 0.0)
-    elif kind == TYPE2:
-        x3 = (alpha1 - alpha2 * s1, alpha2 * t1, 0.0)
-    else:
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
-    return (
-        (0.0, 0.0, 0.0),
-        (alpha1, 0.0, 0.0),
-        x3,
-        (alpha3 * s21, alpha3 * s22, alpha3 * t2),
-    )
-
-
-def reference_tetrahedron(kind: int) -> Tetrahedron:
-    """The reference tetrahedron of the given type (unit right-corner or its
-    sheared Type-2 companion)."""
-    if kind == TYPE1:
-        pts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    elif kind == TYPE2:
-        pts = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1))
-    else:
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
-    return Tetrahedron.from_points(pts)
 
 
 @dataclass(frozen=True)
@@ -387,36 +241,340 @@ class TransformMatrices:
     normYinv: float
 
 
+# ---------------------------------------------------------------------------
+# Array kernels
+#
+# Each kernel takes the vertices of N tetrahedra as an (N, 4, 3) array, or
+# per-row values another kernel returned, and returns one value per row.  A
+# point is its x, y and z arrays, so _sub, _dot, _cross and _scale serve the
+# float basics and the kernels alike.  Degenerate rows are not rejected:
+# batch_volume flags them, and the other kernels' values on them mean nothing.
+
+
+def _edge_tables():
+    index = np.zeros((4, 4), dtype=int)
+    adjacent = np.zeros((6, 6), dtype=bool)
+    roles = np.zeros((6, 6, 4), dtype=int)
+    for e, (i, j) in enumerate(EDGES):
+        index[i, j] = index[j, i] = e
+    for a, e2 in enumerate(EDGES):
+        for b, e1 in enumerate(EDGES):
+            shared = set(e1) & set(e2)
+            if len(shared) == 1:
+                c = shared.pop()
+                w, d = (set(e1) - {c}).pop(), (set(e2) - {c}).pop()
+                adjacent[a, b] = True
+                roles[a, b] = (c, w, d, (set(range(4)) - {c, w, d}).pop())
+    return index, adjacent, roles
+
+
+# _EDGE_INDEX[i, j]: the EDGES index of edge {i, j}.  _ADJACENT[a, b]: edges
+# a and b share one vertex.  _ROLES[e2, e1]: classify's (c, w, d, f).
+_EDGE_INDEX, _ADJACENT, _ROLES = _edge_tables()
+_EDGE_I = [i for i, _ in EDGES]
+_EDGE_J = [j for _, j in EDGES]
+# Face i is spanned by the other three vertices; (i, j, r0, r1) in _CORNERS
+# says theta[(i, j)] is the angle at corner j between vertices r0 and r1.
+_FACES = [[j for j in range(4) if j != i] for i in range(4)]
+_CORNERS = [(i, j, *[k for k in face if k != j]) for i, face in enumerate(_FACES) for j in face]
+_FACE_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+# The columns of batch_angles: theta, psi and phi keyed as GeometryReport.
+_THETA_KEYS = [(i, j) for i, j, _, _ in _CORNERS]
+_PHI_KEYS = [(i, j) for i in range(4) for j in range(4) if j != i]
+_TWOSIN_KEYS = [(j, n, k) for j, n, *others in _CORNERS for k in others]
+
+
+def _psi_column(i, j):
+    return _FACE_PAIRS.index((min(i, j), max(i, j)))
+
+
+# The angle columns each identity reads (TrigIdentityReport gives the
+# identities): twosin's phi (j, n), theta (k, n) and psi (k, j); per corner
+# (j, k, m, n), theta (k, j), (m, j), (n, j) and psi (m, n), (m, k), (n, k).
+_TWOSIN_COLUMNS = np.array([
+    (_PHI_KEYS.index((j, n)), _THETA_KEYS.index((k, n)), _psi_column(k, j))
+    for j, n, k in _TWOSIN_KEYS
+]).T
+_CORNER_COLUMNS = np.array([
+    (_THETA_KEYS.index((k, j)), _THETA_KEYS.index((m, j)), _THETA_KEYS.index((n, j)),
+     _psi_column(m, n), _psi_column(m, k), _psi_column(n, k))
+    for j, k, m, n in _CORNERS
+]).T
+
+
+def _coords(verts: np.ndarray, idx) -> np.ndarray:
+    """Vertices idx of every row as component-first arrays, (3, len(idx), N)."""
+    return verts[:, idx].transpose(2, 1, 0)
+
+
+def _row_points(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Vertex idx[r] of each row r, as a (3, N) array."""
+    return verts[np.arange(len(verts)), idx].T
+
+
+def _bnorm(a):
+    return np.sqrt(_dot(a, a))
+
+
+def _float_pow(x: np.ndarray, e: int) -> np.ndarray:
+    # Python's float power is the C library's pow.  numpy's vectorised power
+    # differs from it in the last bit (for cubes, on 5% of inputs on an
+    # AVX-512 build), so the float basics' powers are taken one by one.
+    return np.array([h ** e for h in x.tolist()])
+
+
+def batch_edge_lengths(verts: np.ndarray) -> np.ndarray:
+    """(N, 6) edge lengths in the EDGES order, as edge_lengths per row."""
+    return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
+
+
+def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|T|, degenerate) per row; degenerate marks the rows volume() rejects."""
+    vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
+    return vol, vol < EPS_VOL_REL * _float_pow(lengths.max(axis=1), 3)
+
+
+def _bisector_distance(vc, vw, vf, alpha1):
+    """Signed distance of vf from the perpendicular bisector plane of the
+    edge vc vw of length alpha1, positive toward vw."""
+    mid = _scale((vc[0] + vw[0], vc[1] + vw[1], vc[2] + vw[2]), 0.5)
+    axis = _scale(_sub(vw, vc), 1.0 / alpha1)
+    return _dot(_sub(vf, mid), axis)
+
+
+def _first(candidates: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    # Per row, the candidate edge with the smallest tie key.
+    return np.argmin(np.where(candidates, tie, 16), axis=1)
+
+
+def batch_classify(verts: np.ndarray, lengths: np.ndarray):
+    """(kind, perm, alpha, e1, e2) per row, shapes (N,), (N, 4), (N, 3), (N,),
+    (N,); e1 and e2 are EDGES indices.
+
+    e2 is a globally shortest edge and e1 a longest edge sharing a vertex
+    with it.  The deciding test is against the perpendicular bisector plane
+    of e1: the far endpoint of e2 always lies weakly on the side of the
+    shared vertex, so the remaining vertex x4 settles the dichotomy.  Ties
+    are broken by the lexicographically smallest pair of canonical vertex
+    ranks (vertices ordered lexicographically by coordinates), which makes
+    the result stable under permutations of the input vertices.
+    """
+    rows = np.arange(len(verts))
+    order = np.lexsort((verts[..., 2], verts[..., 1], verts[..., 0]), axis=-1)
+    rank = np.empty_like(order)
+    rank[rows[:, None], order] = np.arange(4)
+    ri, rj = rank[:, _EDGE_I], rank[:, _EDGE_J]
+    tie = 4 * np.minimum(ri, rj) + np.maximum(ri, rj)
+    e2 = _first(lengths == lengths.min(axis=1, keepdims=True), tie)
+    adjacent = np.where(_ADJACENT[e2], lengths, -np.inf)
+    e1 = _first(adjacent == adjacent.max(axis=1, keepdims=True), tie)
+    c, w, d, f = _ROLES[e2, e1].T
+
+    alpha1 = lengths[rows, e1]
+    sigma_f = _bisector_distance(*(_row_points(verts, i) for i in (c, w, f)), alpha1)
+    # x3 and x4 share the half-space of the shared vertex: Type 1.
+    type1 = sigma_f <= EPS_PLANE_REL * lengths.max(axis=1)
+
+    perm = np.where(type1[:, None], np.stack([c, w, d, f], 1), np.stack([w, c, d, f], 1))
+    alpha3 = lengths[rows, _EDGE_INDEX[perm[:, 0], f]]
+    alpha = np.stack([alpha1, lengths[rows, e2], alpha3], axis=1)
+    return np.where(type1, TYPE1, TYPE2), perm, alpha, e1, e2
+
+
+def batch_standard_position(verts: np.ndarray, kind: np.ndarray, perm: np.ndarray,
+                            alpha: np.ndarray):
+    """(params, rotation, translation, mirror) per row, shapes (N, 5),
+    (N, 3, 3), (N, 3), (N,), from batch_classify's kind, perm and alpha.
+
+    params are (s1, t1, s21, s22, t2); they satisfy s1^2 + t1^2 = 1 and
+    s21^2 + s22^2 + t2^2 = 1 by construction, and the half-space rule
+    guarantees alpha2*s1 <= alpha1/2 and alpha3*s21 <= alpha1/2 up to the
+    plane tolerance.
+    """
+    x1, x2, x3, x4 = (_row_points(verts, perm[:, i]) for i in range(4))
+    alpha1, alpha2, alpha3 = alpha.T
+    b1 = _scale(_sub(x2, x1), 1.0 / alpha1)
+    v3 = _sub(x3, x1)
+    proj = _dot(v3, b1)
+    w3 = _sub(v3, _scale(b1, proj))
+    n3 = _bnorm(w3)
+    b2 = _scale(w3, 1.0 / n3)
+    b3 = _cross(b1, b2)
+    v4 = _sub(x4, x1)
+    zc = _dot(v4, b3)
+    mirror = zc < 0.0
+    b3 = _scale(b3, np.where(mirror, -1.0, 1.0))
+    s1 = np.where(kind == TYPE1, proj, alpha1 - proj) / alpha2
+    params = np.stack([s1, n3 / alpha2, _dot(v4, b1) / alpha3, _dot(v4, b2) / alpha3,
+                       np.abs(zc) / alpha3], axis=1)
+    rotation = np.stack([np.stack(b, axis=1) for b in (b1, b2, b3)], axis=1)
+    translation = -(rotation @ np.ascontiguousarray(x1.T)[:, :, None])[:, :, 0]
+    return params, rotation, translation, mirror
+
+
+def batch_standard_position_vertices(kind: np.ndarray, alpha: np.ndarray,
+                                     params: np.ndarray) -> np.ndarray:
+    """(N, 4, 3) canonical vertices determined by (alpha, params, kind)."""
+    alpha1, alpha2, alpha3 = alpha.T
+    s1, t1 = params[:, 0], params[:, 1]
+    out = np.zeros((len(alpha), 4, 3))
+    out[:, 1, 0] = alpha1
+    out[:, 2, 0] = np.where(kind == TYPE1, alpha2 * s1, alpha1 - alpha2 * s1)
+    out[:, 2, 1] = alpha2 * t1
+    out[:, 3] = alpha3[:, None] * params[:, 2:]
+    return out
+
+
+def batch_matrices(kind: np.ndarray, alpha: np.ndarray, params: np.ndarray):
+    """(A, D, X, Y, norms) per row: the (N, 3, 3) factors of TransformMatrices
+    and its six norms as an (N, 6) array, in the order of its fields."""
+    s1, t1, s21, s22, t2 = params.T
+    X = np.zeros((len(params), 3, 3))
+    X[:, 0, 0] = X[:, 1, 1] = 1.0
+    X[:, :, 2] = params[:, 2:]
+    Y = np.zeros_like(X)
+    Y[:, 0, 0] = Y[:, 2, 2] = 1.0
+    Y[:, 0, 1] = np.where(kind == TYPE1, s1, -s1)
+    Y[:, 1, 1] = t1
+    A = X @ Y
+    sv = np.linalg.svd(A, compute_uv=False)
+    # math.hypot and numpy's hypot differ in the last bit on about 1% of
+    # inputs; the norms are reported, so the one per row is math's.
+    root_x = np.sqrt(1.0 + np.array(list(map(math.hypot, s21.tolist(), s22.tolist()))))
+    root_y = np.sqrt(1.0 + np.abs(s1))
+    norms = np.stack([sv[:, 0], 1.0 / sv[:, -1], root_x, root_x / t2, root_y, root_y / t1],
+                     axis=1)
+    return A, alpha[:, :, None] * np.eye(3), X, Y, norms
+
+
+def batch_quality_ratio(lengths: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """R_T/H_T per row without the volume, h1*h2*h_T/(alpha1*alpha2*alpha3).
+
+    The determinant volume cancels between R_T and H_T; this form keeps full
+    relative accuracy on needle elements where |T| itself does not.
+    """
+    hs = np.sort(lengths, axis=1)
+    return hs[:, 0] * hs[:, 1] * hs[:, 5] / (alpha[:, 0] * alpha[:, 1] * alpha[:, 2])
+
+
+def batch_r_over_h(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """R_T/h_T per row, as quality()[0] / h_T."""
+    hs = np.sort(lengths, axis=1)
+    return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol / hs[:, 5]
+
+
+def batch_h_t(lengths: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """H_T = 6*h_T/(t1*t2) per row, from batch_standard_position's params.
+    It equals alpha1*alpha2*alpha3*h_T/|T| identically."""
+    return 6.0 * lengths.max(axis=1) / (params[:, 1] * params[:, 4])
+
+
+def _theta_psi(verts: np.ndarray):
+    """theta (12, N), psi (6, N), and each vertex's distance from its
+    opposite face (4, N)."""
+    j, r0, r1 = (_coords(verts, list(idx)) for idx in list(zip(*_CORNERS))[1:])
+    u, w = _sub(r0, j), _sub(r1, j)
+    theta = np.arctan2(_bnorm(_cross(u, w)), _dot(u, w))
+
+    a, b, c = (_coords(verts, list(idx)) for idx in zip(*_FACES))
+    n = np.array(_cross(_sub(b, a), _sub(c, a)))
+    n = np.array(_scale(n, 1.0 / _bnorm(n)))
+    dist = _dot(_sub(_coords(verts, [0, 1, 2, 3]), a), n)
+    # Orient inward: toward the opposite vertex.
+    n = np.where(dist < 0.0, -n, n)
+    ni, nj = (n[:, list(idx)] for idx in zip(*_FACE_PAIRS))
+    psi = math.pi - np.arctan2(_bnorm(_cross(ni, nj)), _dot(ni, nj))
+    return theta, psi, np.abs(dist)
+
+
+def batch_angles(verts: np.ndarray, lengths: np.ndarray):
+    """(theta, psi, phi) per row, shapes (N, 12), (N, 6), (N, 12), their
+    columns keyed as GeometryReport keys them (_THETA_KEYS, _FACE_PAIRS,
+    _PHI_KEYS)."""
+    theta, psi, dist = _theta_psi(verts)
+    face, edge = zip(*((i, _EDGE_INDEX[i, j]) for i, j in _PHI_KEYS))
+    phi = np.arcsin(np.minimum(1.0, dist[list(face)] / lengths.T[list(edge)]))
+    return theta.T, psi.T, phi.T
+
+
+def batch_max_angle(verts: np.ndarray) -> np.ndarray:
+    """The largest face and dihedral angle per row."""
+    theta, psi, _ = _theta_psi(verts)
+    return np.maximum(theta.max(axis=0), psi.max(axis=0))
+
+
+def max_angle_at_most(verts: np.ndarray, bound) -> np.ndarray:
+    """batch_max_angle(verts) <= bound per row; bound is a number or one per row."""
+    return batch_max_angle(verts) <= bound
+
+
+def batch_trig_identities(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray):
+    """The residuals (twosin, cos_theta, cos_psi) of TrigIdentityReport per
+    row, shapes (N, 24), (N, 12), (N, 12), from batch_angles."""
+    phi_jn, theta_kn, psi_kj = _TWOSIN_COLUMNS
+    twosin = np.sin(phi[:, phi_jn]) - np.sin(theta[:, theta_kn]) * np.sin(psi[:, psi_kj])
+    kj, mj, nj, mn, mk, nk = _CORNER_COLUMNS
+    cos_t, sin_t, cos_p, sin_p = np.cos(theta), np.sin(theta), np.cos(psi), np.sin(psi)
+    cos_theta = cos_t[:, kj] - (cos_t[:, mj] * cos_t[:, nj]
+                                + sin_t[:, mj] * sin_t[:, nj] * cos_p[:, mn])
+    cos_psi = cos_p[:, mn] - (sin_p[:, mk] * sin_p[:, nk] * cos_t[:, kj]
+                              - cos_p[:, mk] * cos_p[:, nk])
+    return twosin, cos_theta, cos_psi
+
+
+# ---------------------------------------------------------------------------
+# Scalar routines: one tetrahedron, a batch of one
+
+
+def _row(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
+    """t's (1, 4, 3) vertices and (1, 6) edge lengths, after the degeneracy
+    test (DegenerateTetrahedron)."""
+    volume(t)
+    return np.array([t.v]), np.array([edge_lengths(t)])
+
+
+def classify(t: Tetrahedron) -> Classification:
+    """Classify a tetrahedron as Type 1 or Type 2 and relabel its vertices,
+    as batch_classify describes."""
+    kind, perm, alpha, e1, e2 = batch_classify(*_row(t))
+    return Classification(kind=int(kind[0]), perm=tuple(perm[0].tolist()),
+                          alpha=tuple(alpha[0].tolist()), e1=EDGES[e1[0]], e2=EDGES[e2[0]])
+
+
+def standard_position(t: Tetrahedron, cls: Classification | None = None) -> StandardPosition:
+    """Rigid motion and parameters of the standard position of t, as
+    batch_standard_position describes.  The classification is computed when
+    not supplied."""
+    if cls is None:
+        cls = classify(t)
+    params, rotation, translation, mirror = batch_standard_position(
+        _row(t)[0], np.array([cls.kind]), np.array([cls.perm]), np.array([cls.alpha]))
+    return StandardPosition(alpha=cls.alpha, params=tuple(params[0].tolist()),
+                            rotation=rotation[0], translation=translation[0],
+                            mirror=bool(mirror[0]))
+
+
+def standard_position_vertices(sp: StandardPosition, kind: int) -> tuple[tuple[float, float, float], ...]:
+    """The canonical vertex coordinates determined by (alpha, params, kind)."""
+    _check_kind(kind)
+    out = batch_standard_position_vertices(np.array([kind]), np.array([sp.alpha]),
+                                           np.array([sp.params]))
+    return tuple(map(tuple, out[0].tolist()))
+
+
 def matrices(sp: StandardPosition, kind: int) -> TransformMatrices:
     """Transformation matrices and their spectral norms for a standard position."""
-    s1, t1, s21, s22, t2 = sp.params
-    if kind == TYPE2:
-        s1_signed = -s1
-    elif kind == TYPE1:
-        s1_signed = s1
-    else:
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+    _check_kind(kind)
+    A, D, X, Y, norms = batch_matrices(np.array([kind]), np.array([sp.alpha]),
+                                       np.array([sp.params]))
+    return TransformMatrices(A[0], D[0], X[0], Y[0], *norms[0].tolist())
 
-    X = np.array([[1.0, 0.0, s21], [0.0, 1.0, s22], [0.0, 0.0, t2]])
-    Y = np.array([[1.0, s1_signed, 0.0], [0.0, t1, 0.0], [0.0, 0.0, 1.0]])
-    A = X @ Y
-    D = np.diag(sp.alpha)
 
-    bold_s1 = abs(s1)
-    bold_s2 = math.hypot(s21, s22)
-    sv = np.linalg.svd(A, compute_uv=False)
-    return TransformMatrices(
-        A=A,
-        D=D,
-        X=X,
-        Y=Y,
-        normA=float(sv[0]),
-        normAinv=1.0 / float(sv[-1]),
-        normX=math.sqrt(1.0 + bold_s2),
-        normXinv=math.sqrt(1.0 + bold_s2) / t2,
-        normY=math.sqrt(1.0 + bold_s1),
-        normYinv=math.sqrt(1.0 + bold_s1) / t1,
-    )
+def _h_t(t: Tetrahedron) -> float:
+    verts, lengths = _row(t)
+    kind, perm, alpha, _, _ = batch_classify(verts, lengths)
+    params = batch_standard_position(verts, kind, perm, alpha)[0]
+    return float(batch_h_t(lengths, params)[0])
 
 
 def quality(t: Tetrahedron) -> tuple[float, float]:
@@ -424,35 +582,17 @@ def quality(t: Tetrahedron) -> tuple[float, float]:
 
     R_T = h1*h2*h_T^2/|T| comes from the sorted edge lengths and the
     determinant volume; H_T = 6*h_T/(t1*t2) comes from the standard-position
-    parameters.  The two routes are independent; H_T equals
-    alpha1*alpha2*alpha3*h_T/|T| identically.
+    parameters.  The two routes are independent.
     """
     hs = sorted_edge_lengths(t)
-    return _r_t(hs, _nondegenerate_volume(t.coords(), hs[5])), _h_t(t, hs)
-
-
-def _r_t(hs, vol: float) -> float:
-    """R_T from the sorted edge lengths and the volume."""
-    return hs[0] * hs[1] * hs[5] ** 2 / vol
-
-
-def _h_t(t: Tetrahedron, hs) -> float:
-    """H_T from the standard-position parameters and the sorted edge lengths."""
-    _, t1, _, _, t2 = _standard_position_from(t, classify(t)).params
-    return 6.0 * hs[5] / (t1 * t2)
+    return _r_t(hs, _nondegenerate_volume(t.coords(), hs[5])), _h_t(t)
 
 
 def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
-    """R_T/H_T evaluated without the volume: h1*h2*h_T/(alpha1*alpha2*alpha3).
-
-    The determinant volume cancels between R_T and H_T; this form keeps full
-    relative accuracy on needle elements where |T| itself does not.
-    """
+    """R_T/H_T as batch_quality_ratio describes."""
     if cls is None:
         cls = classify(t)
-    hs = sorted_edge_lengths(t)
-    a1, a2, a3 = cls.alpha
-    return hs[0] * hs[1] * hs[5] / (a1 * a2 * a3)
+    return float(batch_quality_ratio(np.array([edge_lengths(t)]), np.array([cls.alpha]))[0])
 
 
 @dataclass(frozen=True)
@@ -477,21 +617,14 @@ class GeometryReport:
 
     @cached_property
     def H_T(self) -> float:
-        return _h_t(self._t, self.h)
+        return _h_t(self._t)
 
     @cached_property
     def _angles(self) -> tuple[dict, dict, dict]:
         """theta, psi and phi."""
-        v = self._t.coords()
-        lengths = edge_lengths(self._t)
-        theta, normals, dists = _face_angles(v)
-        phi = {
-            (i, j): math.asin(min(1.0, dists[i] / lengths[_EDGE_OF[i][j]]))
-            for i in range(4)
-            for j in range(4)
-            if j != i
-        }
-        return theta, _dihedral_angles(normals), phi
+        theta, psi, phi = batch_angles(*_row(self._t))
+        return (dict(zip(_THETA_KEYS, theta[0].tolist())), dict(zip(_FACE_PAIRS, psi[0].tolist())),
+                dict(zip(_PHI_KEYS, phi[0].tolist())))
 
     @property
     def theta(self) -> dict[tuple[int, int], float]:
@@ -510,40 +643,6 @@ class GeometryReport:
         return max(max(self.theta.values()), max(self.psi.values()))
 
 
-def _face_angles(v):
-    """theta, inward unit normals, and point-plane distances for all faces."""
-    normals = []
-    dists = []
-    for i, face in enumerate(_FACES):
-        a, b, c = (v[j] for j in face)
-        n = _cross(_sub(b, a), _sub(c, a))
-        nn = _norm(n)
-        if nn == 0.0:
-            raise DegenerateTetrahedron("face %d is degenerate" % i)
-        n = _scale(n, 1.0 / nn)
-        # Orient inward: toward the opposite vertex.
-        dist = _dot(_sub(v[i], a), n)
-        if dist < 0.0:
-            n = _scale(n, -1.0)
-            dist = -dist
-        normals.append(n)
-        dists.append(dist)
-    theta = {}
-    for i, j, r0, r1 in _CORNERS:
-        u, w = _sub(v[r0], v[j]), _sub(v[r1], v[j])
-        theta[(i, j)] = math.atan2(_norm(_cross(u, w)), _dot(u, w))
-    return theta, normals, dists
-
-
-def _dihedral_angles(normals):
-    """psi[(i, j)], i < j, from the inward unit normals of the faces."""
-    psi = {}
-    for i, j in _FACE_PAIRS:
-        ni, nj = normals[i], normals[j]
-        psi[(i, j)] = math.pi - math.atan2(_norm(_cross(ni, nj)), _dot(ni, nj))
-    return psi
-
-
 def angles(t: Tetrahedron) -> GeometryReport:
     """The geometry report of a tetrahedron; DegenerateTetrahedron here when
     it is degenerate, though H_T and the angles are computed when read."""
@@ -554,10 +653,7 @@ def angles(t: Tetrahedron) -> GeometryReport:
 
 def max_face_and_dihedral_angle(t: Tetrahedron) -> float:
     """max(theta union psi) without the rest of the report."""
-    v = t.coords()
-    _nondegenerate_volume(v, max(edge_lengths(t)))
-    theta, normals, _ = _face_angles(v)
-    return max(max(theta.values()), max(_dihedral_angles(normals).values()))
+    return float(batch_max_angle(_row(t)[0])[0])
 
 
 def _check_gamma_max(gamma_max: float):
@@ -571,141 +667,11 @@ def mac_check(t: Tetrahedron, gamma_max: float) -> bool:
     """True iff every face internal angle and dihedral angle is <= gamma_max
     (with EPS_ANGLE slack)."""
     _check_gamma_max(gamma_max)
-    return max_face_and_dihedral_angle(t) <= gamma_max + EPS_ANGLE
+    return bool(max_angle_at_most(_row(t)[0], gamma_max + EPS_ANGLE)[0])
 
 
 # ---------------------------------------------------------------------------
-# Array kernels
-#
-# The sampling experiments measure tetrahedra by the thousand.  These kernels
-# take the vertices of N tetrahedra as an (N, 4, 3) array and return one
-# value per row.  They evaluate the scalar routines' own expressions on
-# coordinate arrays: a point is its x, y and z arrays, so _sub, _dot, _cross
-# and _scale serve both paths and every +, -, *, / and sqrt runs in the same
-# order.  Edge lengths, volumes, the classification, quality_ratio, R_T, t1
-# and t2 are therefore bitwise equal to the scalar results.  Degenerate rows
-# are not rejected: batch_volume flags them, and the other kernels' values
-# on them mean nothing.
-
-# Angles come from numpy's arctan2, which can differ from math.atan2 in the
-# last bit; max_angle_at_most hands comparisons this close to the scalar code.
-_ATAN2_SLACK = 1e-12
-
-
-def _coords(verts: np.ndarray, idx) -> np.ndarray:
-    """Vertices idx of every row as component-first arrays, (3, len(idx), N)."""
-    return verts[:, idx].transpose(2, 1, 0)
-
-
-def _row_points(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Vertex idx[r] of each row r, as a (3, N) array."""
-    return verts[np.arange(len(verts)), idx].T
-
-
-def _bnorm(a):
-    return np.sqrt(_dot(a, a))
-
-
-def _float_pow(x: np.ndarray, e: int) -> np.ndarray:
-    # Python's float power is the C library's pow.  numpy's vectorised power
-    # differs from it in the last bit (for cubes, on 5% of inputs on an
-    # AVX-512 build), so the scalar routines' powers are taken one by one.
-    return np.array([h ** e for h in x.tolist()])
-
-
-def batch_edge_lengths(verts: np.ndarray) -> np.ndarray:
-    """(N, 6) edge lengths in the EDGES order, as edge_lengths per row."""
-    return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
-
-
-def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|T|, degenerate) per row; degenerate marks the rows volume() rejects."""
-    vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
-    return vol, vol < EPS_VOL_REL * _float_pow(lengths.max(axis=1), 3)
-
-
-def _first(candidates: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    # Per row, the candidate edge with the smallest tie key.
-    return np.argmin(np.where(candidates, tie, 16), axis=1)
-
-
-def batch_classify(verts: np.ndarray, lengths: np.ndarray):
-    """(kind, perm, alpha) per row, as classify: shapes (N,), (N, 4), (N, 3).
-
-    Ties between edge lengths are broken as in classify, by the
-    lexicographically smallest pair of vertex ranks, the vertices ranked
-    lexicographically by coordinates.
-    """
-    rows = np.arange(len(verts))
-    order = np.lexsort((verts[..., 2], verts[..., 1], verts[..., 0]), axis=-1)
-    rank = np.empty_like(order)
-    rank[rows[:, None], order] = np.arange(4)
-    ri, rj = rank[:, _EDGE_I], rank[:, _EDGE_J]
-    tie = 4 * np.minimum(ri, rj) + np.maximum(ri, rj)
-    e2 = _first(lengths == lengths.min(axis=1, keepdims=True), tie)
-    adjacent = np.where(_ADJACENT[e2], lengths, -np.inf)
-    e1 = _first(adjacent == adjacent.max(axis=1, keepdims=True), tie)
-    c, w, d, f = _ROLES[e2, e1].T
-
-    alpha1 = lengths[rows, e1]
-    sigma_f = _bisector_distance(*(_row_points(verts, i) for i in (c, w, f)), alpha1)
-    type1 = sigma_f <= EPS_PLANE_REL * lengths.max(axis=1)
-
-    perm = np.where(type1[:, None], np.stack([c, w, d, f], 1), np.stack([w, c, d, f], 1))
-    alpha3 = lengths[rows, _EDGE_INDEX[perm[:, 0], f]]
-    alpha = np.stack([alpha1, lengths[rows, e2], alpha3], axis=1)
-    return np.where(type1, TYPE1, TYPE2), perm, alpha
-
-
-def batch_quality_ratio(lengths: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """quality_ratio per row, from batch_edge_lengths and batch_classify."""
-    hs = np.sort(lengths, axis=1)
-    return hs[:, 0] * hs[:, 1] * hs[:, 5] / (alpha[:, 0] * alpha[:, 1] * alpha[:, 2])
-
-
-def batch_r_over_h(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
-    """R_T/h_T per row, as quality()[0] / h_T."""
-    hs = np.sort(lengths, axis=1)
-    return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol / hs[:, 5]
-
-
-def batch_t1_t2(verts: np.ndarray, perm: np.ndarray, alpha: np.ndarray):
-    """The standard-position parameters (t1, t2) per row, as standard_position."""
-    x1, x2, x3, x4 = (_row_points(verts, perm[:, i]) for i in range(4))
-    b1 = _scale(_sub(x2, x1), 1.0 / alpha[:, 0])
-    v3 = _sub(x3, x1)
-    proj = _dot(v3, b1)
-    w3 = _sub(v3, _scale(b1, proj))
-    n3 = _bnorm(w3)
-    b3 = _cross(b1, _scale(w3, 1.0 / n3))
-    return n3 / alpha[:, 1], np.abs(_dot(_sub(x4, x1), b3)) / alpha[:, 2]
-
-
-def batch_max_angle(verts: np.ndarray) -> np.ndarray:
-    """max_face_and_dihedral_angle per row, to within a few ulps."""
-    j, r0, r1 = (_coords(verts, list(idx)) for idx in list(zip(*_CORNERS))[1:])
-    u, w = _sub(r0, j), _sub(r1, j)
-    theta = np.arctan2(_bnorm(_cross(u, w)), _dot(u, w))
-
-    a, b, c = (_coords(verts, list(idx)) for idx in zip(*_FACES))
-    n = np.array(_cross(_sub(b, a), _sub(c, a)))
-    n = np.array(_scale(n, 1.0 / _bnorm(n)))
-    # Orient inward: toward the opposite vertex.
-    n = np.where(_dot(_sub(_coords(verts, [0, 1, 2, 3]), a), n) < 0.0, -n, n)
-    ni, nj = (n[:, list(idx)] for idx in zip(*_FACE_PAIRS))
-    psi = math.pi - np.arctan2(_bnorm(_cross(ni, nj)), _dot(ni, nj))
-    return np.maximum(theta.max(axis=0), psi.max(axis=0))
-
-
-def max_angle_at_most(verts: np.ndarray, bound) -> np.ndarray:
-    """max_face_and_dihedral_angle(t) <= bound per row, decided as the scalar
-    routine decides it; bound is a number or one per row."""
-    worst = batch_max_angle(verts)
-    bound = np.broadcast_to(bound, worst.shape)
-    ok = worst <= bound
-    for i in np.flatnonzero(np.abs(worst - bound) <= _ATAN2_SLACK):
-        ok[i] = max_face_and_dihedral_angle(Tetrahedron.from_points(verts[i])) <= bound[i]
-    return ok
+# Maximum angle condition constants
 
 
 @dataclass(frozen=True)
@@ -752,9 +718,11 @@ def mac_reverse_gamma(d_bound: float, kind: int | None = None) -> float:
     where gamma(M) = pi - arcsin(M).  With kind=None the weaker (larger) of
     the two values is returned, valid for a tetrahedron of unknown type.
     """
+    if kind is not None:
+        _check_kind(kind)
     m = 3.0 / d_bound
     if not 0.0 < m < 1.0:
-        raise ValueError(
+        raise InputError(
             "reverse MAC formula needs d_bound > 3 so that 0 < M < 1, got %r"
             % (d_bound,)
         )
@@ -773,9 +741,7 @@ def mac_reverse_gamma(d_bound: float, kind: int | None = None) -> float:
         return type1(m)
     if kind == TYPE2:
         return type2(m)
-    if kind is None:
-        return max(type1(m), type2(m))
-    raise ValueError("kind must be TYPE1, TYPE2 or None, got %r" % (kind,))
+    return max(type1(m), type2(m))
 
 
 @dataclass(frozen=True)
@@ -798,40 +764,10 @@ class TrigIdentityReport:
 
 def verify_trig_identities(t: Tetrahedron) -> TrigIdentityReport:
     """Evaluate all instances of the angle identities on t."""
-    rep = angles(t)
-
-    def psi_at(i, j):
-        return rep.psi[(i, j) if i < j else (j, i)]
-
-    # Both loops read _CORNERS: face j (opposite vertex j), a corner of it
-    # and that corner's other two vertices; twosin's corner is n.
-    twosin = {}
-    for j, n, *others in _CORNERS:
-        for k in others:
-            lhs = math.sin(rep.phi[(j, n)])
-            rhs = math.sin(rep.theta[(k, n)]) * math.sin(psi_at(k, j))
-            twosin[(j, n, k)] = lhs - rhs
-
-    cos_theta = {}
-    cos_psi = {}
-    for j, k, m, n in _CORNERS:
-        lhs = math.cos(rep.theta[(k, j)])
-        rhs = math.cos(rep.theta[(m, j)]) * math.cos(rep.theta[(n, j)]) + math.sin(
-            rep.theta[(m, j)]
-        ) * math.sin(rep.theta[(n, j)]) * math.cos(psi_at(m, n))
-        cos_theta[(j, k)] = lhs - rhs
-
-        lhs2 = math.cos(psi_at(m, n))
-        rhs2 = math.sin(psi_at(m, k)) * math.sin(psi_at(n, k)) * math.cos(
-            rep.theta[(k, j)]
-        ) - math.cos(psi_at(m, k)) * math.cos(psi_at(n, k))
-        cos_psi[(j, k)] = lhs2 - rhs2
-
-    worst = max(
-        max(abs(r) for r in twosin.values()),
-        max(abs(r) for r in cos_theta.values()),
-        max(abs(r) for r in cos_psi.values()),
-    )
+    twosin, cos_theta, cos_psi = (r[0] for r in batch_trig_identities(*batch_angles(*_row(t))))
     return TrigIdentityReport(
-        twosin=twosin, cos_theta=cos_theta, cos_psi=cos_psi, max_residual=worst
+        twosin=dict(zip(_TWOSIN_KEYS, twosin.tolist())),
+        cos_theta=dict(zip(_THETA_KEYS, cos_theta.tolist())),
+        cos_psi=dict(zip(_THETA_KEYS, cos_psi.tolist())),
+        max_residual=float(max(np.abs(r).max() for r in (twosin, cos_theta, cos_psi))),
     )

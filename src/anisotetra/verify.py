@@ -36,6 +36,7 @@ returns them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +50,14 @@ from .geom import (
     GeometryReport,
     Tetrahedron,
     _check_gamma_max,
+    _check_kind,
     angles,
     batch_classify,
     batch_edge_lengths,
+    batch_h_t,
     batch_quality_ratio,
     batch_r_over_h,
-    batch_t1_t2,
+    batch_standard_position,
     batch_volume,
     mac_bound_constants,
     mac_reverse_gamma,
@@ -117,6 +120,7 @@ class TetraGenSpec:
         if self.family not in FAMILIES:
             raise InputError("unknown family %r; expected one of %s" % (self.family, FAMILIES))
         _check_seed(self.seed)
+        _check_params(self.params)
 
 
 def _check_seed(seed, reverse: int = 0):
@@ -124,6 +128,23 @@ def _check_seed(seed, reverse: int = 0):
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128 - reverse):
         raise InputError("seed must be an integer in [0, 2**128%s), got %r"
                          % (" - 1" * reverse, seed))
+
+
+def _check_params(params: dict):
+    for name in ("eps", "gamma"):
+        x = params.get(name)
+        if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
+            raise InputError("params[%r] must be a finite real number, got %r" % (name, x))
+    if "alpha" in params:
+        try:
+            alpha = np.asarray(params["alpha"], dtype=float)
+        except (TypeError, ValueError):
+            alpha = np.zeros(0)
+        if alpha.shape != (3,) or not np.all(np.isfinite(alpha) & (alpha > 0.0)):
+            raise InputError("params['alpha'] must be three finite positive numbers, got %r"
+                             % (params["alpha"],))
+    if "kind" in params:
+        _check_kind(params["kind"])
 
 
 # Sample i draws from the Philox stream keyed by the seed with counter
@@ -204,8 +225,9 @@ def _finish(rows: np.ndarray, kinds: np.ndarray, z: np.ndarray, u: np.ndarray,
     return out
 
 
-def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
-    """Vertices of samples start..stop-1, as an (N, 4, 3) array.
+def _draw_block(gen: TetraGenSpec, start: int, stop: int):
+    """Samples start..stop-1 as (vertices, edge lengths, volumes), shapes
+    (N, 4, 3), (N, 6), (N,), measured once by the degeneracy test.
 
     Rejection runs in lockstep rounds: every pending sample draws its next
     attempt from its own stream, and accepted samples retire.  Only a
@@ -226,7 +248,7 @@ def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
         amplitude = 0.6 * headroom
         kinds[:] = [[NEAR if headroom > 0.0 else UNIFORM], [UNIFORM]]
     draws, states = kinds.tolist(), {}
-    out = np.empty((size, 4, 3))
+    out, out_lengths, out_vol = np.empty((size, 4, 3)), np.empty((size, 6)), np.empty(size)
     nondegenerate = np.zeros(size, dtype=int)
     pending = np.arange(size)
     for attempt in range(MAX_ATTEMPTS):
@@ -242,14 +264,17 @@ def _draw_block(gen: TetraGenSpec, start: int, stop: int) -> np.ndarray:
             if attempt:
                 states[j] = bitgen.state
         verts = _finish(pending, kinds[attempt % 2, pending], z, u, gen.params, amplitude)
-        ok = ~batch_volume(verts, batch_edge_lengths(verts))[1]
+        lengths = batch_edge_lengths(verts)
+        vol, degenerate = batch_volume(verts, lengths)
+        ok = ~degenerate
         nondegenerate[pending] += ok
         if gen.family == "mac":
             ok[ok] = max_angle_at_most(verts[ok], gen.params["gamma"])
-        out[pending[ok]] = verts[ok]
+        done = pending[ok]
+        out[done], out_lengths[done], out_vol[done] = verts[ok], lengths[ok], vol[ok]
         pending = pending[~ok]
         if not len(pending):
-            return out
+            return out, out_lengths, out_vol
     raise GenerationFailure(
         "family %r sample %d: no acceptable tetrahedron in %d attempts "
         "(%d nondegenerate)"
@@ -272,7 +297,8 @@ def _reverse_block(seed: int, start: int, stop: int, amplitude: float) -> np.nda
 
 
 def _blocks(gen: TetraGenSpec, n: int):
-    """The vertices of samples 0..n-1, one block of at most BLOCK at a time."""
+    """Samples 0..n-1 as _draw_block gives them, one block of at most BLOCK
+    at a time."""
     if n < 1:
         raise InputError("n must be >= 1, got %r" % (n,))
     if gen.family == "mac":
@@ -289,7 +315,7 @@ def _blocks(gen: TetraGenSpec, n: int):
 
 def generate(gen: TetraGenSpec, n: int) -> list[Tetrahedron]:
     """n tetrahedra from the family; deterministic in (seed, index)."""
-    return [Tetrahedron.from_points(v) for block in _blocks(gen, n) for v in block.tolist()]
+    return [Tetrahedron.from_points(v) for verts, _, _ in _blocks(gen, n) for v in verts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +505,14 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
     if alphas is None:
         alphas = default_alpha_grid()
     if not len(alphas):
-        raise ValueError("the alpha grid is empty")
+        raise InputError("the alpha grid is empty")
     ref = reference_tetrahedron(kind).as_array()
     fields = corpus(k, Tetrahedron.from_points(ref))
     rows = []
     for level, alpha in enumerate(alphas):
         a = np.asarray(alpha, dtype=float)
         if not np.all((0.0 < a) & (a <= 1.0)):
-            raise ValueError("alpha components must lie in (0, 1], got %r" % (alpha,))
+            raise InputError("alpha components must lie in (0, 1], got %r" % (alpha,))
         t = Tetrahedron.from_points(ref * a)
         scale_pow = float(np.max(a)) ** (k + 1 - m)
         best = None
@@ -498,7 +524,7 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
             if best is None or r.ratio > best[1]:
                 best = (name, r.ratio, scaled, r)
         if best is None:
-            raise ValueError("all corpus fields were indeterminate at %r" % (alpha,))
+            raise NumericalError("all corpus fields were indeterminate at %r" % (alpha,))
         name, max_ratio, max_scaled, worst = best
         rows.append(SweepRow(
             level=level,
@@ -576,8 +602,7 @@ def equivalence_sample(n: int, gen: TetraGenSpec) -> EquivalenceReport:
     worst_margin, worst_tetra = math.inf, None
     lo, hi = math.inf, -math.inf
     violations = 0
-    for verts in _blocks(gen, n):
-        lengths = batch_edge_lengths(verts)
+    for verts, lengths, _ in _blocks(gen, n):
         r = batch_quality_ratio(lengths, batch_classify(verts, lengths)[2])
         lo = min(lo, float(r.min()))
         hi = max(hi, float(r.max()))
@@ -648,9 +673,8 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
     forward_violations = []
     forward_checked = excluded_count = 0
     excluded_max = None
-    for verts in _blocks(source, n):
-        lengths = batch_edge_lengths(verts)
-        r_over = batch_r_over_h(lengths, batch_volume(verts, lengths)[0])
+    for verts, lengths, vol in _blocks(source, n):
+        r_over = batch_r_over_h(lengths, vol)
         if filtered:
             keep = max_angle_at_most(verts, gamma_max + EPS_ANGLE)
             if not keep.all():
@@ -661,10 +685,9 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
         forward_checked += len(verts)
         if not len(verts):
             continue
-        _, perm, alpha = batch_classify(verts, lengths)
-        t1, t2 = batch_t1_t2(verts, perm, alpha)
-        h_t = lengths.max(axis=1)
-        h_over = 6.0 * h_t / (t1 * t2) / h_t
+        kind, perm, alpha, _, _ = batch_classify(verts, lengths)
+        params = batch_standard_position(verts, kind, perm, alpha)[0]
+        h_over = batch_h_t(lengths, params) / lengths.max(axis=1)
         bad = (h_over > d * (1.0 + 1e-12)) | (r_over > 2.0 * d * (1.0 + 1e-12))
         for i in np.flatnonzero(bad):
             forward_violations.append(

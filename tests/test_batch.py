@@ -1,11 +1,13 @@
-"""The block path of the sampling experiments against a per-sample reference.
+"""The block path of the sampling experiments, and the geometry kernels.
 
-The reference below is the per-sample generator the block path replaced: one
-Philox stream per (seed, index), one QR and one matmul per sample, scalar
-degeneracy and angle tests.  Vertices, edge lengths, volumes, the
-classification, quality_ratio, R_T/h_T and H_T/h_T must agree bitwise; the
-maximum angle (numpy's arctan2 against math.atan2) within 1e-12 rad, with
-every comparison against a bound decided as the scalar code decides it.
+The reference generator below is the per-sample generator the block path
+replaced: one Philox stream per (seed, index), one QR and one matmul per
+sample.  The geometry kernels are held to geom_reference, the per-element
+float routines they replaced.  Edge lengths, volumes, the classification,
+the standard position, the transform matrices, quality_ratio, R_T and H_T
+must agree bitwise; the angles (numpy's arctan2 and arcsin against the math
+module's) and the identity residuals within 1e-12.  The scalar API reads row
+0 of the kernels, so it is checked against the same oracle.
 """
 
 import itertools
@@ -14,30 +16,45 @@ import math
 import numpy as np
 import pytest
 
+import geom_reference as ref
 from anisotetra import verify
 from anisotetra.errors import DegenerateTetrahedron
 from anisotetra.geom import (
+    _FACE_PAIRS,
+    _PHI_KEYS,
+    _THETA_KEYS,
+    _TWOSIN_KEYS,
+    EDGES,
     TYPE1,
     TYPE2,
     Tetrahedron,
     angles,
+    batch_angles,
     batch_classify,
     batch_edge_lengths,
+    batch_h_t,
+    batch_matrices,
     batch_max_angle,
     batch_quality_ratio,
     batch_r_over_h,
-    batch_t1_t2,
+    batch_standard_position,
+    batch_standard_position_vertices,
+    batch_trig_identities,
     batch_volume,
     classify,
     edge_lengths,
     mac_bound_constants,
     mac_check,
     mac_reverse_gamma,
+    matrices,
     max_angle_at_most,
     max_face_and_dihedral_angle,
     quality,
     quality_ratio,
     reference_tetrahedron,
+    standard_position,
+    standard_position_vertices,
+    verify_trig_identities,
     volume,
 )
 from anisotetra.verify import TetraGenSpec, generate, mac_experiment
@@ -164,32 +181,95 @@ def ref_mac_experiment(n, gamma_max, seed):
 # ---------------------------------------------------------------------------
 # Comparison
 
+ANGLE_TOL = 1e-12
+NORMS = ("normA", "normAinv", "normX", "normXinv", "normY", "normYinv")
+
+
+def values(table: dict, keys) -> np.ndarray:
+    return np.array([table[key] for key in keys])
+
 
 def assert_kernels_match(tetras, bound=None):
     verts = np.array([t.coords() for t in tetras])
     lengths = batch_edge_lengths(verts)
     vol, degenerate = batch_volume(verts, lengths)
     assert not degenerate.any()
-    kind, perm, alpha = batch_classify(verts, lengths)
-    t1, t2 = batch_t1_t2(verts, perm, alpha)
-    h_t = lengths.max(axis=1)
-    h_over = 6.0 * h_t / (t1 * t2) / h_t
+    kind, perm, alpha, e1, e2 = batch_classify(verts, lengths)
+    params, rotation, translation, mirror = batch_standard_position(verts, kind, perm, alpha)
+    canonical = batch_standard_position_vertices(kind, alpha, params)
+    A, D, X, Y, norms = batch_matrices(kind, alpha, params)
     ratio = batch_quality_ratio(lengths, alpha)
     r_over = batch_r_over_h(lengths, vol)
+    big_h = batch_h_t(lengths, params)
+    theta, psi, phi = batch_angles(verts, lengths)
+    twosin, cos_theta, cos_psi = batch_trig_identities(theta, psi, phi)
     worst = batch_max_angle(verts)
     for i, t in enumerate(tetras):
         assert tuple(lengths[i]) == edge_lengths(t)
         assert vol[i] == volume(t)
-        cls = classify(t)
-        assert (kind[i], tuple(perm[i]), tuple(alpha[i])) == (cls.kind, cls.perm, cls.alpha)
-        assert ratio[i] == quality_ratio(t)
-        r_t, big_h = quality(t)
-        assert r_over[i] == r_t / h_t[i]
-        assert h_over[i] == big_h / h_t[i]
-        assert abs(worst[i] - max_face_and_dihedral_angle(t)) <= 1e-12
+        cls = ref.classify(t)
+        got = (kind[i], tuple(perm[i]), tuple(alpha[i]), EDGES[e1[i]], EDGES[e2[i]])
+        assert got == (cls.kind, cls.perm, cls.alpha, cls.e1, cls.e2)
+        sp = ref.standard_position(t, cls)
+        assert tuple(params[i]) == sp.params
+        assert (rotation[i] == sp.rotation).all() and (translation[i] == sp.translation).all()
+        assert mirror[i] == sp.mirror
+        assert canonical[i].tolist() == [list(x) for x in ref.standard_position_vertices(sp, cls.kind)]
+        mats = ref.matrices(sp, cls.kind)
+        for got, want in zip((A[i], D[i], X[i], Y[i]), (mats.A, mats.D, mats.X, mats.Y)):
+            assert (got == want).all()
+        assert tuple(norms[i]) == tuple(getattr(mats, name) for name in NORMS)
+        assert ratio[i] == ref.quality_ratio(t)
+        r_t, h_t = ref.quality(t)
+        assert r_over[i] == r_t / lengths[i].max()
+        assert big_h[i] == h_t
+        ref_theta, ref_psi, ref_phi = ref.angle_inventory(t)
+        assert np.abs(theta[i] - values(ref_theta, _THETA_KEYS)).max() <= ANGLE_TOL
+        assert np.abs(psi[i] - values(ref_psi, _FACE_PAIRS)).max() <= ANGLE_TOL
+        assert np.abs(phi[i] - values(ref_phi, _PHI_KEYS)).max() <= ANGLE_TOL
+        assert abs(worst[i] - ref.max_face_and_dihedral_angle(t)) <= ANGLE_TOL
+        ref_twosin, ref_cos_theta, ref_cos_psi, _ = ref.trig_identities(t)
+        assert np.abs(twosin[i] - values(ref_twosin, _TWOSIN_KEYS)).max() <= ANGLE_TOL
+        assert np.abs(cos_theta[i] - values(ref_cos_theta, _THETA_KEYS)).max() <= ANGLE_TOL
+        assert np.abs(cos_psi[i] - values(ref_cos_psi, _THETA_KEYS)).max() <= ANGLE_TOL
     if bound is not None:
-        want = [max_face_and_dihedral_angle(t) <= bound for t in tetras]
-        assert max_angle_at_most(verts, bound).tolist() == want
+        # Decided as the reference decides, except within the angle
+        # tolerance of the bound.
+        exact = np.array([ref.max_face_and_dihedral_angle(t) for t in tetras])
+        clear = np.abs(exact - bound) > ANGLE_TOL
+        assert (max_angle_at_most(verts, bound) == (exact <= bound))[clear].all()
+
+
+def assert_scalar_api_matches(t):
+    """The public per-element routines, each a batch of one, against the oracle."""
+    cls = ref.classify(t)
+    assert classify(t) == cls
+    sp, want = standard_position(t), ref.standard_position(t, cls)
+    assert (sp.alpha, sp.params, sp.mirror) == (want.alpha, want.params, want.mirror)
+    assert type(sp.mirror) is bool and all(type(x) is float for x in sp.params)
+    assert (sp.rotation == want.rotation).all() and (sp.translation == want.translation).all()
+    assert standard_position_vertices(sp, cls.kind) == ref.standard_position_vertices(want, cls.kind)
+    mats, want_mats = matrices(sp, cls.kind), ref.matrices(want, cls.kind)
+    for name in ("A", "D", "X", "Y"):
+        assert (getattr(mats, name) == getattr(want_mats, name)).all()
+    assert all(getattr(mats, name) == getattr(want_mats, name) for name in NORMS)
+    assert quality(t) == ref.quality(t)
+    assert quality_ratio(t) == ref.quality_ratio(t)
+    rep = angles(t)
+    assert rep.H_T == ref.quality(t)[1]
+    for got, want_angles in zip((rep.theta, rep.psi, rep.phi), ref.angle_inventory(t)):
+        assert list(got) == list(want_angles)
+        assert max(abs(got[key] - want_angles[key]) for key in got) <= ANGLE_TOL
+    assert abs(max_face_and_dihedral_angle(t) - ref.max_face_and_dihedral_angle(t)) <= ANGLE_TOL
+    identities = verify_trig_identities(t)
+    for got, want_residuals in zip(
+        (identities.twosin, identities.cos_theta, identities.cos_psi), ref.trig_identities(t)
+    ):
+        assert list(got) == list(want_residuals)
+        assert max(abs(got[key] - want_residuals[key]) for key in got) <= ANGLE_TOL
+    assert abs(identities.max_residual - ref.trig_identities(t)[3]) <= ANGLE_TOL
+    if abs(rep.max_angle - math.pi / 2) > ANGLE_TOL:
+        assert mac_check(t, math.pi / 2) == ref.mac_check(t, math.pi / 2)
 
 
 FAMILIES = [
@@ -215,6 +295,35 @@ def test_block_draws_and_kernels_match_per_sample_reference(gen, monkeypatch):
     tetras = generate(gen, SAMPLES)
     assert [t.coords() for t in tetras] == [ref_sample(gen, i).coords() for i in range(SAMPLES)]
     assert_kernels_match(tetras, bound=gen.params.get("gamma", math.pi / 2))
+    for t in tetras[::100]:
+        assert_scalar_api_matches(t)
+
+
+@pytest.mark.parametrize("family", ["needle", "sliver"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_kernels_on_rotated_needles_and_slivers(family, eps):
+    tetras = generate(TetraGenSpec(family, 41, {"eps": eps}), 200)
+    assert_kernels_match(tetras, bound=math.pi / 2)
+    for t in tetras[:5]:
+        assert_scalar_api_matches(t)
+
+
+def test_kernels_on_symmetric_elements_in_every_vertex_order():
+    # The regular tetrahedron, the two reference elements and an isosceles
+    # element (mirror-symmetric about x = 0, so two pairs of edges tie
+    # exactly): 96 elements whose ties the classification must break alike.
+    base = [Tetrahedron.from_points(REGULAR), reference_tetrahedron(TYPE1),
+            reference_tetrahedron(TYPE2),
+            Tetrahedron.from_points([(-1, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0.5, 1.5)])]
+    tetras = [
+        Tetrahedron.from_points(np.asarray(t.as_array())[list(p)])
+        for t in base
+        for p in itertools.permutations(range(4))
+    ]
+    assert len(tetras) == 96
+    assert_kernels_match(tetras, bound=math.pi / 2)
+    for t in tetras:
+        assert_scalar_api_matches(t)
 
 
 def test_kernels_on_exact_ties_and_permutations():
@@ -253,12 +362,13 @@ def test_degeneracy_mask_matches_volume():
 
 
 def test_max_angle_at_most_decides_ties_as_the_scalar_code():
+    # The scalar routine is the kernel's batch of one, so a block and its
+    # rows one at a time agree to the last bit: bounds placed exactly on the
+    # scalar values are decided alike.
     tetras = generate(TetraGenSpec("mixed", 31), 400)
     verts = np.array([t.coords() for t in tetras])
     exact = np.array([max_face_and_dihedral_angle(t) for t in tetras])
-    # Some kernel angles differ from the scalar ones in the last bit; the
-    # bounds below sit exactly on the scalar values.
-    assert (batch_max_angle(verts) != exact).any()
+    assert (batch_max_angle(verts) == exact).all()
     assert max_angle_at_most(verts, exact).all()
     assert not max_angle_at_most(verts, np.nextafter(exact, -np.inf)).any()
 

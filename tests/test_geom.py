@@ -613,8 +613,21 @@ def test_mac_reverse_gamma_behavior():
     assert mac_reverse_gamma(10.0, None) == max(
         mac_reverse_gamma(10.0, TYPE1), mac_reverse_gamma(10.0, TYPE2)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         mac_reverse_gamma(2.9)
+
+
+@pytest.mark.parametrize("kind", [0, 3, "1"])
+def test_a_bad_kind_is_an_input_error(kind):
+    sp = standard_position(T_HAT)
+    for op in (
+        lambda: reference_tetrahedron(kind),
+        lambda: standard_position_vertices(sp, kind),
+        lambda: matrices(sp, kind),
+        lambda: mac_reverse_gamma(10.0, kind),
+    ):
+        with pytest.raises(InputError, match="kind"):
+            op()
 
 
 def test_mac_reverse_gamma_covers_samples():

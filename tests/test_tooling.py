@@ -270,6 +270,49 @@ def test_one_field_class_with_one_source_of_partials():
     assert not {"_fd_partial", "_OnePass"} & names
 
 
+def test_geometry_has_one_kernel_per_quantity():
+    # Each geometry quantity of an element has one implementation, an array
+    # kernel, and a scalar routine is its batch of one.  So the float twins
+    # of the angles and the standard position are gone; no element angle
+    # comes from the math module (math.asin stays in the mac constants, which
+    # are functions of gamma alone); the max-angle test has no per-row
+    # fallback; and every public scalar routine reaches a batch_* kernel,
+    # directly or through geom's own functions.
+    tree = ast.parse((SRC / "geom.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions.update({"%s.%s" % (cls.name, n.name): n for n in cls.body
+                          if isinstance(n, ast.FunctionDef)})
+    defined = set(functions) | {n.id for n in ast.walk(tree)
+                                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    twins = {"_face_angles", "_dihedral_angles", "_standard_position_from", "_ATAN2_SLACK"}
+    assert not twins & defined, twins & defined
+    math_angles = [
+        (name, ast.unparse(n)) for name, node in functions.items() for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and ast.unparse(n) in ("math.atan2", "math.asin")
+        and not (name.startswith("mac_") and ast.unparse(n) == "math.asin")
+    ]
+    assert not math_angles, math_angles
+    loops = [n for n in ast.walk(functions["max_angle_at_most"])
+             if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not loops
+
+    def callees(name):
+        return {ast.unparse(n.func) for n in ast.walk(functions[name]) if isinstance(n, ast.Call)}
+
+    def reaches_kernel(name, seen):
+        seen.add(name)
+        found = callees(name)
+        return any(c.startswith("batch_") for c in found) or any(
+            reaches_kernel(c, seen) for c in found if c in functions and c not in seen
+        )
+
+    scalar = ["classify", "standard_position", "standard_position_vertices", "matrices",
+              "quality", "quality_ratio", "GeometryReport.H_T", "GeometryReport._angles",
+              "max_face_and_dihedral_angle", "mac_check", "verify_trig_identities"]
+    assert [name for name in scalar if not reaches_kernel(name, set())] == []
+
+
 def test_package_imports_without_scipy():
     # scipy is a test-only dependency: importing scipy.special alone costs
     # more set-up time and memory than numpy.  A fresh interpreter, since

@@ -133,6 +133,30 @@ class TestGenerate:
         with pytest.raises(InputError, match="gamma"):
             generate(TetraGenSpec(family="mac"), 1)
 
+    def test_non_numeric_eps_is_an_input_error(self):
+        with pytest.raises(InputError, match="eps"):
+            TetraGenSpec("needle", 0, {"eps": "x"})
+        with pytest.raises(InputError, match="eps"):
+            TetraGenSpec("sliver", 0, {"eps": math.inf})
+
+    def test_non_numeric_gamma_is_an_input_error(self):
+        with pytest.raises(InputError, match="gamma"):
+            TetraGenSpec("mac", 0, {"gamma": "x"})
+        with pytest.raises(InputError, match="gamma"):
+            TetraGenSpec("mac", 0, {"gamma": math.nan})
+
+    @pytest.mark.parametrize("alpha", [(1, 0, 1), (1, -1, 1), (1, 1), (1, math.inf, 1), "abc"])
+    def test_squeezed_alpha_must_be_three_positive_numbers(self, alpha):
+        # A zero component would make every sample degenerate and spend the
+        # whole attempt budget before GenerationFailure.
+        with pytest.raises(InputError, match="alpha"):
+            TetraGenSpec("squeezed", 0, {"alpha": alpha})
+
+    @pytest.mark.parametrize("kind", [0, 3, "1", None])
+    def test_squeezed_kind_must_be_a_type(self, kind):
+        with pytest.raises(InputError, match="kind"):
+            TetraGenSpec("squeezed", 0, {"alpha": (1, 1, 1), "kind": kind})
+
     def test_mac_experiment_reverse_key_must_fit(self):
         # The reverse direction is keyed by seed + 1.
         with pytest.raises(InputError, match="2\\*\\*128 - 1"):
@@ -369,14 +393,21 @@ class TestSqueezeSweep:
         assert max(r.max_ratio for r in sw.rows) <= 10.0 * sw.rows[0].max_ratio
 
     def test_grid_is_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             squeeze_sweep(1, 0, 2.0, alphas=[(1.0, 0.0, 1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             squeeze_sweep(1, 0, 2.0, alphas=[(2.0, 1.0, 1.0)])
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(InputError, match="empty"):
             squeeze_sweep(1, 0, 2.0, alphas=[])
         with pytest.raises(InadmissiblePC):
             squeeze_sweep(1, 1, 2.0)
+
+    def test_all_fields_indeterminate_is_a_numerical_error(self, monkeypatch):
+        # A corpus of one field in P_k leaves no ratio at any grid point.
+        linear = Polynomial3({(1, 0, 0): 1.0, (0, 0, 0): 2.0})
+        monkeypatch.setattr(verify, "corpus", lambda k, t: [("linear", linear)])
+        with pytest.raises(NumericalError, match="indeterminate"):
+            squeeze_sweep(1, 0, 2.0, alphas=[(1.0, 0.5, 0.5)])
 
 
 class TestEquivalenceSample:
@@ -386,6 +417,20 @@ class TestEquivalenceSample:
         assert rep.worst_margin >= 0.0
         assert 0.5 - 1e-9 <= rep.min_ratio <= rep.max_ratio <= 2.0 + 1e-9
         assert rep.worst_tetra is not None
+
+    def test_each_drawn_block_is_measured_once(self, monkeypatch):
+        # The draw's degeneracy test measures the edge lengths, and the
+        # experiments reuse them: one call per block, plus one per reverse
+        # chunk of mac_experiment (one chunk at this seed).
+        calls = []
+        measure = verify.batch_edge_lengths
+        monkeypatch.setattr(verify, "batch_edge_lengths",
+                            lambda verts: calls.append(len(verts)) or measure(verts))
+        equivalence_sample(100, TetraGenSpec(family="mixed", seed=5))
+        assert calls == [100]
+        calls.clear()
+        mac_experiment(40, 0.9 * math.pi, seed=5)
+        assert len(calls) == 2 and calls[0] == 40
 
     def test_regular_ratio_is_one(self):
         from anisotetra.geom import quality_ratio
