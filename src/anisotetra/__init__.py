@@ -1,8 +1,8 @@
 """Interpolation error analysis on arbitrary tetrahedra.
 
 Classification and standard position of tetrahedra, the quality quantities
-R_T and H_T, Lagrange interpolation error bounds driven by R_T/h_T, a
-difference-quotient calculus on lattice refinements of the reference
+R_T and H_T, Lagrange interpolation error bounds driven by R_T/h_T, one
+forward-difference stencil on lattice refinements of the reference
 tetrahedra, and the equivalence between R_T/h_T bounds and the maximum
 angle condition.
 """
@@ -18,7 +18,6 @@ from .errors import (
     InputError,
     InvalidDegree,
     InvalidGammaMax,
-    MissingNodeValue,
     NumericalError,
     ParseError,
     UnsupportedDegree,
@@ -51,17 +50,9 @@ from .geom import (
     volume,
 )
 from .lattice import (
-    Box,
-    difference_quotient,
-    enumerate_boxes,
-    gamma_to_lattice,
-    in_lattice,
-    lattice_points,
-    lattice_to_gamma,
-    node_values,
+    forward_differences,
     nodes_on,
     quotient_coefficients,
-    quotient_from_function,
     quotient_integral,
     sigma_k,
 )

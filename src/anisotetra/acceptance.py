@@ -31,7 +31,7 @@ from .geom import (
     reference_tetrahedron,
 )
 from .interp import Polynomial3, interpolate, monomial_indices
-from .lattice import enumerate_boxes, quotient_coefficients, unit_weights
+from .lattice import forward_differences, quotient_coefficients, unit_weights
 from .quad import rule_for_degree
 from .verify import (
     TetraGenSpec,
@@ -158,7 +158,7 @@ def criterion_5() -> CriterionResult:
         for k in range(1, 6):
             for delta in monomial_indices(k)[1:]:
                 want = math.comb(k - sum(delta) + 3, 3)
-                if len(enumerate_boxes(k, delta, kind)) != want:
+                if len(forward_differences(k, delta, kind)[0]) != want:
                     counts_ok = False
 
     worst = max(max_residual_quotient(k, monomial_indices(k)[1:]) for k in (1, 2, 3, 4))

@@ -45,7 +45,7 @@ from .geom import (
     reference_tetrahedron,
     standard_position,
 )
-from .lattice import Box, quotient_coefficients, quotient_from_function
+from .lattice import forward_differences, quotient_coefficients, unit_weights
 from .verify import corpus, error_ratio, mac_experiment, max_residual_quotient, squeeze_sweep
 
 SCHEMA_VERSION = 1
@@ -456,24 +456,15 @@ def cmd_dq(args) -> int:
         )
     coeffs = quotient_coefficients(delta)
 
-    # Independent check: the quotient reproduces the matching monomial with
-    # value 1 and annihilates every lower-degree monomial.
-    def monomial(exponents):
-        def f(pts):
-            return (
-                pts[:, 0] ** exponents[0]
-                * pts[:, 1] ** exponents[1]
-                * pts[:, 2] ** exponents[2]
-            )
-        return f
-
-    base = (0, 0, 0)
-    match = quotient_from_function(monomial(delta), base, delta, args.k)
-    annihilation = 0.0
-    for eta in Box(base, delta).corners():
-        if eta != delta:
-            q = quotient_from_function(monomial(eta), base, delta, args.k)
-            annihilation = max(annihilation, abs(q))
+    # Independent check: the quotient at base 0 reproduces the matching
+    # monomial with value 1 and annihilates every corner's lower monomial.
+    nodes = unit_weights(args.k) @ reference_tetrahedron(TYPE1).as_array()
+    etas = np.array([eta for eta, _ in coeffs])  # delta is the last corner
+    monomials = np.prod(nodes[None, :, :] ** etas[:, None, :], axis=2)
+    scale = float(args.k) ** sum(delta) / math.prod(map(math.factorial, delta))
+    quotients = scale * (monomials @ forward_differences(args.k, delta, TYPE1)[1][0])
+    match = float(quotients[-1])
+    annihilation = float(np.max(np.abs(quotients[:-1])))
     expansion_ok = abs(match - 1.0) < 1e-9 and annihilation < 1e-9
 
     results = {

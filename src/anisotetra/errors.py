@@ -66,10 +66,6 @@ class IllConditionedBasis(NumericalError):
         self.condition_estimate = condition_estimate
 
 
-class MissingNodeValue(NumericalError):
-    """A difference-quotient stencil node has no supplied value."""
-
-
 class DerivativeUnavailable(NumericalError):
     """A partial derivative beyond the field's declared order was requested."""
 

@@ -4,8 +4,9 @@ Interpolation happens on the unit right-corner reference element, pulled
 back through the affine map x = x_0 + J xi with J = [x_1 - x_0, x_2 - x_0,
 x_3 - x_0], under which the Lagrange nodes of Sigma^k correspond.  There it
 is sum_alpha Delta^alpha f(0) prod_i C(k xi_i, alpha_i) (Gregory-Newton): the
-lattice's quotient coefficients give the forward differences, one fixed matrix
-per k expands the binomials, and that dense vector in xi is the interpolant.
+base-0 rows of the lattice's forward-difference stencils give the
+differences, one fixed matrix per k expands the binomials, and that dense
+vector in xi is the interpolant.
 pull_back returns x_0 and J^{-T} and rejects a degenerate element.
 Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
 chain rule, so a rotated flat element interpolates as well as an
@@ -44,10 +45,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError
-from .geom import Tetrahedron, volume
-from .lattice import quotient_coefficients, sigma_k, unit_weights
-
-MAX_DEGREE = 8
+from .geom import TYPE1, Tetrahedron, volume
+from .lattice import MAX_DEGREE, forward_differences, sigma_k, unit_weights
 
 MultiIndex = tuple[int, int, int]
 
@@ -388,17 +387,13 @@ def _newton(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(newton, diff) with coef = newton @ (diff @ values), the Gregory-Newton
     form of the interpolant of the values at the nodes of sigma_k(k).
 
-    Row alpha of diff (monomial_indices(k) order) is alpha! times
-    lattice.quotient_coefficients(alpha) at the nodes eta, so diff @ values
+    Row alpha of diff (monomial_indices(k) order) is the base-0 row of the
+    Type 1 stencil lattice.forward_differences(k, alpha), so diff @ values
     are the forward differences Delta^alpha f(0).  Column alpha of newton is
     prod_i C(k xi_i, alpha_i) in monomials, gathered from binom[d, a], the x^d
     coefficient of C(kx, a): a signed Stirling number times k^d / a!.
     """
-    node = {gamma[1:]: n for n, gamma in enumerate(sigma_k(k))}
-    diff = np.zeros((len(node), len(node)))
-    for row, alpha in enumerate(monomial_indices(k)):
-        for eta, c in quotient_coefficients(alpha):
-            diff[row, node[eta]] = math.prod(map(math.factorial, alpha)) * c
+    diff = np.array([forward_differences(k, alpha, TYPE1)[1][0] for alpha in monomial_indices(k)])
     binom = np.zeros((k + 1, k + 1))
     for a in range(k + 1):
         falling = np.polynomial.polynomial.polyfromroots(range(a))

@@ -1,13 +1,12 @@
-"""Lattice points and difference quotients on the reference tetrahedra.
+"""Lattice nodes and forward differences on the reference tetrahedra.
 
 For the order-k refinement of a reference tetrahedron (unit right-corner
 Type 1 or its sheared Type 2 companion) the interpolation nodes form an
-integer lattice X^k: a 3D integer point g = (i, j, l) corresponds to a
-barycentric multi-index gamma with |gamma| = k, and the physical node is
-g/k.  Type 1 takes g = (gamma_2, gamma_3, gamma_4); the Type 2 lattice is
-its image under the integer shear (i, j, l) -> (i + j, j, l).  A direction
-multi-index delta selects a box of lattice points (g + eta for
-eta <= delta), and the difference quotient
+integer lattice X^k: the node of a barycentric multi-index gamma with
+|gamma| = k is g/k with g = gamma @ vertices, so Type 1 takes
+g = (gamma_2, gamma_3, gamma_4) and Type 2 its image under the shear
+(i, j, l) -> (i + j, j, l).  A direction multi-index delta selects a box of
+lattice points (g + eta for eta <= delta), and the difference quotient
 
     DQ^delta f(x_g) = k^|delta| * sum_{eta <= delta}
         (-1)^{|delta| - |eta|} / (eta! (delta - eta)!) * f(x_{g + eta})
@@ -16,11 +15,15 @@ approximates d^delta f / delta!.  The quotient equals an iterated integral
 of d^delta f over one ordered simplex per axis, which is what makes the
 calculus exact for polynomials and summable over boxes.
 
-Coefficients are kept as exact fractions; floats enter only when values of
-f do.  The corners eta <= delta are enumerated in one place, Box.corners,
-and the barycentric weights of the nodes of X^k are built once per k,
-unit_weights, a cached read-only table that nodes_on, the p = inf seminorm
-lattice and the acceptance suite share.
+quotient_coefficients keeps those coefficients as exact fractions.  The one
+place where they meet node values is forward_differences(k, delta, kind), a
+cached read-only matrix F whose row per box applies delta! times them to the
+values at the nodes in sigma_k order, so F @ f(nodes) is the forward
+difference Delta^delta f at every box.  The interpolant's forward differences
+Delta^alpha f(0) are the base-0 rows of the Type 1 stencils.  The barycentric
+weights of the nodes of X^k are built once per k, unit_weights, a cached
+read-only table that nodes_on, the stencils, the p = inf seminorm lattice and
+the acceptance suite share.
 
 The package's one Gauss quadrature routine lives here too: gauss_jacobi(n, a)
 builds the n-point rule for the weight (1 - x)^a from numpy alone (Golub and
@@ -30,66 +33,35 @@ quad.rule_for_degree its collapsed-coordinate factors (a = 2, 1, 0).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .errors import MissingNodeValue
-from .geom import TYPE1, TYPE2, reference_tetrahedron
+from .errors import InputError, InvalidDegree
+from .geom import reference_tetrahedron
 
 LatticePoint = tuple[int, int, int]
 MultiIndex = tuple[int, int, int]
 Barycentric = tuple[int, int, int, int]
 
+MAX_DEGREE = 8  # the highest order of interpolation and of a stencil
+
 
 def sigma_k(k: int) -> list[Barycentric]:
     """All barycentric multi-indices gamma >= 0 with |gamma| = k."""
     if k < 0:
-        raise ValueError("k must be >= 0, got %r" % (k,))
+        raise InputError("k must be >= 0, got %r" % (k,))
     out = []
     for g2 in range(k + 1):
         for g3 in range(k + 1 - g2):
             for g4 in range(k + 1 - g2 - g3):
                 out.append((k - g2 - g3 - g4, g2, g3, g4))
     return out
-
-
-def _shear(point: LatticePoint, kind: int, sign: int = 1) -> LatticePoint:
-    """The integer shear (i, j, l) -> (i + j, j, l) that carries X^k of
-    Type 1 onto X^k of Type 2 (sign=-1 inverts it); Type 1 is fixed."""
-    if kind not in (TYPE1, TYPE2):
-        raise ValueError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
-    i, j, l = point
-    return (i + sign * j, j, l) if kind == TYPE2 else (i, j, l)
-
-
-def in_lattice(point: LatticePoint, k: int, kind: int) -> bool:
-    """Membership of an integer point in X^k of the given reference kind."""
-    i, j, l = _shear(point, kind, -1)
-    return i >= 0 and j >= 0 and l >= 0 and i + j + l <= k
-
-
-def lattice_points(k: int, kind: int) -> list[LatticePoint]:
-    """X^k in lexicographic order; exactly C(k+3, 3) points for both kinds."""
-    return sorted(gamma_to_lattice(gamma, kind) for gamma in sigma_k(k))
-
-
-def lattice_to_gamma(point: LatticePoint, k: int, kind: int) -> Barycentric:
-    """Barycentric multi-index of a lattice point."""
-    i, j, l = _shear(point, kind, -1)
-    gamma = (k - i - j - l, i, j, l)
-    if min(gamma) < 0:
-        raise ValueError("point %r not in X^%d of kind %d" % (point, k, kind))
-    return gamma
-
-
-def gamma_to_lattice(gamma: Barycentric, kind: int) -> LatticePoint:
-    """Inverse of lattice_to_gamma; k is implicit in |gamma|."""
-    return _shear(gamma[1:], kind)
 
 
 @lru_cache(maxsize=16)
@@ -114,50 +86,9 @@ def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
     return sigma_k(k), unit_weights(k) @ verts
 
 
-def node_values(
-    f: Callable[[np.ndarray], np.ndarray], k: int, kind: int
-) -> dict[LatticePoint, float]:
-    """f at the nodes of X^k on the reference element of the given kind,
-    keyed by lattice point (gamma_to_lattice of each node's multi-index)."""
-    gammas, nodes = nodes_on(reference_tetrahedron(kind).coords(), k)
-    values = np.asarray(f(nodes), dtype=float).reshape(-1).tolist()
-    return {gamma_to_lattice(g, kind): x for g, x in zip(gammas, values)}
-
-
-@dataclass(frozen=True)
-class Box:
-    """The lattice box with corners base + eta, 0 <= eta <= delta."""
-
-    base: LatticePoint
-    delta: MultiIndex
-
-    def corners(self) -> list[LatticePoint]:
-        b, d = self.base, self.delta
-        return [
-            (b[0] + e0, b[1] + e1, b[2] + e2)
-            for e0 in range(d[0] + 1)
-            for e1 in range(d[1] + 1)
-            for e2 in range(d[2] + 1)
-        ]
-
-
-def enumerate_boxes(k: int, delta: MultiIndex, kind: int) -> list[Box]:
-    """All boxes of direction delta fully contained in X^k.
-
-    The count is C(k - |delta| + 3, 3) for both reference kinds.
-    """
-    if min(delta) < 0 or sum(delta) == 0:
-        raise ValueError("delta must be nonnegative and nonzero, got %r" % (delta,))
-    boxes = []
-    for base in lattice_points(k, kind):
-        if all(in_lattice(c, k, kind) for c in Box(base, delta).corners()):
-            boxes.append(Box(base, delta))
-    return boxes
-
-
 def quotient_coefficients(delta: MultiIndex) -> list[tuple[MultiIndex, Fraction]]:
     """Exact coefficients (-1)^{|delta - eta|} / (eta! (delta - eta)!), one per
-    corner eta of Box((0, 0, 0), delta), in the order of its corners."""
+    corner eta <= delta of the box at 0, in lexicographic order of eta."""
     def factorials(eta):
         return math.prod(
             math.factorial(e) * math.factorial(d - e) for e, d in zip(eta, delta)
@@ -165,39 +96,48 @@ def quotient_coefficients(delta: MultiIndex) -> list[tuple[MultiIndex, Fraction]
 
     return [
         (eta, Fraction((-1) ** (sum(delta) - sum(eta)), factorials(eta)))
-        for eta in Box((0, 0, 0), delta).corners()
+        for eta in itertools.product(*(range(d + 1) for d in delta))
     ]
 
 
-def difference_quotient(
-    values: Mapping[LatticePoint, float],
-    base: LatticePoint,
-    delta: MultiIndex,
-    k: int,
-) -> float:
-    """The quotient at a box from node values keyed by lattice point.
+def forward_differences(k: int, delta: MultiIndex, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward difference Delta^delta on X^k of the reference element of
+    the given kind: read-only (bases, F), built once per (k, delta, kind).
 
-    Raises MissingNodeValue when a corner of the box has no value.
+    bases is (B, 3) int, every lattice point g whose box g + eta, eta <= delta,
+    lies in X^k, in lexicographic order.  F is (B, C(k+3, 3)) with columns in
+    sigma_k(k) order; row b holds the integers delta! * quotient_coefficients
+    at the box's corners, so F @ f(nodes) is Delta^delta f at every base and
+    k^|delta| / delta! times it the difference quotient.  The lattice point of
+    node j is rint(k * unit_weights(k)[j] @ vertices): on Type 2 the shear.
+    An order k outside 1..MAX_DEGREE raises InvalidDegree, and a delta that
+    is not three integers >= 0 or an unknown kind InputError.
     """
-    total = 0.0
-    for eta, coeff in quotient_coefficients(delta):
-        p = (base[0] + eta[0], base[1] + eta[1], base[2] + eta[2])
-        if p not in values:
-            raise MissingNodeValue("no value at lattice point %r" % (p,))
-        total += float(coeff) * values[p]
-    return float(k) ** sum(delta) * total
+    delta = tuple(delta)
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= MAX_DEGREE):
+        raise InvalidDegree("stencil order k must be an integer in 1..%d, got %r" % (MAX_DEGREE, k))
+    if len(delta) != 3 or not all(isinstance(d, numbers.Integral) and d >= 0 for d in delta):
+        raise InputError("delta must be three integers >= 0, got %r" % (delta,))
+    return _stencil(int(k), tuple(map(int, delta)), kind)
 
 
-def quotient_from_function(
-    f: Callable[[np.ndarray], np.ndarray],
-    base: LatticePoint,
-    delta: MultiIndex,
-    k: int,
-) -> float:
-    """Difference quotient of f sampled at the lattice nodes g/k."""
-    corners = Box(base, delta).corners()
-    vals = np.asarray(f(np.array(corners, dtype=float) / k), dtype=float).reshape(-1)
-    return difference_quotient(dict(zip(corners, vals.tolist())), base, delta, k)
+@lru_cache(maxsize=None)
+def _stencil(k: int, delta: MultiIndex, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    points = np.rint(k * unit_weights(k) @ reference_tetrahedron(kind).as_array()).astype(int)
+    # column[g] is the node at lattice point g, -1 off X^k; corners reach k + delta.
+    column = np.full([k + d + 1 for d in delta], -1)
+    column[tuple(points.T)] = np.arange(len(points))
+    coeffs = quotient_coefficients(delta)
+    bases = points[np.lexsort(points.T[::-1])]
+    corners = bases[:, None, :] + np.array([eta for eta, _ in coeffs])
+    cols = column[tuple(np.moveaxis(corners, 2, 0))]
+    inside = (cols >= 0).all(axis=1)
+    bases, cols = bases[inside], cols[inside]
+    scale = math.prod(map(math.factorial, delta))
+    diff = np.zeros((len(bases), len(points)))
+    diff[np.arange(len(bases))[:, None], cols] = [float(scale * c) for _, c in coeffs]
+    bases.flags.writeable = diff.flags.writeable = False
+    return bases, diff
 
 
 @lru_cache(maxsize=64)

@@ -43,12 +43,13 @@ first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, NumericalError, UnsupportedDegree
+from .errors import DegenerateTetrahedron, InputError, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
 from .interp import ScalarField, _is_count, as_field, derivative_indices, pull_back
 from .lattice import gauss_jacobi, unit_weights
@@ -109,17 +110,19 @@ def rule_for_degree(d: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class SeminormSpec:
-    """Order m (stored as a Python int) and exponent p (math.inf allowed)."""
+    """Order m (stored as a Python int) and exponent p (math.inf allowed);
+    an order that is not an integer >= 0 or a p that is not a real >= 1
+    raises InputError."""
 
     m: int
     p: float
 
     def __post_init__(self):
         if not _is_count(self.m):
-            raise ValueError("seminorm order m must be an integer >= 0, got %r" % (self.m,))
+            raise InputError("seminorm order m must be an integer >= 0, got %r" % (self.m,))
         object.__setattr__(self, "m", int(self.m))
-        if not self.p >= 1:  # also rejects NaN
-            raise ValueError("exponent p must be >= 1 or inf, got %r" % (self.p,))
+        if not (isinstance(self.p, numbers.Real) and self.p >= 1):  # also rejects NaN
+            raise InputError("exponent p must be >= 1 or inf, got %r" % (self.p,))
 
 
 def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:

@@ -11,8 +11,9 @@ The experiments here are the executable form of the package's claims:
   partial_fn); a plain callable has values only and is refused.
 * ``squeeze_sweep`` tracks that quotient while a reference element is
   squeezed anisotropically; the constant must not blow up as alpha -> 0.
-* ``max_residual_quotient`` takes difference quotients of the interpolation
-  residual on the reference lattices, which vanish for every field.
+* ``max_residual_quotient`` applies the lattice's forward-difference
+  stencils to the interpolation residual at the nodes of both reference
+  elements; its difference quotients vanish for every field.
 * ``equivalence_sample`` samples the two quality quantities R_T and H_T and
   checks H_T/2 <= R_T <= 2 H_T.
 * ``mac_experiment`` tests both directions of the maximum angle condition
@@ -76,7 +77,7 @@ from .interp import (
     pull_back,
     residual,
 )
-from .lattice import difference_quotient, enumerate_boxes, node_values, unit_weights
+from .lattice import forward_differences, unit_weights
 from .quad import SeminormSpec, seminorms_with_info, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
@@ -93,6 +94,9 @@ _REGULAR = np.array([
 _REGULAR_QUALITY = 6.0 * math.sqrt(2.0)
 # Minimum possible maximum angle: the regular tetrahedron's dihedral.
 _MIN_MAX_ANGLE = math.acos(1.0 / 3.0)
+# The acceptance rate that sizes mac_experiment's first reverse chunk: about
+# the lowest over gamma_max (0.61 near pi/3), so a second chunk is rare.
+_REVERSE_PRIOR_RATE = 0.6
 
 FAMILIES = ("uniform", "needle", "sliver", "squeezed", "mac", "mixed")
 
@@ -109,7 +113,8 @@ class TetraGenSpec:
     mixed              cycles uniform, needle, sliver per sample index
 
     eps defaults to a log-uniform draw per sample (needle in [1e-6, 1],
-    sliver in [1e-6, 1e-1]).  The seed, a Philox key, lies in [0, 2**128).
+    sliver in [1e-6, 1e-1]); a given eps must be finite and nonzero.  The
+    seed, a Philox key, lies in [0, 2**128).
     """
 
     family: str = "uniform"
@@ -135,6 +140,8 @@ def _check_params(params: dict):
         x = params.get(name)
         if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
             raise InputError("params[%r] must be a finite real number, got %r" % (name, x))
+    if params.get("eps") == 0:
+        raise InputError("params['eps'] must be nonzero: every needle and sliver would be flat")
     if "alpha" in params:
         try:
             alpha = np.asarray(params["alpha"], dtype=float)
@@ -560,7 +567,9 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
 
 def max_residual_quotient(k: int, deltas) -> float:
     """The largest |DQ^delta (v - I^k v)| over both reference kinds, the
-    corpus fields v, the given deltas and every box of X^k.
+    corpus fields v, the given deltas and every box of X^k: per kind and
+    delta, one product of the stencil with the (fields, nodes) residual values,
+    scaled by k^|delta| / delta!.
 
     The interpolation residual vanishes at every node, so each quotient is
     zero up to roundoff.
@@ -568,11 +577,12 @@ def max_residual_quotient(k: int, deltas) -> float:
     worst = 0.0
     for kind in (TYPE1, TYPE2):
         ref = reference_tetrahedron(kind)
-        for _, v in corpus(k, ref):
-            values = node_values(residual(v, ref, k), k, kind)
-            for delta in deltas:
-                for box in enumerate_boxes(k, delta, kind):
-                    worst = max(worst, abs(difference_quotient(values, box.base, delta, k)))
+        nodes = unit_weights(k) @ ref.as_array()
+        values = np.array([residual(v, ref, k)(nodes) for _, v in corpus(k, ref)])
+        for delta in deltas:
+            diff = forward_differences(k, delta, kind)[1]
+            scale = float(k) ** sum(delta) / math.prod(map(math.factorial, delta))
+            worst = max(worst, scale * float(np.max(np.abs(diff @ values.T), initial=0.0)))
     return worst
 
 
@@ -697,8 +707,8 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
     # Reverse: samples with R_T/h_T <= D must satisfy the per-type converse
     # angle bound.  Near-regular proposals keep the acceptance rate usable
     # even when D is close to its minimum 6*sqrt(2).  Attempts are drawn in
-    # chunks sized by the acceptance rate so far; reverse_attempts counts up
-    # to the n-th acceptance only.
+    # chunks sized by the acceptance rate so far, the first by a prior rate;
+    # reverse_attempts counts up to the n-th acceptance only.
     reverse_violations = []
     amplitude = 0.6 * max(0.0, min(1.0, d / _REGULAR_QUALITY - 1.0))
     gamma_prime = {kind: mac_reverse_gamma(d, kind) for kind in (TYPE1, TYPE2)}
@@ -706,7 +716,7 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
     attempts = 0
     cap = 200 * n
     while checked < n and attempts < cap:
-        rate = max(checked, 1) / attempts if attempts else 1.0
+        rate = max(checked, 1) / attempts if attempts else _REVERSE_PRIOR_RATE
         stop = min(cap, attempts + BLOCK, attempts + math.ceil((n - checked) / rate) + 8)
         verts = _reverse_block(seed + 1, attempts, stop, amplitude)
         lengths = batch_edge_lengths(verts)

@@ -403,6 +403,7 @@ def test_dq_delta_validation(capsys):
     assert run(["dq", "--k", "2", "--delta", "1,-1,1"], capsys)[0] == 2
     assert run(["dq", "--k", "1", "--delta", "1,1,1"], capsys)[0] == 2
     assert run(["dq", "--k", "2", "--delta", "1,1"], capsys)[0] == 2
+    assert run(["dq", "--k", "60", "--delta", "1,0,0"], capsys)[0] == 2  # k above MAX_DEGREE
 
 
 # ---------------------------------------------------------------------------

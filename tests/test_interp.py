@@ -31,7 +31,7 @@ from anisotetra.interp import (
     pull_back,
     residual,
 )
-from anisotetra.lattice import nodes_on, quotient_from_function
+from anisotetra.lattice import nodes_on, quotient_coefficients
 from anisotetra.quad import SeminormSpec, seminorm
 from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, error_ratio, generate
 from exact_poly import Exact, degree7_cases, exact_partial_rows
@@ -392,9 +392,10 @@ class TestInterpolation:
     @pytest.mark.parametrize("t", [T_HAT, ROTATED_ANISO], ids=["reference", "rotated"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_newton_form_of_the_lattice_quotients(self, t, k):
-        # I f(xi) = sum_alpha alpha! k^-|alpha| DQ^alpha (f o F)(0)
-        #           * prod_i C(k xi_i, alpha_i), with DQ^alpha the lattice's
-        # difference quotient at base 0 and F(xi) = x_0 + J xi.
+        # I f(xi) = sum_alpha Delta^alpha (f o F)(0) * prod_i C(k xi_i, alpha_i),
+        # with the forward difference Delta^alpha = alpha! times the sum of
+        # the exact quotient coefficients against f o F at eta/k, eta <= alpha,
+        # and F(xi) = x_0 + J xi.
         def f(pts):
             return np.sin(pts @ np.array([1.0, 2.0, 3.0]))
 
@@ -405,11 +406,10 @@ class TestInterpolation:
         xi, pts = bary[:, 1:], bary @ verts
         want = np.zeros(len(xi))
         for alpha in monomial_indices(k):
-            quotient = quotient_from_function(
-                lambda p: f(verts[0] + p @ jac.T), (0, 0, 0), alpha, k
-            )
-            scale = math.prod(map(math.factorial, alpha)) * float(k) ** -sum(alpha)
-            want += scale * quotient * np.prod(binom(k * xi, np.array(alpha)), axis=1)
+            etas, coeffs = zip(*quotient_coefficients(alpha))
+            values = f(verts[0] + np.array(etas) / k @ jac.T)
+            forward = math.prod(map(math.factorial, alpha)) * np.dot(np.array(coeffs, dtype=float), values)
+            want += forward * np.prod(binom(k * xi, np.array(alpha)), axis=1)
         got = interpolate(f, t, k).evaluate(pts)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 

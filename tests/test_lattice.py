@@ -1,27 +1,21 @@
-"""Lattice, box enumeration and difference-quotient tests."""
+"""Lattice nodes, the forward-difference stencil and quotient tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from anisotetra.errors import MissingNodeValue
+from anisotetra.errors import InputError
 from anisotetra.geom import TYPE1, TYPE2, reference_tetrahedron
+from anisotetra.interp import _newton, monomial_indices
 from anisotetra.lattice import (
-    Box,
     _ordered_simplex_rule,
-    difference_quotient,
-    enumerate_boxes,
-    gamma_to_lattice,
+    forward_differences,
     gauss_jacobi,
-    in_lattice,
-    lattice_points,
-    lattice_to_gamma,
-    node_values,
     nodes_on,
     quotient_coefficients,
-    quotient_from_function,
     quotient_integral,
     sigma_k,
     unit_weights,
@@ -55,40 +49,73 @@ def simplex_dim(d):
     return math.comb(d + 3, 3)
 
 
+def brute_lattice(k, kind):
+    """X^k in lexicographic order by brute force: (i, j, l) >= 0 with
+    i + j + l <= k, and on Type 2 its shear (i + j, j, l)."""
+    return sorted(
+        (i + j if kind == TYPE2 else i, j, l)
+        for i, j, l in itertools.product(range(k + 1), repeat=3)
+        if i + j + l <= k
+    )
+
+
+def brute_bases(k, delta, kind):
+    """The points g of X^k whose box g + eta, eta <= delta, lies in X^k."""
+    lattice = brute_lattice(k, kind)
+    corners = list(itertools.product(*(range(d + 1) for d in delta)))
+    return [g for g in lattice
+            if all(tuple(np.add(g, eta).tolist()) in lattice for eta in corners)]
+
+
+def quotients(f, k, delta, kind):
+    """DQ^delta f at every base: the stencil against f at the nodes, times
+    k^|delta| / delta!."""
+    _, nodes = nodes_on(reference_tetrahedron(kind).coords(), k)
+    scale = float(k) ** sum(delta) / math.prod(map(math.factorial, delta))
+    return scale * (forward_differences(k, delta, kind)[1] @ f(nodes))
+
+
 class TestLattice:
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_point_count_is_dim_pk(self, k, kind):
-        assert len(lattice_points(k, kind)) == simplex_dim(k)
+        # delta = 0: every lattice point is a base, and each row picks its node.
+        bases, diff = forward_differences(k, (0, 0, 0), kind)
+        assert len(bases) == diff.shape[1] == simplex_dim(k)
+        assert set(diff.ravel().tolist()) == {0.0, 1.0}
+        assert np.array_equal(diff @ diff.T, np.eye(len(bases)))
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gamma_roundtrip(self, k, kind):
-        for point in lattice_points(k, kind):
-            gamma = lattice_to_gamma(point, k, kind)
+        # Lattice point -> its node's column -> gamma -> the point again.
+        bases, diff = forward_differences(k, (0, 0, 0), kind)
+        verts = reference_tetrahedron(kind).as_array()
+        for base, row in zip(bases.tolist(), diff):
+            gamma = sigma_k(k)[int(np.flatnonzero(row)[0])]
             assert sum(gamma) == k
             assert all(g >= 0 for g in gamma)
-            assert gamma_to_lattice(gamma, kind) == point
+            assert (np.array(gamma) @ verts).tolist() == base
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     def test_membership_matches_enumeration(self, kind):
-        k = 3
-        points = set(lattice_points(k, kind))
-        for i in range(-1, k + 2):
-            for j in range(-1, k + 2):
-                for l in range(-1, k + 2):
-                    assert in_lattice((i, j, l), k, kind) == ((i, j, l) in points)
+        for k in (1, 3, 5):
+            bases = forward_differences(k, (0, 0, 0), kind)[0]
+            assert list(map(tuple, bases.tolist())) == brute_lattice(k, kind)
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_reference_nodes_are_points_over_k(self, k, kind):
+        # k * nodes are the lattice points; on Type 2 the sheared ones.
         ref = reference_tetrahedron(kind)
         gammas, nodes = nodes_on(ref.coords(), k)
-        got = {tuple(np.round(x * k).astype(int)) for x in nodes}
-        assert got == set(lattice_points(k, kind))
+        got = sorted(tuple(np.round(x * k).astype(int).tolist()) for x in nodes)
+        assert got == brute_lattice(k, kind)
 
     def test_sigma_k_count(self):
         assert len(sigma_k(2)) == simplex_dim(2)
+        with pytest.raises(InputError):
+            sigma_k(-1)
 
     def test_nodes_on_degree_zero_is_centroid(self):
         ref = reference_tetrahedron(TYPE1)
@@ -113,28 +140,64 @@ class TestBoxes:
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_count_is_dim_p_k_minus_delta(self, k, kind):
-        for delta in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)]:
-            if sum(delta) > k:
-                continue
-            boxes = enumerate_boxes(k, delta, kind)
-            assert len(boxes) == simplex_dim(k - sum(delta))
+        for delta in monomial_indices(k)[1:]:
+            bases = forward_differences(k, delta, kind)[0]
+            assert list(map(tuple, bases.tolist())) == brute_bases(k, delta, kind), delta
+            assert len(bases) == simplex_dim(k - sum(delta))
 
     def test_corners_stay_in_lattice(self):
+        # Each row's nonzero columns are the nodes at its box's corners.
+        k, delta = 3, (1, 1, 0)
+        corners = list(itertools.product(*(range(d + 1) for d in delta)))
         for kind in (TYPE1, TYPE2):
-            for box in enumerate_boxes(3, (1, 1, 0), kind):
-                for corner in box.corners():
-                    assert in_lattice(corner, 3, kind)
+            _, nodes = nodes_on(reference_tetrahedron(kind).coords(), k)
+            points = np.rint(k * nodes).astype(int)
+            bases, diff = forward_differences(k, delta, kind)
+            for base, row in zip(bases, diff):
+                got = sorted(map(tuple, points[np.flatnonzero(row)].tolist()))
+                assert got == sorted(tuple((base + eta).tolist()) for eta in corners)
 
     @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 2, 1), (2, 1, 1), (1, 3, 0), (2, 2, 2)])
     def test_quotient_terms_follow_box_corners(self, delta):
+        # The terms run over the corners eta <= delta in lexicographic order,
+        # and the base-0 row of the stencil is delta! times them.
         etas = [eta for eta, _ in quotient_coefficients(delta)]
-        assert etas == Box((0, 0, 0), delta).corners()
+        assert etas == list(itertools.product(*(range(d + 1) for d in delta)))
+        k = sum(delta)
+        bases, diff = forward_differences(k, delta, TYPE1)
+        assert bases[0].tolist() == [0, 0, 0]
+        column = {gamma[1:]: j for j, gamma in enumerate(sigma_k(k))}
+        want = np.zeros(diff.shape[1])
+        for eta, c in quotient_coefficients(delta):
+            want[column[eta]] = math.prod(map(math.factorial, delta)) * c
+        assert np.array_equal(diff[0], want)
 
-    def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_boxes(2, (0, 0, 0), TYPE1)
-        with pytest.raises(ValueError):
-            enumerate_boxes(2, (-1, 1, 0), TYPE1)
+    def test_bad_arguments_rejected(self):
+        for args in [(2, (-1, 1, 0), TYPE1), (2, (1, 0), TYPE1), (2, (1.5, 0, 0), TYPE1),
+                     (2, (1, 0, 0), 3), (0, (1, 0, 0), TYPE1), (9, (1, 0, 0), TYPE1)]:
+            with pytest.raises(InputError):
+                forward_differences(*args)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_newton_differences_are_the_base_zero_rows(self, k):
+        # The interpolant's forward differences, row alpha of _newton(k)[1],
+        # are bitwise the base-0 rows of the Type 1 stencils and alpha! times
+        # the exact coefficients.
+        column = {gamma[1:]: j for j, gamma in enumerate(sigma_k(k))}
+        want = np.zeros((len(column), len(column)))
+        for row, alpha in enumerate(monomial_indices(k)):
+            for eta, c in quotient_coefficients(alpha):
+                want[row, column[eta]] = math.prod(map(math.factorial, alpha)) * c
+        rows = [forward_differences(k, alpha, TYPE1)[1][0] for alpha in monomial_indices(k)]
+        diff = _newton(k)[1]
+        assert diff.tobytes() == np.array(rows).tobytes() == want.tobytes()
+
+    def test_stencil_is_cached_and_read_only(self):
+        bases, diff = forward_differences(3, (1, 1, 0), TYPE2)
+        assert forward_differences(3, [1, 1, 0], TYPE2)[1] is diff
+        for array in (bases, diff):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestQuotientCoefficients:
@@ -167,50 +230,37 @@ class TestQuotientCoefficients:
 class TestDifferenceQuotient:
     def test_exact_on_matching_monomial(self):
         # f = x^2 y z, delta = (2,1,1): the quotient equals d^delta f/delta!
-        # = 1 exactly, from any base box and any k.
-        k = 4
-        delta = (2, 1, 1)
+        # = 1 exactly, on every box of both kinds.
         def f(pts):
             return pts[:, 0] ** 2 * pts[:, 1] * pts[:, 2]
-        for box in enumerate_boxes(k, delta, TYPE1):
-            q = quotient_from_function(f, box.base, delta, k)
-            assert abs(q - 1.0) < 1e-9
+        for kind in (TYPE1, TYPE2):
+            q = quotients(f, 4, (2, 1, 1), kind)
+            assert len(q) == simplex_dim(0)
+            assert np.max(np.abs(q - 1.0)) < 1e-9
 
     def test_annihilates_lower_degree(self):
-        k = 3
-        delta = (1, 1, 1)
         def f(pts):
             return 2.0 + 3.0 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 2]
-        for box in enumerate_boxes(k, delta, TYPE2):
-            q = quotient_from_function(f, box.base, delta, k)
-            assert abs(q) < 1e-12
+        for kind in (TYPE1, TYPE2):
+            q = quotients(f, 3, (1, 1, 1), kind)
+            assert len(q) and np.max(np.abs(q)) < 1e-12
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     def test_node_values_keyed_by_lattice_point(self, kind):
         # q = xyz, delta = (1,1,1): the quotient is d^delta q/delta! = 1 on
-        # every box, which holds only if each value sits at its own point.
+        # every box, which holds only if each column of the stencil is the
+        # node at its own lattice point.
         def q(pts):
             return pts[:, 0] * pts[:, 1] * pts[:, 2]
-        k, delta = 4, (1, 1, 1)
-        values = node_values(q, k, kind)
-        assert sorted(values) == lattice_points(k, kind)
-        for box in enumerate_boxes(k, delta, kind):
-            assert abs(difference_quotient(values, box.base, delta, k) - 1.0) < 1e-12
-
-    def test_missing_node_raises(self):
-        values = {p: 0.0 for p in lattice_points(2, TYPE1)}
-        box = enumerate_boxes(2, (1, 0, 0), TYPE1)[0]
-        del values[box.corners()[-1]]
-        with pytest.raises(MissingNodeValue):
-            difference_quotient(values, box.base, (1, 0, 0), 2)
+        got = quotients(q, 4, (1, 1, 1), kind)
+        assert len(got) == simplex_dim(1)
+        assert np.max(np.abs(got - 1.0)) < 1e-12
 
     def test_scaling_in_k(self):
         # For f linear the quotient is k * (f(base+e)/k - f(base)/k) = df.
         for k in (1, 2, 5):
-            q = quotient_from_function(
-                lambda pts: 7.0 * pts[:, 0], (0, 0, 0), (1, 0, 0), k
-            )
-            assert abs(q - 7.0) < 1e-12
+            q = quotients(lambda pts: 7.0 * pts[:, 0], k, (1, 0, 0), TYPE1)
+            assert np.max(np.abs(q - 7.0)) < 1e-12
 
 
 class TestQuotientIntegral:
@@ -230,9 +280,9 @@ class TestQuotientIntegral:
             coef = a[0] ** delta[0] * a[1] ** delta[1] * a[2] ** delta[2]
             return coef * np.exp(np.asarray(pts) @ a)
 
-        for box in enumerate_boxes(k, delta, TYPE1)[:6]:
-            q = quotient_from_function(f, box.base, delta, k)
-            qi = quotient_integral(derivative, box.base, delta, k, points_per_dim=8)
+        bases = forward_differences(k, delta, TYPE1)[0]
+        for base, q in list(zip(bases.tolist(), quotients(f, k, delta, TYPE1)))[:6]:
+            qi = quotient_integral(derivative, tuple(base), delta, k, points_per_dim=8)
             assert abs(q - qi) < 1e-11 * max(1.0, abs(q))
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
@@ -244,9 +294,9 @@ class TestQuotientIntegral:
             return np.exp(np.asarray(pts) @ a)
 
         for n in (3, 6):
-            for box in enumerate_boxes(5, delta, kind)[:6]:
-                want = ref_quotient_integral(derivative, box.base, delta, 5, n)
-                assert quotient_integral(derivative, box.base, delta, 5, n) == want
+            for base in forward_differences(5, delta, kind)[0][:6].tolist():
+                want = ref_quotient_integral(derivative, base, delta, 5, n)
+                assert quotient_integral(derivative, base, delta, 5, n) == want
 
 
 def jacobi_moment(d, a, absolute=False):

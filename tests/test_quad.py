@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisotetra import quad
-from anisotetra.errors import NumericalError, UnsupportedDegree
+from anisotetra.errors import InputError, NumericalError, UnsupportedDegree
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices, residual
@@ -237,17 +237,19 @@ class TestSeminorm:
         assert info.warnings
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             SeminormSpec(-1, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             SeminormSpec(0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             SeminormSpec(0, math.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             SeminormSpec(1.5, 2.0)
+        with pytest.raises(InputError):
+            SeminormSpec(0, "2")
 
     def test_spec_order_is_a_python_int(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             SeminormSpec(True, 2.0)
         assert type(SeminormSpec(np.int64(1), 2.0).m) is int
 

@@ -313,6 +313,33 @@ def test_geometry_has_one_kernel_per_quantity():
     assert [name for name in scalar if not reaches_kernel(name, set())] == []
 
 
+def test_difference_calculus_has_one_stencil():
+    # The forward difference on X^k has one implementation, the cached
+    # stencil lattice.forward_differences: the interpolant, the residual
+    # quotients and the dq command apply it, and the exact coefficients are
+    # read only where the stencil is built and where dq and criterion 5 print
+    # or check them.  The dict-keyed lattice API that it replaced is gone.
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    gone = {"Box", "enumerate_boxes", "difference_quotient", "quotient_from_function",
+            "node_values", "in_lattice", "lattice_points", "lattice_to_gamma",
+            "gamma_to_lattice", "_shear", "MissingNodeValue"}
+    names = {n.name for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    names = names.union(*map(name_uses, trees.values()))
+    assert not gone & names, gone & names
+    callers = {}  # callee -> {(module, top-level definition)}
+    for module, tree in trees.items():
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call):
+                    callee = ast.unparse(n.func).split(".")[-1]
+                    callers.setdefault(callee, set()).add((module, getattr(top, "name", None)))
+    for caller in [("interp", "_newton"), ("verify", "max_residual_quotient"), ("cli", "cmd_dq")]:
+        assert caller in callers["forward_differences"], caller
+    outside = {c for c in callers["quotient_coefficients"] if c[0] != "lattice"}
+    assert outside == {("cli", "cmd_dq"), ("acceptance", "criterion_5")}, outside
+
+
 def test_package_imports_without_scipy():
     # scipy is a test-only dependency: importing scipy.special alone costs
     # more set-up time and memory than numpy.  A fresh interpreter, since

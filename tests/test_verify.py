@@ -133,6 +133,13 @@ class TestGenerate:
         with pytest.raises(InputError, match="gamma"):
             generate(TetraGenSpec(family="mac"), 1)
 
+    @pytest.mark.parametrize("family", ["needle", "sliver", "mixed"])
+    def test_zero_eps_is_an_input_error(self, family):
+        # eps = 0 would make every needle and sliver flat, and each sample
+        # would spend the whole attempt budget before GenerationFailure.
+        with pytest.raises(InputError, match="eps"):
+            TetraGenSpec(family, 0, {"eps": 0.0})
+
     def test_non_numeric_eps_is_an_input_error(self):
         with pytest.raises(InputError, match="eps"):
             TetraGenSpec("needle", 0, {"eps": "x"})
@@ -469,6 +476,19 @@ class TestMacExperiment:
     def test_invalid_gamma_rejected(self):
         with pytest.raises(InvalidGammaMax):
             mac_experiment(10, 0.5)
+
+    @pytest.mark.parametrize("gamma", [math.pi / 3 + 0.01, 0.9 * math.pi], ids=["tight", "wide"])
+    def test_reverse_direction_draws_one_chunk(self, gamma, monkeypatch):
+        # The first chunk is sized by a prior acceptance rate.  Proposal j
+        # always comes from stream j and reverse_attempts counts up to the
+        # n-th acceptance, so the report does not depend on the chunking.
+        chunks = []
+        real = verify._reverse_block
+        monkeypatch.setattr(verify, "_reverse_block", lambda *a: chunks.append(a) or real(*a))
+        reports = [mac_experiment(40, gamma, seed) for seed in range(10)]
+        assert len(chunks) == 10
+        monkeypatch.setattr(verify, "_REVERSE_PRIOR_RATE", 1.0)
+        assert [mac_experiment(40, gamma, seed) for seed in range(10)] == reports
 
 
 QUADRATIC = Polynomial3({(2, 0, 0): 1e8, (0, 1, 1): 3e7})
