@@ -15,12 +15,14 @@ Walther, Evaluating Derivatives, 2008) over (N, 3) point arrays and yields
 every partial of the requested orders.  A jet pays only for what it forms:
 the root forms only the parts that are asked for, a product pairs only the
 parts that do not vanish, a Taylor coefficient is computed only for the
-parts that use it, and the parser folds every affine subtree (numbers, x,
-y, z, sums, differences, products with a constant and quotients by a
-constant) into one Affine node, whose value is its terms summed in source
-order and whose only higher part is a constant gradient.  The corpus's
-affine arguments so evaluate as the unfolded tree does, bitwise.
-Parse errors carry the offending position and render a caret diagnostic.
+parts that use it, the root's own parts are scaled by gamma! in place into
+the arrays handed to the caller, and the parser folds every affine subtree
+(numbers, x, y, z, sums, differences, products with a constant and
+quotients by a constant) into one Affine node, whose value is its terms
+summed in source order and whose only higher part is a constant, read-only
+gradient.  The corpus's affine arguments so evaluate as the unfolded tree
+does, bitwise.  Parse errors carry the offending position and render a
+caret diagnostic.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import ScalarField, _times, derivative_indices
+from .interp import ScalarField, _points, _times, derivative_indices
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -153,17 +155,31 @@ class Node:
     def partials_of(self, orders, pts) -> list[np.ndarray]:
         """For each m in orders, every d^gamma with |gamma| = m at pts, rows
         in derivative_indices(m) order: one jet of order max(orders) that
-        forms only the parts in orders at the root.  Numpy warnings are
-        silenced: callers check finiteness."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = []
+        forms only the parts in orders at the root.  pts is an (N, 3) array
+        or interp.Samples.  Each result is a new array for the caller:
+        a part the root formed in this call, a writable (M_m, N) array, is
+        scaled by gamma! in place (a no-op for m <= 1), a constant or cached
+        part is scaled into a new array, and an order asked again is a copy.
+        Numpy warnings are silenced: callers check finiteness."""
+        pts = _points(pts)
+        out, done = [], {}
         with np.errstate(all="ignore"):
             jet = self.jet(pts, max(orders), tuple(sorted(set(orders))))
             for m in orders:
-                shape = (_factorials(m).shape[0], pts.shape[0])
+                if m in done:
+                    out.append(done[m].copy())
+                    continue
+                fact = _factorials(m)
+                shape = (fact.shape[0], pts.shape[0])
                 part = jet[m]
-                out.append(np.zeros(shape) if part is None
-                           else np.multiply(part, _factorials(m), out=np.empty(shape)))
+                if part is None:
+                    part = np.zeros(shape)
+                elif not (isinstance(part, np.ndarray) and part.shape == shape
+                          and part.flags.writeable):
+                    part = np.multiply(part, fact, out=np.empty(shape))
+                elif m > 1:
+                    np.multiply(part, fact, out=part)
+                out.append(done.setdefault(m, part))
         return out
 
     def partials(self, m: int, pts) -> np.ndarray:
@@ -195,6 +211,7 @@ class Affine(Node):
         for c, axis in self.terms:
             if axis is not None:
                 out[axis] += c
+        out.flags.writeable = False  # shared by every jet; never scaled in place
         return out
 
     def scaled(self, s) -> "Affine":

@@ -7,10 +7,10 @@ is sum_alpha Delta^alpha f(0) prod_i C(k xi_i, alpha_i) (Gregory-Newton): the
 base-0 rows of the lattice's forward-difference stencils give the
 differences, one fixed matrix per k expands the binomials, and that dense
 vector in xi is the interpolant.
-pull_back returns x_0 and J^{-T} and rejects a degenerate element.
-Points map with xi = (x - x_0) J^{-T} and physical partials follow by the
-chain rule, so a rotated flat element interpolates as well as an
-axis-aligned one.
+pull_back returns the vertices (x_0 first) and J^{-T}, and rejects a
+degenerate element.  Points map with xi = (x - x_0) J^{-T} and physical
+partials follow by the chain rule, so a rotated flat element interpolates as
+well as an axis-aligned one.
 
 Every field is one class, ScalarField, and returns its partials of several
 orders at one point set from one evaluation, partials_of(orders, pts): one
@@ -19,13 +19,22 @@ per gamma for a per-gamma partial_fn.  partials(m, pts) is its one-order
 case, and a single partial is a row of that.  Every polynomial is
 one class, Polynomial3: a dense coefficient vector over
 monomial_indices(degree) in a frame.  A physical polynomial's frame is the
-identity, so its points are not mapped; an Interpolant's is (x_0, J^{-T}).
+identity, so its points are not mapped; an Interpolant's is (verts, J^{-T}).
 Its partials of order m are one matrix product, the order-m derivative
 matrix (times one chain-rule matrix in a frame) against the monomial table
 _monomials at points mapped once; several orders share the points and one
-table, whose leading rows are every smaller table.  The residual v - I v
-subtracts the interpolant's partials from v's up to order k, and above it
-returns v's own.
+table, whose leading rows are every smaller table.
+
+Points come as an (N, 3) array or as Samples: a SampleSet, read-only
+barycentric rows on the reference element, placed on an element as
+x = bary @ verts.  Quadrature rule stacks and the p = inf lattice blocks are
+cached sample sets.  At Samples on its own element a polynomial in a frame
+takes xi = bary[:, 1:] exactly, maps nothing, and reads its table from one
+cache shared by every element, which keeps the table of the highest degree
+asked per set and at most TABLE_CACHE_BYTES in all; every other field
+evaluates at x.  Every partials_of returns new arrays that the caller owns,
+so the residual v - I v subtracts the interpolant's partials into v's up to
+order k, and above it returns v's own.
 
 Functions come as a Polynomial3 (an Interpolant is one), a ScalarField or a
 plain callable; as_field is the one place that turns any of them into a
@@ -158,12 +167,82 @@ def _monomials(pts: np.ndarray, degree: int) -> np.ndarray:
     return table
 
 
+class SampleSet:
+    """A fixed set of points on the reference element: read-only barycentric
+    rows bary (N, 4), so that xi = bary[:, 1:] exactly and x = bary @ verts
+    on the element with vertices verts (on(verts)).  Quadrature rule stacks
+    and the blocks of the p = inf lattice are cached sample sets, which lets
+    every polynomial held in a frame share one monomial table at them."""
+
+    __slots__ = ("bary", "xi")
+
+    def __init__(self, bary):
+        bary = np.asarray(bary, dtype=float)
+        if bary.flags.writeable:  # a read-only table is shared, not copied
+            bary = bary.copy()
+            bary.flags.writeable = False
+        self.bary, self.xi = bary, bary[:, 1:]  # xi is a read-only view
+
+    def on(self, verts: np.ndarray) -> "Samples":
+        return Samples(self, verts)
+
+
+class Samples:
+    """A SampleSet placed on the element with vertices verts (4, 3): its
+    points x = bary @ verts, mapped once.  Every field's partials_of takes
+    it in place of raw points; only a polynomial in the frame of the same
+    vertices reads the set's xi instead of x."""
+
+    __slots__ = ("set", "verts", "x")
+
+    def __init__(self, sample_set: SampleSet, verts: np.ndarray):
+        self.set, self.verts, self.x = sample_set, verts, sample_set.bary @ verts
+
+
+def _points(pts) -> np.ndarray:
+    """The (N, 3) float array of raw points or of Samples."""
+    return pts.x if isinstance(pts, Samples) else np.atleast_2d(np.asarray(pts, dtype=float))
+
+
+class _TableCache:
+    """The monomial table at each sample set, least recently used set first,
+    at most limit bytes in all.  A set keeps the table of the highest degree
+    asked so far, whose leading rows are every lower degree's table (graded
+    order); a table larger than limit is not kept."""
+
+    def __init__(self, limit: int):
+        self.limit, self.nbytes, self.tables = limit, 0, {}
+
+    def get(self, samples: SampleSet, degree: int) -> np.ndarray:
+        """_monomials(samples.xi, degree), read-only."""
+        rows = math.comb(degree + 3, 3) if degree >= 0 else 0
+        table = self.tables.pop(samples, None)
+        if table is None or len(table) < rows:
+            self.nbytes -= 0 if table is None else table.nbytes
+            table = _monomials(samples.xi, degree)
+            table.flags.writeable = False
+            if table.nbytes > self.limit:
+                return table
+            self.nbytes += table.nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self.tables.pop(next(iter(self.tables))).nbytes
+        self.tables[samples] = table
+        return table[:rows]
+
+
+# One degree-8 table on the whole p = inf lattice is 16 MB.
+TABLE_CACHE_BYTES = 24 << 20
+_TABLES = _TableCache(TABLE_CACHE_BYTES)
+
+
 class Polynomial3:
     """A polynomial in three variables: a dense coefficient vector in a frame.
 
     coef holds the coefficients over monomial_indices(degree) in coordinates
-    xi of the frame: xi = x for a physical polynomial, xi = (x - origin)
-    J^{-T} for an Interpolant.  Neither may change after construction.
+    xi of the frame: xi = x for a physical polynomial, xi = (x - x_0) J^{-T}
+    for an Interpolant, whose frame (verts, J^{-T}) is pull_back's; at Samples
+    on the same vertices xi is the sample set's own bary[:, 1:], and the
+    monomials there come from a cache.  Neither may change after construction.
     Polynomial3({(a, b, c): coefficient, ...}) builds a physical polynomial
     whose degree is the highest with a nonzero coefficient (0 when there is
     none); an exponent key that is not three integers >= 0, or a coefficient
@@ -237,9 +316,15 @@ class Polynomial3:
         return self._by_order[m]
 
     def _table(self, pts, m: int) -> np.ndarray:
-        """The monomials of degree <= degree - m at pts mapped to the frame."""
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        xi = p if self._frame is None else (p - self._frame[0]) @ self._frame[1]
+        """The monomials of degree <= degree - m at pts mapped to the frame,
+        or the cached table at the sample set of Samples on the frame's own
+        vertices (read-only)."""
+        if isinstance(pts, Samples) and self._frame is not None and (
+            pts.verts is self._frame[0] or np.array_equal(pts.verts, self._frame[0])
+        ):
+            return _TABLES.get(pts.set, self.degree - m)
+        p = _points(pts)
+        xi = p if self._frame is None else (p - self._frame[0][0]) @ self._frame[1]
         return _monomials(xi, self.degree - m)
 
     def _chain_rule(self, m: int) -> np.ndarray:
@@ -269,7 +354,9 @@ class ScalarField:
     """A scalar function with its partial derivatives up to a declared order.
 
     partials_of(orders, pts) is the one primitive: for each m in orders, an
-    (n_gamma, N) array with rows in derivative_indices(m) order.  partials(m,
+    (n_gamma, N) array with rows in derivative_indices(m) order, a new array
+    that the caller owns and may overwrite.  pts is an (N, 3) array or
+    Samples, whose points x a field without a frame evaluates.  partials(m,
     pts) is its one-order case and a single partial is one row of that.
     Asking for an order above order (None: every order) raises
     DerivativeUnavailable.  degree is the polynomial degree that as_field or
@@ -302,6 +389,7 @@ class ScalarField:
             raise InputError("a field without partial_fn has values only, got order %r" % (order,))
 
         def partials_of(orders, pts):
+            pts = _points(pts)
             return [np.stack([
                 _one_per_point(eval_fn(pts) if m == 0 else partial_fn(g, pts), len(pts))
                 for g in derivative_indices(m)
@@ -338,18 +426,18 @@ class ScalarField:
                 "field declares order %d, requested |gamma| = %d; field_from_expression "
                 "and Polynomial3 give exact partials of every order" % (self.order, max(orders))
             )
-        return self._partials(orders, np.atleast_2d(np.asarray(pts, dtype=float)))
+        return self._partials(orders, pts if isinstance(pts, Samples) else _points(pts))
 
 
 class Interpolant(Polynomial3):
     """The Lagrange interpolant I_T^k v: a Polynomial3 of degree k held on the
-    reference element, in the frame (origin, J^{-T}) that pull_back returns
-    for x = origin + J xi.  coef is its dense vector in xi."""
+    reference element, in the frame (verts, J^{-T}) that pull_back returns
+    for x = verts[0] + J xi.  coef is its dense vector in xi."""
 
     __slots__ = ()
 
-    def __init__(self, coef: np.ndarray, k: int, origin, inverse_t):
-        self._hold(coef, k, (origin, inverse_t))
+    def __init__(self, coef: np.ndarray, k: int, verts, inverse_t):
+        self._hold(coef, k, (verts, inverse_t))
 
     @property
     def k(self) -> int:
@@ -404,11 +492,12 @@ def _newton(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
-    """origin and J^{-T} of x = origin + J xi; DegenerateTetrahedron if flat."""
+    """The vertices (4, 3) and J^{-T} of x = verts[0] + J xi;
+    DegenerateTetrahedron if flat."""
     volume(t)
     verts = t.as_array()
     jac = (verts[1:] - verts[0]).T
-    return verts[0], np.ascontiguousarray(np.linalg.inv(jac).T)
+    return verts, np.ascontiguousarray(np.linalg.inv(jac).T)
 
 
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
@@ -453,13 +542,18 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
 def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
     """v - ip, whose partials of several orders take v's in one call.  Above
     order ip.k the interpolant's partials vanish, so there u's partials are
-    v's: nothing is subtracted."""
+    v's: nothing is subtracted.  The interpolant's partials are subtracted
+    into v's arrays, which partials_of hands to its caller."""
 
     def partials_of(orders, pts):
         low = [m for m in orders if m <= ip.k]
         below = iter(ip.partials_of(low, pts) if low else ())
-        return [_minus(a, next(below)) if m <= ip.k else a
-                for m, a in zip(orders, v.partials_of(orders, pts))]
+        out = v.partials_of(orders, pts)
+        with np.errstate(all="ignore"):  # callers check finiteness
+            for m, a in zip(orders, out):
+                if m <= ip.k:
+                    np.subtract(a, next(below), out=a)
+        return out
 
     return ScalarField._of(
         lambda pts: _minus(v(pts), ip.evaluate(pts)),

@@ -52,10 +52,18 @@ Barycentric = tuple[int, int, int, int]
 MAX_DEGREE = 8  # the highest order of interpolation and of a stencil
 
 
+def _order(k, low: int) -> int:
+    """k as a Python int; InputError unless it is an integer >= low (bool is
+    not an integer here)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < low:
+        raise InputError("k must be an integer >= %d, got %r" % (low, k))
+    return int(k)
+
+
 def sigma_k(k: int) -> list[Barycentric]:
-    """All barycentric multi-indices gamma >= 0 with |gamma| = k."""
-    if k < 0:
-        raise InputError("k must be >= 0, got %r" % (k,))
+    """All barycentric multi-indices gamma >= 0 with |gamma| = k; InputError
+    unless k is an integer >= 0."""
+    k = _order(k, 0)
     out = []
     for g2 in range(k + 1):
         for g3 in range(k + 1 - g2):
@@ -64,10 +72,15 @@ def sigma_k(k: int) -> list[Barycentric]:
     return out
 
 
-@lru_cache(maxsize=16)
 def unit_weights(k: int) -> np.ndarray:
     """sigma_k(k) / k, the barycentric coordinates of the nodes of X^k, as a
-    read-only (C(k+3, 3), 4) array built once per order k >= 1."""
+    read-only (C(k+3, 3), 4) array built once per order; InputError unless k
+    is an integer >= 1."""
+    return _unit_weights(_order(k, 1))
+
+
+@lru_cache(maxsize=16)
+def _unit_weights(k: int) -> np.ndarray:
     weights = np.array(sigma_k(k), dtype=float) / k
     weights.flags.writeable = False
     return weights
@@ -78,10 +91,11 @@ def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
 
     vertices is a (4, 3) array-like; the node of gamma is
     sum_i gamma_i * v_i / k, one product with unit_weights(k).  For k = 0
-    the single node is the centroid.  Both results are new objects.
+    the single node is the centroid.  Both results are new objects; k that
+    is not an integer >= 0 raises InputError.
     """
     verts = np.asarray(vertices, dtype=float)
-    if k == 0:
+    if _order(k, 0) == 0:
         return sigma_k(0), verts.mean(axis=0)[None, :]
     return sigma_k(k), unit_weights(k) @ verts
 

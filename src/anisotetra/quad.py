@@ -18,26 +18,27 @@ every field (interp.ScalarField); a plain callable has values only, so it
 gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
 
 One sampling loop serves several seminorms of one field on one element
-(seminorms_with_info; seminorm_with_info is its one-spec case).  Each
-barycentric sample set is mapped to T once and one call, partials_of(orders,
-pts), samples |d^gamma u| there for every |gamma| = m of every order that
-uses the set, so error_ratio's two seminorms share the field's evaluation
-wherever their sets coincide.  For finite p the sample sets are quadrature
-rules and the samples are reduced by the weighted p-sum, one product per
-rule with the multinomial weights; _rule_degrees is the one place that picks
-their degrees.  Every sample is first divided by one power of two 2^e above
-the largest sample of all the rules, so no p-th power overflows at large p
-(10^400 would), and the value is 2^e times the p-th root; the 12/18
-agreement check compares the scaled sums, and at p = 2 the scaling changes
-no digit.  For p = infinity the sample set is the dense lattice
-X^DENSE_LATTICE_ORDER placed by the cached lattice.unit_weights table,
-evaluated in blocks of at most BLOCK points: each gamma keeps a running
-maximum, which equals the maximum of one unblocked pass, and for
-polynomials one constrained Newton step polishes it, with value, gradient
-and Hessian from one call; this route is documented as approximate and
-takes no quadrature degree.  A sampled value that is not finite raises
-NumericalError, for the first such gamma in order, the first seminorm
-first.
+(seminorms_with_info; seminorm_with_info is its one-spec case).  Sample sets
+are cached interp.SampleSets, read-only barycentric rows placed on T once
+per call, so that every interpolant (and any polynomial in a frame) reads
+its cached monomial table at them instead of mapping points back through
+J^{-T}.  For finite p every rule the specs need is stacked into one sample
+set; one call, partials_of(orders, samples), samples |d^gamma u| there for
+every |gamma| = m of every order, and each spec reduces its own rules' rows
+by the weighted p-sum, one product per rule with the multinomial weights;
+_rule_degrees is the one place that picks their degrees.  Every sample is
+first divided by one power of two 2^e above the largest sample of all the
+spec's rules, so no p-th power overflows at large p (10^400 would), and the
+value is 2^e times the p-th root; the 12/18 agreement check compares the
+scaled sums, and at p = 2 the scaling changes no digit.  For p = infinity
+the sample set is the dense lattice X^DENSE_LATTICE_ORDER of the cached
+lattice.unit_weights table, cached as blocks of at most BLOCK points, one
+partials_of call each: each gamma keeps a running maximum, which equals the
+maximum of one unblocked pass, and for polynomials one constrained Newton
+step polishes it, with value, gradient and Hessian from one call; this route
+is documented as approximate and takes no quadrature degree.  A sampled
+value that is not finite raises NumericalError, for the first such gamma in
+order, the first seminorm first, and for one seminorm its first rule first.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ import numpy as np
 
 from .errors import DegenerateTetrahedron, InputError, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
-from .interp import ScalarField, _is_count, as_field, derivative_indices, pull_back
+from .interp import (
+    SampleSet,
+    ScalarField,
+    _is_count,
+    as_field,
+    derivative_indices,
+    pull_back,
+)
 from .lattice import gauss_jacobi, unit_weights
 
 MAX_RULE_DEGREE = 20
@@ -193,8 +201,8 @@ def _inside(t: Tetrahedron, x: np.ndarray, frame=None) -> bool:
     frame = frame or _frame(t)
     if frame is None:
         return False
-    origin, inverse_t = frame
-    lam = (x - origin) @ inverse_t
+    verts, inverse_t = frame
+    lam = (x - verts[0]) @ inverse_t
     return bool(lam.min() >= -INSIDE_TOL and lam.sum() <= 1.0 + INSIDE_TOL)
 
 
@@ -240,7 +248,7 @@ class _RunningMax:
         self.finite = np.ones(len(self.gammas), dtype=bool)
 
     def add(self, vals: np.ndarray, block: np.ndarray):
-        np.abs(vals, out=vals)  # a fresh array: partials builds it per call
+        np.abs(vals, out=vals)  # partials_of hands its arrays to the caller
         idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
         top = vals[np.arange(len(self.gammas)), idx]
         self.finite &= np.isfinite(top)
@@ -283,15 +291,32 @@ def _rule_degrees(
     return (DEFAULT_NUMERIC_DEGREE, RICHARDSON_DEGREE)
 
 
+@lru_cache(maxsize=32)
+def _rule_stack(degrees: tuple[int, ...]) -> tuple[SampleSet, dict]:
+    """The rules of the given degrees stacked into one sample set, and each
+    degree's rows of it."""
+    rules = [rule_for_degree(d).nodes for d in degrees]
+    stops = np.cumsum([len(r) for r in rules]).tolist()
+    rows = {d: slice(stop - len(r), stop) for d, r, stop in zip(degrees, rules, stops)}
+    return SampleSet(np.concatenate(rules)), rows
+
+
+@lru_cache(maxsize=1)
+def _lattice_blocks() -> tuple[SampleSet, ...]:
+    """X^DENSE_LATTICE_ORDER in blocks of at most BLOCK points."""
+    lattice = unit_weights(DENSE_LATTICE_ORDER)
+    return tuple(map(SampleSet, np.array_split(lattice, -(-len(lattice) // BLOCK))))
+
+
 def seminorms_with_info(
     u, t: Tetrahedron, specs, degree: int | None = None
 ) -> list[SeminormInfo]:
     """|u|_{m,p,T} plus metadata for each spec, from one sampling loop.
 
-    Specs whose sample sets coincide share them: each quadrature rule, and
-    each block of the p = inf lattice, is evaluated once, by one
-    partials_of call for every order that samples it.  Errors come in spec
-    order, and for one spec in the order of its sample sets.
+    Every quadrature rule the finite-p specs need is one stacked sample set,
+    evaluated by one partials_of call for every order, and each block of the
+    p = inf lattice by one more; each spec then reads its own rules' rows.
+    Errors come in spec order, and for one spec in the order of its rules.
     """
     field_u = as_field(u)
     plans = [_rule_degrees(spec, field_u.degree, degree) for spec in specs]
@@ -301,21 +326,22 @@ def seminorms_with_info(
     finite = [i for i, spec in enumerate(specs) if spec.p != math.inf]
     rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
     vol = volume(t) if finite else None
-    samples: list[dict] = [{} for _ in specs]  # per spec, |partials| per rule degree
-    for d, rule in rules.items():
-        using = [i for i in finite if live[i] and d in plans[i]]
-        if using:
-            vals = field_u.partials_of([specs[i].m for i in using], rule.nodes @ verts)
-            for i, v in zip(using, vals):
-                samples[i][d] = np.abs(v)
+    using = [i for i in finite if live[i]]
+    samples = {}  # per spec, |partials| on each of its rules
+    if using:
+        stack, rows = _rule_stack(tuple(sorted({d for i in using for d in plans[i]})))
+        vals = field_u.partials_of([specs[i].m for i in using], stack.on(verts))
+        for i, v in zip(using, vals):
+            samples[i] = [v[:, rows[d]] for d in plans[i]]
+            np.abs(v, out=v)  # partials_of hands its arrays to the caller
     peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
              if spec.p == math.inf and live[i]}
     if peaks:
-        pts = unit_weights(DENSE_LATTICE_ORDER) @ verts
         orders = [specs[i].m for i in peaks]
-        for block in np.array_split(pts, -(-len(pts) // BLOCK)):
-            for peak, vals in zip(peaks.values(), field_u.partials_of(orders, block)):
-                peak.add(vals, block)
+        for block in _lattice_blocks():
+            placed = block.on(verts)
+            for peak, vals in zip(peaks.values(), field_u.partials_of(orders, placed)):
+                peak.add(vals, placed.x)
     # The element's frame, for a polish that must stay inside it.
     frame = _frame(t) if peaks and field_u.degree is not None else None
     out = []
@@ -329,8 +355,7 @@ def seminorms_with_info(
         elif not live[i]:
             out.append(SeminormInfo(0.0, plans[i][-1]))
         else:
-            out.append(_p_sum(spec, [samples[i][d] for d in plans[i]],
-                              [rules[d] for d in plans[i]], plans[i], vol))
+            out.append(_p_sum(spec, samples[i], [rules[d] for d in plans[i]], plans[i], vol))
     return out
 
 

@@ -379,3 +379,30 @@ class TestAffineFolding:
     @pytest.mark.parametrize("text", ["x*y", "sin(x)*x"])
     def test_products_of_non_constants_stay_unfolded(self, text):
         assert isinstance(parse_expression(text), Mul)
+
+
+@pytest.mark.parametrize("text", ["2*x - y + 3", "x + sin(3)", "(0.5)*z"])
+def test_partials_of_never_writes_a_cached_gradient(text):
+    # At one point an affine gradient (3, 1) has the shape of a result, and
+    # here it is the root's part 1; each order asked gets its own new array,
+    # which the caller may overwrite, and the node's gradient stays as it was.
+    node = parse_expression(text)
+    affine = node if isinstance(node, Affine) else node.left
+    grad = affine.gradient.copy()
+    one = np.array([[0.1, -0.2, 0.3]])
+    first, second = node.partials_of((1, 1), one)
+    assert first is not second
+    assert np.array_equal(first, grad) and np.array_equal(second, grad)
+    first *= 7.0
+    np.abs(second, out=second)
+    assert np.array_equal(affine.gradient, grad)
+    assert np.array_equal(node.partials(1, one), grad)
+
+
+def test_repeated_orders_are_scaled_once_into_separate_arrays():
+    node = parse_expression("exp(x - 2*y) * cos(z)")
+    pts = np.random.default_rng(2).uniform(-1, 1, (7, 3))
+    got = node.partials_of((3, 2, 3, 2), pts)
+    assert len({id(a) for a in got}) == 4
+    for m, rows in zip((3, 2, 3, 2), got):
+        assert np.array_equal(rows, node.partials(m, pts))

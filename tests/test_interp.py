@@ -31,6 +31,7 @@ from anisotetra.interp import (
     pull_back,
     residual,
 )
+from anisotetra import interp, quad
 from anisotetra.lattice import nodes_on, quotient_coefficients
 from anisotetra.quad import SeminormSpec, seminorm
 from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, error_ratio, generate
@@ -492,3 +493,79 @@ class TestResidual:
         trig = field_from_expression("sin(x + 2*y - z)")
         for v in (trig, lambda pts: np.sin(pts[:, 0]), ScalarField(lambda pts: pts[:, 1] ** 2)):
             assert residual(v, ROTATED_ANISO, k).degree is None
+
+
+# Needles, slivers and caps of flatness eps, rotated by one fixed orthogonal
+# map and translated off the axes.
+_Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+FLAT = {
+    "needle": lambda eps: np.asarray(T_HAT.as_array()) * [1.0, eps, eps],
+    "sliver": lambda eps: np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, eps)], dtype=float),
+    "cap": lambda eps: np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, 0.5, eps)]),
+}
+
+
+def rotated(verts) -> Tetrahedron:
+    return Tetrahedron.from_points(verts @ _Q.T + np.array([0.3, -1.1, 0.6]))
+
+
+class TestSampleSets:
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2])
+    @pytest.mark.parametrize("family", FLAT)
+    def test_frame_polynomial_matches_the_mapped_path(self, family, eps):
+        # At Samples on its own element a polynomial in a frame reads
+        # xi = bary[:, 1:] from the cached table; at the same points x it maps
+        # them through J^{-T}, whose roundoff is about ulp / eps relative.
+        t = rotated(FLAT[family](eps))
+        v = field_from_expression("sin(x + 2*y + 3*z) + exp(0.5*x - y)")
+        sets = [quad._rule_stack((12, 18))[0], quad._lattice_blocks()[1]]
+        for k in range(1, 5):
+            for poly in (interpolate(v, t, k), bubble_polynomial(t)):
+                for samples in (s.on(t.as_array()) for s in sets):
+                    got = poly.partials_of(range(k + 1), samples)
+                    for m, rows in enumerate(got):
+                        want = poly.partials(m, samples.x)
+                        scale = np.max(np.abs(want))
+                        assert np.max(np.abs(rows - want)) <= 1e-12 * scale, (k, m)
+
+    def test_samples_on_another_element_map_their_points(self):
+        # The cached xi belongs to the polynomial's own element only.
+        ip = interpolate(field_from_expression("exp(x - y*z)"), ROTATED_ANISO, 3)
+        samples = quad._lattice_blocks()[0].on(ANISO.as_array())
+        for m in range(4):
+            assert np.array_equal(ip.partials(m, samples), ip.partials(m, samples.x))
+
+    def test_sample_sets_and_tables_are_read_only(self):
+        t = rotated(FLAT["sliver"](1e-3))
+        v = corpus(4, t)[4][1]
+        calls = [(4, 2, math.inf), (3, 1, 3.0), (4, 1, 2.0)]
+        first = [error_ratio(v, t, *c) for c in calls]
+        stack = quad._rule_stack((12, 18))[0]
+        arrays = [stack.bary, stack.xi] + [s.bary for s in quad._lattice_blocks()]
+        arrays += list(interp._TABLES.tables.values())
+        assert len(arrays) > 6
+        for a in arrays:
+            assert not a.flags.writeable
+        # A second call reads the cached tables and gives the same bits.
+        for r, c in zip(first, calls):
+            again = error_ratio(v, t, *c)
+            assert [x.hex() for x in (again.error, again.seminorm_hi, again.ratio)] == [
+                x.hex() for x in (r.error, r.seminorm_hi, r.ratio)
+            ]
+            assert again == r
+
+    def test_table_cache_keeps_to_its_bound(self):
+        sets = quad._lattice_blocks()
+        cache = interp._TableCache(2 * interp._monomials(sets[0].xi, 2).nbytes)
+        for s in sets:
+            for degree in (1, 2, 0, -1):
+                table = cache.get(s, degree)
+                assert np.array_equal(table, interp._monomials(s.xi, degree))
+        # The two most recently used sets keep their degree-2 table; a table
+        # larger than the bound is not kept.
+        assert list(cache.tables) == [sets[-2], sets[-1]]
+        assert [len(a) for a in cache.tables.values()] == [10, 10]
+        assert cache.nbytes == sum(a.nbytes for a in cache.tables.values()) <= cache.limit
+        cache.get(sets[0], 4)
+        assert list(cache.tables) == [sets[-2], sets[-1]]
+        assert cache.get(sets[-1], 1).base is cache.tables[sets[-1]]

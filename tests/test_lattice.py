@@ -117,6 +117,21 @@ class TestLattice:
         with pytest.raises(InputError):
             sigma_k(-1)
 
+    @pytest.mark.parametrize("call,k", [
+        (sigma_k, 1.5), (sigma_k, True), (sigma_k, "2"), (sigma_k, -1),
+        (unit_weights, 1.5), (unit_weights, 0), (unit_weights, True), (unit_weights, -2),
+        (lambda k: nodes_on(reference_tetrahedron(TYPE1).coords(), k), 2.5),
+        (lambda k: nodes_on(reference_tetrahedron(TYPE1).coords(), k), False),
+    ])
+    def test_bad_orders_raise_input_error(self, call, k):
+        # Not TypeError, a list for True, or NaN weights with a RuntimeWarning.
+        with pytest.raises(InputError, match="integer"):
+            call(k)
+
+    def test_integer_orders_of_any_type_agree(self):
+        assert sigma_k(np.int64(3)) == sigma_k(3)
+        assert unit_weights(np.int64(3)) is unit_weights(3)
+
     def test_nodes_on_degree_zero_is_centroid(self):
         ref = reference_tetrahedron(TYPE1)
         _, nodes = nodes_on(ref.coords(), 0)

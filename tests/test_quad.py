@@ -9,7 +9,7 @@ from anisotetra import quad
 from anisotetra.errors import InputError, NumericalError, UnsupportedDegree
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
-from anisotetra.interp import Polynomial3, ScalarField, monomial_indices, residual
+from anisotetra.interp import Polynomial3, SampleSet, ScalarField, monomial_indices, residual
 from anisotetra.lattice import unit_weights
 from anisotetra.quad import (
     MAX_RULE_DEGREE,
@@ -283,9 +283,13 @@ class TestSupSeminorm:
 
     @pytest.mark.parametrize("m", [0, 2, 5])
     def test_blocked_max_equals_unblocked(self, m):
+        # The oracle is the same lattice as one sample set, evaluated in one
+        # pass: the residual's interpolant reads its xi there, as in blocks.
         v = field_from_expression("1/((0.3)*x + (-0.7)*y + (0.2)*z + (1.6))")
+        self.lattice(ANISO)  # asserts that the lattice spans several blocks
+        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(ANISO.as_array())
         for u in (v, residual(v, ANISO, 2)):
-            want = float(np.max(np.abs(u.partials(m, self.lattice(ANISO)))))
+            want = float(np.max(np.abs(u.partials(m, whole))))
             assert seminorm(u, ANISO, SeminormSpec(m, math.inf)) == want
 
     def test_first_nonfinite_gamma_named_across_blocks(self):
@@ -359,17 +363,21 @@ class TestSharedSampling:
     def test_errors_come_in_request_order(self, p):
         # NaN in an order-2 partial on the first sample set only and in an
         # order-1 partial on the last one only: the first request's error is
-        # raised, as when the seminorms are taken one after the other.
+        # raised, as when the seminorms are taken one after the other.  The
+        # two rules of finite p are one stacked set, found point by point.
         if p == math.inf:
             pts = unit_weights(quad.DENSE_LATTICE_ORDER) @ ANISO.as_array()
-            first, last = (lambda x, a=a: np.all(x == a, axis=1).any() for a in (pts[0], pts[-1]))
+            first, last = (lambda x, a=a: np.all(x == a, axis=1) for a in (pts[0], pts[-1]))
         else:
-            first, last = (lambda x, d=d: len(x) == len(rule_for_degree(d).nodes)
-                           for d in (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE))
+            first, last = (
+                lambda x, d=d: (x[:, None] == rule_for_degree(d).points_on(ANISO.as_array()))
+                .all(axis=2).any(axis=1)
+                for d in (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE)
+            )
         nan_on = {(1, 0, 0): last, (0, 2, 0): first}
 
         def partial_fn(gamma, x):
-            return np.full(len(x), np.nan if gamma in nan_on and nan_on[gamma](x) else 0.0)
+            return np.where(nan_on[gamma](x), np.nan, 0.0) if gamma in nan_on else np.zeros(len(x))
 
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):

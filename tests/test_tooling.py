@@ -371,11 +371,11 @@ class CountedNode(Node):
 def test_error_ratio_evaluates_an_expression_once_per_sample_set(spec):
     # error_ratio takes both seminorms from one sampling loop: an expression
     # field is evaluated once at the interpolation nodes and once per sample
-    # set, the 12/18 rule pair at finite p and each lattice block at p = inf,
-    # never once per seminorm.
+    # set, the stacked 12/18 rule pair at finite p and each lattice block at
+    # p = inf, never once per seminorm or per rule.
     t = generate(TetraGenSpec("sliver", 2), 1)[0]
     node = CountedNode(parse_expression("exp((0.3)*x + (-1.2)*y + (0.8)*z + (0.1))"))
     error_ratio(field_from_expression(node), t, *spec)
     lattice = len(unit_weights(DENSE_LATTICE_ORDER))
-    sets = -(-lattice // BLOCK) if spec[2] == math.inf else 2
+    sets = -(-lattice // BLOCK) if spec[2] == math.inf else 1
     assert node.calls == 1 + sets, node.calls
