@@ -29,10 +29,9 @@ Points come as an (N, 3) array or as Samples: a SampleSet, read-only
 barycentric rows on the reference element, placed on an element as
 x = bary @ verts.  Quadrature rule stacks and the p = inf lattice blocks are
 cached sample sets.  At Samples on its own element a polynomial in a frame
-takes xi = bary[:, 1:] exactly, maps nothing, and reads its table from one
-cache shared by every element, which keeps the table of the highest degree
-asked per set and at most TABLE_CACHE_BYTES in all; every other field
-evaluates at x.  Every partials_of returns new arrays that the caller owns,
+takes xi = bary[:, 1:] exactly, maps nothing, and reads its table from the
+set, which keeps the table of the highest degree asked and so shares it with
+every element; every other field evaluates at x.  Every partials_of returns new arrays that the caller owns,
 so the residual v - I v subtracts the interpolant's partials into v's up to
 order k, and above it returns v's own.
 
@@ -174,7 +173,7 @@ class SampleSet:
     and the blocks of the p = inf lattice are cached sample sets, which lets
     every polynomial held in a frame share one monomial table at them."""
 
-    __slots__ = ("bary", "xi")
+    __slots__ = ("bary", "xi", "_table")
 
     def __init__(self, bary):
         bary = np.asarray(bary, dtype=float)
@@ -182,6 +181,18 @@ class SampleSet:
             bary = bary.copy()
             bary.flags.writeable = False
         self.bary, self.xi = bary, bary[:, 1:]  # xi is a read-only view
+        self._table = None
+
+    def monomials(self, degree: int) -> np.ndarray:
+        """_monomials(xi, degree), read-only.  The set keeps the table of the
+        highest degree asked so far, whose leading rows are every lower
+        degree's table (graded order); a degree-8 table on the whole p = inf
+        lattice is 16 MB, and it is freed with the set."""
+        rows = math.comb(degree + 3, 3) if degree >= 0 else 0
+        if self._table is None or len(self._table) < rows:
+            self._table = _monomials(self.xi, degree)
+            self._table.flags.writeable = False
+        return self._table[:rows]
 
     def on(self, verts: np.ndarray) -> "Samples":
         return Samples(self, verts)
@@ -202,37 +213,6 @@ class Samples:
 def _points(pts) -> np.ndarray:
     """The (N, 3) float array of raw points or of Samples."""
     return pts.x if isinstance(pts, Samples) else np.atleast_2d(np.asarray(pts, dtype=float))
-
-
-class _TableCache:
-    """The monomial table at each sample set, least recently used set first,
-    at most limit bytes in all.  A set keeps the table of the highest degree
-    asked so far, whose leading rows are every lower degree's table (graded
-    order); a table larger than limit is not kept."""
-
-    def __init__(self, limit: int):
-        self.limit, self.nbytes, self.tables = limit, 0, {}
-
-    def get(self, samples: SampleSet, degree: int) -> np.ndarray:
-        """_monomials(samples.xi, degree), read-only."""
-        rows = math.comb(degree + 3, 3) if degree >= 0 else 0
-        table = self.tables.pop(samples, None)
-        if table is None or len(table) < rows:
-            self.nbytes -= 0 if table is None else table.nbytes
-            table = _monomials(samples.xi, degree)
-            table.flags.writeable = False
-            if table.nbytes > self.limit:
-                return table
-            self.nbytes += table.nbytes
-            while self.nbytes > self.limit:
-                self.nbytes -= self.tables.pop(next(iter(self.tables))).nbytes
-        self.tables[samples] = table
-        return table[:rows]
-
-
-# One degree-8 table on the whole p = inf lattice is 16 MB.
-TABLE_CACHE_BYTES = 24 << 20
-_TABLES = _TableCache(TABLE_CACHE_BYTES)
 
 
 class Polynomial3:
@@ -322,7 +302,7 @@ class Polynomial3:
         if isinstance(pts, Samples) and self._frame is not None and (
             pts.verts is self._frame[0] or np.array_equal(pts.verts, self._frame[0])
         ):
-            return _TABLES.get(pts.set, self.degree - m)
+            return pts.set.monomials(self.degree - m)
         p = _points(pts)
         xi = p if self._frame is None else (p - self._frame[0][0]) @ self._frame[1]
         return _monomials(xi, self.degree - m)
@@ -426,7 +406,7 @@ class ScalarField:
                 "field declares order %d, requested |gamma| = %d; field_from_expression "
                 "and Polynomial3 give exact partials of every order" % (self.order, max(orders))
             )
-        return self._partials(orders, pts if isinstance(pts, Samples) else _points(pts))
+        return self._partials(orders, pts)
 
 
 class Interpolant(Polynomial3):
@@ -437,6 +417,10 @@ class Interpolant(Polynomial3):
     __slots__ = ()
 
     def __init__(self, coef: np.ndarray, k: int, verts, inverse_t):
+        verts, inverse_t = np.asarray(verts, dtype=float), np.asarray(inverse_t, dtype=float)
+        if verts.shape != (4, 3) or inverse_t.shape != (3, 3):
+            raise InputError("an Interpolant's frame is pull_back's vertices (4, 3) and J^{-T} "
+                             "(3, 3), got shapes %s and %s" % (verts.shape, inverse_t.shape))
         self._hold(coef, k, (verts, inverse_t))
 
     @property

@@ -542,7 +542,7 @@ class TestSampleSets:
         first = [error_ratio(v, t, *c) for c in calls]
         stack = quad._rule_stack((12, 18))[0]
         arrays = [stack.bary, stack.xi] + [s.bary for s in quad._lattice_blocks()]
-        arrays += list(interp._TABLES.tables.values())
+        arrays += [s._table for s in [stack, *quad._lattice_blocks()]]
         assert len(arrays) > 6
         for a in arrays:
             assert not a.flags.writeable
@@ -554,18 +554,21 @@ class TestSampleSets:
             ]
             assert again == r
 
-    def test_table_cache_keeps_to_its_bound(self):
-        sets = quad._lattice_blocks()
-        cache = interp._TableCache(2 * interp._monomials(sets[0].xi, 2).nbytes)
-        for s in sets:
-            for degree in (1, 2, 0, -1):
-                table = cache.get(s, degree)
-                assert np.array_equal(table, interp._monomials(s.xi, degree))
-        # The two most recently used sets keep their degree-2 table; a table
-        # larger than the bound is not kept.
-        assert list(cache.tables) == [sets[-2], sets[-1]]
-        assert [len(a) for a in cache.tables.values()] == [10, 10]
-        assert cache.nbytes == sum(a.nbytes for a in cache.tables.values()) <= cache.limit
-        cache.get(sets[0], 4)
-        assert list(cache.tables) == [sets[-2], sets[-1]]
-        assert cache.get(sets[-1], 1).base is cache.tables[sets[-1]]
+    def test_a_set_keeps_its_highest_degree_table(self):
+        s = interp.SampleSet(quad._lattice_blocks()[0].bary)
+        for degree in (1, 2, 0, -1, 4, 3):
+            assert np.array_equal(s.monomials(degree), interp._monomials(s.xi, degree))
+        # Lower degrees are leading rows of the one table kept.
+        assert len(s._table) == 35
+        assert s.monomials(1).base is s._table
+
+    def test_an_interpolant_takes_pull_backs_frame_only(self):
+        ip = interpolate(field_from_expression("exp(x - y*z)"), ROTATED_ANISO, 2)
+        verts, inverse_t = pull_back(ROTATED_ANISO)
+        for frame in [(verts[0], inverse_t), (verts, inverse_t[:2]), (verts.T, inverse_t)]:
+            with pytest.raises(InputError):
+                Interpolant(ip.coef, 2, *frame)
+        again = Interpolant(ip.coef, 2, verts.tolist(), inverse_t)
+        pts = quad._lattice_blocks()[0].on(verts)
+        for m in range(3):
+            assert np.array_equal(again.partials(m, pts), ip.partials(m, pts))

@@ -1,17 +1,14 @@
 """Paired benchmark runs of a parent commit against a change.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json
-        [--change DIR] [--pairs 10] [--seconds 45] [--seed 11]
-        [--workload NAME ...] [--scratch DIR]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json [--scratch DIR]
 
 The parent is the tree of the git revision REV, unpacked with ``git archive``
-into a temporary directory under --scratch; the change is the checkout at
---change (by default this repository's working tree).  For every pair and
-every workload named in BENCHMARK.json (or given with --workload), both sides
-run ``perfbench/run.py --trace 0`` from their own tree with the same seed,
-one after the other, and which side goes first alternates between pairs, so
-that a slow phase of a shared machine does not fall on one side only.  Pair
-i uses seed --seed + i.
+into a temporary directory under --scratch; the change is this repository's
+working tree.  For each of 10 pairs and every workload in BENCHMARK.json,
+both sides run ``perfbench/run.py --trace 0`` for BENCHMARK.json's
+run_seconds from their own tree with the same seed, one after the other, and
+which side goes first alternates between pairs, so that a slow phase of a
+shared machine does not fall on one side only.  Pair i uses seed 11 + i.
 
 The output is a JSON file in BENCHMARK.json's shape: for each workload, each
 end-to-end metric with its unit, direction and bound, and per side the
@@ -35,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 11
 
 
 def unpack(rev: str, scratch: Path) -> Path:
@@ -77,34 +76,26 @@ def summary(values: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Paired benchmark runs, parent against change.")
     parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run.py --seconds (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="where the parent tree is unpacked (default: the system temp dir)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
                             text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
-        trees = {"parent": unpack(commit, Path(scratch)), "change": args.change.resolve()}
+        trees = {"parent": unpack(commit, Path(scratch)), "change": ROOT}
         digests = {side: source_digest(tree) for side, tree in trees.items()}
         runs = {w: {"parent": [], "change": []} for w in workloads}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in workloads:
                 for side in order:
-                    result = run_once(trees[side], w, args.seed + i, seconds)
+                    result = run_once(trees[side], w, FIRST_SEED + i, seconds)
                     runs[w][side].append(result)
                     print("pair %d %-13s %-6s %s" % (i, w, side, json.dumps(
                         {m: round(v["value"], 6) for m, v in result["metrics"].items()})),
@@ -114,8 +105,8 @@ def main(argv=None) -> int:
         "command": bench["command"] + ["--seconds", str(seconds), "--trace", "0"],
         "parent": commit,
         "source_sha256": digests,
-        "pairs": args.pairs,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "pairs": PAIRS,
+        "seeds": [FIRST_SEED + i for i in range(PAIRS)],
         "order": "parent first in even pairs, change first in odd pairs",
         "env": {"python": platform.python_version(), "machine": platform.machine()},
         "workloads": [],
@@ -144,7 +135,7 @@ def main(argv=None) -> int:
                       entry["name"], row["name"], row["parent"]["median"], row["parent"]["q1"],
                       row["parent"]["q3"], row["change"]["median"], row["change"]["q1"],
                       row["change"]["q3"], 100 * (row["median_change"] or 0.0), row["pairs_won"],
-                      args.pairs))
+                      PAIRS))
     return 0
 
 
