@@ -21,8 +21,13 @@ the arrays handed to the caller, and the parser folds every affine subtree
 quotients by a constant) into one Affine node, whose value is its terms
 summed in source order and whose only higher part is a constant, read-only
 gradient.  The corpus's affine arguments so evaluate as the unfolded tree
-does, bitwise.  Parse errors carry the offending position and render a
-caret diagnostic.
+does, bitwise.  A ridge, g(a . x + b) for a root Call, Pow or
+constant-numerator Div over one non-constant Affine, has an order-n part
+that is one row g^(n)(a . x + b)/n! over the points times one constant
+column, the powers of a: when its caller names an order in partials_of's
+rank_one, the root returns it as an interp.RankOne, row and column apart,
+and never forms the (n_gamma, N) product.  Parse errors carry the offending
+position and render a caret diagnostic.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import ScalarField, _points, _times, derivative_indices
+from .interp import RankOne, ScalarField, _points, _times, derivative_indices
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -52,7 +57,9 @@ _VARS = {"x": 0, "y": 1, "z": 2}
 # scalar for part 0, when it does not depend on the point (constants, the
 # gradient of an affine node); None when it vanishes.  Asked to keep a set of
 # parts, a node computes those and may leave the others None; its children
-# are computed in full.  keep=None keeps every part.
+# are computed in full.  keep=None keeps every part.  A ridge root asked for
+# parts in rank_one returns each of those as a pair (row (1, N), column
+# (M_d, 1)) whose product the part is; every other node ignores rank_one.
 
 
 _ONE = np.ones((1, 1))  # part 0 of (v - v_0)^0
@@ -82,14 +89,15 @@ def _mul(u: list, v: list, keep=None) -> list:
     return out
 
 
-def _compose(coeff, count: int, v: list, keep=None) -> list:
+def _compose(coeff, count: int, v: list, keep=None, rank_one=()) -> list:
     """f(v) from coeff(d) = f^(d)(v_0)/d!, d < count: the sum of coeff(d) (v - v_0)^d.
 
     Every part of (v - v_0)^d is needed for the next power, but only the
     kept parts of the sum are formed, and coeff(d) is computed only when one
     of them has a term of degree d.  When v is affine, (v - v_0)^d is a
     single constant part, so each term is one outer product and only the
-    kept parts' coefficients are computed.
+    kept parts' coefficients are computed; a part in rank_one (given for an
+    affine v only) is then left as the pair (coeff(d), (v - v_0)^d).
     """
     kept = _kept(len(v) - 1, keep)
     delta = [None] + v[1:]
@@ -101,7 +109,7 @@ def _compose(coeff, count: int, v: list, keep=None) -> list:
         if terms:
             c = coeff(d)
             for j in terms:
-                out[j] = _plus(out[j], c * power[j])
+                out[j] = (c, power[j]) if j in rank_one else _plus(out[j], c * power[j])
     return out
 
 
@@ -146,13 +154,20 @@ def _factorials(m: int) -> np.ndarray:
     return out[:, None]
 
 
+def _ridge(arg: "Node", rank_one) -> tuple:
+    """rank_one when arg is a non-constant Affine, whose powers are constant
+    columns, else ()."""
+    return rank_one if isinstance(arg, Affine) and arg.constant is None else ()
+
+
 class Node:
-    def jet(self, pts: np.ndarray, n: int, keep=None) -> list:
+    def jet(self, pts: np.ndarray, n: int, keep=None, rank_one=()) -> list:
         """The parts 0..n of the Taylor jet at pts (N, 3); with keep, a
-        sorted tuple of parts, those are computed and the others may be None."""
+        sorted tuple of parts, those are computed and the others may be None.
+        A ridge returns a part >= 1 in rank_one as a pair (row, column)."""
         raise NotImplementedError
 
-    def partials_of(self, orders, pts) -> list[np.ndarray]:
+    def partials_of(self, orders, pts, rank_one=()) -> list:
         """For each m in orders, every d^gamma with |gamma| = m at pts, rows
         in derivative_indices(m) order: one jet of order max(orders) that
         forms only the parts in orders at the root.  pts is an (N, 3) array
@@ -160,19 +175,24 @@ class Node:
         a part the root formed in this call, a writable (M_m, N) array, is
         scaled by gamma! in place (a no-op for m <= 1), a constant or cached
         part is scaled into a new array, and an order asked again is a copy.
+        An order in rank_one that a ridge root gives as a pair is an
+        interp.RankOne instead, whose arrays are for reading only.
         Numpy warnings are silenced: callers check finiteness."""
         pts = _points(pts)
         out, done = [], {}
         with np.errstate(all="ignore"):
-            jet = self.jet(pts, max(orders), tuple(sorted(set(orders))))
+            jet = self.jet(pts, max(orders), tuple(sorted(set(orders))),
+                           rank_one=tuple(sorted(set(rank_one))))
             for m in orders:
                 if m in done:
-                    out.append(done[m].copy())
+                    out.append(done[m] if isinstance(done[m], RankOne) else done[m].copy())
                     continue
                 fact = _factorials(m)
                 shape = (fact.shape[0], pts.shape[0])
                 part = jet[m]
-                if part is None:
+                if isinstance(part, tuple):
+                    part = RankOne(part[0][0], part[1][:, 0], fact[:, 0])
+                elif part is None:
                     part = np.zeros(shape)
                 elif not (isinstance(part, np.ndarray) and part.shape == shape
                           and part.flags.writeable):
@@ -217,7 +237,7 @@ class Affine(Node):
     def scaled(self, s) -> "Affine":
         return Affine(tuple((s * c, axis) for c, axis in self.terms))
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         if self.constant is not None:
             return [self.constant] + [None] * n
         value = None
@@ -231,7 +251,7 @@ class Affine(Node):
 class Neg(Node):
     arg: Node
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         return [None if a is None else -a for a in self.arg.jet(pts, n, keep)]
 
 
@@ -240,7 +260,7 @@ class Add(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         return list(map(_plus, self.left.jet(pts, n, keep), self.right.jet(pts, n, keep)))
 
 
@@ -249,7 +269,7 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         return _mul(self.left.jet(pts, n), self.right.jet(pts, n), keep)
 
 
@@ -258,11 +278,12 @@ class Div(Node):
     left: Node
     right: Node
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         u, v = self.left.jet(pts, n), self.right.jet(pts, n)
         coeff, count = _power_coeffs(v[0], -1, n)
         if all(a is None for a in u[1:]):  # a constant numerator scales 1/v
-            return _compose(lambda d: u[0] * coeff(d), count, v, keep)
+            ridge = _ridge(self.right, rank_one)
+            return _compose(lambda d: u[0] * coeff(d), count, v, keep, ridge)
         return _mul(u, _compose(coeff, count, v), keep)
 
 
@@ -271,9 +292,9 @@ class Pow(Node):
     base: Node
     n: int
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         v = self.base.jet(pts, n)
-        return _compose(*_power_coeffs(v[0], self.n, n), v, keep)
+        return _compose(*_power_coeffs(v[0], self.n, n), v, keep, _ridge(self.base, rank_one))
 
 
 @dataclass(frozen=True)
@@ -281,9 +302,10 @@ class Call(Node):
     name: str
     arg: Node
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         v = self.arg.jet(pts, n)
-        return _compose(*_function_coeffs(self.name, v[0], n), v, keep)
+        coeff, count = _function_coeffs(self.name, v[0], n)
+        return _compose(coeff, count, v, keep, _ridge(self.arg, rank_one))
 
 
 # The parser builds through these, so every affine subtree is one Affine.
@@ -445,10 +467,11 @@ def parse_expression(text: str) -> Node:
 
 
 def field_from_expression(text_or_node) -> ScalarField:
-    """A ScalarField with exact partials by Taylor-mode evaluation."""
+    """A ScalarField with exact partials by Taylor-mode evaluation; a ridge
+    returns the orders a caller names in rank_one as interp.RankOne."""
     node = (
         parse_expression(text_or_node)
         if isinstance(text_or_node, str)
         else text_or_node
     )
-    return ScalarField._of(node.eval, node.partials_of)
+    return ScalarField._of(node.eval, node.partials_of, rank_one=True)

@@ -33,7 +33,12 @@ takes xi = bary[:, 1:] exactly, maps nothing, and reads its table from the
 set, which keeps the table of the highest degree asked and so shares it with
 every element; every other field evaluates at x.  Every partials_of returns new arrays that the caller owns,
 so the residual v - I v subtracts the interpolant's partials into v's up to
-order k, and above it returns v's own.
+order k, and above it returns v's own.  A caller that can reduce a rank-one
+product names orders in partials_of's rank_one: an expression that is a
+ridge g(a . x + b) returns each of those as a RankOne (a row over the
+points, a column over the gammas and gamma!), whose array it never forms;
+the residual passes the orders above k on to v, and every other field and
+order stays an array.  quad is the one caller that asks.
 
 Functions come as a Polynomial3 (an Interpolant is one), a ScalarField or a
 plain callable; as_field is the one place that turns any of them into a
@@ -48,7 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -330,6 +335,24 @@ def _one_per_point(values, n: int) -> np.ndarray:
     return values.reshape(n)
 
 
+class RankOne(NamedTuple):
+    """The partials of one order m as a rank-one product: row (N,) over the
+    points, column (n_gamma,) and scale gamma! (n_gamma,) over
+    derivative_indices(m), standing for the array (column[:, None] * row)
+    * scale[:, None], the arithmetic of an expression's own partials.  A field
+    returns one only for an order its caller named in partials_of's rank_one."""
+
+    row: np.ndarray
+    column: np.ndarray
+    scale: np.ndarray
+
+    def array(self) -> np.ndarray:
+        """The (n_gamma, N) array it stands for, a new one; numpy warnings
+        are silenced, as callers check finiteness."""
+        with np.errstate(all="ignore"):
+            return (self.column[:, None] * self.row) * self.scale[:, None]
+
+
 class ScalarField:
     """A scalar function with its partial derivatives up to a declared order.
 
@@ -338,9 +361,12 @@ class ScalarField:
     that the caller owns and may overwrite.  pts is an (N, 3) array or
     Samples, whose points x a field without a frame evaluates.  partials(m,
     pts) is its one-order case and a single partial is one row of that.
-    Asking for an order above order (None: every order) raises
-    DerivativeUnavailable.  degree is the polynomial degree that as_field or
-    residual knows, else None.
+    A caller that can reduce a RankOne names orders in rank_one; an
+    expression whose root is a ridge g(a . x + b) returns those orders as
+    RankOne pairs, and so does a residual for its orders above k, while every
+    other field and order is an array.  Asking for an order above order
+    (None: every order) raises DerivativeUnavailable.  degree is the
+    polynomial degree that as_field or residual knows, else None.
 
     ScalarField(eval_fn, partial_fn, order) adapts a per-gamma partial_fn(gamma,
     pts): one call per gamma of order >= 1, and order 0 is eval_fn.  Without
@@ -353,6 +379,7 @@ class ScalarField:
 
     scale = 1.0
     exact_partials = True
+    _rank_one = False  # does _partials take the rank_one keyword?
 
     def __init__(
         self,
@@ -380,11 +407,13 @@ class ScalarField:
 
     @classmethod
     def _of(cls, eval_fn, partials_fn, order: int | None = None,
-            degree: int | None = None) -> "ScalarField":
-        """The field whose partials_of is partials_fn(orders, pts): how
-        expressions, polynomials and residuals are built."""
+            degree: int | None = None, rank_one: bool = False) -> "ScalarField":
+        """The field whose partials_of is partials_fn(orders, pts), which
+        takes the rank_one keyword when rank_one is True: how expressions,
+        polynomials and residuals are built."""
         out = cls.__new__(cls)
         out._eval, out._partials, out.order, out.degree = eval_fn, partials_fn, order, degree
+        out._rank_one = rank_one
         return out
 
     def __call__(self, pts) -> np.ndarray:
@@ -399,13 +428,16 @@ class ScalarField:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order."""
         return self.partials_of((m,), pts)[0]
 
-    def partials_of(self, orders, pts) -> list[np.ndarray]:
-        """partials(m, pts) for each m in orders, from one call."""
+    def partials_of(self, orders, pts, rank_one=()) -> list:
+        """partials(m, pts) for each m in orders, from one call; an order in
+        rank_one may come back as a RankOne instead of its array."""
         if self.order is not None and max(orders) > self.order:
             raise DerivativeUnavailable(
                 "field declares order %d, requested |gamma| = %d; field_from_expression "
                 "and Polynomial3 give exact partials of every order" % (self.order, max(orders))
             )
+        if rank_one and self._rank_one:
+            return self._partials(orders, pts, rank_one=tuple(rank_one))
         return self._partials(orders, pts)
 
 
@@ -526,13 +558,14 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
 def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
     """v - ip, whose partials of several orders take v's in one call.  Above
     order ip.k the interpolant's partials vanish, so there u's partials are
-    v's: nothing is subtracted.  The interpolant's partials are subtracted
-    into v's arrays, which partials_of hands to its caller."""
+    v's: nothing is subtracted, and an order of rank_one there is passed on
+    to v, which may return it as a RankOne.  The interpolant's partials are
+    subtracted into v's arrays, which partials_of hands to its caller."""
 
-    def partials_of(orders, pts):
+    def partials_of(orders, pts, rank_one=()):
         low = [m for m in orders if m <= ip.k]
         below = iter(ip.partials_of(low, pts) if low else ())
-        out = v.partials_of(orders, pts)
+        out = v.partials_of(orders, pts, rank_one=[m for m in rank_one if m > ip.k])
         with np.errstate(all="ignore"):  # callers check finiteness
             for m, a in zip(orders, out):
                 if m <= ip.k:
@@ -544,6 +577,7 @@ def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
         partials_of,
         v.order,
         None if v.degree is None else max(v.degree, ip.degree),
+        rank_one=True,
     )
 
 

@@ -35,10 +35,22 @@ the sample set is the dense lattice X^DENSE_LATTICE_ORDER of the cached
 lattice.unit_weights table, cached as blocks of at most BLOCK points, one
 partials_of call each: each gamma keeps a running maximum, which equals the
 maximum of one unblocked pass, and for polynomials one constrained Newton
-step polishes it, with value, gradient and Hessian from one call; this route
-is documented as approximate and takes no quadrature degree.  A sampled
-value that is not finite raises NumericalError, for the first such gamma in
-order, the first seminorm first, and for one seminorm its first rule first.
+step polishes it, with value, gradient and Hessian from one call, where
+degree - m >= 2 (below that the Hessian is the zero partials of order m + 2,
+and no step exists); this route is documented as approximate and takes no
+quadrature degree.  A sampled value that is not finite raises
+NumericalError, for the first such gamma in order, the first seminorm first,
+and for one seminorm its first rule first.
+
+Every call opts in to interp.RankOne results, which a ridge expression (and
+its residual above k) gives: d^gamma u = row(x) column_gamma gamma!, never
+formed as an array.  Its maximum over a block is at the first point where
+|row| peaks, |fl(fl(row_i column) gamma!)| for every gamma, bitwise the
+array's maximum since rounding is monotone and sign-symmetric, and finite
+exactly when the array is.  Its p-sum is (sum_gamma weight_gamma |column_gamma
+gamma!|^p) (sum_x w_x |row_x|^p), each factor scaled below 1 by its own power
+of two; the 12/18 check so compares the row sums.  Above RANK_ONE_MAX_P the
+p-sum is taken of the array.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import numpy as np
 from .errors import DegenerateTetrahedron, InputError, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
 from .interp import (
+    RankOne,
     SampleSet,
     ScalarField,
     _is_count,
@@ -73,6 +86,10 @@ BLOCK = 4096
 # How far outside the element (in barycentric coordinates) a Newton step of
 # the p = inf polish may land and still be taken.
 INSIDE_TOL = 1e-9
+# Above this p a RankOne's p-sum is taken of its array: each of its two
+# scaled factors may fall to 2^-p, and their product 4^-p leaves the float
+# range well before the array's own scaled sum (2^-p) does.
+RANK_ONE_MAX_P = 64.0
 
 MultiIndex = tuple[int, int, int]
 
@@ -187,6 +204,16 @@ def _check_finite(finite: np.ndarray, gammas: list):
         raise NumericalError("d^%s u is not finite where the seminorm samples it" % (gamma,))
 
 
+def _peak(pair: RankOne) -> tuple[int, np.ndarray]:
+    """The first point i where |row| is largest (the first NaN, if any) and,
+    for every gamma, |fl(fl(row[i] column) scale)|: the maximum of |d^gamma u|
+    over the array pair stands for, attained at i because rounding is
+    monotone and sign-symmetric, and finite exactly when all of it is."""
+    i = int(np.argmax(np.abs(pair.row)))
+    with np.errstate(all="ignore"):  # callers check finiteness
+        return i, np.abs((pair.row[i] * pair.column) * pair.scale)
+
+
 def _frame(t: Tetrahedron):
     """pull_back(t), or None for a degenerate t."""
     try:
@@ -239,7 +266,8 @@ def _newton_polish(
 class _RunningMax:
     """max |d^gamma u| over the blocks seen and every |gamma| = m, with the
     first gamma and point that attain it, as one unblocked pass in gamma
-    order would find them: each gamma keeps the earliest point of its maximum."""
+    order would find them: each gamma keeps the earliest point of its maximum
+    (of a RankOne, the first point where |row| peaks, which attains it)."""
 
     def __init__(self, m: int):
         self.gammas = derivative_indices(m)
@@ -247,10 +275,16 @@ class _RunningMax:
         self.where = np.zeros((len(self.gammas), 3))
         self.finite = np.ones(len(self.gammas), dtype=bool)
 
-    def add(self, vals: np.ndarray, block: np.ndarray):
-        np.abs(vals, out=vals)  # partials_of hands its arrays to the caller
-        idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
-        top = vals[np.arange(len(self.gammas)), idx]
+    def add(self, vals, block: np.ndarray):
+        """Take in |vals| at the block's points: an array or a RankOne, whose
+        every gamma peaks at one point (_peak)."""
+        if isinstance(vals, RankOne):
+            i, top = _peak(vals)
+            idx = np.full(len(top), i)
+        else:
+            np.abs(vals, out=vals)  # partials_of hands its arrays to the caller
+            idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
+            top = vals[np.arange(len(self.gammas)), idx]
         self.finite &= np.isfinite(top)
         up = top > self.best
         self.best[up], self.where[up] = top[up], block[idx[up]]
@@ -327,28 +361,36 @@ def seminorms_with_info(
     rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
     vol = volume(t) if finite else None
     using = [i for i in finite if live[i]]
-    samples = {}  # per spec, |partials| on each of its rules
+    samples = {}  # per spec, |partials| or a RankOne on each of its rules
     if using:
         stack, rows = _rule_stack(tuple(sorted({d for i in using for d in plans[i]})))
-        vals = field_u.partials_of([specs[i].m for i in using], stack.on(verts))
-        for i, v in zip(using, vals):
-            samples[i] = [v[:, rows[d]] for d in plans[i]]
-            np.abs(v, out=v)  # partials_of hands its arrays to the caller
+        orders = [specs[i].m for i in using]
+        for i, v in zip(using, field_u.partials_of(orders, stack.on(verts), rank_one=orders)):
+            if isinstance(v, RankOne) and specs[i].p > RANK_ONE_MAX_P:
+                v = v.array()
+            if isinstance(v, RankOne):
+                samples[i] = [v._replace(row=v.row[rows[d]]) for d in plans[i]]
+            else:
+                samples[i] = [v[:, rows[d]] for d in plans[i]]
+                np.abs(v, out=v)  # partials_of hands its arrays to the caller
     peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
              if spec.p == math.inf and live[i]}
     if peaks:
         orders = [specs[i].m for i in peaks]
         for block in _lattice_blocks():
             placed = block.on(verts)
-            for peak, vals in zip(peaks.values(), field_u.partials_of(orders, placed)):
+            for peak, vals in zip(peaks.values(),
+                                  field_u.partials_of(orders, placed, rank_one=orders)):
                 peak.add(vals, placed.x)
+    # A polynomial's maximum is polished where its Hessian can be nonzero.
+    polish = [i for i in peaks if field_u.degree is not None and field_u.degree - specs[i].m > 1]
     # The element's frame, for a polish that must stay inside it.
-    frame = _frame(t) if peaks and field_u.degree is not None else None
+    frame = _frame(t) if polish else None
     out = []
     for i, spec in enumerate(specs):
         if spec.p == math.inf:
             value, at = peaks[i].result() if i in peaks else (0.0, None)
-            if at is not None and field_u.degree is not None:
+            if at is not None and i in polish:
                 value = max(value, _newton_polish(field_u, *at, t, frame))
             warnings = ("p=inf maximum from dense sampling; value is approximate",)
             out.append(SeminormInfo(value, None, warnings))
@@ -361,18 +403,22 @@ def seminorms_with_info(
 
 def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
            vol: float) -> SeminormInfo:
-    """|u|_{m,p,T} from |d^gamma u| sampled on each rule, with the 12/18
-    agreement warning when there are two."""
+    """|u|_{m,p,T} from |d^gamma u| sampled on each rule, or from a RankOne
+    of d^gamma u on each, with the 12/18 agreement warning when there are two."""
     gammas = derivative_indices(spec.m)
-    for vals in samples:
-        _check_finite(np.isfinite(vals).all(axis=1), gammas)
     p = float(spec.p)
-    # Every sample over 2^e lies below 1, so no p-th power overflows.
-    e = int(np.frexp(max(vals.max() for vals in samples))[1])
     weights = _multinomial_weights(spec.m) * vol
-    totals = [
-        float(weights @ (np.ldexp(vals, -e) ** p @ r.weights)) for r, vals in zip(rules, samples)
-    ]
+    if isinstance(samples[0], RankOne):
+        for pair in samples:
+            _check_finite(np.isfinite(_peak(pair)[1]), gammas)
+        totals, e = _rank_one_totals(samples, rules, weights, p)
+    else:
+        for vals in samples:
+            _check_finite(np.isfinite(vals).all(axis=1), gammas)
+        # Every sample over 2^e lies below 1, so no p-th power overflows.
+        e = int(np.frexp(max(vals.max() for vals in samples))[1])
+        totals = [float(weights @ (np.ldexp(vals, -e) ** p @ r.weights))
+                  for r, vals in zip(rules, samples)]
     try:
         value = math.ldexp(totals[-1] ** (1.0 / p), e)
     except OverflowError:
@@ -386,6 +432,25 @@ def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
             % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
         )
     return SeminormInfo(value, degrees[-1], warnings)
+
+
+def _rank_one_totals(samples: list, rules: list, weights: np.ndarray,
+                     p: float) -> tuple[list, int]:
+    """The p-sums of RankOne samples (one per rule, sharing column and scale)
+    as (sum_gamma weights |column scale|^p) (sum_x w_x |row_x|^p), and e,
+    without forming the array.  |column scale| is brought below 1 by 2^-ec
+    and 2^-lift, |column| first so that no product overflows, and every
+    rule's |row| by 2^-er: the totals are those of the samples over 2^e,
+    e = ec + lift + er, and their 12/18 agreement is that of the row sums."""
+    column = np.abs(samples[0].column)
+    ec = int(np.frexp(column.max())[1])
+    column = np.ldexp(column, -ec) * samples[0].scale  # scale >= 1 may lift it
+    lift = int(np.frexp(column.max())[1])
+    colsum = float(weights @ np.ldexp(column, -lift) ** p)
+    rows = [np.abs(pair.row) for pair in samples]
+    er = int(np.frexp(max(row.max() for row in rows))[1])
+    totals = [colsum * float(np.ldexp(row, -er) ** p @ r.weights) for r, row in zip(rules, rows)]
+    return totals, ec + lift + er
 
 
 def seminorm_with_info(

@@ -196,6 +196,29 @@ def test_error_overflowing_field_exits_4(capsys, p):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("p,ratio", [("2", 3.353950688845505), ("3", 1.4724626816373712),
+                                     ("inf", None)])
+def test_error_overflowing_ridge(capsys, p, ratio):
+    # exp(700 x) is a ridge, whose order-5 partials reach the seminorms as a
+    # row and a column: 700^5 exp(700) overflows at x = 1, a lattice vertex,
+    # so p = inf names d^(5, 0, 0) with no numpy RuntimeWarning before it.
+    # The quadrature points stay inside, and finite p keeps its ratio.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            ["error", "--tetra", "ref", "--expr", "exp(700*x)", "--k", "4", "--m", "1",
+             "--p", p],
+            capsys,
+        )
+    assert not caught, [str(w.message) for w in caught]
+    if ratio is None:
+        assert code == 4 and out == ""
+        assert "d^(5, 0, 0) u is not finite" in err and "RuntimeWarning" not in err
+    else:
+        assert code == 0, err
+        assert abs(json.loads(out)["results"]["ratio"] - ratio) <= 1e-15 * ratio
+
+
 @pytest.mark.parametrize("degree", ["0", "21"])
 def test_error_degree_out_of_range_exits_2(capsys, degree):
     code, out, err = run(

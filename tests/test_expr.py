@@ -12,6 +12,7 @@ from anisotetra.expr import Add, Affine, Call, Div, Mul, field_from_expression, 
 from anisotetra.geom import TYPE1, reference_tetrahedron
 from anisotetra.interp import (
     Polynomial3,
+    RankOne,
     ScalarField,
     as_field,
     derivative_indices,
@@ -406,3 +407,63 @@ def test_repeated_orders_are_scaled_once_into_separate_arrays():
     assert len({id(a) for a in got}) == 4
     for m, rows in zip((3, 2, 3, 2), got):
         assert np.array_equal(rows, node.partials(m, pts))
+
+
+RIDGES = ["sin((0.4)*x + (1.1)*y + (-0.6)*z + (0.2))", "exp(0.5*x - y)", "cos(3*z)",
+          "(x - 2*y + z + 3)^-3", "(2*x + y - 1)^4", "1/((0.3)*x + (-0.7)*y + (0.2)*z + (1.6))",
+          "-2.5/(x + y + 4)", "sin(2)/(x - z + 3)"]
+
+
+class TestRankOne:
+    PTS = np.random.default_rng(5).uniform(-0.5, 1.0, (9, 3))
+
+    @pytest.mark.parametrize("text", RIDGES)
+    def test_ridge_pairs_stand_for_the_arrays_bitwise(self, text):
+        # A ridge root gives every order >= 1 named in rank_one as a RankOne
+        # whose array is, bitwise, the order's partials without it; order 0
+        # and the orders not named stay arrays.
+        node = parse_expression(text)
+        orders = (0, 1, 2, 3, 4, 5, 3)
+        got = node.partials_of(orders, self.PTS, rank_one=(1, 3, 4, 5))
+        for m, part in zip(orders, got):
+            want = node.partials(m, self.PTS)
+            if m in (0, 2):
+                assert isinstance(part, np.ndarray)
+                assert np.array_equal(part, want)
+            elif np.any(want):
+                assert isinstance(part, RankOne), m
+                assert part.row.shape == (len(self.PTS),)
+                assert part.column.shape == part.scale.shape == (len(want),)
+                assert np.array_equal(part.array(), want), m
+
+    @pytest.mark.parametrize("text", ["sin(x*y)", "2*sin(x)", "x*sin(y)", "-sin(x + y)",
+                                      "sin(x) + cos(y)", "exp(sin(x))", "sin(x^2)", "x + 2*y",
+                                      "1/sin(x + 1)", "sin((x + 1)^1)"])
+    def test_other_roots_give_arrays(self, text):
+        node = parse_expression(text)
+        got = node.partials_of((1, 2, 3), self.PTS, rank_one=(1, 2, 3))
+        for m, part in zip((1, 2, 3), got):
+            assert isinstance(part, np.ndarray)
+            assert np.array_equal(part, node.partials(m, self.PTS))
+
+    def test_fields_pass_rank_one_to_the_expression_only(self):
+        ridge = field_from_expression("exp(0.5*x - y)")
+        assert isinstance(ridge.partials_of([3], self.PTS, rank_one=[3])[0], RankOne)
+        assert isinstance(ridge.partials_of([3], self.PTS)[0], np.ndarray)
+        poly = as_field(Polynomial3({(3, 0, 0): 1.0, (0, 1, 1): 2.0}))
+        wrapped = ScalarField(ridge, partial_fn=ridge.partial)
+        for field in (poly, wrapped):
+            assert isinstance(field.partials_of([3], self.PTS, rank_one=[3])[0], np.ndarray)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_residual_gives_pairs_above_k_only(self, k):
+        # Up to k the interpolant's partials are subtracted into v's arrays;
+        # above it the residual's partials are v's own, as a RankOne.
+        v = field_from_expression("cos((0.4)*x + (1.1)*y + (-0.6)*z + (0.2))")
+        u = residual(v, ROTATED_ANISO, k)
+        orders = list(range(1, 6))
+        got = u.partials_of(orders, self.PTS, rank_one=orders)
+        for m, part in zip(orders, got):
+            want = u.partials(m, self.PTS)
+            assert isinstance(part, RankOne if m > k else np.ndarray), m
+            assert np.array_equal(part.array() if m > k else part, want), m

@@ -9,7 +9,14 @@ from anisotetra import quad
 from anisotetra.errors import InputError, NumericalError, UnsupportedDegree
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
-from anisotetra.interp import Polynomial3, SampleSet, ScalarField, monomial_indices, residual
+from anisotetra.interp import (
+    Polynomial3,
+    RankOne,
+    SampleSet,
+    ScalarField,
+    monomial_indices,
+    residual,
+)
 from anisotetra.lattice import unit_weights
 from anisotetra.quad import (
     MAX_RULE_DEGREE,
@@ -22,7 +29,7 @@ from anisotetra.quad import (
     seminorms_with_info,
     validate_p,
 )
-from anisotetra.verify import error_ratio
+from anisotetra.verify import corpus, error_ratio
 from exact_poly import Exact
 
 T_HAT = reference_tetrahedron(TYPE1)
@@ -382,3 +389,131 @@ class TestSharedSampling:
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
             seminorms_with_info(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
+
+
+# A needle and a sliver of flatness 1e-2, rotated by one fixed orthogonal map
+# and translated off the axes.
+_Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+
+
+def _rotated(verts) -> Tetrahedron:
+    return Tetrahedron.from_points(np.asarray(verts, dtype=float) @ _Q.T + [0.3, -1.1, 0.6])
+
+
+ELEMENTS = {
+    "reference": T_HAT,
+    "rotated needle": _rotated(np.asarray(T_HAT.as_array()) * [1.0, 1e-2, 1e-2]),
+    "rotated sliver": _rotated([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1e-2)]),
+}
+
+
+def materialized(v):
+    """v through a per-gamma partial_fn: every order an (n_gamma, N) array."""
+    return ScalarField(v, partial_fn=v.partial)
+
+
+def outcome(fn):
+    """fn()'s value, or the NumericalError's message."""
+    try:
+        return fn()
+    except NumericalError as err:
+        return str(err)
+
+
+class TestRankOneSeminorms:
+    """A ridge's partials reach the seminorms as RankOne pairs (interp), which
+    are reduced without forming the (n_gamma, N) array."""
+
+    @pytest.mark.parametrize("name", ELEMENTS)
+    def test_sup_is_the_materialized_maximum(self, name):
+        # Every corpus ridge, and its residual for orders above k: the
+        # maximum over the lattice as one sample set, exactly.
+        t = ELEMENTS[name]
+        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(t.as_array())
+        ridges = [v for field, v in corpus(1, t) if not field.startswith(("poly", "bubble"))]
+        assert len(ridges) == 13
+        for v in ridges:
+            for m in range(1, 6):
+                assert isinstance(v.partials_of([m], whole, rank_one=[m])[0], RankOne)
+                for u in [v] + [residual(v, t, k) for k in range(1, m)]:
+                    want = float(np.max(np.abs(u.partials(m, whole))))
+                    assert seminorm(u, t, SeminormSpec(m, math.inf)) == want, m
+
+    @pytest.mark.parametrize("text", ["exp(700*x)", "exp(700*z)", "1/((1)*x + (-0.5))",
+                                      "sin(1e308*y + 1e308*y)", "(1e300*x + 1)^2"])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_nonfinite_samples_name_the_same_gamma(self, text, p):
+        # Overflow in one gamma's column (exp), a pole in the row (1/x at a
+        # lattice point) or a NaN row (sin of inf): the first gamma that is
+        # not finite is named as the materialized array names it.
+        v = field_from_expression(text)
+        for m in range(1, 6):
+            spec = SeminormSpec(m, p)
+            got = outcome(lambda: seminorm(v, T_HAT, spec))
+            want = outcome(lambda: seminorm(materialized(v), T_HAT, spec))
+            if isinstance(want, str) or p == math.inf:
+                assert got == want, (m, got, want)
+            else:
+                assert abs(got - want) <= 1e-15 * want, m
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs a long double "
+                        "wider than a double for the reference sum")
+    @pytest.mark.parametrize("name", ELEMENTS)
+    @pytest.mark.parametrize("text", [
+        "sin((0.4)*x + (1.1)*y + (-0.6)*z + (0.2))", "exp((-1.2)*x + (0.9)*y + (0.3)*z)",
+        "1/((0.3)*x + (-0.7)*y + (0.2)*z + (1.6))", "(x - 2*y + z + 3)^-3", "-2.5/(x + y + 4)",
+    ])
+    def test_finite_p_matches_the_materialized_sum(self, name, text):
+        # The reference is the materialized samples' p-sum in long double, as
+        # the float sum over the array is itself off by up to 9.3e-16 at
+        # p = 1 (-2.5/(x + y + 4), m = 4, on the reference element).
+        t = ELEMENTS[name]
+        v = field_from_expression(text)
+        stack, rows = quad._rule_stack((quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE))
+        rule = rule_for_degree(quad.RICHARDSON_DEGREE)
+        ld = np.longdouble
+        for m in range(1, 6):
+            vals = materialized(v).partials(m, stack.on(t.as_array()))
+            vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]])
+            weights = np.array([multinomial_weight(g) for g in derivative_indices(m)], dtype=ld)
+            for p in (1.0, 2.0, 3.0, 7.5):
+                sums = vals.astype(ld) ** ld(p) @ rule.weights.astype(ld)
+                total = weights @ sums * ld(volume(t))
+                want = float(total ** (1 / ld(p)))
+                got = seminorm_with_info(v, t, SeminormSpec(m, p))
+                assert abs(got.value - want) <= 1e-15 * want, (p, m)
+                same = seminorm_with_info(materialized(v), t, SeminormSpec(m, p))
+                assert got.quadrature_degree == same.quadrature_degree == quad.RICHARDSON_DEGREE
+                assert len(got.warnings) == len(same.warnings)
+
+    @pytest.mark.parametrize("p", [100.0, 1000.0])
+    def test_large_p_takes_the_array(self, p):
+        # Above RANK_ONE_MAX_P the pair is materialized, so no product of two
+        # scaled factors can underflow (at p = 1000 the factors' product is
+        # 0): the value is the array's, bitwise.
+        v = field_from_expression("sin(3*x - y + 0.5*z)")
+        for m in (1, 3):
+            spec = SeminormSpec(m, p)
+            assert seminorm(v, ANISO, spec) == seminorm(materialized(v), ANISO, spec)
+
+    @pytest.mark.parametrize("text", ["sin(x*y)", "2*sin(x)", "x*sin(y)"])
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_other_expressions_are_unchanged(self, text, p):
+        v = field_from_expression(text)
+        for m in (1, 3):
+            spec = SeminormSpec(m, p)
+            want = seminorm_with_info(materialized(v), ANISO, spec)
+            assert seminorm_with_info(v, ANISO, spec) == want
+
+
+class TestPolish:
+    @pytest.mark.parametrize("m,polished", [(2, True), (3, False), (4, False)])
+    def test_polish_only_where_the_hessian_can_be_nonzero(self, monkeypatch, m, polished):
+        # Above degree - 2 the Hessian of d^gamma u is the field's zero partials
+        # of order m + 2, so no Newton step exists and none is tried.
+        calls = []
+        polish = quad._newton_polish
+        monkeypatch.setattr(quad, "_newton_polish", lambda *a: calls.append(a) or polish(*a))
+        u = Polynomial3.dense(np.cos(np.arange(35.0)), 4)
+        seminorm(u, ANISO, SeminormSpec(m, math.inf))
+        assert bool(calls) == polished

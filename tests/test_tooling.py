@@ -361,7 +361,7 @@ class CountedNode(Node):
     def __init__(self, node: Node):
         self.node, self.calls = node, 0
 
-    def jet(self, pts, n, keep=None):
+    def jet(self, pts, n, keep=None, rank_one=()):
         self.calls += 1
         return self.node.jet(pts, n, keep)
 

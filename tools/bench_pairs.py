@@ -73,6 +73,49 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def run_pairs(trees: dict, workloads: list, seconds: int, run=run_once) -> dict:
+    """PAIRS pairs of run(tree, workload, seed, seconds) on both trees, which
+    maps "parent" and "change" to a tree, with the same seed in a pair: the
+    parent runs first in even pairs and the change in odd ones.  Returns, for
+    each workload, each side's results in pair order."""
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in workloads:
+            for side in order:
+                result = run(trees[side], w, FIRST_SEED + i, seconds)
+                runs[w][side].append(result)
+                print("pair %d %-13s %-6s %s" % (i, w, side, json.dumps(
+                    {m: round(v["value"], 6) for m, v in result["metrics"].items()})),
+                    file=sys.stderr, flush=True)
+    return runs
+
+
+def workload_entries(runs: dict, metrics: list) -> list[dict]:
+    """The report's workloads from runs, which maps each workload to each
+    side's run.py results in pair order: whether every run of a side was
+    correct and, for each end-to-end metric of BENCHMARK.json, each side's
+    summary, the relative change of the medians and the pairs the change won."""
+    entries = []
+    for w, by_side in runs.items():
+        entry = {"name": w, "correct": {side: all(r["correct"] for r in rs)
+                                        for side, rs in by_side.items()},
+                 "end_to_end": []}
+        for spec in metrics:
+            name = spec["name"]
+            sides = {side: [r["metrics"][name]["value"] for r in rs]
+                     for side, rs in by_side.items()}
+            sign = 1.0 if spec["better"] == "higher" else -1.0
+            won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+            row = dict(spec, parent=summary(sides["parent"]), change=summary(sides["change"]))
+            base = row["parent"]["median"]
+            row["median_change"] = (row["change"]["median"] - base) / base if base else None
+            row["pairs_won"] = won
+            entry["end_to_end"].append(row)
+        entries.append(entry)
+    return entries
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Paired benchmark runs, parent against change.")
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -90,16 +133,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
         trees = {"parent": unpack(commit, Path(scratch)), "change": ROOT}
         digests = {side: source_digest(tree) for side, tree in trees.items()}
-        runs = {w: {"parent": [], "change": []} for w in workloads}
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for w in workloads:
-                for side in order:
-                    result = run_once(trees[side], w, FIRST_SEED + i, seconds)
-                    runs[w][side].append(result)
-                    print("pair %d %-13s %-6s %s" % (i, w, side, json.dumps(
-                        {m: round(v["value"], 6) for m, v in result["metrics"].items()})),
-                        file=sys.stderr, flush=True)
+        runs = run_pairs(trees, workloads, seconds)
 
     report = {
         "command": bench["command"] + ["--seconds", str(seconds), "--trace", "0"],
@@ -109,24 +143,8 @@ def main(argv=None) -> int:
         "seeds": [FIRST_SEED + i for i in range(PAIRS)],
         "order": "parent first in even pairs, change first in odd pairs",
         "env": {"python": platform.python_version(), "machine": platform.machine()},
-        "workloads": [],
+        "workloads": workload_entries(runs, metrics),
     }
-    for w in workloads:
-        entry = {"name": w, "correct": {side: all(r["correct"] for r in rs)
-                                        for side, rs in runs[w].items()},
-                 "end_to_end": []}
-        for spec in metrics:
-            name = spec["name"]
-            sides = {side: [r["metrics"][name]["value"] for r in rs]
-                     for side, rs in runs[w].items()}
-            sign = 1.0 if spec["better"] == "higher" else -1.0
-            won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
-            row = dict(spec, parent=summary(sides["parent"]), change=summary(sides["change"]))
-            base = row["parent"]["median"]
-            row["median_change"] = (row["change"]["median"] - base) / base if base else None
-            row["pairs_won"] = won
-            entry["end_to_end"].append(row)
-        report["workloads"].append(entry)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for entry in report["workloads"]:
         for row in entry["end_to_end"]:
