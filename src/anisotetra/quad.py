@@ -27,20 +27,21 @@ set; one call, partials_of(orders, samples), samples |d^gamma u| there for
 every |gamma| = m of every order, and each spec reduces its own rules' rows
 by the weighted p-sum, one product per rule with the multinomial weights;
 _rule_degrees is the one place that picks their degrees.  Every sample is
-first divided by one power of two 2^e above the largest sample of all the
-spec's rules, so no p-th power overflows at large p (10^400 would), and the
-value is 2^e times the p-th root; the 12/18 agreement check compares the
-scaled sums, and at p = 2 the scaling changes no digit.  For p = infinity
-the sample set is the dense lattice X^DENSE_LATTICE_ORDER of the cached
-lattice.unit_weights table, cached as blocks of at most BLOCK points, one
-partials_of call each: each gamma keeps a running maximum, which equals the
-maximum of one unblocked pass, and for polynomials one constrained Newton
-step polishes it, with value, gradient and Hessian from one call, where
-degree - m >= 2 (below that the Hessian is the zero partials of order m + 2,
-and no step exists); this route is documented as approximate and takes no
-quadrature degree.  A sampled value that is not finite raises
-NumericalError, for the first such gamma in order, the first seminorm first,
-and for one seminorm its first rule first.
+first divided by the largest sample of all the spec's rules, so the largest
+term of every sum is exactly 1 and no p-th power overflows or underflows at
+any admissible p (10^400 would overflow, 0.7^3000 underflow); the value is
+that largest sample times the p-th root, and the 12/18 agreement check
+compares the scaled sums.  For p = infinity the sample set is the dense
+lattice X^DENSE_LATTICE_ORDER of the cached lattice.unit_weights table,
+cached as blocks of at most BLOCK points, one partials_of call each: each
+gamma keeps a running maximum, which equals the maximum of one unblocked
+pass, and for polynomials one constrained Newton step polishes it, with
+value, gradient and Hessian from one call, where degree - m >= 2 (below that
+the Hessian is the zero partials of order m + 2, and no step exists); this
+route is documented as approximate and takes no quadrature degree.  A
+sampled value that is not finite raises NumericalError, for the first such
+gamma in order, the first seminorm first, and for one seminorm its first
+rule first.  A degenerate element raises DegenerateTetrahedron at every p.
 
 Every call opts in to interp.RankOne results, which a ridge expression (and
 its residual above k) gives: d^gamma u = row(x) column_gamma gamma!, never
@@ -48,9 +49,8 @@ formed as an array.  Its maximum over a block is at the first point where
 |row| peaks, |fl(fl(row_i column) gamma!)| for every gamma, bitwise the
 array's maximum since rounding is monotone and sign-symmetric, and finite
 exactly when the array is.  Its p-sum is (sum_gamma weight_gamma |column_gamma
-gamma!|^p) (sum_x w_x |row_x|^p), each factor scaled below 1 by its own power
-of two; the 12/18 check so compares the row sums.  Above RANK_ONE_MAX_P the
-p-sum is taken of the array.
+gamma!|^p) (sum_x w_x |row_x|^p), each factor divided by its own largest
+term; the 12/18 check so compares the row sums.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, InputError, NumericalError, UnsupportedDegree
+from .errors import InputError, NumericalError, UnsupportedDegree
 from .geom import Tetrahedron, volume
 from .interp import (
     RankOne,
@@ -86,10 +86,6 @@ BLOCK = 4096
 # How far outside the element (in barycentric coordinates) a Newton step of
 # the p = inf polish may land and still be taken.
 INSIDE_TOL = 1e-9
-# Above this p a RankOne's p-sum is taken of its array: each of its two
-# scaled factors may fall to 2^-p, and their product 4^-p leaves the float
-# range well before the array's own scaled sum (2^-p) does.
-RANK_ONE_MAX_P = 64.0
 
 MultiIndex = tuple[int, int, int]
 
@@ -214,33 +210,21 @@ def _peak(pair: RankOne) -> tuple[int, np.ndarray]:
         return i, np.abs((pair.row[i] * pair.column) * pair.scale)
 
 
-def _frame(t: Tetrahedron):
-    """pull_back(t), or None for a degenerate t."""
-    try:
-        return pull_back(t)
-    except DegenerateTetrahedron:
-        return None
-
-
-def _inside(t: Tetrahedron, x: np.ndarray, frame=None) -> bool:
-    """Is x in t, up to INSIDE_TOL in barycentric terms?  False on a
-    degenerate t.  frame is pull_back(t) when the caller has it."""
-    frame = frame or _frame(t)
-    if frame is None:
-        return False
+def _inside(x: np.ndarray, frame) -> bool:
+    """Is x in the element whose pull_back is frame, up to INSIDE_TOL in
+    barycentric terms?"""
     verts, inverse_t = frame
     lam = (x - verts[0]) @ inverse_t
     return bool(lam.min() >= -INSIDE_TOL and lam.sum() <= 1.0 + INSIDE_TOL)
 
 
-def _newton_polish(
-    field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, t: Tetrahedron, frame
-) -> float:
+def _newton_polish(field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, frame) -> float:
     """One constrained Newton step toward a local extremum of |d^gamma u|.
 
     Value, gradient and Hessian are the rows gamma, gamma + e_i and
     gamma + e_i + e_j of the field's partials of orders |gamma|, |gamma| + 1
-    and |gamma| + 2 at x0, from one call; frame is pull_back(t) or None.
+    and |gamma| + 2 at x0, from one call; the step is taken only inside the
+    element whose pull_back is frame.
     """
     m, e = sum(gamma), np.eye(3, dtype=int)
     row = derivative_indices(m).index(gamma)
@@ -257,7 +241,7 @@ def _newton_polish(
     except np.linalg.LinAlgError:
         return abs(val0)
     x1 = x0 + step
-    if not _inside(t, x1, frame):
+    if not _inside(x1, frame):
         return abs(val0)
     val1 = sign * float(field_u.partials(m, x1[None, :])[row, 0])
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
@@ -359,15 +343,13 @@ def seminorms_with_info(
     live = [field_u.degree is None or spec.m <= field_u.degree for spec in specs]
     finite = [i for i, spec in enumerate(specs) if spec.p != math.inf]
     rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
-    vol = volume(t) if finite else None
+    vol = volume(t)  # DegenerateTetrahedron at every p
     using = [i for i in finite if live[i]]
     samples = {}  # per spec, |partials| or a RankOne on each of its rules
     if using:
         stack, rows = _rule_stack(tuple(sorted({d for i in using for d in plans[i]})))
         orders = [specs[i].m for i in using]
         for i, v in zip(using, field_u.partials_of(orders, stack.on(verts), rank_one=orders)):
-            if isinstance(v, RankOne) and specs[i].p > RANK_ONE_MAX_P:
-                v = v.array()
             if isinstance(v, RankOne):
                 samples[i] = [v._replace(row=v.row[rows[d]]) for d in plans[i]]
             else:
@@ -384,14 +366,13 @@ def seminorms_with_info(
                 peak.add(vals, placed.x)
     # A polynomial's maximum is polished where its Hessian can be nonzero.
     polish = [i for i in peaks if field_u.degree is not None and field_u.degree - specs[i].m > 1]
-    # The element's frame, for a polish that must stay inside it.
-    frame = _frame(t) if polish else None
+    frame = pull_back(t) if polish else None  # a polish step stays inside t
     out = []
     for i, spec in enumerate(specs):
         if spec.p == math.inf:
             value, at = peaks[i].result() if i in peaks else (0.0, None)
             if at is not None and i in polish:
-                value = max(value, _newton_polish(field_u, *at, t, frame))
+                value = max(value, _newton_polish(field_u, *at, frame))
             warnings = ("p=inf maximum from dense sampling; value is approximate",)
             out.append(SeminormInfo(value, None, warnings))
         elif not live[i]:
@@ -404,25 +385,26 @@ def seminorms_with_info(
 def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
            vol: float) -> SeminormInfo:
     """|u|_{m,p,T} from |d^gamma u| sampled on each rule, or from a RankOne
-    of d^gamma u on each, with the 12/18 agreement warning when there are two."""
+    of d^gamma u on each, with the 12/18 agreement warning when there are two.
+    The totals are the p-sums of the samples over their largest, top, whose
+    largest term is 1, so none overflows or underflows; the value is
+    top * total^(1/p), and NumericalError when that is not a float."""
     gammas = derivative_indices(spec.m)
     p = float(spec.p)
     weights = _multinomial_weights(spec.m) * vol
     if isinstance(samples[0], RankOne):
         for pair in samples:
             _check_finite(np.isfinite(_peak(pair)[1]), gammas)
-        totals, e = _rank_one_totals(samples, rules, weights, p)
+        totals, top = _rank_one_totals(samples, rules, weights, p)
     else:
         for vals in samples:
             _check_finite(np.isfinite(vals).all(axis=1), gammas)
-        # Every sample over 2^e lies below 1, so no p-th power overflows.
-        e = int(np.frexp(max(vals.max() for vals in samples))[1])
-        totals = [float(weights @ (np.ldexp(vals, -e) ** p @ r.weights))
+        top = _largest(max(vals.max() for vals in samples))
+        totals = [float(weights @ ((vals / top) ** p @ r.weights))
                   for r, vals in zip(rules, samples)]
-    try:
-        value = math.ldexp(totals[-1] ** (1.0 / p), e)
-    except OverflowError:
-        raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p)) from None
+    value = top * totals[-1] ** (1.0 / p)
+    if math.isinf(value):
+        raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p))
     warnings: tuple[str, ...] = ()
     ref = max(abs(totals[-1]), 1e-300)
     if len(totals) == 2 and abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
@@ -434,23 +416,32 @@ def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
     return SeminormInfo(value, degrees[-1], warnings)
 
 
+def _largest(top) -> float:
+    """top, the largest of some finite samples |d^gamma u|, as a Python float,
+    whose products overflow to inf rather than into a numpy warning; 1.0 when
+    it is 0, where every sample is 0 and dividing by 1.0 gives 0, not NaN."""
+    return float(top) or 1.0
+
+
 def _rank_one_totals(samples: list, rules: list, weights: np.ndarray,
-                     p: float) -> tuple[list, int]:
+                     p: float) -> tuple[list, float]:
     """The p-sums of RankOne samples (one per rule, sharing column and scale)
-    as (sum_gamma weights |column scale|^p) (sum_x w_x |row_x|^p), and e,
-    without forming the array.  |column scale| is brought below 1 by 2^-ec
-    and 2^-lift, |column| first so that no product overflows, and every
-    rule's |row| by 2^-er: the totals are those of the samples over 2^e,
-    e = ec + lift + er, and their 12/18 agreement is that of the row sums."""
+    over their largest, top, as (sum_gamma weights |column scale|^p)
+    (sum_x w_x |row_x|^p) with each factor divided by its largest term,
+    without forming the array.  |column| is divided by its largest entry
+    before scale multiplies it, so that no product overflows where the array
+    is finite; the 12/18 agreement is that of the row sums."""
     column = np.abs(samples[0].column)
-    ec = int(np.frexp(column.max())[1])
-    column = np.ldexp(column, -ec) * samples[0].scale  # scale >= 1 may lift it
-    lift = int(np.frexp(column.max())[1])
-    colsum = float(weights @ np.ldexp(column, -lift) ** p)
+    shrink = _largest(column.max())
+    column = column / shrink * samples[0].scale
+    lift = _largest(column.max())
+    colsum = float(weights @ (column / lift) ** p)
     rows = [np.abs(pair.row) for pair in samples]
-    er = int(np.frexp(max(row.max() for row in rows))[1])
-    totals = [colsum * float(np.ldexp(row, -er) ** p @ r.weights) for r, row in zip(rules, rows)]
-    return totals, ec + lift + er
+    rtop = _largest(max(row.max() for row in rows))
+    totals = [colsum * float((row / rtop) ** p @ r.weights) for r, row in zip(rules, rows)]
+    # lift >= 1 multiplies last, so no partial product of the largest
+    # sample overflows where the sample itself is finite.
+    return totals, shrink * rtop * lift
 
 
 def seminorm_with_info(

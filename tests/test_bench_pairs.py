@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py on stubbed runs: pairing order and the report."""
+"""tools/bench_pairs.py on stubbed runs and git: pairing, unpacking, report."""
 
 import importlib.util
 from pathlib import Path
@@ -93,3 +93,87 @@ def test_correct_is_reported_per_side(wrong):
     values = [(100.0, 2.0)] * 5
     [entry] = entries_for(values, values, wrong)
     assert entry["correct"] == {side: side != wrong for side in ("parent", "change")}
+
+
+def fake_git(untracked="", stash=""):
+    """A git stub: the given ls-files and stash outputs, and "HEAD-SHA" for
+    rev-parse; every call is logged."""
+    log = []
+
+    def git(*args):
+        log.append(args)
+        return {"ls-files": untracked, "stash": stash, "rev-parse": "HEAD-SHA"}[args[0]]
+
+    return git, log
+
+
+@pytest.mark.parametrize("stash,change", [("STASH-SHA", "STASH-SHA"), ("", "HEAD-SHA")])
+def test_both_sides_are_unpacked_from_git(tmp_path, stash, change):
+    # A modified checkout is benchmarked as its stash commit, a clean one as
+    # HEAD; neither side runs from the checkout itself.
+    git, log = fake_git(stash=stash)
+    unpacked = []
+
+    def unpack(rev, scratch):
+        unpacked.append((rev, scratch))
+        return Path("tree-of-" + rev)
+
+    trees = bench_pairs.unpack_sides("PARENT-SHA", tmp_path, git=git, unpack=unpack)
+    assert trees == {"parent": Path("tree-of-PARENT-SHA"), "change": Path("tree-of-" + change)}
+    assert unpacked == [("PARENT-SHA", tmp_path), (change, tmp_path)]
+    assert log[0] == ("ls-files", "--others", "--exclude-standard", "src", "perfbench")
+    assert log[1] == ("stash", "create")
+
+
+def test_untracked_sources_are_refused(tmp_path):
+    git, _ = fake_git(untracked="src/anisotetra/new.py")
+
+    def unpack(rev, scratch):
+        raise AssertionError("nothing is unpacked")
+
+    with pytest.raises(SystemExit, match="src/anisotetra/new.py"):
+        bench_pairs.unpack_sides("PARENT-SHA", tmp_path, git=git, unpack=unpack)
+
+
+def verdict_of(parent, change):
+    """(verdict, claim_met) of items/s, higher is better with bound 0.25, on
+    ten pairs with the given per-side values."""
+    [entry] = entries_for([(a, 1.0) for a in parent], [(a, 1.0) for a in change])
+    items = entry["end_to_end"][0]
+    return items["verdict"], items["claim_met"]
+
+
+STEADY = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+NOISY = [60.0, 140.0, 70.0, 130.0, 100.0, 65.0, 135.0, 100.0, 75.0, 125.0]
+
+
+def test_verdict_held_within_the_bound():
+    assert verdict_of(STEADY, [v * 0.9 for v in STEADY]) == ("held", False)
+    assert verdict_of(STEADY, STEADY) == ("held", False)
+
+
+def test_verdict_worse_beyond_the_bound():
+    assert verdict_of(STEADY, [v * 0.7 for v in STEADY]) == ("worse", False)
+    # Lower is better for the tail: a 30% longer tail is worse as well.
+    [entry] = entries_for([(100.0, v) for v in STEADY], [(100.0, 1.3 * v) for v in STEADY])
+    assert entry["end_to_end"][1]["verdict"] == "worse"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # The parent's quartiles are [71.25, 128.75]: a spread of 57.5% of the
+    # median, against the 0.25 bound.
+    assert verdict_of(NOISY, NOISY) == ("unresolved", False)
+    assert verdict_of(NOISY, [v * 0.5 for v in NOISY]) == ("unresolved", False)
+    # Unless every change run beats every parent run.
+    assert verdict_of(NOISY, [v + 100.0 for v in NOISY]) == ("held", True)
+
+
+def test_claim_needs_nine_pairs_and_a_gap_wider_than_the_spread():
+    assert verdict_of(STEADY, [v + 10.0 for v in STEADY]) == ("held", True)
+    # Nine of ten pairs won still meets it, eight does not.
+    nine = [v + 10.0 for v in STEADY[:9]] + [STEADY[9] - 1.0]
+    assert verdict_of(STEADY, nine) == ("held", True)
+    eight = [v + 10.0 for v in STEADY[:8]] + [v - 1.0 for v in STEADY[8:]]
+    assert verdict_of(STEADY, eight) == ("held", False)
+    # Every pair won by a gap inside the parent's quartile spread (1.5).
+    assert verdict_of(STEADY, [v + 1.0 for v in STEADY]) == ("held", False)

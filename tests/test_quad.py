@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from anisotetra import quad
-from anisotetra.errors import InputError, NumericalError, UnsupportedDegree
+from anisotetra.errors import (
+    DegenerateTetrahedron,
+    InputError,
+    NumericalError,
+    UnsupportedDegree,
+)
 from anisotetra.expr import field_from_expression
 from anisotetra.geom import TYPE1, Tetrahedron, reference_tetrahedron, volume
 from anisotetra.interp import (
@@ -15,6 +20,7 @@ from anisotetra.interp import (
     SampleSet,
     ScalarField,
     monomial_indices,
+    pull_back,
     residual,
 )
 from anisotetra.lattice import unit_weights
@@ -182,11 +188,42 @@ class TestSeminorm:
         assert abs(w - math.sqrt(2.0 / 6.0)) < 1e-13
 
     def test_inside_allows_the_tolerance_only(self):
-        assert quad._inside(T_HAT, np.array([0.5, 0.5, -0.5 * quad.INSIDE_TOL]))
-        assert not quad._inside(T_HAT, np.array([0.5, 0.5, -2.0 * quad.INSIDE_TOL]))
-        assert not quad._inside(T_HAT, np.array([0.5, 0.5, 2.0 * quad.INSIDE_TOL]))
-        flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-        assert not quad._inside(flat, np.array([0.25, 0.25, 0.0]))
+        frame = pull_back(T_HAT)
+        assert quad._inside(np.array([0.5, 0.5, -0.5 * quad.INSIDE_TOL]), frame)
+        assert not quad._inside(np.array([0.5, 0.5, -2.0 * quad.INSIDE_TOL]), frame)
+        assert not quad._inside(np.array([0.5, 0.5, 2.0 * quad.INSIDE_TOL]), frame)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("field", ["polynomial", "expression"])
+    def test_flat_element_raises_at_every_p(self, field, p):
+        # p = inf samples a lattice and needs no volume, but the element is
+        # checked all the same.
+        flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 0)])
+        u = {"polynomial": Polynomial3.dense(np.cos(np.arange(35.0)), 4),
+             "expression": field_from_expression("x*sin(3*x - y + 0.5*z)")}[field]
+        with pytest.raises(DegenerateTetrahedron):
+            seminorm_with_info(u, flat, SeminormSpec(2, p))
+
+    def test_no_underflow_at_large_p(self):
+        # At p = 3000 a p-sum whose largest term lies below 1 can underflow
+        # to 0: on this element for m = 0 and 3 when it lies near 1/2.
+        v = field_from_expression("x*sin(3*x - y + 0.5*z)")
+        for m in (0, 1, 3):
+            assert seminorm(v, ANISO, SeminormSpec(m, 3000.0)) > 0.0, m
+        assert not error_ratio(v, ANISO, 2, 1, 3000.0).indeterminate
+
+    def test_zero_samples_give_zero(self):
+        # Every sample 0, as an array or as a RankOne with a zero row or a
+        # zero column: the value is 0, and no 0/0 warns.
+        degrees = (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE)
+        rules = [rule_for_degree(d) for d in degrees]
+        ns = [len(r.weights) for r in rules]
+        ones = np.ones(3)
+        for samples in ([np.zeros((3, n)) for n in ns],
+                        [RankOne(np.zeros(n), ones, ones) for n in ns],
+                        [RankOne(np.ones(n), np.zeros(3), ones) for n in ns]):
+            info = quad._p_sum(SeminormSpec(1, 3.0), samples, rules, degrees, 1.0)
+            assert info == quad.SeminormInfo(0.0, degrees[-1])
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_nonfinite_values_raise(self, p):
@@ -440,12 +477,15 @@ class TestRankOneSeminorms:
                     assert seminorm(u, t, SeminormSpec(m, math.inf)) == want, m
 
     @pytest.mark.parametrize("text", ["exp(700*x)", "exp(700*z)", "1/((1)*x + (-0.5))",
-                                      "sin(1e308*y + 1e308*y)", "(1e300*x + 1)^2"])
+                                      "sin(1e308*y + 1e308*y)", "(1e300*x + 1)^2",
+                                      "sin(1.2e154*x)"])
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_nonfinite_samples_name_the_same_gamma(self, text, p):
         # Overflow in one gamma's column (exp), a pole in the row (1/x at a
         # lattice point) or a NaN row (sin of inf): the first gamma that is
-        # not finite is named as the materialized array names it.
+        # not finite is named as the materialized array names it.  At m = 2
+        # the column of sin(1.2e154*x) times 2! would overflow, but the
+        # array's largest sample does not.
         v = field_from_expression(text)
         for m in range(1, 6):
             spec = SeminormSpec(m, p)
@@ -486,15 +526,27 @@ class TestRankOneSeminorms:
                 assert got.quadrature_degree == same.quadrature_degree == quad.RICHARDSON_DEGREE
                 assert len(got.warnings) == len(same.warnings)
 
-    @pytest.mark.parametrize("p", [100.0, 1000.0])
-    def test_large_p_takes_the_array(self, p):
-        # Above RANK_ONE_MAX_P the pair is materialized, so no product of two
-        # scaled factors can underflow (at p = 1000 the factors' product is
-        # 0): the value is the array's, bitwise.
-        v = field_from_expression("sin(3*x - y + 0.5*z)")
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs a long double "
+                        "wider than a double for the reference sum")
+    @pytest.mark.parametrize("text", ["sin(3*x - y + 0.5*z)", "x*sin(3*x - y + 0.5*z)"])
+    @pytest.mark.parametrize("p", [100.0, 1000.0, 3000.0])
+    def test_large_p_matches_the_materialized_sum(self, text, p):
+        # A ridge's RankOne and a product's array against the materialized
+        # samples' p-sum in long double, each sample divided by the largest
+        # first, as |d^gamma u|^3000 can leave even the long double range.
+        v = field_from_expression(text)
+        stack, rows = quad._rule_stack((quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE))
+        rule = rule_for_degree(quad.RICHARDSON_DEGREE)
+        ld = np.longdouble
         for m in (1, 3):
-            spec = SeminormSpec(m, p)
-            assert seminorm(v, ANISO, spec) == seminorm(materialized(v), ANISO, spec)
+            vals = materialized(v).partials(m, stack.on(ANISO.as_array()))
+            vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]]).astype(ld)
+            top = vals.max()
+            weights = np.array([multinomial_weight(g) for g in derivative_indices(m)], dtype=ld)
+            total = weights @ ((vals / top) ** ld(p) @ rule.weights.astype(ld)) * ld(volume(ANISO))
+            want = float(top * total ** (1 / ld(p)))
+            got = seminorm(v, ANISO, SeminormSpec(m, p))
+            assert abs(got - want) <= 1e-15 * want, (m, got, want)
 
     @pytest.mark.parametrize("text", ["sin(x*y)", "2*sin(x)", "x*sin(y)"])
     @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
