@@ -548,6 +548,19 @@ class TestRankOneSeminorms:
             got = seminorm(v, ANISO, SeminormSpec(m, p))
             assert abs(got - want) <= 1e-15 * want, (m, got, want)
 
+    @pytest.mark.parametrize("p", [100.0, 1000.0])
+    def test_large_p_takes_the_array(self, p):
+        # The RankOne pair, scaled by its column's and row's largest entries,
+        # gives the materialized array's value to rounding at large p: no
+        # product of two scaled factors underflows to 0.
+        v = field_from_expression("sin(3*x - y + 0.5*z)")
+        for m in range(1, 6):
+            spec = SeminormSpec(m, p)
+            got = seminorm(v, ANISO, spec)
+            want = seminorm(materialized(v), ANISO, spec)
+            assert got > 0.0
+            assert abs(got - want) <= 1e-15 * want, (m, got, want)
+
     @pytest.mark.parametrize("text", ["sin(x*y)", "2*sin(x)", "x*sin(y)"])
     @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
     def test_other_expressions_are_unchanged(self, text, p):
