@@ -90,6 +90,7 @@ from .verify import (
     generate,
     mac_experiment,
     squeeze_sweep,
+    study,
 )
 
 __version__ = "0.1.0"

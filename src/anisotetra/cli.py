@@ -382,8 +382,9 @@ def cmd_error(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.eps_levels < 1:
-        raise InputError("--eps-levels must be >= 1, got %d" % args.eps_levels)
+    if not 1 <= args.eps_levels <= 1075:  # eps = 2^-l is 0.0 from l = 1075 on
+        bound = ">= 1" if args.eps_levels < 1 else "<= 1075"
+        raise InputError("--eps-levels must be %s, got %d" % (bound, args.eps_levels))
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
     rows_out = [
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alphas", default="1,eps,eps",
                        help="three entries, floats in (0, 1] or 'eps' (default 1,eps,eps)")
     sweep.add_argument("--eps-levels", type=int, default=11,
-                       help="levels l = 0..n-1 with eps = 2^-l")
+                       help="levels l = 0..n-1 with eps = 2^-l, n in 1..1075")
     sweep.add_argument("--csv", help="write the per-level table here")
     sweep.add_argument("--out", default="-")
     sweep.set_defaults(func=cmd_sweep)

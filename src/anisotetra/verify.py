@@ -9,8 +9,11 @@ The experiments here are the executable form of the package's claims:
   sample set, and of the geometry only h_T, |T| and R_T are computed.  They
   take v's exact partials (an expression, a polynomial or a per-gamma
   partial_fn); a plain callable has values only and is refused.
-* ``squeeze_sweep`` tracks that quotient while a reference element is
-  squeezed anisotropically; the constant must not blow up as alpha -> 0.
+* ``study`` is the one loop over that quotient, every field on every element
+  of a sequence.  Its instances: ``squeeze_sweep`` keeps the corpus's worst
+  field while D_alpha squeezes the reference (the constant must not blow up as
+  alpha -> 0); ``convergence_study`` takes the orders k+1-m of one field on an
+  element's halvings, where error_ratio's scale-free flag leaves an order.
 * ``max_residual_quotient`` applies the lattice's forward-difference
   stencils to the interpolation residual at the nodes of both reference
   elements; its difference quotients vanish for every field.
@@ -19,9 +22,6 @@ The experiments here are the executable form of the package's claims:
 * ``mac_experiment`` tests both directions of the maximum angle condition
   equivalence: angle bound implies quality bound, quality bound implies a
   (weaker) angle bound.
-* ``convergence_study`` shrinks a fixed element uniformly and fits the
-  observed convergence order k+1-m; whether there is an order to observe is
-  decided by error_ratio's scale-free indeterminate flag.
 
 Tetrahedron generation is counter-based: each sample draws from its own
 Philox stream keyed by (seed, sample index), so the generated list is
@@ -69,6 +69,7 @@ from .geom import (
 from .interp import (
     Interpolant,
     Polynomial3,
+    _check_degree,
     _interpolate,
     _newton,
     _residual,
@@ -357,6 +358,7 @@ def corpus(k: int, t: Tetrahedron) -> list[tuple[str, object]]:
     degree 4).  Coefficients come from a fixed key so sweeps are comparable
     across runs; only the rational shifts and the bubble depend on the element.
     """
+    k = _check_degree(k)
     rng = np.random.Generator(np.random.Philox(key=_CORPUS_KEY))
     verts = np.asarray(t.as_array())
     fields: list[tuple[str, object]] = []
@@ -418,9 +420,7 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     needs partials of order k + 1, so a plain callable, which is values-only,
     raises DerivativeUnavailable.
     """
-    ok, reason = validate_p(k, m, p)
-    if not ok:
-        raise InadmissiblePC(reason)
+    _check_spec(k, m, p)
     k, m = int(k), int(m)
     geometry = angles(t)
     h_t = geometry.h[-1]
@@ -445,6 +445,19 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
         geometry=geometry,
         warnings=err_info.warnings + hi_info.warnings,
     )
+
+
+def _check_spec(k, m, p):
+    ok, reason = validate_p(k, m, p)
+    if not ok:
+        raise InadmissiblePC(reason)
+
+
+def study(elements, fields, k: int, m: int, p: float) -> list[tuple[ErrorRatioResult, ...]]:
+    """One tuple of error_ratio results per element, one per (name, v) in fields.
+    (k, m, p) is checked before the first element is drawn; elements may be lazy."""
+    _check_spec(k, m, p)
+    return [tuple(error_ratio(v, t, k, m, p) for _, v in fields) for t in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -501,51 +514,41 @@ def _fit_slope(ys: list[float]) -> float:
 def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> SweepResult:
     """Track the normalized error ratio while the reference is squeezed.
 
-    For each alpha on the grid the corpus is interpolated on D_alpha applied
-    to the reference element; the row keeps the worst field.  trend_ok means
-    the squeezing-theorem normalization shows no upward log-log trend
-    (slope <= 0.1).
+    A study of the corpus on the reference squeezed by each D_alpha of the
+    grid; each row keeps the worst field.  trend_ok means the squeezing-theorem normalization
+    shows no upward log-log trend (slope <= 0.1).
     """
-    ok, reason = validate_p(k, m, p)
-    if not ok:
-        raise InadmissiblePC(reason)
-    if alphas is None:
-        alphas = default_alpha_grid()
+    _check_spec(k, m, p)  # before the corpus, which checks k as a degree
+    alphas = default_alpha_grid() if alphas is None else alphas
     if not len(alphas):
         raise InputError("the alpha grid is empty")
     ref = reference_tetrahedron(kind).as_array()
     fields = corpus(k, Tetrahedron.from_points(ref))
-    rows = []
-    for level, alpha in enumerate(alphas):
+
+    def squeezed(alpha):  # checked when the study reaches its level
         a = np.asarray(alpha, dtype=float)
         if not np.all((0.0 < a) & (a <= 1.0)):
             raise InputError("alpha components must lie in (0, 1], got %r" % (alpha,))
-        t = Tetrahedron.from_points(ref * a)
-        scale_pow = float(np.max(a)) ** (k + 1 - m)
-        best = None
-        for name, v in fields:
-            r = error_ratio(v, t, k, m, p)
-            if r.indeterminate:
-                continue
-            scaled = r.error / (r.seminorm_hi * scale_pow)
-            if best is None or r.ratio > best[1]:
-                best = (name, r.ratio, scaled, r)
-        if best is None:
+        return Tetrahedron.from_points(ref * a)
+
+    rows = []
+    for alpha, results in zip(alphas, study(map(squeezed, alphas), fields, k, m, p)):
+        named = [(name, r) for (name, _), r in zip(fields, results) if not r.indeterminate]
+        if not named:
             raise NumericalError("all corpus fields were indeterminate at %r" % (alpha,))
-        name, max_ratio, max_scaled, worst = best
+        name, worst = max(named, key=lambda pair: pair[1].ratio)
+        a = np.asarray(alpha, dtype=float)
         rows.append(SweepRow(
-            level=level,
+            level=len(rows),
             alpha=(float(a[0]), float(a[1]), float(a[2])),
             r_t=worst.geometry.R_T,
             h_t=worst.geometry.h[-1],
-            max_ratio=max_ratio,
-            max_scaled=max_scaled,
+            max_ratio=worst.ratio,
+            max_scaled=worst.error / (worst.seminorm_hi * float(np.max(a)) ** (k + 1 - m)),
             worst_field=name,
         ))
     ratios = [row.max_ratio for row in rows]
-    scaled = [row.max_scaled for row in rows]
-    slope = _fit_slope(ratios)
-    slope_scaled = _fit_slope(scaled)
+    slope_scaled = _fit_slope([row.max_scaled for row in rows])
     return SweepResult(
         k=k,
         m=m,
@@ -555,7 +558,7 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
         field_names=tuple(name for name, _ in fields),
         max_ratio=max(ratios),
         variation_factor=max(ratios) / min(ratios),
-        slope=slope,
+        slope=_fit_slope(ratios),
         slope_scaled=slope_scaled,
         trend_ok=slope_scaled <= 0.1,
     )
@@ -789,27 +792,21 @@ class ConvergenceResult:
 
 
 def convergence_study(v, t0: Tetrahedron, k: int, m: int, p: float) -> ConvergenceResult:
-    """The orders between the error ratios of v on t0 and its halvings.  A level
-    with ratio 0 (indeterminate, or an error of exactly 0) among levels that
-    are not all so raises NumericalError."""
-    ok, reason = validate_p(k, m, p)
-    if not ok:
-        raise InadmissiblePC(reason)
+    """The orders between the ratios of a study of v on t0 and its halvings.  A
+    level with ratio 0 (indeterminate, or an error of exactly 0) among levels
+    that are not all so raises NumericalError."""
     verts0 = np.asarray(t0.as_array())
     center = verts0.mean(axis=0)
-    records = []  # (error, seminorm_hi, ratio) per level
-    for level in range(CONVERGENCE_LEVELS):
-        verts = center + (verts0 - center) * 2.0 ** -level
-        r = error_ratio(v, Tetrahedron.from_points(verts), k, m, p)
-        ratio = 0.0 if r.indeterminate else r.error / r.seminorm_hi
-        records.append((r.error, r.seminorm_hi, ratio))
-    errors, his, ratios = zip(*records)
+    elements = (Tetrahedron.from_points(center + (verts0 - center) * 2.0 ** -level)
+                for level in range(CONVERGENCE_LEVELS))
+    results = [r for (r,) in study(elements, [("v", v)], k, m, p)]
+    ratios = [0.0 if r.indeterminate else r.error / r.seminorm_hi for r in results]
     exact = not any(ratios)
     if not exact and 0.0 in ratios:
-        level = ratios.index(0.0)
+        r = results[ratios.index(0.0)]
         raise NumericalError(
-            "convergence level %d has ratio 0 (error %.3e, seminorm_hi %.3e) among "
-            "levels that do not; no order spans it" % (level, errors[level], his[level])
+            "convergence level %d has ratio 0 (error %.3e, seminorm_hi %.3e) among levels that "
+            "do not; no order spans it" % (ratios.index(0.0), r.error, r.seminorm_hi)
         )
     orders = () if exact else tuple(math.log2(a / b) for a, b in zip(ratios, ratios[1:]))
     return ConvergenceResult(k=k, m=m, p=p, orders=orders, exact=exact)

@@ -334,6 +334,19 @@ def test_sweep_nonpositive_eps_levels_exits_2(capsys, levels):
     assert "--eps-levels" in err
 
 
+@pytest.mark.parametrize("levels", ["1076", str(10 ** 9)])
+def test_sweep_eps_levels_past_1075_exits_2(capsys, monkeypatch, levels):
+    # Level l has eps = 2^-l, which is 0.0 from l = 1075 on: the count is
+    # refused before the alpha grid is built.
+    monkeypatch.setattr(cli, "_parse_alpha_pattern", lambda *a: pytest.fail("grid built"))
+    code, out, err = run(
+        ["sweep", "--k", "1", "--m", "0", "--p", "2", "--eps-levels", levels],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "--eps-levels" in err
+
+
 # ---------------------------------------------------------------------------
 # mac
 

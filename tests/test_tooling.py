@@ -313,6 +313,19 @@ def test_geometry_has_one_kernel_per_quantity():
     assert [name for name in scalar if not reaches_kernel(name, set())] == []
 
 
+def call_sites(trees):
+    """callee -> {(module, top-level definition)} for every call in the
+    modules' parsed trees; raising an exception class counts as calling it."""
+    callers = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call):
+                    callee = ast.unparse(n.func).split(".")[-1]
+                    callers.setdefault(callee, set()).add((module, getattr(top, "name", None)))
+    return callers
+
+
 def test_difference_calculus_has_one_stencil():
     # The forward difference on X^k has one implementation, the cached
     # stencil lattice.forward_differences: the interpolant, the residual
@@ -327,17 +340,22 @@ def test_difference_calculus_has_one_stencil():
              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     names = names.union(*map(name_uses, trees.values()))
     assert not gone & names, gone & names
-    callers = {}  # callee -> {(module, top-level definition)}
-    for module, tree in trees.items():
-        for top in tree.body:
-            for n in ast.walk(top):
-                if isinstance(n, ast.Call):
-                    callee = ast.unparse(n.func).split(".")[-1]
-                    callers.setdefault(callee, set()).add((module, getattr(top, "name", None)))
+    callers = call_sites(trees)
     for caller in [("interp", "_newton"), ("verify", "max_residual_quotient"), ("cli", "cmd_dq")]:
         assert caller in callers["forward_differences"], caller
     outside = {c for c in callers["quotient_coefficients"] if c[0] != "lattice"}
     assert outside == {("cli", "cmd_dq"), ("acceptance", "criterion_5")}, outside
+
+
+def test_verify_measures_error_ratios_in_one_loop():
+    # Every experiment over elements and fields is a study (squeeze_sweep and
+    # convergence_study reduce its rows), and one helper checks (k, m, p).
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    callers = call_sites(trees)
+    in_verify = {name: {c for c in callers[name] if c[0] == "verify"}
+                 for name in ("error_ratio", "InadmissiblePC")}
+    assert in_verify["error_ratio"] == {("verify", "study")}, in_verify["error_ratio"]
+    assert len(in_verify["InadmissiblePC"]) == 1, in_verify["InadmissiblePC"]
 
 
 def test_package_imports_without_scipy():

@@ -10,6 +10,7 @@ from anisotetra.errors import (
     GenerationFailure,
     InadmissiblePC,
     InputError,
+    InvalidDegree,
     InvalidGammaMax,
     NumericalError,
 )
@@ -41,6 +42,7 @@ from anisotetra.verify import (
     generate,
     mac_experiment,
     squeeze_sweep,
+    study,
 )
 from exact_poly import Exact
 from test_batch import ref_sample
@@ -238,6 +240,13 @@ class TestCorpus:
             poly = fields["poly%d" % i]
             assert poly.degree == k + 2 and poly.coef.tolist() == want, i
 
+    @pytest.mark.parametrize("k", [1.5, 0, -3, 9])
+    def test_degree_is_checked(self, k):
+        # The corpus is a library for interpolation of degree k: a k that no
+        # interpolant accepts is refused as interpolate refuses it.
+        with pytest.raises(InvalidDegree):
+            corpus(k, T_HAT)
+
     def test_bubble_vanishes_at_low_order_nodes(self):
         b = bubble_polynomial(REGULAR)
         for k in (1, 2, 3):
@@ -415,6 +424,69 @@ class TestSqueezeSweep:
         monkeypatch.setattr(verify, "corpus", lambda k, t: [("linear", linear)])
         with pytest.raises(NumericalError, match="indeterminate"):
             squeeze_sweep(1, 0, 2.0, alphas=[(1.0, 0.5, 0.5)])
+
+
+# Fields for the scaling test, written in x, y, z through {x}, {y}, {z}.
+SCALED_FIELDS = {
+    "trig": "sin(0.7*{x} - 1.3*{y} + 0.4*{z} + 0.25)",
+    "exp": "exp(0.9*{x} + 0.5*{y} - 0.8*{z})",
+    "rational": "1/(2.5 + 0.6*{x} - 0.3*{y} + 0.8*{z})",
+    "quartic": "{x}^4 - 2*{x}^2*{y}*{z} + 0.5*{y}^3*{x} + {z}^2 - {x}*{y}",
+}
+
+
+class TestStudy:
+    FIELDS = [(name, field_from_expression(text.format(x="x", y="y", z="z")))
+              for name, text in SCALED_FIELDS.items()]
+
+    def test_rows_are_the_error_ratios_in_order(self):
+        elements = generate(TetraGenSpec("mixed", 4), 3)
+        rows = study(elements, self.FIELDS, 2, 1, 3.0)
+        assert len(rows) == 3 and all(len(row) == len(self.FIELDS) for row in rows)
+        for t, row in zip(elements, rows):
+            for (_, v), got in zip(self.FIELDS, row):
+                want = error_ratio(v, t, 2, 1, 3.0)
+                assert (got.error, got.seminorm_hi, got.bound_factor, got.ratio,
+                        got.indeterminate, got.warnings) == (
+                    want.error, want.seminorm_hi, want.bound_factor, want.ratio,
+                    want.indeterminate, want.warnings)
+                assert (got.geometry.R_T, got.geometry.h) == (want.geometry.R_T, want.geometry.h)
+
+    @pytest.mark.parametrize("spec", [(1, 1, 2.0), (1.5, 0, 2.0), (2, 2, 2.0)])
+    def test_inadmissible_spec_raises_before_any_error_ratio(self, spec, monkeypatch):
+        calls, drawn = [], []
+        monkeypatch.setattr(verify, "error_ratio", lambda *a: calls.append(a))
+        elements = (drawn.append(t) or t for t in (T_HAT, REGULAR))
+        with pytest.raises(InadmissiblePC):
+            study(elements, self.FIELDS, *spec)
+        assert calls == [] and drawn == []
+
+    def test_sweep_checks_the_spec_before_the_corpus_and_the_grid(self):
+        # A non-integer k is an inadmissible (k, m, p), not a corpus degree,
+        # and an inadmissible spec outranks an empty grid.
+        with pytest.raises(InadmissiblePC):
+            squeeze_sweep(1.5, 0, 2.0)
+        with pytest.raises(InadmissiblePC):
+            squeeze_sweep(1, 1, 2.0, alphas=[])
+
+    def test_rows_do_not_change_when_the_elements_are_scaled(self):
+        # (sT, v(./s)) has the ratios of (T, v): the bound is dimensionless.
+        # s = 2^-10 is exact, and v(./s) is written as v of 1024.0*x.
+        ref = np.asarray(T_HAT.as_array())
+        alphas = default_alpha_grid()[:4]
+        elements = [Tetrahedron.from_points(ref * a) for a in alphas]
+        scaled = [Tetrahedron.from_points(ref * a * 2.0 ** -10) for a in alphas]
+        fields = [(name, field_from_expression(
+            text.format(x="(1024.0*x)", y="(1024.0*y)", z="(1024.0*z)")))
+            for name, text in SCALED_FIELDS.items()]
+        for spec in [(1, 0, 2.0), (2, 1, 2.0), (2, 1, 3.0), (3, 3, 4.0), (2, 2, math.inf),
+                     (3, 1, math.inf)]:
+            for want_row, got_row in zip(study(elements, self.FIELDS, *spec),
+                                         study(scaled, fields, *spec)):
+                for (name, _), want, got in zip(fields, want_row, got_row):
+                    # Equal flags, and none set, so that the ratios compare.
+                    assert not want.indeterminate and not got.indeterminate, (spec, name)
+                    assert abs(got.ratio - want.ratio) <= 1e-12 * want.ratio, (spec, name)
 
 
 class TestEquivalenceSample:
