@@ -71,19 +71,20 @@ CSV_COLUMNS = (
 def _json_fragment(value, indent):
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
             return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return "%.17g" % v
+        if math.isinf(value):
+            return '"inf"' if value > 0 else '"-inf"'
+        return "%.17g" % value
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -118,8 +119,6 @@ def _write_text(path: str, text: str):
 def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return "%.17g" % float(value)
 
 

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types, and the one rule for numeric arguments, shared package-wide.
 
 Every error raised on purpose derives from AnisotetraError so the CLI can
 map failures to its exit-code contract (2 = bad input, 3 = degenerate
-geometry, 4 = numerical failure).
+geometry, 4 = numerical failure).  Every count (degree, order, sample size,
+seed, kind) and real (p, gamma_max, eps, alpha) a public function takes is
+checked once, at its entry, by integer or real: a bool is never a number,
+NaN fails every range, and a failure raises the InputError subclass named.
 """
+
+import math
+import numbers
 
 
 class AnisotetraError(Exception):
@@ -72,3 +78,27 @@ class DerivativeUnavailable(NumericalError):
 
 class GenerationFailure(NumericalError):
     """Random tetrahedron generation exhausted its retry budget."""
+
+
+def _message(name, what, low, high, value) -> str:
+    bound = (" in [%r, %r]" % (low, high) if high not in (None, math.inf)
+             else " >= %r" % (low,) if low > -math.inf else "")
+    return "%s must be %s%s, got %r" % (name, what, bound, value)
+
+
+def integer(value, name, low=0, high=None, error=InputError) -> int:
+    """value as a Python int; error unless it is an integer (a bool is not
+    one) with low <= value <= high, where high None is no upper bound."""
+    ok = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (ok and low <= value and (high is None or value <= high)):
+        raise error(_message(name, "an integer", low, high, value))
+    return int(value)
+
+
+def real(value, name, low=-math.inf, high=math.inf, error=InputError) -> float:
+    """value as a Python float; error unless it is a real number (a bool is
+    not one) with low <= value <= high.  NaN fails every range."""
+    ok = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (ok and low <= value <= high):
+        raise error(_message(name, "a real number", low, high, value))
+    return float(value)

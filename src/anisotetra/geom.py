@@ -35,12 +35,13 @@ H_T and the angle inventory when they are first read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, InputError, InvalidGammaMax
+from .errors import DegenerateTetrahedron, InputError, InvalidGammaMax, integer, real
 
 # Relative tolerances (all scale-invariant).
 EPS_VOL_REL = 1e-14      # degeneracy: |T| < EPS_VOL_REL * h_T^3
@@ -166,16 +167,14 @@ def _r_t(hs, vol: float) -> float:
     return hs[0] * hs[1] * hs[5] ** 2 / vol
 
 
-def _check_kind(kind):
-    if kind not in (TYPE1, TYPE2):
-        raise InputError("kind must be TYPE1 or TYPE2, got %r" % (kind,))
+def _check_kind(kind) -> int:
+    return integer(kind, "kind", TYPE1, TYPE2)
 
 
 def reference_tetrahedron(kind: int) -> Tetrahedron:
     """The reference tetrahedron of the given type (unit right-corner or its
     sheared Type-2 companion)."""
-    _check_kind(kind)
-    if kind == TYPE1:
+    if _check_kind(kind) == TYPE1:
         return Tetrahedron.from_points(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     return Tetrahedron.from_points(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)))
 
@@ -656,11 +655,10 @@ def max_face_and_dihedral_angle(t: Tetrahedron) -> float:
     return float(batch_max_angle(_row(t)[0])[0])
 
 
-def _check_gamma_max(gamma_max: float):
-    if not (math.pi / 3.0 <= gamma_max < math.pi):
-        raise InvalidGammaMax(
-            "gamma_max must lie in [pi/3, pi), got %r" % (gamma_max,)
-        )
+def _check_gamma_max(gamma_max) -> float:
+    # [pi/3, pi): the largest float below pi is the upper end.
+    return real(gamma_max, "gamma_max", math.pi / 3.0, math.nextafter(math.pi, 0.0),
+                InvalidGammaMax)
 
 
 def mac_check(t: Tetrahedron, gamma_max: float) -> bool:
@@ -720,12 +718,8 @@ def mac_reverse_gamma(d_bound: float, kind: int | None = None) -> float:
     """
     if kind is not None:
         _check_kind(kind)
-    m = 3.0 / d_bound
-    if not 0.0 < m < 1.0:
-        raise InputError(
-            "reverse MAC formula needs d_bound > 3 so that 0 < M < 1, got %r"
-            % (d_bound,)
-        )
+    # d_bound in (3, inf), so that 0 < M < 1.
+    m = 3.0 / real(d_bound, "d_bound", math.nextafter(3.0, math.inf), sys.float_info.max)
 
     def type1(mm):
         g1 = math.pi - math.asin(mm / 2.0)

@@ -51,22 +51,16 @@ source of its derivatives.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError
+from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError, integer, real
 from .geom import TYPE1, Tetrahedron, volume
-from .lattice import MAX_DEGREE, forward_differences, sigma_k, unit_weights
+from .lattice import MAX_DEGREE, _multi_index, forward_differences, sigma_k, unit_weights
 
 MultiIndex = tuple[int, int, int]
-
-
-def _is_count(n) -> bool:
-    """Is n an integer >= 0?  Any numbers.Integral counts except bool."""
-    return (type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)) and n >= 0
 
 
 def derivative_indices(m: int) -> list[MultiIndex]:
@@ -231,7 +225,7 @@ class Polynomial3:
     Polynomial3({(a, b, c): coefficient, ...}) builds a physical polynomial
     whose degree is the highest with a nonzero coefficient (0 when there is
     none); an exponent key that is not three integers >= 0, or a coefficient
-    that is not a real number, raises InputError.
+    that is not a real number or is NaN, raises InputError.
 
     Partials of order m are one matrix product: derivatives(coef, degree, m),
     times one chain-rule matrix in a frame, against the monomials of degree
@@ -243,12 +237,10 @@ class Polynomial3:
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
         for key, val in (coeffs or {}).items():
-            if not (isinstance(key, tuple) and len(key) == 3 and all(map(_is_count, key))):
-                raise InputError("monomial exponents must be three integers >= 0, got %r" % (key,))
-            if not isinstance(val, numbers.Real):
-                raise InputError("the coefficient of %r must be a real number, got %r" % (key, val))
+            key = _multi_index(key)
+            val = real(val, "the coefficient of %r" % (key,))
             if val != 0.0:
-                clean[tuple(map(int, key))] = float(val)
+                clean[key] = val
         degree = max(map(sum, clean), default=0)
         self._hold(np.array([clean.get(g, 0.0) for g in monomial_indices(degree)]), degree, None)
 
@@ -476,14 +468,7 @@ def as_field(v) -> ScalarField:
 
 
 def _check_degree(k) -> int:
-    """k as a Python int, or InvalidDegree unless 1 <= k <= MAX_DEGREE."""
-    if not _is_count(k) or k < 1:
-        raise InvalidDegree("interpolation degree must be an integer >= 1, got %r" % (k,))
-    if k > MAX_DEGREE:
-        raise InvalidDegree(
-            "interpolation degree %d exceeds the supported maximum %d" % (k, MAX_DEGREE)
-        )
-    return int(k)
+    return integer(k, "interpolation degree", 1, MAX_DEGREE, InvalidDegree)
 
 
 @lru_cache(maxsize=MAX_DEGREE)

@@ -35,15 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, InvalidDegree
-from .geom import reference_tetrahedron
+from .errors import InputError, InvalidDegree, integer
+from .geom import _check_kind, reference_tetrahedron
 
 LatticePoint = tuple[int, int, int]
 MultiIndex = tuple[int, int, int]
@@ -52,18 +51,10 @@ Barycentric = tuple[int, int, int, int]
 MAX_DEGREE = 8  # the highest order of interpolation and of a stencil
 
 
-def _order(k, low: int) -> int:
-    """k as a Python int; InputError unless it is an integer >= low (bool is
-    not an integer here)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < low:
-        raise InputError("k must be an integer >= %d, got %r" % (low, k))
-    return int(k)
-
-
 def sigma_k(k: int) -> list[Barycentric]:
     """All barycentric multi-indices gamma >= 0 with |gamma| = k; InputError
     unless k is an integer >= 0."""
-    k = _order(k, 0)
+    k = integer(k, "k")
     out = []
     for g2 in range(k + 1):
         for g3 in range(k + 1 - g2):
@@ -76,7 +67,7 @@ def unit_weights(k: int) -> np.ndarray:
     """sigma_k(k) / k, the barycentric coordinates of the nodes of X^k, as a
     read-only (C(k+3, 3), 4) array built once per order; InputError unless k
     is an integer >= 1."""
-    return _unit_weights(_order(k, 1))
+    return _unit_weights(integer(k, "k", 1))
 
 
 @lru_cache(maxsize=16)
@@ -95,19 +86,29 @@ def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
     is not an integer >= 0 raises InputError.
     """
     verts = np.asarray(vertices, dtype=float)
-    if _order(k, 0) == 0:
+    if integer(k, "k") == 0:
         return sigma_k(0), verts.mean(axis=0)[None, :]
     return sigma_k(k), unit_weights(k) @ verts
 
 
+def _multi_index(delta) -> MultiIndex:
+    """delta as three Python ints; InputError unless it is three integers >= 0."""
+    entries = tuple(delta) if np.iterable(delta) else ()
+    if len(entries) != 3:
+        raise InputError("a multi-index must be three integers >= 0, got %r" % (delta,))
+    return tuple(integer(d, "each entry of the multi-index %r" % (delta,)) for d in entries)
+
+
 def quotient_coefficients(delta: MultiIndex) -> list[tuple[MultiIndex, Fraction]]:
     """Exact coefficients (-1)^{|delta - eta|} / (eta! (delta - eta)!), one per
-    corner eta <= delta of the box at 0, in lexicographic order of eta."""
+    corner eta <= delta of the box at 0, in lexicographic order of eta; a delta
+    that is not three integers >= 0 raises InputError."""
     def factorials(eta):
         return math.prod(
             math.factorial(e) * math.factorial(d - e) for e, d in zip(eta, delta)
         )
 
+    delta = _multi_index(delta)
     return [
         (eta, Fraction((-1) ** (sum(delta) - sum(eta)), factorials(eta)))
         for eta in itertools.product(*(range(d + 1) for d in delta))
@@ -127,12 +128,8 @@ def forward_differences(k: int, delta: MultiIndex, kind: int) -> tuple[np.ndarra
     An order k outside 1..MAX_DEGREE raises InvalidDegree, and a delta that
     is not three integers >= 0 or an unknown kind InputError.
     """
-    delta = tuple(delta)
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= MAX_DEGREE):
-        raise InvalidDegree("stencil order k must be an integer in 1..%d, got %r" % (MAX_DEGREE, k))
-    if len(delta) != 3 or not all(isinstance(d, numbers.Integral) and d >= 0 for d in delta):
-        raise InputError("delta must be three integers >= 0, got %r" % (delta,))
-    return _stencil(int(k), tuple(map(int, delta)), kind)
+    k = integer(k, "stencil order k", 1, MAX_DEGREE, InvalidDegree)
+    return _stencil(k, _multi_index(delta), _check_kind(kind))
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +227,12 @@ def quotient_integral(
     over one ordered simplex per axis, the argument being shifted from g/k
     by the sum of that axis's simplex coordinates over k.  For a constant
     derivative c the integral is c/delta!, matching the quotient on any
-    polynomial with d^delta f = c.
+    polynomial with d^delta f = c.  A bad delta, k or points_per_dim raises InputError.
     """
+    delta, k = _multi_index(delta), integer(k, "k", 1)
+    n = integer(points_per_dim, "points_per_dim", 1)
     rules = [
-        _ordered_simplex_rule(s, points_per_dim) if s else (np.zeros((1, 0)), np.ones(1))
+        _ordered_simplex_rule(s, n) if s else (np.zeros((1, 0)), np.ones(1))
         for s in delta
     ]
     # One point and weight per triple of the three axis rules' points, in

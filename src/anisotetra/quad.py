@@ -56,24 +56,22 @@ term; the 12/18 check so compares the row sums.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericalError, UnsupportedDegree
+from .errors import InputError, NumericalError, UnsupportedDegree, integer, real
 from .geom import Tetrahedron, volume
 from .interp import (
     RankOne,
     SampleSet,
     ScalarField,
-    _is_count,
     as_field,
     derivative_indices,
     pull_back,
 )
-from .lattice import gauss_jacobi, unit_weights
+from .lattice import _multi_index, gauss_jacobi, unit_weights
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
@@ -104,10 +102,7 @@ class QuadratureRule:
 @lru_cache(maxsize=64, typed=True)  # typed, or True would find a cached 1
 def rule_for_degree(d: int) -> QuadratureRule:
     """A rule exact for all polynomials of total degree <= d."""
-    if not _is_count(d) or d < 1 or d > MAX_RULE_DEGREE:
-        raise UnsupportedDegree(
-            "quadrature degree must lie in [1, %d], got %r" % (MAX_RULE_DEGREE, d)
-        )
+    d = integer(d, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
     n = (d + 2) // 2  # smallest n with 2n-1 >= d
     (xu, wu), (xv, wv), (xw, ww) = (gauss_jacobi(n, a) for a in (2, 1, 0))
     # Map [-1, 1] to [0, 1]; the Jacobi weights (1-x)^a pick up 2^a.
@@ -139,21 +134,21 @@ class SeminormSpec:
     p: float
 
     def __post_init__(self):
-        if not _is_count(self.m):
-            raise InputError("seminorm order m must be an integer >= 0, got %r" % (self.m,))
-        object.__setattr__(self, "m", int(self.m))
-        if not (isinstance(self.p, numbers.Real) and self.p >= 1):  # also rejects NaN
-            raise InputError("exponent p must be >= 1 or inf, got %r" % (self.p,))
+        object.__setattr__(self, "m", integer(self.m, "seminorm order m"))
+        real(self.p, "exponent p", 1.0)
 
 
 def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
     """Admissibility of (k, m, p) for the interpolation error estimates.
 
     Three branches: k - m = 0 needs 2 < p <= inf; k = 1 (with m = 0) needs
-    3/2 < p <= inf; k >= 2 with k - m >= 1 allows 1 <= p <= inf.
+    3/2 < p <= inf; k >= 2 with k - m >= 1 allows 1 <= p <= inf.  k and m
+    must be integers with k >= 1 and 0 <= m <= k, and p a real number.
     """
-    if not (_is_count(k) and _is_count(m)) or k < 1 or m > k:
-        return False, "requires integers k >= 1 and 0 <= m <= k, got k=%r m=%r" % (k, m)
+    try:
+        k, m, _ = integer(k, "k", 1), integer(m, "m", 0, k), real(p, "p")
+    except InputError as exc:
+        return False, str(exc)
     if k - m == 0:
         if p > 2:
             return True, "k - m = 0 and p > 2"
@@ -168,6 +163,8 @@ def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
 
 
 def multinomial_weight(gamma: MultiIndex) -> float:
+    """|gamma|! / gamma!; a gamma that is not three integers >= 0 raises InputError."""
+    gamma = _multi_index(gamma)
     m = sum(gamma)
     return math.factorial(m) / (
         math.factorial(gamma[0]) * math.factorial(gamma[1]) * math.factorial(gamma[2])
@@ -299,8 +296,7 @@ def _rule_degrees(
             )
         return ()
     if degree is not None:
-        # A valid degree is stored as a Python int; rule_for_degree rejects the rest.
-        return (int(degree) if _is_count(degree) else degree,)
+        return (integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree),)
     p = float(spec.p)
     if poly_degree is not None and p == int(p) and int(p) % 2 == 0:
         exact_deg = max(1, (poly_degree - spec.m) * int(p))

@@ -37,12 +37,12 @@ returns them.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationFailure, InadmissiblePC, InputError, NumericalError
+from .errors import GenerationFailure, InadmissiblePC, InputError, NumericalError, integer, real
 from .expr import field_from_expression
 from .geom import (
     EPS_ANGLE,
@@ -131,28 +131,31 @@ class TetraGenSpec:
 
 def _check_seed(seed, reverse: int = 0):
     # A Philox key has 128 bits; mac_experiment keys its reverse stream with seed + 1.
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128 - reverse):
+    try:
+        integer(seed, "seed", 0, 2 ** 128 - 1 - reverse)
+    except InputError:
         raise InputError("seed must be an integer in [0, 2**128%s), got %r"
-                         % (" - 1" * reverse, seed))
+                         % (" - 1" * reverse, seed)) from None
 
 
 def _check_params(params: dict):
     for name in ("eps", "gamma"):
-        x = params.get(name)
-        if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
-            raise InputError("params[%r] must be a finite real number, got %r" % (name, x))
+        if params.get(name) is not None:
+            real(params[name], "params[%r]" % name, -sys.float_info.max, sys.float_info.max)
     if params.get("eps") == 0:
         raise InputError("params['eps'] must be nonzero: every needle and sliver would be flat")
     if "alpha" in params:
-        try:
-            alpha = np.asarray(params["alpha"], dtype=float)
-        except (TypeError, ValueError):
-            alpha = np.zeros(0)
-        if alpha.shape != (3,) or not np.all(np.isfinite(alpha) & (alpha > 0.0)):
-            raise InputError("params['alpha'] must be three finite positive numbers, got %r"
-                             % (params["alpha"],))
+        _alpha(params["alpha"], "params['alpha']", sys.float_info.max)
     if "kind" in params:
         _check_kind(params["kind"])
+
+
+def _alpha(alpha, name: str, high: float) -> tuple[float, float, float]:
+    """alpha as three floats in (0, high]; InputError naming it otherwise."""
+    out = tuple(real(a, name) for a in alpha) if np.iterable(alpha) else ()
+    if len(out) != 3 or not all(0.0 < a <= high for a in out):
+        raise InputError("%s must be three real numbers in (0, %g], got %r" % (name, high, alpha))
+    return out
 
 
 # Sample i draws from the Philox stream keyed by the seed with counter
@@ -307,8 +310,7 @@ def _reverse_block(seed: int, start: int, stop: int, amplitude: float) -> np.nda
 def _blocks(gen: TetraGenSpec, n: int):
     """Samples 0..n-1 as _draw_block gives them, one block of at most BLOCK
     at a time."""
-    if n < 1:
-        raise InputError("n must be >= 1, got %r" % (n,))
+    n = integer(n, "n", 1)
     if gen.family == "mac":
         gamma = gen.params.get("gamma")
         if gamma is None:
@@ -500,7 +502,7 @@ class SweepResult:
 
 def default_alpha_grid(levels: int = 11) -> list[tuple[float, float, float]]:
     """(1, 2^-l, 2^-l) for l = 0 .. levels-1."""
-    return [(1.0, 2.0 ** -l, 2.0 ** -l) for l in range(levels)]
+    return [(1.0, 2.0 ** -l, 2.0 ** -l) for l in range(integer(levels, "levels"))]
 
 
 def _fit_slope(ys: list[float]) -> float:
@@ -519,32 +521,26 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
     shows no upward log-log trend (slope <= 0.1).
     """
     _check_spec(k, m, p)  # before the corpus, which checks k as a degree
-    alphas = default_alpha_grid() if alphas is None else alphas
-    if not len(alphas):
+    alphas = [_alpha(a, "alpha at level %d" % level, 1.0)
+              for level, a in enumerate(default_alpha_grid() if alphas is None else alphas)]
+    if not alphas:
         raise InputError("the alpha grid is empty")
     ref = reference_tetrahedron(kind).as_array()
     fields = corpus(k, Tetrahedron.from_points(ref))
-
-    def squeezed(alpha):  # checked when the study reaches its level
-        a = np.asarray(alpha, dtype=float)
-        if not np.all((0.0 < a) & (a <= 1.0)):
-            raise InputError("alpha components must lie in (0, 1], got %r" % (alpha,))
-        return Tetrahedron.from_points(ref * a)
-
+    elements = (Tetrahedron.from_points(ref * np.array(alpha)) for alpha in alphas)
     rows = []
-    for alpha, results in zip(alphas, study(map(squeezed, alphas), fields, k, m, p)):
+    for alpha, results in zip(alphas, study(elements, fields, k, m, p)):
         named = [(name, r) for (name, _), r in zip(fields, results) if not r.indeterminate]
         if not named:
             raise NumericalError("all corpus fields were indeterminate at %r" % (alpha,))
         name, worst = max(named, key=lambda pair: pair[1].ratio)
-        a = np.asarray(alpha, dtype=float)
         rows.append(SweepRow(
             level=len(rows),
-            alpha=(float(a[0]), float(a[1]), float(a[2])),
+            alpha=alpha,
             r_t=worst.geometry.R_T,
             h_t=worst.geometry.h[-1],
             max_ratio=worst.ratio,
-            max_scaled=worst.error / (worst.seminorm_hi * float(np.max(a)) ** (k + 1 - m)),
+            max_scaled=worst.error / (worst.seminorm_hi * max(alpha) ** (k + 1 - m)),
             worst_field=name,
         ))
     ratios = [row.max_ratio for row in rows]
@@ -577,7 +573,7 @@ def max_residual_quotient(k: int, deltas) -> float:
     The interpolation residual vanishes at every node, so each quotient is
     zero up to roundoff.
     """
-    worst = 0.0
+    k, worst = _check_degree(k), 0.0
     for kind in (TYPE1, TYPE2):
         ref = reference_tetrahedron(kind)
         nodes = unit_weights(k) @ ref.as_array()

@@ -270,6 +270,31 @@ def test_one_field_class_with_one_source_of_partials():
     assert not {"_fd_partial", "_OnePass"} & names
 
 
+def test_numeric_arguments_have_one_rule():
+    # Whether an argument is an integer or a real in range is decided in
+    # errors.py alone (errors.integer and errors.real): no other module
+    # imports numbers, names its number classes or np.integer, or tests for
+    # bool, and the old validators _is_count and _order are gone.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Import) and any(a.name == "numbers" for a in n.names) or (
+                    isinstance(n, ast.ImportFrom) and n.module == "numbers"):
+                found.append((path.name, "import numbers"))
+            elif isinstance(n, ast.Attribute) and ast.unparse(n) in (
+                    "numbers.Integral", "numbers.Real", "np.integer", "numpy.integer"):
+                found.append((path.name, ast.unparse(n)))
+            elif (isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"
+                  and len(n.args) == 2 and "bool" in {
+                      ast.unparse(e) for e in getattr(n.args[1], "elts", [n.args[1]])}):
+                found.append((path.name, ast.unparse(n)))
+            elif isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in ("_is_count", "_order"):
+                found.append((path.name, "def " + n.name))
+    assert not found, found
+
+
 def test_geometry_has_one_kernel_per_quantity():
     # Each geometry quantity of an element has one implementation, an array
     # kernel, and a scalar routine is its batch of one.  So the float twins

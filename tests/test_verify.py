@@ -418,6 +418,17 @@ class TestSqueezeSweep:
         with pytest.raises(InadmissiblePC):
             squeeze_sweep(1, 1, 2.0)
 
+    @pytest.mark.parametrize("bad", [(1, 1), "ab"])
+    def test_a_malformed_alpha_is_refused_before_any_level_is_measured(self, bad, monkeypatch):
+        # Not a broadcast ValueError or a string conversion error raised
+        # after the levels ahead of it were measured.
+        calls = []
+        measure = verify.error_ratio
+        monkeypatch.setattr(verify, "error_ratio", lambda *a: calls.append(a) or measure(*a))
+        with pytest.raises(InputError, match="level 1"):
+            squeeze_sweep(1, 0, 2.0, alphas=[(1, 0.5, 0.5), bad])
+        assert calls == []
+
     def test_all_fields_indeterminate_is_a_numerical_error(self, monkeypatch):
         # A corpus of one field in P_k leaves no ratio at any grid point.
         linear = Polynomial3({(1, 0, 0): 1.0, (0, 0, 0): 2.0})
