@@ -5,7 +5,8 @@ map failures to its exit-code contract (2 = bad input, 3 = degenerate
 geometry, 4 = numerical failure).  Every count (degree, order, sample size,
 seed, kind) and real (p, gamma_max, eps, alpha) a public function takes is
 checked once, at its entry, by integer or real: a bool is never a number,
-NaN fails every range, and a failure raises the InputError subclass named.
+NaN fails every range, an integer beyond the float range is not a real, and
+a failure raises the InputError subclass named.
 """
 
 import math
@@ -83,7 +84,16 @@ class GenerationFailure(NumericalError):
 def _message(name, what, low, high, value) -> str:
     bound = (" in [%r, %r]" % (low, high) if high not in (None, math.inf)
              else " >= %r" % (low,) if low > -math.inf else "")
-    return "%s must be %s%s, got %r" % (name, what, bound, value)
+    return "%s must be %s%s, got %s" % (name, what, bound, _shown(value))
+
+
+def _shown(value) -> str:
+    """repr(value), or the size of an integer whose decimal digits Python
+    refuses to write out (sys.get_int_max_str_digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer of %d bits" % int(value).bit_length()
 
 
 def integer(value, name, low=0, high=None, error=InputError) -> int:
@@ -97,8 +107,12 @@ def integer(value, name, low=0, high=None, error=InputError) -> int:
 
 def real(value, name, low=-math.inf, high=math.inf, error=InputError) -> float:
     """value as a Python float; error unless it is a real number (a bool is
-    not one) with low <= value <= high.  NaN fails every range."""
+    not one) with low <= value <= high, and within the float range (an
+    integer such as 10**400 is not).  NaN fails every range."""
     ok = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (ok and low <= value <= high):
         raise error(_message(name, "a real number", low, high, value))
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise error(_message(name, "a real number in the float range", low, high, value)) from None

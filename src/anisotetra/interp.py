@@ -23,7 +23,9 @@ identity, so its points are not mapped; an Interpolant's is (verts, J^{-T}).
 Its partials of order m are one matrix product, the order-m derivative
 matrix (times one chain-rule matrix in a frame) against the monomial table
 _monomials at points mapped once; several orders share the points and one
-table, whose leading rows are every smaller table.
+table, whose leading rows are every smaller table.  _chain builds the
+chain-rule matrices of every order in one loop, for the forms J^{-T} (x
+partials from xi partials) or J^T (the reverse, in_frame).
 
 Points come as an (N, 3) array or as Samples: a SampleSet, read-only
 barycentric rows on the reference element, placed on an element as
@@ -31,9 +33,19 @@ x = bary @ verts.  Quadrature rule stacks and the p = inf lattice blocks are
 cached sample sets.  At Samples on its own element a polynomial in a frame
 takes xi = bary[:, 1:] exactly, maps nothing, and reads its table from the
 set, which keeps the table of the highest degree asked and so shares it with
-every element; every other field evaluates at x.  Every partials_of returns new arrays that the caller owns,
-so the residual v - I v subtracts the interpolant's partials into v's up to
-order k, and above it returns v's own.  A caller that can reduce a rank-one
+every element; every other field evaluates at x.
+
+The residual u = v - I v has two parts.  Up to order k, when v is a
+polynomial (physical, or held in any frame), u is one polynomial in the
+interpolant's frame: v.in_frame(verts, J^{-T}), the Taylor coefficients of
+v(x_0 + J xi) by the forward chain rule at x_0, less the interpolant's
+coefficients; so at Samples each order is one product with the set's shared
+table.  For any other field every partials_of returns new arrays that the
+caller owns, and the interpolant's partials are subtracted into v's.  Above
+order k the interpolant's partials vanish and u's are v's own, taken as v
+takes them and never through the frame: there u is not small, and J^{-T} on
+a flat element would cancel digits (on a sliver of flatness 1e-6 it
+inflated |v|_{5,2} about 1e16-fold).  A caller that can reduce a rank-one
 product names orders in partials_of's rank_one: an expression that is a
 ridge g(a . x + b) returns each of those as a RankOne (a row over the
 points, a column over the gammas and gamma!), whose array it never forms;
@@ -128,13 +140,18 @@ def _times(a, i: int, b, j: int):
 
 
 @lru_cache(maxsize=16)
-def _first_axes(m: int):
-    """For each |gamma| = m, its first nonzero axis j and the row of
-    gamma - e_j in derivative_indices(m - 1)."""
+def _chain_plan(m: int):
+    """Where _chain's step to order m gathers its factors: for each term p of
+    _times(form, 1, lower row, m - 1) and each |gamma| = m, the entry of the
+    form of gamma's first nonzero axis j in the flattened forms, and that of
+    row gamma - e_j of order m - 1 in the flattened, transposed matrix of
+    order m - 1; and the reduceat offsets of the terms."""
     gammas, lower = derivative_indices(m), derivative_indices(m - 1)
-    axes = [next(i for i in range(3) if g[i]) for g in gammas]
-    rows = [lower.index(tuple(x - (i == j) for i, x in enumerate(g))) for g, j in zip(gammas, axes)]
-    return np.array(axes), np.array(rows)
+    axes = np.array([next(i for i in range(3) if g[i]) for g in gammas])
+    rows = np.array([lower.index(tuple(x - (i == j) for i, x in enumerate(g)))
+                     for g, j in zip(gammas, axes)])
+    left, right, starts = _product_plan(1, m - 1)
+    return 3 * axes + left[:, None], right[:, None] * len(lower) + rows, starts
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +264,14 @@ class Polynomial3:
     @classmethod
     def dense(cls, coef: np.ndarray, degree: int) -> "Polynomial3":
         """The physical polynomial with coefficients coef over monomial_indices(degree)."""
+        return cls._held(coef, degree, None)
+
+    @classmethod
+    def _held(cls, coef: np.ndarray, degree: int, frame) -> "Polynomial3":
+        """The polynomial with coefficients coef over monomial_indices(degree)
+        in frame, None or pull_back's (verts, J^{-T})."""
         out = cls.__new__(cls)
-        out._hold(coef, degree, None)
+        out._hold(coef, degree, frame)
         return out
 
     def _hold(self, coef: np.ndarray, degree: int, frame):
@@ -278,10 +301,50 @@ class Polynomial3:
         """partials(m, pts) for each m in orders, from the points mapped once
         and one monomial table: graded order makes the table of degree
         degree - m the leading rows of every larger one, so each order is
-        one product with a slice of it and equals partials(m, pts) bitwise."""
+        one product with a slice of it and equals partials(m, pts) bitwise.
+        A product with one column (m = degree, against the constant row) is a
+        broadcast multiply: the same one rounding per entry, without a matrix
+        product's set-up."""
         with np.errstate(all="ignore"):
             table = self._table(pts, min(orders))
-            return [d @ table[: d.shape[1]] for d in map(self._matrix, orders)]
+            return [d * table[:1] if d.shape[1] == 1 else d @ table[: d.shape[1]]
+                    for d in map(self._matrix, orders)]
+
+    def in_frame(self, verts, inverse_t) -> np.ndarray:
+        """The coefficients over monomial_indices(degree) of xi -> v(x_0 + J xi)
+        in the frame (verts, J^{-T}) that pull_back returns, x_0 = verts[0].
+
+        They are its Taylor coefficients at xi = 0, from the forward chain
+        rule at x_0: d/dxi_i = (x_i - x_0) . grad_x, so the chain-rule
+        matrices are _chain's for the rows of J^T in place of J^{-T}, and
+        every term of a coefficient of order m carries the same m columns
+        of J: a flat element cancels nothing.  The partials of every order
+        at x_0 come from one gather.  A polynomial held in another frame is
+        taken through it (its own xi' is affine in xi); one held in this
+        frame returns its own coef, not a copy.  Numpy warnings are
+        silenced, as an overflow shows as a coefficient that is not finite
+        and callers check finiteness.
+        """
+        if self._frame is not None and all(
+            mine is theirs or np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._frame, (verts, inverse_t))
+        ):
+            return self.coef
+        verts = np.asarray(verts, dtype=float)
+        edges, at = verts[1:] - verts[0], verts[0]  # the rows of J^T, and x_0
+        if self._frame is not None:  # in the coordinates xi' of the own frame
+            edges, at = edges @ self._frame[1], (at - self._frame[0][0]) @ self._frame[1]
+        target, source, power, factor, scale = _taylor_plan(self.degree)
+        with np.errstate(all="ignore"):
+            # Entry 3 e + i of the powers is at_i^e; power picks one per axis.
+            x, y, z = (at ** np.arange(self.degree + 1)[:, None]).ravel()[power]
+            at_x0 = np.bincount(target, self.coef[source] * factor * (x * y * z),
+                                minlength=len(scale))
+            out = np.empty(len(scale))
+            for m, c in enumerate(_chain(edges, self.degree)):
+                order = slice(math.comb(m + 2, 3), math.comb(m + 3, 3))  # |beta| = m
+                np.dot(c, at_x0[order], out=out[order])
+            return out * scale
 
     def _matrix(self, m: int) -> np.ndarray:
         """The xi-monomial coefficients of the partials of order m, built on
@@ -307,16 +370,49 @@ class Polynomial3:
     def _chain_rule(self, m: int) -> np.ndarray:
         """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
 
-        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so row gamma holds the
-        coefficients of the product of linear forms prod_j (J^{-T}[j] . d_xi)^gamma_j,
-        one form times a row of order m - 1.
+        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so C is _chain's order m for the
+        forms J^{-T}[j].
         """
-        inverse_t = self._frame[1]
-        c = np.ones((1, 1))
-        for d in range(1, m + 1):
-            axes, rows = _first_axes(d)
-            c = _times(inverse_t[axes].T, 1, c[rows].T, d - 1).T
-        return c
+        return _chain(self._frame[1], m)[m]
+
+
+def _chain(forms: np.ndarray, top: int) -> list[np.ndarray]:
+    """For m = 0 .. top, the matrix whose row gamma (|gamma| = m) holds the
+    coefficients of the product of linear forms prod_j (forms[j] . d)^gamma_j
+    over the d^beta, |beta| = m: the product (_times) of the form of gamma's
+    first axis j with row gamma - e_j of order m - 1, for every gamma at
+    once from one gather of each factor (_chain_plan) and one reduceat."""
+    flat = np.ravel(forms)
+    out, lower = [np.ones((1, 1))], np.ones((1, 1))  # lower: order m - 1, transposed
+    for d in range(1, top + 1):
+        form, row, starts = _chain_plan(d)
+        lower = np.add.reduceat(flat[form] * lower.ravel()[row], starts, axis=0)
+        # C order at order 1 and F order above, as _times's products were
+        # laid out: a matrix product's bits depend on its operands' layout.
+        out.append(lower.T.copy() if d == 1 else lower.T)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _taylor_plan(degree: int):
+    """How the partials of every order <= degree at a point a come from the
+    coefficients and the monomials at a, both over monomial_indices(degree):
+    d^gamma (sum_s coef_s xi^s)(a) = sum_{s >= gamma} coef_s (s!/(s - gamma)!)
+    a^(s - gamma), one term per (gamma, s): its target gamma, source s,
+    the entries 3 e_i + i of a^(s - gamma)'s three powers in the table of
+    a_i^e (one row per axis), and its factor; and 1/gamma!, which turns
+    partials into Taylor coefficients."""
+    index = {g: j for j, g in enumerate(monomial_indices(degree))}
+    entries = [
+        (index[g], s, [3 * (a - g[0]), 3 * (b - g[1]) + 1, 3 * (c - g[2]) + 2],
+         math.perm(a, g[0]) * math.perm(b, g[1]) * math.perm(c, g[2]))
+        for s, (a, b, c) in enumerate(monomial_indices(degree))
+        for g in index
+        if a >= g[0] and b >= g[1] and c >= g[2]
+    ]
+    target, source, power, factor = (np.array(e) for e in zip(*entries))
+    scale = np.array([1.0 / math.prod(map(math.factorial, g)) for g in index])
+    return target, source, power.T, factor.astype(float), scale
 
 
 def _one_per_point(values, n: int) -> np.ndarray:
@@ -358,10 +454,13 @@ class ScalarField:
     RankOne pairs, and so does a residual for its orders above k, while every
     other field and order is an array.  Asking for an order above order
     (None: every order) raises DerivativeUnavailable.  degree is the
-    polynomial degree that as_field or residual knows, else None.
+    polynomial degree that as_field or residual knows, else None, and
+    polynomial the Polynomial3 that as_field wrapped, else None: a residual
+    of it holds its orders <= k in the interpolant's frame.
 
     ScalarField(eval_fn, partial_fn, order) adapts a per-gamma partial_fn(gamma,
-    pts): one call per gamma of order >= 1, and order 0 is eval_fn.  Without
+    pts): one call per gamma of order >= 1, and order 0 is eval_fn; order is
+    None (every order) or an integer >= 0, else InputError.  Without
     a partial_fn the field is values-only, of order 0: interpolate and
     |.|_{0,p} accept it, and an exact source of partials is
     field_from_expression or Polynomial3.  The partials are taken as exact:
@@ -372,6 +471,7 @@ class ScalarField:
     scale = 1.0
     exact_partials = True
     _rank_one = False  # does _partials take the rank_one keyword?
+    polynomial = None  # the Polynomial3 that as_field wrapped, if any
 
     def __init__(
         self,
@@ -384,6 +484,8 @@ class ScalarField:
         if scale != 1.0 or exact is not True:
             raise InputError("a field's partials are exact and unscaled; got scale=%r, exact=%r"
                              % (scale, exact))
+        if order is not None:
+            order = integer(order, "a field's order")
         if partial_fn is None and order not in (None, 0):
             raise InputError("a field without partial_fn has values only, got order %r" % (order,))
 
@@ -399,13 +501,14 @@ class ScalarField:
 
     @classmethod
     def _of(cls, eval_fn, partials_fn, order: int | None = None,
-            degree: int | None = None, rank_one: bool = False) -> "ScalarField":
+            degree: int | None = None, rank_one: bool = False,
+            polynomial: "Polynomial3 | None" = None) -> "ScalarField":
         """The field whose partials_of is partials_fn(orders, pts), which
         takes the rank_one keyword when rank_one is True: how expressions,
         polynomials and residuals are built."""
         out = cls.__new__(cls)
         out._eval, out._partials, out.order, out.degree = eval_fn, partials_fn, order, degree
-        out._rank_one = rank_one
+        out._rank_one, out.polynomial = rank_one, polynomial
         return out
 
     def __call__(self, pts) -> np.ndarray:
@@ -463,7 +566,7 @@ def as_field(v) -> ScalarField:
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, Polynomial3):
-        return ScalarField._of(v.evaluate, v.partials_of, degree=v.degree)
+        return ScalarField._of(v.evaluate, v.partials_of, degree=v.degree, polynomial=v)
     return ScalarField(v)
 
 
@@ -534,7 +637,8 @@ def residual(v, t: Tetrahedron, k: int) -> ScalarField:
     Partials combine v's partials with the interpolant's polynomial partials,
     up to v's declared order (0 for a plain callable, which so has values
     only); u vanishes at every node.  When v is a polynomial, so is u, of
-    degree max(deg v, k).
+    degree max(deg v, k), held in the interpolant's frame up to order k
+    (_residual).
     """
     v = as_field(v)
     return _residual(v, interpolate(v, t, k))
@@ -544,13 +648,25 @@ def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
     """v - ip, whose partials of several orders take v's in one call.  Above
     order ip.k the interpolant's partials vanish, so there u's partials are
     v's: nothing is subtracted, and an order of rank_one there is passed on
-    to v, which may return it as a RankOne.  The interpolant's partials are
-    subtracted into v's arrays, which partials_of hands to its caller."""
+    to v, which may return it as a RankOne.
+
+    Up to order ip.k, when v is a polynomial, u is one polynomial in the
+    interpolant's frame: v.in_frame less ip's coefficients, whose partials
+    at Samples on the element are one product with the set's table each.
+    Otherwise the interpolant's partials are subtracted into v's arrays,
+    which partials_of hands to its caller."""
+    near = None if v.polynomial is None else _in_frame_less(v.polynomial, ip)
 
     def partials_of(orders, pts, rank_one=()):
         low = [m for m in orders if m <= ip.k]
+        rank_one = [m for m in rank_one if m > ip.k]
+        if near is not None:
+            high = [m for m in orders if m > ip.k]
+            mine = iter(near.partials_of(low, pts) if low else ())
+            theirs = iter(v.partials_of(high, pts, rank_one=rank_one) if high else ())
+            return [next(mine) if m <= ip.k else next(theirs) for m in orders]
         below = iter(ip.partials_of(low, pts) if low else ())
-        out = v.partials_of(orders, pts, rank_one=[m for m in rank_one if m > ip.k])
+        out = v.partials_of(orders, pts, rank_one=rank_one)
         with np.errstate(all="ignore"):  # callers check finiteness
             for m, a in zip(orders, out):
                 if m <= ip.k:
@@ -564,6 +680,16 @@ def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
         None if v.degree is None else max(v.degree, ip.degree),
         rank_one=True,
     )
+
+
+def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
+    """v - ip as one polynomial in ip's frame, of degree max(v.degree, ip.k)."""
+    degree = max(v.degree, ip.k)
+    coef = np.zeros(math.comb(degree + 3, 3))
+    coef[: len(v.coef)] = v.in_frame(*ip._frame)
+    with np.errstate(all="ignore"):  # callers check finiteness
+        coef[: len(ip.coef)] -= ip.coef
+    return Polynomial3._held(coef, degree, ip._frame)
 
 
 def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -151,10 +151,11 @@ def _stencil(k: int, delta: MultiIndex, kind: int) -> tuple[np.ndarray, np.ndarr
     return bases, diff
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed, or True would find a cached 1
 def gauss_jacobi(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule for the weight (1 - x)^a on [-1, 1], exact for
     every polynomial of degree <= 2n - 1: read-only (nodes ascending, weights).
+    n is an integer >= 1 and a an integer >= 0, else InputError.
 
     Golub and Welsch's method: the orthonormal polynomials p_j of the weight
     satisfy x p_j = b_{j+1} p_{j+1} + c_j p_j + b_j p_{j-1}, and the nodes are
@@ -162,6 +163,7 @@ def gauss_jacobi(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     b_j.  One Newton step on p_n, with p_n and p_n' from the same recurrence,
     refines them to roundoff; the weights are Christoffel's 1 / sum_{j<n} p_j^2.
     """
+    n, a = integer(n, "the number of Gauss points", 1), integer(a, "the Jacobi exponent")
     j = np.arange(1, n + 1, dtype=float)
     s = 2.0 * j + a
     b = 2.0 * j * (j + a) / (s * np.sqrt(s * s - 1.0))  # b_1 .. b_n

@@ -36,9 +36,15 @@ lattice X^DENSE_LATTICE_ORDER of the cached lattice.unit_weights table,
 cached as blocks of at most BLOCK points, one partials_of call each: each
 gamma keeps a running maximum, which equals the maximum of one unblocked
 pass, and for polynomials one constrained Newton step polishes it, with
-value, gradient and Hessian from one call, where degree - m >= 2 (below that
-the Hessian is the zero partials of order m + 2, and no step exists); this
-route is documented as approximate and takes no quadrature degree.  A
+value, gradient and Hessian from one call, where degree - m >= 2; this
+route is documented as approximate and takes no quadrature degree.  Where
+a polynomial has degree - m <= 1, every d^gamma u is affine, so |d^gamma u|
+peaks at a vertex (and the Hessian, the zero partials of order m + 2, gives
+no step): the spec samples one cached block of the four vertices, which the
+lattice holds too, placed at x = verts[i] exactly, through the same running
+maximum.  That is exact, and it takes every corpus polynomial's
+|v|_{k+1,inf} (degree k + 2) and a reproduced q in P_k at m >= k - 1 off
+the lattice.  A
 sampled value that is not finite raises NumericalError, for the first such
 gamma in order, the first seminorm first, and for one seminorm its first
 rule first.  A degenerate element raises DegenerateTetrahedron at every p.
@@ -322,6 +328,12 @@ def _lattice_blocks() -> tuple[SampleSet, ...]:
     return tuple(map(SampleSet, np.array_split(lattice, -(-len(lattice) // BLOCK))))
 
 
+@lru_cache(maxsize=1)
+def _vertex_blocks() -> tuple[SampleSet, ...]:
+    """The four vertices as one block, placed at x = verts[i] exactly."""
+    return (SampleSet(np.eye(4)),)
+
+
 def seminorms_with_info(
     u, t: Tetrahedron, specs, degree: int | None = None
 ) -> list[SeminormInfo]:
@@ -329,7 +341,8 @@ def seminorms_with_info(
 
     Every quadrature rule the finite-p specs need is one stacked sample set,
     evaluated by one partials_of call for every order, and each block of the
-    p = inf lattice by one more; each spec then reads its own rules' rows.
+    p = inf lattice by one more, or the four vertices where a polynomial's
+    partials are affine; each spec then reads its own rules' rows.
     Errors come in spec order, and for one spec in the order of its rules.
     """
     field_u = as_field(u)
@@ -353,15 +366,19 @@ def seminorms_with_info(
                 np.abs(v, out=v)  # partials_of hands its arrays to the caller
     peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
              if spec.p == math.inf and live[i]}
-    if peaks:
-        orders = [specs[i].m for i in peaks]
-        for block in _lattice_blocks():
+    # A polynomial's partials of order m >= degree - 1 are affine and peak at
+    # a vertex; its other maxima are polished where the Hessian can be nonzero.
+    affine = [i for i in peaks if field_u.degree is not None and field_u.degree - specs[i].m <= 1]
+    polish = [i for i in peaks if field_u.degree is not None and i not in affine]
+    lattice = [i for i in peaks if i not in affine]
+    for blocks, group in ((_vertex_blocks(), affine), (_lattice_blocks(), lattice)):
+        if not group:
+            continue
+        orders = [specs[i].m for i in group]
+        for block in blocks:
             placed = block.on(verts)
-            for peak, vals in zip(peaks.values(),
-                                  field_u.partials_of(orders, placed, rank_one=orders)):
-                peak.add(vals, placed.x)
-    # A polynomial's maximum is polished where its Hessian can be nonzero.
-    polish = [i for i in peaks if field_u.degree is not None and field_u.degree - specs[i].m > 1]
+            for i, vals in zip(group, field_u.partials_of(orders, placed, rank_one=orders)):
+                peaks[i].add(vals, placed.x)
     frame = pull_back(t) if polish else None  # a polish step stays inside t
     out = []
     for i, spec in enumerate(specs):
@@ -369,6 +386,7 @@ def seminorms_with_info(
             value, at = peaks[i].result() if i in peaks else (0.0, None)
             if at is not None and i in polish:
                 value = max(value, _newton_polish(field_u, *at, frame))
+            # One text for every p = inf value, a vertex maximum's included.
             warnings = ("p=inf maximum from dense sampling; value is approximate",)
             out.append(SeminormInfo(value, None, warnings))
         elif not live[i]:

@@ -521,6 +521,8 @@ def squeeze_sweep(k: int, m: int, p: float, alphas=None, kind: int = TYPE1) -> S
     shows no upward log-log trend (slope <= 0.1).
     """
     _check_spec(k, m, p)  # before the corpus, which checks k as a degree
+    if alphas is not None and not np.iterable(alphas):
+        raise InputError("the alpha grid must be a sequence of alphas, got %r" % (alphas,))
     alphas = [_alpha(a, "alpha at level %d" % level, 1.0)
               for level, a in enumerate(default_alpha_grid() if alphas is None else alphas)]
     if not alphas:

@@ -43,9 +43,13 @@ from anisotetra.errors import (
     InvalidGammaMax,
     UnsupportedDegree,
 )
+from anisotetra.interp import ScalarField
+from anisotetra.lattice import gauss_jacobi
 from anisotetra.quad import SeminormSpec, multinomial_weight
 
 NAN = math.nan
+HUGE = 10**400  # an integer beyond the float range
+VAST = 10**5000  # an integer whose decimal digits Python refuses to write out
 RAW = "raw"
 V = field_from_expression("sin(x + 2*y + 3*z)")
 T = reference_tetrahedron(TYPE1)
@@ -59,13 +63,16 @@ def rows(name, call, error, *values):
     for value in values:
         raw = isinstance(value, tuple) and len(value) == 2 and value[0] is RAW
         value = value[1] if raw else value
-        out.append(("%s=%r%s" % (name, value, " RAW" if raw else ""), call, value, error))
+        big = isinstance(value, int) and value.bit_length() > 64
+        shown = "10**%d" % round(math.log10(value)) if big else repr(value)
+        out.append(("%s=%s%s" % (name, shown, " RAW" if raw else ""), call, value, error))
     return out
 
 
 TABLE = [
     # Interpolation and stencil degrees.
-    *rows("interpolate.k", lambda k: interpolate(V, T, k), InvalidDegree, True, 2.5, "2", 0, 9),
+    *rows("interpolate.k", lambda k: interpolate(V, T, k), InvalidDegree, True, 2.5, "2", 0, 9,
+          (RAW, VAST)),
     *rows("corpus.k", lambda k: corpus(k, T), InvalidDegree, True, 2.5, "2", 0, 9),
     *rows("forward_differences.k", lambda k: forward_differences(k, (1, 0, 0), TYPE1),
           InvalidDegree, (RAW, True), 2.5, "2", 0, 9),
@@ -84,7 +91,7 @@ TABLE = [
     *rows("error_ratio.m", lambda m: error_ratio(V, T, 2, m, 2.0), InadmissiblePC,
           True, 1.5, "1", 3),
     *rows("error_ratio.p", lambda p: error_ratio(V, T, 2, 1, p), InadmissiblePC,
-          (RAW, True), (RAW, "2"), NAN, 0.5),
+          (RAW, True), (RAW, "2"), NAN, 0.5, (RAW, HUGE)),
     *rows("study.p", lambda p: study([T], [("v", V)], 2, 1, p), InadmissiblePC,
           (RAW, True), (RAW, "2"), NAN, 0.5),
     *rows("study.k", lambda k: study([T], [("v", V)], k, 0, 2.0), InadmissiblePC,
@@ -137,7 +144,13 @@ TABLE = [
           (RAW, True), (RAW, 1.5), (RAW, "1"), (RAW, -1)),
     *rows("SeminormSpec.m", lambda m: SeminormSpec(m, 2.0), InputError, True, 1.5, "1", -1),
     *rows("SeminormSpec.p", lambda p: SeminormSpec(1, p), InputError,
-          (RAW, True), "2", NAN, 0.5),
+          (RAW, True), "2", NAN, 0.5, (RAW, HUGE)),
+    *rows("ScalarField.order", lambda o: ScalarField(V, lambda g, pts: V.partial(g, pts), o),
+          InputError, (RAW, True), (RAW, "2"), (RAW, -1)),
+    *rows("gauss_jacobi.n", lambda n: gauss_jacobi(n, 0), InputError,
+          (RAW, True), (RAW, 2.5), (RAW, "2"), (RAW, 0)),
+    *rows("squeeze_sweep.alphas", lambda a: squeeze_sweep(1, 0, 2.0, alphas=a), InputError,
+          (RAW, 5), (RAW, 0.5)),
     *rows("mac_reverse_gamma.d_bound", mac_reverse_gamma, InputError,
           True, (RAW, "a"), NAN, (RAW, 0)),
     *rows("mac_reverse_gamma.kind", lambda kind: mac_reverse_gamma(10.0, kind), InputError,

@@ -572,3 +572,124 @@ class TestSampleSets:
         pts = quad._lattice_blocks()[0].on(verts)
         for m in range(3):
             assert np.array_equal(again.partials(m, pts), ip.partials(m, pts))
+
+
+def exact_frame(t):
+    """x_0 and J of t's pull-back as Fractions, J[i][j] = (x_{j+1} - x_0)_i exactly."""
+    verts = [[Fraction(c) for c in row] for row in t.as_array().tolist()]
+    return verts[0], [[verts[j + 1][i] - verts[0][i] for j in range(3)] for i in range(3)]
+
+
+def chain_by_times(forms, m):
+    """The order-m matrix of interp._chain as one _times product per order,
+    the reference loop for its gathers."""
+    c = np.ones((1, 1))
+    for d in range(1, m + 1):
+        gammas, lower = derivative_indices(d), derivative_indices(d - 1)
+        axes = [next(i for i in range(3) if g[i]) for g in gammas]
+        rows = [lower.index(tuple(x - (i == j) for i, x in enumerate(g)))
+                for g, j in zip(gammas, axes)]
+        c = interp._times(forms[axes].T, 1, c[rows].T, d - 1).T
+    return c
+
+
+class TestInFrame:
+    """Polynomial3.in_frame: the xi-coefficients of v(x_0 + J xi)."""
+
+    def test_chain_matrices_are_one_times_product_per_order(self):
+        # Bit for bit, signs of zero included, and in the same memory layout,
+        # on which a matrix product's bits depend: the same terms reach the
+        # same reduceat, so every interpolant's partials are unchanged.
+        elements = [T_HAT, ANISO, *generate(TetraGenSpec("mixed", 3), 6)]
+        for t in elements:
+            verts, inverse_t = pull_back(t)
+            for forms in (inverse_t, verts[1:] - verts[0]):
+                got = interp._chain(forms, 8)
+                for m in range(9):
+                    want = chain_by_times(forms, m)
+                    assert got[m].tobytes() == want.tobytes(), m
+                    assert got[m].flags.c_contiguous == want.flags.c_contiguous, m
+
+    @pytest.mark.parametrize("family,eps", [
+        ("needle", 1e-2), ("needle", 1e-6), ("sliver", 1e-6), ("cap", 1e-4),
+    ])
+    def test_each_coefficient_carries_its_own_columns_of_j(self, family, eps):
+        # Against exact composition, every coefficient is right to 1e-13 of
+        # its terms' magnitudes (|v| composed with |x_0| + |J| xi), so the
+        # coefficients of a flat direction, eps^n smaller, are as accurate.
+        t = rotated(FLAT[family](eps))
+        v = random_poly(np.random.default_rng(5), 6)
+        x0, jac = exact_frame(t)
+        want = Exact.of(v).compose_affine(jac, x0).coeffs
+        size = Exact({g: abs(c) for g, c in Exact.of(v).coeffs.items()}).compose_affine(
+            [[abs(c) for c in row] for row in jac], [abs(c) for c in x0]).coeffs
+        got = v.in_frame(*pull_back(t))
+        for g, c in zip(monomial_indices(6), got.tolist()):
+            assert abs(Fraction(c) - want.get(g, 0)) <= Fraction(1e-13) * size[g], g
+
+    @pytest.mark.parametrize("family,eps", [
+        ("needle", 1e-3), ("needle", 1e-6), ("sliver", 1e-2), ("sliver", 1e-6), ("cap", 1e-6),
+    ])
+    def test_values_and_partials_at_samples(self, family, eps):
+        # Held in the frame, v reads xi from the sample set exactly: its values
+        # match v's own to 1e-13 relative on every element, and so do its
+        # partials of orders <= k on a needle, a rotated scaling.  On a sliver
+        # or cap the frame's J^{-T} costs about ulp / eps^(m-1) at order m, as
+        # it does for every interpolant, so there the values are checked.
+        t = rotated(FLAT[family](eps))
+        frame = pull_back(t)
+        samples = quad._lattice_blocks()[2].on(t.as_array())
+        for k in (1, 4):
+            v = random_poly(np.random.default_rng(k), k + 2)
+            held = Polynomial3._held(v.in_frame(*frame), v.degree, frame)
+            for m in range(k + 1 if family == "needle" else 1):
+                want = v.partials(m, samples.x)
+                got = held.partials(m, samples)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (k, m)
+
+    def test_a_polynomial_in_this_frame_keeps_its_coefficients(self):
+        bubble = bubble_polynomial(ROTATED_ANISO)
+        assert bubble.in_frame(*pull_back(ROTATED_ANISO)) is bubble.coef
+
+    def test_a_polynomial_in_another_frame_is_taken_through_it(self):
+        # The bubble of the reference, whose frame is the identity, converts
+        # as its coefficients read physically do, bit for bit; the bubble of
+        # another element gives its own values at the samples.
+        frame = pull_back(ROTATED_ANISO)
+        ref = bubble_polynomial(T_HAT)
+        assert np.array_equal(ref.in_frame(*frame), Polynomial3.dense(ref.coef, 4).in_frame(*frame))
+        other = bubble_polynomial(ANISO)
+        held = Polynomial3._held(other.in_frame(*frame), 4, frame)
+        samples = quad._lattice_blocks()[0].on(frame[0])
+        want = other.evaluate(samples.x)
+        assert np.max(np.abs(held.partials(0, samples)[0] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_a_residual_below_order_k_is_one_polynomial_in_the_frame(self):
+        # Its partials of orders <= k are v.in_frame less the interpolant's
+        # coefficients, read at the samples; above k they are v's own.
+        t = rotated(FLAT["sliver"](1e-3))
+        v = corpus(3, t)[13][1]
+        ip = interpolate(v, t, 3)
+        u = residual(v, t, 3)
+        coef = v.in_frame(*pull_back(t))
+        coef[: len(ip.coef)] -= ip.coef
+        near = Polynomial3._held(coef, 5, pull_back(t))
+        samples = quad._rule_stack((12, 18))[0].on(t.as_array())
+        got = u.partials_of([0, 2, 3, 4, 5], samples)
+        for m, rows in zip([0, 2, 3], got):
+            assert np.array_equal(rows, near.partials(m, samples)), m
+        for m, rows in zip([4, 5], got[3:]):
+            assert np.array_equal(rows, v.partials(m, samples.x)), m
+
+    def test_a_physical_polynomial_builds_no_table_per_lattice_block(self, monkeypatch):
+        # At p = inf its orders <= k read each block's cached xi table and its
+        # affine order k + 1 is taken at the four vertices, so once the tables
+        # are filled no monomial table is built at a block's ~3000 points.
+        t1, t2 = generate(TetraGenSpec("mixed", 7), 2)
+        v = corpus(4, t1)[14][1]
+        error_ratio(v, t1, 4, 2, math.inf)
+        sizes, build = [], interp._monomials
+        monkeypatch.setattr(interp, "_monomials",
+                            lambda pts, degree: sizes.append(len(pts)) or build(pts, degree))
+        error_ratio(v, t2, 4, 2, math.inf)
+        assert sizes and max(sizes) < 100, sizes

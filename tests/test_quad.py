@@ -19,6 +19,8 @@ from anisotetra.interp import (
     RankOne,
     SampleSet,
     ScalarField,
+    as_field,
+    interpolate,
     monomial_indices,
     pull_back,
     residual,
@@ -35,7 +37,7 @@ from anisotetra.quad import (
     seminorms_with_info,
     validate_p,
 )
-from anisotetra.verify import corpus, error_ratio
+from anisotetra.verify import TetraGenSpec, corpus, error_ratio, generate
 from exact_poly import Exact
 
 T_HAT = reference_tetrahedron(TYPE1)
@@ -353,6 +355,25 @@ class TestSupSeminorm:
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
             seminorm(u, ANISO, SeminormSpec(1, math.inf))
+
+    @pytest.mark.parametrize("family", ["uniform", "needle", "sliver"])
+    def test_affine_partials_peak_at_the_vertices(self, family, monkeypatch):
+        # Where degree - m <= 1, |d^gamma u| is affine and peaks at a vertex,
+        # which the lattice holds at x = verts[i] exactly: the four vertices
+        # give the lattice maximum within 4 ulp, with no lattice block read.
+        t = generate(TetraGenSpec(family, 4), 1)[0]
+        verts = t.as_array()
+        fields = [Polynomial3.dense(np.cos(np.arange(35.0)), 4),
+                  interpolate(field_from_expression("exp(x - y*z)"), t, 3),
+                  residual(corpus(2, t)[13][1], t, 2)]
+        want = [[max(float(np.max(np.abs(as_field(u).partials(m, block.on(verts)))))
+                     for block in quad._lattice_blocks()) for m in (u.degree - 1, u.degree)]
+                for u in fields]
+        monkeypatch.setattr(quad, "_lattice_blocks", lambda: ())
+        for u, lattice in zip(fields, want):
+            for m, top in zip((u.degree - 1, u.degree), lattice):
+                got = seminorm(u, t, SeminormSpec(m, math.inf))
+                assert top > 0 and abs(got - top) <= 4 * np.spacing(top), (u.degree, m)
 
     def test_linear_sup_is_vertex_max(self):
         u = Polynomial3({(1, 0, 0): 2.0, (0, 0, 0): -0.5})

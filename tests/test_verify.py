@@ -30,6 +30,7 @@ from anisotetra.geom import (
 )
 from anisotetra.interp import Polynomial3, ScalarField, monomial_indices
 from anisotetra.lattice import nodes_on
+from anisotetra.quad import SeminormSpec, seminorm_with_info
 from anisotetra.verify import (
     _CORPUS_KEY,
     TetraGenSpec,
@@ -335,6 +336,16 @@ class TestErrorRatio:
         assert r.ratio == 0.0
         assert r.error < 1e-12
 
+    @pytest.mark.parametrize("k,m,p", [(2, 1, 2.0), (3, 1, 3.0), (2, 2, math.inf),
+                                       (4, 2, math.inf)])
+    def test_seminorm_hi_is_vs_own_bit_for_bit(self, k, m, p):
+        # Above order k the residual's partials are v's own, never taken
+        # through the frame, whose J^{-T} would inflate them on a sliver.
+        t = generate(TetraGenSpec("sliver", 6, {"eps": 1e-5}), 1)[0]
+        for name, v in corpus(k, t)[13:]:
+            want = seminorm_with_info(v, t, SeminormSpec(k + 1, p)).value
+            assert error_ratio(v, t, k, m, p).seminorm_hi == want, name
+
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_overflowing_polynomial_is_a_numerical_error(self, p):
         # The partials of 1e308 x^3 and of its residual overflow; pytest turns
@@ -393,7 +404,48 @@ class TestErrorRatio:
             assert mats.normAinv <= 2.0 * r_t / (3.0 * h_t) * (1.0 + 1e-9)
 
 
+# squeeze_sweep(2, 1, 3) on this grid, and error_ratio of the reference's
+# bubble on each squeezed element at (2, 1, 3) and (2, 2, inf), as the
+# bubble's coefficients read physically give them: (worst field, max_ratio,
+# max_scaled) per row and (error, ratio) per element and spec.
+BUBBLE_GRID = [(1.0, 1.0, 1.0), (1.0, 2.0**-3, 2.0**-3), (1.0, 2.0**-6, 2.0**-6), (1.0, 1.0, 2.0**-8)]
+BUBBLE_SWEEP_ROWS = [
+    ("trig2", "0x1.56875b2c58e69p-8", "0x1.6b4e7c79b5931p-4"),
+    ("poly3", "0x1.10cdd9ec42a0fp-7", "0x1.a2d5946d0cb63p-5"),
+    ("poly3", "0x1.0c59a2cb0ba6fp-7", "0x1.92ac316266e11p-5"),
+    ("exp0", "0x1.11d66706126b2p-8", "0x1.2272d38285da5p-4"),
+]
+BUBBLE_RATIOS = [
+    (("0x1.6a657f60c8cfdp-7", "0x1.29a6fb282390ep-11"), ("0x1.0p-1", "0x1.41cfe93ff5196p-9")),
+    (("0x1.096a47b08ccc3p-10", "0x1.9f4058d909b07p-11"), ("0x1.0p-2", "0x1.bca627db4aeeap-9")),
+    (("0x1.2a14cb96f9040p-15", "0x1.c1403684d7cafp-14"), ("0x1.0p-2", "0x1.c6f1ca7188e80p-9")),
+    (("0x1.f498c813e84a4p-10", "0x1.8090b57bae78fp-11"), ("0x1.0p-1", "0x1.41cfe93ff5196p-9")),
+]
+
+
 class TestSqueezeSweep:
+    def test_the_references_bubble_is_converted_to_each_squeezed_frame(self):
+        # squeeze_sweep builds the corpus, bubble included, on the unsqueezed
+        # reference.  Its bubble is held in the reference's frame, so on each
+        # squeezed element its residual must be taken through that frame; read
+        # as if in the element's own frame, the sweep's variation is ~287.
+        # The reference's frame is the identity, so the bubble gives what its
+        # coefficients read physically give, bit for bit.
+        sw = squeeze_sweep(2, 1, 3.0, alphas=BUBBLE_GRID)
+        for row, (name, ratio, scaled) in zip(sw.rows, BUBBLE_SWEEP_ROWS):
+            assert row.worst_field == name
+            assert row.max_ratio == pytest.approx(float.fromhex(ratio), rel=1e-12)
+            assert row.max_scaled == pytest.approx(float.fromhex(scaled), rel=1e-12)
+        bubble = bubble_polynomial(T_HAT)
+        physical = Polynomial3.dense(bubble.coef, 4)
+        for alpha, want in zip(BUBBLE_GRID, BUBBLE_RATIOS):
+            t = Tetrahedron.from_points(T_HAT.as_array() * np.array(alpha))
+            for spec, (error, ratio) in zip(((2, 1, 3.0), (2, 2, math.inf)), want):
+                got = error_ratio(bubble, t, *spec)
+                assert got == error_ratio(physical, t, *spec)
+                assert got.error == pytest.approx(float.fromhex(error), rel=1e-12)
+                assert got.ratio == pytest.approx(float.fromhex(ratio), rel=1e-12)
+
     def test_identity_alpha_reproduces_reference(self):
         sw = squeeze_sweep(1, 0, 2.0, alphas=[(1.0, 1.0, 1.0)])
         row = sw.rows[0]
