@@ -29,7 +29,6 @@ from .geom import (
     StandardPosition,
     Tetrahedron,
     TransformMatrices,
-    TrigIdentityReport,
     TYPE1,
     TYPE2,
     angles,
@@ -40,20 +39,16 @@ from .geom import (
     mac_reverse_gamma,
     matrices,
     max_face_and_dihedral_angle,
-    quality,
     quality_ratio,
     reference_tetrahedron,
     sorted_edge_lengths,
     standard_position,
-    standard_position_vertices,
-    verify_trig_identities,
     volume,
 )
 from .lattice import (
     forward_differences,
     nodes_on,
     quotient_coefficients,
-    quotient_integral,
     sigma_k,
 )
 from .interp import (
@@ -69,7 +64,6 @@ from .quad import (
     SeminormInfo,
     SeminormSpec,
     rule_for_degree,
-    seminorm,
     seminorm_with_info,
     validate_p,
 )

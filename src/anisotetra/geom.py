@@ -41,7 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTetrahedron, InputError, InvalidGammaMax, integer, real
+from .errors import (DegenerateTetrahedron, InputError, InvalidGammaMax, NumericalError,
+                     integer, real)
 
 # Relative tolerances (all scale-invariant).
 EPS_VOL_REL = 1e-14      # degeneracy: |T| < EPS_VOL_REL * h_T^3
@@ -147,13 +148,23 @@ def _nondegenerate_volume(v, h_t: float) -> float:
 
     The one scalar degeneracy test, |T| < EPS_VOL_REL * h_T^3 (scale
     invariant), raising DegenerateTetrahedron; batch_volume is its array twin.
+    A |T| that underflows to 0 is degenerate at any h_T.  Otherwise h_T^4
+    must be finite and EPS_VOL_REL * h_T^4 a normal float (h_T from about
+    4e-74 to 1e77), or NumericalError.  Between them lie the kernels' squared
+    cross products of edges and R_T's numerator h1*h2*h_T^2, which is at
+    least 6|T|h_T since |T| <= h1*h2*h_T/6: so R_T is finite and nonzero.
     """
     vol = abs(_signed_volume6(v)) / 6.0
-    threshold = EPS_VOL_REL * h_t ** 3
-    if vol < threshold:
+    h4 = (h_t * h_t) * (h_t * h_t)  # inf, not OverflowError, where it leaves the range
+    in_range = h4 < math.inf and EPS_VOL_REL * h4 >= sys.float_info.min
+    threshold = EPS_VOL_REL * h_t ** 3 if in_range else 0.0
+    if vol < threshold or vol == 0.0:
         raise DegenerateTetrahedron(
             "volume %.3e below degeneracy threshold %.3e" % (vol, threshold)
         )
+    if not in_range:
+        raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
+                             "h_T^4 = %.3e" % (h_t, h4))
     return vol
 
 
@@ -211,11 +222,6 @@ class StandardPosition:
     rotation: np.ndarray
     translation: np.ndarray
     mirror: bool
-
-    def apply_motion(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = pts @ self.rotation.T + self.translation
-        return out if np.ndim(points) > 1 else out[0]
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ def _psi_column(i, j):
     return _FACE_PAIRS.index((min(i, j), max(i, j)))
 
 
-# The angle columns each identity reads (TrigIdentityReport gives the
+# The angle columns each identity reads (batch_trig_identities gives the
 # identities): twosin's phi (j, n), theta (k, n) and psi (k, j); per corner
 # (j, k, m, n), theta (k, j), (m, j), (n, j) and psi (m, n), (m, k), (n, k).
 _TWOSIN_COLUMNS = np.array([
@@ -457,7 +463,7 @@ def batch_quality_ratio(lengths: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def batch_r_over_h(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
-    """R_T/h_T per row, as quality()[0] / h_T."""
+    """R_T/h_T per row, as GeometryReport.R_T / h_T."""
     hs = np.sort(lengths, axis=1)
     return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol / hs[:, 5]
 
@@ -508,8 +514,18 @@ def max_angle_at_most(verts: np.ndarray, bound) -> np.ndarray:
 
 
 def batch_trig_identities(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray):
-    """The residuals (twosin, cos_theta, cos_psi) of TrigIdentityReport per
-    row, shapes (N, 24), (N, 12), (N, 12), from batch_angles."""
+    """The residuals of the sine and cosine identities among theta, psi and
+    phi per row, from batch_angles:
+
+    twosin:    sin phi[(j,n)] - sin theta[(k,n)] * sin psi[(k,j)]
+    cos_theta: cos theta[(k,j)] - (cos theta[(m,j)] cos theta[(n,j)]
+               + sin theta[(m,j)] sin theta[(n,j)] cos psi[(m,n)])
+    cos_psi:   cos psi[(m,n)] - (sin psi[(m,k)] sin psi[(n,k)] cos theta[(k,j)]
+               - cos psi[(m,k)] cos psi[(n,k)])
+
+    shapes (N, 24), (N, 12), (N, 12), with columns keyed (j, n, k) as
+    _TWOSIN_KEYS and (j, k) as _THETA_KEYS.
+    """
     phi_jn, theta_kn, psi_kj = _TWOSIN_COLUMNS
     twosin = np.sin(phi[:, phi_jn]) - np.sin(theta[:, theta_kn]) * np.sin(psi[:, psi_kj])
     kj, mj, nj, mn, mk, nk = _CORNER_COLUMNS
@@ -553,14 +569,6 @@ def standard_position(t: Tetrahedron, cls: Classification | None = None) -> Stan
                             mirror=bool(mirror[0]))
 
 
-def standard_position_vertices(sp: StandardPosition, kind: int) -> tuple[tuple[float, float, float], ...]:
-    """The canonical vertex coordinates determined by (alpha, params, kind)."""
-    _check_kind(kind)
-    out = batch_standard_position_vertices(np.array([kind]), np.array([sp.alpha]),
-                                           np.array([sp.params]))
-    return tuple(map(tuple, out[0].tolist()))
-
-
 def matrices(sp: StandardPosition, kind: int) -> TransformMatrices:
     """Transformation matrices and their spectral norms for a standard position."""
     _check_kind(kind)
@@ -574,17 +582,6 @@ def _h_t(t: Tetrahedron) -> float:
     kind, perm, alpha, _, _ = batch_classify(verts, lengths)
     params = batch_standard_position(verts, kind, perm, alpha)[0]
     return float(batch_h_t(lengths, params)[0])
-
-
-def quality(t: Tetrahedron) -> tuple[float, float]:
-    """The quality quantities (R_T, H_T).
-
-    R_T = h1*h2*h_T^2/|T| comes from the sorted edge lengths and the
-    determinant volume; H_T = 6*h_T/(t1*t2) comes from the standard-position
-    parameters.  The two routes are independent.
-    """
-    hs = sorted_edge_lengths(t)
-    return _r_t(hs, _nondegenerate_volume(t.coords(), hs[5])), _h_t(t)
 
 
 def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
@@ -736,32 +733,3 @@ def mac_reverse_gamma(d_bound: float, kind: int | None = None) -> float:
     if kind == TYPE2:
         return type2(m)
     return max(type1(m), type2(m))
-
-
-@dataclass(frozen=True)
-class TrigIdentityReport:
-    """Residuals of the sine and cosine identities among theta, psi, phi.
-
-    twosin:    sin phi[(j,n)] - sin theta[(k,n)] * sin psi[(k,j)]
-    cos_theta: cos theta[(k,j)] - (cos theta[(m,j)] cos theta[(n,j)]
-               + sin theta[(m,j)] sin theta[(n,j)] cos psi[(m,n)])
-    cos_psi:   cos psi[(m,n)] - (sin psi[(m,k)] sin psi[(n,k)] cos theta[(k,j)]
-               - cos psi[(m,k)] cos psi[(n,k)])
-    keyed by (j, n, k) resp. (j, k); max_residual ranges over everything.
-    """
-
-    twosin: dict[tuple[int, int, int], float]
-    cos_theta: dict[tuple[int, int], float]
-    cos_psi: dict[tuple[int, int], float]
-    max_residual: float
-
-
-def verify_trig_identities(t: Tetrahedron) -> TrigIdentityReport:
-    """Evaluate all instances of the angle identities on t."""
-    twosin, cos_theta, cos_psi = (r[0] for r in batch_trig_identities(*batch_angles(*_row(t))))
-    return TrigIdentityReport(
-        twosin=dict(zip(_TWOSIN_KEYS, twosin.tolist())),
-        cos_theta=dict(zip(_THETA_KEYS, cos_theta.tolist())),
-        cos_psi=dict(zip(_THETA_KEYS, cos_psi.tolist())),
-        max_residual=float(max(np.abs(r).max() for r in (twosin, cos_theta, cos_psi))),
-    )

@@ -249,7 +249,7 @@ class Polynomial3:
     <= degree - m at xi.  A single partial is a row of it by definition.
     """
 
-    __slots__ = ("coef", "degree", "_frame", "_by_order")
+    __slots__ = ("coef", "degree", "_frame", "_by_order", "_chains")
 
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
@@ -277,6 +277,7 @@ class Polynomial3:
     def _hold(self, coef: np.ndarray, degree: int, frame):
         self.coef, self.degree, self._frame = coef, degree, frame
         self._by_order: dict[int, np.ndarray] = {}  # filled by _matrix
+        self._chains: list[np.ndarray] | None = None  # _chain's list, extended by _matrix
 
     def evaluate(self, pts) -> np.ndarray | float:
         out = self.partials(0, pts)[0]
@@ -348,11 +349,20 @@ class Polynomial3:
 
     def _matrix(self, m: int) -> np.ndarray:
         """The xi-monomial coefficients of the partials of order m, built on
-        first use; p = inf asks for one order once per block."""
+        first use; p = inf asks for one order once per block.
+
+        In a frame they are C @ derivatives, C with d^gamma_x = sum_beta
+        C[gamma, beta] d^beta_xi (|gamma| = |beta| = m): d/dx_j = sum_i
+        J^{-1}[i, j] d/dxi_i, so C is _chain's order m for the forms
+        J^{-T}[j].  The polynomial keeps _chain's list and extends it only
+        when a higher order is asked, so each order's C is built once.
+        """
         if m not in self._by_order:
             d = derivatives(self.coef, self.degree, m)  # no columns above the degree
-            in_frame = self._frame is not None and m <= self.degree
-            self._by_order[m] = self._chain_rule(m) @ d if in_frame else d
+            if self._frame is not None and m <= self.degree:
+                self._chains = _chain(self._frame[1], m, self._chains)
+                d = self._chains[m] @ d
+            self._by_order[m] = d
         return self._by_order[m]
 
     def _table(self, pts, m: int) -> np.ndarray:
@@ -367,24 +377,19 @@ class Polynomial3:
         xi = p if self._frame is None else (p - self._frame[0][0]) @ self._frame[1]
         return _monomials(xi, self.degree - m)
 
-    def _chain_rule(self, m: int) -> np.ndarray:
-        """C with d^gamma_x = sum_beta C[gamma, beta] d^beta_xi, |gamma| = |beta| = m.
 
-        d/dx_j = sum_i J^{-1}[i, j] d/dxi_i, so C is _chain's order m for the
-        forms J^{-T}[j].
-        """
-        return _chain(self._frame[1], m)[m]
-
-
-def _chain(forms: np.ndarray, top: int) -> list[np.ndarray]:
+def _chain(forms: np.ndarray, top: int, out: list | None = None) -> list[np.ndarray]:
     """For m = 0 .. top, the matrix whose row gamma (|gamma| = m) holds the
     coefficients of the product of linear forms prod_j (forms[j] . d)^gamma_j
     over the d^beta, |beta| = m: the product (_times) of the form of gamma's
     first axis j with row gamma - e_j of order m - 1, for every gamma at
-    once from one gather of each factor (_chain_plan) and one reduceat."""
+    once from one gather of each factor (_chain_plan) and one reduceat.
+    A list out that an earlier call returned for the same forms is extended
+    in place from its last order, with the same bits as a list built anew."""
     flat = np.ravel(forms)
-    out, lower = [np.ones((1, 1))], np.ones((1, 1))  # lower: order m - 1, transposed
-    for d in range(1, top + 1):
+    out = [np.ones((1, 1))] if out is None else out
+    lower = out[-1].T  # order m - 1, transposed
+    for d in range(len(out), top + 1):
         form, row, starts = _chain_plan(d)
         lower = np.add.reduceat(flat[form] * lower.ravel()[row], starts, axis=0)
         # C order at order 1 and F order above, as _times's products were

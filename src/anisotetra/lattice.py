@@ -11,9 +11,7 @@ lattice points (g + eta for eta <= delta), and the difference quotient
     DQ^delta f(x_g) = k^|delta| * sum_{eta <= delta}
         (-1)^{|delta| - |eta|} / (eta! (delta - eta)!) * f(x_{g + eta})
 
-approximates d^delta f / delta!.  The quotient equals an iterated integral
-of d^delta f over one ordered simplex per axis, which is what makes the
-calculus exact for polynomials and summable over boxes.
+approximates d^delta f / delta!, exactly for polynomials of degree <= |delta|.
 
 quotient_coefficients keeps those coefficients as exact fractions.  The one
 place where they meet node values is forward_differences(k, delta, kind), a
@@ -27,8 +25,8 @@ the acceptance suite share.
 
 The package's one Gauss quadrature routine lives here too: gauss_jacobi(n, a)
 builds the n-point rule for the weight (1 - x)^a from numpy alone (Golub and
-Welsch).  It gives quotient_integral its Gauss-Legendre points (a = 0) and
-quad.rule_for_degree its collapsed-coordinate factors (a = 2, 1, 0).
+Welsch).  It gives quad.rule_for_degree its collapsed-coordinate factors
+(a = 2, 1, 0).
 """
 
 from __future__ import annotations
@@ -37,14 +35,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, InvalidDegree, integer
 from .geom import _check_kind, reference_tetrahedron
 
-LatticePoint = tuple[int, int, int]
 MultiIndex = tuple[int, int, int]
 Barycentric = tuple[int, int, int, int]
 
@@ -81,14 +77,11 @@ def nodes_on(vertices, k: int) -> tuple[list[Barycentric], np.ndarray]:
     """Barycentric multi-indices and node coordinates on a tetrahedron.
 
     vertices is a (4, 3) array-like; the node of gamma is
-    sum_i gamma_i * v_i / k, one product with unit_weights(k).  For k = 0
-    the single node is the centroid.  Both results are new objects; k that
-    is not an integer >= 0 raises InputError.
+    sum_i gamma_i * v_i / k, one product with unit_weights(k).  Both results
+    are new objects; k that is not an integer >= 1 raises InputError.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if integer(k, "k") == 0:
-        return sigma_k(0), verts.mean(axis=0)[None, :]
-    return sigma_k(k), unit_weights(k) @ verts
+    weights = unit_weights(k)
+    return sigma_k(k), weights @ np.asarray(vertices, dtype=float)
 
 
 def _multi_index(delta) -> MultiIndex:
@@ -192,56 +185,3 @@ def gauss_jacobi(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = weights.flags.writeable = False
     return x, weights
 
-
-def _ordered_simplex_rule(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the ordered simplex 0 <= w_s <= ... <= w_1 <= 1.
-
-    Maps the unit cube by w_i = v_1 * ... * v_i, whose Jacobian is
-    prod_i v_i^(s - i); the rule is a tensor grid of gauss_jacobi(n, 0)
-    (Gauss-Legendre) points with the Jacobian folded into the weights.
-    Returns (points (m, s), weights (m,)).
-    """
-    x, w = gauss_jacobi(n, 0)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    grids = np.meshgrid(*([x] * s), indexing="ij")
-    wgrids = np.meshgrid(*([w] * s), indexing="ij")
-    v = np.stack([g.reshape(-1) for g in grids], axis=1)  # (m, s)
-    wts = np.ones(v.shape[0])
-    for i in range(s):
-        wts *= wgrids[i].reshape(-1)
-        wts *= v[:, i] ** (s - 1 - i)
-    pts = np.cumprod(v, axis=1)
-    return pts, wts
-
-
-def quotient_integral(
-    derivative: Callable[[np.ndarray], np.ndarray],
-    base: LatticePoint,
-    delta: MultiIndex,
-    k: int,
-    points_per_dim: int = 6,
-) -> float:
-    """Integral representation of the difference quotient.
-
-    `derivative` evaluates d^delta f on (N, 3) points of the reference
-    domain.  The quotient equals the iterated integral of the derivative
-    over one ordered simplex per axis, the argument being shifted from g/k
-    by the sum of that axis's simplex coordinates over k.  For a constant
-    derivative c the integral is c/delta!, matching the quotient on any
-    polynomial with d^delta f = c.  A bad delta, k or points_per_dim raises InputError.
-    """
-    delta, k = _multi_index(delta), integer(k, "k", 1)
-    n = integer(points_per_dim, "points_per_dim", 1)
-    rules = [
-        _ordered_simplex_rule(s, n) if s else (np.zeros((1, 0)), np.ones(1))
-        for s in delta
-    ]
-    # One point and weight per triple of the three axis rules' points, in
-    # lexicographic order: g/k shifted by each axis's coordinate sum over k.
-    shifts = np.meshgrid(*(p.sum(axis=1) for p, _ in rules), indexing="ij")
-    pts = np.array(base, dtype=float) / k + np.stack(shifts, axis=-1).reshape(-1, 3) / k
-    (_, w1), (_, w2), (_, w3) = rules
-    wts = (w1[:, None, None] * w2[None, :, None] * w3[None, None, :]).reshape(-1)
-    vals = np.asarray(derivative(pts), dtype=float).reshape(-1)
-    return float(np.dot(vals, wts))

@@ -42,12 +42,13 @@ a polynomial has degree - m <= 1, every d^gamma u is affine, so |d^gamma u|
 peaks at a vertex (and the Hessian, the zero partials of order m + 2, gives
 no step): the spec samples one cached block of the four vertices, which the
 lattice holds too, placed at x = verts[i] exactly, through the same running
-maximum.  That is exact, and it takes every corpus polynomial's
+maximum.  That is exact, so it carries no warning (nor does the exact 0 of
+an order above the degree), and it takes every corpus polynomial's
 |v|_{k+1,inf} (degree k + 2) and a reproduced q in P_k at m >= k - 1 off
-the lattice.  A
-sampled value that is not finite raises NumericalError, for the first such
-gamma in order, the first seminorm first, and for one seminorm its first
-rule first.  A degenerate element raises DegenerateTetrahedron at every p.
+the lattice.  A sampled value that is not finite raises NumericalError, for
+the first such gamma in order, the first seminorm first, and for one
+seminorm its first rule first.  A degenerate element raises
+DegenerateTetrahedron at every p.
 
 Every call opts in to interp.RankOne results, which a ridge expression (and
 its residual above k) gives: d^gamma u = row(x) column_gamma gamma!, never
@@ -386,8 +387,10 @@ def seminorms_with_info(
             value, at = peaks[i].result() if i in peaks else (0.0, None)
             if at is not None and i in polish:
                 value = max(value, _newton_polish(field_u, *at, frame))
-            # One text for every p = inf value, a vertex maximum's included.
-            warnings = ("p=inf maximum from dense sampling; value is approximate",)
+            # Where degree - m <= 1 the value is exact: a vertex maximum, or 0
+            # above the degree.  A lattice maximum is not.
+            warnings = () if i in affine or not live[i] else (
+                "p=inf maximum from dense sampling; value is approximate",)
             out.append(SeminormInfo(value, None, warnings))
         elif not live[i]:
             out.append(SeminormInfo(0.0, plans[i][-1]))
@@ -471,7 +474,3 @@ def seminorm_with_info(
     """
     return seminorms_with_info(u, t, [spec], degree)[0]
 
-
-def seminorm(u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None) -> float:
-    """The seminorm value alone; see seminorm_with_info for metadata."""
-    return seminorm_with_info(u, t, spec, degree).value

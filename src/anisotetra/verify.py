@@ -420,7 +420,8 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     are taken of the residual u = v - I v, since |u|_{k+1,p,T} is
     |v|_{k+1,p,T} (the interpolant's partials above order k vanish).  v
     needs partials of order k + 1, so a plain callable, which is values-only,
-    raises DerivativeUnavailable.
+    raises DerivativeUnavailable.  Where the bound factor or h_T^(k+1) leaves
+    the float range (h_T far from 1 at large k), it raises NumericalError.
     """
     _check_spec(k, m, p)
     k, m = int(k), int(m)
@@ -431,10 +432,19 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     err_info, hi_info = seminorms_with_info(
         _residual(v, ip), t, [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree=degree
     )
-    bound_factor = (geometry.R_T / h_t) ** m * h_t ** (k + 1 - m)
-    size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_t ** (k + 1)
+    # At extreme scales a power of h_T leaves the float range: a float power
+    # raises there, and a product or quotient gives inf or 0.
+    try:
+        bound_factor = (geometry.R_T / h_t) ** m * h_t ** (k + 1 - m)
+        size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_t ** (k + 1)
+    except (OverflowError, ZeroDivisionError):
+        raise _beyond_range(k, m, h_t) from None
     indeterminate = not hi_info.value > 1e-14 * size
-    ratio = 0.0 if indeterminate else err_info.value / (bound_factor * hi_info.value)
+    denominator = bound_factor * hi_info.value
+    if not (0.0 < bound_factor < math.inf and size < math.inf
+            and (indeterminate or 0.0 < denominator < math.inf)):
+        raise _beyond_range(k, m, h_t)
+    ratio = 0.0 if indeterminate else err_info.value / denominator
     return ErrorRatioResult(
         k=k,
         m=m,
@@ -447,6 +457,11 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
         geometry=geometry,
         warnings=err_info.warnings + hi_info.warnings,
     )
+
+
+def _beyond_range(k: int, m: int, h_t: float) -> NumericalError:
+    return NumericalError("the bound factor (R_T/h_T)^%d h_T^%d or h_T^%d at h_T = %.3e leaves "
+                          "the float range" % (m, k + 1 - m, k + 1, h_t))
 
 
 def _check_spec(k, m, p):

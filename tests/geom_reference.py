@@ -233,8 +233,8 @@ def mac_check(t, gamma_max):
 
 
 def trig_identities(t):
-    """(twosin, cos_theta, cos_psi, max_residual) as TrigIdentityReport
-    keys them."""
+    """(twosin, cos_theta, cos_psi, max_residual), the residuals keyed as
+    geom.batch_trig_identities orders its columns (_TWOSIN_KEYS, _THETA_KEYS)."""
     theta, psi, phi = angle_inventory(t)
 
     def psi_at(i, j):

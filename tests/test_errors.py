@@ -30,7 +30,6 @@ from anisotetra import (
     mac_experiment,
     mac_reverse_gamma,
     quotient_coefficients,
-    quotient_integral,
     reference_tetrahedron,
     rule_for_degree,
     squeeze_sweep,
@@ -134,12 +133,6 @@ TABLE = [
           (RAW, True), (RAW, 2.5), (RAW, "2"), (RAW, -1)),
     *rows("quotient_coefficients.delta", lambda d: quotient_coefficients((d, 0, 0)), InputError,
           (RAW, True), (RAW, 1.5), (RAW, "1"), (RAW, -1)),
-    *rows("quotient_integral.k", lambda k: quotient_integral(lambda x: x[:, 0], (0, 0, 0),
-                                                            (1, 0, 0), k), InputError,
-          (RAW, True), (RAW, 2.5), (RAW, "2"), (RAW, 0)),
-    *rows("quotient_integral.points_per_dim",
-          lambda n: quotient_integral(lambda x: x[:, 0], (0, 0, 0), (1, 0, 0), 2, n), InputError,
-          (RAW, True), (RAW, 2.5), (RAW, "2"), (RAW, 0)),
     *rows("multinomial_weight.gamma", lambda g: multinomial_weight((g, 0, 0)), InputError,
           (RAW, True), (RAW, 1.5), (RAW, "1"), (RAW, -1)),
     *rows("SeminormSpec.m", lambda m: SeminormSpec(m, 2.0), InputError, True, 1.5, "1", -1),

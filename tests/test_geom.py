@@ -21,15 +21,20 @@ from anisotetra import (
     mac_reverse_gamma,
     matrices,
     max_face_and_dihedral_angle,
-    quality,
     quality_ratio,
     reference_tetrahedron,
     sorted_edge_lengths,
     standard_position,
-    standard_position_vertices,
-    verify_trig_identities,
     volume,
 )
+from anisotetra.geom import (
+    batch_angles,
+    batch_edge_lengths,
+    batch_standard_position_vertices,
+    batch_trig_identities,
+)
+
+import geom_reference as ref
 
 TOL = 1e-12
 PARAM_TOL = 1e-10
@@ -129,7 +134,7 @@ def test_degeneracy_rule_shared_by_volume_classify_and_max_angle():
     # |T| < 1e-14 * h_T^3 rejects it exactly when h < 1.2e-13.
     for h, degenerate in ((1e-13, True), (2e-13, False)):
         t = Tetrahedron.from_points([(1, 0, 0), (-1, 0, 0), (0, 1, h), (0, -1, h)])
-        for op in (volume, classify, max_face_and_dihedral_angle, angles, quality):
+        for op in (volume, classify, max_face_and_dihedral_angle, angles):
             if degenerate:
                 with pytest.raises(DegenerateTetrahedron):
                     op(t)
@@ -274,8 +279,9 @@ def check_standard_position(t, cls, sp):
     rot = sp.rotation
     assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
     labeled = t.as_array()[list(cls.perm)]
-    moved = sp.apply_motion(labeled)
-    canon = np.array(standard_position_vertices(sp, cls.kind))
+    moved = labeled @ rot.T + sp.translation
+    canon = batch_standard_position_vertices(
+        np.array([cls.kind]), np.array([sp.alpha]), np.array([sp.params]))[0]
     assert np.abs(moved - canon).max() < 1e-10 * h_t
 
     # Volume identity |T| = alpha1*alpha2*alpha3*t1*t2/6.
@@ -296,7 +302,8 @@ def test_standard_position_fixed_point():
     t = random_tetra(rng)
     sp = standard_position(t)
     cls = classify(t)
-    t_std = Tetrahedron.from_points(standard_position_vertices(sp, cls.kind))
+    t_std = Tetrahedron.from_points(batch_standard_position_vertices(
+        np.array([cls.kind]), np.array([sp.alpha]), np.array([sp.params]))[0])
     sp2 = standard_position(t_std)
     assert not sp2.mirror
     assert np.allclose(sp2.rotation, np.eye(3), atol=1e-9)
@@ -387,7 +394,8 @@ def test_matrices_maps_reference_to_position():
         assert np.allclose(m.A, m.X @ m.Y, atol=1e-15)
         ref = reference_tetrahedron(cls.kind).as_array()
         mapped = (m.A @ m.D @ ref.T).T
-        canon = np.array(standard_position_vertices(sp, cls.kind))
+        canon = batch_standard_position_vertices(
+            np.array([cls.kind]), np.array([sp.alpha]), np.array([sp.params]))[0]
         assert np.abs(mapped - canon).max() < 1e-12 * max(sp.alpha)
 
 
@@ -428,7 +436,8 @@ def test_matrices_norm_inequalities():
 
 
 def test_quality_reference():
-    r_t, h_t = quality(T_HAT)
+    rep = angles(T_HAT)
+    r_t, h_t = rep.R_T, rep.H_T
     assert abs(r_t - 12.0) < 1e-12 * 12.0
     assert 0.5 * h_t <= r_t <= 2.0 * h_t
 
@@ -436,12 +445,10 @@ def test_quality_reference():
 def test_quality_scales_linearly():
     rng = np.random.default_rng(31)
     t = random_tetra(rng)
-    r1, h1 = quality(t)
     c = 3.7
-    t_scaled = Tetrahedron.from_points(t.as_array() * c)
-    r2, h2 = quality(t_scaled)
-    assert abs(r2 - c * r1) < 1e-9 * abs(c * r1)
-    assert abs(h2 - c * h1) < 1e-9 * abs(c * h1)
+    rep1, rep2 = angles(t), angles(Tetrahedron.from_points(t.as_array() * c))
+    assert abs(rep2.R_T - c * rep1.R_T) < 1e-9 * abs(c * rep1.R_T)
+    assert abs(rep2.H_T - c * rep1.H_T) < 1e-9 * abs(c * rep1.H_T)
 
 
 def test_quality_needle_bounded():
@@ -450,7 +457,7 @@ def test_quality_needle_bounded():
         t = Tetrahedron.from_points(
             [(0, 0, 0), (1, 0, 0), (0, eps, 0), (0, 0, eps)]
         )
-        _, h_t = quality(t)
+        h_t = angles(t).H_T
         h_max = sorted_edge_lengths(t)[5]
         assert h_t <= 10.0 * h_max
         ratio = quality_ratio(t)
@@ -463,8 +470,8 @@ def test_quality_ratio_lemma_sample():
         t = random_tetra(rng)
         ratio = quality_ratio(t)
         assert 0.5 - 1e-9 <= ratio <= 2.0 + 1e-9
-        r_t, h_t = quality(t)
-        assert abs(ratio - r_t / h_t) < 1e-6
+        rep = angles(t)
+        assert abs(ratio - rep.R_T / rep.H_T) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +548,7 @@ def test_report_read_lazily_equals_the_eager_quantities():
         t = random_tetra(rng)
         first, second = angles(t), angles(t)
         assert first.max_angle == max_face_and_dihedral_angle(t)
-        assert (first.R_T, first.H_T) == quality(t)
+        assert (first.R_T, first.H_T) == ref.quality(t)
         assert first.volume == volume(t) and first.h == sorted_edge_lengths(t)
         # Read in the other order: the same values, bitwise.
         assert second.phi == first.phi and second.theta == first.theta
@@ -551,13 +558,10 @@ def test_report_read_lazily_equals_the_eager_quantities():
 
 def test_trig_identities_random():
     rng = np.random.default_rng(43)
-    for _ in range(50):
-        t = random_tetra(rng)
-        rep = verify_trig_identities(t)
-        assert rep.max_residual < IDENT_TOL
-        assert len(rep.twosin) == 24
-        assert len(rep.cos_theta) == 12
-        assert len(rep.cos_psi) == 12
+    verts = np.array([random_tetra(rng).v for _ in range(50)])
+    residuals = batch_trig_identities(*batch_angles(verts, batch_edge_lengths(verts)))
+    assert [r.shape for r in residuals] == [(50, 24), (50, 12), (50, 12)]
+    assert max(np.abs(r).max() for r in residuals) < IDENT_TOL
 
 
 def test_trig_identities_rigid_motion_invariant():
@@ -622,7 +626,6 @@ def test_a_bad_kind_is_an_input_error(kind):
     sp = standard_position(T_HAT)
     for op in (
         lambda: reference_tetrahedron(kind),
-        lambda: standard_position_vertices(sp, kind),
         lambda: matrices(sp, kind),
         lambda: mac_reverse_gamma(10.0, kind),
     ):
@@ -635,7 +638,7 @@ def test_mac_reverse_gamma_covers_samples():
     rng = np.random.default_rng(59)
     for _ in range(100):
         t = random_tetra(rng)
-        r_t, _ = quality(t)
+        r_t = angles(t).R_T
         h_t = sorted_edge_lengths(t)[5]
         d = r_t / h_t * 1.000001
         gamma_prime = mac_reverse_gamma(d, classify(t).kind)

@@ -33,7 +33,7 @@ from anisotetra.interp import (
 )
 from anisotetra import interp, quad
 from anisotetra.lattice import nodes_on, quotient_coefficients
-from anisotetra.quad import SeminormSpec, seminorm
+from anisotetra.quad import SeminormSpec, seminorm_with_info
 from anisotetra.verify import TetraGenSpec, bubble_polynomial, corpus, error_ratio, generate
 from exact_poly import Exact, degree7_cases, exact_partial_rows
 
@@ -202,13 +202,14 @@ class TestScalarField:
         pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, 0.05]])
         assert np.allclose(interpolate(v, ANISO, 2).coef, interpolate(trig, ANISO, 2).coef,
                            rtol=0, atol=1e-14)
-        got, want = seminorm(v, ANISO, SeminormSpec(0, p)), seminorm(trig, ANISO, SeminormSpec(0, p))
+        got = seminorm_with_info(v, ANISO, SeminormSpec(0, p)).value
+        want = seminorm_with_info(trig, ANISO, SeminormSpec(0, p)).value
         assert abs(got - want) <= 1e-14 * want
         calls = [
             lambda: as_field(v).partial((1, 0, 0), pts),
             lambda: as_field(v).partials(1, pts),
             lambda: residual(v, ANISO, 2).partials(1, pts),
-            lambda: seminorm(v, ANISO, SeminormSpec(1, p)),
+            lambda: seminorm_with_info(v, ANISO, SeminormSpec(1, p)),
             lambda: error_ratio(v, ANISO, 2, 1, p),
         ]
         for call in calls:
@@ -609,6 +610,29 @@ class TestInFrame:
                     want = chain_by_times(forms, m)
                     assert got[m].tobytes() == want.tobytes(), m
                     assert got[m].flags.c_contiguous == want.flags.c_contiguous, m
+
+    def test_an_extended_chain_list_equals_one_built_anew(self):
+        # Bit for bit and in the same layout: each order is built from the
+        # previous one alone, so extending from order 3 repeats no step.
+        verts, inverse_t = pull_back(ANISO)
+        for forms in (inverse_t, verts[1:] - verts[0]):
+            start = interp._chain(forms, 3)
+            got, want = interp._chain(forms, 8, start), interp._chain(forms, 8)
+            assert got is start and len(got) == len(want) == 9
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes() and a.flags.c_contiguous == b.flags.c_contiguous
+
+    def test_a_polynomial_builds_each_chain_order_once(self, monkeypatch):
+        # A corpus polynomial's (4, 2, inf) call: in_frame takes orders 1..6
+        # of J^T, and the residual's polynomial orders 1..4 of J^{-T} for the
+        # lattice maximum and its polish; rebuilding from order 0 for each
+        # order asked took 15 steps.
+        steps = []
+        plan = interp._chain_plan
+        monkeypatch.setattr(interp, "_chain_plan", lambda m: steps.append(m) or plan(m))
+        t = generate(TetraGenSpec("mixed", 7), 1)[0]
+        error_ratio(dict(corpus(4, t))["poly0"], t, 4, 2, math.inf)
+        assert steps == [1, 2, 3, 4, 5, 6, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("family,eps", [
         ("needle", 1e-2), ("needle", 1e-6), ("sliver", 1e-6), ("cap", 1e-4),

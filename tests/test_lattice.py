@@ -11,37 +11,15 @@ from anisotetra.errors import InputError
 from anisotetra.geom import TYPE1, TYPE2, reference_tetrahedron
 from anisotetra.interp import _newton, monomial_indices
 from anisotetra.lattice import (
-    _ordered_simplex_rule,
     forward_differences,
     gauss_jacobi,
     nodes_on,
     quotient_coefficients,
-    quotient_integral,
     sigma_k,
     unit_weights,
 )
 
 QUAD_TOL = 1e-12
-
-
-def ref_quotient_integral(derivative, base, delta, k, points_per_dim=6):
-    """quotient_integral one point at a time: a triple loop over the three
-    axis rules, each point's shift and weight built in the library's order."""
-    rules = [
-        _ordered_simplex_rule(s, points_per_dim) if s else (np.zeros((1, 0)), np.ones(1))
-        for s in delta
-    ]
-    (p1, w1), (p2, w2), (p3, w3) = rules
-    x0 = np.array(base, dtype=float) / k
-    pts, wts = [], []
-    for a in range(p1.shape[0]):
-        for b in range(p2.shape[0]):
-            for c in range(p3.shape[0]):
-                shift = np.array([p1[a].sum(), p2[b].sum(), p3[c].sum()]) / k
-                pts.append(x0 + shift)
-                wts.append(w1[a] * w2[b] * w3[c])
-    vals = np.asarray(derivative(np.array(pts)), dtype=float).reshape(-1)
-    return float(np.dot(vals, np.array(wts)))
 
 
 def simplex_dim(d):
@@ -122,6 +100,7 @@ class TestLattice:
         (unit_weights, 1.5), (unit_weights, 0), (unit_weights, True), (unit_weights, -2),
         (lambda k: nodes_on(reference_tetrahedron(TYPE1).coords(), k), 2.5),
         (lambda k: nodes_on(reference_tetrahedron(TYPE1).coords(), k), False),
+        (lambda k: nodes_on(reference_tetrahedron(TYPE1).coords(), k), 0),
     ])
     def test_bad_orders_raise_input_error(self, call, k):
         # Not TypeError, a list for True, or NaN weights with a RuntimeWarning.
@@ -132,12 +111,7 @@ class TestLattice:
         assert sigma_k(np.int64(3)) == sigma_k(3)
         assert unit_weights(np.int64(3)) is unit_weights(3)
 
-    def test_nodes_on_degree_zero_is_centroid(self):
-        ref = reference_tetrahedron(TYPE1)
-        _, nodes = nodes_on(ref.coords(), 0)
-        assert np.allclose(nodes[0], np.full(3, 0.25))
-
-    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("k", [1, 2])
     def test_nodes_on_results_do_not_alias_the_cache(self, k):
         ref = reference_tetrahedron(TYPE2).coords()
         want_gammas, want_nodes = nodes_on(ref, k)
@@ -276,42 +250,6 @@ class TestDifferenceQuotient:
         for k in (1, 2, 5):
             q = quotients(lambda pts: 7.0 * pts[:, 0], k, (1, 0, 0), TYPE1)
             assert np.max(np.abs(q - 7.0)) < 1e-12
-
-
-class TestQuotientIntegral:
-    @pytest.mark.parametrize("delta", [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
-    def test_matches_quotient_for_smooth_field(self, delta):
-        # The iterated-mean representation: integrating the raw derivative
-        # d^delta f over one ordered simplex per axis reproduces the finite
-        # difference to quadrature accuracy (the 1/delta! lives in the
-        # measure).
-        k = 4
-        a = np.array([0.7, -0.4, 0.3])
-
-        def f(pts):
-            return np.exp(pts @ a)
-
-        def derivative(pts):
-            coef = a[0] ** delta[0] * a[1] ** delta[1] * a[2] ** delta[2]
-            return coef * np.exp(np.asarray(pts) @ a)
-
-        bases = forward_differences(k, delta, TYPE1)[0]
-        for base, q in list(zip(bases.tolist(), quotients(f, k, delta, TYPE1)))[:6]:
-            qi = quotient_integral(derivative, tuple(base), delta, k, points_per_dim=8)
-            assert abs(q - qi) < 1e-11 * max(1.0, abs(q))
-
-    @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
-    @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 2, 0), (1, 1, 0), (2, 1, 1), (0, 0, 4)])
-    def test_equals_point_by_point_reference(self, delta, kind):
-        a = np.array([0.7, -0.4, 0.3])
-
-        def derivative(pts):
-            return np.exp(np.asarray(pts) @ a)
-
-        for n in (3, 6):
-            for base in forward_differences(5, delta, kind)[0][:6].tolist():
-                want = ref_quotient_integral(derivative, base, delta, 5, n)
-                assert quotient_integral(derivative, base, delta, 5, n) == want
 
 
 def jacobi_moment(d, a, absolute=False):

@@ -32,7 +32,6 @@ from anisotetra.quad import (
     derivative_indices,
     multinomial_weight,
     rule_for_degree,
-    seminorm,
     seminorm_with_info,
     seminorms_with_info,
     validate_p,
@@ -118,7 +117,7 @@ class TestQuadrature:
         # exact integral of q^2 there.
         rng = np.random.default_rng(0)
         q = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(5)})
-        got = seminorm(q, ANISO, SeminormSpec(0, 2.0)) ** 2
+        got = seminorm_with_info(q, ANISO, SeminormSpec(0, 2.0)).value ** 2
         want = float(Exact.of(q).integrate(ANISO, power=2))
         assert abs(got - want) < 1e-13 * max(1.0, want)
 
@@ -152,12 +151,14 @@ class TestAdmissibility:
 
 class TestSeminorm:
     def test_constant_l2(self):
-        got = seminorm(Polynomial3({(0, 0, 0): 1.0}), T_HAT, SeminormSpec(0, 2.0))
+        one = Polynomial3({(0, 0, 0): 1.0})
+        got = seminorm_with_info(one, T_HAT, SeminormSpec(0, 2.0)).value
         assert abs(got - math.sqrt(1.0 / 6.0)) < 1e-13
 
     def test_constant_at_large_p(self):
         # 10^400 overflows a float, the seminorm 10 (1/6)^(1/400) does not.
-        got = seminorm(Polynomial3({(0, 0, 0): 10.0}), T_HAT, SeminormSpec(0, 400.0))
+        ten = Polynomial3({(0, 0, 0): 10.0})
+        got = seminorm_with_info(ten, T_HAT, SeminormSpec(0, 400.0)).value
         want = 10.0 * (1.0 / 6.0) ** (1.0 / 400.0)
         assert abs(got - want) <= 1e-12 * want
 
@@ -165,10 +166,11 @@ class TestSeminorm:
         # Every sample is finite, but 1.7e308 (8/6)^(1/3) is not a float.
         big = Tetrahedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
         with pytest.raises(NumericalError):
-            seminorm(Polynomial3({(0, 0, 0): 1.7e308}), big, SeminormSpec(0, 3.0))
+            seminorm_with_info(Polynomial3({(0, 0, 0): 1.7e308}), big, SeminormSpec(0, 3.0))
 
     def test_first_order_of_x(self):
-        got = seminorm(Polynomial3({(1, 0, 0): 1.0}), T_HAT, SeminormSpec(1, 2.0))
+        x = Polynomial3({(1, 0, 0): 1.0})
+        got = seminorm_with_info(x, T_HAT, SeminormSpec(1, 2.0)).value
         assert abs(got - math.sqrt(1.0 / 6.0)) < 1e-13
 
     def test_polynomial_residual_uses_one_exact_rule(self):
@@ -186,7 +188,7 @@ class TestSeminorm:
         # u = xy: only the mixed second derivative survives, with
         # multinomial weight 2!/1!1! = 2.
         u = Polynomial3({(1, 1, 0): 1.0})
-        w = seminorm(u, T_HAT, SeminormSpec(2, 2.0))
+        w = seminorm_with_info(u, T_HAT, SeminormSpec(2, 2.0)).value
         assert abs(w - math.sqrt(2.0 / 6.0)) < 1e-13
 
     def test_inside_allows_the_tolerance_only(self):
@@ -211,7 +213,7 @@ class TestSeminorm:
         # to 0: on this element for m = 0 and 3 when it lies near 1/2.
         v = field_from_expression("x*sin(3*x - y + 0.5*z)")
         for m in (0, 1, 3):
-            assert seminorm(v, ANISO, SeminormSpec(m, 3000.0)) > 0.0, m
+            assert seminorm_with_info(v, ANISO, SeminormSpec(m, 3000.0)).value > 0.0, m
         assert not error_ratio(v, ANISO, 2, 1, 3000.0).indeterminate
 
     def test_zero_samples_give_zero(self):
@@ -237,14 +239,14 @@ class TestSeminorm:
 
         u = ScalarField(nan_below_half)
         with pytest.raises(NumericalError):
-            seminorm(u, T_HAT, SeminormSpec(0, p))
+            seminorm_with_info(u, T_HAT, SeminormSpec(0, p))
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         u = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(3)})
         spec = SeminormSpec(1, 2.0)
-        a = seminorm(Polynomial3.dense(u.coef * 3.5, u.degree), ANISO, spec)
-        b = seminorm(u, ANISO, spec)
+        a = seminorm_with_info(Polynomial3.dense(u.coef * 3.5, u.degree), ANISO, spec).value
+        b = seminorm_with_info(u, ANISO, spec).value
         assert abs(a - 3.5 * b) < 1e-12 * max(1.0, a)
 
     def test_triangle_inequality(self):
@@ -253,9 +255,9 @@ class TestSeminorm:
         for _ in range(10):
             u = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(3)})
             v = Polynomial3({g: rng.uniform(-1, 1) for g in monomial_indices(3)})
-            su = seminorm(u, ANISO, spec)
-            sv = seminorm(v, ANISO, spec)
-            suv = seminorm(Polynomial3.dense(u.coef + v.coef, 3), ANISO, spec)
+            su = seminorm_with_info(u, ANISO, spec).value
+            sv = seminorm_with_info(v, ANISO, spec).value
+            suv = seminorm_with_info(Polynomial3.dense(u.coef + v.coef, 3), ANISO, spec).value
             assert suv <= su + sv + 1e-12 * (su + sv)
 
     @pytest.mark.parametrize("m,p", [(0, 2.0), (1, 2.0), (1, 3.0)])
@@ -266,8 +268,8 @@ class TestSeminorm:
         u = field_from_expression("sin(%s)" % arg)
         u_scaled = field_from_expression("sin((%s)/%r)" % (arg, h))
         t_scaled = Tetrahedron.from_points(np.asarray(ANISO.as_array()) * h)
-        lhs = seminorm(u_scaled, t_scaled, SeminormSpec(m, p))
-        rhs = h ** (3.0 / p - m) * seminorm(u, ANISO, SeminormSpec(m, p))
+        lhs = seminorm_with_info(u_scaled, t_scaled, SeminormSpec(m, p)).value
+        rhs = h ** (3.0 / p - m) * seminorm_with_info(u, ANISO, SeminormSpec(m, p)).value
         assert abs(lhs - rhs) < 1e-8 * max(1.0, rhs)
 
     def test_exact_degree_for_even_p_polynomials(self):
@@ -336,7 +338,7 @@ class TestSupSeminorm:
         whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(ANISO.as_array())
         for u in (v, residual(v, ANISO, 2)):
             want = float(np.max(np.abs(u.partials(m, whole))))
-            assert seminorm(u, ANISO, SeminormSpec(m, math.inf)) == want
+            assert seminorm_with_info(u, ANISO, SeminormSpec(m, math.inf)).value == want
 
     def test_first_nonfinite_gamma_named_across_blocks(self):
         # NaN at the first lattice point (first block) for the later
@@ -354,7 +356,7 @@ class TestSupSeminorm:
 
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
-            seminorm(u, ANISO, SeminormSpec(1, math.inf))
+            seminorm_with_info(u, ANISO, SeminormSpec(1, math.inf))
 
     @pytest.mark.parametrize("family", ["uniform", "needle", "sliver"])
     def test_affine_partials_peak_at_the_vertices(self, family, monkeypatch):
@@ -372,12 +374,21 @@ class TestSupSeminorm:
         monkeypatch.setattr(quad, "_lattice_blocks", lambda: ())
         for u, lattice in zip(fields, want):
             for m, top in zip((u.degree - 1, u.degree), lattice):
-                got = seminorm(u, t, SeminormSpec(m, math.inf))
+                got = seminorm_with_info(u, t, SeminormSpec(m, math.inf)).value
                 assert top > 0 and abs(got - top) <= 4 * np.spacing(top), (u.degree, m)
+
+    def test_vertex_maximum_carries_no_warning(self):
+        # The four vertices give an exact maximum, and an order above the
+        # degree an exact 0, so only a lattice maximum is labelled approximate.
+        u = Polynomial3.dense(np.cos(np.arange(35.0)), 4)
+        infos = seminorms_with_info(u, ANISO, [SeminormSpec(m, math.inf) for m in (2, 3, 4, 5)])
+        assert [info.warnings for info in infos] == [
+            ("p=inf maximum from dense sampling; value is approximate",), (), (), ()]
+        assert infos[3].value == 0.0
 
     def test_linear_sup_is_vertex_max(self):
         u = Polynomial3({(1, 0, 0): 2.0, (0, 0, 0): -0.5})
-        got = seminorm(u, T_HAT, SeminormSpec(0, math.inf))
+        got = seminorm_with_info(u, T_HAT, SeminormSpec(0, math.inf)).value
         want = max(abs(2.0 * x - 0.5) for x, _, _ in T_HAT.coords())
         assert abs(got - want) < 1e-12
 
@@ -495,7 +506,7 @@ class TestRankOneSeminorms:
                 assert isinstance(v.partials_of([m], whole, rank_one=[m])[0], RankOne)
                 for u in [v] + [residual(v, t, k) for k in range(1, m)]:
                     want = float(np.max(np.abs(u.partials(m, whole))))
-                    assert seminorm(u, t, SeminormSpec(m, math.inf)) == want, m
+                    assert seminorm_with_info(u, t, SeminormSpec(m, math.inf)).value == want, m
 
     @pytest.mark.parametrize("text", ["exp(700*x)", "exp(700*z)", "1/((1)*x + (-0.5))",
                                       "sin(1e308*y + 1e308*y)", "(1e300*x + 1)^2",
@@ -510,8 +521,8 @@ class TestRankOneSeminorms:
         v = field_from_expression(text)
         for m in range(1, 6):
             spec = SeminormSpec(m, p)
-            got = outcome(lambda: seminorm(v, T_HAT, spec))
-            want = outcome(lambda: seminorm(materialized(v), T_HAT, spec))
+            got = outcome(lambda: seminorm_with_info(v, T_HAT, spec).value)
+            want = outcome(lambda: seminorm_with_info(materialized(v), T_HAT, spec).value)
             if isinstance(want, str) or p == math.inf:
                 assert got == want, (m, got, want)
             else:
@@ -566,7 +577,7 @@ class TestRankOneSeminorms:
             weights = np.array([multinomial_weight(g) for g in derivative_indices(m)], dtype=ld)
             total = weights @ ((vals / top) ** ld(p) @ rule.weights.astype(ld)) * ld(volume(ANISO))
             want = float(top * total ** (1 / ld(p)))
-            got = seminorm(v, ANISO, SeminormSpec(m, p))
+            got = seminorm_with_info(v, ANISO, SeminormSpec(m, p)).value
             assert abs(got - want) <= 1e-15 * want, (m, got, want)
 
     @pytest.mark.parametrize("p", [100.0, 1000.0])
@@ -577,8 +588,8 @@ class TestRankOneSeminorms:
         v = field_from_expression("sin(3*x - y + 0.5*z)")
         for m in range(1, 6):
             spec = SeminormSpec(m, p)
-            got = seminorm(v, ANISO, spec)
-            want = seminorm(materialized(v), ANISO, spec)
+            got = seminorm_with_info(v, ANISO, spec).value
+            want = seminorm_with_info(materialized(v), ANISO, spec).value
             assert got > 0.0
             assert abs(got - want) <= 1e-15 * want, (m, got, want)
 
@@ -601,5 +612,5 @@ class TestPolish:
         polish = quad._newton_polish
         monkeypatch.setattr(quad, "_newton_polish", lambda *a: calls.append(a) or polish(*a))
         u = Polynomial3.dense(np.cos(np.arange(35.0)), 4)
-        seminorm(u, ANISO, SeminormSpec(m, math.inf))
+        seminorm_with_info(u, ANISO, SeminormSpec(m, math.inf))
         assert bool(calls) == polished

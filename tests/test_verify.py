@@ -7,6 +7,7 @@ import pytest
 
 from anisotetra import geom, verify
 from anisotetra.errors import (
+    AnisotetraError,
     GenerationFailure,
     InadmissiblePC,
     InputError,
@@ -23,7 +24,6 @@ from anisotetra.geom import (
     classify,
     mac_check,
     matrices,
-    quality,
     reference_tetrahedron,
     sorted_edge_lengths,
     standard_position,
@@ -391,6 +391,40 @@ class TestErrorRatio:
         with pytest.raises(InadmissiblePC):
             error_ratio(v, T_HAT, 2, 1.5, 2.0)
 
+    @pytest.mark.parametrize("e", [-300, -170, -110, -70, 70, 80, 110, 160, 300])
+    def test_extreme_scales_give_numbers_or_typed_errors(self, e):
+        # Scaled by 10^e, |T| underflows to 0 (DegenerateTetrahedron) or h_T^3,
+        # R_T or a power of h_T in the bound factor leaves the float range
+        # (NumericalError): never a raw ZeroDivisionError, OverflowError or
+        # LinAlgError, nor an R_T of inf reported as a number.
+        base = np.array([(.1, .2, .05), (1.1, 0, .1), (.2, .9, 0), (.3, .1, .8)])
+        t = Tetrahedron.from_points(base * 10.0 ** e)
+        v = field_from_expression("sin(x + 2*y + 3*z)")
+
+        def finite_or_typed(call):
+            try:
+                values = call()
+            except AnisotetraError:
+                return
+            assert all(math.isfinite(x) for x in values), (e, values)
+
+        def geometry():
+            rep = angles(t)
+            return (rep.volume, rep.R_T, rep.H_T, rep.max_angle)
+
+        def motion():
+            cls = classify(t)
+            sp = standard_position(t, cls)
+            mats = matrices(sp, cls.kind)
+            return (*cls.alpha, *sp.params, mats.normA, mats.normAinv)
+
+        finite_or_typed(geometry)
+        finite_or_typed(motion)
+        finite_or_typed(lambda: (float(mac_check(t, 2.0)),))
+        for spec in [(1, 0, 2.0), (2, 1, math.inf), (4, 1, 2.0), (4, 4, 3.0)]:
+            finite_or_typed(lambda: (lambda r: (r.error, r.seminorm_hi, r.bound_factor,
+                                                r.ratio))(error_ratio(v, t, *spec)))
+
     def test_transform_norm_chain(self):
         # The factorization route must stay inside the stated constants:
         # |A| <= 2 and |A^{-1}| <= 2 R_T/(3 h_T).
@@ -398,7 +432,7 @@ class TestErrorRatio:
             cls = classify(t)
             sp = standard_position(t, cls)
             mats = matrices(sp, cls.kind)
-            r_t, _ = quality(t)
+            r_t = angles(t).R_T
             h_t = sorted_edge_lengths(t)[-1]
             assert mats.normA <= 2.0 + 1e-9
             assert mats.normAinv <= 2.0 * r_t / (3.0 * h_t) * (1.0 + 1e-9)
