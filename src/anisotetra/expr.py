@@ -26,8 +26,11 @@ constant-numerator Div over one non-constant Affine, has an order-n part
 that is one row g^(n)(a . x + b)/n! over the points times one constant
 column, the powers of a: when its caller names an order in partials_of's
 rank_one, the root returns it as an interp.RankOne, row and column apart,
-and never forms the (n_gamma, N) product.  Parse errors carry the offending
-position and render a caret diagnostic.
+and never forms the (n_gamma, N) product.  Those columns, (a . h)^d, are
+built once per Affine node and kept on it, as its gradient is, so a field
+pays for them once however many sample sets it is evaluated on.  Values
+alone (eval, the interpolation nodes) read part 0 of a jet of order 0.
+Parse errors carry the offending position and render a caret diagnostic.
 """
 
 from __future__ import annotations
@@ -89,19 +92,28 @@ def _mul(u: list, v: list, keep=None) -> list:
     return out
 
 
-def _compose(coeff, count: int, v: list, keep=None, rank_one=()) -> list:
-    """f(v) from coeff(d) = f^(d)(v_0)/d!, d < count: the sum of coeff(d) (v - v_0)^d.
+def _compose(coeff, count: int, arg: "Node", v: list, keep=None, rank_one=()) -> list:
+    """f(v) from coeff(d) = f^(d)(v_0)/d!, d < count: the sum of coeff(d) (v - v_0)^d,
+    where v is the jet of arg.
 
     Every part of (v - v_0)^d is needed for the next power, but only the
     kept parts of the sum are formed, and coeff(d) is computed only when one
-    of them has a term of degree d.  When v is affine, (v - v_0)^d is a
-    single constant part, so each term is one outer product and only the
-    kept parts' coefficients are computed; a part in rank_one (given for an
-    affine v only) is then left as the pair (coeff(d), (v - v_0)^d).
+    of them has a term of degree d.  When arg is a non-constant Affine,
+    (v - v_0)^d is its single constant part d, read from arg.powers, so each
+    term is one outer product and only the kept parts' coefficients are
+    computed; a part in rank_one is then left as the pair (coeff(d),
+    (v - v_0)^d).  rank_one is ignored for any other arg.
     """
     kept = _kept(len(v) - 1, keep)
-    delta = [None] + v[1:]
     out = [coeff(0) if 0 in kept else None] + [None] * (len(v) - 1)
+    if isinstance(arg, Affine) and arg.constant is None:
+        powers = arg.powers(count - 1)
+        for d in kept:
+            if 0 < d < count:
+                c = coeff(d)
+                out[d] = (c, powers[d]) if d in rank_one else c * powers[d]
+        return out
+    delta = [None] + v[1:]
     power = [_ONE] + [None] * (len(v) - 1)
     for d in range(1, count):
         power = _mul(power, delta)
@@ -109,7 +121,7 @@ def _compose(coeff, count: int, v: list, keep=None, rank_one=()) -> list:
         if terms:
             c = coeff(d)
             for j in terms:
-                out[j] = (c, power[j]) if j in rank_one else _plus(out[j], c * power[j])
+                out[j] = _plus(out[j], c * power[j])
     return out
 
 
@@ -152,12 +164,6 @@ def _factorials(m: int) -> np.ndarray:
     out = np.array([math.prod(map(math.factorial, g)) for g in derivative_indices(m)], dtype=float)
     out.flags.writeable = False
     return out[:, None]
-
-
-def _ridge(arg: "Node", rank_one) -> tuple:
-    """rank_one when arg is a non-constant Affine, whose powers are constant
-    columns, else ()."""
-    return rank_one if isinstance(arg, Affine) and arg.constant is None else ()
 
 
 class Node:
@@ -206,7 +212,13 @@ class Node:
         return self.partials_of((m,), pts)[0]
 
     def eval(self, pts) -> np.ndarray:
-        return self.partials(0, pts)[0]
+        """The values at pts, a new (N,) array: part 0 of one jet of order 0
+        (a row, or a constant), read without partials_of's bookkeeping."""
+        pts = _points(pts)
+        out = np.empty(len(pts))
+        with np.errstate(all="ignore"):
+            out[:] = self.jet(pts, 0, (0,))[0]
+        return out
 
 
 @dataclass(frozen=True)
@@ -232,6 +244,23 @@ class Affine(Node):
             if axis is not None:
                 out[axis] += c
         out.flags.writeable = False  # shared by every jet; never scaled in place
+        return out
+
+    @cached_property
+    def _powers(self) -> list:
+        """The parts (a . h)^d, d = 0, 1, ..., built so far by powers."""
+        return [_ONE]
+
+    def powers(self, n: int) -> list:
+        """The constant parts (a . h)^d, d <= n, of the powers of a
+        non-constant node's jet less its value, (M_d, 1) each and read-only:
+        each is the last times the gradient (_times), as the jet product of
+        the powers would form it, built once per node and kept."""
+        out = self._powers
+        while len(out) <= n:
+            part = _times(out[-1], len(out) - 1, self.gradient, 1)
+            part.flags.writeable = False  # shared by every jet; never scaled in place
+            out.append(part)
         return out
 
     def scaled(self, s) -> "Affine":
@@ -282,9 +311,8 @@ class Div(Node):
         u, v = self.left.jet(pts, n), self.right.jet(pts, n)
         coeff, count = _power_coeffs(v[0], -1, n)
         if all(a is None for a in u[1:]):  # a constant numerator scales 1/v
-            ridge = _ridge(self.right, rank_one)
-            return _compose(lambda d: u[0] * coeff(d), count, v, keep, ridge)
-        return _mul(u, _compose(coeff, count, v), keep)
+            return _compose(lambda d: u[0] * coeff(d), count, self.right, v, keep, rank_one)
+        return _mul(u, _compose(coeff, count, self.right, v), keep)
 
 
 @dataclass(frozen=True)
@@ -294,7 +322,7 @@ class Pow(Node):
 
     def jet(self, pts, n, keep=None, rank_one=()):
         v = self.base.jet(pts, n)
-        return _compose(*_power_coeffs(v[0], self.n, n), v, keep, _ridge(self.base, rank_one))
+        return _compose(*_power_coeffs(v[0], self.n, n), self.base, v, keep, rank_one)
 
 
 @dataclass(frozen=True)
@@ -305,7 +333,7 @@ class Call(Node):
     def jet(self, pts, n, keep=None, rank_one=()):
         v = self.arg.jet(pts, n)
         coeff, count = _function_coeffs(self.name, v[0], n)
-        return _compose(coeff, count, v, keep, _ridge(self.arg, rank_one))
+        return _compose(coeff, count, self.arg, v, keep, rank_one)
 
 
 # The parser builds through these, so every affine subtree is one Affine.

@@ -10,7 +10,13 @@ vector in xi is the interpolant.
 pull_back returns the vertices (x_0 first) and J^{-T}, and rejects a
 degenerate element.  Points map with xi = (x - x_0) J^{-T} and physical
 partials follow by the chain rule, so a rotated flat element interpolates as
-well as an axis-aligned one.
+well as an axis-aligned one.  A call that measures one element several ways
+(verify.error_ratio) tests its volume once and builds this frame once
+(_frame), then hands the same arrays to interpolation (_interpolate), to
+every sample set placed on the element and to the p = inf polish, so that
+an interpolant meets its own frame by identity; interpolate, residual and
+quad.seminorms_with_info are wrappers that build it themselves.  A frame
+from outside (Interpolant, in_frame) passes one shape check.
 
 Every field is one class, ScalarField, and returns its partials of several
 orders at one point set from one evaluation, partials_of(orders, pts): one
@@ -70,7 +76,7 @@ import numpy as np
 
 from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError, integer, real
 from .geom import TYPE1, Tetrahedron, volume
-from .lattice import MAX_DEGREE, _multi_index, forward_differences, sigma_k, unit_weights
+from .lattice import MAX_DEGREE, _multi_index, _unit_weights, forward_differences, sigma_k
 
 MultiIndex = tuple[int, int, int]
 
@@ -324,14 +330,19 @@ class Polynomial3:
         taken through it (its own xi' is affine in xi); one held in this
         frame returns its own coef, not a copy.  Numpy warnings are
         silenced, as an overflow shows as a coefficient that is not finite
-        and callers check finiteness.
+        and callers check finiteness.  A frame that is not a (4, 3) and a
+        (3, 3) array of reals raises InputError, as an Interpolant's does.
         """
+        return self._in_frame(*_checked_frame(verts, inverse_t))
+
+    def _in_frame(self, verts: np.ndarray, inverse_t: np.ndarray) -> np.ndarray:
+        """in_frame for a frame already checked, the same arrays as an
+        Interpolant's own frame when it is one."""
         if self._frame is not None and all(
             mine is theirs or np.array_equal(mine, theirs)
             for mine, theirs in zip(self._frame, (verts, inverse_t))
         ):
             return self.coef
-        verts = np.asarray(verts, dtype=float)
         edges, at = verts[1:] - verts[0], verts[0]  # the rows of J^T, and x_0
         if self._frame is not None:  # in the coordinates xi' of the own frame
             edges, at = edges @ self._frame[1], (at - self._frame[0][0]) @ self._frame[1]
@@ -549,11 +560,7 @@ class Interpolant(Polynomial3):
     __slots__ = ()
 
     def __init__(self, coef: np.ndarray, k: int, verts, inverse_t):
-        verts, inverse_t = np.asarray(verts, dtype=float), np.asarray(inverse_t, dtype=float)
-        if verts.shape != (4, 3) or inverse_t.shape != (3, 3):
-            raise InputError("an Interpolant's frame is pull_back's vertices (4, 3) and J^{-T} "
-                             "(3, 3), got shapes %s and %s" % (verts.shape, inverse_t.shape))
-        self._hold(coef, k, (verts, inverse_t))
+        self._hold(coef, k, _checked_frame(verts, inverse_t))
 
     @property
     def k(self) -> int:
@@ -573,6 +580,21 @@ def as_field(v) -> ScalarField:
     if isinstance(v, Polynomial3):
         return ScalarField._of(v.evaluate, v.partials_of, degree=v.degree, polynomial=v)
     return ScalarField(v)
+
+
+def _checked_frame(verts, inverse_t) -> tuple[np.ndarray, np.ndarray]:
+    """verts and inverse_t as float arrays, the frame (verts, J^{-T}) that
+    pull_back returns; InputError unless they are (4, 3) and (3, 3) arrays
+    of reals.  Arrays of floats are returned as they are, not copied."""
+    try:
+        verts, inverse_t = np.asarray(verts, dtype=float), np.asarray(inverse_t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError("a frame is pull_back's vertices (4, 3) and J^{-T} (3, 3) as arrays "
+                         "of reals: %s" % exc) from None
+    if verts.shape != (4, 3) or inverse_t.shape != (3, 3):
+        raise InputError("a frame is pull_back's vertices (4, 3) and J^{-T} (3, 3), got "
+                         "shapes %s and %s" % (verts.shape, inverse_t.shape))
+    return verts, inverse_t
 
 
 def _check_degree(k) -> int:
@@ -604,7 +626,12 @@ def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
     """The vertices (4, 3) and J^{-T} of x = verts[0] + J xi;
     DegenerateTetrahedron if flat."""
     volume(t)
-    verts = t.as_array()
+    return _frame(t.as_array())
+
+
+def _frame(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pull_back's (verts, J^{-T}) of vertices whose element has passed the
+    volume test: one inversion, and the same arrays for every use in a call."""
     jac = (verts[1:] - verts[0]).T
     return verts, np.ascontiguousarray(np.linalg.inv(jac).T)
 
@@ -615,16 +642,19 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     v is anything as_field accepts; its nodal values give forward differences
     and those the coefficients (_newton).  Reproduces any q in P_k up to
     roundoff.  A nodal value of v that is not finite raises NumericalError.
+    A wrapper: it checks k, tests the volume and builds t's frame
+    (pull_back), which verify.error_ratio builds once per call itself.
     """
-    return _interpolate(v, t, k)[1]
-
-
-def _interpolate(v, t: Tetrahedron, k: int) -> tuple[np.ndarray, Interpolant]:
-    """v's values at the nodes of degree k on t, and its interpolant."""
     k = _check_degree(k)
-    frame = pull_back(t)
-    nodes = unit_weights(k) @ t.as_array()
-    values = as_field(v)(nodes)
+    return _interpolate(as_field(v), pull_back(t), k)[1]
+
+
+def _interpolate(v: ScalarField, frame, k: int) -> tuple[np.ndarray, Interpolant]:
+    """v's values at the nodes of degree k on the element whose frame is
+    pull_back's (verts, J^{-T}), and its interpolant, held in that frame
+    (the same arrays); the caller has checked k."""
+    nodes = _unit_weights(k) @ frame[0]
+    values = v(nodes)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
@@ -633,7 +663,7 @@ def _interpolate(v, t: Tetrahedron, k: int) -> tuple[np.ndarray, Interpolant]:
             % (float(values[i]), sigma_k(k)[i], nodes[i].tolist())
         )
     newton, diff = _newton(k)
-    return values, Interpolant(newton @ (diff @ values), k, *frame)
+    return values, Interpolant._held(newton @ (diff @ values), k, frame)
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:
@@ -691,7 +721,7 @@ def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
     """v - ip as one polynomial in ip's frame, of degree max(v.degree, ip.k)."""
     degree = max(v.degree, ip.k)
     coef = np.zeros(math.comb(degree + 3, 3))
-    coef[: len(v.coef)] = v.in_frame(*ip._frame)
+    coef[: len(v.coef)] = v._in_frame(*ip._frame)
     with np.errstate(all="ignore"):  # callers check finiteness
         coef[: len(ip.coef)] -= ip.coef
     return Polynomial3._held(coef, degree, ip._frame)

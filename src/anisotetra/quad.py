@@ -18,37 +18,42 @@ every field (interp.ScalarField); a plain callable has values only, so it
 gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
 
 One sampling loop serves several seminorms of one field on one element
-(seminorms_with_info; seminorm_with_info is its one-spec case).  Sample sets
-are cached interp.SampleSets, read-only barycentric rows placed on T once
-per call, so that every interpolant (and any polynomial in a frame) reads
-its cached monomial table at them instead of mapping points back through
-J^{-T}.  For finite p every rule the specs need is stacked into one sample
-set; one call, partials_of(orders, samples), samples |d^gamma u| there for
-every |gamma| = m of every order, and each spec reduces its own rules' rows
-by the weighted p-sum, one product per rule with the multinomial weights;
-_rule_degrees is the one place that picks their degrees.  Every sample is
-first divided by the largest sample of all the spec's rules, so the largest
-term of every sum is exactly 1 and no p-th power overflows or underflows at
-any admissible p (10^400 would overflow, 0.7^3000 underflow); the value is
-that largest sample times the p-th root, and the 12/18 agreement check
-compares the scaled sums.  For p = infinity the sample set is the dense
-lattice X^DENSE_LATTICE_ORDER of the cached lattice.unit_weights table,
-cached as blocks of at most BLOCK points, one partials_of call each: each
-gamma keeps a running maximum, which equals the maximum of one unblocked
-pass, and for polynomials one constrained Newton step polishes it, with
-value, gradient and Hessian from one call, where degree - m >= 2; this
-route is documented as approximate and takes no quadrature degree.  Where
-a polynomial has degree - m <= 1, every d^gamma u is affine, so |d^gamma u|
-peaks at a vertex (and the Hessian, the zero partials of order m + 2, gives
-no step): the spec samples one cached block of the four vertices, which the
-lattice holds too, placed at x = verts[i] exactly, through the same running
-maximum.  That is exact, so it carries no warning (nor does the exact 0 of
-an order above the degree), and it takes every corpus polynomial's
-|v|_{k+1,inf} (degree k + 2) and a reproduced q in P_k at m >= k - 1 off
-the lattice.  A sampled value that is not finite raises NumericalError, for
-the first such gamma in order, the first seminorm first, and for one
-seminorm its first rule first.  A degenerate element raises
-DegenerateTetrahedron at every p.
+(seminorms_with_info; seminorm_with_info is its one-spec case).  Both are
+wrappers that test T's volume and build its frame; _seminorms is the loop,
+on a frame and a volume that verify.error_ratio built once for its call.
+Sample sets are cached interp.SampleSets, read-only barycentric rows placed
+on the frame's vertices once per call, so that every interpolant (and any
+polynomial in that frame) reads its cached monomial table at them instead of
+mapping points back through J^{-T}.  For finite p every rule the specs need
+is stacked into one sample set; one call, partials_of(orders, samples),
+samples |d^gamma u| there for every |gamma| = m of every order, and each
+spec reduces its own rules' rows by the weighted p-sum, one product per rule
+with the multinomial weights; _rule_degrees is the one place that picks
+their degrees.  Every sample is first divided by the largest sample of all
+the spec's rules, so the largest term of every sum is exactly 1 and no p-th
+power overflows or underflows at any admissible p (10^400 would overflow,
+0.7^3000 underflow); the value is that largest sample times the p-th root,
+and the 12/18 agreement check compares the scaled sums.  Each step reads a
+spec's rows of the stack once: the largest sample is finite exactly when
+every sample is, so the rows are scanned per gamma only when it is not, and
+the division and p-th power run once, in place, over the spec's rows.
+For p = infinity the sample set is the dense lattice X^DENSE_LATTICE_ORDER of the
+cached lattice.unit_weights table, cached as blocks of at most BLOCK points,
+one partials_of call each: each gamma keeps a running maximum, which equals
+the maximum of one unblocked pass, and for polynomials one constrained
+Newton step polishes it, with value, gradient and Hessian from one call,
+where degree - m >= 2; this route is documented as approximate and takes no
+quadrature degree.  Where a polynomial has degree - m <= 1, every d^gamma u
+is affine, so |d^gamma u| peaks at a vertex (and the Hessian, the zero
+partials of order m + 2, gives no step): the spec samples one cached block
+of the four vertices, which the lattice holds too, placed at x = verts[i]
+exactly, through the same running maximum.  That is exact, so it carries no
+warning (nor does the exact 0 of an order above the degree), and it takes
+every corpus polynomial's |v|_{k+1,inf} (degree k + 2) and a reproduced q in
+P_k at m >= k - 1 off the lattice.  A sampled value that is not finite
+raises NumericalError, for the first such gamma in order, the first seminorm
+first, and for one seminorm its first rule first.  A degenerate element
+raises DegenerateTetrahedron at every p.
 
 Every call opts in to interp.RankOne results, which a ridge expression (and
 its residual above k) gives: d^gamma u = row(x) column_gamma gamma!, never
@@ -74,9 +79,9 @@ from .interp import (
     RankOne,
     SampleSet,
     ScalarField,
+    _frame,
     as_field,
     derivative_indices,
-    pull_back,
 )
 from .lattice import _multi_index, gauss_jacobi, unit_weights
 
@@ -143,6 +148,15 @@ class SeminormSpec:
     def __post_init__(self):
         object.__setattr__(self, "m", integer(self.m, "seminorm order m"))
         real(self.p, "exponent p", 1.0)
+
+    @classmethod
+    def _of(cls, m: int, p: float) -> "SeminormSpec":
+        """The spec of an int m and a p that validate_p has checked, built
+        without checking them again."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "p", p)
+        return out
 
 
 def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
@@ -259,6 +273,7 @@ class _RunningMax:
 
     def __init__(self, m: int):
         self.gammas = derivative_indices(m)
+        self.rows = np.arange(len(self.gammas))
         self.best = np.zeros(len(self.gammas))
         self.where = np.zeros((len(self.gammas), 3))
         self.finite = np.ones(len(self.gammas), dtype=bool)
@@ -268,14 +283,14 @@ class _RunningMax:
         every gamma peaks at one point (_peak)."""
         if isinstance(vals, RankOne):
             i, top = _peak(vals)
-            idx = np.full(len(top), i)
+            at = block[i]  # every gamma's point
         else:
             np.abs(vals, out=vals)  # partials_of hands its arrays to the caller
             idx = np.argmax(vals, axis=1)  # the first NaN, if there is one
-            top = vals[np.arange(len(self.gammas)), idx]
+            top, at = vals[self.rows, idx], block[idx]
         self.finite &= np.isfinite(top)
         up = top > self.best
-        self.best[up], self.where[up] = top[up], block[idx[up]]
+        self.best[up], self.where[up] = top[up], at[up] if at.ndim == 2 else at
 
     def result(self):
         """The maximum and (gamma, point), None when it is 0; NumericalError
@@ -345,26 +360,34 @@ def seminorms_with_info(
     p = inf lattice by one more, or the four vertices where a polynomial's
     partials are affine; each spec then reads its own rules' rows.
     Errors come in spec order, and for one spec in the order of its rules.
+    A wrapper: it tests t's volume and builds its frame (interp.pull_back),
+    which verify.error_ratio builds once per call and hands to _seminorms.
     """
-    field_u = as_field(u)
+    vol = volume(t)  # DegenerateTetrahedron at every p
+    return _seminorms(as_field(u), _frame(t.as_array()), vol, specs, degree)
+
+
+def _seminorms(field_u: ScalarField, frame, vol: float, specs,
+               degree: int | None) -> list[SeminormInfo]:
+    """seminorms_with_info of a field on the element whose frame is
+    pull_back's (verts, J^{-T}) and whose volume is vol: every sample set is
+    placed on frame's vertices, the arrays an interpolant in that frame
+    holds, and a polish step is tested against it.  specs are checked."""
     plans = [_rule_degrees(spec, field_u.degree, degree) for spec in specs]
-    verts = t.as_array()
+    verts = frame[0]
     # Every d^gamma u is 0 above a known polynomial degree.
     live = [field_u.degree is None or spec.m <= field_u.degree for spec in specs]
     finite = [i for i, spec in enumerate(specs) if spec.p != math.inf]
     rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
-    vol = volume(t)  # DegenerateTetrahedron at every p
     using = [i for i in finite if live[i]]
-    samples = {}  # per spec, |partials| or a RankOne on each of its rules
+    samples = {}  # per spec, |partials| or a RankOne over the stack
     if using:
         stack, rows = _rule_stack(tuple(sorted({d for i in using for d in plans[i]})))
         orders = [specs[i].m for i in using]
         for i, v in zip(using, field_u.partials_of(orders, stack.on(verts), rank_one=orders)):
-            if isinstance(v, RankOne):
-                samples[i] = [v._replace(row=v.row[rows[d]]) for d in plans[i]]
-            else:
-                samples[i] = [v[:, rows[d]] for d in plans[i]]
+            if not isinstance(v, RankOne):
                 np.abs(v, out=v)  # partials_of hands its arrays to the caller
+            samples[i] = v
     peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
              if spec.p == math.inf and live[i]}
     # A polynomial's partials of order m >= degree - 1 are affine and peak at
@@ -380,12 +403,11 @@ def seminorms_with_info(
             placed = block.on(verts)
             for i, vals in zip(group, field_u.partials_of(orders, placed, rank_one=orders)):
                 peaks[i].add(vals, placed.x)
-    frame = pull_back(t) if polish else None  # a polish step stays inside t
     out = []
     for i, spec in enumerate(specs):
         if spec.p == math.inf:
             value, at = peaks[i].result() if i in peaks else (0.0, None)
-            if at is not None and i in polish:
+            if at is not None and i in polish:  # a polish step stays inside t
                 value = max(value, _newton_polish(field_u, *at, frame))
             # Where degree - m <= 1 the value is exact: a vertex maximum, or 0
             # above the degree.  A lattice maximum is not.
@@ -395,30 +417,39 @@ def seminorms_with_info(
         elif not live[i]:
             out.append(SeminormInfo(0.0, plans[i][-1]))
         else:
-            out.append(_p_sum(spec, samples[i], [rules[d] for d in plans[i]], plans[i], vol))
+            out.append(_p_sum(spec, samples[i], [rows[d] for d in plans[i]],
+                              [rules[d] for d in plans[i]], plans[i], vol))
     return out
 
 
-def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
+def _p_sum(spec: SeminormSpec, vals, rows: list, rules: list, degrees: tuple,
            vol: float) -> SeminormInfo:
-    """|u|_{m,p,T} from |d^gamma u| sampled on each rule, or from a RankOne
-    of d^gamma u on each, with the 12/18 agreement warning when there are two.
+    """|u|_{m,p,T} from |d^gamma u| sampled on a stack of rules, an array
+    this overwrites, or from a RankOne of d^gamma u there; rows is each rule's
+    slice of the stack.  With two rules comes the 12/18 agreement warning.
     The totals are the p-sums of the samples over their largest, top, whose
     largest term is 1, so none overflows or underflows; the value is
-    top * total^(1/p), and NumericalError when that is not a float."""
+    top * total^(1/p), and NumericalError when that is not a float.
+
+    Each step reads the spec's rows once: as one span where they are
+    contiguous in the stack (they are, unless an exact degree lies between
+    the 12/18 pair), else rule by rule.  Finiteness comes from the largest
+    sample, which is finite exactly when every sample is; only when it is
+    not are the rules scanned in order, per gamma, to name the first."""
     gammas = derivative_indices(spec.m)
     p = float(spec.p)
     weights = _multinomial_weights(spec.m) * vol
-    if isinstance(samples[0], RankOne):
-        for pair in samples:
-            _check_finite(np.isfinite(_peak(pair)[1]), gammas)
-        totals, top = _rank_one_totals(samples, rules, weights, p)
+    contiguous = all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    spans = [slice(rows[0].start, rows[-1].stop)] if contiguous else rows
+    if isinstance(vals, RankOne):
+        totals, top = _rank_one_totals(vals, rows, spans, rules, weights, p, gammas)
     else:
-        for vals in samples:
-            _check_finite(np.isfinite(vals).all(axis=1), gammas)
-        top = _largest(max(vals.max() for vals in samples))
-        totals = [float(weights @ ((vals / top) ** p @ r.weights))
-                  for r, vals in zip(rules, samples)]
+        peaks = [vals[:, s].max() for s in spans]
+        if not np.isfinite(peaks).all():
+            for r in rows:
+                _check_finite(np.isfinite(vals[:, r]).all(axis=1), gammas)
+        top = _scaled(vals, spans, max(peaks), p)
+        totals = [float(weights @ (vals[:, r] @ rule.weights)) for r, rule in zip(rows, rules)]
     value = top * totals[-1] ** (1.0 / p)
     if math.isinf(value):
         raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p))
@@ -433,6 +464,17 @@ def _p_sum(spec: SeminormSpec, samples: list, rules: list, degrees: tuple,
     return SeminormInfo(value, degrees[-1], warnings)
 
 
+def _scaled(samples: np.ndarray, spans: list, top, p: float) -> float:
+    """Overwrite samples' columns in spans with (sample / top)^p, top the
+    largest of them made a float by _largest, and return that."""
+    top = _largest(top)
+    for s in spans:
+        part = samples[..., s]
+        part /= top
+        part **= p
+    return top
+
+
 def _largest(top) -> float:
     """top, the largest of some finite samples |d^gamma u|, as a Python float,
     whose products overflow to inf rather than into a numpy warning; 1.0 when
@@ -440,22 +482,33 @@ def _largest(top) -> float:
     return float(top) or 1.0
 
 
-def _rank_one_totals(samples: list, rules: list, weights: np.ndarray,
-                     p: float) -> tuple[list, float]:
-    """The p-sums of RankOne samples (one per rule, sharing column and scale)
-    over their largest, top, as (sum_gamma weights |column scale|^p)
-    (sum_x w_x |row_x|^p) with each factor divided by its largest term,
-    without forming the array.  |column| is divided by its largest entry
-    before scale multiplies it, so that no product overflows where the array
-    is finite; the 12/18 agreement is that of the row sums."""
-    column = np.abs(samples[0].column)
+def _rank_one_totals(pair: RankOne, rows: list, spans: list, rules: list,
+                     weights: np.ndarray, p: float, gammas: list) -> tuple[list, float]:
+    """The p-sums of a RankOne over a stack of rules (rows and spans as
+    _p_sum's) over their largest, top, as (sum_gamma weights |column
+    scale|^p) (sum_x w_x |row_x|^p) with each factor divided by its largest
+    term, without forming the array.  |column| is divided by its largest
+    entry before scale multiplies it, so that no product overflows where the
+    array is finite; the 12/18 agreement is that of the row sums.
+
+    The array is finite exactly when its entries at the largest |row| are
+    (_peak: rounding is monotone and sign-symmetric), so one check at that
+    peak, before any sum, stands for every rule's; where it fails, each
+    rule's _peak is checked in order, to name the first gamma."""
+    row = np.abs(pair.row)
+    peaks = [row[s].max() for s in spans]
+    with np.errstate(all="ignore"):  # inf or NaN here is the error path
+        finite = np.isfinite((np.max(peaks) * pair.column) * pair.scale).all()
+    if not finite:
+        for r in rows:
+            _check_finite(np.isfinite(_peak(pair._replace(row=pair.row[r]))[1]), gammas)
+    column = np.abs(pair.column)
     shrink = _largest(column.max())
-    column = column / shrink * samples[0].scale
+    column = column / shrink * pair.scale
     lift = _largest(column.max())
     colsum = float(weights @ (column / lift) ** p)
-    rows = [np.abs(pair.row) for pair in samples]
-    rtop = _largest(max(row.max() for row in rows))
-    totals = [colsum * float((row / rtop) ** p @ r.weights) for r, row in zip(rules, rows)]
+    rtop = _scaled(row, spans, max(peaks), p)
+    totals = [colsum * float(row[r] @ rule.weights) for r, rule in zip(rows, rules)]
     # lift >= 1 multiplies last, so no partial product of the largest
     # sample overflows where the sample itself is finite.
     return totals, shrink * rtop * lift

@@ -6,8 +6,10 @@ The experiments here are the executable form of the package's claims:
   factor (R_T/h_T)^m * h_T^(k+1-m) * |v|_{k+1,p,T} and reports the quotient,
   the empirical stand-in for the constant C_{k,m,p}.  Both seminorms come
   from one sampling loop, so v is evaluated once at the nodes and once per
-  sample set, and of the geometry only h_T, |T| and R_T are computed.  They
-  take v's exact partials (an expression, a polynomial or a per-gamma
+  sample set, and of the geometry only h_T, |T| and R_T are computed.  Each
+  call tests the volume once (angles), inverts J once and checks (k, m, p)
+  once, and hands the frame's arrays and |T| to interpolation and sampling.
+  They take v's exact partials (an expression, a polynomial or a per-gamma
   partial_fn); a plain callable has values only and is refused.
 * ``study`` is the one loop over that quotient, every field on every element
   of a sequence.  Its instances: ``squeeze_sweep`` keeps the corpus's worst
@@ -70,6 +72,7 @@ from .interp import (
     Interpolant,
     Polynomial3,
     _check_degree,
+    _frame,
     _interpolate,
     _newton,
     _residual,
@@ -78,8 +81,8 @@ from .interp import (
     pull_back,
     residual,
 )
-from .lattice import forward_differences, unit_weights
-from .quad import SeminormSpec, seminorms_with_info, validate_p
+from .lattice import MAX_DEGREE, forward_differences, unit_weights
+from .quad import SeminormSpec, _seminorms, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
 BLOCK = 1024                   # samples drawn and measured as one array
@@ -421,28 +424,45 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     |v|_{k+1,p,T} (the interpolant's partials above order k vanish).  v
     needs partials of order k + 1, so a plain callable, which is values-only,
     raises DerivativeUnavailable.  Where the bound factor or h_T^(k+1) leaves
-    the float range (h_T far from 1 at large k), it raises NumericalError.
+    the float range (h_T far from 1 at large k), it raises NumericalError,
+    before v is evaluated: both depend on the geometry alone.
+
+    The element's volume test is angles(t)'s, whose |T| is volume(t)
+    bitwise; its frame (verts, J^{-T}) is built once, and interpolation,
+    every sample set and the p = inf polish read those arrays.  (k, m, p)
+    is checked once, here, so the seminorm specs and the interpolation
+    degree are not checked again.
     """
     _check_spec(k, m, p)
     k, m = int(k), int(m)
-    geometry = angles(t)
+    geometry = angles(t)  # the one volume test
     h_t = geometry.h[-1]
-    v = as_field(v)
-    values, ip = _interpolate(v, t, k)
-    err_info, hi_info = seminorms_with_info(
-        _residual(v, ip), t, [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree=degree
-    )
+    if k > MAX_DEGREE:
+        _check_degree(k)  # InvalidDegree, as interpolate raises it
     # At extreme scales a power of h_T leaves the float range: a float power
-    # raises there, and a product or quotient gives inf or 0.
+    # raises there, and a product or quotient gives inf or 0.  The factors
+    # of the geometry alone are checked before v is evaluated, size after
+    # the nodes and before any sampling.
     try:
         bound_factor = (geometry.R_T / h_t) ** m * h_t ** (k + 1 - m)
-        size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_t ** (k + 1)
-    except (OverflowError, ZeroDivisionError):
+        h_power = h_t ** (k + 1)
+    except OverflowError:
         raise _beyond_range(k, m, h_t) from None
+    if not (0.0 < bound_factor < math.inf and h_power > 0.0):
+        raise _beyond_range(k, m, h_t)
+    v = as_field(v)
+    frame = _frame(t.as_array())  # the one inversion; every step reads these arrays
+    values, ip = _interpolate(v, frame, k)
+    size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_power
+    if not size < math.inf:
+        raise _beyond_range(k, m, h_t)
+    err_info, hi_info = _seminorms(
+        _residual(v, ip), frame, geometry.volume,
+        [SeminormSpec._of(m, p), SeminormSpec._of(k + 1, p)], degree,
+    )
     indeterminate = not hi_info.value > 1e-14 * size
     denominator = bound_factor * hi_info.value
-    if not (0.0 < bound_factor < math.inf and size < math.inf
-            and (indeterminate or 0.0 < denominator < math.inf)):
+    if not (indeterminate or 0.0 < denominator < math.inf):
         raise _beyond_range(k, m, h_t)
     ratio = 0.0 if indeterminate else err_info.value / denominator
     return ErrorRatioResult(

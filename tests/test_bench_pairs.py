@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on stubbed runs and git: pairing, unpacking, report."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,41 @@ def test_the_first_side_alternates_between_pairs(capsys):
         for side in ("parent", "change"):
             assert [r["metrics"]["items_per_s"]["value"] for r in runs[w][side]] == seeds
     assert capsys.readouterr().err.count("pair ") == len(calls)
+
+
+def test_the_first_seed_is_a_setting(tmp_path, monkeypatch, capsys):
+    # A claim is checked again on seeds not used while the change was
+    # written: run_pairs starts at first_seed, and main records the seeds.
+    seeds = []
+
+    def run(tree, workload, seed, seconds):
+        seeds.append(seed)
+        return result(items_per_s=1.0, call_tail_ms=1.0)
+
+    bench_pairs.run_pairs({"parent": "P", "change": "C"}, ["w"], 7, run=run, first_seed=41)
+    assert sorted(set(seeds)) == list(range(41, 51))
+    assert len(seeds) == 2 * bench_pairs.PAIRS
+
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = [spec["name"] for spec in bench["end_to_end"]]
+
+    def run_all(tree, workload, seed, seconds):
+        return result(**{m: float(seed) for m in metrics})
+
+    run_pairs = bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "PARENT-SHA")
+    monkeypatch.setattr(bench_pairs, "unpack_sides", lambda parent, scratch: {
+        "parent": tmp_path / "p", "change": tmp_path / "c"})
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
+        *args, run=run_all, **kwargs))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out), "--scratch", str(tmp_path),
+                             "--first-seed", "41"]) == 0
+    report = json.loads(out.read_text())
+    assert report["seeds"] == list(range(41, 51))
+    runs = report["workloads"][0]["end_to_end"][0]["parent"]["runs"]
+    assert runs == [float(seed) for seed in range(41, 51)]
+    capsys.readouterr()
 
 
 def entries_for(parent, change, wrong=None):

@@ -1,16 +1,18 @@
 """One table of bad numeric arguments to the public entry points.
 
-Every count or real that a public function takes goes through
-errors.integer or errors.real, so a bool, a fractional or string count, a
-string or NaN real, or a value out of range raises one stated InputError
-subclass, never a raw TypeError, ValueError or ZeroDivisionError, and is
-never taken silently.  A row marked RAW is one that such an argument once got
-past: it raised a raw error, returned nan, or was accepted (True as 1, 1.0 as
-TYPE1, a negative level count as an empty grid).
+Every count or real that a public function takes goes through errors.integer
+or errors.real, and every frame (verts, J^{-T}) through one shape check, so
+a bool, a fractional or string count, a string or NaN real, a value out of
+range or a frame of the wrong shape raises one stated InputError subclass,
+never a raw TypeError, ValueError, IndexError or ZeroDivisionError, and is
+never taken silently.  A row marked RAW is one that such an argument once
+got past: it raised a raw error, returned nan, or was accepted (True as 1,
+1.0 as TYPE1, a negative level count as an empty grid).
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from anisotetra import (
@@ -42,7 +44,7 @@ from anisotetra.errors import (
     InvalidGammaMax,
     UnsupportedDegree,
 )
-from anisotetra.interp import ScalarField
+from anisotetra.interp import Interpolant, ScalarField
 from anisotetra.lattice import gauss_jacobi
 from anisotetra.quad import SeminormSpec, multinomial_weight
 
@@ -53,6 +55,13 @@ RAW = "raw"
 V = field_from_expression("sin(x + 2*y + 3*z)")
 T = reference_tetrahedron(TYPE1)
 UNIFORM = TetraGenSpec("uniform", 0)
+LINEAR = Polynomial3({(1, 0, 0): 1.0})
+# Frames (verts, J^{-T}) that are not pull_back's shapes, or not arrays.
+FRAMES = {
+    "verts (3, 3)": (np.zeros((3, 3)), np.eye(3)),
+    "J^-T (2, 2)": (np.eye(4, 3), np.eye(2)),
+    "not an array": ("vertices", np.eye(3)),
+}
 
 
 def rows(name, call, error, *values):
@@ -152,6 +161,11 @@ TABLE = [
           True, 1.5, "1", -1),
     *rows("Polynomial3.coefficient", lambda c: Polynomial3({(1, 0, 0): c}), InputError,
           (RAW, True), "2", (RAW, NAN)),
+    # The frame of in_frame and of an Interpolant: one check for both.
+    *rows("Polynomial3.in_frame", lambda f: LINEAR.in_frame(*FRAMES[f]), InputError,
+          (RAW, "verts (3, 3)"), (RAW, "J^-T (2, 2)"), (RAW, "not an array")),
+    *rows("Interpolant.frame", lambda f: Interpolant(np.zeros(4), 1, *FRAMES[f]), InputError,
+          "verts (3, 3)", "J^-T (2, 2)", (RAW, "not an array")),
 ]
 
 

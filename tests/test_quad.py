@@ -220,13 +220,13 @@ class TestSeminorm:
         # Every sample 0, as an array or as a RankOne with a zero row or a
         # zero column: the value is 0, and no 0/0 warns.
         degrees = (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE)
-        rules = [rule_for_degree(d) for d in degrees]
-        ns = [len(r.weights) for r in rules]
+        stack, rows = quad._rule_stack(degrees)
+        rules, n = [rule_for_degree(d) for d in degrees], len(stack.bary)
         ones = np.ones(3)
-        for samples in ([np.zeros((3, n)) for n in ns],
-                        [RankOne(np.zeros(n), ones, ones) for n in ns],
-                        [RankOne(np.ones(n), np.zeros(3), ones) for n in ns]):
-            info = quad._p_sum(SeminormSpec(1, 3.0), samples, rules, degrees, 1.0)
+        for samples in (np.zeros((3, n)), RankOne(np.zeros(n), ones, ones),
+                        RankOne(np.ones(n), np.zeros(3), ones)):
+            info = quad._p_sum(SeminormSpec(1, 3.0), samples, [rows[d] for d in degrees],
+                               rules, degrees, 1.0)
             assert info == quad.SeminormInfo(0.0, degrees[-1])
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -434,6 +434,17 @@ class TestSharedSampling:
         for u in (v, residual(v, ANISO, k)):
             want = [seminorm_with_info(u, ANISO, s, degree=degree) for s in specs]
             assert seminorms_with_info(u, ANISO, specs, degree=degree) == want
+
+    def test_a_rule_of_another_spec_between_a_specs_rules(self):
+        # A degree-11 polynomial at p = 2: |u|_{0,2} takes the 12/18 pair (its
+        # exact degree, 22, is beyond the rules) and |u|_{4,2} the exact degree
+        # 14, which the stack holds between them, so the first spec reads its
+        # rules one at a time; the loop still gives each what it gives alone.
+        v = Polynomial3.dense(np.cos(np.arange(364.0)), 11)
+        specs = [SeminormSpec(0, 2.0), SeminormSpec(4, 2.0)]
+        want = [seminorm_with_info(v, ANISO, s) for s in specs]
+        assert [w.quadrature_degree for w in want] == [quad.RICHARDSON_DEGREE, 14]
+        assert seminorms_with_info(v, ANISO, specs) == want
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_errors_come_in_request_order(self, p):

@@ -1,11 +1,12 @@
 """Experiment-layer tests: generators, ratios, sweeps, MAC sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from anisotetra import geom, verify
+from anisotetra import errors, expr, geom, verify
 from anisotetra.errors import (
     AnisotetraError,
     GenerationFailure,
@@ -436,6 +437,82 @@ class TestErrorRatio:
             h_t = sorted_edge_lengths(t)[-1]
             assert mats.normA <= 2.0 + 1e-9
             assert mats.normAinv <= 2.0 * r_t / (3.0 * h_t) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("scale", [1e70, 1e-70])
+    def test_the_float_range_is_checked_before_v_is_evaluated(self, scale):
+        # h_T^5 overflows at 10^70 and underflows at 10^-70: the bound
+        # factor's range is a property of the geometry alone, so the call
+        # raises before v is evaluated at a node or sampled for a seminorm.
+        base = np.array([(.1, .2, .05), (1.1, 0, .1), (.2, .9, 0), (.3, .1, .8)])
+        t = Tetrahedron.from_points(base * scale)
+        v = field_from_expression("sin(x + 2*y + 3*z)")
+        calls = {"values": 0, "partials": 0}
+
+        def values(pts):
+            calls["values"] += 1
+            return v(pts)
+
+        def partials_of(orders, pts, rank_one=()):
+            calls["partials"] += 1
+            return v.partials_of(orders, pts, rank_one=rank_one)
+
+        counted = ScalarField._of(values, partials_of, rank_one=True)
+        with pytest.raises(NumericalError, match="leaves the float range"):
+            error_ratio(counted, t, 4, 1, 2.0)
+        assert calls == {"values": 0, "partials": 0}
+
+
+class TestOncePerCall:
+    """error_ratio builds every per-element quantity once and hands it down:
+    one volume test, one inversion of J, one check of each of k, m and p,
+    and a ridge's power columns once, however many sample sets it has."""
+
+    CALLS = [("trig0", (2, 1, 2.0)), ("trig0", (4, 2, math.inf)), ("poly0", (4, 2, math.inf))]
+
+    @staticmethod
+    def counting(monkeypatch, counts, module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def counts_of_one_call(self, monkeypatch, name, spec):
+        t = generate(TetraGenSpec("sliver", 2), 1)[0]
+        v = dict(corpus(spec[0], t))[name]
+        error_ratio(v, t, *spec)  # fills the caches of rules, stencils and tables
+        v = dict(corpus(spec[0], t))[name]  # a field whose jets have not run
+        counts = {}
+        self.counting(monkeypatch, counts, geom, "_nondegenerate_volume", "volume")
+        self.counting(monkeypatch, counts, np.linalg, "inv", "inv")
+        self.counting(monkeypatch, counts, expr, "_mul", "mul")
+        self.counting(monkeypatch, counts, expr, "_times", "times")
+        checks = (errors.integer, errors.real)
+        for module in [m for key, m in sys.modules.items() if key.startswith("anisotetra")]:
+            for check in ("integer", "real"):
+                if getattr(module, check, None) in checks:
+                    self.counting(monkeypatch, counts, module, check, "check")
+        error_ratio(v, t, *spec)
+        return counts
+
+    @pytest.mark.parametrize("name,spec", CALLS)
+    def test_one_volume_test_and_one_inversion(self, name, spec, monkeypatch):
+        counts = self.counts_of_one_call(monkeypatch, name, spec)
+        assert (counts.get("volume"), counts.get("inv")) == (1, 1), counts
+
+    @pytest.mark.parametrize("name,spec", CALLS)
+    def test_k_m_and_p_are_checked_once(self, name, spec, monkeypatch):
+        assert self.counts_of_one_call(monkeypatch, name, spec).get("check") == 3
+
+    @pytest.mark.parametrize("name,spec", CALLS[:2])
+    def test_a_ridges_power_columns_are_built_once(self, name, spec, monkeypatch):
+        # (a . h)^d for d = 1 .. k + 1, one _times step each and no jet
+        # product, whether the call samples one rule stack or four lattice
+        # blocks.
+        counts = self.counts_of_one_call(monkeypatch, name, spec)
+        assert (counts.get("mul", 0), counts.get("times")) == (0, spec[0] + 1), counts
 
 
 # squeeze_sweep(2, 1, 3) on this grid, and error_ratio of the reference's

@@ -1,6 +1,7 @@
 """Paired benchmark runs of a parent commit against a change.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json [--scratch DIR]
+        [--first-seed N]
 
 Both sides are unpacked the same way, with ``git archive`` into temporary
 directories under --scratch, so that the trees' location cannot differ
@@ -12,7 +13,9 @@ or perfbench/.  For each of 10 pairs and every workload in BENCHMARK.json,
 both sides run ``perfbench/run.py --trace 0`` for BENCHMARK.json's
 run_seconds from their own tree with the same seed, one after the other, and
 which side goes first alternates between pairs, so that a slow phase of a
-shared machine does not fall on one side only.  Pair i uses seed 11 + i.
+shared machine does not fall on one side only.  Pair i uses seed N + i, N
+from --first-seed (default 11): a claim is checked again on seeds that were
+not used while the change was written.
 
 The output is a JSON file in BENCHMARK.json's shape: for each workload, each
 end-to-end metric with its unit, direction and bound, and per side the
@@ -97,17 +100,19 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def run_pairs(trees: dict, workloads: list, seconds: int, run=run_once) -> dict:
+def run_pairs(trees: dict, workloads: list, seconds: int, run=run_once,
+              first_seed: int = FIRST_SEED) -> dict:
     """PAIRS pairs of run(tree, workload, seed, seconds) on both trees, which
-    maps "parent" and "change" to a tree, with the same seed in a pair: the
-    parent runs first in even pairs and the change in odd ones.  Returns, for
-    each workload, each side's results in pair order."""
+    maps "parent" and "change" to a tree, with the same seed in a pair, seed
+    first_seed + i in pair i: the parent runs first in even pairs and the
+    change in odd ones.  Returns, for each workload, each side's results in
+    pair order."""
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             for side in order:
-                result = run(trees[side], w, FIRST_SEED + i, seconds)
+                result = run(trees[side], w, first_seed + i, seconds)
                 runs[w][side].append(result)
                 print("pair %d %-13s %-6s %s" % (i, w, side, json.dumps(
                     {m: round(v["value"], 6) for m, v in result["metrics"].items()})),
@@ -172,6 +177,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--scratch", type=Path, default=None,
                         help="where both trees are unpacked (default: the system temp dir)")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help="seed of the first pair; pair i uses it plus i (default %(default)s)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -182,14 +189,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
         trees = unpack_sides(commit, Path(scratch))
         digests = {side: source_digest(tree) for side, tree in trees.items()}
-        runs = run_pairs(trees, workloads, seconds)
+        runs = run_pairs(trees, workloads, seconds, first_seed=args.first_seed)
 
     report = {
         "command": bench["command"] + ["--seconds", str(seconds), "--trace", "0"],
         "parent": commit,
         "source_sha256": digests,
         "pairs": PAIRS,
-        "seeds": [FIRST_SEED + i for i in range(PAIRS)],
+        "seeds": [args.first_seed + i for i in range(PAIRS)],
         "order": "parent first in even pairs, change first in odd pairs",
         "env": {"python": platform.python_version(), "machine": platform.machine()},
         "workloads": workload_entries(runs, metrics),
