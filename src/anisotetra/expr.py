@@ -28,8 +28,7 @@ column, the powers of a: when its caller names an order in partials_of's
 rank_one, the root returns it as an interp.RankOne, row and column apart,
 and never forms the (n_gamma, N) product.  Those columns, (a . h)^d, are
 built once per Affine node and kept on it, as its gradient is, so a field
-pays for them once however many sample sets it is evaluated on.  Values
-alone (eval, the interpolation nodes) read part 0 of a jet of order 0.
+pays for them once however many sample sets it is evaluated on.
 Parse errors carry the offending position and render a caret diagnostic.
 """
 
@@ -212,13 +211,7 @@ class Node:
         return self.partials_of((m,), pts)[0]
 
     def eval(self, pts) -> np.ndarray:
-        """The values at pts, a new (N,) array: part 0 of one jet of order 0
-        (a row, or a constant), read without partials_of's bookkeeping."""
-        pts = _points(pts)
-        out = np.empty(len(pts))
-        with np.errstate(all="ignore"):
-            out[:] = self.jet(pts, 0, (0,))[0]
-        return out
+        return self.partials(0, pts)[0]
 
 
 @dataclass(frozen=True)

@@ -333,11 +333,7 @@ class Polynomial3:
         and callers check finiteness.  A frame that is not a (4, 3) and a
         (3, 3) array of reals raises InputError, as an Interpolant's does.
         """
-        return self._in_frame(*_checked_frame(verts, inverse_t))
-
-    def _in_frame(self, verts: np.ndarray, inverse_t: np.ndarray) -> np.ndarray:
-        """in_frame for a frame already checked, the same arrays as an
-        Interpolant's own frame when it is one."""
+        verts, inverse_t = _checked_frame(verts, inverse_t)
         if self._frame is not None and all(
             mine is theirs or np.array_equal(mine, theirs)
             for mine, theirs in zip(self._frame, (verts, inverse_t))
@@ -721,7 +717,7 @@ def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
     """v - ip as one polynomial in ip's frame, of degree max(v.degree, ip.k)."""
     degree = max(v.degree, ip.k)
     coef = np.zeros(math.comb(degree + 3, 3))
-    coef[: len(v.coef)] = v._in_frame(*ip._frame)
+    coef[: len(v.coef)] = v.in_frame(*ip._frame)
     with np.errstate(all="ignore"):  # callers check finiteness
         coef[: len(ip.coef)] -= ip.coef
     return Polynomial3._held(coef, degree, ip._frame)

@@ -149,15 +149,6 @@ class SeminormSpec:
         object.__setattr__(self, "m", integer(self.m, "seminorm order m"))
         real(self.p, "exponent p", 1.0)
 
-    @classmethod
-    def _of(cls, m: int, p: float) -> "SeminormSpec":
-        """The spec of an int m and a p that validate_p has checked, built
-        without checking them again."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "m", m)
-        object.__setattr__(out, "p", p)
-        return out
-
 
 def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
     """Admissibility of (k, m, p) for the interpolation error estimates.
@@ -431,24 +422,20 @@ def _p_sum(spec: SeminormSpec, vals, rows: list, rules: list, degrees: tuple,
     largest term is 1, so none overflows or underflows; the value is
     top * total^(1/p), and NumericalError when that is not a float.
 
-    Each step reads the spec's rows once: as one span where they are
-    contiguous in the stack (they are, unless an exact degree lies between
-    the 12/18 pair), else rule by rule.  Finiteness comes from the largest
-    sample, which is finite exactly when every sample is; only when it is
-    not are the rules scanned in order, per gamma, to name the first."""
+    Each step reads each rule's rows once.  Finiteness comes from the
+    largest sample, which is finite exactly when every sample is; only when
+    it is not are the rules scanned in order, per gamma, to name the first."""
     gammas = derivative_indices(spec.m)
     p = float(spec.p)
     weights = _multinomial_weights(spec.m) * vol
-    contiguous = all(a.stop == b.start for a, b in zip(rows, rows[1:]))
-    spans = [slice(rows[0].start, rows[-1].stop)] if contiguous else rows
     if isinstance(vals, RankOne):
-        totals, top = _rank_one_totals(vals, rows, spans, rules, weights, p, gammas)
+        totals, top = _rank_one_totals(vals, rows, rules, weights, p, gammas)
     else:
-        peaks = [vals[:, s].max() for s in spans]
+        peaks = [vals[:, r].max() for r in rows]
         if not np.isfinite(peaks).all():
             for r in rows:
                 _check_finite(np.isfinite(vals[:, r]).all(axis=1), gammas)
-        top = _scaled(vals, spans, max(peaks), p)
+        top = _scaled(vals, rows, max(peaks), p)
         totals = [float(weights @ (vals[:, r] @ rule.weights)) for r, rule in zip(rows, rules)]
     value = top * totals[-1] ** (1.0 / p)
     if math.isinf(value):
@@ -464,12 +451,12 @@ def _p_sum(spec: SeminormSpec, vals, rows: list, rules: list, degrees: tuple,
     return SeminormInfo(value, degrees[-1], warnings)
 
 
-def _scaled(samples: np.ndarray, spans: list, top, p: float) -> float:
-    """Overwrite samples' columns in spans with (sample / top)^p, top the
+def _scaled(samples: np.ndarray, rows: list, top, p: float) -> float:
+    """Overwrite samples' columns in rows with (sample / top)^p, top the
     largest of them made a float by _largest, and return that."""
     top = _largest(top)
-    for s in spans:
-        part = samples[..., s]
+    for r in rows:
+        part = samples[..., r]
         part /= top
         part **= p
     return top
@@ -482,10 +469,10 @@ def _largest(top) -> float:
     return float(top) or 1.0
 
 
-def _rank_one_totals(pair: RankOne, rows: list, spans: list, rules: list,
-                     weights: np.ndarray, p: float, gammas: list) -> tuple[list, float]:
-    """The p-sums of a RankOne over a stack of rules (rows and spans as
-    _p_sum's) over their largest, top, as (sum_gamma weights |column
+def _rank_one_totals(pair: RankOne, rows: list, rules: list, weights: np.ndarray,
+                     p: float, gammas: list) -> tuple[list, float]:
+    """The p-sums of a RankOne over a stack of rules (rows as _p_sum's) over
+    their largest, top, as (sum_gamma weights |column
     scale|^p) (sum_x w_x |row_x|^p) with each factor divided by its largest
     term, without forming the array.  |column| is divided by its largest
     entry before scale multiplies it, so that no product overflows where the
@@ -496,7 +483,7 @@ def _rank_one_totals(pair: RankOne, rows: list, spans: list, rules: list,
     peak, before any sum, stands for every rule's; where it fails, each
     rule's _peak is checked in order, to name the first gamma."""
     row = np.abs(pair.row)
-    peaks = [row[s].max() for s in spans]
+    peaks = [row[r].max() for r in rows]
     with np.errstate(all="ignore"):  # inf or NaN here is the error path
         finite = np.isfinite((np.max(peaks) * pair.column) * pair.scale).all()
     if not finite:
@@ -507,7 +494,7 @@ def _rank_one_totals(pair: RankOne, rows: list, spans: list, rules: list,
     column = column / shrink * pair.scale
     lift = _largest(column.max())
     colsum = float(weights @ (column / lift) ** p)
-    rtop = _scaled(row, spans, max(peaks), p)
+    rtop = _scaled(row, rows, max(peaks), p)
     totals = [colsum * float(row[r] @ rule.weights) for r, rule in zip(rows, rules)]
     # lift >= 1 multiplies last, so no partial product of the largest
     # sample overflows where the sample itself is finite.

@@ -7,8 +7,8 @@ The experiments here are the executable form of the package's claims:
   the empirical stand-in for the constant C_{k,m,p}.  Both seminorms come
   from one sampling loop, so v is evaluated once at the nodes and once per
   sample set, and of the geometry only h_T, |T| and R_T are computed.  Each
-  call tests the volume once (angles), inverts J once and checks (k, m, p)
-  once, and hands the frame's arrays and |T| to interpolation and sampling.
+  call tests the volume once (angles) and inverts J once, and hands the
+  frame's arrays and |T| to interpolation and sampling.
   They take v's exact partials (an expression, a polynomial or a per-gamma
   partial_fn); a plain callable has values only and is refused.
 * ``study`` is the one loop over that quotient, every field on every element
@@ -81,7 +81,7 @@ from .interp import (
     pull_back,
     residual,
 )
-from .lattice import MAX_DEGREE, forward_differences, unit_weights
+from .lattice import forward_differences, unit_weights
 from .quad import SeminormSpec, _seminorms, validate_p
 
 MAX_ATTEMPTS = 10_000          # retry budget per generated sample
@@ -429,16 +429,13 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
 
     The element's volume test is angles(t)'s, whose |T| is volume(t)
     bitwise; its frame (verts, J^{-T}) is built once, and interpolation,
-    every sample set and the p = inf polish read those arrays.  (k, m, p)
-    is checked once, here, so the seminorm specs and the interpolation
-    degree are not checked again.
+    every sample set and the p = inf polish read those arrays.
     """
     _check_spec(k, m, p)
     k, m = int(k), int(m)
     geometry = angles(t)  # the one volume test
     h_t = geometry.h[-1]
-    if k > MAX_DEGREE:
-        _check_degree(k)  # InvalidDegree, as interpolate raises it
+    _check_degree(k)  # InvalidDegree, as interpolate raises it
     # At extreme scales a power of h_T leaves the float range: a float power
     # raises there, and a product or quotient gives inf or 0.  The factors
     # of the geometry alone are checked before v is evaluated, size after
@@ -458,7 +455,7 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
         raise _beyond_range(k, m, h_t)
     err_info, hi_info = _seminorms(
         _residual(v, ip), frame, geometry.volume,
-        [SeminormSpec._of(m, p), SeminormSpec._of(k + 1, p)], degree,
+        [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree,
     )
     indeterminate = not hi_info.value > 1e-14 * size
     denominator = bound_factor * hi_info.value

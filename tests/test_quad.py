@@ -438,8 +438,8 @@ class TestSharedSampling:
     def test_a_rule_of_another_spec_between_a_specs_rules(self):
         # A degree-11 polynomial at p = 2: |u|_{0,2} takes the 12/18 pair (its
         # exact degree, 22, is beyond the rules) and |u|_{4,2} the exact degree
-        # 14, which the stack holds between them, so the first spec reads its
-        # rules one at a time; the loop still gives each what it gives alone.
+        # 14, which the stack holds between them, so the first spec's rules
+        # are not adjacent rows; the loop still gives each what it gives alone.
         v = Polynomial3.dense(np.cos(np.arange(364.0)), 11)
         specs = [SeminormSpec(0, 2.0), SeminormSpec(4, 2.0)]
         want = [seminorm_with_info(v, ANISO, s) for s in specs]

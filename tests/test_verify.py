@@ -1,12 +1,11 @@
 """Experiment-layer tests: generators, ratios, sweeps, MAC sampling."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from anisotetra import errors, expr, geom, verify
+from anisotetra import expr, geom, verify
 from anisotetra.errors import (
     AnisotetraError,
     GenerationFailure,
@@ -464,8 +463,8 @@ class TestErrorRatio:
 
 class TestOncePerCall:
     """error_ratio builds every per-element quantity once and hands it down:
-    one volume test, one inversion of J, one check of each of k, m and p,
-    and a ridge's power columns once, however many sample sets it has."""
+    one volume test, one inversion of J, and a ridge's power columns once,
+    however many sample sets it has."""
 
     CALLS = [("trig0", (2, 1, 2.0)), ("trig0", (4, 2, math.inf)), ("poly0", (4, 2, math.inf))]
 
@@ -489,11 +488,6 @@ class TestOncePerCall:
         self.counting(monkeypatch, counts, np.linalg, "inv", "inv")
         self.counting(monkeypatch, counts, expr, "_mul", "mul")
         self.counting(monkeypatch, counts, expr, "_times", "times")
-        checks = (errors.integer, errors.real)
-        for module in [m for key, m in sys.modules.items() if key.startswith("anisotetra")]:
-            for check in ("integer", "real"):
-                if getattr(module, check, None) in checks:
-                    self.counting(monkeypatch, counts, module, check, "check")
         error_ratio(v, t, *spec)
         return counts
 
@@ -501,10 +495,6 @@ class TestOncePerCall:
     def test_one_volume_test_and_one_inversion(self, name, spec, monkeypatch):
         counts = self.counts_of_one_call(monkeypatch, name, spec)
         assert (counts.get("volume"), counts.get("inv")) == (1, 1), counts
-
-    @pytest.mark.parametrize("name,spec", CALLS)
-    def test_k_m_and_p_are_checked_once(self, name, spec, monkeypatch):
-        assert self.counts_of_one_call(monkeypatch, name, spec).get("check") == 3
 
     @pytest.mark.parametrize("name,spec", CALLS[:2])
     def test_a_ridges_power_columns_are_built_once(self, name, spec, monkeypatch):
