@@ -33,10 +33,18 @@ their degrees.  Every sample is first divided by the largest sample of all
 the spec's rules, so the largest term of every sum is exactly 1 and no p-th
 power overflows or underflows at any admissible p (10^400 would overflow,
 0.7^3000 underflow); the value is that largest sample times the p-th root,
-and the 12/18 agreement check compares the scaled sums.  Each step reads a
-spec's rows of the stack once: the largest sample is finite exactly when
-every sample is, so the rows are scanned per gamma only when it is not, and
-the division and p-th power run once, in place, over the spec's rows.
+and the 12/18 agreement check compares the scaled sums.  What a call does
+before it touches a sample is fixed by its field's polynomial degree, its
+specs and an explicit quadrature degree, so it is one cached _Plan per such
+key (never per element or field; degree and specs are checked before the
+lookup): every spec's rule degrees, the stack in sorted-degree order (a
+matrix product's bits depend on where its slice starts, so the layout is
+fixed), each spec's rows as runs of adjacent rows of that stack (two runs
+where another spec's rule lies between its rules), the orders to sample,
+the p = infinity grouping and the fixed warnings.  Each step reads a run
+once: its largest sample, finite exactly when every sample is, so the rows
+are scanned per gamma only when it is not, then one division and one p-th
+power in place; the weighted sums and the 12/18 check stay per rule.
 For p = infinity the sample set is the dense lattice X^DENSE_LATTICE_ORDER of the
 cached lattice.unit_weights table, cached as blocks of at most BLOCK points,
 one partials_of call each: each gamma keeps a running maximum, which equals
@@ -70,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,25 +300,38 @@ class _RunningMax:
         return float(self.best[g]), ((self.gammas[g], self.where[g]) if self.best[g] > 0 else None)
 
 
-def _rule_degrees(
-    spec: SeminormSpec, poly_degree: int | None, degree: int | None
-) -> tuple[int, ...]:
-    """Exactness degrees of the rules that measure |u|_{m,p,T}.
-
-    An explicit degree wins; an even integer p on a polynomial gets the one
-    rule that is exact for |d^gamma u|^p when there is one; anything else
-    gets the 12/18 pair whose agreement is checked.  p = inf samples a
-    lattice instead (no rules), so an explicit degree there is rejected.
-    """
-    if spec.p == math.inf:
-        if degree is not None:
+def _checked_degree(specs, degree) -> int | None:
+    """An explicit quadrature degree as a Python int, None for none:
+    UnsupportedDegree at the first spec, in order, that cannot take it, one
+    of p = inf (which samples a lattice) or a finite p where degree is not an
+    integer in [1, MAX_RULE_DEGREE].  With no spec nothing takes it."""
+    if degree is None:
+        return None
+    for spec in specs:
+        if spec.p == math.inf:
             raise UnsupportedDegree(
                 "a quadrature degree applies to finite p only; p = inf samples "
                 "a lattice, got degree %r" % (degree,)
             )
+        degree = integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
+    return degree if specs else None
+
+
+def _rule_degrees(
+    spec: SeminormSpec, poly_degree: int | None, degree: int | None
+) -> tuple[int, ...]:
+    """Exactness degrees of the rules that measure |u|_{m,p,T}, for a degree
+    that _checked_degree passed.
+
+    An explicit degree wins; an even integer p on a polynomial gets the one
+    rule that is exact for |d^gamma u|^p when there is one; anything else
+    gets the 12/18 pair whose agreement is checked.  p = inf samples a
+    lattice instead (no rules).
+    """
+    if spec.p == math.inf:
         return ()
     if degree is not None:
-        return (integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree),)
+        return (degree,)
     p = float(spec.p)
     if poly_degree is not None and p == int(p) and int(p) % 2 == 0:
         exact_deg = max(1, (poly_degree - spec.m) * int(p))
@@ -341,6 +363,100 @@ def _vertex_blocks() -> tuple[SampleSet, ...]:
     return (SampleSet(np.eye(4)),)
 
 
+class _Reduction(NamedTuple):
+    """How a finite-p spec of order m reduces its samples on a stack: gammas
+    are derivative_indices(m); runs its rows as maximal runs of adjacent rows
+    of the stack, each scanned, divided and raised to p in one pass; rows and
+    weights each rule's slice of the stack and weights, in the order of
+    degrees, the rules' exactness degrees, for the per-rule sums."""
+
+    gammas: list
+    runs: tuple
+    rows: tuple
+    weights: tuple
+    degrees: tuple
+
+
+def _reduction(m: int, degrees: tuple, rows: dict) -> _Reduction:
+    """The _Reduction of order m over the rules of the given degrees, whose
+    slices of the stack rows holds."""
+    runs = []
+    for r in sorted((rows[d] for d in degrees), key=lambda r: r.start):
+        if runs and runs[-1].stop == r.start:
+            runs[-1] = slice(runs[-1].start, r.stop)
+        else:
+            runs.append(r)
+    return _Reduction(derivative_indices(m), tuple(runs), tuple(rows[d] for d in degrees),
+                      tuple(rule_for_degree(d).weights for d in degrees), degrees)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What _seminorms does for one (polynomial degree, specs, degree), fixed
+    before any sample is taken.
+
+    stack holds every rule the live finite-p specs take (a spec is live
+    unless its order is above the polynomial degree, where every partial is
+    0), one sample set in sorted-degree order, and sampled those specs, whose
+    orders are sampled on it in one call.  groups holds the vertex block and
+    the lattice blocks, each with the live p = inf specs that sample it and
+    their orders; polish the specs whose lattice maximum is polished.  steps
+    holds per spec its _Reduction (a live finite p), the warnings of its
+    maximum (a live p = inf) or its fixed result (a spec that is not live).
+    """
+
+    stack: SampleSet | None
+    sampled: tuple[int, ...]
+    orders: tuple[int, ...]
+    groups: tuple
+    polish: frozenset
+    steps: tuple
+
+
+@lru_cache(maxsize=128)
+def _plan(poly_degree: int | None, specs: tuple, degree: int | None) -> _Plan:
+    """The _Plan of checked specs on a field of polynomial degree
+    poly_degree (None: not a polynomial) with a degree that _checked_degree
+    passed; cached, so that a run of calls with the same seminorms builds it
+    once."""
+    rule_degrees = [_rule_degrees(spec, poly_degree, degree) for spec in specs]
+    # Every d^gamma u is 0 above a known polynomial degree.
+    live = [poly_degree is None or spec.m <= poly_degree for spec in specs]
+    sampled = tuple(i for i, spec in enumerate(specs) if spec.p != math.inf and live[i])
+    peaked = [i for i, spec in enumerate(specs) if spec.p == math.inf and live[i]]
+    # A polynomial's partials of order m >= degree - 1 are affine and peak at
+    # a vertex; its other maxima are polished where the Hessian can be nonzero.
+    affine = [i for i in peaked if poly_degree is not None and poly_degree - specs[i].m <= 1]
+    lattice = [i for i in peaked if i not in affine]
+    groups = tuple((blocks, tuple(group), tuple(specs[i].m for i in group))
+                   for blocks, group in ((_vertex_blocks(), affine), (_lattice_blocks(), lattice))
+                   if group)
+    stack, rows = (None, {})
+    if sampled:
+        stack, rows = _rule_stack(tuple(sorted({d for i in sampled for d in rule_degrees[i]})))
+    steps = []
+    for i, spec in enumerate(specs):
+        if not live[i]:
+            steps.append(SeminormInfo(0.0, rule_degrees[i][-1] if rule_degrees[i] else None))
+        elif spec.p != math.inf:
+            steps.append(_reduction(spec.m, rule_degrees[i], rows))
+        else:
+            # Where degree - m <= 1 the value is exact: a vertex maximum (and
+            # 0 above the degree, which is not live).  A lattice maximum is not.
+            steps.append(() if i in affine else (
+                "p=inf maximum from dense sampling; value is approximate",))
+    return _Plan(stack, sampled, tuple(specs[i].m for i in sampled), groups,
+                 frozenset(lattice if poly_degree is not None else ()), tuple(steps))
+
+
+def _checked_specs(specs) -> tuple:
+    """specs, a list or tuple of SeminormSpec, as a tuple; InputError for
+    anything else, a bare spec included."""
+    if not (isinstance(specs, (list, tuple)) and all(isinstance(s, SeminormSpec) for s in specs)):
+        raise InputError("specs must be a list of SeminormSpec, got %r" % (specs,))
+    return tuple(specs)
+
+
 def seminorms_with_info(
     u, t: Tetrahedron, specs, degree: int | None = None
 ) -> list[SeminormInfo]:
@@ -350,10 +466,12 @@ def seminorms_with_info(
     evaluated by one partials_of call for every order, and each block of the
     p = inf lattice by one more, or the four vertices where a polynomial's
     partials are affine; each spec then reads its own rules' rows.
-    Errors come in spec order, and for one spec in the order of its rules.
+    Errors come in spec order, and for one spec in the order of its rules;
+    specs that are not a list of SeminormSpec raise InputError.
     A wrapper: it tests t's volume and builds its frame (interp.pull_back),
     which verify.error_ratio builds once per call and hands to _seminorms.
     """
+    specs = _checked_specs(specs)
     vol = volume(t)  # DegenerateTetrahedron at every p
     return _seminorms(as_field(u), _frame(t.as_array()), vol, specs, degree)
 
@@ -363,85 +481,71 @@ def _seminorms(field_u: ScalarField, frame, vol: float, specs,
     """seminorms_with_info of a field on the element whose frame is
     pull_back's (verts, J^{-T}) and whose volume is vol: every sample set is
     placed on frame's vertices, the arrays an interpolant in that frame
-    holds, and a polish step is tested against it.  specs are checked."""
-    plans = [_rule_degrees(spec, field_u.degree, degree) for spec in specs]
+    holds, and a polish step is tested against it.  specs are checked, and
+    degree is checked here, before the _plan lookup."""
+    degree = _checked_degree(specs, degree)
+    plan = _plan(field_u.degree, tuple(specs), degree)
     verts = frame[0]
-    # Every d^gamma u is 0 above a known polynomial degree.
-    live = [field_u.degree is None or spec.m <= field_u.degree for spec in specs]
-    finite = [i for i, spec in enumerate(specs) if spec.p != math.inf]
-    rules = {d: rule_for_degree(d) for i in finite for d in plans[i]}
-    using = [i for i in finite if live[i]]
     samples = {}  # per spec, |partials| or a RankOne over the stack
-    if using:
-        stack, rows = _rule_stack(tuple(sorted({d for i in using for d in plans[i]})))
-        orders = [specs[i].m for i in using]
-        for i, v in zip(using, field_u.partials_of(orders, stack.on(verts), rank_one=orders)):
+    if plan.sampled:
+        orders = plan.orders
+        for i, v in zip(plan.sampled,
+                        field_u.partials_of(orders, plan.stack.on(verts), rank_one=orders)):
             if not isinstance(v, RankOne):
                 np.abs(v, out=v)  # partials_of hands its arrays to the caller
             samples[i] = v
-    peaks = {i: _RunningMax(specs[i].m) for i, spec in enumerate(specs)
-             if spec.p == math.inf and live[i]}
-    # A polynomial's partials of order m >= degree - 1 are affine and peak at
-    # a vertex; its other maxima are polished where the Hessian can be nonzero.
-    affine = [i for i in peaks if field_u.degree is not None and field_u.degree - specs[i].m <= 1]
-    polish = [i for i in peaks if field_u.degree is not None and i not in affine]
-    lattice = [i for i in peaks if i not in affine]
-    for blocks, group in ((_vertex_blocks(), affine), (_lattice_blocks(), lattice)):
-        if not group:
-            continue
-        orders = [specs[i].m for i in group]
+    peaks = {i: _RunningMax(specs[i].m) for _, group, _ in plan.groups for i in group}
+    for blocks, group, orders in plan.groups:
         for block in blocks:
             placed = block.on(verts)
             for i, vals in zip(group, field_u.partials_of(orders, placed, rank_one=orders)):
                 peaks[i].add(vals, placed.x)
     out = []
     for i, spec in enumerate(specs):
-        if spec.p == math.inf:
-            value, at = peaks[i].result() if i in peaks else (0.0, None)
-            if at is not None and i in polish:  # a polish step stays inside t
+        step = plan.steps[i]
+        if isinstance(step, _Reduction):
+            out.append(_p_sum(spec, samples[i], step, vol))
+        elif i in peaks:
+            value, at = peaks[i].result()
+            if at is not None and i in plan.polish:  # a polish step stays inside t
                 value = max(value, _newton_polish(field_u, *at, frame))
-            # Where degree - m <= 1 the value is exact: a vertex maximum, or 0
-            # above the degree.  A lattice maximum is not.
-            warnings = () if i in affine or not live[i] else (
-                "p=inf maximum from dense sampling; value is approximate",)
-            out.append(SeminormInfo(value, None, warnings))
-        elif not live[i]:
-            out.append(SeminormInfo(0.0, plans[i][-1]))
+            out.append(SeminormInfo(value, None, step))
         else:
-            out.append(_p_sum(spec, samples[i], [rows[d] for d in plans[i]],
-                              [rules[d] for d in plans[i]], plans[i], vol))
+            out.append(step)
     return out
 
 
-def _p_sum(spec: SeminormSpec, vals, rows: list, rules: list, degrees: tuple,
-           vol: float) -> SeminormInfo:
+def _p_sum(spec: SeminormSpec, vals, plan: _Reduction, vol: float) -> SeminormInfo:
     """|u|_{m,p,T} from |d^gamma u| sampled on a stack of rules, an array
-    this overwrites, or from a RankOne of d^gamma u there; rows is each rule's
-    slice of the stack.  With two rules comes the 12/18 agreement warning.
-    The totals are the p-sums of the samples over their largest, top, whose
-    largest term is 1, so none overflows or underflows; the value is
-    top * total^(1/p), and NumericalError when that is not a float.
+    this overwrites, or from a RankOne of d^gamma u there; plan holds the
+    spec's runs and each rule's rows of the stack.  With two rules comes the
+    12/18 agreement warning.  The totals are the p-sums of the samples over
+    their largest, top, whose largest term is 1, so none overflows or
+    underflows; the value is top * total^(1/p), and NumericalError when that
+    is not a float.
 
-    Each step reads each rule's rows once.  Finiteness comes from the
-    largest sample, which is finite exactly when every sample is; only when
-    it is not are the rules scanned in order, per gamma, to name the first."""
-    gammas = derivative_indices(spec.m)
+    Each run of adjacent rows is read once per step: its largest sample,
+    then one division and one p-th power in place; the weighted sums stay
+    per rule.  Finiteness comes from the largest samples, which are finite
+    exactly when every sample is; only when they are not are the rules
+    scanned in order, per gamma, to name the first."""
     p = float(spec.p)
     weights = _multinomial_weights(spec.m) * vol
     if isinstance(vals, RankOne):
-        totals, top = _rank_one_totals(vals, rows, rules, weights, p, gammas)
+        totals, top = _rank_one_totals(vals, plan, weights, p)
     else:
-        peaks = [vals[:, r].max() for r in rows]
+        peaks = [vals[:, r].max() for r in plan.runs]
         if not np.isfinite(peaks).all():
-            for r in rows:
-                _check_finite(np.isfinite(vals[:, r]).all(axis=1), gammas)
-        top = _scaled(vals, rows, max(peaks), p)
-        totals = [float(weights @ (vals[:, r] @ rule.weights)) for r, rule in zip(rows, rules)]
+            for r in plan.rows:
+                _check_finite(np.isfinite(vals[:, r]).all(axis=1), plan.gammas)
+        top = _scaled(vals, plan.runs, max(peaks), p)
+        totals = [float(weights @ (vals[:, r] @ w)) for r, w in zip(plan.rows, plan.weights)]
     value = top * totals[-1] ** (1.0 / p)
     if math.isinf(value):
         raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p))
     warnings: tuple[str, ...] = ()
     ref = max(abs(totals[-1]), 1e-300)
+    degrees = plan.degrees
     if len(totals) == 2 and abs(totals[0] - totals[1]) > RICHARDSON_RTOL * ref:
         warnings = (
             "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
@@ -451,11 +555,11 @@ def _p_sum(spec: SeminormSpec, vals, rows: list, rules: list, degrees: tuple,
     return SeminormInfo(value, degrees[-1], warnings)
 
 
-def _scaled(samples: np.ndarray, rows: list, top, p: float) -> float:
-    """Overwrite samples' columns in rows with (sample / top)^p, top the
+def _scaled(samples: np.ndarray, runs, top, p: float) -> float:
+    """Overwrite samples' columns in runs with (sample / top)^p, top the
     largest of them made a float by _largest, and return that."""
     top = _largest(top)
-    for r in rows:
+    for r in runs:
         part = samples[..., r]
         part /= top
         part **= p
@@ -469,9 +573,9 @@ def _largest(top) -> float:
     return float(top) or 1.0
 
 
-def _rank_one_totals(pair: RankOne, rows: list, rules: list, weights: np.ndarray,
-                     p: float, gammas: list) -> tuple[list, float]:
-    """The p-sums of a RankOne over a stack of rules (rows as _p_sum's) over
+def _rank_one_totals(pair: RankOne, plan: _Reduction, weights: np.ndarray,
+                     p: float) -> tuple[list, float]:
+    """The p-sums of a RankOne over a stack of rules (plan as _p_sum's) over
     their largest, top, as (sum_gamma weights |column
     scale|^p) (sum_x w_x |row_x|^p) with each factor divided by its largest
     term, without forming the array.  |column| is divided by its largest
@@ -483,19 +587,19 @@ def _rank_one_totals(pair: RankOne, rows: list, rules: list, weights: np.ndarray
     peak, before any sum, stands for every rule's; where it fails, each
     rule's _peak is checked in order, to name the first gamma."""
     row = np.abs(pair.row)
-    peaks = [row[r].max() for r in rows]
+    peaks = [row[r].max() for r in plan.runs]
     with np.errstate(all="ignore"):  # inf or NaN here is the error path
         finite = np.isfinite((np.max(peaks) * pair.column) * pair.scale).all()
     if not finite:
-        for r in rows:
-            _check_finite(np.isfinite(_peak(pair._replace(row=pair.row[r]))[1]), gammas)
+        for r in plan.rows:
+            _check_finite(np.isfinite(_peak(pair._replace(row=pair.row[r]))[1]), plan.gammas)
     column = np.abs(pair.column)
     shrink = _largest(column.max())
     column = column / shrink * pair.scale
     lift = _largest(column.max())
     colsum = float(weights @ (column / lift) ** p)
-    rtop = _scaled(row, rows, max(peaks), p)
-    totals = [colsum * float(row[r] @ rule.weights) for r, rule in zip(rows, rules)]
+    rtop = _scaled(row, plan.runs, max(peaks), p)
+    totals = [colsum * float(row[r] @ w) for r, w in zip(plan.rows, plan.weights)]
     # lift >= 1 multiplies last, so no partial product of the largest
     # sample overflows where the sample itself is finite.
     return totals, shrink * rtop * lift

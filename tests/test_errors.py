@@ -34,6 +34,7 @@ from anisotetra import (
     quotient_coefficients,
     reference_tetrahedron,
     rule_for_degree,
+    seminorm_with_info,
     squeeze_sweep,
     study,
 )
@@ -46,7 +47,7 @@ from anisotetra.errors import (
 )
 from anisotetra.interp import Interpolant, ScalarField
 from anisotetra.lattice import gauss_jacobi
-from anisotetra.quad import SeminormSpec, multinomial_weight
+from anisotetra.quad import SeminormSpec, multinomial_weight, seminorms_with_info
 
 NAN = math.nan
 HUGE = 10**400  # an integer beyond the float range
@@ -56,6 +57,7 @@ V = field_from_expression("sin(x + 2*y + 3*z)")
 T = reference_tetrahedron(TYPE1)
 UNIFORM = TetraGenSpec("uniform", 0)
 LINEAR = Polynomial3({(1, 0, 0): 1.0})
+SPEC = SeminormSpec(1, 2)
 # Frames (verts, J^{-T}) that are not pull_back's shapes, or not arrays.
 FRAMES = {
     "verts (3, 3)": (np.zeros((3, 3)), np.eye(3)),
@@ -86,6 +88,10 @@ TABLE = [
           InvalidDegree, (RAW, True), 2.5, "2", 0, 9),
     # Quadrature degrees.
     *rows("rule_for_degree.d", rule_for_degree, UnsupportedDegree, True, 2.5, "2", 0, 21),
+    *rows("seminorm_with_info.degree", lambda d: seminorm_with_info(V, T, SPEC, degree=d),
+          UnsupportedDegree, True, 12.5, [12], 0, 21),
+    *rows("error_ratio.degree", lambda d: error_ratio(V, T, 2, 1, 2.0, degree=d),
+          UnsupportedDegree, True, 12.5, [12]),
     # gamma_max.
     *rows("mac_bound_constants.gamma_max", mac_bound_constants, InvalidGammaMax,
           True, (RAW, "2"), NAN, 3.5),
@@ -147,6 +153,11 @@ TABLE = [
     *rows("SeminormSpec.m", lambda m: SeminormSpec(m, 2.0), InputError, True, 1.5, "1", -1),
     *rows("SeminormSpec.p", lambda p: SeminormSpec(1, p), InputError,
           (RAW, True), "2", NAN, 0.5, (RAW, HUGE)),
+    # The specs of a seminorm: a list of SeminormSpec, nothing else.
+    *rows("seminorm_with_info.spec", lambda s: seminorm_with_info(V, T, s), InputError,
+          (RAW, (1, 2)), (RAW, None)),
+    *rows("seminorms_with_info.specs", lambda s: seminorms_with_info(V, T, s), InputError,
+          (RAW, SPEC), (RAW, [SPEC, None])),
     *rows("ScalarField.order", lambda o: ScalarField(V, lambda g, pts: V.partial(g, pts), o),
           InputError, (RAW, True), (RAW, "2"), (RAW, -1)),
     *rows("gauss_jacobi.n", lambda n: gauss_jacobi(n, 0), InputError,

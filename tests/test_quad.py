@@ -221,12 +221,11 @@ class TestSeminorm:
         # zero column: the value is 0, and no 0/0 warns.
         degrees = (quad.DEFAULT_NUMERIC_DEGREE, quad.RICHARDSON_DEGREE)
         stack, rows = quad._rule_stack(degrees)
-        rules, n = [rule_for_degree(d) for d in degrees], len(stack.bary)
+        plan, n = quad._reduction(1, degrees, rows), len(stack.bary)
         ones = np.ones(3)
         for samples in (np.zeros((3, n)), RankOne(np.zeros(n), ones, ones),
                         RankOne(np.ones(n), np.zeros(3), ones)):
-            info = quad._p_sum(SeminormSpec(1, 3.0), samples, [rows[d] for d in degrees],
-                               rules, degrees, 1.0)
+            info = quad._p_sum(SeminormSpec(1, 3.0), samples, plan, 1.0)
             assert info == quad.SeminormInfo(0.0, degrees[-1])
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -469,6 +468,131 @@ class TestSharedSampling:
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
             seminorms_with_info(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
+
+
+# The rule-by-rule reduction that the run-wise _p_sum replaced, kept as the
+# reference it must match bit for bit: peaks, division and p-th power per
+# rule's rows, rows as each rule's slice of the stack.
+def _rule_wise_p_sum(spec, vals, rows, rules, degrees, vol):
+    gammas = derivative_indices(spec.m)
+    p = float(spec.p)
+    weights = quad._multinomial_weights(spec.m) * vol
+    if isinstance(vals, RankOne):
+        totals, top = _rule_wise_rank_one_totals(vals, rows, rules, weights, p, gammas)
+    else:
+        peaks = [vals[:, r].max() for r in rows]
+        if not np.isfinite(peaks).all():
+            for r in rows:
+                quad._check_finite(np.isfinite(vals[:, r]).all(axis=1), gammas)
+        top = _rule_wise_scaled(vals, rows, max(peaks), p)
+        totals = [float(weights @ (vals[:, r] @ rule.weights)) for r, rule in zip(rows, rules)]
+    value = top * totals[-1] ** (1.0 / p)
+    if math.isinf(value):
+        raise NumericalError("|u|_{%d,%s,T} exceeds the float range" % (spec.m, p))
+    warnings = ()
+    ref = max(abs(totals[-1]), 1e-300)
+    if len(totals) == 2 and abs(totals[0] - totals[1]) > quad.RICHARDSON_RTOL * ref:
+        warnings = (
+            "quadrature degrees %d and %d disagree (rel %.2e); integrand may "
+            "be under-resolved"
+            % (degrees[0], degrees[1], abs(totals[0] - totals[1]) / ref),
+        )
+    return quad.SeminormInfo(value, degrees[-1], warnings)
+
+
+def _rule_wise_scaled(samples, rows, top, p):
+    top = float(top) or 1.0
+    for r in rows:
+        part = samples[..., r]
+        part /= top
+        part **= p
+    return top
+
+
+def _rule_wise_rank_one_totals(pair, rows, rules, weights, p, gammas):
+    row = np.abs(pair.row)
+    peaks = [row[r].max() for r in rows]
+    with np.errstate(all="ignore"):
+        finite = np.isfinite((np.max(peaks) * pair.column) * pair.scale).all()
+    if not finite:
+        for r in rows:
+            quad._check_finite(np.isfinite(quad._peak(pair._replace(row=pair.row[r]))[1]), gammas)
+    column = np.abs(pair.column)
+    shrink = float(column.max()) or 1.0
+    column = column / shrink * pair.scale
+    lift = float(column.max()) or 1.0
+    colsum = float(weights @ (column / lift) ** p)
+    rtop = _rule_wise_scaled(row, rows, max(peaks), p)
+    totals = [colsum * float(row[r] @ rule.weights) for r, rule in zip(rows, rules)]
+    return totals, shrink * rtop * lift
+
+
+def _outcome(call):
+    """The value's bits, degree and warnings, the numpy warnings on the way,
+    or the NumericalError's text."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            info = call()
+        except NumericalError as exc:
+            return "NumericalError", str(exc), [str(w.message) for w in seen]
+    return info.value.hex(), info.quadrature_degree, info.warnings, [str(w.message) for w in seen]
+
+
+class TestRunWiseReduction:
+    # The 12/18 pair alone is one run; with the exact degree 14 of another
+    # spec between them (the layout of the shared-sampling test above) it is
+    # two runs, and the rule 14 alone is one run of one rule.
+    LAYOUTS = [((12, 18), (12, 18)), ((12, 14, 18), (12, 18)), ((12, 14, 18), (14,))]
+
+    @staticmethod
+    def samples(rng, kind, n_gamma, rows):
+        """(array, RankOne) of one kind: random with a wide spread, all zero,
+        or a NaN or an inf at a random point of each rule in turn."""
+        n = max(r.stop for r in rows.values())
+        spread = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        vals = np.abs(rng.standard_normal((n_gamma, n))) * spread
+        pair = RankOne(rng.standard_normal(n) * spread, rng.standard_normal(n_gamma),
+                       rng.integers(1, 7, n_gamma).astype(float))
+        if kind == "zero":
+            vals[:] = 0.0
+            pair = pair._replace(row=np.zeros(n))
+        elif kind != "random":
+            bad, r = (math.nan if kind.startswith("nan") else math.inf), rows[int(kind[-2:])]
+            at = int(rng.integers(r.start, r.stop))
+            vals[int(rng.integers(n_gamma)), at] = bad
+            pair.row[at] = bad
+        return vals, pair
+
+    @pytest.mark.parametrize("stack,degrees", LAYOUTS)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 100.0, 3000.0])
+    def test_runs_match_the_rule_wise_reduction_bit_for_bit(self, stack, degrees, p):
+        _, rows = quad._rule_stack(stack)
+        rng = np.random.default_rng([len(stack), len(degrees), int(p)])
+        kinds = ["random", "zero"] + ["%s%02d" % (bad, d) for bad in ("nan", "inf")
+                                      for d in degrees]
+        for m in (1, 2):
+            spec = SeminormSpec(m, p)
+            plan = quad._reduction(m, degrees, rows)
+            args = ([rows[d] for d in degrees], [rule_for_degree(d) for d in degrees], degrees)
+            for kind in kinds:
+                for vals in self.samples(rng, kind, len(derivative_indices(m)), rows):
+                    mine = vals.copy() if isinstance(vals, np.ndarray) else vals
+                    got = _outcome(lambda: quad._p_sum(spec, mine, plan, 0.7))
+                    want = _outcome(lambda: _rule_wise_p_sum(spec, vals, *args, 0.7))
+                    assert got == want, (kind, m, type(vals).__name__)
+        assert len(plan.runs) == (2 if stack == (12, 14, 18) and degrees == (12, 18) else 1)
+
+    def test_a_sum_beyond_the_float_range_raises_the_same_error(self):
+        _, rows = quad._rule_stack((12, 18))
+        plan = quad._reduction(1, (12, 18), rows)
+        args = ([rows[12], rows[18]], [rule_for_degree(12), rule_for_degree(18)], (12, 18))
+        vals = np.full((3, rows[18].stop), 1.7e308)
+        got = _outcome(lambda: quad._p_sum(SeminormSpec(1, 1.0), vals.copy(), plan, 1.0))
+        want = _outcome(lambda: _rule_wise_p_sum(SeminormSpec(1, 1.0), vals, *args, 1.0))
+        assert got == want and got[0] == "NumericalError"
 
 
 # A needle and a sliver of flatness 1e-2, rotated by one fixed orthogonal map

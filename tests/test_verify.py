@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotetra import expr, geom, verify
+from anisotetra import expr, geom, quad, verify
 from anisotetra.errors import (
     AnisotetraError,
     GenerationFailure,
@@ -503,6 +503,27 @@ class TestOncePerCall:
         # blocks.
         counts = self.counts_of_one_call(monkeypatch, name, spec)
         assert (counts.get("mul", 0), counts.get("times")) == (0, spec[0] + 1), counts
+
+    @pytest.mark.parametrize("spec", [(2, 1, 2.0), (3, 1, 3.0), (4, 2, math.inf)])
+    def test_a_second_call_builds_no_seminorm_plan(self, spec, monkeypatch):
+        # The plan is keyed by the residual's degree and the specs: a call on
+        # another element, with a newly built field, finds the first call's.
+        first, second = generate(TetraGenSpec("mixed", 3), 2)
+        error_ratio(dict(corpus(spec[0], first))["trig0"], first, *spec)
+        counts = {}
+        self.counting(monkeypatch, counts, quad, "_rule_degrees", "plan")
+        error_ratio(dict(corpus(spec[0], second))["trig0"], second, *spec)
+        assert counts == {}
+
+    def test_one_plan_per_degree_and_specs_not_per_element(self):
+        # A ridge's residual has no degree and poly0's has degree k + 2 on
+        # every element: two plans for five elements.
+        quad._plan.cache_clear()
+        for t in generate(TetraGenSpec("mixed", 3), 5):
+            fields = dict(corpus(2, t))
+            for name in ("trig0", "poly0"):
+                error_ratio(fields[name], t, 2, 1, 2.0)
+        assert quad._plan.cache_info().currsize == 2
 
 
 # squeeze_sweep(2, 1, 3) on this grid, and error_ratio of the reference's
