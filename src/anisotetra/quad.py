@@ -302,19 +302,19 @@ class _RunningMax:
 
 def _checked_degree(specs, degree) -> int | None:
     """An explicit quadrature degree as a Python int, None for none:
-    UnsupportedDegree at the first spec, in order, that cannot take it, one
-    of p = inf (which samples a lattice) or a finite p where degree is not an
-    integer in [1, MAX_RULE_DEGREE].  With no spec nothing takes it."""
+    UnsupportedDegree where it is not an integer in [1, MAX_RULE_DEGREE] or
+    a spec has p = inf (which samples a lattice), the first spec's reason
+    first."""
     if degree is None:
         return None
-    for spec in specs:
-        if spec.p == math.inf:
-            raise UnsupportedDegree(
-                "a quadrature degree applies to finite p only; p = inf samples "
-                "a lattice, got degree %r" % (degree,)
-            )
-        degree = integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
-    return degree if specs else None
+    if not (specs and specs[0].p == math.inf):
+        checked = integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
+    if any(spec.p == math.inf for spec in specs):
+        raise UnsupportedDegree(
+            "a quadrature degree applies to finite p only; p = inf samples "
+            "a lattice, got degree %r" % (degree,)
+        )
+    return checked
 
 
 def _rule_degrees(

@@ -92,6 +92,8 @@ TABLE = [
           UnsupportedDegree, True, 12.5, [12], 0, 21),
     *rows("error_ratio.degree", lambda d: error_ratio(V, T, 2, 1, 2.0, degree=d),
           UnsupportedDegree, True, 12.5, [12]),
+    *rows("seminorms_with_info.degree", lambda d: seminorms_with_info(V, T, [], degree=d),
+          UnsupportedDegree, (RAW, [12]), (RAW, 0)),
     # gamma_max.
     *rows("mac_bound_constants.gamma_max", mac_bound_constants, InvalidGammaMax,
           True, (RAW, "2"), NAN, 3.5),
