@@ -15,18 +15,19 @@ Walther, Evaluating Derivatives, 2008) over (N, 3) point arrays and yields
 every partial of the requested orders.  A jet pays only for what it forms:
 the root forms only the parts that are asked for, a product pairs only the
 parts that do not vanish, a Taylor coefficient is computed only for the
-parts that use it, the root's own parts are scaled by gamma! in place into
-the arrays handed to the caller, and the parser folds every affine subtree
-(numbers, x, y, z, sums, differences, products with a constant and
-quotients by a constant) into one Affine node, whose value is its terms
-summed in source order and whose only higher part is a constant, read-only
-gradient.  The corpus's affine arguments so evaluate as the unfolded tree
-does, bitwise.  A ridge, g(a . x + b) for a root Call, Pow or
-constant-numerator Div over one non-constant Affine, has an order-n part
-that is one row g^(n)(a . x + b)/n! over the points times one constant
-column, the powers of a: when its caller names an order in partials_of's
-rank_one, the root returns it as an interp.RankOne, row and column apart,
-and never forms the (n_gamma, N) product.  Those columns, (a . h)^d, are
+parts that use it, the root's own parts are scaled by gamma! (the table
+interp._factorials) in place into the arrays handed to the caller, and the
+parser folds every affine subtree (numbers, x, y, z, sums, differences,
+products with a constant and quotients by a constant) into one Affine
+node, whose value is its terms summed in source order and whose only
+higher part is a constant, read-only gradient.  The corpus's affine
+arguments so evaluate as the unfolded tree does, bitwise.  A ridge,
+g(a . x + b) for a root Call, Pow or constant-numerator Div over one
+non-constant Affine, has an order-n part that is one row
+g^(n)(a . x + b)/n! over the points times one constant column, the powers
+of a: when its caller names an order in partials_of's rank_one, the root
+returns it as an interp.RankOne, row and column apart, and never forms the
+(n_gamma, N) product.  Those columns, (a . h)^d, are
 built once per Affine node and kept on it, as its gradient is, so a field
 pays for them once however many sample sets it is evaluated on.
 Parse errors carry the offending position and render a caret diagnostic.
@@ -37,12 +38,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import RankOne, ScalarField, _points, _times, derivative_indices
+from .interp import RankOne, ScalarField, _factorials, _points, _times
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -156,15 +157,6 @@ def _function_coeffs(name: str, a, n: int):
     return coeff, n + 1
 
 
-@lru_cache(maxsize=16)
-def _factorials(m: int) -> np.ndarray:
-    """gamma! for every |gamma| = m in derivative_indices(m) order, as a
-    read-only column."""
-    out = np.array([math.prod(map(math.factorial, g)) for g in derivative_indices(m)], dtype=float)
-    out.flags.writeable = False
-    return out[:, None]
-
-
 class Node:
     def jet(self, pts: np.ndarray, n: int, keep=None, rank_one=()) -> list:
         """The parts 0..n of the Taylor jet at pts (N, 3); with keep, a
@@ -206,12 +198,6 @@ class Node:
                     np.multiply(part, fact, out=part)
                 out.append(done.setdefault(m, part))
         return out
-
-    def partials(self, m: int, pts) -> np.ndarray:
-        return self.partials_of((m,), pts)[0]
-
-    def eval(self, pts) -> np.ndarray:
-        return self.partials(0, pts)[0]
 
 
 @dataclass(frozen=True)
@@ -495,4 +481,4 @@ def field_from_expression(text_or_node) -> ScalarField:
         if isinstance(text_or_node, str)
         else text_or_node
     )
-    return ScalarField._of(node.eval, node.partials_of, rank_one=True)
+    return ScalarField._of(node.partials_of, rank_one=True)

@@ -15,15 +15,16 @@ well as an axis-aligned one.  A call that measures one element several ways
 (_frame), then hands the same arrays to interpolation (_interpolate), to
 every sample set placed on the element and to the p = inf polish, so that
 an interpolant meets its own frame by identity; interpolate, residual and
-quad.seminorms_with_info are wrappers that build it themselves.  A frame
+quad.seminorm_with_info are wrappers that build it themselves.  A frame
 from outside (Interpolant, in_frame) passes one shape check.
 
 Every field is one class, ScalarField, and returns its partials of several
 orders at one point set from one evaluation, partials_of(orders, pts): one
 Taylor jet for expressions, one product per order for polynomials, one call
 per gamma for a per-gamma partial_fn.  partials(m, pts) is its one-order
-case, and a single partial is a row of that.  Every polynomial is
-one class, Polynomial3: a dense coefficient vector over
+case, a single partial is a row of that, and its values are its order 0,
+the numbers its seminorms sample.  gamma! has one table, _factorials.
+Every polynomial is one class, Polynomial3: a dense coefficient vector over
 monomial_indices(degree) in a frame.  A physical polynomial's frame is the
 identity, so its points are not mapped; an Interpolant's is (verts, J^{-T}).
 Its partials of order m are one matrix product, the order-m derivative
@@ -88,6 +89,16 @@ def derivative_indices(m: int) -> list[MultiIndex]:
         for a in range(m, -1, -1)
         for b in range(m - a, -1, -1)
     ]
+
+
+@lru_cache(maxsize=16)
+def _factorials(m: int) -> np.ndarray:
+    """gamma! for every |gamma| = m in derivative_indices(m) order, as a
+    read-only column: the package's one table of gamma!, for expressions'
+    partials, Taylor coefficients (_taylor_plan) and multinomial weights."""
+    out = np.array([math.prod(map(math.factorial, g)) for g in derivative_indices(m)], dtype=float)
+    out.flags.writeable = False
+    return out[:, None]
 
 
 def monomial_indices(k: int) -> list[MultiIndex]:
@@ -292,15 +303,19 @@ class Polynomial3:
     __call__ = evaluate
 
     def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
+        """d^gamma at pts, a row of partials(|gamma|, pts)."""
+        gamma = _multi_index(gamma)
         m = sum(gamma)
-        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
+        return self.partials(m, pts)[derivative_indices(m).index(gamma)]
 
     def partials(self, m: int, pts) -> np.ndarray:
-        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order.
+        """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m)
+        order; InputError unless m is an integer >= 0.
 
         Numpy warnings are silenced, as an overflow shows as a value that is
         not finite and callers check finiteness.
         """
+        m = integer(m, "a derivative order")
         with np.errstate(all="ignore"):
             return self._matrix(m) @ self._table(pts, m)
 
@@ -312,6 +327,7 @@ class Polynomial3:
         A product with one column (m = degree, against the constant row) is a
         broadcast multiply: the same one rounding per entry, without a matrix
         product's set-up."""
+        orders = _checked_orders(orders)
         with np.errstate(all="ignore"):
             table = self._table(pts, min(orders))
             return [d * table[:1] if d.shape[1] == 1 else d @ table[: d.shape[1]]
@@ -423,8 +439,20 @@ def _taylor_plan(degree: int):
         if a >= g[0] and b >= g[1] and c >= g[2]
     ]
     target, source, power, factor = (np.array(e) for e in zip(*entries))
-    scale = np.array([1.0 / math.prod(map(math.factorial, g)) for g in index])
+    scale = np.concatenate([1.0 / _factorials(m)[:, 0] for m in range(degree + 1)])
     return target, source, power.T, factor.astype(float), scale
+
+
+def _checked_orders(orders):
+    """orders, after InputError unless it is a tuple, list or range of one or
+    more integers >= 0 (an int passes at no call: partials_of runs per block)."""
+    if not isinstance(orders, (tuple, list, range)) or len(orders) == 0:
+        raise InputError("derivative orders are a sequence of one or more integers >= 0, "
+                         "got %r" % (orders,))
+    for m in orders:
+        if type(m) is not int or m < 0:
+            integer(m, "a derivative order")
+    return orders
 
 
 def _one_per_point(values, n: int) -> np.ndarray:
@@ -446,12 +474,6 @@ class RankOne(NamedTuple):
     column: np.ndarray
     scale: np.ndarray
 
-    def array(self) -> np.ndarray:
-        """The (n_gamma, N) array it stands for, a new one; numpy warnings
-        are silenced, as callers check finiteness."""
-        with np.errstate(all="ignore"):
-            return (self.column[:, None] * self.row) * self.scale[:, None]
-
 
 class ScalarField:
     """A scalar function with its partial derivatives up to a declared order.
@@ -460,7 +482,8 @@ class ScalarField:
     (n_gamma, N) array with rows in derivative_indices(m) order, a new array
     that the caller owns and may overwrite.  pts is an (N, 3) array or
     Samples, whose points x a field without a frame evaluates.  partials(m,
-    pts) is its one-order case and a single partial is one row of that.
+    pts) is its one-order case, a single partial is one row of that, and
+    the values are order 0; bad orders or multi-indices raise InputError.
     A caller that can reduce a RankOne names orders in rank_one; an
     expression whose root is a ridge g(a . x + b) returns those orders as
     RankOne pairs, and so does a residual for its orders above k, while every
@@ -470,14 +493,14 @@ class ScalarField:
     polynomial the Polynomial3 that as_field wrapped, else None: a residual
     of it holds its orders <= k in the interpolant's frame.
 
-    ScalarField(eval_fn, partial_fn, order) adapts a per-gamma partial_fn(gamma,
-    pts): one call per gamma of order >= 1, and order 0 is eval_fn; order is
-    None (every order) or an integer >= 0, else InputError.  Without
-    a partial_fn the field is values-only, of order 0: interpolate and
-    |.|_{0,p} accept it, and an exact source of partials is
-    field_from_expression or Polynomial3.  The partials are taken as exact:
-    scale and exact_partials are constants, and the keywords accept only
-    them.
+    ScalarField(fn, partial_fn, order) adapts a plain callable fn for the
+    values and a per-gamma partial_fn(gamma, pts): one call per gamma of
+    order >= 1, and order 0 is fn; order is None (every order) or an
+    integer >= 0, else InputError.  Without a partial_fn the field is
+    values-only, of order 0: interpolate and |.|_{0,p} accept it, and an
+    exact source of partials is field_from_expression or Polynomial3.  The
+    partials are taken as exact: scale and exact_partials are constants, and
+    the keywords accept only them.
     """
 
     scale = 1.0
@@ -487,7 +510,7 @@ class ScalarField:
 
     def __init__(
         self,
-        eval_fn: Callable[[np.ndarray], np.ndarray],
+        fn: Callable[[np.ndarray], np.ndarray],
         partial_fn: Callable[[MultiIndex, np.ndarray], np.ndarray] | None = None,
         order: int | None = None,
         scale: float = 1.0,
@@ -504,32 +527,29 @@ class ScalarField:
         def partials_of(orders, pts):
             pts = _points(pts)
             return [np.stack([
-                _one_per_point(eval_fn(pts) if m == 0 else partial_fn(g, pts), len(pts))
+                _one_per_point(fn(pts) if m == 0 else partial_fn(g, pts), len(pts))
                 for g in derivative_indices(m)
             ]) for m in orders]
 
-        self._eval, self._partials = eval_fn, partials_of
+        self._partials = partials_of
         self.order, self.degree = (0 if partial_fn is None else order), None
 
     @classmethod
-    def _of(cls, eval_fn, partials_fn, order: int | None = None,
-            degree: int | None = None, rank_one: bool = False,
-            polynomial: "Polynomial3 | None" = None) -> "ScalarField":
+    def _of(cls, partials_fn, order: int | None = None, degree: int | None = None,
+            rank_one: bool = False, polynomial: "Polynomial3 | None" = None) -> "ScalarField":
         """The field whose partials_of is partials_fn(orders, pts), which
         takes the rank_one keyword when rank_one is True: how expressions,
         polynomials and residuals are built."""
         out = cls.__new__(cls)
-        out._eval, out._partials, out.order, out.degree = eval_fn, partials_fn, order, degree
+        out._partials, out.order, out.degree = partials_fn, order, degree
         out._rank_one, out.polynomial = rank_one, polynomial
         return out
 
     def __call__(self, pts) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _one_per_point(self._eval(p), p.shape[0])
+        """The values at pts (N, 3), an (N,) array: order 0 of partials_of."""
+        return self.partials_of((0,), pts)[0][0]
 
-    def partial(self, gamma: MultiIndex, pts) -> np.ndarray:
-        m = sum(gamma)
-        return self.partials(m, pts)[derivative_indices(m).index(tuple(gamma))]
+    partial = Polynomial3.partial  # a row of partials(|gamma|, pts)
 
     def partials(self, m: int, pts) -> np.ndarray:
         """Every d^gamma with |gamma| = m at pts, rows in derivative_indices(m) order."""
@@ -538,6 +558,7 @@ class ScalarField:
     def partials_of(self, orders, pts, rank_one=()) -> list:
         """partials(m, pts) for each m in orders, from one call; an order in
         rank_one may come back as a RankOne instead of its array."""
+        orders = _checked_orders(orders)
         if self.order is not None and max(orders) > self.order:
             raise DerivativeUnavailable(
                 "field declares order %d, requested |gamma| = %d; field_from_expression "
@@ -574,7 +595,7 @@ def as_field(v) -> ScalarField:
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, Polynomial3):
-        return ScalarField._of(v.evaluate, v.partials_of, degree=v.degree, polynomial=v)
+        return ScalarField._of(v.partials_of, degree=v.degree, polynomial=v)
     return ScalarField(v)
 
 
@@ -704,13 +725,8 @@ def _residual(v: ScalarField, ip: Interpolant) -> ScalarField:
                     np.subtract(a, next(below), out=a)
         return out
 
-    return ScalarField._of(
-        lambda pts: _minus(v(pts), ip.evaluate(pts)),
-        partials_of,
-        v.order,
-        None if v.degree is None else max(v.degree, ip.degree),
-        rank_one=True,
-    )
+    return ScalarField._of(partials_of, v.order,
+                           None if v.degree is None else max(v.degree, ip.degree), rank_one=True)
 
 
 def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
@@ -722,8 +738,3 @@ def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
         coef[: len(ip.coef)] -= ip.coef
     return Polynomial3._held(coef, degree, ip._frame)
 
-
-def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b, with numpy warnings silenced: callers check finiteness."""
-    with np.errstate(all="ignore"):
-        return a - b

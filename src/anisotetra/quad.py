@@ -17,10 +17,10 @@ The samples |d^gamma u| are the field's own partials, which are exact for
 every field (interp.ScalarField); a plain callable has values only, so it
 gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
 
-One sampling loop serves several seminorms of one field on one element
-(seminorms_with_info; seminorm_with_info is its one-spec case).  Both are
-wrappers that test T's volume and build its frame; _seminorms is the loop,
-on a frame and a volume that verify.error_ratio built once for its call.
+One sampling loop, _seminorms, serves seminorms of one field and one p on
+one element: verify.error_ratio's two, on the frame and volume it built
+once for its call, and the one of seminorm_with_info, the public entry, a
+wrapper that tests T's volume and builds its frame.
 Sample sets are cached interp.SampleSets, read-only barycentric rows placed
 on the frame's vertices once per call, so that every interpolant (and any
 polynomial in that frame) reads its cached monomial table at them instead of
@@ -88,11 +88,12 @@ from .interp import (
     RankOne,
     SampleSet,
     ScalarField,
+    _factorials,
     _frame,
     as_field,
     derivative_indices,
 )
-from .lattice import _multi_index, gauss_jacobi, unit_weights
+from .lattice import gauss_jacobi, unit_weights
 
 MAX_RULE_DEGREE = 20
 DEFAULT_NUMERIC_DEGREE = 12
@@ -183,20 +184,12 @@ def validate_p(k: int, m: int, p: float) -> tuple[bool, str]:
     return False, "p must satisfy 1 <= p <= inf, got p=%s" % (p,)
 
 
-def multinomial_weight(gamma: MultiIndex) -> float:
-    """|gamma|! / gamma!; a gamma that is not three integers >= 0 raises InputError."""
-    gamma = _multi_index(gamma)
-    m = sum(gamma)
-    return math.factorial(m) / (
-        math.factorial(gamma[0]) * math.factorial(gamma[1]) * math.factorial(gamma[2])
-    )
-
-
 @lru_cache(maxsize=16)
 def _multinomial_weights(m: int) -> np.ndarray:
-    """multinomial_weight(gamma) for every |gamma| = m, in derivative_indices(m)
-    order, as a read-only vector."""
-    out = np.array([multinomial_weight(g) for g in derivative_indices(m)])
+    """|gamma|!/gamma! for every |gamma| = m, in derivative_indices(m) order,
+    as a read-only vector: m! over interp's table of gamma!, the correctly
+    rounded quotient of the integers for m <= 22, where m! is a float."""
+    out = math.factorial(m) / _factorials(m)[:, 0]
     out.flags.writeable = False
     return out
 
@@ -300,21 +293,16 @@ class _RunningMax:
         return float(self.best[g]), ((self.gammas[g], self.where[g]) if self.best[g] > 0 else None)
 
 
-def _checked_degree(specs, degree) -> int | None:
-    """An explicit quadrature degree as a Python int, None for none:
-    UnsupportedDegree where it is not an integer in [1, MAX_RULE_DEGREE] or
-    a spec has p = inf (which samples a lattice), the first spec's reason
-    first."""
+def _checked_degree(p: float, degree) -> int | None:
+    """An explicit quadrature degree for seminorms of exponent p as a Python
+    int, None for none: UnsupportedDegree at p = inf, which samples a
+    lattice, or where it is not an integer in [1, MAX_RULE_DEGREE]."""
     if degree is None:
         return None
-    if not (specs and specs[0].p == math.inf):
-        checked = integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
-    if any(spec.p == math.inf for spec in specs):
-        raise UnsupportedDegree(
-            "a quadrature degree applies to finite p only; p = inf samples "
-            "a lattice, got degree %r" % (degree,)
-        )
-    return checked
+    if p == math.inf:
+        raise UnsupportedDegree("a quadrature degree applies to finite p only; p = inf samples "
+                                "a lattice, got degree %r" % (degree,))
+    return integer(degree, "quadrature degree", 1, MAX_RULE_DEGREE, UnsupportedDegree)
 
 
 def _rule_degrees(
@@ -420,10 +408,9 @@ def _plan(poly_degree: int | None, specs: tuple, degree: int | None) -> _Plan:
     passed; cached, so that a run of calls with the same seminorms builds it
     once."""
     rule_degrees = [_rule_degrees(spec, poly_degree, degree) for spec in specs]
-    # Every d^gamma u is 0 above a known polynomial degree.
-    live = [poly_degree is None or spec.m <= poly_degree for spec in specs]
-    sampled = tuple(i for i, spec in enumerate(specs) if spec.p != math.inf and live[i])
-    peaked = [i for i, spec in enumerate(specs) if spec.p == math.inf and live[i]]
+    # Every d^gamma u is 0 above a known polynomial degree.  specs share one p.
+    live = [i for i, spec in enumerate(specs) if poly_degree is None or spec.m <= poly_degree]
+    sampled, peaked = (tuple(live), []) if specs[0].p != math.inf else ((), live)
     # A polynomial's partials of order m >= degree - 1 are affine and peak at
     # a vertex; its other maxima are polished where the Hessian can be nonzero.
     affine = [i for i in peaked if poly_degree is not None and poly_degree - specs[i].m <= 1]
@@ -436,7 +423,7 @@ def _plan(poly_degree: int | None, specs: tuple, degree: int | None) -> _Plan:
         stack, rows = _rule_stack(tuple(sorted({d for i in sampled for d in rule_degrees[i]})))
     steps = []
     for i, spec in enumerate(specs):
-        if not live[i]:
+        if i not in live:
             steps.append(SeminormInfo(0.0, rule_degrees[i][-1] if rule_degrees[i] else None))
         elif spec.p != math.inf:
             steps.append(_reduction(spec.m, rule_degrees[i], rows))
@@ -449,41 +436,14 @@ def _plan(poly_degree: int | None, specs: tuple, degree: int | None) -> _Plan:
                  frozenset(lattice if poly_degree is not None else ()), tuple(steps))
 
 
-def _checked_specs(specs) -> tuple:
-    """specs, a list or tuple of SeminormSpec, as a tuple; InputError for
-    anything else, a bare spec included."""
-    if not (isinstance(specs, (list, tuple)) and all(isinstance(s, SeminormSpec) for s in specs)):
-        raise InputError("specs must be a list of SeminormSpec, got %r" % (specs,))
-    return tuple(specs)
-
-
-def seminorms_with_info(
-    u, t: Tetrahedron, specs, degree: int | None = None
-) -> list[SeminormInfo]:
-    """|u|_{m,p,T} plus metadata for each spec, from one sampling loop.
-
-    Every quadrature rule the finite-p specs need is one stacked sample set,
-    evaluated by one partials_of call for every order, and each block of the
-    p = inf lattice by one more, or the four vertices where a polynomial's
-    partials are affine; each spec then reads its own rules' rows.
-    Errors come in spec order, and for one spec in the order of its rules;
-    specs that are not a list of SeminormSpec raise InputError.
-    A wrapper: it tests t's volume and builds its frame (interp.pull_back),
-    which verify.error_ratio builds once per call and hands to _seminorms.
-    """
-    specs = _checked_specs(specs)
-    vol = volume(t)  # DegenerateTetrahedron at every p
-    return _seminorms(as_field(u), _frame(t.as_array()), vol, specs, degree)
-
-
 def _seminorms(field_u: ScalarField, frame, vol: float, specs,
                degree: int | None) -> list[SeminormInfo]:
-    """seminorms_with_info of a field on the element whose frame is
-    pull_back's (verts, J^{-T}) and whose volume is vol: every sample set is
-    placed on frame's vertices, the arrays an interpolant in that frame
-    holds, and a polish step is tested against it.  specs are checked, and
-    degree is checked here, before the _plan lookup."""
-    degree = _checked_degree(specs, degree)
+    """|u|_{m,p,T} plus metadata for each of specs, SeminormSpecs of one p,
+    errors in spec order, on the element whose frame is pull_back's (verts,
+    J^{-T}) and whose volume is vol: every sample set is placed on frame's
+    vertices, the arrays an interpolant in that frame holds, and a polish
+    step is tested against it.  degree is checked here, before _plan."""
+    degree = _checked_degree(specs[0].p, degree)
     plan = _plan(field_u.degree, tuple(specs), degree)
     verts = frame[0]
     samples = {}  # per spec, |partials| or a RankOne over the stack
@@ -608,13 +568,16 @@ def _rank_one_totals(pair: RankOne, plan: _Reduction, weights: np.ndarray,
 def seminorm_with_info(
     u, t: Tetrahedron, spec: SeminormSpec, degree: int | None = None
 ) -> SeminormInfo:
-    """|u|_{m,p,T} plus quadrature metadata and warnings: seminorms_with_info
-    for one spec.
+    """|u|_{m,p,T} plus quadrature metadata and warnings.
 
     u is anything interp.as_field accepts, whose polynomial degree picks the
     exact rule at even p and the p = inf polish.  degree fixes the quadrature
     exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
-    and at p = inf, which samples a lattice).
+    and at p = inf, which samples a lattice); a spec that is not a
+    SeminormSpec raises InputError.  A wrapper around _seminorms: it tests
+    t's volume and builds its frame, which verify.error_ratio builds itself.
     """
-    return seminorms_with_info(u, t, [spec], degree)[0]
-
+    if not isinstance(spec, SeminormSpec):
+        raise InputError("spec must be a SeminormSpec, got %r" % (spec,))
+    vol = volume(t)  # DegenerateTetrahedron at every p
+    return _seminorms(as_field(u), _frame(t.as_array()), vol, (spec,), degree)[0]

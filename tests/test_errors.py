@@ -47,7 +47,7 @@ from anisotetra.errors import (
 )
 from anisotetra.interp import Interpolant, ScalarField
 from anisotetra.lattice import gauss_jacobi
-from anisotetra.quad import SeminormSpec, multinomial_weight, seminorms_with_info
+from anisotetra.quad import SeminormSpec
 
 NAN = math.nan
 HUGE = 10**400  # an integer beyond the float range
@@ -58,6 +58,10 @@ T = reference_tetrahedron(TYPE1)
 UNIFORM = TetraGenSpec("uniform", 0)
 LINEAR = Polynomial3({(1, 0, 0): 1.0})
 SPEC = SeminormSpec(1, 2)
+# One field of each kind: a polynomial, an expression, a per-gamma partial_fn.
+FIELDS = {"Polynomial3": Polynomial3({(2, 1, 0): 1.0}), "expression": V,
+          "per-gamma": ScalarField(V, partial_fn=V.partial)}
+PTS = np.array([[0.1, 0.2, 0.3]])
 # Frames (verts, J^{-T}) that are not pull_back's shapes, or not arrays.
 FRAMES = {
     "verts (3, 3)": (np.zeros((3, 3)), np.eye(3)),
@@ -92,8 +96,6 @@ TABLE = [
           UnsupportedDegree, True, 12.5, [12], 0, 21),
     *rows("error_ratio.degree", lambda d: error_ratio(V, T, 2, 1, 2.0, degree=d),
           UnsupportedDegree, True, 12.5, [12]),
-    *rows("seminorms_with_info.degree", lambda d: seminorms_with_info(V, T, [], degree=d),
-          UnsupportedDegree, (RAW, [12]), (RAW, 0)),
     # gamma_max.
     *rows("mac_bound_constants.gamma_max", mac_bound_constants, InvalidGammaMax,
           True, (RAW, "2"), NAN, 3.5),
@@ -150,16 +152,21 @@ TABLE = [
           (RAW, True), (RAW, 2.5), (RAW, "2"), (RAW, -1)),
     *rows("quotient_coefficients.delta", lambda d: quotient_coefficients((d, 0, 0)), InputError,
           (RAW, True), (RAW, 1.5), (RAW, "1"), (RAW, -1)),
-    *rows("multinomial_weight.gamma", lambda g: multinomial_weight((g, 0, 0)), InputError,
-          (RAW, True), (RAW, 1.5), (RAW, "1"), (RAW, -1)),
     *rows("SeminormSpec.m", lambda m: SeminormSpec(m, 2.0), InputError, True, 1.5, "1", -1),
     *rows("SeminormSpec.p", lambda p: SeminormSpec(1, p), InputError,
           (RAW, True), "2", NAN, 0.5, (RAW, HUGE)),
-    # The specs of a seminorm: a list of SeminormSpec, nothing else.
+    # The spec of a seminorm: a SeminormSpec, nothing else.
     *rows("seminorm_with_info.spec", lambda s: seminorm_with_info(V, T, s), InputError,
           (RAW, (1, 2)), (RAW, None)),
-    *rows("seminorms_with_info.specs", lambda s: seminorms_with_info(V, T, s), InputError,
-          (RAW, SPEC), (RAW, [SPEC, None])),
+    # Derivative orders and multi-indices, on every kind of field.
+    *(row for name, f in FIELDS.items() for row in [
+        *rows(name + ".partials_of.orders", lambda o, f=f: f.partials_of(o, PTS), InputError,
+              (RAW, ()), (RAW, (-1,)), (RAW, (1.0,)), (RAW, 2)),
+        *rows(name + ".partials.m", lambda m, f=f: f.partials(m, PTS), InputError,
+              (RAW, True), (RAW, 1.0), (RAW, "1"), (RAW, -1)),
+        *rows(name + ".partial.gamma", lambda g, f=f: f.partial(g, PTS), InputError,
+              (RAW, (True, 0, 0)), (RAW, (1.0, 0, 0)), (RAW, (1, 0)), (RAW, (-1, 1, 0))),
+    ]),
     *rows("ScalarField.order", lambda o: ScalarField(V, lambda g, pts: V.partial(g, pts), o),
           InputError, (RAW, True), (RAW, "2"), (RAW, -1)),
     *rows("gauss_jacobi.n", lambda n: gauss_jacobi(n, 0), InputError,
@@ -194,7 +201,5 @@ def test_a_malformed_shape_is_an_input_error_too():
     # Not a 2-D table from a two-entry delta, nor a broadcast ValueError.
     with pytest.raises(InputError):
         quotient_coefficients((1, 0))
-    with pytest.raises(InputError):
-        multinomial_weight((1, 0))
     with pytest.raises(InputError):
         squeeze_sweep(1, 0, 2.0, alphas=[(1, 1)])

@@ -705,6 +705,23 @@ class TestInFrame:
         for m, rows in zip([4, 5], got[3:]):
             assert np.array_equal(rows, v.partials(m, samples.x)), m
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_residual_values_are_its_order_0_partials(self, eps):
+        # A field has one source of values, its order-0 partials, which the
+        # seminorms sample: bit for bit on a rotated needle, where v(x) - I v(x)
+        # in physical coordinates and the residual held in the frame differ
+        # by about 1e-15 for a polynomial v.
+        t = rotated(FLAT["needle"](eps))
+        x = np.random.default_rng(3).dirichlet(np.ones(4), 200) @ t.as_array()
+        ridge = field_from_expression("sin((0.4)*x + (1.1)*y + (-0.6)*z + (0.2))")
+        for k in (1, 2, 3, 4):
+            fields = [v for _, v in corpus(k, t) if isinstance(v, Polynomial3)]
+            assert len(fields) == 7  # six polynomials and the bubble
+            fields += [ridge, ScalarField(ridge, partial_fn=ridge.partial)]
+            for v in fields:
+                u = residual(v, t, k)
+                assert np.array_equal(u(x), u.partials(0, x)[0]), (k, v)
+
     def test_a_physical_polynomial_builds_no_table_per_lattice_block(self, monkeypatch):
         # At p = inf its orders <= k read each block's cached xi table and its
         # affine order k + 1 is taken at the four vertices, so once the tables

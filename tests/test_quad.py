@@ -30,10 +30,8 @@ from anisotetra.quad import (
     MAX_RULE_DEGREE,
     SeminormSpec,
     derivative_indices,
-    multinomial_weight,
     rule_for_degree,
     seminorm_with_info,
-    seminorms_with_info,
     validate_p,
 )
 from anisotetra.verify import TetraGenSpec, corpus, error_ratio, generate
@@ -43,6 +41,12 @@ T_HAT = reference_tetrahedron(TYPE1)
 ANISO = Tetrahedron.from_points(
     [(0.1, 0.0, 0.2), (1.3, 0.1, 0.0), (0.2, 0.8, 0.1), (0.3, 0.2, 0.9)]
 )
+
+
+def on_frame(u, t, specs, degree=None):
+    """quad._seminorms of specs of one p on t's frame and volume, as
+    verify.error_ratio takes its two."""
+    return quad._seminorms(as_field(u), pull_back(t), volume(t), tuple(specs), degree)
 
 
 def simplex_monomial_integral(a, b, c):
@@ -380,7 +384,7 @@ class TestSupSeminorm:
         # The four vertices give an exact maximum, and an order above the
         # degree an exact 0, so only a lattice maximum is labelled approximate.
         u = Polynomial3.dense(np.cos(np.arange(35.0)), 4)
-        infos = seminorms_with_info(u, ANISO, [SeminormSpec(m, math.inf) for m in (2, 3, 4, 5)])
+        infos = on_frame(u, ANISO, [SeminormSpec(m, math.inf) for m in (2, 3, 4, 5)])
         assert [info.warnings for info in infos] == [
             ("p=inf maximum from dense sampling; value is approximate",), (), (), ()]
         assert infos[3].value == 0.0
@@ -398,9 +402,15 @@ class TestWeights:
             assert len(derivative_indices(m)) == math.comb(m + 2, 2)
 
     def test_multinomial_weight_values(self):
-        assert multinomial_weight((2, 0, 0)) == 1.0
-        assert multinomial_weight((1, 1, 0)) == 2.0
-        assert multinomial_weight((1, 1, 1)) == 6.0
+        # derivative_indices order: (2,0,0), (1,1,0), (1,0,1), (0,2,0), ...
+        assert quad._multinomial_weights(2).tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
+        assert quad._multinomial_weights(3)[derivative_indices(3).index((1, 1, 1))] == 6.0
+        # m! over the gamma! table is |gamma|!/gamma! in integers, correctly
+        # rounded, for every m whose m! is a float.
+        for m in range(23):
+            want = [math.factorial(m) / math.prod(map(math.factorial, g))
+                    for g in derivative_indices(m)]
+            assert quad._multinomial_weights(m).tolist() == want, m
 
 
 WAVE = np.array([0.5, -0.3, 0.8])
@@ -432,7 +442,7 @@ class TestSharedSampling:
         specs = [SeminormSpec(m, p), SeminormSpec(k + 1, p)]
         for u in (v, residual(v, ANISO, k)):
             want = [seminorm_with_info(u, ANISO, s, degree=degree) for s in specs]
-            assert seminorms_with_info(u, ANISO, specs, degree=degree) == want
+            assert on_frame(u, ANISO, specs, degree) == want
 
     def test_a_rule_of_another_spec_between_a_specs_rules(self):
         # A degree-11 polynomial at p = 2: |u|_{0,2} takes the 12/18 pair (its
@@ -443,7 +453,7 @@ class TestSharedSampling:
         specs = [SeminormSpec(0, 2.0), SeminormSpec(4, 2.0)]
         want = [seminorm_with_info(v, ANISO, s) for s in specs]
         assert [w.quadrature_degree for w in want] == [quad.RICHARDSON_DEGREE, 14]
-        assert seminorms_with_info(v, ANISO, specs) == want
+        assert on_frame(v, ANISO, specs) == want
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_errors_come_in_request_order(self, p):
@@ -467,7 +477,7 @@ class TestSharedSampling:
 
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
-            seminorms_with_info(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
+            on_frame(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
 
 
 # The rule-by-rule reduction that the run-wise _p_sum replaced, kept as the
@@ -682,7 +692,7 @@ class TestRankOneSeminorms:
         for m in range(1, 6):
             vals = materialized(v).partials(m, stack.on(t.as_array()))
             vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]])
-            weights = np.array([multinomial_weight(g) for g in derivative_indices(m)], dtype=ld)
+            weights = quad._multinomial_weights(m).astype(ld)
             for p in (1.0, 2.0, 3.0, 7.5):
                 sums = vals.astype(ld) ** ld(p) @ rule.weights.astype(ld)
                 total = weights @ sums * ld(volume(t))
@@ -709,7 +719,7 @@ class TestRankOneSeminorms:
             vals = materialized(v).partials(m, stack.on(ANISO.as_array()))
             vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]]).astype(ld)
             top = vals.max()
-            weights = np.array([multinomial_weight(g) for g in derivative_indices(m)], dtype=ld)
+            weights = quad._multinomial_weights(m).astype(ld)
             total = weights @ ((vals / top) ** ld(p) @ rule.weights.astype(ld)) * ld(volume(ANISO))
             want = float(top * total ** (1 / ld(p)))
             got = seminorm_with_info(v, ANISO, SeminormSpec(m, p)).value

@@ -276,8 +276,9 @@ def test_polynomial_partials_are_one_matrix_product():
 def test_one_field_class_with_one_source_of_partials():
     # Every field is a ScalarField whose partials come from one primitive,
     # partials_of: no class in the package subclasses ScalarField, it
-    # defines partials_of once, and no finite-difference path (_fd_partial)
-    # or second field protocol (_OnePass) is left.
+    # defines partials_of once, its values are order 0 of it (it keeps no
+    # _eval), and no finite-difference path (_fd_partial) or second field
+    # protocol (_OnePass) is left.
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
     fields = [c for c in classes if c.name == "ScalarField"]
@@ -287,6 +288,7 @@ def test_one_field_class_with_one_source_of_partials():
     assert not subclasses, "ScalarField subclasses: %r" % subclasses
     methods = [n.name for n in fields[0].body if isinstance(n, ast.FunctionDef)]
     assert methods.count("partials_of") == 1
+    assert "_eval" not in {n.attr for n in ast.walk(fields[0]) if isinstance(n, ast.Attribute)}
     names = {n.name for tree in trees for n in ast.walk(tree)
              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     names = names.union(*map(name_uses, trees))

@@ -55,3 +55,35 @@ def test_an_exception_against_a_value_differs():
 
 def test_a_row_on_one_side_only_differs():
     assert value_grid.compare({"a": record(0.1)}, {})[0] == ["a"]
+
+
+class Info:
+    """The SeminormInfo field the seminorm column reads."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def test_the_public_seminorm_is_a_column_compared_bit_for_bit():
+    row = record(0.1)
+    moved = math.nextafter(0.25, 1.0)
+    parent = {"a": dict(row, **value_grid.seminorm(lambda: Info(0.25)))}
+    assert parent["a"]["seminorm"] == (0.25).hex()
+    assert value_grid.compare(parent, {"a": dict(row, **value_grid.seminorm(lambda: Info(0.25)))}) \
+        == ([], {})
+    differing, worst = value_grid.compare(
+        parent, {"a": dict(row, **value_grid.seminorm(lambda: Info(moved)))})
+    assert differing == ["a"]
+    assert worst["seminorm"] == (moved - 0.25) / moved and worst["error"] == 0.0
+
+
+def test_a_seminorm_exception_against_a_value_differs():
+    def fails():
+        raise ValueError("bad spec")
+
+    raised = value_grid.seminorm(fails)
+    assert raised == {"seminorm_exception": ["ValueError", "bad spec"]}
+    row = record(0.1)
+    differing, worst = value_grid.compare({"a": dict(row, **raised)},
+                                          {"a": dict(row, **value_grid.seminorm(lambda: Info(1.0)))})
+    assert differing == ["a"] and "seminorm" not in worst

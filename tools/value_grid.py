@@ -9,13 +9,16 @@ elements are generate(TetraGenSpec("mixed", 7), 12), then 3 needles (seed
 (2,1,2), (2,2,inf), (3,1,3), (3,2,2), (4,1,2), (4,2,inf), (4,4,3) and
 (3,3,inf).  The fields are the 20 of corpus(k, t), a degree-k polynomial
 with coefficients from default_rng([i, k]) on element i, and
-x*sin(y) + exp(0.3*z).
+x*sin(y) + exp(0.3*z).  Each row also records the public seminorm entry,
+seminorm_with_info(v, t, SeminormSpec(k + 1, p)).value, so that the
+wrapper around the seminorm loop is compared too.
 
 REV is unpacked with bench_pairs.unpack under --scratch; each side computes
 the grid in its own subprocess, with its own tree's src/ first on
 PYTHONPATH, and prints one record per row: error, seminorm_hi, ratio and
 bound_factor as float.hex strings, indeterminate and warnings, or the class
-name and message of the exception the call raised.  The tool prints every
+name and message of the exception the call raised; and the seminorm as a
+float.hex string, or its exception.  The tool prints every
 row whose records differ and the largest relative change per float column,
 and exits 1 on any difference, 0 when every row is the same.
 """
@@ -32,7 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FLOATS = ("error", "seminorm_hi", "ratio", "bound_factor")
+RESULT = ("error", "seminorm_hi", "ratio", "bound_factor")  # ErrorRatioResult's floats
+FLOATS = RESULT + ("seminorm",)
 INF = math.inf
 SPECS = ((1, 0, 2.0), (1, 1, 3.0), (2, 1, 2.0), (2, 2, INF), (3, 1, 3.0),
          (3, 2, 2.0), (4, 1, 2.0), (4, 2, INF), (4, 4, 3.0), (3, 3, INF))
@@ -44,8 +48,9 @@ def grid() -> dict:
     anisotetra that sys.path finds."""
     import numpy as np
 
-    from anisotetra import (Polynomial3, TetraGenSpec, corpus, error_ratio,
-                            field_from_expression, generate, monomial_indices)
+    from anisotetra import (Polynomial3, SeminormSpec, TetraGenSpec, corpus, error_ratio,
+                            field_from_expression, generate, monomial_indices,
+                            seminorm_with_info)
 
     elements = (generate(TetraGenSpec("mixed", 7), 12)
                 + generate(TetraGenSpec("needle", 3, {"eps": 1e-5}), 3)
@@ -57,8 +62,9 @@ def grid() -> dict:
             fields = corpus(k, t) + [("poly_k", Polynomial3.dense(coef, k)),
                                      ("extra", field_from_expression(EXTRA))]
             for name, v in fields:
-                rows["%d/%d,%d,%s/%s" % (i, k, m, p, name)] = record(
-                    lambda: error_ratio(v, t, k, m, p))
+                rows["%d/%d,%d,%s/%s" % (i, k, m, p, name)] = dict(
+                    record(lambda: error_ratio(v, t, k, m, p)),
+                    **seminorm(lambda: seminorm_with_info(v, t, SeminormSpec(k + 1, p))))
     return rows
 
 
@@ -68,10 +74,19 @@ def record(call) -> dict:
         r = call()
     except Exception as exc:  # a raw error is a result to compare too
         return {"exception": [type(exc).__name__, str(exc)]}
-    out = {name: float(getattr(r, name)).hex() for name in FLOATS}
+    out = {name: float(getattr(r, name)).hex() for name in RESULT}
     out["indeterminate"] = bool(r.indeterminate)
     out["warnings"] = list(r.warnings)
     return out
+
+
+def seminorm(call) -> dict:
+    """call()'s SeminormInfo value as the seminorm column, or the exception
+    it raised as seminorm_exception."""
+    try:
+        return {"seminorm": float(call().value).hex()}
+    except Exception as exc:  # a raw error is a result to compare too
+        return {"seminorm_exception": [type(exc).__name__, str(exc)]}
 
 
 def relative_change(a: str, b: str) -> float:
