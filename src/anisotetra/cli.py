@@ -12,11 +12,17 @@ Exit codes: 0 success, 2 bad input, 3 degenerate geometry, 4 numerical
 failure.  Reports are JSON with floats at 17 significant digits; sweep tables
 are CSV with a fixed, versioned column order.  The seed of `mac` is its
 --seed (default 0), which the report's config echoes.
+
+A report's keys are its result type's fields in declaration order: SweepResult
+and its SweepRows, ErrorRatioResult after "field", MacReport then
+counterexamples, analyze's Classification.  A JSON name that differs from its
+attribute's (error's geometry, mac's violations) keeps a named dict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -86,6 +92,8 @@ def _json_fragment(value, indent):
         return "%.17g" % value
     if isinstance(value, str):
         return json.dumps(value)
+    if dataclasses.is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -101,6 +109,11 @@ def _json_fragment(value, indent):
         rows = ["%s%s" % (inner, _json_fragment(v, indent + 1)) for v in items]
         return "[\n%s\n%s]" % (",\n".join(rows), pad)
     raise TypeError("cannot serialize %r" % type(value))
+
+
+def _fields(result) -> dict:
+    """A result dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
 
 
 def render_json(report: dict) -> str:
@@ -121,17 +134,17 @@ def _csv_cell(value) -> str:
     return "%.17g" % float(value)
 
 
-def render_csv(rows: list[dict]) -> str:
-    """Sweep rows as CSV, each row's alpha split into alpha1..alpha3."""
+def render_csv(rows) -> str:
+    """SweepRows as CSV, each row's alpha split into alpha1..alpha3."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        a1, a2, a3 = row["alpha"]
-        cells = dict(row, schema_version=SCHEMA_VERSION, alpha1=a1, alpha2=a2, alpha3=a3)
+        a1, a2, a3 = row.alpha
+        cells = dict(_fields(row), schema_version=SCHEMA_VERSION, alpha1=a1, alpha2=a2, alpha3=a3)
         lines.append(",".join(_csv_cell(cells[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def _report(args, results: dict) -> dict:
+def _report(args, results) -> dict:
     """The report of a subcommand; its config is every parsed option in
     declaration order, output paths excepted."""
     config = {
@@ -295,13 +308,7 @@ def cmd_analyze(args) -> int:
     const = mac_bound_constants(args.gamma_max)
     results = {
         "vertices": _tetra_dict(t),
-        "classification": {
-            "kind": cls.kind,
-            "perm": list(cls.perm),
-            "alpha": list(cls.alpha),
-            "e1": list(cls.e1),
-            "e2": list(cls.e2),
-        },
+        "classification": cls,
         "standard_position": {
             "params": {
                 "s1": sp.params[0],
@@ -354,19 +361,7 @@ def cmd_error(args) -> int:
     t = _resolve_tetra(args)
     v, label = _select_field(args, t, args.k)
     result = error_ratio(v, t, args.k, args.m, args.p, degree=args.degree)
-    results = {
-        "field": label,
-        "k": result.k,
-        "m": result.m,
-        "p": result.p,
-        "error": result.error,
-        "seminorm_hi": result.seminorm_hi,
-        "bound_factor": result.bound_factor,
-        "ratio": result.ratio,
-        "indeterminate": result.indeterminate,
-        "warnings": list(result.warnings),
-        "geometry": _geometry_dict(result.geometry),
-    }
+    results = {"field": label, **_fields(result), "geometry": _geometry_dict(result.geometry)}
     _write_text(args.out, render_json(_report(args, results)))
     return 0
 
@@ -377,34 +372,9 @@ def cmd_sweep(args) -> int:
         raise InputError("--eps-levels must be %s, got %d" % (bound, args.eps_levels))
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
-    rows_out = [
-        {
-            "level": row.level,
-            "alpha": list(row.alpha),
-            "r_t": row.r_t,
-            "h_t": row.h_t,
-            "max_ratio": row.max_ratio,
-            "max_scaled": row.max_scaled,
-            "worst_field": row.worst_field,
-        }
-        for row in result.rows
-    ]
-    results = {
-        "k": result.k,
-        "m": result.m,
-        "p": result.p,
-        "kind": result.kind,
-        "field_names": list(result.field_names),
-        "rows": rows_out,
-        "max_ratio": result.max_ratio,
-        "variation_factor": result.variation_factor,
-        "slope": result.slope,
-        "slope_scaled": result.slope_scaled,
-        "trend_ok": result.trend_ok,
-    }
     if args.csv:
-        _write_text(args.csv, render_csv(rows_out))
-    _write_text(args.out, render_json(_report(args, results)))
+        _write_text(args.csv, render_csv(result.rows))
+    _write_text(args.out, render_json(_report(args, result)))
     return 0
 
 
@@ -412,27 +382,18 @@ def cmd_mac(args) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1, got %d" % args.n)
     rep = mac_experiment(args.n, args.gamma_max, seed=args.seed)
-    results = {
-        "gamma_max": rep.gamma_max,
-        "d_bound": rep.d_bound,
-        "reverse_gamma": rep.reverse_gamma,
-        "n": rep.n,
-        "forward_checked": rep.forward_checked,
-        "forward_vacuous": rep.forward_vacuous,
-        "forward_violations": [
+    results = dict(
+        _fields(rep),
+        forward_violations=[
             {"vertices": _tetra_dict(t), "H_over_h": h, "R_over_h": r}
             for t, h, r in rep.forward_violations
         ],
-        "excluded_count": rep.excluded_count,
-        "excluded_max_quality": rep.excluded_max_quality,
-        "reverse_checked": rep.reverse_checked,
-        "reverse_attempts": rep.reverse_attempts,
-        "reverse_violations": [
+        reverse_violations=[
             {"vertices": _tetra_dict(t), "max_angle": a, "R_over_h": r}
             for t, a, r in rep.reverse_violations
         ],
-        "counterexamples": rep.counterexamples,
-    }
+        counterexamples=rep.counterexamples,
+    )
     _write_text(args.out, render_json(_report(args, results)))
     return 0
 

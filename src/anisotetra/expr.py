@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ExpressionParseError
-from .interp import RankOne, ScalarField, _factorials, _points, _times
+from .interp import RankOne, ScalarField, _checked_orders, _factorials, _points, _times
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -174,8 +174,9 @@ class Node:
         part is scaled into a new array, and an order asked again is a copy.
         An order in rank_one that a ridge root gives as a pair is an
         interp.RankOne instead, whose arrays are for reading only.
-        Numpy warnings are silenced: callers check finiteness."""
-        pts = _points(pts)
+        Numpy warnings are silenced: callers check finiteness.  Orders that
+        are not one or more integers >= 0 raise InputError, as a field's do."""
+        orders, pts = _checked_orders(orders), _points(pts)
         out, done = [], {}
         with np.errstate(all="ignore"):
             jet = self.jet(pts, max(orders), tuple(sorted(set(orders))),

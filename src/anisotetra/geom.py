@@ -199,6 +199,7 @@ class Classification:
     alpha: (alpha1, alpha2, alpha3); alpha2 is the shortest edge length,
         alpha1 the longest edge adjacent to it, alpha3 = |x1 x4|.
     e1, e2: the edges as sorted original vertex index pairs.
+    The fields, in this order, are the keys of analyze's classification.
     """
 
     kind: int
@@ -329,14 +330,28 @@ def _float_pow(x: np.ndarray, e: int) -> np.ndarray:
 
 
 def batch_edge_lengths(verts: np.ndarray) -> np.ndarray:
-    """(N, 6) edge lengths in the EDGES order, as edge_lengths per row."""
-    return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
+    """(N, 6) edge lengths in the EDGES order, as edge_lengths per row; a
+    length beyond the float range is inf, as in float arithmetic, unwarned."""
+    with np.errstate(over="ignore"):
+        return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
 
 
 def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|T|, degenerate) per row; degenerate marks the rows volume() rejects."""
-    vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
-    return vol, vol < EPS_VOL_REL * _float_pow(lengths.max(axis=1), 3)
+    """(|T|, degenerate) per row by _nondegenerate_volume's rule: degenerate
+    marks the rows volume() rejects as DegenerateTetrahedron, and a row it
+    would reject as out of the float range raises its NumericalError."""
+    h_t = lengths.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
+        h4 = (h_t * h_t) * (h_t * h_t)
+    in_range = (h4 < math.inf) & (EPS_VOL_REL * h4 >= sys.float_info.min)
+    degenerate = (vol < EPS_VOL_REL * _float_pow(np.where(in_range, h_t, 0.0), 3)) | (vol == 0.0)
+    outside = np.flatnonzero(~(degenerate | in_range))
+    if len(outside):
+        i = outside[0]
+        raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
+                             "h_T^4 = %.3e" % (h_t[i], h4[i]))
+    return vol, degenerate
 
 
 def _bisector_distance(vc, vw, vf, alpha1):

@@ -400,7 +400,8 @@ class ErrorRatioResult:
     is 0, or below 1e-14 of v's own size on t,
     max|v(nodes)| * |T|^(1/p) / h_T^(k+1) (v essentially in P_k), the ratio
     is reported as 0 with the indeterminate flag set.  Both are unchanged
-    when v is scaled.
+    when v is scaled.  The fields, in this order, are the keys of the error
+    report after its field label.
     """
 
     k: int
@@ -411,8 +412,8 @@ class ErrorRatioResult:
     bound_factor: float
     ratio: float
     indeterminate: bool
+    warnings: tuple[str, ...]
     geometry: GeometryReport
-    warnings: tuple[str, ...] = ()
 
 
 def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
@@ -505,7 +506,8 @@ class SweepRow:
     r_t and h_t describe the squeezed element; worst_field names the field
     with the largest ratio.  max_ratio is its bound-factor-normalized ratio;
     max_scaled is its raw seminorm quotient divided by (max alpha)^(k+1-m),
-    the squeezing-theorem normalization.
+    the squeezing-theorem normalization.  The fields, in this order, are
+    the keys of a sweep report's rows.
     """
 
     level: int
@@ -519,12 +521,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A squeeze sweep; its fields, in this order, are the sweep report's keys."""
+
     k: int
     m: int
     p: float
     kind: int
-    rows: tuple[SweepRow, ...]
     field_names: tuple[str, ...]
+    rows: tuple[SweepRow, ...]
     max_ratio: float
     variation_factor: float
     slope: float
@@ -677,7 +681,8 @@ class MacReport:
     R_T/h_T <= D satisfies the angle bound gamma'(D) of the converse.
     forward_vacuous flags gamma_max below acos(1/3), where no tetrahedron
     can satisfy the angle condition at all.  Counterexamples carry the
-    offending vertices verbatim.
+    offending vertices verbatim.  The fields, in this order, are the keys
+    of the mac report, which appends counterexamples.
     """
 
     gamma_max: float

@@ -18,7 +18,7 @@ import pytest
 
 import geom_reference as ref
 from anisotetra import verify
-from anisotetra.errors import DegenerateTetrahedron
+from anisotetra.errors import DegenerateTetrahedron, GenerationFailure, NumericalError
 from anisotetra.geom import (
     _FACE_PAIRS,
     _PHI_KEYS,
@@ -336,17 +336,54 @@ def test_kernels_on_exact_ties_and_permutations():
     assert_kernels_match(tetras, bound=math.pi / 2)
 
 
-def test_degeneracy_mask_matches_volume():
-    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 0)]
-    rows = [flat]
-    # Lift the fourth vertex across the threshold |T| = 1e-14 h_T^3.
-    for z in np.geomspace(1e-16, 1e-12, 41):
-        rows.append([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, float(z))])
-    verts = np.array(rows, dtype=float)
+FLAT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 0)]
+# The flat element, then its fourth vertex lifted across |T| = 1e-14 h_T^3.
+LIFTS = np.array([FLAT] + [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, float(z))]
+                           for z in np.geomspace(1e-16, 1e-12, 41)])
+
+
+@pytest.mark.parametrize("e", [-240, -120, 0, 120, 240])
+def test_degeneracy_mask_matches_volume(e):
+    # Within the float range a power-of-two scale moves no bit of the test,
+    # so every scale decides each row as the unit scale does.
+    verts = LIFTS * 2.0 ** e
     _, degenerate = batch_volume(verts, batch_edge_lengths(verts))
     want = [nondegenerate(v) is None for v in verts]
     assert degenerate.tolist() == want
+    assert want == [nondegenerate(v) is None for v in LIFTS]
     assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("e", [-300, 300])
+def test_degeneracy_beyond_the_float_range_follows_volume(e):
+    # h_T^4 underflows or overflows: |T| = 0 is still degenerate, and any
+    # other row raises volume()'s NumericalError for the whole block.
+    verts = LIFTS * 2.0 ** e
+    _, degenerate = batch_volume(verts[:1], batch_edge_lengths(verts[:1]))
+    assert degenerate.tolist() == [True] and nondegenerate(verts[0]) is None
+    with pytest.raises(NumericalError) as batch:
+        batch_volume(verts, batch_edge_lengths(verts))
+    with pytest.raises(NumericalError) as scalar:
+        volume(Tetrahedron.from_points(verts[1]))
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("squeezed", {"alpha": (1e103,) * 3}),  # once a raw OverflowError
+    ("squeezed", {"alpha": (1e90,) * 3}),  # once elements that angles() refuses
+    ("needle", {"eps": 1e200}),  # once elements with h_T = inf
+])
+def test_generate_beyond_the_float_range_raises_numerical_error(family, params):
+    with pytest.raises(NumericalError, match="beyond the float range") as exc:
+        generate(TetraGenSpec(family, 0, params), 2)
+    assert type(exc.value) is NumericalError
+
+
+def test_generate_never_returns_a_zero_volume(monkeypatch):
+    # alpha = 1e-110 puts all four vertices on one point; it was returned.
+    monkeypatch.setattr(verify, "MAX_ATTEMPTS", 3)
+    with pytest.raises(GenerationFailure, match=r"\(0 nondegenerate\)"):
+        generate(TetraGenSpec("squeezed", 0, {"alpha": (1e-110,) * 3}), 2)
 
 
 def test_max_angle_at_most_decides_ties_as_the_scalar_code():

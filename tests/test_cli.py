@@ -8,11 +8,21 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from anisotetra import acceptance, cli
-from anisotetra.verify import TetraGenSpec, generate
+from anisotetra.geom import TYPE2, classify, reference_tetrahedron
+from anisotetra.verify import (
+    TetraGenSpec,
+    corpus,
+    default_alpha_grid,
+    error_ratio,
+    generate,
+    mac_experiment,
+    squeeze_sweep,
+)
 
 
 def run(argv, capsys):
@@ -524,3 +534,88 @@ def test_config_lists_every_option_once_in_declaration_order(tmp_path, capsys):
     assert report["config"]["delta"] == "1,0,0"
     mac = run_json(cases[3][0], capsys)
     assert mac["config"]["seed"] == 0  # the default seed, not an absent one
+
+
+# ---------------------------------------------------------------------------
+# Report schemas: a report's results are its result type's fields in
+# declaration order, each with the value of that attribute.  The lists below
+# pin today's key order; a new result field is a new key here too.
+
+SLIVER = "0,0,0 1,0,0 0,1e-5,0 0.3,0.2,1e-5"
+
+
+def test_analyze_classification_is_the_classification(capsys):
+    results = run_json(["analyze", "--vertices", SLIVER], capsys)["results"]
+    assert list(results) == ["vertices", "classification", "standard_position",
+                             "matrix_norms", "geometry", "mac"]
+    cls = classify(cli._parse_vertices(SLIVER))
+    assert list(results["classification"].items()) == [
+        ("kind", cls.kind), ("perm", list(cls.perm)), ("alpha", list(cls.alpha)),
+        ("e1", list(cls.e1)), ("e2", list(cls.e2)),
+    ]
+
+
+def test_error_results_are_the_field_then_the_error_ratio_result(capsys):
+    results = run_json(["error", "--tetra", "tilde", "--field", "trig0",
+                        "--k", "3", "--m", "1", "--p", "2"], capsys)["results"]
+    t = reference_tetrahedron(TYPE2)
+    r = error_ratio(dict(corpus(3, t))["trig0"], t, 3, 1, 2.0)
+    assert list(results) == ["field", "k", "m", "p", "error", "seminorm_hi", "bound_factor",
+                             "ratio", "indeterminate", "warnings", "geometry"]
+    geometry = results.pop("geometry")
+    assert list(results.items()) == [
+        ("field", "trig0"), ("k", r.k), ("m", r.m), ("p", r.p), ("error", r.error),
+        ("seminorm_hi", r.seminorm_hi), ("bound_factor", r.bound_factor), ("ratio", r.ratio),
+        ("indeterminate", r.indeterminate), ("warnings", list(r.warnings)),
+    ]
+    assert (geometry["R_T"], geometry["h_T"]) == (r.geometry.R_T, r.geometry.h[-1])
+
+
+def test_sweep_results_are_the_sweep_result_rows_included(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    results = run_json(["sweep", "--k", "2", "--m", "1", "--p", "2", "--eps-levels", "3",
+                        "--csv", str(csv_path)], capsys)["results"]
+    s = squeeze_sweep(2, 1, 2.0, alphas=default_alpha_grid(3))
+    assert list(results) == ["k", "m", "p", "kind", "field_names", "rows", "max_ratio",
+                             "variation_factor", "slope", "slope_scaled", "trend_ok"]
+    rows = results.pop("rows")
+    assert list(results.items()) == [
+        ("k", s.k), ("m", s.m), ("p", s.p), ("kind", s.kind),
+        ("field_names", list(s.field_names)), ("max_ratio", s.max_ratio),
+        ("variation_factor", s.variation_factor), ("slope", s.slope),
+        ("slope_scaled", s.slope_scaled), ("trend_ok", s.trend_ok),
+    ]
+    assert [list(row.items()) for row in rows] == [
+        [("level", r.level), ("alpha", list(r.alpha)), ("r_t", r.r_t), ("h_t", r.h_t),
+         ("max_ratio", r.max_ratio), ("max_scaled", r.max_scaled),
+         ("worst_field", r.worst_field)]
+        for r in s.rows
+    ]
+    # The CSV holds the same rows, alpha split into three columns.
+    body = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [[float(c) for c in line[1:-1]] for line in body] == [
+        [r.level, *r.alpha, r.r_t, r.h_t, r.max_ratio, r.max_scaled] for r in s.rows
+    ]
+    assert [line[-1] for line in body] == [r.worst_field for r in s.rows]
+
+
+def test_mac_results_are_the_mac_report_violations_named(capsys, monkeypatch):
+    # Counterexamples are rare, so the report gets one of each direction.
+    t = cli._parse_vertices(SLIVER)
+    rep = replace(mac_experiment(50, 2.0, seed=5), forward_violations=((t, 1.5, 2.5),),
+                  reverse_violations=((t, 3.0, 4.5),))
+    monkeypatch.setattr(cli, "mac_experiment", lambda *args, **kwargs: rep)
+    results = run_json(["mac", "--gamma-max", "2.0", "--n", "50", "--seed", "5"],
+                       capsys)["results"]
+    vertices = [list(p) for p in t.coords()]
+    assert list(results.items()) == [
+        ("gamma_max", rep.gamma_max), ("d_bound", rep.d_bound),
+        ("reverse_gamma", rep.reverse_gamma), ("n", rep.n),
+        ("forward_checked", rep.forward_checked), ("forward_vacuous", rep.forward_vacuous),
+        ("forward_violations", [{"vertices": vertices, "H_over_h": 1.5, "R_over_h": 2.5}]),
+        ("excluded_count", rep.excluded_count),
+        ("excluded_max_quality", rep.excluded_max_quality),
+        ("reverse_checked", rep.reverse_checked), ("reverse_attempts", rep.reverse_attempts),
+        ("reverse_violations", [{"vertices": vertices, "max_angle": 3.0, "R_over_h": 4.5}]),
+        ("counterexamples", 2),
+    ]

@@ -31,6 +31,7 @@ from anisotetra import (
     mac_check,
     mac_experiment,
     mac_reverse_gamma,
+    parse_expression,
     quotient_coefficients,
     reference_tetrahedron,
     rule_for_degree,
@@ -61,6 +62,8 @@ SPEC = SeminormSpec(1, 2)
 # One field of each kind: a polynomial, an expression, a per-gamma partial_fn.
 FIELDS = {"Polynomial3": Polynomial3({(2, 1, 0): 1.0}), "expression": V,
           "per-gamma": ScalarField(V, partial_fn=V.partial)}
+# A bare expression tree, as parse_expression returns it: partials_of only.
+TREE = parse_expression("sin(x + 2*y + 3*z)")
 PTS = np.array([[0.1, 0.2, 0.3]])
 # Frames (verts, J^{-T}) that are not pull_back's shapes, or not arrays.
 FRAMES = {
@@ -159,9 +162,10 @@ TABLE = [
     *rows("seminorm_with_info.spec", lambda s: seminorm_with_info(V, T, s), InputError,
           (RAW, (1, 2)), (RAW, None)),
     # Derivative orders and multi-indices, on every kind of field.
+    *(row for name, f in dict(FIELDS, tree=TREE).items() for row in rows(
+        name + ".partials_of.orders", lambda o, f=f: f.partials_of(o, PTS), InputError,
+        (RAW, ()), (RAW, (-1,)), (RAW, (1.0,)), (RAW, 2))),
     *(row for name, f in FIELDS.items() for row in [
-        *rows(name + ".partials_of.orders", lambda o, f=f: f.partials_of(o, PTS), InputError,
-              (RAW, ()), (RAW, (-1,)), (RAW, (1.0,)), (RAW, 2)),
         *rows(name + ".partials.m", lambda m, f=f: f.partials(m, PTS), InputError,
               (RAW, True), (RAW, 1.0), (RAW, "1"), (RAW, -1)),
         *rows(name + ".partial.gamma", lambda g, f=f: f.partial(g, PTS), InputError,

@@ -2,6 +2,8 @@
 
 import importlib.util
 import math
+import sys
+import types
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "value_grid.py"
@@ -87,3 +89,30 @@ def test_a_seminorm_exception_against_a_value_differs():
     differing, worst = value_grid.compare({"a": dict(row, **raised)},
                                           {"a": dict(row, **value_grid.seminorm(lambda: Info(1.0)))})
     assert differing == ["a"] and "seminorm" not in worst
+
+
+def test_rows_above_one_are_counted_by_ratio():
+    def fails():
+        raise ValueError("bad row")
+
+    rows = {"a": record(0.1, ratio=1.0), "b": record(0.1, ratio=math.nextafter(1.0, 2.0)),
+            "c": record(0.1, ratio=7.9e5), "d": record(0.1, ratio=math.nan),
+            "e": record(0.1, ratio=math.inf), "f": value_grid.record(fails)}
+    assert value_grid.above_one(rows) == 3
+    assert value_grid.above_one({}) == 0
+
+
+def test_each_side_prints_its_rows_above_one(monkeypatch, capsys, tmp_path):
+    # Equal grids still print both counts: a bitwise match keeps the
+    # parent's rows above 1 too.
+    grids = {"a": record(0.1, ratio=2.0), "b": record(0.1)}
+    fake = types.SimpleNamespace(git=lambda *args: "rev", unpack=lambda rev, scratch: scratch)
+    monkeypatch.setitem(sys.modules, "bench_pairs", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts tools/ first
+    monkeypatch.setattr(value_grid, "computed", lambda tree: dict(grids))
+    assert value_grid.main(["--parent", "HEAD", "--scratch", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 2 rows differ",
+        "parent: 1 of 2 rows have a ratio above 1",
+        "change: 1 of 2 rows have a ratio above 1",
+    ]

@@ -19,8 +19,10 @@ PYTHONPATH, and prints one record per row: error, seminorm_hi, ratio and
 bound_factor as float.hex strings, indeterminate and warnings, or the class
 name and message of the exception the call raised; and the seminorm as a
 float.hex string, or its exception.  The tool prints every
-row whose records differ and the largest relative change per float column,
-and exits 1 on any difference, 0 when every row is the same.
+row whose records differ, the largest relative change per float column and,
+for each side, how many rows have a ratio above 1 (bitwise equality keeps
+the parent's false counterexamples too).  It exits 1 on any difference, 0
+when every row is the same.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def compare(parent: dict, change: dict) -> tuple[list, dict]:
     return differing, worst
 
 
+def above_one(rows: dict) -> int:
+    """How many records have a ratio above 1; a raised call has none."""
+    return sum(float.fromhex(r["ratio"]) > 1.0 for r in rows.values() if "ratio" in r)
+
+
 def computed(tree: Path) -> dict:
     """The grid's records from tree's src/, in a subprocess of this script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -154,6 +161,8 @@ def main(argv=None) -> int:
     for name in FLOATS:
         if name in worst:
             print("  largest relative change of %s: %.3e" % (name, worst[name]))
+    for side, rows in (("parent", parent), ("change", change)):
+        print("%s: %d of %d rows have a ratio above 1" % (side, above_one(rows), len(rows)))
     return 1 if differing else 0
 
 
