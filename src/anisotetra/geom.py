@@ -345,12 +345,15 @@ def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
         vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
         h4 = (h_t * h_t) * (h_t * h_t)
     in_range = (h4 < math.inf) & (EPS_VOL_REL * h4 >= sys.float_info.min)
-    degenerate = (vol < EPS_VOL_REL * _float_pow(np.where(in_range, h_t, 0.0), 3)) | (vol == 0.0)
-    outside = np.flatnonzero(~(degenerate | in_range))
-    if len(outside):
-        i = outside[0]
-        raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
-                             "h_T^4 = %.3e" % (h_t[i], h4[i]))
+    degenerate = vol < EPS_VOL_REL * _float_pow(np.where(in_range, h_t, 0.0), 3)
+    if not in_range.all():
+        # Beyond the range |T| = 0 is degenerate, and any other |T| is refused.
+        refused = np.flatnonzero(~in_range & (vol != 0.0))
+        if len(refused):
+            i = refused[0]
+            raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
+                                 "h_T^4 = %.3e" % (h_t[i], h4[i]))
+        degenerate |= ~in_range
     return vol, degenerate
 
 
