@@ -321,14 +321,8 @@ def cmd_analyze(args) -> int:
             "translation": sp.translation.tolist(),
             "mirror": sp.mirror,
         },
-        "matrix_norms": {
-            "normA": mats.normA,
-            "normAinv": mats.normAinv,
-            "normX": mats.normX,
-            "normXinv": mats.normXinv,
-            "normY": mats.normY,
-            "normYinv": mats.normYinv,
-        },
+        "matrix_norms": {f.name: getattr(mats, f.name) for f in dataclasses.fields(mats)
+                         if f.name.startswith("norm")},
         "geometry": _geometry_dict(geo),
         "mac": {
             "gamma_max": args.gamma_max,

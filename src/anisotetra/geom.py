@@ -19,17 +19,17 @@ constants tying the maximum angle condition to R_T/h_T.
 
 Each quantity has one implementation, an array kernel (batch_*) that takes
 N tetrahedra as an (N, 4, 3) array and returns one value per row; the
-sampling experiments in verify run on them.  The scalar routines (classify,
-standard_position, quality_ratio, matrices, mac_check, ...) take one
-Tetrahedron, test its degeneracy and read row 0 of the kernel: a scalar call
-is a batch of one.  The exceptions are the per-element basics that every
-error ratio, pull-back and seminorm reads: the edge lengths, |T| with its
-degeneracy test, and R_T.  They stay on floats, through the same
-_sub/_dot/_cross helpers the kernels apply to coordinate arrays, so the
-kernels' values of them are bitwise equal.  On a 2-vCPU x86-64 host (numpy
-2.4) they cost 11 us per element on floats against 37 us as kernels of one.
-angles() computes them when called; the GeometryReport it returns computes
-H_T and the angle inventory when they are first read.
+sampling experiments in verify run on them.  A scalar call is a batch of
+one, and a Tetrahedron is measured once: when first read it keeps its
+(1, 4, 3) vertex row and (1, 6) edge lengths (batch_edge_lengths), then its
+GeometryReport, whose |T| and degeneracy decision are batch_volume's on that
+row, then its frame (vertices, J^{-T}) for interp.pull_back, all read-only.
+The scalar routines (volume, angles, classify, standard_position,
+quality_ratio, mac_check, ...) read that one measurement, so an element is
+tested once however many of them read it; a degenerate one raises on every
+call and caches nothing.  The first query of an element costs 50 to 90 us
+(one-row kernels on a 2-vCPU x86-64 host, numpy 2.4), later ones a lookup.
+The report computes H_T and the angle inventory when they are first read.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ class Tetrahedron:
     """Four vertices, stored once as triples of Python floats.
 
     The count and finiteness of the coordinates are checked here (InputError);
-    nondegeneracy is enforced by the operations, not here.
+    nondegeneracy is decided when the element is first measured (_report).
+    The measurements are cached on the element and never compared: two
+    elements are equal when their vertices are.
     """
 
     v: tuple[Vertex, Vertex, Vertex, Vertex]
@@ -87,14 +89,40 @@ class Tetrahedron:
     def coords(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         return self.v
 
-    @cached_property
-    def _edge_lengths(self) -> tuple[float, ...]:
-        """edge_lengths(self), computed once: interpolation, the seminorms'
-        volume and the geometry report all read them."""
-        return tuple(_dist(self.v[i], self.v[j]) for i, j in EDGES)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.v)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (1, 4, 3) vertex row and its (1, 6) edge lengths, read-only and
+        not tested for degeneracy: edge_lengths reads them as they are."""
+        verts = np.array([self.v])
+        lengths = batch_edge_lengths(verts)
+        verts.flags.writeable = lengths.flags.writeable = False
+        return verts, lengths
+
+    @cached_property
+    def _report(self) -> GeometryReport:
+        """angles(self).  batch_volume on the row is the one degeneracy test:
+        DegenerateTetrahedron or NumericalError, and then nothing is cached,
+        so every later call raises alike."""
+        verts, lengths = self._arrays
+        vol, degenerate = batch_volume(verts, lengths)
+        vol = float(vol[0])
+        if degenerate[0]:
+            raise DegenerateTetrahedron("volume %.3e below degeneracy threshold %.3e"
+                                        % (vol, _volume_threshold(lengths.max(axis=1))[0][0]))
+        hs = sorted_edge_lengths(self)
+        return GeometryReport(h=hs, volume=vol, R_T=hs[0] * hs[1] * hs[5] ** 2 / vol, _t=self)
+
+    @cached_property
+    def _pull_back(self) -> tuple[np.ndarray, np.ndarray]:
+        """interp.pull_back(self): the vertices (4, 3) and J^{-T}, read-only,
+        from one inversion once the element has passed its test."""
+        verts = self._report._rows[0][0]
+        inverse_t = np.ascontiguousarray(np.linalg.inv((verts[1:] - verts[0]).T).T)
+        inverse_t.flags.writeable = False
+        return verts, inverse_t
 
 
 def _sub(a, b):
@@ -113,21 +141,13 @@ def _cross(a, b):
     )
 
 
-def _norm(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def _dist(a, b):
-    return _norm(_sub(a, b))
-
-
 def _scale(a, s):
     return (a[0] * s, a[1] * s, a[2] * s)
 
 
 def edge_lengths(t: Tetrahedron) -> tuple[float, ...]:
-    """The six edge lengths in the fixed EDGES order."""
-    return t._edge_lengths
+    """The six edge lengths in the fixed EDGES order (batch_edge_lengths)."""
+    return tuple(t._arrays[1][0].tolist())
 
 
 def sorted_edge_lengths(t: Tetrahedron) -> tuple[float, ...]:
@@ -143,39 +163,10 @@ def _signed_volume6(v) -> float:
     return _dot(a, _cross(b, c))
 
 
-def _nondegenerate_volume(v, h_t: float) -> float:
-    """|T| of the vertices v, whose longest edge is h_t.
-
-    The one scalar degeneracy test, |T| < EPS_VOL_REL * h_T^3 (scale
-    invariant), raising DegenerateTetrahedron; batch_volume is its array twin.
-    A |T| that underflows to 0 is degenerate at any h_T.  Otherwise h_T^4
-    must be finite and EPS_VOL_REL * h_T^4 a normal float (h_T from about
-    4e-74 to 1e77), or NumericalError.  Between them lie the kernels' squared
-    cross products of edges and R_T's numerator h1*h2*h_T^2, which is at
-    least 6|T|h_T since |T| <= h1*h2*h_T/6: so R_T is finite and nonzero.
-    """
-    vol = abs(_signed_volume6(v)) / 6.0
-    h4 = (h_t * h_t) * (h_t * h_t)  # inf, not OverflowError, where it leaves the range
-    in_range = h4 < math.inf and EPS_VOL_REL * h4 >= sys.float_info.min
-    threshold = EPS_VOL_REL * h_t ** 3 if in_range else 0.0
-    if vol < threshold or vol == 0.0:
-        raise DegenerateTetrahedron(
-            "volume %.3e below degeneracy threshold %.3e" % (vol, threshold)
-        )
-    if not in_range:
-        raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
-                             "h_T^4 = %.3e" % (h_t, h4))
-    return vol
-
-
 def volume(t: Tetrahedron) -> float:
-    """Unsigned volume |T|; raises DegenerateTetrahedron below the threshold."""
-    return _nondegenerate_volume(t.coords(), max(edge_lengths(t)))
-
-
-def _r_t(hs, vol: float) -> float:
-    """R_T from the sorted edge lengths and the volume."""
-    return hs[0] * hs[1] * hs[5] ** 2 / vol
+    """Unsigned volume |T|; raises DegenerateTetrahedron below the threshold
+    (batch_volume)."""
+    return angles(t).volume
 
 
 def _check_kind(kind) -> int:
@@ -252,8 +243,8 @@ class TransformMatrices:
 #
 # Each kernel takes the vertices of N tetrahedra as an (N, 4, 3) array, or
 # per-row values another kernel returned, and returns one value per row.  A
-# point is its x, y and z arrays, so _sub, _dot, _cross and _scale serve the
-# float basics and the kernels alike.  Degenerate rows are not rejected:
+# point is its x, y and z arrays, so _sub, _dot, _cross and _scale serve
+# points of floats and of arrays alike.  Degenerate rows are not rejected:
 # batch_volume flags them, and the other kernels' values on them mean nothing.
 
 
@@ -325,7 +316,8 @@ def _bnorm(a):
 def _float_pow(x: np.ndarray, e: int) -> np.ndarray:
     # Python's float power is the C library's pow.  numpy's vectorised power
     # differs from it in the last bit (for cubes, on 5% of inputs on an
-    # AVX-512 build), so the float basics' powers are taken one by one.
+    # AVX-512 build), so powers that the scalar report takes on floats (the
+    # threshold's h_T^3, R_T's h_T^2) are taken one by one.
     return np.array([h ** e for h in x.tolist()])
 
 
@@ -336,16 +328,28 @@ def batch_edge_lengths(verts: np.ndarray) -> np.ndarray:
         return _bnorm(_sub(_coords(verts, _EDGE_I), _coords(verts, _EDGE_J))).T
 
 
+def _volume_threshold(h_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(EPS_VOL_REL * h_T^3, in_range, h_T^4) per row.  in_range: h_T^4 is
+    finite and EPS_VOL_REL * h_T^4 a normal float (h_T from about 4e-74 to
+    1e77); beyond it the threshold is 0."""
+    with np.errstate(over="ignore"):
+        h4 = (h_t * h_t) * (h_t * h_t)
+    in_range = (h4 < math.inf) & (EPS_VOL_REL * h4 >= sys.float_info.min)
+    return EPS_VOL_REL * _float_pow(np.where(in_range, h_t, 0.0), 3), in_range, h4
+
+
 def batch_volume(verts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|T|, degenerate) per row by _nondegenerate_volume's rule: degenerate
-    marks the rows volume() rejects as DegenerateTetrahedron, and a row it
-    would reject as out of the float range raises its NumericalError."""
+    """(|T|, degenerate) per row, by the package's one degeneracy rule:
+    |T| < EPS_VOL_REL * h_T^3 (scale invariant), or |T| = 0 at any h_T.
+    Beyond the float range of _volume_threshold a row with |T| > 0 raises
+    NumericalError for the whole block.  Within it lie the kernels' squared
+    cross products of edges and R_T's numerator h1*h2*h_T^2, which is at
+    least 6|T|h_T since |T| <= h1*h2*h_T/6: so R_T is finite and nonzero."""
     h_t = lengths.max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         vol = np.abs(_signed_volume6(verts.transpose(1, 2, 0))) / 6.0
-        h4 = (h_t * h_t) * (h_t * h_t)
-    in_range = (h4 < math.inf) & (EPS_VOL_REL * h4 >= sys.float_info.min)
-    degenerate = vol < EPS_VOL_REL * _float_pow(np.where(in_range, h_t, 0.0), 3)
+    threshold, in_range, h4 = _volume_threshold(h_t)
+    degenerate = vol < threshold
     if not in_range.all():
         # Beyond the range |T| = 0 is degenerate, and any other |T| is refused.
         refused = np.flatnonzero(~in_range & (vol != 0.0))
@@ -556,20 +560,14 @@ def batch_trig_identities(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Scalar routines: one tetrahedron, a batch of one
-
-
-def _row(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
-    """t's (1, 4, 3) vertices and (1, 6) edge lengths, after the degeneracy
-    test (DegenerateTetrahedron)."""
-    volume(t)
-    return np.array([t.v]), np.array([edge_lengths(t)])
+# Scalar routines: one tetrahedron, a batch of one, read from its one
+# measurement (Tetrahedron._report)
 
 
 def classify(t: Tetrahedron) -> Classification:
     """Classify a tetrahedron as Type 1 or Type 2 and relabel its vertices,
     as batch_classify describes."""
-    kind, perm, alpha, e1, e2 = batch_classify(*_row(t))
+    kind, perm, alpha, e1, e2 = batch_classify(*angles(t)._rows)
     return Classification(kind=int(kind[0]), perm=tuple(perm[0].tolist()),
                           alpha=tuple(alpha[0].tolist()), e1=EDGES[e1[0]], e2=EDGES[e2[0]])
 
@@ -581,7 +579,7 @@ def standard_position(t: Tetrahedron, cls: Classification | None = None) -> Stan
     if cls is None:
         cls = classify(t)
     params, rotation, translation, mirror = batch_standard_position(
-        _row(t)[0], np.array([cls.kind]), np.array([cls.perm]), np.array([cls.alpha]))
+        angles(t)._rows[0], np.array([cls.kind]), np.array([cls.perm]), np.array([cls.alpha]))
     return StandardPosition(alpha=cls.alpha, params=tuple(params[0].tolist()),
                             rotation=rotation[0], translation=translation[0],
                             mirror=bool(mirror[0]))
@@ -595,27 +593,21 @@ def matrices(sp: StandardPosition, kind: int) -> TransformMatrices:
     return TransformMatrices(A[0], D[0], X[0], Y[0], *norms[0].tolist())
 
 
-def _h_t(t: Tetrahedron) -> float:
-    verts, lengths = _row(t)
-    kind, perm, alpha, _, _ = batch_classify(verts, lengths)
-    params = batch_standard_position(verts, kind, perm, alpha)[0]
-    return float(batch_h_t(lengths, params)[0])
-
-
 def quality_ratio(t: Tetrahedron, cls: Classification | None = None) -> float:
     """R_T/H_T as batch_quality_ratio describes."""
     if cls is None:
         cls = classify(t)
-    return float(batch_quality_ratio(np.array([edge_lengths(t)]), np.array([cls.alpha]))[0])
+    return float(batch_quality_ratio(angles(t)._rows[1], np.array([cls.alpha]))[0])
 
 
 @dataclass(frozen=True)
 class GeometryReport:
     """Edge lengths, volume, quality quantities and the full angle inventory.
 
-    h (sorted), volume and R_T are computed when angles() makes the report;
-    H_T and the angles are computed when first read, as most readers (the
-    error ratio among them) need h_T and R_T alone.
+    h (sorted), volume and R_T are computed when the element is measured
+    (Tetrahedron._report); H_T and the angles are computed when first read,
+    as most readers (the error ratio among them) need h_T and R_T alone.
+    The report compares by these values and the element's vertices.
 
     theta[(i, j)] is the internal angle of face F_i (opposite vertex i) at
     vertex j; psi[(i, j)] with i < j is the dihedral angle between faces F_i
@@ -629,14 +621,23 @@ class GeometryReport:
     R_T: float
     _t: Tetrahedron
 
+    @property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The element's (1, 4, 3) vertex row and (1, 6) edge lengths, which
+        this report has found nondegenerate."""
+        return self._t._arrays
+
     @cached_property
     def H_T(self) -> float:
-        return _h_t(self._t)
+        verts, lengths = self._rows
+        kind, perm, alpha, _, _ = batch_classify(verts, lengths)
+        params = batch_standard_position(verts, kind, perm, alpha)[0]
+        return float(batch_h_t(lengths, params)[0])
 
     @cached_property
     def _angles(self) -> tuple[dict, dict, dict]:
         """theta, psi and phi."""
-        theta, psi, phi = batch_angles(*_row(self._t))
+        theta, psi, phi = batch_angles(*self._rows)
         return (dict(zip(_THETA_KEYS, theta[0].tolist())), dict(zip(_FACE_PAIRS, psi[0].tolist())),
                 dict(zip(_PHI_KEYS, phi[0].tolist())))
 
@@ -658,16 +659,15 @@ class GeometryReport:
 
 
 def angles(t: Tetrahedron) -> GeometryReport:
-    """The geometry report of a tetrahedron; DegenerateTetrahedron here when
-    it is degenerate, though H_T and the angles are computed when read."""
-    hs = sorted_edge_lengths(t)
-    vol = _nondegenerate_volume(t.coords(), hs[5])
-    return GeometryReport(h=hs, volume=vol, R_T=_r_t(hs, vol), _t=t)
+    """The geometry report of a tetrahedron, made once per element;
+    DegenerateTetrahedron here when it is degenerate, though H_T and the
+    angles are computed when read."""
+    return t._report
 
 
 def max_face_and_dihedral_angle(t: Tetrahedron) -> float:
     """max(theta union psi) without the rest of the report."""
-    return float(batch_max_angle(_row(t)[0])[0])
+    return float(batch_max_angle(angles(t)._rows[0])[0])
 
 
 def _check_gamma_max(gamma_max) -> float:
@@ -680,7 +680,7 @@ def mac_check(t: Tetrahedron, gamma_max: float) -> bool:
     """True iff every face internal angle and dihedral angle is <= gamma_max
     (with EPS_ANGLE slack)."""
     _check_gamma_max(gamma_max)
-    return bool(max_angle_at_most(_row(t)[0], gamma_max + EPS_ANGLE)[0])
+    return bool(max_angle_at_most(angles(t)._rows[0], gamma_max + EPS_ANGLE)[0])
 
 
 # ---------------------------------------------------------------------------

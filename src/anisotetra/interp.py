@@ -10,13 +10,12 @@ vector in xi is the interpolant.
 pull_back returns the vertices (x_0 first) and J^{-T}, and rejects a
 degenerate element.  Points map with xi = (x - x_0) J^{-T} and physical
 partials follow by the chain rule, so a rotated flat element interpolates as
-well as an axis-aligned one.  A call that measures one element several ways
-(verify.error_ratio) tests its volume once and builds this frame once
-(_frame), then hands the same arrays to interpolation (_interpolate), to
-every sample set placed on the element and to the p = inf polish, so that
-an interpolant meets its own frame by identity; interpolate, residual and
-quad.seminorm_with_info are wrappers that build it themselves.  A frame
-from outside (Interpolant, in_frame) passes one shape check.
+well as an axis-aligned one.  The element builds this frame once, by one
+inversion after its one degeneracy test (geom.Tetrahedron), and every
+pull_back of it returns the same read-only arrays: interpolation
+(_interpolate), every sample set placed on the element and the p = inf
+polish read them, so an interpolant meets its own frame by identity.  A
+frame from outside (Interpolant, in_frame) passes one shape check.
 
 Every field is one class, ScalarField, and returns its partials of several
 orders at one point set from one evaluation, partials_of(orders, pts): one
@@ -76,7 +75,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DerivativeUnavailable, InputError, InvalidDegree, NumericalError, integer, real
-from .geom import TYPE1, Tetrahedron, volume
+from .geom import TYPE1, Tetrahedron
 from .lattice import MAX_DEGREE, _multi_index, _unit_weights, forward_differences, sigma_k
 
 MultiIndex = tuple[int, int, int]
@@ -640,17 +639,10 @@ def _newton(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices (4, 3) and J^{-T} of x = verts[0] + J xi;
-    DegenerateTetrahedron if flat."""
-    volume(t)
-    return _frame(t.as_array())
-
-
-def _frame(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pull_back's (verts, J^{-T}) of vertices whose element has passed the
-    volume test: one inversion, and the same arrays for every use in a call."""
-    jac = (verts[1:] - verts[0]).T
-    return verts, np.ascontiguousarray(np.linalg.inv(jac).T)
+    """The vertices (4, 3) and J^{-T} of x = verts[0] + J xi, read-only
+    arrays that t builds once and every call shares; DegenerateTetrahedron
+    if flat."""
+    return t._pull_back
 
 
 def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
@@ -659,8 +651,7 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     v is anything as_field accepts; its nodal values give forward differences
     and those the coefficients (_newton).  Reproduces any q in P_k up to
     roundoff.  A nodal value of v that is not finite raises NumericalError.
-    A wrapper: it checks k, tests the volume and builds t's frame
-    (pull_back), which verify.error_ratio builds once per call itself.
+    A wrapper: it checks k and reads t's frame (pull_back).
     """
     k = _check_degree(k)
     return _interpolate(as_field(v), pull_back(t), k)[1]

@@ -18,9 +18,9 @@ every field (interp.ScalarField); a plain callable has values only, so it
 gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
 
 One sampling loop, _seminorms, serves seminorms of one field and one p on
-one element: verify.error_ratio's two, on the frame and volume it built
-once for its call, and the one of seminorm_with_info, the public entry, a
-wrapper that tests T's volume and builds its frame.
+one element: verify.error_ratio's two and the one of seminorm_with_info, the
+public entry, a wrapper.  Both read the frame and |T| that the element
+measured once (interp.pull_back, geom.volume).
 Sample sets are cached interp.SampleSets, read-only barycentric rows placed
 on the frame's vertices once per call, so that every interpolant (and any
 polynomial in that frame) reads its cached monomial table at them instead of
@@ -89,9 +89,9 @@ from .interp import (
     SampleSet,
     ScalarField,
     _factorials,
-    _frame,
     as_field,
     derivative_indices,
+    pull_back,
 )
 from .lattice import gauss_jacobi, unit_weights
 
@@ -574,10 +574,10 @@ def seminorm_with_info(
     exact rule at even p and the p = inf polish.  degree fixes the quadrature
     exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
     and at p = inf, which samples a lattice); a spec that is not a
-    SeminormSpec raises InputError.  A wrapper around _seminorms: it tests
-    t's volume and builds its frame, which verify.error_ratio builds itself.
+    SeminormSpec raises InputError.  A wrapper around _seminorms on t's
+    frame and |T|, which t measures once.
     """
     if not isinstance(spec, SeminormSpec):
         raise InputError("spec must be a SeminormSpec, got %r" % (spec,))
-    vol = volume(t)  # DegenerateTetrahedron at every p
-    return _seminorms(as_field(u), _frame(t.as_array()), vol, (spec,), degree)[0]
+    frame = pull_back(t)  # DegenerateTetrahedron at every p
+    return _seminorms(as_field(u), frame, volume(t), (spec,), degree)[0]

@@ -6,9 +6,10 @@ The experiments here are the executable form of the package's claims:
   factor (R_T/h_T)^m * h_T^(k+1-m) * |v|_{k+1,p,T} and reports the quotient,
   the empirical stand-in for the constant C_{k,m,p}.  Both seminorms come
   from one sampling loop, so v is evaluated once at the nodes and once per
-  sample set, and of the geometry only h_T, |T| and R_T are computed.  Each
-  call tests the volume once (angles) and inverts J once, and hands the
-  frame's arrays and |T| to interpolation and sampling.
+  sample set, and of the geometry only h_T, |T| and R_T are computed.  The
+  element tests its volume and inverts J once, on its first measurement
+  (geom.Tetrahedron), and every call hands those frame arrays and |T| to
+  interpolation and sampling.
   They take v's exact partials (an expression, a polynomial or a per-gamma
   partial_fn); a plain callable has values only and is refused.
 * ``study`` is the one loop over that quotient, every field on every element
@@ -44,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationFailure, InadmissiblePC, InputError, NumericalError, integer, real
+from .errors import (GenerationFailure, InadmissiblePC, InputError, InvalidGammaMax,
+                     NumericalError, integer, real)
 from .expr import field_from_expression
 from .geom import (
     EPS_ANGLE,
@@ -72,7 +74,6 @@ from .interp import (
     Interpolant,
     Polynomial3,
     _check_degree,
-    _frame,
     _interpolate,
     _newton,
     _residual,
@@ -428,13 +429,14 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     the float range (h_T far from 1 at large k), it raises NumericalError,
     before v is evaluated: both depend on the geometry alone.
 
-    The element's volume test is angles(t)'s, whose |T| is volume(t)
-    bitwise; its frame (verts, J^{-T}) is built once, and interpolation,
-    every sample set and the p = inf polish read those arrays.
+    The geometry is the element's one measurement: angles(t), whose |T| is
+    volume(t), and the frame (verts, J^{-T}) of pull_back(t), built once
+    per element; interpolation, every sample set and the p = inf polish
+    read those arrays.
     """
     _check_spec(k, m, p)
     k, m = int(k), int(m)
-    geometry = angles(t)  # the one volume test
+    geometry = angles(t)  # the element's one volume test
     h_t = geometry.h[-1]
     _check_degree(k)  # InvalidDegree, as interpolate raises it
     # At extreme scales a power of h_T leaves the float range: a float power
@@ -449,7 +451,7 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     if not (0.0 < bound_factor < math.inf and h_power > 0.0):
         raise _beyond_range(k, m, h_t)
     v = as_field(v)
-    frame = _frame(t.as_array())  # the one inversion; every step reads these arrays
+    frame = pull_back(t)  # the element's one inversion; every step reads these arrays
     values, ip = _interpolate(v, frame, k)
     size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_power
     if not size < math.inf:
@@ -771,7 +773,13 @@ def mac_experiment(n: int, gamma_max: float, seed: int = 0) -> MacReport:
         kind = batch_classify(verts, lengths)[0]
         # As mac_check does: the converse angle reaches pi as gamma_max does.
         for k in set(kind.tolist()):
-            _check_gamma_max(gamma_prime[k])
+            try:
+                _check_gamma_max(gamma_prime[k])
+            except InvalidGammaMax:
+                raise InvalidGammaMax(
+                    "the converse angle gamma'(D) = %r of a Type %d element, for gamma_max = "
+                    "%r (D = %r), must lie in [pi/3, pi): gamma_max is too close to pi for "
+                    "the reverse direction" % (gamma_prime[k], k, gamma_max, d)) from None
         bound = np.where(kind == TYPE1, gamma_prime[TYPE1], gamma_prime[TYPE2]) + EPS_ANGLE
         for i in np.flatnonzero(~max_angle_at_most(verts, bound)):
             t = Tetrahedron.from_points(verts[i])

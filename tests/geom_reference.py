@@ -3,19 +3,22 @@
 These are the scalar routines the package used before every geometry
 quantity became an (N, 4, 3) array kernel with the scalar API as its batch
 of one.  They work on Python floats and the math module, one tetrahedron at
-a time, and share no code with the kernels beyond the float helpers
-(_sub, _dot, _cross, _norm, _scale), the degeneracy test and the EDGES
-order.  The kernels must agree with them bitwise on lengths, volume,
+a time, and share no code with the package beyond the float helpers (_sub,
+_dot, _cross, _scale) and the constants (EDGES, the tolerances): the edge
+lengths, |T| and its degeneracy test are this module's own.  The kernels
+and the scalar API must agree with them bitwise on lengths, volume,
 classification, standard position, the transform matrices, quality_ratio,
 R_T and H_T, and within 1e-12 rad on angles (numpy's arctan2 and arcsin
 against the math module's).
 """
 
 import math
+import sys
 
 import numpy as np
 
-from anisotetra.errors import DegenerateTetrahedron, InvalidGammaMax
+from anisotetra import geom
+from anisotetra.errors import DegenerateTetrahedron, InvalidGammaMax, NumericalError
 from anisotetra.geom import (
     EDGES,
     EPS_ANGLE,
@@ -27,12 +30,8 @@ from anisotetra.geom import (
     TransformMatrices,
     _cross,
     _dot,
-    _nondegenerate_volume,
-    _norm,
     _scale,
     _sub,
-    edge_lengths,
-    sorted_edge_lengths,
 )
 
 _EDGE_OF = [[None] * 4 for _ in range(4)]
@@ -41,6 +40,46 @@ for _e, (_i, _j) in enumerate(EDGES):
 # The edges sharing exactly one vertex with each edge, and classify's roles
 # (c, w, d, f) for the pair (e2, e1): c shared, w on e1, d on e2, f the rest.
 _NEIGHBOURS = [[b for b, e1 in enumerate(EDGES) if len(set(e1) & set(e2)) == 1] for e2 in EDGES]
+
+
+def _norm(a):
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def edge_lengths(t):
+    """The six edge lengths in the EDGES order."""
+    v = t.coords()
+    return tuple(_norm(_sub(v[i], v[j])) for i, j in EDGES)
+
+
+def sorted_edge_lengths(t):
+    return tuple(sorted(edge_lengths(t)))
+
+
+def _nondegenerate_volume(v, h_t):
+    """|T| of the vertices v, whose longest edge is h_t: DegenerateTetrahedron
+    when |T| < EPS_VOL_REL * h_T^3 or |T| = 0; beyond the float range
+    (h_T^4 infinite or EPS_VOL_REL * h_T^4 below the normal floats) any other
+    |T| raises NumericalError.  The messages are the package's, and
+    EPS_VOL_REL is read from geom when called, so a test may patch it."""
+    eps = geom.EPS_VOL_REL
+    a, b, c = _sub(v[1], v[0]), _sub(v[2], v[0]), _sub(v[3], v[0])
+    vol = abs(_dot(a, _cross(b, c))) / 6.0
+    h4 = (h_t * h_t) * (h_t * h_t)
+    in_range = h4 < math.inf and eps * h4 >= sys.float_info.min
+    threshold = eps * h_t ** 3 if in_range else 0.0
+    if vol < threshold or vol == 0.0:
+        raise DegenerateTetrahedron(
+            "volume %.3e below degeneracy threshold %.3e" % (vol, threshold)
+        )
+    if not in_range:
+        raise NumericalError("h_T = %.3e is beyond the float range of the geometry: "
+                             "h_T^4 = %.3e" % (h_t, h4))
+    return vol
+
+
+def volume(t):
+    return _nondegenerate_volume(t.coords(), max(edge_lengths(t)))
 
 
 def _roles(e2, e1):

@@ -432,6 +432,12 @@ def test_mac_invalid_gamma_exits_2(capsys):
     assert code == 2
 
 
+def test_mac_converse_angle_of_pi_exits_2_naming_it(capsys):
+    code, _, err = run(["mac", "--gamma-max", "3.1415926", "--n", "3"], capsys)
+    assert code == 2
+    assert "converse angle gamma'(D)" in err and "gamma_max = 3.1415926 " in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -540,13 +540,21 @@ def test_angles_rejects_a_degenerate_element_when_called():
     flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(DegenerateTetrahedron):
         angles(flat)
+    # Every scalar routine reads that one test, also with a classification
+    # given: quality_ratio once returned 0.707 here.
+    cls = classify(reference_tetrahedron(TYPE1))
+    for call in (lambda: quality_ratio(flat, cls), lambda: standard_position(flat, cls)):
+        with pytest.raises(DegenerateTetrahedron):
+            call()
 
 
 def test_report_read_lazily_equals_the_eager_quantities():
     rng = np.random.default_rng(59)
     for _ in range(20):
         t = random_tetra(rng)
-        first, second = angles(t), angles(t)
+        # The report is made once per element: read it from a second element
+        # of the same vertices.
+        first, second = angles(t), angles(Tetrahedron(t.v))
         assert first.max_angle == max_face_and_dihedral_angle(t)
         assert (first.R_T, first.H_T) == ref.quality(t)
         assert first.volume == volume(t) and first.h == sorted_edge_lengths(t)
@@ -554,6 +562,8 @@ def test_report_read_lazily_equals_the_eager_quantities():
         assert second.phi == first.phi and second.theta == first.theta
         assert second.H_T == first.H_T and second.psi == first.psi
         assert second.max_angle == first.max_angle
+        # The report compares by value: the element's cached arrays stay out.
+        assert first == second
 
 
 def test_trig_identities_random():

@@ -563,6 +563,16 @@ class TestSampleSets:
         assert len(s._table) == 35
         assert s.monomials(1).base is s._table
 
+    def test_pull_back_is_one_read_only_frame_per_element(self):
+        # Every caller shares the element's frame, so no caller may write it.
+        t = Tetrahedron(ROTATED_ANISO.v)
+        frame = pull_back(t)
+        assert all(a is b for a, b in zip(pull_back(t), frame))
+        assert not any(a.flags.writeable for a in frame)
+        with pytest.raises(ValueError, match="read-only"):
+            frame[1][0, 0] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(frame, pull_back(ROTATED_ANISO)))
+
     def test_an_interpolant_takes_pull_backs_frame_only(self):
         ip = interpolate(field_from_expression("exp(x - y*z)"), ROTATED_ANISO, 2)
         verts, inverse_t = pull_back(ROTATED_ANISO)

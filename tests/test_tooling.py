@@ -327,16 +327,25 @@ def test_geometry_has_one_kernel_per_quantity():
     # comes from the math module (math.asin stays in the mac constants, which
     # are functions of gamma alone); the max-angle test has no per-row
     # fallback; and every public scalar routine reaches a batch_* kernel,
-    # directly or through geom's own functions.
+    # directly or through geom's own functions and the element's cached
+    # measurements (Tetrahedron._report and the like, read as attributes).
+    # The float twins of the volume and edge lengths, and the per-call
+    # degeneracy tests and frames, are gone too.
     tree = ast.parse((SRC / "geom.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods = {}
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-        functions.update({"%s.%s" % (cls.name, n.name): n for n in cls.body
-                          if isinstance(n, ast.FunctionDef)})
+        for n in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+            methods[n.name] = "%s.%s" % (cls.name, n.name)
+            functions[methods[n.name]] = n
     defined = set(functions) | {n.id for n in ast.walk(tree)
                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-    twins = {"_face_angles", "_dihedral_angles", "_standard_position_from", "_ATAN2_SLACK"}
+    twins = {"_face_angles", "_dihedral_angles", "_standard_position_from", "_ATAN2_SLACK",
+             "_nondegenerate_volume", "_dist", "_norm", "_r_t", "_row", "_h_t"}
     assert not twins & defined, twins & defined
+    interp = {n.name: n for n in ast.parse((SRC / "interp.py").read_text()).body
+              if isinstance(n, ast.FunctionDef)}
+    assert "_frame" not in interp
     math_angles = [
         (name, ast.unparse(n)) for name, node in functions.items() for n in ast.walk(node)
         if isinstance(n, ast.Attribute) and ast.unparse(n) in ("math.atan2", "math.asin")
@@ -347,8 +356,13 @@ def test_geometry_has_one_kernel_per_quantity():
              if isinstance(n, (ast.For, ast.While, ast.comprehension))]
     assert not loops
 
+    functions["pull_back"] = interp["pull_back"]
+
     def callees(name):
-        return {ast.unparse(n.func) for n in ast.walk(functions[name]) if isinstance(n, ast.Call)}
+        nodes = list(ast.walk(functions[name]))
+        return ({ast.unparse(n.func) for n in nodes if isinstance(n, ast.Call)}
+                | {methods[n.attr] for n in nodes
+                   if isinstance(n, ast.Attribute) and n.attr in methods})
 
     def reaches_kernel(name, seen):
         seen.add(name)
@@ -359,7 +373,8 @@ def test_geometry_has_one_kernel_per_quantity():
 
     scalar = ["classify", "standard_position", "matrices", "quality_ratio",
               "GeometryReport.H_T", "GeometryReport._angles", "max_face_and_dihedral_angle",
-              "mac_check"]
+              "mac_check", "volume", "angles", "edge_lengths", "sorted_edge_lengths",
+              "pull_back"]
     assert [name for name in scalar if not reaches_kernel(name, set())] == []
 
 

@@ -460,11 +460,29 @@ class TestErrorRatio:
             error_ratio(counted, t, 4, 1, 2.0)
         assert calls == {"values": 0, "partials": 0}
 
+    # ROADMAP item 1's needle check.  Forward differences of O(1) nodal values
+    # cancel in a thin direction, and J^{-T} multiplies that roundoff by
+    # eps^-m: 81 of these 640 rows read a ratio above 1.
+    NEEDLE_SPECS = [(2, 2, 3.0), (3, 3, 3.0), (4, 4, 3.0), (4, 2, math.inf)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: nodal differences cancel on needles; "
+                       "its fix turns this green and removes the xfail")
+    def test_no_needle_row_reads_a_ratio_above_one(self):
+        above = []
+        for i, t in enumerate(generate(TetraGenSpec("needle", 7), 20)):
+            for k, m, p in self.NEEDLE_SPECS:
+                for name, v in corpus(k, t)[:8]:
+                    ratio = error_ratio(v, t, k, m, p).ratio
+                    if ratio > 1.0:
+                        above.append((i, (k, m, p), name, ratio))
+        assert above == []
+
 
 class TestOncePerCall:
-    """error_ratio builds every per-element quantity once and hands it down:
-    one volume test, one inversion of J, and a ridge's power columns once,
-    however many sample sets it has."""
+    """Every per-element quantity is built once and handed down: one volume
+    test and one inversion of J per element, however many calls read it, and
+    a ridge's power columns once per call, however many sample sets it has."""
 
     CALLS = [("trig0", (2, 1, 2.0)), ("trig0", (4, 2, math.inf)), ("poly0", (4, 2, math.inf))]
 
@@ -484,8 +502,6 @@ class TestOncePerCall:
         error_ratio(v, t, *spec)  # fills the caches of rules, stencils and tables
         v = dict(corpus(spec[0], t))[name]  # a field whose jets have not run
         counts = {}
-        self.counting(monkeypatch, counts, geom, "_nondegenerate_volume", "volume")
-        self.counting(monkeypatch, counts, np.linalg, "inv", "inv")
         self.counting(monkeypatch, counts, expr, "_mul", "mul")
         self.counting(monkeypatch, counts, expr, "_times", "times")
         error_ratio(v, t, *spec)
@@ -493,8 +509,20 @@ class TestOncePerCall:
 
     @pytest.mark.parametrize("name,spec", CALLS)
     def test_one_volume_test_and_one_inversion(self, name, spec, monkeypatch):
-        counts = self.counts_of_one_call(monkeypatch, name, spec)
-        assert (counts.get("volume"), counts.get("inv")) == (1, 1), counts
+        # A new element of the same vertices is measured once, when its
+        # corpus's bubble pulls back, and error_ratio reads that measurement;
+        # a second call on the same element measures nothing.
+        t = generate(TetraGenSpec("sliver", 2), 1)[0]
+        error_ratio(dict(corpus(spec[0], t))[name], t, *spec)  # fills the caches of rules
+        counts = {}
+        self.counting(monkeypatch, counts, geom, "batch_volume", "volume")
+        self.counting(monkeypatch, counts, np.linalg, "inv", "inv")
+        fresh = Tetrahedron(t.v)
+        error_ratio(dict(corpus(spec[0], fresh))[name], fresh, *spec)
+        assert counts == {"volume": 1, "inv": 1}
+        counts.clear()
+        error_ratio(dict(corpus(spec[0], fresh))[name], fresh, *spec)
+        assert counts == {}
 
     @pytest.mark.parametrize("name,spec", CALLS[:2])
     def test_a_ridges_power_columns_are_built_once(self, name, spec, monkeypatch):
@@ -733,6 +761,15 @@ class TestMacExperiment:
     def test_invalid_gamma_rejected(self):
         with pytest.raises(InvalidGammaMax):
             mac_experiment(10, 0.5)
+
+    def test_a_converse_angle_of_pi_is_named_as_such(self):
+        # gamma_max = 3.1415926 is valid, but its converse angle gamma'(D)
+        # rounds to pi: the message names both, not gamma_max alone.
+        with pytest.raises(InvalidGammaMax) as exc:
+            mac_experiment(3, 3.1415926)
+        message = str(exc.value)
+        assert "gamma'(D) = 3.141592653589793" in message
+        assert "gamma_max = 3.1415926 " in message and "got" not in message
 
     @pytest.mark.parametrize("gamma", [math.pi / 3 + 0.01, 0.9 * math.pi], ids=["tight", "wide"])
     def test_reverse_direction_draws_one_chunk(self, gamma, monkeypatch):
