@@ -120,12 +120,15 @@ def render_json(report: dict) -> str:
     return _json_fragment(report, 0) + "\n"
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text: str, option: str = "--out"):
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s %s: %s" % (option, path, exc)) from None
 
 
 def _csv_cell(value) -> str:
@@ -187,7 +190,7 @@ def _read_tetra_file(path: str) -> Tetrahedron:
     try:
         with open(path) as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read --tetra-file %s: %s" % (path, exc))
     points = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -367,7 +370,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_alpha_pattern(args.alphas, args.eps_levels)
     result = squeeze_sweep(args.k, args.m, args.p, alphas=grid, kind=args.kind)
     if args.csv:
-        _write_text(args.csv, render_csv(result.rows))
+        _write_text(args.csv, render_csv(result.rows), "--csv")
     _write_text(args.out, render_json(_report(args, result)))
     return 0
 

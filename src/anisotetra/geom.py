@@ -108,12 +108,11 @@ class Tetrahedron:
         so every later call raises alike."""
         verts, lengths = self._arrays
         vol, degenerate = batch_volume(verts, lengths)
-        vol = float(vol[0])
         if degenerate[0]:
             raise DegenerateTetrahedron("volume %.3e below degeneracy threshold %.3e"
-                                        % (vol, _volume_threshold(lengths.max(axis=1))[0][0]))
-        hs = sorted_edge_lengths(self)
-        return GeometryReport(h=hs, volume=vol, R_T=hs[0] * hs[1] * hs[5] ** 2 / vol, _t=self)
+                                        % (vol[0], _volume_threshold(lengths.max(axis=1))[0][0]))
+        return GeometryReport(h=sorted_edge_lengths(self), volume=float(vol[0]),
+                              R_T=float(batch_r_t(lengths, vol)[0]), _t=self)
 
     @cached_property
     def _pull_back(self) -> tuple[np.ndarray, np.ndarray]:
@@ -484,10 +483,15 @@ def batch_quality_ratio(lengths: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return hs[:, 0] * hs[:, 1] * hs[:, 5] / (alpha[:, 0] * alpha[:, 1] * alpha[:, 2])
 
 
+def batch_r_t(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """R_T = h1*h2*h_T^2/|T| per row, GeometryReport.R_T."""
+    hs = np.sort(lengths, axis=1)
+    return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol
+
+
 def batch_r_over_h(lengths: np.ndarray, vol: np.ndarray) -> np.ndarray:
     """R_T/h_T per row, as GeometryReport.R_T / h_T."""
-    hs = np.sort(lengths, axis=1)
-    return hs[:, 0] * hs[:, 1] * _float_pow(hs[:, 5], 2) / vol / hs[:, 5]
+    return batch_r_t(lengths, vol) / lengths.max(axis=1)
 
 
 def batch_h_t(lengths: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -7,15 +7,14 @@ is sum_alpha Delta^alpha f(0) prod_i C(k xi_i, alpha_i) (Gregory-Newton): the
 base-0 rows of the lattice's forward-difference stencils give the
 differences, one fixed matrix per k expands the binomials, and that dense
 vector in xi is the interpolant.
-pull_back returns the vertices (x_0 first) and J^{-T}, and rejects a
-degenerate element.  Points map with xi = (x - x_0) J^{-T} and physical
-partials follow by the chain rule, so a rotated flat element interpolates as
-well as an axis-aligned one.  The element builds this frame once, by one
-inversion after its one degeneracy test (geom.Tetrahedron), and every
-pull_back of it returns the same read-only arrays: interpolation
-(_interpolate), every sample set placed on the element and the p = inf
-polish read them, so an interpolant meets its own frame by identity.  A
-frame from outside (Interpolant, in_frame) passes one shape check.
+The element is the frame: an interpolant, a polynomial held in a frame and
+a sample set placed on an element hold the Tetrahedron itself, whose arrays
+(the vertices, x_0 first, and J^{-T}) pull_back returns, built once by one
+inversion after the element's one degeneracy test (geom.Tetrahedron);
+pull_back raises InputError for anything but a Tetrahedron.  Points map with
+xi = (x - x_0) J^{-T} (_xi) and physical partials follow by the chain rule,
+so a rotated flat element interpolates as well as an axis-aligned one.  Two
+frames are the same when their elements are: a is b or a == b.
 
 Every field is one class, ScalarField, and returns its partials of several
 orders at one point set from one evaluation, partials_of(orders, pts): one
@@ -25,7 +24,7 @@ case, a single partial is a row of that, and its values are its order 0,
 the numbers its seminorms sample.  gamma! has one table, _factorials.
 Every polynomial is one class, Polynomial3: a dense coefficient vector over
 monomial_indices(degree) in a frame.  A physical polynomial's frame is the
-identity, so its points are not mapped; an Interpolant's is (verts, J^{-T}).
+identity (None), so its points are not mapped; an Interpolant's, its element.
 Its partials of order m are one matrix product, the order-m derivative
 matrix (times one chain-rule matrix in a frame) against the monomial table
 _monomials at points mapped once; several orders share the points and one
@@ -43,7 +42,7 @@ every element; every other field evaluates at x.
 
 The residual u = v - I v has two parts.  Up to order k, when v is a
 polynomial (physical, or held in any frame), u is one polynomial in the
-interpolant's frame: v.in_frame(verts, J^{-T}), the Taylor coefficients of
+interpolant's frame: v.in_frame(t), the Taylor coefficients of
 v(x_0 + J xi) by the forward chain rule at x_0, less the interpolant's
 coefficients; so at Samples each order is one product with the set's shared
 table.  For any other field every partials_of returns new arrays that the
@@ -201,7 +200,7 @@ def _monomials(pts: np.ndarray, degree: int) -> np.ndarray:
 class SampleSet:
     """A fixed set of points on the reference element: read-only barycentric
     rows bary (N, 4), so that xi = bary[:, 1:] exactly and x = bary @ verts
-    on the element with vertices verts (on(verts)).  Quadrature rule stacks
+    on the element t with vertices verts (on(t)).  Quadrature rule stacks
     and the blocks of the p = inf lattice are cached sample sets, which lets
     every polynomial held in a frame share one monomial table at them."""
 
@@ -226,20 +225,20 @@ class SampleSet:
             self._table.flags.writeable = False
         return self._table[:rows]
 
-    def on(self, verts: np.ndarray) -> "Samples":
-        return Samples(self, verts)
+    def on(self, t: Tetrahedron) -> "Samples":
+        return Samples(self, t)
 
 
 class Samples:
-    """A SampleSet placed on the element with vertices verts (4, 3): its
-    points x = bary @ verts, mapped once.  Every field's partials_of takes
-    it in place of raw points; only a polynomial in the frame of the same
-    vertices reads the set's xi instead of x."""
+    """A SampleSet placed on the element t: its points x = bary @ verts,
+    mapped once.  Every field's partials_of takes it in place of raw points;
+    only a polynomial in the frame of the same element reads the set's xi
+    instead of x."""
 
-    __slots__ = ("set", "verts", "x")
+    __slots__ = ("set", "t", "x")
 
-    def __init__(self, sample_set: SampleSet, verts: np.ndarray):
-        self.set, self.verts, self.x = sample_set, verts, sample_set.bary @ verts
+    def __init__(self, sample_set: SampleSet, t: Tetrahedron):
+        self.set, self.t, self.x = sample_set, t, sample_set.bary @ pull_back(t)[0]
 
 
 def _points(pts) -> np.ndarray:
@@ -252,9 +251,9 @@ class Polynomial3:
 
     coef holds the coefficients over monomial_indices(degree) in coordinates
     xi of the frame: xi = x for a physical polynomial, xi = (x - x_0) J^{-T}
-    for an Interpolant, whose frame (verts, J^{-T}) is pull_back's; at Samples
-    on the same vertices xi is the sample set's own bary[:, 1:], and the
-    monomials there come from a cache.  Neither may change after construction.
+    for an Interpolant, whose frame is its element; at Samples on the same
+    element xi is the sample set's own bary[:, 1:], and the monomials there
+    come from a cache.  Neither may change after construction.
     Polynomial3({(a, b, c): coefficient, ...}) builds a physical polynomial
     whose degree is the highest with a nonzero coefficient (0 when there is
     none); an exponent key that is not three integers >= 0, or a coefficient
@@ -265,7 +264,7 @@ class Polynomial3:
     <= degree - m at xi.  A single partial is a row of it by definition.
     """
 
-    __slots__ = ("coef", "degree", "_frame", "_by_order", "_chains")
+    __slots__ = ("coef", "degree", "_t", "_by_order", "_chains")
 
     def __init__(self, coeffs: Mapping[MultiIndex, float] | None = None):
         clean: dict[MultiIndex, float] = {}
@@ -283,15 +282,15 @@ class Polynomial3:
         return cls._held(coef, degree, None)
 
     @classmethod
-    def _held(cls, coef: np.ndarray, degree: int, frame) -> "Polynomial3":
+    def _held(cls, coef: np.ndarray, degree: int, t: Tetrahedron | None) -> "Polynomial3":
         """The polynomial with coefficients coef over monomial_indices(degree)
-        in frame, None or pull_back's (verts, J^{-T})."""
+        in the frame of the element t, None for a physical polynomial."""
         out = cls.__new__(cls)
-        out._hold(coef, degree, frame)
+        out._hold(coef, degree, t)
         return out
 
-    def _hold(self, coef: np.ndarray, degree: int, frame):
-        self.coef, self.degree, self._frame = coef, degree, frame
+    def _hold(self, coef: np.ndarray, degree: int, t: Tetrahedron | None):
+        self.coef, self.degree, self._t = coef, degree, t
         self._by_order: dict[int, np.ndarray] = {}  # filled by _matrix
         self._chains: list[np.ndarray] | None = None  # _chain's list, extended by _matrix
 
@@ -332,9 +331,9 @@ class Polynomial3:
             return [d * table[:1] if d.shape[1] == 1 else d @ table[: d.shape[1]]
                     for d in map(self._matrix, orders)]
 
-    def in_frame(self, verts, inverse_t) -> np.ndarray:
+    def in_frame(self, t: Tetrahedron) -> np.ndarray:
         """The coefficients over monomial_indices(degree) of xi -> v(x_0 + J xi)
-        in the frame (verts, J^{-T}) that pull_back returns, x_0 = verts[0].
+        in the frame of the element t, x_0 its first vertex.
 
         They are its Taylor coefficients at xi = 0, from the forward chain
         rule at x_0: d/dxi_i = (x_i - x_0) . grad_x, so the chain-rule
@@ -345,18 +344,15 @@ class Polynomial3:
         taken through it (its own xi' is affine in xi); one held in this
         frame returns its own coef, not a copy.  Numpy warnings are
         silenced, as an overflow shows as a coefficient that is not finite
-        and callers check finiteness.  A frame that is not a (4, 3) and a
-        (3, 3) array of reals raises InputError, as an Interpolant's does.
+        and callers check finiteness.  t is read through pull_back, as an
+        Interpolant's is.
         """
-        verts, inverse_t = _checked_frame(verts, inverse_t)
-        if self._frame is not None and all(
-            mine is theirs or np.array_equal(mine, theirs)
-            for mine, theirs in zip(self._frame, (verts, inverse_t))
-        ):
+        verts = pull_back(t)[0]
+        if self._t is t or self._t == t:
             return self.coef
         edges, at = verts[1:] - verts[0], verts[0]  # the rows of J^T, and x_0
-        if self._frame is not None:  # in the coordinates xi' of the own frame
-            edges, at = edges @ self._frame[1], (at - self._frame[0][0]) @ self._frame[1]
+        if self._t is not None:  # in the coordinates xi' of the own frame
+            edges, at = edges @ pull_back(self._t)[1], _xi(at, self._t)
         target, source, power, factor, scale = _taylor_plan(self.degree)
         with np.errstate(all="ignore"):
             # Entry 3 e + i of the powers is at_i^e; power picks one per axis.
@@ -381,8 +377,8 @@ class Polynomial3:
         """
         if m not in self._by_order:
             d = derivatives(self.coef, self.degree, m)  # no columns above the degree
-            if self._frame is not None and m <= self.degree:
-                self._chains = _chain(self._frame[1], m, self._chains)
+            if self._t is not None and m <= self.degree:
+                self._chains = _chain(pull_back(self._t)[1], m, self._chains)
                 d = self._chains[m] @ d
             self._by_order[m] = d
         return self._by_order[m]
@@ -390,14 +386,17 @@ class Polynomial3:
     def _table(self, pts, m: int) -> np.ndarray:
         """The monomials of degree <= degree - m at pts mapped to the frame,
         or the cached table at the sample set of Samples on the frame's own
-        vertices (read-only)."""
-        if isinstance(pts, Samples) and self._frame is not None and (
-            pts.verts is self._frame[0] or np.array_equal(pts.verts, self._frame[0])
-        ):
+        element (read-only)."""
+        if isinstance(pts, Samples) and (pts.t is self._t or pts.t == self._t):
             return pts.set.monomials(self.degree - m)
         p = _points(pts)
-        xi = p if self._frame is None else (p - self._frame[0][0]) @ self._frame[1]
-        return _monomials(xi, self.degree - m)
+        return _monomials(p if self._t is None else _xi(p, self._t), self.degree - m)
+
+
+def _xi(x: np.ndarray, t: Tetrahedron) -> np.ndarray:
+    """xi = (x - x_0) J^{-T}: points x, (N, 3) or (3,), in t's reference frame."""
+    verts, inverse_t = pull_back(t)
+    return (x - verts[0]) @ inverse_t
 
 
 def _chain(forms: np.ndarray, top: int, out: list | None = None) -> list[np.ndarray]:
@@ -570,13 +569,14 @@ class ScalarField:
 
 class Interpolant(Polynomial3):
     """The Lagrange interpolant I_T^k v: a Polynomial3 of degree k held on the
-    reference element, in the frame (verts, J^{-T}) that pull_back returns
-    for x = verts[0] + J xi.  coef is its dense vector in xi."""
+    reference element of t, x = x_0 + J xi; coef is its dense vector in xi.
+    t is read through pull_back at once (InputError, DegenerateTetrahedron)."""
 
     __slots__ = ()
 
-    def __init__(self, coef: np.ndarray, k: int, verts, inverse_t):
-        self._hold(coef, k, _checked_frame(verts, inverse_t))
+    def __init__(self, coef: np.ndarray, k: int, t: Tetrahedron):
+        pull_back(t)
+        self._hold(coef, k, t)
 
     @property
     def k(self) -> int:
@@ -596,21 +596,6 @@ def as_field(v) -> ScalarField:
     if isinstance(v, Polynomial3):
         return ScalarField._of(v.partials_of, degree=v.degree, polynomial=v)
     return ScalarField(v)
-
-
-def _checked_frame(verts, inverse_t) -> tuple[np.ndarray, np.ndarray]:
-    """verts and inverse_t as float arrays, the frame (verts, J^{-T}) that
-    pull_back returns; InputError unless they are (4, 3) and (3, 3) arrays
-    of reals.  Arrays of floats are returned as they are, not copied."""
-    try:
-        verts, inverse_t = np.asarray(verts, dtype=float), np.asarray(inverse_t, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError("a frame is pull_back's vertices (4, 3) and J^{-T} (3, 3) as arrays "
-                         "of reals: %s" % exc) from None
-    if verts.shape != (4, 3) or inverse_t.shape != (3, 3):
-        raise InputError("a frame is pull_back's vertices (4, 3) and J^{-T} (3, 3), got "
-                         "shapes %s and %s" % (verts.shape, inverse_t.shape))
-    return verts, inverse_t
 
 
 def _check_degree(k) -> int:
@@ -640,8 +625,10 @@ def _newton(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pull_back(t: Tetrahedron) -> tuple[np.ndarray, np.ndarray]:
     """The vertices (4, 3) and J^{-T} of x = verts[0] + J xi, read-only
-    arrays that t builds once and every call shares; DegenerateTetrahedron
-    if flat."""
+    arrays that t builds once and every call shares; InputError unless t is
+    a Tetrahedron, DegenerateTetrahedron if flat."""
+    if not isinstance(t, Tetrahedron):
+        raise InputError("a frame is a Tetrahedron, got %r" % (t,))
     return t._pull_back
 
 
@@ -651,17 +638,16 @@ def interpolate(v, t: Tetrahedron, k: int) -> Interpolant:
     v is anything as_field accepts; its nodal values give forward differences
     and those the coefficients (_newton).  Reproduces any q in P_k up to
     roundoff.  A nodal value of v that is not finite raises NumericalError.
-    A wrapper: it checks k and reads t's frame (pull_back).
+    A wrapper: it checks k.
     """
     k = _check_degree(k)
-    return _interpolate(as_field(v), pull_back(t), k)[1]
+    return _interpolate(as_field(v), t, k)[1]
 
 
-def _interpolate(v: ScalarField, frame, k: int) -> tuple[np.ndarray, Interpolant]:
-    """v's values at the nodes of degree k on the element whose frame is
-    pull_back's (verts, J^{-T}), and its interpolant, held in that frame
-    (the same arrays); the caller has checked k."""
-    nodes = _unit_weights(k) @ frame[0]
+def _interpolate(v: ScalarField, t: Tetrahedron, k: int) -> tuple[np.ndarray, Interpolant]:
+    """v's values at the nodes of degree k on t, and its interpolant, held
+    in t's frame; the caller has checked k."""
+    nodes = _unit_weights(k) @ pull_back(t)[0]
     values = v(nodes)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -671,7 +657,7 @@ def _interpolate(v: ScalarField, frame, k: int) -> tuple[np.ndarray, Interpolant
             % (float(values[i]), sigma_k(k)[i], nodes[i].tolist())
         )
     newton, diff = _newton(k)
-    return values, Interpolant._held(newton @ (diff @ values), k, frame)
+    return values, Interpolant._held(newton @ (diff @ values), k, t)
 
 
 def residual(v, t: Tetrahedron, k: int) -> ScalarField:
@@ -724,8 +710,8 @@ def _in_frame_less(v: Polynomial3, ip: Interpolant) -> Polynomial3:
     """v - ip as one polynomial in ip's frame, of degree max(v.degree, ip.k)."""
     degree = max(v.degree, ip.k)
     coef = np.zeros(math.comb(degree + 3, 3))
-    coef[: len(v.coef)] = v.in_frame(*ip._frame)
+    coef[: len(v.coef)] = v.in_frame(ip._t)
     with np.errstate(all="ignore"):  # callers check finiteness
         coef[: len(ip.coef)] -= ip.coef
-    return Polynomial3._held(coef, degree, ip._frame)
+    return Polynomial3._held(coef, degree, ip._t)
 

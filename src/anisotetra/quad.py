@@ -19,12 +19,12 @@ gets |u|_{0,p,T} and a higher order raises DerivativeUnavailable.
 
 One sampling loop, _seminorms, serves seminorms of one field and one p on
 one element: verify.error_ratio's two and the one of seminorm_with_info, the
-public entry, a wrapper.  Both read the frame and |T| that the element
-measured once (interp.pull_back, geom.volume).
+public entry, a wrapper.  Both pass the element, whose |T| and frame it
+measured once (geom.volume, interp.pull_back).
 Sample sets are cached interp.SampleSets, read-only barycentric rows placed
-on the frame's vertices once per call, so that every interpolant (and any
-polynomial in that frame) reads its cached monomial table at them instead of
-mapping points back through J^{-T}.  For finite p every rule the specs need
+on the element once per call, so that every interpolant (and any polynomial
+in that frame) reads its cached monomial table at them instead of mapping
+points back through J^{-T}.  For finite p every rule the specs need
 is stacked into one sample set; one call, partials_of(orders, samples),
 samples |d^gamma u| there for every |gamma| = m of every order, and each
 spec reduces its own rules' rows by the weighted p-sum, one product per rule
@@ -89,9 +89,9 @@ from .interp import (
     SampleSet,
     ScalarField,
     _factorials,
+    _xi,
     as_field,
     derivative_indices,
-    pull_back,
 )
 from .lattice import gauss_jacobi, unit_weights
 
@@ -221,21 +221,20 @@ def _peak(pair: RankOne) -> tuple[int, np.ndarray]:
         return i, np.abs((pair.row[i] * pair.column) * pair.scale)
 
 
-def _inside(x: np.ndarray, frame) -> bool:
-    """Is x in the element whose pull_back is frame, up to INSIDE_TOL in
-    barycentric terms?"""
-    verts, inverse_t = frame
-    lam = (x - verts[0]) @ inverse_t
+def _inside(x: np.ndarray, t: Tetrahedron) -> bool:
+    """Is x in the element t, up to INSIDE_TOL in barycentric terms?"""
+    lam = _xi(x, t)
     return bool(lam.min() >= -INSIDE_TOL and lam.sum() <= 1.0 + INSIDE_TOL)
 
 
-def _newton_polish(field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, frame) -> float:
+def _newton_polish(field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray,
+                   t: Tetrahedron) -> float:
     """One constrained Newton step toward a local extremum of |d^gamma u|.
 
     Value, gradient and Hessian are the rows gamma, gamma + e_i and
     gamma + e_i + e_j of the field's partials of orders |gamma|, |gamma| + 1
     and |gamma| + 2 at x0, from one call; the step is taken only inside the
-    element whose pull_back is frame.
+    element t.
     """
     m, e = sum(gamma), np.eye(3, dtype=int)
     row = derivative_indices(m).index(gamma)
@@ -252,7 +251,7 @@ def _newton_polish(field_u: ScalarField, gamma: MultiIndex, x0: np.ndarray, fram
     except np.linalg.LinAlgError:
         return abs(val0)
     x1 = x0 + step
-    if not _inside(x1, frame):
+    if not _inside(x1, t):
         return abs(val0)
     val1 = sign * float(field_u.partials(m, x1[None, :])[row, 0])
     return max(abs(val0), val1 if val1 > 0 else abs(val0))
@@ -436,28 +435,28 @@ def _plan(poly_degree: int | None, specs: tuple, degree: int | None) -> _Plan:
                  frozenset(lattice if poly_degree is not None else ()), tuple(steps))
 
 
-def _seminorms(field_u: ScalarField, frame, vol: float, specs,
+def _seminorms(field_u: ScalarField, t: Tetrahedron, specs,
                degree: int | None) -> list[SeminormInfo]:
     """|u|_{m,p,T} plus metadata for each of specs, SeminormSpecs of one p,
-    errors in spec order, on the element whose frame is pull_back's (verts,
-    J^{-T}) and whose volume is vol: every sample set is placed on frame's
-    vertices, the arrays an interpolant in that frame holds, and a polish
-    step is tested against it.  degree is checked here, before _plan."""
+    errors in spec order, on the element t: every sample set is placed on
+    t, the frame an interpolant on t holds, and a polish step is tested
+    against it.  |T| is read first, so a degenerate element raises
+    DegenerateTetrahedron before degree is checked, which is before _plan."""
+    vol = volume(t)
     degree = _checked_degree(specs[0].p, degree)
     plan = _plan(field_u.degree, tuple(specs), degree)
-    verts = frame[0]
     samples = {}  # per spec, |partials| or a RankOne over the stack
     if plan.sampled:
         orders = plan.orders
         for i, v in zip(plan.sampled,
-                        field_u.partials_of(orders, plan.stack.on(verts), rank_one=orders)):
+                        field_u.partials_of(orders, plan.stack.on(t), rank_one=orders)):
             if not isinstance(v, RankOne):
                 np.abs(v, out=v)  # partials_of hands its arrays to the caller
             samples[i] = v
     peaks = {i: _RunningMax(specs[i].m) for _, group, _ in plan.groups for i in group}
     for blocks, group, orders in plan.groups:
         for block in blocks:
-            placed = block.on(verts)
+            placed = block.on(t)
             for i, vals in zip(group, field_u.partials_of(orders, placed, rank_one=orders)):
                 peaks[i].add(vals, placed.x)
     out = []
@@ -468,7 +467,7 @@ def _seminorms(field_u: ScalarField, frame, vol: float, specs,
         elif i in peaks:
             value, at = peaks[i].result()
             if at is not None and i in plan.polish:  # a polish step stays inside t
-                value = max(value, _newton_polish(field_u, *at, frame))
+                value = max(value, _newton_polish(field_u, *at, t))
             out.append(SeminormInfo(value, None, step))
         else:
             out.append(step)
@@ -574,10 +573,9 @@ def seminorm_with_info(
     exact rule at even p and the p = inf polish.  degree fixes the quadrature
     exactness for finite p (UnsupportedDegree outside [1, MAX_RULE_DEGREE],
     and at p = inf, which samples a lattice); a spec that is not a
-    SeminormSpec raises InputError.  A wrapper around _seminorms on t's
-    frame and |T|, which t measures once.
+    SeminormSpec raises InputError.  A wrapper around _seminorms on t, which
+    raises DegenerateTetrahedron at every p.
     """
     if not isinstance(spec, SeminormSpec):
         raise InputError("spec must be a SeminormSpec, got %r" % (spec,))
-    frame = pull_back(t)  # DegenerateTetrahedron at every p
-    return _seminorms(as_field(u), frame, volume(t), (spec,), degree)[0]
+    return _seminorms(as_field(u), t, (spec,), degree)[0]

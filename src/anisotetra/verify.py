@@ -8,8 +8,8 @@ The experiments here are the executable form of the package's claims:
   from one sampling loop, so v is evaluated once at the nodes and once per
   sample set, and of the geometry only h_T, |T| and R_T are computed.  The
   element tests its volume and inverts J once, on its first measurement
-  (geom.Tetrahedron), and every call hands those frame arrays and |T| to
-  interpolation and sampling.
+  (geom.Tetrahedron), and every call hands the element itself to
+  interpolation and sampling, which read those.
   They take v's exact partials (an expression, a polynomial or a per-gamma
   partial_fn); a plain callable has values only and is refused.
 * ``study`` is the one loop over that quotient, every field on every element
@@ -79,7 +79,6 @@ from .interp import (
     _residual,
     as_field,
     monomial_indices,
-    pull_back,
     residual,
 )
 from .lattice import forward_differences, unit_weights
@@ -103,7 +102,10 @@ _MIN_MAX_ANGLE = math.acos(1.0 / 3.0)
 # the lowest over gamma_max (0.61 near pi/3), so a second chunk is rare.
 _REVERSE_PRIOR_RATE = 0.6
 
-FAMILIES = ("uniform", "needle", "sliver", "squeezed", "mac", "mixed")
+# Each family and the params keys it reads; any other key is refused.
+_PARAMS = {"uniform": (), "needle": ("eps",), "sliver": ("eps",), "squeezed": ("alpha", "kind"),
+           "mac": ("gamma",), "mixed": ("eps",)}
+FAMILIES = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,9 @@ class TetraGenSpec:
     mixed              cycles uniform, needle, sliver per sample index
 
     eps defaults to a log-uniform draw per sample (needle in [1e-6, 1],
-    sliver in [1e-6, 1e-1]); a given eps must be finite and nonzero.  The
-    seed, a Philox key, lies in [0, 2**128).
+    sliver in [1e-6, 1e-1]); a given eps must be finite and nonzero.  A
+    params key that the family does not read raises InputError.  The seed,
+    a Philox key, lies in [0, 2**128).
     """
 
     family: str = "uniform"
@@ -130,7 +133,7 @@ class TetraGenSpec:
         if self.family not in FAMILIES:
             raise InputError("unknown family %r; expected one of %s" % (self.family, FAMILIES))
         _check_seed(self.seed)
-        _check_params(self.params)
+        _check_params(self.family, self.params)
 
 
 def _check_seed(seed, reverse: int = 0):
@@ -142,7 +145,11 @@ def _check_seed(seed, reverse: int = 0):
                          % (" - 1" * reverse, seed)) from None
 
 
-def _check_params(params: dict):
+def _check_params(family: str, params: dict):
+    for key in params:
+        if key not in _PARAMS[family]:
+            raise InputError("family %r reads no params[%r]; it takes %s"
+                             % (family, key, ", ".join(map(repr, _PARAMS[family])) or "none"))
     for name in ("eps", "gamma"):
         if params.get(name) is not None:
             real(params[name], "params[%r]" % name, -sys.float_info.max, sys.float_info.max)
@@ -345,7 +352,7 @@ def bubble_polynomial(t: Tetrahedron) -> Interpolant:
     degree k <= 3: a stress field whose interpolant is zero.
     """
     newton, diff = _newton(4)
-    return Interpolant(newton @ (diff @ unit_weights(4).prod(axis=1)), 4, *pull_back(t))
+    return Interpolant(newton @ (diff @ unit_weights(4).prod(axis=1)), 4, t)
 
 
 def _linear_arg(a: np.ndarray, b: float) -> str:
@@ -431,8 +438,8 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
 
     The geometry is the element's one measurement: angles(t), whose |T| is
     volume(t), and the frame (verts, J^{-T}) of pull_back(t), built once
-    per element; interpolation, every sample set and the p = inf polish
-    read those arrays.
+    per element.  Interpolation, every sample set and the p = inf polish
+    are handed t and read those.
     """
     _check_spec(k, m, p)
     k, m = int(k), int(m)
@@ -451,14 +458,12 @@ def error_ratio(v, t: Tetrahedron, k: int, m: int, p: float,
     if not (0.0 < bound_factor < math.inf and h_power > 0.0):
         raise _beyond_range(k, m, h_t)
     v = as_field(v)
-    frame = pull_back(t)  # the element's one inversion; every step reads these arrays
-    values, ip = _interpolate(v, frame, k)
+    values, ip = _interpolate(v, t, k)
     size = float(np.max(np.abs(values))) * geometry.volume ** (1.0 / p) / h_power
     if not size < math.inf:
         raise _beyond_range(k, m, h_t)
     err_info, hi_info = _seminorms(
-        _residual(v, ip), frame, geometry.volume,
-        [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree,
+        _residual(v, ip), t, [SeminormSpec(m, p), SeminormSpec(k + 1, p)], degree,
     )
     indeterminate = not hi_info.value > 1e-14 * size
     denominator = bound_factor * hi_info.value

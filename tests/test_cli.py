@@ -67,6 +67,26 @@ def test_analyze_tetra_file(tmp_path, capsys):
     assert report["results"]["geometry"]["R_T"] == pytest.approx(12.0, rel=1e-12)
 
 
+def test_an_undecodable_tetra_file_exits_2(tmp_path, capsys):
+    # Its UnicodeDecodeError is reported as an unreadable file, not raised.
+    path = tmp_path / "tet.txt"
+    path.write_bytes(b"\xff\xfe0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(["analyze", "--tetra-file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read --tetra-file %s: " % path), err
+
+
+@pytest.mark.parametrize("option,argv", [
+    ("--out", ["analyze", "--tetra", "ref"]),
+    ("--csv", ["sweep", "--k", "2", "--m", "1", "--p", "2", "--eps-levels", "2"]),
+])
+def test_an_unwritable_output_exits_2_naming_it(tmp_path, capsys, option, argv):
+    path = tmp_path / "missing" / "report"
+    code, out, err = run(argv + [option, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write %s %s: " % (option, path)), err
+
+
 def test_analyze_missing_vertex_exits_2(capsys):
     code, _, err = run(["analyze", "--vertices", "0,0,0 1,0,0 0,1,0"], capsys)
     assert code == 2

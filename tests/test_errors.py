@@ -46,7 +46,7 @@ from anisotetra.errors import (
     InvalidGammaMax,
     UnsupportedDegree,
 )
-from anisotetra.interp import Interpolant, ScalarField
+from anisotetra.interp import Interpolant, ScalarField, pull_back
 from anisotetra.lattice import gauss_jacobi
 from anisotetra.quad import SeminormSpec
 
@@ -65,11 +65,11 @@ FIELDS = {"Polynomial3": Polynomial3({(2, 1, 0): 1.0}), "expression": V,
 # A bare expression tree, as parse_expression returns it: partials_of only.
 TREE = parse_expression("sin(x + 2*y + 3*z)")
 PTS = np.array([[0.1, 0.2, 0.3]])
-# Frames (verts, J^{-T}) that are not pull_back's shapes, or not arrays.
+# Frames that are not an element: its arrays, its vertices, a string.
 FRAMES = {
-    "verts (3, 3)": (np.zeros((3, 3)), np.eye(3)),
-    "J^-T (2, 2)": (np.eye(4, 3), np.eye(2)),
-    "not an array": ("vertices", np.eye(3)),
+    "pull_back's arrays": pull_back(T),
+    "vertex tuple": T.v,
+    "not an element": "T",
 }
 
 
@@ -185,11 +185,11 @@ TABLE = [
           True, 1.5, "1", -1),
     *rows("Polynomial3.coefficient", lambda c: Polynomial3({(1, 0, 0): c}), InputError,
           (RAW, True), "2", (RAW, NAN)),
-    # The frame of in_frame and of an Interpolant: one check for both.
-    *rows("Polynomial3.in_frame", lambda f: LINEAR.in_frame(*FRAMES[f]), InputError,
-          (RAW, "verts (3, 3)"), (RAW, "J^-T (2, 2)"), (RAW, "not an array")),
-    *rows("Interpolant.frame", lambda f: Interpolant(np.zeros(4), 1, *FRAMES[f]), InputError,
-          "verts (3, 3)", "J^-T (2, 2)", (RAW, "not an array")),
+    # The frame of in_frame and of an Interpolant is an element: one check
+    # for both, pull_back's.
+    *rows("Polynomial3.in_frame", lambda f: LINEAR.in_frame(FRAMES[f]), InputError, *FRAMES),
+    *rows("Interpolant.frame", lambda f: Interpolant(np.zeros(4), 1, FRAMES[f]), InputError,
+          *FRAMES),
 ]
 
 

@@ -421,7 +421,7 @@ class TestInterpolation:
         # xi^alpha, with xi = J^{-1} (x - x_0), pulled back to the element.
         k = 3
         coef = np.array([float(g == alpha) for g in monomial_indices(k)])
-        ip = Interpolant(coef, k, *pull_back(ROTATED_ANISO))
+        ip = Interpolant(coef, k, ROTATED_ANISO)
         verts = ROTATED_ANISO.as_array()
         jac = (verts[1:] - verts[0]).T
         pts = nodes_on(ROTATED_ANISO.coords(), 5)[1]
@@ -522,7 +522,7 @@ class TestSampleSets:
         sets = [quad._rule_stack((12, 18))[0], quad._lattice_blocks()[1]]
         for k in range(1, 5):
             for poly in (interpolate(v, t, k), bubble_polynomial(t)):
-                for samples in (s.on(t.as_array()) for s in sets):
+                for samples in (s.on(t) for s in sets):
                     got = poly.partials_of(range(k + 1), samples)
                     for m, rows in enumerate(got):
                         want = poly.partials(m, samples.x)
@@ -532,7 +532,7 @@ class TestSampleSets:
     def test_samples_on_another_element_map_their_points(self):
         # The cached xi belongs to the polynomial's own element only.
         ip = interpolate(field_from_expression("exp(x - y*z)"), ROTATED_ANISO, 3)
-        samples = quad._lattice_blocks()[0].on(ANISO.as_array())
+        samples = quad._lattice_blocks()[0].on(ANISO)
         for m in range(4):
             assert np.array_equal(ip.partials(m, samples), ip.partials(m, samples.x))
 
@@ -573,16 +573,30 @@ class TestSampleSets:
             frame[1][0, 0] = 0.0
         assert all(np.array_equal(a, b) for a, b in zip(frame, pull_back(ROTATED_ANISO)))
 
-    def test_an_interpolant_takes_pull_backs_frame_only(self):
+    def test_an_interpolant_and_in_frame_take_an_element_only(self):
         ip = interpolate(field_from_expression("exp(x - y*z)"), ROTATED_ANISO, 2)
-        verts, inverse_t = pull_back(ROTATED_ANISO)
-        for frame in [(verts[0], inverse_t), (verts, inverse_t[:2]), (verts.T, inverse_t)]:
-            with pytest.raises(InputError):
-                Interpolant(ip.coef, 2, *frame)
-        again = Interpolant(ip.coef, 2, verts.tolist(), inverse_t)
-        pts = quad._lattice_blocks()[0].on(verts)
+        frame = pull_back(ROTATED_ANISO)
+        for other in [frame, frame[0], ROTATED_ANISO.v, None]:
+            with pytest.raises(InputError, match="Tetrahedron"):
+                Interpolant(ip.coef, 2, other)
+            with pytest.raises(InputError, match="Tetrahedron"):
+                ip.in_frame(other)
+        # An element of the same vertices is the same frame: its samples
+        # read the interpolant's cached table, and in_frame keeps the coef.
+        same = Tetrahedron(ROTATED_ANISO.v)
+        again = Interpolant(ip.coef, 2, same)
+        pts = quad._lattice_blocks()[0].on(same)
         for m in range(3):
             assert np.array_equal(again.partials(m, pts), ip.partials(m, pts))
+        assert ip.in_frame(same) is ip.coef
+
+    def test_a_degenerate_element_raises_at_construction(self):
+        flat = Tetrahedron(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1e-300)))
+        coef = np.zeros(len(monomial_indices(2)))
+        with pytest.raises(DegenerateTetrahedron):
+            Interpolant(coef, 2, flat)
+        with pytest.raises(DegenerateTetrahedron):
+            Polynomial3({(1, 0, 0): 1.0}).in_frame(flat)
 
 
 def exact_frame(t):
@@ -657,7 +671,7 @@ class TestInFrame:
         want = Exact.of(v).compose_affine(jac, x0).coeffs
         size = Exact({g: abs(c) for g, c in Exact.of(v).coeffs.items()}).compose_affine(
             [[abs(c) for c in row] for row in jac], [abs(c) for c in x0]).coeffs
-        got = v.in_frame(*pull_back(t))
+        got = v.in_frame(t)
         for g, c in zip(monomial_indices(6), got.tolist()):
             assert abs(Fraction(c) - want.get(g, 0)) <= Fraction(1e-13) * size[g], g
 
@@ -671,11 +685,10 @@ class TestInFrame:
         # or cap the frame's J^{-T} costs about ulp / eps^(m-1) at order m, as
         # it does for every interpolant, so there the values are checked.
         t = rotated(FLAT[family](eps))
-        frame = pull_back(t)
-        samples = quad._lattice_blocks()[2].on(t.as_array())
+        samples = quad._lattice_blocks()[2].on(t)
         for k in (1, 4):
             v = random_poly(np.random.default_rng(k), k + 2)
-            held = Polynomial3._held(v.in_frame(*frame), v.degree, frame)
+            held = Polynomial3._held(v.in_frame(t), v.degree, t)
             for m in range(k + 1 if family == "needle" else 1):
                 want = v.partials(m, samples.x)
                 got = held.partials(m, samples)
@@ -683,18 +696,18 @@ class TestInFrame:
 
     def test_a_polynomial_in_this_frame_keeps_its_coefficients(self):
         bubble = bubble_polynomial(ROTATED_ANISO)
-        assert bubble.in_frame(*pull_back(ROTATED_ANISO)) is bubble.coef
+        assert bubble.in_frame(ROTATED_ANISO) is bubble.coef
 
     def test_a_polynomial_in_another_frame_is_taken_through_it(self):
         # The bubble of the reference, whose frame is the identity, converts
         # as its coefficients read physically do, bit for bit; the bubble of
         # another element gives its own values at the samples.
-        frame = pull_back(ROTATED_ANISO)
+        t = ROTATED_ANISO
         ref = bubble_polynomial(T_HAT)
-        assert np.array_equal(ref.in_frame(*frame), Polynomial3.dense(ref.coef, 4).in_frame(*frame))
+        assert np.array_equal(ref.in_frame(t), Polynomial3.dense(ref.coef, 4).in_frame(t))
         other = bubble_polynomial(ANISO)
-        held = Polynomial3._held(other.in_frame(*frame), 4, frame)
-        samples = quad._lattice_blocks()[0].on(frame[0])
+        held = Polynomial3._held(other.in_frame(t), 4, t)
+        samples = quad._lattice_blocks()[0].on(t)
         want = other.evaluate(samples.x)
         assert np.max(np.abs(held.partials(0, samples)[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -705,10 +718,10 @@ class TestInFrame:
         v = corpus(3, t)[13][1]
         ip = interpolate(v, t, 3)
         u = residual(v, t, 3)
-        coef = v.in_frame(*pull_back(t))
+        coef = v.in_frame(t)
         coef[: len(ip.coef)] -= ip.coef
-        near = Polynomial3._held(coef, 5, pull_back(t))
-        samples = quad._rule_stack((12, 18))[0].on(t.as_array())
+        near = Polynomial3._held(coef, 5, t)
+        samples = quad._rule_stack((12, 18))[0].on(t)
         got = u.partials_of([0, 2, 3, 4, 5], samples)
         for m, rows in zip([0, 2, 3], got):
             assert np.array_equal(rows, near.partials(m, samples)), m

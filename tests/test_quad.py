@@ -22,7 +22,6 @@ from anisotetra.interp import (
     as_field,
     interpolate,
     monomial_indices,
-    pull_back,
     residual,
 )
 from anisotetra.lattice import unit_weights
@@ -43,10 +42,10 @@ ANISO = Tetrahedron.from_points(
 )
 
 
-def on_frame(u, t, specs, degree=None):
-    """quad._seminorms of specs of one p on t's frame and volume, as
+def on_element(u, t, specs, degree=None):
+    """quad._seminorms of specs of one p on the element t, as
     verify.error_ratio takes its two."""
-    return quad._seminorms(as_field(u), pull_back(t), volume(t), tuple(specs), degree)
+    return quad._seminorms(as_field(u), t, tuple(specs), degree)
 
 
 def simplex_monomial_integral(a, b, c):
@@ -196,10 +195,9 @@ class TestSeminorm:
         assert abs(w - math.sqrt(2.0 / 6.0)) < 1e-13
 
     def test_inside_allows_the_tolerance_only(self):
-        frame = pull_back(T_HAT)
-        assert quad._inside(np.array([0.5, 0.5, -0.5 * quad.INSIDE_TOL]), frame)
-        assert not quad._inside(np.array([0.5, 0.5, -2.0 * quad.INSIDE_TOL]), frame)
-        assert not quad._inside(np.array([0.5, 0.5, 2.0 * quad.INSIDE_TOL]), frame)
+        assert quad._inside(np.array([0.5, 0.5, -0.5 * quad.INSIDE_TOL]), T_HAT)
+        assert not quad._inside(np.array([0.5, 0.5, -2.0 * quad.INSIDE_TOL]), T_HAT)
+        assert not quad._inside(np.array([0.5, 0.5, 2.0 * quad.INSIDE_TOL]), T_HAT)
 
     @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
     @pytest.mark.parametrize("field", ["polynomial", "expression"])
@@ -211,6 +209,16 @@ class TestSeminorm:
              "expression": field_from_expression("x*sin(3*x - y + 0.5*z)")}[field]
         with pytest.raises(DegenerateTetrahedron):
             seminorm_with_info(u, flat, SeminormSpec(2, p))
+
+    @pytest.mark.parametrize("p,degree", [(2.0, 99), (3.0, 0), (math.inf, 5)])
+    def test_a_flat_element_raises_before_a_bad_degree(self, p, degree):
+        # The element is read before the quadrature degree is checked.
+        flat = Tetrahedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1e-300)])
+        u = field_from_expression("x*sin(3*x - y + 0.5*z)")
+        with pytest.raises(DegenerateTetrahedron):
+            seminorm_with_info(u, flat, SeminormSpec(1, p), degree)
+        with pytest.raises(UnsupportedDegree):
+            seminorm_with_info(u, ANISO, SeminormSpec(1, p), degree)
 
     def test_no_underflow_at_large_p(self):
         # At p = 3000 a p-sum whose largest term lies below 1 can underflow
@@ -338,7 +346,7 @@ class TestSupSeminorm:
         # pass: the residual's interpolant reads its xi there, as in blocks.
         v = field_from_expression("1/((0.3)*x + (-0.7)*y + (0.2)*z + (1.6))")
         self.lattice(ANISO)  # asserts that the lattice spans several blocks
-        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(ANISO.as_array())
+        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(ANISO)
         for u in (v, residual(v, ANISO, 2)):
             want = float(np.max(np.abs(u.partials(m, whole))))
             assert seminorm_with_info(u, ANISO, SeminormSpec(m, math.inf)).value == want
@@ -367,11 +375,10 @@ class TestSupSeminorm:
         # which the lattice holds at x = verts[i] exactly: the four vertices
         # give the lattice maximum within 4 ulp, with no lattice block read.
         t = generate(TetraGenSpec(family, 4), 1)[0]
-        verts = t.as_array()
         fields = [Polynomial3.dense(np.cos(np.arange(35.0)), 4),
                   interpolate(field_from_expression("exp(x - y*z)"), t, 3),
                   residual(corpus(2, t)[13][1], t, 2)]
-        want = [[max(float(np.max(np.abs(as_field(u).partials(m, block.on(verts)))))
+        want = [[max(float(np.max(np.abs(as_field(u).partials(m, block.on(t)))))
                      for block in quad._lattice_blocks()) for m in (u.degree - 1, u.degree)]
                 for u in fields]
         monkeypatch.setattr(quad, "_lattice_blocks", lambda: ())
@@ -384,7 +391,7 @@ class TestSupSeminorm:
         # The four vertices give an exact maximum, and an order above the
         # degree an exact 0, so only a lattice maximum is labelled approximate.
         u = Polynomial3.dense(np.cos(np.arange(35.0)), 4)
-        infos = on_frame(u, ANISO, [SeminormSpec(m, math.inf) for m in (2, 3, 4, 5)])
+        infos = on_element(u, ANISO, [SeminormSpec(m, math.inf) for m in (2, 3, 4, 5)])
         assert [info.warnings for info in infos] == [
             ("p=inf maximum from dense sampling; value is approximate",), (), (), ()]
         assert infos[3].value == 0.0
@@ -442,7 +449,7 @@ class TestSharedSampling:
         specs = [SeminormSpec(m, p), SeminormSpec(k + 1, p)]
         for u in (v, residual(v, ANISO, k)):
             want = [seminorm_with_info(u, ANISO, s, degree=degree) for s in specs]
-            assert on_frame(u, ANISO, specs, degree) == want
+            assert on_element(u, ANISO, specs, degree) == want
 
     def test_a_rule_of_another_spec_between_a_specs_rules(self):
         # A degree-11 polynomial at p = 2: |u|_{0,2} takes the 12/18 pair (its
@@ -453,7 +460,7 @@ class TestSharedSampling:
         specs = [SeminormSpec(0, 2.0), SeminormSpec(4, 2.0)]
         want = [seminorm_with_info(v, ANISO, s) for s in specs]
         assert [w.quadrature_degree for w in want] == [quad.RICHARDSON_DEGREE, 14]
-        assert on_frame(v, ANISO, specs) == want
+        assert on_element(v, ANISO, specs) == want
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_errors_come_in_request_order(self, p):
@@ -477,7 +484,7 @@ class TestSharedSampling:
 
         u = ScalarField(lambda x: np.zeros(len(x)), partial_fn=partial_fn)
         with pytest.raises(NumericalError, match=r"\(1, 0, 0\)"):
-            on_frame(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
+            on_element(u, ANISO, [SeminormSpec(1, p), SeminormSpec(2, p)])
 
 
 # The rule-by-rule reduction that the run-wise _p_sum replaced, kept as the
@@ -643,7 +650,7 @@ class TestRankOneSeminorms:
         # Every corpus ridge, and its residual for orders above k: the
         # maximum over the lattice as one sample set, exactly.
         t = ELEMENTS[name]
-        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(t.as_array())
+        whole = SampleSet(unit_weights(quad.DENSE_LATTICE_ORDER)).on(t)
         ridges = [v for field, v in corpus(1, t) if not field.startswith(("poly", "bubble"))]
         assert len(ridges) == 13
         for v in ridges:
@@ -690,7 +697,7 @@ class TestRankOneSeminorms:
         rule = rule_for_degree(quad.RICHARDSON_DEGREE)
         ld = np.longdouble
         for m in range(1, 6):
-            vals = materialized(v).partials(m, stack.on(t.as_array()))
+            vals = materialized(v).partials(m, stack.on(t))
             vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]])
             weights = quad._multinomial_weights(m).astype(ld)
             for p in (1.0, 2.0, 3.0, 7.5):
@@ -716,7 +723,7 @@ class TestRankOneSeminorms:
         rule = rule_for_degree(quad.RICHARDSON_DEGREE)
         ld = np.longdouble
         for m in (1, 3):
-            vals = materialized(v).partials(m, stack.on(ANISO.as_array()))
+            vals = materialized(v).partials(m, stack.on(ANISO))
             vals = np.abs(vals[:, rows[quad.RICHARDSON_DEGREE]]).astype(ld)
             top = vals.max()
             weights = quad._multinomial_weights(m).astype(ld)

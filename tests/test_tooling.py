@@ -355,6 +355,13 @@ def test_geometry_has_one_kernel_per_quantity():
     loops = [n for n in ast.walk(functions["max_angle_at_most"])
              if isinstance(n, (ast.For, ast.While, ast.comprehension))]
     assert not loops
+    # R_T has one formula, batch_r_t: the report and R_T/h_T read it, and
+    # neither multiplies or raises to a power of its own.
+    for name in ("Tetrahedron._report", "batch_r_over_h"):
+        nodes = list(ast.walk(functions[name]))
+        assert "batch_r_t" in {ast.unparse(n.func) for n in nodes if isinstance(n, ast.Call)}, name
+        assert not [ast.unparse(n) for n in nodes
+                    if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Pow))], name
 
     functions["pull_back"] = interp["pull_back"]
 
@@ -376,6 +383,34 @@ def test_geometry_has_one_kernel_per_quantity():
               "mac_check", "volume", "angles", "edge_lengths", "sorted_edge_lengths",
               "pull_back"]
     assert [name for name in scalar if not reaches_kernel(name, set())] == []
+
+
+def test_the_element_is_the_frame():
+    # Interpolants, polynomials in a frame and sample sets hold their
+    # Tetrahedron, not a (verts, J^{-T}) tuple: interp checks no frame
+    # shapes (_checked_frame) and compares no frame arrays, two frames being
+    # the same when their elements are; quad hands the element on and reads
+    # no frame arrays, mapping points through interp's one spelling of
+    # xi = (x - x_0) J^{-T}.
+    from anisotetra import interp, quad
+
+    tree = ast.parse((SRC / "interp.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert "_checked_frame" not in defined
+    assert "array_equal" not in name_uses(tree)
+    assert "_frame" not in interp.Polynomial3.__slots__
+    assert "verts" not in interp.Samples.__slots__
+
+    def params(fn):
+        return [p for p in inspect.signature(fn).parameters if p != "self"]
+
+    assert params(quad._seminorms) == ["field_u", "t", "specs", "degree"]
+    assert params(interp.Interpolant) == ["coef", "k", "t"]
+    assert params(interp.Polynomial3.in_frame) == ["t"]
+    assert params(interp.SampleSet.on) == ["t"]
+    uses = name_uses(ast.parse((SRC / "quad.py").read_text()))
+    assert not {"pull_back", "_pull_back", "inverse_t"} & set(uses)
+    assert uses["_xi"] >= 2  # imported and called by _inside
 
 
 def call_sites(trees):

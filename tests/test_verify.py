@@ -143,6 +143,27 @@ class TestGenerate:
         with pytest.raises(InputError, match="eps"):
             TetraGenSpec(family, 0, {"eps": 0.0})
 
+    @pytest.mark.parametrize("family,params,key,takes", [
+        ("needle", {"epsilon": 1e-3}, "epsilon", "'eps'"),
+        ("uniform", {"eps": 1e-3}, "eps", "none"),
+        ("sliver", {"eps": 1e-3, "kind": 1}, "kind", "'eps'"),
+        ("mixed", {"alpha": (1, 1, 1)}, "alpha", "'eps'"),
+        ("squeezed", {"gamma": 2.0}, "gamma", "'alpha', 'kind'"),
+        ("mac", {"gamma": 2.0, "eps": 1e-3}, "eps", "'gamma'"),
+    ])
+    def test_a_key_the_family_does_not_read_is_an_input_error(self, family, params, key, takes):
+        # Such a key was dropped: a misspelt eps gave needles of random eps.
+        with pytest.raises(InputError) as exc:
+            TetraGenSpec(family, 0, params)
+        assert str(exc.value) == "family %r reads no params[%r]; it takes %s" % (family, key, takes)
+
+    def test_every_family_takes_its_own_keys(self):
+        own = {"uniform": {}, "needle": {"eps": 1e-3}, "sliver": {"eps": 1e-3},
+               "squeezed": {"alpha": (1, 1, 1), "kind": 2}, "mac": {"gamma": 2.0},
+               "mixed": {"eps": 1e-3}}
+        for family, params in own.items():
+            assert len(generate(TetraGenSpec(family, 0, params), 1)) == 1
+
     def test_non_numeric_eps_is_an_input_error(self):
         with pytest.raises(InputError, match="eps"):
             TetraGenSpec("needle", 0, {"eps": "x"})
